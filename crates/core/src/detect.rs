@@ -10,7 +10,7 @@
 //! connection.
 
 use crate::{CommunitySearch, Fpa};
-use dmcs_graph::{Graph, GraphBuilder, NodeId};
+use dmcs_graph::{Graph, NodeId};
 
 /// Configuration for the DM-based detector.
 #[derive(Debug, Clone, Copy)]
@@ -132,12 +132,6 @@ pub fn partition_density_modularity(g: &Graph, communities: &[Vec<NodeId>]) -> f
         .iter()
         .map(|c| crate::measure::density_modularity(g, c))
         .sum()
-}
-
-/// Helper for tests: detection on an explicitly-given subgraph edge list.
-#[allow(dead_code)]
-fn subgraph_of(edges: &[(NodeId, NodeId)], n: usize) -> Graph {
-    GraphBuilder::from_edges(n, edges)
 }
 
 #[cfg(test)]

@@ -9,23 +9,27 @@
 //! (Lemma 5): removing `u` only changes Θ of `u`'s neighbours, so a lazy
 //! max-heap per layer gives `O((|E|+|V|) log |V|)` total.
 //!
+//! Layer pruning picks the layers to strip from per-layer counts alone
+//! (node count, degree sum, owned edges), which the one BFS that layers
+//! the component also sums. The peel state is then built over the kept
+//! layers only: a stripped node is never touched again, and the strip
+//! is one iteration that `removal_order` does not list node by node.
+//!
 //! With multiple query nodes the algorithm first materialises a Steiner
 //! seed (shortest-path union) and protects it throughout, exactly as §5.6
 //! prescribes.
 
-use crate::measure::{density_ratio, dm_gain};
+use crate::measure::{density_modularity_counts, density_ratio, dm_gain};
 use crate::peel::{PeelState, TieRule};
 use crate::{validate_query_nodes, CommunitySearch, SearchError, SearchResult};
 use dmcs_graph::layout::NodeMap;
 use dmcs_graph::steiner::steiner_seed_with_workspace;
-use dmcs_graph::traversal::{
-    multi_source_bfs_collect, multi_source_bfs_preset, same_component_with_workspace, UNREACHABLE,
-};
+use dmcs_graph::traversal::{same_component_with_workspace, UNREACHABLE};
 use dmcs_graph::view::QueryWorkspace;
 use dmcs_graph::{Graph, GraphError, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::ops::Range;
 
 /// The Fast Peeling Algorithm.
 #[derive(Debug, Clone, Copy)]
@@ -80,15 +84,20 @@ impl CommunitySearch for Fpa {
         ws: &mut QueryWorkspace,
     ) -> Result<SearchResult, SearchError> {
         let mut setup = FpaSetup::prepare(g, query, ws)?;
-        let mut st = PeelState::new_in_component(g, &setup.component, TieRule::PreferLater, ws);
-        let mut iterations = 0usize;
-
-        let start_layer = if self.layer_pruning {
-            let target = prune_layers(&mut st, &mut setup);
-            iterations += 1; // the bulk phase counts as one pass
-            target
+        // The bulk strip counts as one pass. Its result is the peel
+        // state's starting point: DM(kept) ≥ DM(component) whenever
+        // anything is stripped, so the kept prefix is exactly the best
+        // snapshot a node-by-node strip would have left behind.
+        let (start_layer, mut iterations) = if self.layer_pruning {
+            (prune_layers(&setup.layers, g.m() as u64), 1)
         } else {
-            setup.max_dist
+            (setup.max_dist(), 0)
+        };
+        let kept = &setup.order[..setup.layers[start_layer as usize].end];
+        let mut st = if kept.len() == setup.order.len() {
+            PeelState::new_in_component(g, kept, TieRule::PreferLater, ws)
+        } else {
+            PeelState::new_in(g, kept, TieRule::PreferLater, ws)
         };
 
         // Node-level peeling, outermost layer first.
@@ -101,7 +110,7 @@ impl CommunitySearch for Fpa {
             }
         }
         let result = finish(st, iterations, ws);
-        ws.put_dist(setup.dist, &setup.component);
+        setup.release(ws);
         result
     }
 }
@@ -122,16 +131,13 @@ impl CommunitySearch for FpaDmg {
         ws: &mut QueryWorkspace,
     ) -> Result<SearchResult, SearchError> {
         let setup = FpaSetup::prepare(g, query, ws)?;
-        let mut st = PeelState::new_in_component(g, &setup.component, TieRule::PreferLater, ws);
+        let mut st = PeelState::new_in_component(g, &setup.order, TieRule::PreferLater, ws);
         let mut iterations = 0usize;
-        for d in (1..=setup.max_dist).rev() {
-            // Candidates: alive nodes at distance d. Λ is unstable, so we
-            // rescan for the maximum after every removal.
-            let mut cand: Vec<NodeId> = setup.layers[d as usize]
-                .iter()
-                .copied()
-                .filter(|&v| st.view().contains(v))
-                .collect();
+        for d in (1..=setup.max_dist()).rev() {
+            // Candidates: the nodes at distance d, all alive (removals so
+            // far were deeper). Λ is unstable, so we rescan for the
+            // maximum after every removal.
+            let mut cand = setup.order[setup.layer(d)].to_vec();
             while !cand.is_empty() {
                 let (pos, _) = cand
                     .iter()
@@ -158,25 +164,45 @@ impl CommunitySearch for FpaDmg {
             }
         }
         let result = finish(st, iterations, ws);
-        ws.put_dist(setup.dist, &setup.component);
+        setup.release(ws);
         result
     }
 }
 
-/// Shared preparation: validation, Steiner seed, component restriction,
-/// distance layers.
+/// One BFS distance layer: where it ends in the visit order, plus the
+/// counts §5.7 pruning reads.
+#[derive(Debug, Clone, Copy, Default)]
+struct Layer {
+    /// One past the layer's last position in [`FpaSetup::order`].
+    end: usize,
+    /// Sum of the full-graph degrees of the layer's nodes.
+    degree_sum: u64,
+    /// Edges from a layer node to a shallower one (each seen once).
+    up: u64,
+    /// Edges inside the layer (each seen once from either endpoint).
+    within_twice: u64,
+}
+
+impl Layer {
+    /// Edges whose deeper endpoint lies in this layer — the edges that
+    /// stripping the layer removes.
+    fn owned_edges(&self) -> u64 {
+        self.up + self.within_twice / 2
+    }
+}
+
+/// Shared preparation: validation, Steiner seed, and one BFS that layers
+/// the seed's connected component and counts each layer.
 struct FpaSetup {
-    /// Nodes of the connected component containing the seed, sorted
-    /// ascending (shared with the workspace's last-component memo, so a
-    /// repeat query in the same component clones an `Arc`, not a `Vec`).
-    component: Arc<[NodeId]>,
+    /// Every node of the seed's connected component in BFS visit order,
+    /// so each distance layer is one contiguous run (see
+    /// [`FpaSetup::layer`]).
+    order: Vec<NodeId>,
     /// `dist[v]` = BFS distance from the seed (UNREACHABLE outside the
     /// component).
     dist: Vec<u32>,
-    /// `layers[d]` = nodes at BFS distance `d` from the seed.
-    layers: Vec<Vec<NodeId>>,
-    /// Largest non-empty layer index.
-    max_dist: u32,
+    /// `layers[d]` describes the nodes at BFS distance `d`.
+    layers: Vec<Layer>,
     /// Canonical external ordering for id tie-breaks (identity unless
     /// the workspace serves from a renumbered mirror — then every tie
     /// compares external ids so the removal sequence stays byte-
@@ -190,115 +216,121 @@ impl FpaSetup {
         // Last-component memo: when every query node is a member of the
         // component the previous query explored (same graph epoch — the
         // session layer arms the memo), that membership already proves
-        // the query connected, so the validation BFS is skipped and the
-        // memoized component replaces the collection pass below.
-        let memo = ws.memoized_component(query);
-        if memo.is_none() && !same_component_with_workspace(g, query, ws) {
+        // the query connected, so the validation BFS is skipped.
+        let memo_hit = ws.memo_covers(query);
+        if !memo_hit && !same_component_with_workspace(g, query, ws) {
             return Err(SearchError::Graph(GraphError::QueryDisconnected));
         }
         // §5.6: merge multiple queries into a protected connected seed.
         let seed = steiner_seed_with_workspace(g, query, ws)?;
-        let mut dist = ws.take_dist(g.n());
-        let component = match memo {
-            Some(component) => {
-                // The component is known; one BFS layers it by seed
-                // distance without the visited-collection and sort that
-                // `multi_source_bfs_collect` pays.
-                multi_source_bfs_preset(g, &seed, &mut dist);
-                component
-            }
-            None => {
-                // One BFS both layers the component by seed distance and
-                // collects it — the component of the (connected) seed is
-                // exactly the reached set, so no separate `component_of`
-                // pass is needed.
-                let component: Arc<[NodeId]> =
-                    Arc::from(multi_source_bfs_collect(g, &seed, &mut dist));
-                ws.memoize_component(&component, g.n());
-                component
-            }
-        };
+        let (mut dist, mut order) = ws.take_dist_order(g.n());
+        let layers = layered_bfs(g, &seed, &mut dist, &mut order);
+        if !memo_hit {
+            ws.memoize_component(&order, g.n());
+        }
         // Shard-scoped caching: the answer depends only on this component
         // (plus the global edge count, handled by the caller's fingerprint
         // semantics) — record which shards it intersects.
-        ws.note_component(&component);
-        let mut max_dist = 0u32;
-        for &v in component.iter() {
-            let d = dist[v as usize];
-            debug_assert_ne!(d, UNREACHABLE);
-            max_dist = max_dist.max(d);
-        }
-        let mut layers: Vec<Vec<NodeId>> = vec![Vec::new(); max_dist as usize + 1];
-        for &v in component.iter() {
-            layers[dist[v as usize] as usize].push(v);
-        }
+        ws.note_component(&order);
         Ok(FpaSetup {
-            component,
+            order,
             dist,
             layers,
-            max_dist,
             canon: ws.canon().clone(),
         })
     }
+
+    /// Largest BFS distance in the component.
+    fn max_dist(&self) -> u32 {
+        self.layers.len() as u32 - 1
+    }
+
+    /// Positions of layer `d` in [`FpaSetup::order`].
+    fn layer(&self, d: u32) -> Range<usize> {
+        let d = d as usize;
+        let start = if d == 0 { 0 } else { self.layers[d - 1].end };
+        start..self.layers[d].end
+    }
+
+    /// Hand the BFS buffers back to the workspace pool.
+    fn release(self, ws: &mut QueryWorkspace) {
+        ws.put_dist_order(self.dist, self.order);
+    }
 }
 
-/// §5.7 bulk phase: simulate stripping whole outermost layers on the
-/// `(l, d, |S|)` counts, pick the prefix with the largest DM (ties prefer
-/// the smaller subgraph, matching [`TieRule::PreferLater`]), apply the
-/// winning strip to the peel state and register the snapshot. Returns the
-/// index of the outermost remaining layer — the one node-level peeling
-/// processes next.
-fn prune_layers(st: &mut PeelState<'_>, setup: &mut FpaSetup) -> u32 {
-    let g = st.view().graph();
-    let m = st.m();
-    let nl = setup.max_dist as usize + 1;
-    // Per-layer contributions: an edge belongs to the layer of its deeper
-    // endpoint (that is when stripping removes it); a node to its own.
-    let mut layer_l = vec![0u64; nl];
-    let mut layer_d = vec![0u64; nl];
-    let mut layer_n = vec![0usize; nl];
-    for &v in setup.component.iter() {
-        let dv = setup.dist[v as usize];
-        layer_n[dv as usize] += 1;
-        layer_d[dv as usize] += g.degree(v) as u64;
-        for &w in g.neighbors(v) {
-            if v < w && setup.dist[w as usize] != UNREACHABLE {
-                let dw = setup.dist[w as usize];
-                layer_l[dv.max(dw) as usize] += 1;
-            }
+/// Multi-source BFS from `seed` into the clean `dist` buffer. Every
+/// reached node is appended to `order`, which doubles as the queue; BFS
+/// visits layer by layer, so each layer is one contiguous run of it.
+/// The same pass sums each layer's degrees and the edges it owns: an
+/// edge belongs to the layer of its deeper endpoint, the layer whose
+/// strip removes it. A neighbour read as UNREACHABLE is being found
+/// right now, one layer deeper, and counts for neither comparison. The
+/// comparisons are added as integers rather than branched on: their
+/// outcome varies edge by edge, so a branch would mispredict often.
+fn layered_bfs(
+    g: &Graph,
+    seed: &[NodeId],
+    dist: &mut [u32],
+    order: &mut Vec<NodeId>,
+) -> Vec<Layer> {
+    for &s in seed {
+        if dist[s as usize] != 0 {
+            dist[s as usize] = 0;
+            order.push(s);
         }
     }
-    let (mut l, mut dsum, mut size) = (st.l_s(), st.d_s(), st.size());
-    let mut best_dm = crate::measure::density_modularity_counts(l, dsum, size, m);
-    let mut target = setup.max_dist; // strip nothing
-    for dd in (1..=setup.max_dist).rev() {
-        l -= layer_l[dd as usize];
-        dsum -= layer_d[dd as usize];
-        size -= layer_n[dd as usize];
-        let dm = crate::measure::density_modularity_counts(l, dsum, size, m);
+    let mut layers = Vec::new();
+    let mut cur = Layer::default();
+    let mut head = 0usize;
+    while head < order.len() {
+        let u = order[head];
+        let du = dist[u as usize];
+        if du as usize > layers.len() {
+            // First node of the next layer: close the current one.
+            cur.end = head;
+            layers.push(std::mem::take(&mut cur));
+        }
+        head += 1;
+        let (mut up, mut within) = (0u64, 0u64);
+        for &w in g.neighbors(u) {
+            let dw = dist[w as usize];
+            if dw == UNREACHABLE {
+                dist[w as usize] = du + 1;
+                order.push(w);
+            }
+            up += u64::from(dw < du);
+            within += u64::from(dw == du);
+        }
+        cur.degree_sum += g.degree(u) as u64;
+        cur.up += up;
+        cur.within_twice += within;
+    }
+    cur.end = order.len();
+    layers.push(cur);
+    layers
+}
+
+/// §5.7 bulk phase, on the per-layer counts alone: simulate stripping
+/// whole outermost layers and return the outermost layer of the prefix
+/// with the largest DM (ties prefer the smaller subgraph, matching
+/// [`TieRule::PreferLater`]; the last layer means "strip nothing"). The
+/// caller peels that prefix and never touches the stripped layers.
+fn prune_layers(layers: &[Layer], m: u64) -> u32 {
+    let mut l: u64 = layers.iter().map(Layer::owned_edges).sum();
+    let mut dsum: u64 = layers.iter().map(|x| x.degree_sum).sum();
+    let last = layers.len() - 1;
+    let mut best_dm = density_modularity_counts(l, dsum, layers[last].end, m);
+    let mut target = last;
+    for d in (1..=last).rev() {
+        l -= layers[d].owned_edges();
+        dsum -= layers[d].degree_sum;
+        let dm = density_modularity_counts(l, dsum, layers[d - 1].end, m);
         if dm >= best_dm {
             best_dm = dm;
-            target = dd - 1;
+            target = d - 1;
         }
     }
-    // Apply the winning strip, outermost layer first, each layer in
-    // ascending canonical id order. Layers are ascending by internal id
-    // (the component list is sorted), which *is* canonical order on the
-    // canonical substrate — a mirror-serving workspace re-sorts in
-    // place (the stripped layers are never read again) so the recorded
-    // removal sequence stays byte-identical across layouts.
-    let ext = setup.canon.external_ids();
-    for dd in ((target + 1)..=setup.max_dist).rev() {
-        let layer = &mut setup.layers[dd as usize];
-        if let Some(ext) = ext {
-            layer.sort_unstable_by_key(|&v| ext[v as usize]);
-        }
-        for &v in layer.iter() {
-            st.remove_untracked(v);
-        }
-    }
-    st.consider_snapshot();
-    target
+    target as u32
 }
 
 /// Peel one distance layer with the stable density-ratio scorer and a
@@ -311,7 +343,7 @@ fn peel_layer_by_ratio(
     d: u32,
     iterations: &mut usize,
 ) {
-    let layer = &setup.layers[d as usize];
+    let layer = &setup.order[setup.layer(d)];
     // Canonical tie-break key, hoisted to a plain slice read (identity
     // maps translate for free).
     let ext = setup.canon.external_ids();
@@ -323,9 +355,9 @@ fn peel_layer_by_ratio(
     // `dist[v] == d` means "still in the layer" (every layer-`d` node is
     // alive when its layer comes up — removals so far were in deeper
     // layers), and an accepted removal retires the entry to UNREACHABLE.
-    // The layers above `d` were already stripped or peeled and `dist` is
-    // sparse-reset wholesale on `put_dist`, so the mutation is private
-    // to this pass.
+    // The layers beyond `d` were already stripped or peeled and `dist` is
+    // sparse-reset wholesale on release, so the mutation is private to
+    // this pass.
     let dist = &mut setup.dist;
     // Heap entries order by (Θ, canonical external id descending-Reverse);
     // the trailing internal id is the node to operate on and never decides
@@ -334,12 +366,9 @@ fn peel_layer_by_ratio(
     let mut heap: BinaryHeap<(OrdF64, Reverse<NodeId>, NodeId)> =
         BinaryHeap::with_capacity(layer.len());
     for &v in layer {
-        if st.view().contains(v) {
-            let theta = density_ratio(g.degree(v) as u64, st.view().local_degree(v) as u64);
-            heap.push((OrdF64(theta), Reverse(canon_key(v)), v));
-        } else {
-            dist[v as usize] = UNREACHABLE;
-        }
+        debug_assert!(st.view().contains(v));
+        let theta = density_ratio(g.degree(v) as u64, st.view().local_degree(v) as u64);
+        heap.push((OrdF64(theta), Reverse(canon_key(v)), v));
     }
     let mut neighbors: Vec<NodeId> = Vec::new();
     while let Some((OrdF64(theta), _, v)) = heap.pop() {

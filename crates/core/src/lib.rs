@@ -115,8 +115,11 @@ pub struct SearchResult {
     pub community: Vec<NodeId>,
     /// Density modularity of `community` (the objective of DMCS).
     pub density_modularity: f64,
-    /// Nodes in the order the algorithm removed them (the Fig 5
-    /// removal-order study reads this). Nodes never removed are absent.
+    /// Nodes in the order the algorithm removed them one at a time (the
+    /// Fig 5 removal-order study reads this). Nodes never removed are
+    /// absent, and so are the outer layers that layer-pruned FPA (§5.7)
+    /// strips in bulk: that strip is one of the `iterations`, but its
+    /// nodes are not listed. [`Fpa::without_pruning`] lists every removal.
     pub removal_order: Vec<NodeId>,
     /// Number of peeling iterations executed.
     pub iterations: usize,

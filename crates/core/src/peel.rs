@@ -149,37 +149,6 @@ impl<'g> PeelState<'g> {
         dm
     }
 
-    /// Remove `v` *without* entering the snapshot competition — used by
-    /// the layer-based pruning strategy (§5.7), which only evaluates whole
-    /// layer prefixes during its bulk phase. Pair with
-    /// [`PeelState::consider_snapshot`] at the states that do compete.
-    pub fn remove_untracked(&mut self, v: NodeId) {
-        debug_assert!(self.view.contains(v));
-        self.view.remove(v);
-        self.d_s -= self.view.graph().degree(v) as u64;
-        self.removed.push(v);
-    }
-
-    /// Offer the current subgraph as a snapshot candidate under the tie
-    /// rule. Returns the current DM.
-    pub fn consider_snapshot(&mut self) -> f64 {
-        let dm = self.current_dm();
-        let better = match self.tie {
-            TieRule::KeepEarlier => dm > self.best_dm,
-            TieRule::PreferLater => dm >= self.best_dm,
-        };
-        if better && self.size() > 0 {
-            self.best_dm = dm;
-            self.best_prefix = self.removed.len();
-        }
-        dm
-    }
-
-    /// Number of removals so far.
-    pub fn removals(&self) -> usize {
-        self.removed.len()
-    }
-
     /// Finish: reconstruct the best snapshot (initial set minus the first
     /// `best_prefix` removals) and return `(community, best_dm,
     /// removal_order)`.

@@ -68,7 +68,7 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 /// *original* computation (replayed on hits, keeping output byte-stable).
 ///
 /// The outcome is a *list* of communities: single queries store exactly
-/// one ([`CachedAnswer::single`] / [`CachedAnswer::single_result`]),
+/// one ([`CachedAnswer::single`] / [`CachedAnswer::into_single_result`]),
 /// top-k enumerations store one per round. The two never collide — the
 /// key's [`CacheKey::top_k`] field separates them.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,14 +100,11 @@ impl CachedAnswer {
     /// Meaningful only for entries stored under a single-query key; an
     /// (impossible by construction) empty entry surfaces as
     /// [`SearchError::EmptyQuery`] rather than tearing the thread down.
-    pub fn single_result(&self) -> Result<SearchResult, SearchError> {
-        match &self.result {
-            Ok(rounds) => match rounds.first() {
-                Some(first) => Ok(first.clone()),
-                None => Err(SearchError::EmptyQuery),
-            },
-            Err(e) => Err(e.clone()),
-        }
+    /// Consumes the answer, so a cache hit (already a private copy of
+    /// the entry) moves its community out instead of cloning it again.
+    pub fn into_single_result(self) -> Result<SearchResult, SearchError> {
+        self.result
+            .and_then(|rounds| rounds.into_iter().next().ok_or(SearchError::EmptyQuery))
     }
 }
 
@@ -442,6 +439,12 @@ mod tests {
         cache.insert(key(&[0]), answer(0.125), fp(0));
         let got = cache.get(&key(&[0]), &[0]).unwrap();
         assert_eq!(got.seconds, 0.125, "original timing replayed");
+        assert_eq!(got.into_single_result().unwrap().community, vec![0, 1]);
+        let empty = CachedAnswer {
+            result: Ok(vec![]),
+            ..answer(0.0)
+        };
+        assert_eq!(empty.into_single_result(), Err(SearchError::EmptyQuery));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.len(), 1);

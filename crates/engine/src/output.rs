@@ -229,10 +229,13 @@ impl Json {
     }
 
     /// Parse one JSON document (strict: trailing garbage is an error).
+    /// Arrays and objects nested deeper than [`MAX_JSON_DEPTH`] are
+    /// rejected with a [`JsonError`], so a hostile line cannot recurse
+    /// the parser off the end of its thread's stack.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError::new(pos, "trailing characters after value"));
@@ -302,8 +305,18 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Deepest array/object nesting [`Json::parse`] accepts — far beyond
+/// what any request or reply of the wire protocol uses.
+pub const MAX_JSON_DEPTH: usize = 128;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth >= MAX_JSON_DEPTH {
+        return Err(JsonError::new(
+            *pos,
+            format!("nesting deeper than {MAX_JSON_DEPTH} levels"),
+        ));
+    }
     match bytes.get(*pos) {
         None => Err(JsonError::new(*pos, "unexpected end of input")),
         Some(b'n') => expect(bytes, pos, "null").map(|_| Json::Null),
@@ -319,7 +332,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -347,7 +360,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                     return Err(JsonError::new(*pos, "expected ':' after object key"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -696,6 +709,13 @@ mod tests {
             let err = Json::parse(bad).unwrap_err();
             assert!(!err.to_string().is_empty(), "{bad:?} must fail");
         }
+        // Nesting is capped: the cap itself parses, one more level (or
+        // a stack-sized pile of brackets) is a typed error.
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(Json::parse(&nested(MAX_JSON_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_JSON_DEPTH);
+        assert!(Json::parse(&"[{\"a\":".repeat(40_000)).is_err());
         // ...while every legal shape still parses.
         for good in ["0", "-0", "10", "-5", "0.5", "1e3", "1E-3", "2.5e+7"] {
             Json::parse(good).unwrap_or_else(|e| panic!("{good:?} must parse: {e}"));

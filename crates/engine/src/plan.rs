@@ -9,7 +9,8 @@
 //! - **`grouped`** — whether a [`BatchRunner`](crate::BatchRunner)
 //!   should schedule queries component-by-component so that consecutive
 //!   queries on a worker share a connected component (and therefore the
-//!   worker session's memoized component BFS). Grouping only pays when
+//!   worker session's component memo, which spares multi-node queries
+//!   their connectivity-validation BFS). Grouping only pays when
 //!   the graph is fragmented; on a single-component graph it is a no-op
 //!   reordering, so the planner turns it off.
 //! - **`memoize`** — whether worker sessions arm the per-workspace

@@ -174,8 +174,9 @@ impl Session {
     /// `snapshot`.
     ///
     /// The workspace's component memo is armed with the snapshot's epoch
-    /// key, so consecutive queries landing in the same connected
-    /// component skip the per-query component BFS (memoization is free
+    /// key, so consecutive multi-node queries landing in the same
+    /// connected component skip the connectivity-validation BFS
+    /// (memoization is free
     /// when it never hits; [`Session::without_memo`] turns it off for
     /// `--plan off` runs and baseline benchmarks).
     pub fn new(snapshot: Snapshot, spec: &AlgoSpec) -> Result<Self, EngineError> {
@@ -313,13 +314,8 @@ impl Session {
             .map(|_| CacheKey::new(spec, &req.nodes, &self.snapshot));
         if let (Some(cache), Some(key)) = (&self.cache, &key) {
             if let Some(hit) = cache.get(key, self.snapshot.shard_versions()) {
-                return Ok(respond(
-                    req,
-                    hit.algo,
-                    hit.single_result(),
-                    hit.seconds,
-                    true,
-                ));
+                let (algo, seconds) = (hit.algo, hit.seconds);
+                return Ok(respond(req, algo, hit.into_single_result(), seconds, true));
             }
             // Record which shards the search actually explores, so the
             // entry's fingerprint can be scoped to them. Tracking lives

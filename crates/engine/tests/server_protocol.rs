@@ -265,6 +265,40 @@ fn torn_and_oversized_lines_over_a_real_socket() {
     join.join().expect("server thread joins");
 }
 
+/// A deeply nested request used to recurse the JSON parser off the
+/// connection thread's stack and abort the whole daemon. It fits under
+/// the default line cap, so it reaches the parser: the reply must be a
+/// typed code-9 error, and the same connection keeps serving.
+#[test]
+fn deeply_nested_line_is_a_bad_request_not_a_crash() {
+    let (handle, _unix, tcp, join) = spawn_server(ServerConfig {
+        tcp_addr: Some("127.0.0.1:0".into()),
+        ..ServerConfig::default()
+    });
+    let stream = TcpStream::connect(tcp.unwrap()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut stream = stream;
+
+    let nested = format!("{{\"op\":\"query\",\"nodes\":{}", "[".repeat(60_000));
+    let rejected = round_trip(&mut stream, &mut reader, &nested);
+    assert_eq!(reply_type(&rejected), "error");
+    assert_eq!(rejected.get("code").and_then(Json::as_u64), Some(9));
+
+    let ok = round_trip(
+        &mut stream,
+        &mut reader,
+        r#"{"op":"query","nodes":[0],"tag":"after"}"#,
+    );
+    assert_eq!(reply_type(&ok), "response");
+    assert_eq!(ok.get("tag").and_then(Json::as_str), Some("after"));
+
+    handle.shutdown();
+    drop(stream);
+    drop(reader);
+    let stats = join.join().expect("server thread joins");
+    assert_eq!(stats.served, 1, "a bad request is answered, not served");
+}
+
 #[test]
 fn overload_replies_are_typed_code_8() {
     let (handle, _unix, tcp, join) = spawn_server(ServerConfig {

@@ -19,18 +19,6 @@ pub fn bfs_distances(g: &Graph, source: NodeId) -> Vec<u32> {
 /// nodes. Unreachable nodes get [`UNREACHABLE`].
 pub fn multi_source_bfs(g: &Graph, sources: &[NodeId]) -> Vec<u32> {
     let mut dist = vec![UNREACHABLE; g.n()];
-    multi_source_bfs_preset(g, sources, &mut dist);
-    dist
-}
-
-/// [`multi_source_bfs`] into a caller-provided buffer that is already
-/// sized to `g.n()` and reset to [`UNREACHABLE`] — the
-/// [`crate::view::QueryWorkspace::take_dist`] contract. Skips the `O(n)`
-/// re-initialisation, so batched query loops only pay for the component
-/// they actually traverse.
-pub fn multi_source_bfs_preset(g: &Graph, sources: &[NodeId], dist: &mut [u32]) {
-    debug_assert_eq!(dist.len(), g.n());
-    debug_assert!(dist.iter().all(|&d| d == UNREACHABLE), "buffer not reset");
     let mut queue = VecDeque::with_capacity(sources.len());
     for &s in sources {
         if dist[s as usize] != 0 {
@@ -47,12 +35,15 @@ pub fn multi_source_bfs_preset(g: &Graph, sources: &[NodeId], dist: &mut [u32]) 
             }
         }
     }
+    dist
 }
 
-/// [`multi_source_bfs_preset`] that also returns every reached node in
-/// ascending id order — when `sources` lie in one component this *is*
-/// that component, saving batched query loops a separate `O(n)`
-/// [`component_of`] pass.
+/// [`multi_source_bfs`] into a caller-provided buffer that is already
+/// sized to `g.n()` and reset to [`UNREACHABLE`] (the
+/// [`crate::view::QueryWorkspace::take_dist`] contract), also returning
+/// every reached node in ascending id order — when `sources` lie in one
+/// component this *is* that component, saving batched query loops a
+/// separate `O(n)` [`component_of`] pass.
 pub fn multi_source_bfs_collect(g: &Graph, sources: &[NodeId], dist: &mut [u32]) -> Vec<NodeId> {
     debug_assert_eq!(dist.len(), g.n());
     debug_assert!(dist.iter().all(|&d| d == UNREACHABLE), "buffer not reset");

@@ -11,7 +11,6 @@ use crate::bits::BitMask;
 use crate::dynamic::ShardLayout;
 use crate::layout::NodeMap;
 use crate::{Graph, NodeId};
-use std::sync::Arc;
 
 /// A node-induced subgraph of a [`Graph`] supporting cheap node removal.
 #[derive(Debug, Clone)]
@@ -252,6 +251,9 @@ pub struct QueryWorkspace {
     alive: Option<BitMask>,
     local_deg: Option<Vec<u32>>,
     dist: Option<Vec<u32>>,
+    /// Pooled BFS visit-order list paired with `dist` (see
+    /// [`QueryWorkspace::take_dist_order`]).
+    order: Option<Vec<NodeId>>,
     /// Canonical external ordering of the graph this workspace queries
     /// (identity unless serving from a renumbered mirror).
     canon: NodeMap,
@@ -279,9 +281,10 @@ pub struct QueryWorkspace {
 
 /// The workspace's last-component memo: consecutive queries landing in
 /// the same connected component of the same graph epoch skip the
-/// connectivity-validation BFS and the visited-set collection — the
-/// memoized sorted component *is* that result. Armed per graph epoch by
-/// the session layer; a query against a different epoch can never hit.
+/// connectivity-validation BFS — membership of every query node in one
+/// memoized component already proves the query connected. Armed per
+/// graph epoch by the session layer; a query against a different epoch
+/// can never hit.
 #[derive(Debug)]
 struct ComponentMemo {
     /// The `(store_id, version)` pair of the snapshot the memo is valid
@@ -290,13 +293,23 @@ struct ComponentMemo {
     /// impossible — unlike pointer-keying, which an allocator reusing a
     /// freed graph's address would defeat.
     epoch: (u64, u64),
-    /// The memoized component, sorted ascending (shared, so repeat
-    /// queries clone an `Arc`, not the node vector).
-    nodes: Option<Arc<[NodeId]>>,
+    /// The memoized component, in any order (empty when none is
+    /// memoized); kept to clear `member` sparsely.
+    nodes: Vec<NodeId>,
     /// Membership mask over the memoized component.
     member: BitMask,
     /// Number of queries that reused the memoized component.
     hits: u64,
+}
+
+impl ComponentMemo {
+    /// Drop the memoized component, clearing its membership bits.
+    fn forget(&mut self) {
+        for &v in &self.nodes {
+            self.member.clear(v as usize);
+        }
+        self.nodes.clear();
+    }
 }
 
 /// Shards touched by the current query (installed by
@@ -487,6 +500,22 @@ impl QueryWorkspace {
         self.dist = Some(dist);
     }
 
+    /// [`QueryWorkspace::take_dist`] plus an empty pooled list for a BFS
+    /// to record its visit order in. Pair with
+    /// [`QueryWorkspace::put_dist_order`]: the order lists every node
+    /// whose distance the BFS wrote, so it doubles as the reset list.
+    pub fn take_dist_order(&mut self, n: usize) -> (Vec<u32>, Vec<NodeId>) {
+        (self.take_dist(n), self.order.take().unwrap_or_default())
+    }
+
+    /// Return the buffers of [`QueryWorkspace::take_dist_order`],
+    /// resetting the distance of every node in `order`.
+    pub fn put_dist_order(&mut self, dist: Vec<u32>, mut order: Vec<NodeId>) {
+        self.put_dist(dist, &order);
+        order.clear();
+        self.order = Some(order);
+    }
+
     /// Take the pooled per-node `f64` scratch buffer, sized to `n` with
     /// every entry 0.0 — the weighted algorithms' local incident-weight
     /// array. Same sparse-reset contract as the other buffers: pair with
@@ -604,17 +633,13 @@ impl QueryWorkspace {
         match &mut self.memo {
             Some(m) if m.epoch == epoch => {}
             Some(m) => {
-                if let Some(nodes) = m.nodes.take() {
-                    for &v in nodes.iter() {
-                        m.member.clear(v as usize);
-                    }
-                }
+                m.forget();
                 m.epoch = epoch;
             }
             None => {
                 self.memo = Some(ComponentMemo {
                     epoch,
-                    nodes: None,
+                    nodes: Vec::new(),
                     member: BitMask::new(),
                     hits: 0,
                 });
@@ -628,46 +653,38 @@ impl QueryWorkspace {
         self.memo = None;
     }
 
-    /// If the memo is armed and every node of `query` lies in the
-    /// memoized component, return that component (sorted ascending) and
-    /// count a hit. Membership of every query node in one connected
-    /// component also proves the query is connected, so callers skip
-    /// their validation BFS on a hit. Query nodes must already be
-    /// bounds-checked against the graph.
-    pub fn memoized_component(&mut self, query: &[NodeId]) -> Option<Arc<[NodeId]>> {
-        let m = self.memo.as_mut()?;
-        let nodes = m.nodes.as_ref()?;
-        if query.is_empty()
-            || !query
+    /// Whether the memo is armed and every node of `query` lies in the
+    /// memoized component; a `true` counts a hit. Membership of every
+    /// query node in one connected component proves the query is
+    /// connected, so callers skip their validation BFS on a hit. Query
+    /// nodes must already be bounds-checked against the graph.
+    pub fn memo_covers(&mut self, query: &[NodeId]) -> bool {
+        let Some(m) = self.memo.as_mut() else {
+            return false;
+        };
+        let covered = !query.is_empty()
+            && query
                 .iter()
-                .all(|&q| (q as usize) < m.member.capacity() && m.member.get(q as usize))
-        {
-            return None;
-        }
-        m.hits += 1;
-        Some(Arc::clone(nodes))
+                .all(|&q| (q as usize) < m.member.capacity() && m.member.get(q as usize));
+        m.hits += u64::from(covered);
+        covered
     }
 
-    /// Memoize `component` (the sorted connected component the current
-    /// query explored) for subsequent [`memoized_component`] probes.
-    /// Replaces any previously memoized component. A no-op when the
-    /// memo is not armed.
-    ///
-    /// [`memoized_component`]: QueryWorkspace::memoized_component
-    pub fn memoize_component(&mut self, component: &Arc<[NodeId]>, n: usize) {
+    /// Memoize `component` (the connected component the current query
+    /// explored, in any order) for subsequent
+    /// [`memo_covers`](QueryWorkspace::memo_covers) probes. Replaces any
+    /// previously memoized component, reusing its storage. A no-op when
+    /// the memo is not armed.
+    pub fn memoize_component(&mut self, component: &[NodeId], n: usize) {
         let Some(m) = self.memo.as_mut() else {
             return;
         };
-        if let Some(old) = m.nodes.take() {
-            for &v in old.iter() {
-                m.member.clear(v as usize);
-            }
-        }
+        m.forget();
         m.member.resize(n);
-        for &v in component.iter() {
+        for &v in component {
             m.member.set(v as usize);
         }
-        m.nodes = Some(Arc::clone(component));
+        m.nodes.extend_from_slice(component);
     }
 
     /// Number of queries that reused the memoized component since the
@@ -858,6 +875,22 @@ mod tests {
     }
 
     #[test]
+    fn dist_order_buffers_round_trip_clean() {
+        use crate::traversal::UNREACHABLE;
+        let mut ws = QueryWorkspace::new();
+        let (mut dist, mut order) = ws.take_dist_order(4);
+        assert!(order.is_empty());
+        for (d, v) in [3u32, 1].into_iter().enumerate() {
+            dist[v as usize] = d as u32;
+            order.push(v);
+        }
+        ws.put_dist_order(dist, order);
+        let (dist, order) = ws.take_dist_order(4);
+        assert_eq!(dist, vec![UNREACHABLE; 4], "order entries were reset");
+        assert!(order.is_empty());
+    }
+
+    #[test]
     fn visit_buffers_round_trip_clean() {
         let mut ws = QueryWorkspace::new();
         let (mut visited, mut queue) = ws.take_visit(70);
@@ -900,38 +933,36 @@ mod tests {
     fn component_memo_hits_and_epoch_invalidation() {
         let mut ws = QueryWorkspace::new();
         // Disarmed: probes miss, stores drop, counter reads zero.
-        assert!(ws.memoized_component(&[0]).is_none());
-        let comp: Arc<[NodeId]> = Arc::from(vec![0u32, 1, 2]);
+        assert!(!ws.memo_covers(&[0]));
+        let comp = [2u32, 0, 1];
         ws.memoize_component(&comp, 6);
-        assert!(ws.memoized_component(&[0]).is_none());
+        assert!(!ws.memo_covers(&[0]));
         assert_eq!(ws.memo_hits(), 0);
 
         ws.arm_component_memo((7, 0));
-        assert!(ws.memoized_component(&[0]).is_none(), "nothing stored yet");
+        assert!(!ws.memo_covers(&[0]), "nothing stored yet");
         ws.memoize_component(&comp, 6);
-        let hit = ws.memoized_component(&[2, 0]).expect("members hit");
-        assert_eq!(hit.as_ref(), &[0, 1, 2]);
-        assert!(ws.memoized_component(&[1, 3]).is_none(), "3 not a member");
-        assert!(ws.memoized_component(&[9]).is_none(), "out of mask range");
-        assert!(ws.memoized_component(&[]).is_none(), "empty never hits");
+        assert!(ws.memo_covers(&[2, 0]), "members hit");
+        assert!(!ws.memo_covers(&[1, 3]), "3 not a member");
+        assert!(!ws.memo_covers(&[9]), "out of mask range");
+        assert!(!ws.memo_covers(&[]), "empty never hits");
         assert_eq!(ws.memo_hits(), 1);
 
         // Same epoch re-arm keeps the memo; new epoch clears it.
         ws.arm_component_memo((7, 0));
-        assert!(ws.memoized_component(&[1]).is_some());
+        assert!(ws.memo_covers(&[1]));
         ws.arm_component_memo((7, 1));
-        assert!(ws.memoized_component(&[1]).is_none());
+        assert!(!ws.memo_covers(&[1]));
 
         // Replacing the memo clears the old membership sparsely.
-        let other: Arc<[NodeId]> = Arc::from(vec![3u32, 4]);
         ws.memoize_component(&comp, 6);
-        ws.memoize_component(&other, 6);
-        assert!(ws.memoized_component(&[0]).is_none(), "old component gone");
-        assert!(ws.memoized_component(&[3, 4]).is_some());
+        ws.memoize_component(&[4, 3], 6);
+        assert!(!ws.memo_covers(&[0]), "old component gone");
+        assert!(ws.memo_covers(&[3, 4]));
 
         ws.disarm_component_memo();
         assert_eq!(ws.memo_hits(), 0);
-        assert!(ws.memoized_component(&[3]).is_none());
+        assert!(!ws.memo_covers(&[3]));
     }
 
     #[test]
