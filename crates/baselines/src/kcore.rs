@@ -30,6 +30,11 @@ impl CommunitySearch for KCore {
         if query.is_empty() {
             return Err(SearchError::EmptyQuery);
         }
+        for &q in query {
+            if q as usize >= g.n() {
+                return Err(SearchError::Graph(GraphError::NodeOutOfRange(q)));
+            }
+        }
         let community = k_core_community(g, self.k, query).ok_or(SearchError::Graph(
             GraphError::NoFeasibleSolution("no connected k-core contains all queries"),
         ))?;
@@ -50,6 +55,11 @@ impl CommunitySearch for HighCore {
     fn search(&self, g: &Graph, query: &[NodeId]) -> Result<SearchResult, SearchError> {
         if query.is_empty() {
             return Err(SearchError::EmptyQuery);
+        }
+        for &q in query {
+            if q as usize >= g.n() {
+                return Err(SearchError::Graph(GraphError::NodeOutOfRange(q)));
+            }
         }
         let (community, _k) = highest_core_community(g, query).ok_or(SearchError::Graph(
             GraphError::NoFeasibleSolution("queries share no connected core"),

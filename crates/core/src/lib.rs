@@ -71,14 +71,6 @@ pub enum SearchError {
     Graph(GraphError),
     /// The query set is empty.
     EmptyQuery,
-    /// The best community found exceeds the caller's size cap (the
-    /// `max_community_size` of an engine `QueryRequest`).
-    CommunityTooLarge {
-        /// Size of the community the search produced.
-        size: usize,
-        /// The cap the request asked for.
-        cap: usize,
-    },
 }
 
 impl From<GraphError> for SearchError {
@@ -92,9 +84,6 @@ impl std::fmt::Display for SearchError {
         match self {
             SearchError::Graph(e) => write!(f, "{e}"),
             SearchError::EmptyQuery => write!(f, "query set is empty"),
-            SearchError::CommunityTooLarge { size, cap } => {
-                write!(f, "community has {size} nodes, exceeding the cap of {cap}")
-            }
         }
     }
 }

@@ -12,7 +12,10 @@
 //! count. The new `removal_order` lists node-level removals only, so it
 //! must equal the oracle's order after the strip. Everything runs on the
 //! canonical graph (identity canon) and on its bfs mirror with the
-//! mirror's map as canon, through one warm workspace per substrate.
+//! mirror's map as canon, through one warm workspace per substrate. The
+//! oracle grows its Steiner seed on the canonical graph and translates
+//! it, so the mirror leg also checks that the kernel's seed is the
+//! canonical one.
 
 use dmcs_core::measure::{density_modularity_counts, density_ratio};
 use dmcs_core::{CommunitySearch, Fpa, SearchError, SearchResult};
@@ -23,14 +26,25 @@ use dmcs_graph::view::QueryWorkspace;
 use dmcs_graph::{ComputeGraph, Graph, LayoutPolicy, NodeId, NodeMap, SubgraphView};
 use proptest::prelude::*;
 
-/// The pre-change pruned FPA. Returns the result with the bulk strip
-/// listed in `removal_order`, plus the number of stripped nodes; `None`
-/// when the query is disconnected.
-fn oracle(g: &Graph, query: &[NodeId], canon: &NodeMap) -> Option<(SearchResult, usize)> {
+/// The pre-change pruned FPA on `g`, whose ids `canon` maps to those of
+/// `canonical`. Returns the result with the bulk strip listed in
+/// `removal_order`, plus the number of stripped nodes; `None` when the
+/// query is disconnected.
+fn oracle(
+    g: &Graph,
+    query: &[NodeId],
+    canon: &NodeMap,
+    canonical: &Graph,
+) -> Option<(SearchResult, usize)> {
     if !same_component(g, query) {
         return None;
     }
-    let seed = steiner_seed(g, query).ok()?;
+    let external: Vec<NodeId> = query.iter().map(|&v| canon.to_external(v)).collect();
+    let seed: Vec<NodeId> = steiner_seed(canonical, &external)
+        .ok()?
+        .into_iter()
+        .map(|v| canon.to_internal(v))
+        .collect();
     let dist = multi_source_bfs(g, &seed);
     let component: Vec<NodeId> = (0..g.n() as NodeId)
         .filter(|&v| dist[v as usize] != UNREACHABLE)
@@ -123,18 +137,20 @@ fn oracle(g: &Graph, query: &[NodeId], canon: &NodeMap) -> Option<(SearchResult,
     Some((result, stripped))
 }
 
-/// Run the kernel and the oracle on `g` under `canon` for each query
-/// (given in `g`'s own ids) and require agreement.
+/// Run the kernel and the oracle on `g` under `canon` (mapping to
+/// `canonical`'s ids) for each query (given in `g`'s own ids) and
+/// require agreement.
 fn assert_matches_oracle(
     g: &Graph,
     canon: &NodeMap,
+    canonical: &Graph,
     queries: &[Vec<NodeId>],
 ) -> Result<(), TestCaseError> {
     let mut ws = QueryWorkspace::new();
     ws.set_canon(canon.clone());
     for q in queries {
         let got = Fpa::default().search_with_workspace(g, q, &mut ws);
-        let Some((want, stripped)) = oracle(g, q, canon) else {
+        let Some((want, stripped)) = oracle(g, q, canon, canonical) else {
             prop_assert!(
                 matches!(got, Err(SearchError::Graph(_))),
                 "query {q:?}: disconnected, got {got:?}"
@@ -167,7 +183,7 @@ fn check_both_substrates(g: &Graph, picks: &[Vec<usize>]) -> Result<(), TestCase
         .iter()
         .map(|p| p.iter().map(|&i| (i % n) as NodeId).collect())
         .collect();
-    assert_matches_oracle(g, &NodeMap::identity(), &queries)?;
+    assert_matches_oracle(g, &NodeMap::identity(), g, &queries)?;
 
     let mirror = ComputeGraph::build(g, LayoutPolicy::Bfs).expect("bfs builds a mirror");
     let map = mirror.map();
@@ -175,7 +191,7 @@ fn check_both_substrates(g: &Graph, picks: &[Vec<usize>]) -> Result<(), TestCase
         .iter()
         .map(|q| q.iter().map(|&v| map.to_internal(v)).collect())
         .collect();
-    assert_matches_oracle(mirror.graph(), map, &internal)
+    assert_matches_oracle(mirror.graph(), map, g, &internal)
 }
 
 /// 1–3 query nodes per query, as indices reduced modulo `n`.

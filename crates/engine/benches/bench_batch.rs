@@ -210,7 +210,7 @@ fn scrambled_blocks(n_blocks: usize, per: usize, p_in: f64) -> (Graph, Vec<Vec<N
 /// **Locality claim** — `layout_fpa_fragmented50k` runs the same
 /// per-query FPA workload against each layout policy's compute mirror
 /// of the scrambled graph (identity = the scrambled CSR itself).
-/// BFS/RCM make each ~200-node component contiguous again, so the
+/// BFS makes each ~200-node component contiguous again, so the
 /// peeling loops and distance-array writes touch a compact id range
 /// instead of 250 cache lines scattered over 50k slots.
 fn bench_layout_locality(c: &mut Criterion) {
@@ -266,16 +266,16 @@ fn bench_batch_scheduling(c: &mut Criterion) {
             });
         }
     }
-    // `plan_auto_rcm` stacks both tentpole levers: the batch served
-    // from a physically RCM-renumbered store (what a fresh load under
-    // `--layout rcm` order would look like) *and* component-grouped
+    // `plan_auto_bfs` stacks both tentpole levers: the batch served
+    // from a physically BFS-renumbered store (what a fresh load under
+    // `--layout bfs` order would look like) *and* component-grouped
     // scheduling — against the scrambled, ungrouped, memo-free
     // baseline. `plan_auto` on the scrambled store isolates the pure
     // scheduling win.
-    let rcm = ComputeGraph::build(&scrambled, LayoutPolicy::Rcm).expect("rcm builds a mirror");
-    let rcm_queries: Vec<Vec<NodeId>> = queries
+    let bfs = ComputeGraph::build(&scrambled, LayoutPolicy::Bfs).expect("bfs builds a mirror");
+    let bfs_queries: Vec<Vec<NodeId>> = queries
         .iter()
-        .map(|q| q.iter().map(|&v| rcm.map().to_internal(v)).collect())
+        .map(|q| q.iter().map(|&v| bfs.map().to_internal(v)).collect())
         .collect();
     let scrambled_snap = Snapshot::freeze(scrambled);
     let cases = [
@@ -292,10 +292,10 @@ fn bench_batch_scheduling(c: &mut Criterion) {
             QueryRequest::from_node_lists(&queries),
         ),
         (
-            "plan_auto_rcm",
+            "plan_auto_bfs",
             PlanMode::Auto,
-            Snapshot::freeze(rcm.graph().clone()),
-            QueryRequest::from_node_lists(&rcm_queries),
+            Snapshot::freeze(bfs.graph().clone()),
+            QueryRequest::from_node_lists(&bfs_queries),
         ),
     ];
     let mut group = c.benchmark_group("batch_sched_fragmented100k");
@@ -409,7 +409,7 @@ fn bench_mirror_serving(c: &mut Criterion) {
         })
     });
 
-    for policy in [LayoutPolicy::Identity, LayoutPolicy::Bfs, LayoutPolicy::Rcm] {
+    for policy in LayoutPolicy::ALL {
         let store = GraphStore::from_graph(scrambled.clone()).with_layout(policy);
         let mut session = Session::new(store.snapshot(), &spec).unwrap();
         let mut j = 0usize;

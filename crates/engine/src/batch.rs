@@ -14,11 +14,11 @@
 //!
 //! Three serving optimisations happen transparently:
 //!
-//! - **In-batch dedup** — requests that resolve to the same
-//!   `(algorithm, params, nodes, cap)` work item are answered once and
-//!   the answer is fanned back out to every duplicate in submission
-//!   order (tags stay per-request). [`BatchReport::unique_queries`]
-//!   reports how much work the dedup saved.
+//! - **In-batch dedup** — requests with the same node list are answered
+//!   once and the answer is fanned back out to every duplicate in
+//!   submission order (tags stay per-request).
+//!   [`BatchReport::unique_queries`] reports how much work the dedup
+//!   saved.
 //! - **Cross-batch caching** — when a shared
 //!   [`ResponseCache`] is attached (as
 //!   [`Engine::run_batch`](crate::Engine::run_batch) does), workers
@@ -43,7 +43,7 @@
 use crate::cache::ResponseCache;
 use crate::error::EngineError;
 use crate::plan::{PlanMode, QueryPlan};
-use crate::registry::{self, AlgoSpec};
+use crate::registry::AlgoSpec;
 use crate::request::{QueryRequest, QueryResponse};
 use crate::session::Session;
 use dmcs_graph::{NodeId, Snapshot};
@@ -66,8 +66,8 @@ pub struct BatchReport {
     pub p50_seconds: f64,
     /// 95th-percentile per-query latency (seconds).
     pub p95_seconds: f64,
-    /// Distinct `(algorithm, params, nodes, cap)` work items actually
-    /// dispatched — duplicates beyond this were answered by fan-out.
+    /// Distinct node lists actually dispatched — duplicates beyond this
+    /// were answered by fan-out.
     pub unique_queries: usize,
     /// Executed queries answered from the shared result cache (0 when no
     /// cache was attached).
@@ -181,11 +181,6 @@ pub struct BatchRunner {
     plan_override: Option<QueryPlan>,
 }
 
-/// The dedup identity of one request: everything that determines its
-/// answer — label, `k`, layer pruning, weightedness, nodes and cap (the
-/// correlation tag deliberately excluded).
-type WorkKey = (String, u32, bool, bool, Vec<NodeId>, Option<usize>);
-
 /// What the multi-worker scope hands back: submission-indexed responses
 /// plus the workers' summed memo-hit and mirror-served counters.
 type WorkerHarvest = (Vec<(usize, QueryResponse)>, u64, u64);
@@ -278,46 +273,25 @@ impl BatchRunner {
     /// thread count.
     ///
     /// Per-query search failures land inside their [`QueryResponse`];
-    /// only request-level failures (an unknown per-request algorithm
-    /// override) abort the batch, and those are detected up front —
-    /// before any query runs.
+    /// a batch aborts only if a worker session fails to open.
     pub fn run(
         &self,
         snap: &Snapshot,
         requests: &[QueryRequest],
     ) -> Result<BatchReport, EngineError> {
-        // Check every override label now so workers cannot fail
-        // mid-batch. A registry lookup suffices: construction itself is
-        // infallible once the label resolves (params are plain config).
-        for req in requests {
-            if let Some(spec) = &req.algo {
-                if registry::find(&spec.name).is_none() {
-                    return Err(EngineError::unknown_algo(spec.name.clone()));
-                }
-            }
-        }
-
         let start = Instant::now();
         let plan = match self.plan_override {
             Some(plan) => plan,
             None => QueryPlan::choose(self.plan_mode, snap),
         };
 
-        // Dedup: answer each distinct work item once, fan back out below.
-        let mut seen: HashMap<WorkKey, usize> = HashMap::new();
+        // Dedup: answer each distinct node list once, fan back out below
+        // (the correlation tag deliberately excluded).
+        let mut seen: HashMap<&[NodeId], usize> = HashMap::new();
         let mut unique: Vec<usize> = Vec::new(); // representative request index
         let mut assign: Vec<usize> = Vec::with_capacity(requests.len());
         for (i, req) in requests.iter().enumerate() {
-            let spec = req.algo.as_ref().unwrap_or(&self.spec);
-            let key: WorkKey = (
-                spec.name.clone(),
-                spec.params.k,
-                spec.params.layer_pruning,
-                spec.params.weighted,
-                req.nodes.clone(),
-                req.max_community_size,
-            );
-            let slot = *seen.entry(key).or_insert_with(|| {
+            let slot = *seen.entry(req.nodes.as_slice()).or_insert_with(|| {
                 unique.push(i);
                 unique.len() - 1
             });
@@ -384,12 +358,11 @@ impl BatchRunner {
                         let next = &next;
                         let mut session = self.worker_session(snap, plan)?;
                         // Workers carry per-request Results home instead
-                        // of unwrapping on their own thread (overrides
-                        // were pre-resolved, so errors are unexpected —
-                        // but a worker must not decide to panic for the
-                        // whole batch). They steal whole groups so a
-                        // group's queries stay on one session (and its
-                        // memo); a slow group never stalls the others.
+                        // of unwrapping on their own thread (a worker
+                        // must not decide to panic for the whole batch).
+                        // They steal whole groups so a group's queries
+                        // stay on one session (and its memo); a slow
+                        // group never stalls the others.
                         handles.push(scope.spawn(move || {
                             let mut local = Vec::new();
                             loop {
@@ -529,34 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn unknown_override_fails_before_any_query_runs() {
-        let reqs = vec![
-            QueryRequest::new(vec![0]),
-            QueryRequest::new(vec![1]).with_algo(AlgoSpec::new("zeus")),
-        ];
-        let err = BatchRunner::new(AlgoSpec::new("fpa"), 2)
-            .unwrap()
-            .run(&barbell_snap(), &reqs)
-            .unwrap_err();
-        assert!(matches!(err, EngineError::UnknownAlgo { .. }));
-    }
-
-    #[test]
-    fn per_request_overrides_run_their_own_algorithm() {
-        let reqs = vec![
-            QueryRequest::new(vec![0]),
-            QueryRequest::new(vec![0]).with_algo(AlgoSpec::new("nca")),
-        ];
-        let report = BatchRunner::new(AlgoSpec::new("fpa"), 2)
-            .unwrap()
-            .run(&barbell_snap(), &reqs)
-            .unwrap();
-        assert_eq!(report.responses[0].algo, "FPA");
-        assert_eq!(report.responses[1].algo, "NCA");
-        assert_eq!(report.unique_queries, 2, "different algos never dedup");
-    }
-
-    #[test]
     fn per_query_errors_do_not_abort_the_batch() {
         // A multi-node query spanning two components fails; the batch
         // records the error and keeps going.
@@ -603,7 +548,7 @@ mod tests {
             QueryRequest::new(vec![0]).with_tag("a"),
             QueryRequest::new(vec![5]),
             QueryRequest::new(vec![0]).with_tag("b"), // dup of [0]
-            QueryRequest::new(vec![0]).with_max_community_size(1), // NOT a dup (cap differs)
+            QueryRequest::new(vec![0, 5]),            // NOT a dup (nodes differ)
             QueryRequest::new(vec![5]),               // dup of [5]
         ];
         for threads in [1usize, 3] {
@@ -620,11 +565,7 @@ mod tests {
             assert_eq!(report.responses[0].request.tag.as_deref(), Some("a"));
             assert_eq!(report.responses[2].request.tag.as_deref(), Some("b"));
             assert_eq!(report.responses[1].result, report.responses[4].result);
-            // The capped variant ran separately and failed its cap.
-            assert!(matches!(
-                report.responses[3].result,
-                Err(dmcs_core::SearchError::CommunityTooLarge { .. })
-            ));
+            assert_ne!(report.responses[3].result, report.responses[0].result);
         }
     }
 
@@ -756,18 +697,20 @@ mod tests {
     #[test]
     fn mirror_serving_batches_match_plan_off_bit_identically() {
         use dmcs_graph::{GraphStore, LayoutPolicy};
+        // `fragmented_snap`'s shape under labels the bfs layout permutes
+        // (`fragmented_snap` itself is already in bfs order), placed so
+        // each multi-node request stays inside one component.
         let mut b = GraphBuilder::new(10);
-        for (u, v) in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] {
+        for (u, v) in [(7, 9), (9, 2), (7, 2), (0, 4), (4, 8), (0, 8)] {
             b.add_edge(u, v);
         }
-        for (u, v) in [(6, 7), (7, 8), (8, 9)] {
+        for (u, v) in [(5, 1), (1, 6), (6, 3)] {
             b.add_edge(u, v);
         }
         let store = GraphStore::from_graph(b.build());
-        store.set_layout_policy(LayoutPolicy::Rcm);
+        store.set_layout_policy(LayoutPolicy::Bfs);
         let snap = store.snapshot();
         let reqs = interleaved_requests();
-        let single_node = reqs.iter().filter(|r| r.nodes.len() == 1).count() as u64;
         let baseline = BatchRunner::new(AlgoSpec::new("fpa"), 1)
             .unwrap()
             .with_plan(PlanMode::Off)
@@ -780,7 +723,13 @@ mod tests {
                 .run(&snap, &reqs)
                 .unwrap();
             assert_eq!(mirrored.plan, "auto:grouped+memo+mirror");
-            assert_eq!(mirrored.mirror_served, single_node, "{threads} threads");
+            assert_eq!(mirrored.succeeded(), reqs.len(), "{threads} threads");
+            // Every query, multi-node ones included, ran on the mirror.
+            assert_eq!(
+                mirrored.mirror_served,
+                reqs.len() as u64,
+                "{threads} threads"
+            );
             assert!((mirrored.skew - 0.4).abs() < 1e-12);
             for (a, b) in baseline.responses.iter().zip(&mirrored.responses) {
                 assert_eq!(a.result, b.result, "{threads} threads");

@@ -14,13 +14,12 @@
 //!   back as [`EngineError::UnknownAlgo`] with a nearest-name
 //!   suggestion. Weighted serving is first-class: `fpa-w`/`nca-w` (or
 //!   any spec with [`AlgoParams::weighted`]) build the weighted
-//!   searchers, and weightedness participates in cache and batch-dedup
-//!   keys.
+//!   searchers, and weightedness participates in the cache key.
 //! - [`error`] — [`EngineError`], the workspace-wide error taxonomy.
 //!   Implements `std::error::Error` with full `source()` chains and maps
 //!   every variant to a distinct, documented process exit code.
-//! - [`request`] — [`QueryRequest`] (query nodes + per-request algorithm
-//!   override, size cap, correlation tag) and [`QueryResponse`] (the
+//! - [`request`] — [`QueryRequest`] (query nodes + correlation tag)
+//!   and [`QueryResponse`] (the
 //!   [`SearchResult`](dmcs_core::SearchResult) plus the algorithm that
 //!   ran, the query's wall time, and whether the answer came from the
 //!   cache).
@@ -30,10 +29,12 @@
 //!   versions of exactly the store shards the answering search touched.
 //!   Updates to other shards leave the entry live.
 //! - [`session`] — [`Session`]: a pinned
-//!   [`dmcs_graph::Snapshot`] + resolved algorithm + a
+//!   [`dmcs_graph::Snapshot`] + resolved algorithm + one
 //!   persistent [`QueryWorkspace`](dmcs_graph::view::QueryWorkspace), so
 //!   repeated single queries get the buffer-reuse speedup that batches
-//!   get from per-worker workspaces.
+//!   get from per-worker workspaces. The session picks its substrate —
+//!   the snapshot's bfs compute mirror or the canonical CSR — once, when
+//!   it opens, and runs every query there.
 //! - [`batch`] — [`BatchRunner`]: `std::thread::scope` fan-out with an
 //!   atomic work queue where every worker is a per-thread [`Session`]
 //!   over the same pinned snapshot; in-batch dedup of identical

@@ -4,7 +4,7 @@
 //! The planner reads the snapshot's component index (a one-pass
 //! union-find computed lazily and cached on the snapshot, see
 //! [`Snapshot::component_index`](dmcs_graph::Snapshot::component_index))
-//! and decides two things:
+//! and decides three things:
 //!
 //! - **`grouped`** — whether a [`BatchRunner`](crate::BatchRunner)
 //!   should schedule queries component-by-component so that consecutive
@@ -16,9 +16,10 @@
 //! - **`memoize`** — whether worker sessions arm the per-workspace
 //!   component memo at all ([`QueryWorkspace::arm_component_memo`](
 //!   dmcs_graph::view::QueryWorkspace::arm_component_memo)).
-//! - **`mirror`** — whether sessions may execute mirror-safe searches on
-//!   the snapshot's renumbered compute mirror (the canonical tie-break
-//!   shim keeps the output byte-identical; see `dmcs_graph::layout`).
+//! - **`mirror`** — whether sessions of mirror-safe, unweighted specs
+//!   execute every query on the snapshot's renumbered compute mirror
+//!   (the canonical tie-break shim keeps the output byte-identical; see
+//!   `dmcs_graph::layout`).
 //!
 //! Grouping is **skew-aware**, not just count-aware: a graph that is one
 //! giant component plus dust has many components but no locality to
@@ -118,8 +119,8 @@ impl QueryPlan {
     /// is spread out (`skew < SKEW_GROUPING_CUTOFF`, 0.75), and serves
     /// from the mirror whenever the snapshot carries one — the
     /// canonical tie-break shim makes that unconditionally safe, and
-    /// per-query eligibility (algorithm, weights) is the session's
-    /// call. `Off` disables everything; `skew` is still reported so
+    /// eligibility (algorithm, weights) is the session's call when it
+    /// opens. `Off` disables everything; `skew` is still reported so
     /// observability does not depend on the plan.
     pub fn choose(mode: PlanMode, snapshot: &Snapshot) -> QueryPlan {
         let index = snapshot.component_index();

@@ -1,74 +1,43 @@
 //! The typed request/response contract of the serving API.
 //!
-//! A [`QueryRequest`] is what a client submits: the query nodes plus the
-//! per-request knobs a real service exposes (an algorithm override, a
-//! community-size cap, a correlation tag). A [`QueryResponse`] is what
-//! comes back: the [`SearchResult`] (or the per-query [`SearchError`]),
-//! the algorithm that actually ran, and the query's own wall time.
+//! A [`QueryRequest`] is what a client submits: the query nodes plus a
+//! correlation tag. The algorithm is the session's (or batch's), fixed
+//! when it opens. A [`QueryResponse`] is what comes back: the
+//! [`SearchResult`] (or the per-query [`SearchError`]), the algorithm
+//! that ran, and the query's own wall time.
 //! [`Session`](crate::Session)s answer one request at a time;
 //! [`BatchRunner`](crate::BatchRunner) fans slices of requests out
 //! across worker threads.
 
-use crate::registry::AlgoSpec;
 use dmcs_core::{SearchError, SearchResult};
 use dmcs_graph::NodeId;
 
 /// One community-search request, builder-style.
 ///
 /// ```
-/// use dmcs_engine::{AlgoSpec, QueryRequest};
+/// use dmcs_engine::QueryRequest;
 ///
-/// // Plain request: the session's own algorithm, no cap.
 /// let plain = QueryRequest::new(vec![0, 3]);
 /// assert_eq!(plain.nodes, vec![0, 3]);
 ///
-/// // Fully dressed: override the algorithm, cap the community size,
-/// // tag the request for correlation in logs / JSON output.
-/// let dressed = QueryRequest::new(vec![7])
-///     .with_algo(AlgoSpec::with_k("kc", 4))
-///     .with_max_community_size(100)
-///     .with_tag("user-42");
-/// assert_eq!(dressed.algo.as_ref().unwrap().name, "kc");
-/// assert_eq!(dressed.max_community_size, Some(100));
-/// assert_eq!(dressed.tag.as_deref(), Some("user-42"));
+/// // Tag the request for correlation in logs / JSON output.
+/// let tagged = QueryRequest::new(vec![7]).with_tag("user-42");
+/// assert_eq!(tagged.tag.as_deref(), Some("user-42"));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryRequest {
     /// The query nodes (dense graph ids). Every returned community
     /// contains all of them.
     pub nodes: Vec<NodeId>,
-    /// Per-request algorithm override; `None` uses the session's (or
-    /// batch's) default algorithm.
-    pub algo: Option<AlgoSpec>,
-    /// Node budget: a response whose community exceeds this many nodes
-    /// is converted into [`SearchError::CommunityTooLarge`].
-    pub max_community_size: Option<usize>,
     /// Caller-chosen correlation id, echoed verbatim in the response and
     /// the JSON output.
     pub tag: Option<String>,
 }
 
 impl QueryRequest {
-    /// A plain request for `nodes` with every option at its default.
+    /// An untagged request for `nodes`.
     pub fn new(nodes: Vec<NodeId>) -> Self {
-        QueryRequest {
-            nodes,
-            algo: None,
-            max_community_size: None,
-            tag: None,
-        }
-    }
-
-    /// Override the algorithm for this request only.
-    pub fn with_algo(mut self, spec: AlgoSpec) -> Self {
-        self.algo = Some(spec);
-        self
-    }
-
-    /// Cap the size of an acceptable community.
-    pub fn with_max_community_size(mut self, cap: usize) -> Self {
-        self.max_community_size = Some(cap);
-        self
+        QueryRequest { nodes, tag: None }
     }
 
     /// Attach a correlation tag.
@@ -87,10 +56,9 @@ impl QueryRequest {
 /// The outcome of one [`QueryRequest`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResponse {
-    /// The request this answers (nodes, options and tag echoed back).
+    /// The request this answers (nodes and tag echoed back).
     pub request: QueryRequest,
-    /// Display name of the algorithm that actually ran (the override's
-    /// if the request carried one).
+    /// Display name of the algorithm that ran.
     pub algo: &'static str,
     /// The search result, or the per-query error. A failed query never
     /// aborts a batch.
@@ -130,13 +98,8 @@ mod tests {
 
     #[test]
     fn builder_round_trip() {
-        let req = QueryRequest::new(vec![1, 2])
-            .with_algo(AlgoSpec::new("nca"))
-            .with_max_community_size(5)
-            .with_tag("t");
+        let req = QueryRequest::new(vec![1, 2]).with_tag("t");
         assert_eq!(req.nodes, vec![1, 2]);
-        assert_eq!(req.algo.as_ref().unwrap().name, "nca");
-        assert_eq!(req.max_community_size, Some(5));
         assert_eq!(req.tag.as_deref(), Some("t"));
     }
 
@@ -145,7 +108,7 @@ mod tests {
         let reqs = QueryRequest::from_node_lists(&[vec![0], vec![1, 2]]);
         assert_eq!(reqs.len(), 2);
         assert_eq!(reqs[1].nodes, vec![1, 2]);
-        assert!(reqs[0].algo.is_none() && reqs[0].tag.is_none());
+        assert!(reqs[0].tag.is_none());
     }
 
     #[test]

@@ -434,6 +434,9 @@ struct ConnState {
     line_no: usize,
     /// Single-query responses served, for the summary percentiles.
     responses: Vec<QueryResponse>,
+    /// Queries the connection's earlier sessions ran on the compute
+    /// mirror (`repin` replaces the session and its counter).
+    mirror_served: u64,
     started: Instant,
 }
 
@@ -451,6 +454,7 @@ fn serve_conn<S: Read + Write>(shared: &Shared, mut stream: S) {
     let mut conn = ConnState {
         line_no: 0,
         responses: Vec::new(),
+        mirror_served: 0,
         started: Instant::now(),
     };
     let mut buf: Vec<u8> = Vec::new();
@@ -548,7 +552,7 @@ fn serve_conn<S: Read + Write>(shared: &Shared, mut stream: S) {
     let mut report = BatchReport::from_responses(conn.responses, wall, unique, hits, misses);
     // The daemon serves on an auto plan: surface how many queries ran
     // on the compute mirror and the pinned snapshot's skew statistic.
-    report.mirror_served = session.mirror_served();
+    report.mirror_served = conn.mirror_served + session.mirror_served();
     report.skew =
         crate::plan::QueryPlan::choose(crate::plan::PlanMode::Auto, session.snapshot()).skew;
     let summary = summary_json(shared.algo_name, shared.spec.serves_weighted(), &report);
@@ -627,6 +631,7 @@ fn process_line<S: Write>(
         "repin" => {
             let reply = match shared.engine.session(&shared.spec) {
                 Ok(fresh) => {
+                    conn.mirror_served += session.mirror_served();
                     *session = fresh;
                     let snap = session.snapshot();
                     typed_obj(
@@ -673,7 +678,7 @@ fn process_line<S: Write>(
                     ("plan".to_string(), Json::str(plan.label)),
                     (
                         "mirror_served".to_string(),
-                        Json::UInt(session.mirror_served()),
+                        Json::UInt(conn.mirror_served + session.mirror_served()),
                     ),
                     ("skew".to_string(), Json::Num(plan.skew)),
                     ("cache_hits".to_string(), Json::UInt(cache.hits())),
@@ -830,8 +835,8 @@ fn serve_admitted_query(
             conn.responses.push(resp); // feeds the closing summary line
             json
         }
-        // Unreachable without per-request algo overrides, but keep the
-        // taxonomy honest rather than panicking a connection thread.
+        // Unreachable (`Session::query` answers every request), but keep
+        // the taxonomy honest rather than panicking a connection thread.
         Err(e) => error_json(line_no, &e),
     }
 }

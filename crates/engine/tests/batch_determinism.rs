@@ -19,12 +19,12 @@ fn assert_batch_deterministic(spec: &AlgoSpec, g: &Graph, queries: &[Vec<NodeId>
     let reference = BatchRunner::new(spec.clone(), 1)
         .expect("registered algorithm")
         .run(&snap, &requests)
-        .expect("no overrides to fail");
+        .expect("batch runs");
     for threads in [2usize, 4] {
         let parallel = BatchRunner::new(spec.clone(), threads)
             .expect("registered algorithm")
             .run(&snap, &requests)
-            .expect("no overrides to fail");
+            .expect("batch runs");
         assert_eq!(reference.responses.len(), parallel.responses.len());
         for (i, (s, p)) in reference
             .responses

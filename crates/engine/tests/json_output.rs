@@ -6,7 +6,7 @@
 
 use dmcs_core::{SearchError, SearchResult};
 use dmcs_engine::output::{report_jsonl, response_json, Json};
-use dmcs_engine::{AlgoSpec, BatchReport, QueryRequest, QueryResponse};
+use dmcs_engine::{BatchReport, QueryRequest, QueryResponse};
 use dmcs_graph::GraphError;
 
 fn ok_result(community: Vec<u32>, dm: f64, iterations: usize) -> Result<SearchResult, SearchError> {
@@ -18,8 +18,8 @@ fn ok_result(community: Vec<u32>, dm: f64, iterations: usize) -> Result<SearchRe
     })
 }
 
-/// The fixture: two successes (one tagged, one with an algorithm
-/// override) and one per-query failure, with power-of-two timings so
+/// The fixture: two successes (one tagged and answered by another
+/// algorithm) and one per-query failure, with power-of-two timings so
 /// float rendering is exact on every platform.
 fn fixed_report() -> BatchReport {
     let responses = vec![
@@ -31,9 +31,7 @@ fn fixed_report() -> BatchReport {
             cached: false,
         },
         QueryResponse {
-            request: QueryRequest::new(vec![5, 3])
-                .with_algo(AlgoSpec::new("nca"))
-                .with_tag("vip"),
+            request: QueryRequest::new(vec![5, 3]).with_tag("vip"),
             algo: "NCA",
             result: ok_result(vec![3, 4, 5], 0.25, 1),
             seconds: 0.5,

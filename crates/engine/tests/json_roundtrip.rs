@@ -15,15 +15,13 @@ proptest! {
     #[test]
     fn json_lines_round_trip_the_batch_report(seed in 0u64..1000, threads in 1usize..4) {
         let (g, comms) = sbm::planted_partition(&[8, 8, 8], 0.7, 0.05, seed);
-        // A mix of plain, tagged, overridden, capped and failing
-        // requests, one per node sample.
+        // A mix of plain, tagged and failing requests, one per node
+        // sample.
         let mut requests: Vec<QueryRequest> = (0..g.n() as NodeId)
             .step_by(3)
             .map(|v| QueryRequest::new(vec![v]))
             .collect();
         requests[1] = requests[1].clone().with_tag("tagged \"q\"");
-        requests[2] = requests[2].clone().with_algo(AlgoSpec::new("nca"));
-        requests[3] = requests[3].clone().with_max_community_size(1);
         requests.push(QueryRequest::new(vec![comms[0][0], comms[1][0]]));
 
         // Synthetic original-id mapping (sparse, order-preserving).
@@ -32,7 +30,7 @@ proptest! {
         let report = BatchRunner::new(AlgoSpec::new("fpa"), threads)
             .expect("registered")
             .run(&Snapshot::freeze(g), &requests)
-            .expect("overrides resolve");
+            .expect("batch runs");
         let rendered = report_jsonl("FPA", false, &report, Some(&original));
 
         let lines: Vec<&str> = rendered.lines().collect();

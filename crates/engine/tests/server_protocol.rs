@@ -8,7 +8,7 @@
 use dmcs_engine::output::Json;
 use dmcs_engine::registry::AlgoSpec;
 use dmcs_engine::{Engine, Server, ServerConfig, ServerHandle};
-use dmcs_graph::GraphBuilder;
+use dmcs_graph::{GraphBuilder, LayoutPolicy};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
@@ -26,23 +26,47 @@ fn socket_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("dmcs-test-{}-{tag}.sock", std::process::id()))
 }
 
-/// Bind a server on the given config and run it on a background thread.
-/// Returns the handle (for shutdown) and the join handle.
-fn spawn_server(
-    cfg: ServerConfig,
-) -> (
+type Spawned = (
     ServerHandle,
     Option<PathBuf>,
     Option<std::net::SocketAddr>,
     std::thread::JoinHandle<dmcs_engine::ServerStats>,
-) {
+);
+
+/// Bind an FPA server over the demo engine on the given config and run
+/// it on a background thread. Returns the handle (for shutdown) and the
+/// join handle.
+fn spawn_server(cfg: ServerConfig) -> Spawned {
     let (engine, original) = demo_engine();
-    let server = Server::bind(engine, AlgoSpec::new("fpa"), original, &cfg).expect("bind");
+    spawn_engine(engine, original, AlgoSpec::new("fpa"), &cfg)
+}
+
+/// [`spawn_server`] for a given engine and algorithm.
+fn spawn_engine(engine: Engine, original: Vec<u64>, spec: AlgoSpec, cfg: &ServerConfig) -> Spawned {
+    let server = Server::bind(engine, spec, original, cfg).expect("bind");
     let handle = server.handle();
     let unix = server.unix_path().map(PathBuf::from);
     let tcp = server.tcp_addr();
     let join = std::thread::spawn(move || server.run());
     (handle, unix, tcp, join)
+}
+
+/// The karate club (original ids 0..34) served on TCP with `layout`.
+fn spawn_karate(spec: AlgoSpec, layout: LayoutPolicy) -> Spawned {
+    let engine = Engine::from_graph(dmcs_gen::karate::karate());
+    engine.store().set_layout_policy(layout);
+    let cfg = ServerConfig {
+        tcp_addr: Some("127.0.0.1:0".into()),
+        ..ServerConfig::default()
+    };
+    spawn_engine(engine, (0..34).collect(), spec, &cfg)
+}
+
+/// A TCP connection as a (writer, line reader) pair.
+fn connect(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    let reader = BufReader::new(stream.try_clone().expect("clone"));
+    (stream, reader)
 }
 
 /// One request line out, one reply line in.
@@ -460,4 +484,91 @@ fn soak_concurrent_connections_with_interleaved_updates() {
     assert_eq!(final_stats.cache_hits, 21);
     assert_eq!(final_stats.cache_misses, 4);
     assert!(!path.exists(), "socket file unlinked after shutdown");
+}
+
+/// A connection pinned before an update added a node must get a typed
+/// reply for that node, not a panic: the node's dense id is past the end
+/// of the pinned snapshot. `kc` used to index its core array with it,
+/// killing the connection thread without releasing its admission slot
+/// and failing the drain.
+#[test]
+fn stale_pin_query_for_a_new_node_is_out_of_range_not_a_crash() {
+    let (handle, _unix, tcp, join) = spawn_karate(AlgoSpec::new("kc"), LayoutPolicy::Identity);
+    let addr = tcp.expect("tcp bound");
+    let (mut a, mut a_reader) = connect(addr);
+    let (mut b, mut b_reader) = connect(addr);
+
+    let pinned = round_trip(&mut a, &mut a_reader, r#"{"op":"query","nodes":[0]}"#);
+    assert_eq!(reply_type(&pinned), "response");
+    let up = round_trip(
+        &mut b,
+        &mut b_reader,
+        r#"{"op":"update","action":"add","u":0,"v":999}"#,
+    );
+    assert_eq!(reply_type(&up), "update");
+
+    let stale = round_trip(&mut a, &mut a_reader, r#"{"op":"query","nodes":[999]}"#);
+    assert_eq!(reply_type(&stale), "response");
+    assert_eq!(stale.get("ok").and_then(Json::as_bool), Some(false));
+    let error = stale
+        .get("error")
+        .and_then(Json::as_str)
+        .expect("error text");
+    assert!(error.contains("out of range"), "{error}");
+
+    handle.shutdown();
+    drop((a, a_reader, b, b_reader));
+    join.join().expect("the daemon drains cleanly");
+}
+
+/// `mirror_served` counts a connection's mirror-served queries across
+/// `repin`, which replaces the connection's session; multi-node queries
+/// run on the mirror with the identity layout's bytes.
+#[test]
+fn mirror_served_survives_repin_and_counts_multi_node_queries() {
+    const TRANSCRIPT: [&str; 5] = [
+        r#"{"op":"query","nodes":[0]}"#,
+        r#"{"op":"repin"}"#,
+        r#"{"op":"query","nodes":[33]}"#,
+        r#"{"op":"query","nodes":[0,33]}"#,
+        r#"{"op":"stats"}"#,
+    ];
+    let without_seconds = |v: &Json| match v {
+        Json::Obj(members) => Json::Obj(
+            members
+                .iter()
+                .filter(|(k, _)| k != "seconds")
+                .cloned()
+                .collect(),
+        ),
+        other => other.clone(),
+    };
+    let mut multi = Vec::new();
+    for layout in [LayoutPolicy::Bfs, LayoutPolicy::Identity] {
+        let (_handle, _unix, tcp, join) = spawn_karate(AlgoSpec::new("fpa"), layout);
+        let (mut stream, mut reader) = connect(tcp.expect("tcp bound"));
+        let replies: Vec<Json> = TRANSCRIPT
+            .iter()
+            .map(|req| round_trip(&mut stream, &mut reader, req))
+            .collect();
+        multi.push(without_seconds(&replies[3]));
+        let bye = round_trip(&mut stream, &mut reader, r#"{"op":"shutdown"}"#);
+        assert_eq!(reply_type(&bye), "shutdown");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("summary");
+        let summary = Json::parse(line.trim()).expect("summary parses");
+        assert_eq!(reply_type(&summary), "summary");
+        let expect = if layout == LayoutPolicy::Bfs { 3 } else { 0 };
+        for reply in [&replies[4], &summary] {
+            assert_eq!(
+                reply.get("mirror_served").and_then(Json::as_u64),
+                Some(expect),
+                "{layout} {}",
+                reply_type(reply)
+            );
+        }
+        join.join().expect("server thread joins");
+    }
+    assert_eq!(reply_type(&multi[0]), "response");
+    assert_eq!(multi[0], multi[1], "mirror bytes equal identity bytes");
 }

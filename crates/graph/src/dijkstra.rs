@@ -75,9 +75,11 @@ pub fn multi_source_dijkstra<W: EdgeWeights>(g: &Graph, sources: &[NodeId], w: &
     dist
 }
 
-/// Single-source Dijkstra with parent pointers, for path extraction
-/// (Steiner shortest-path union, §5.6). `parent[s] == s` for the source;
-/// unreachable nodes keep `NodeId::MAX`.
+/// Single-source Dijkstra with parent pointers, for path extraction.
+/// `parent[s] == s` for the source; unreachable nodes keep
+/// `NodeId::MAX`. Under [`UnitWeights`] a node's parent is its
+/// smallest-id neighbour one hop closer to the source: the heap settles
+/// equal distances in id order and relaxation is strict.
 pub fn dijkstra_with_parents<W: EdgeWeights>(
     g: &Graph,
     source: NodeId,
@@ -85,30 +87,9 @@ pub fn dijkstra_with_parents<W: EdgeWeights>(
 ) -> (Vec<f64>, Vec<NodeId>) {
     let mut dist = vec![f64::INFINITY; g.n()];
     let mut parent = vec![NodeId::MAX; g.n()];
-    let mut reached = Vec::new();
-    dijkstra_with_parents_into(g, source, w, &mut dist, &mut parent, &mut reached);
-    (dist, parent)
-}
-
-/// As [`dijkstra_with_parents`], but over caller-provided buffers preset
-/// to `INFINITY` / `NodeId::MAX` (e.g. the pooled pair from
-/// [`QueryWorkspace::take_path_tree`](crate::view::QueryWorkspace::take_path_tree)).
-/// `reached` collects every node whose entries the traversal wrote — the
-/// sparse-reset list for returning the buffers to the pool. Relaxation
-/// order and tie-breaks are identical to the allocating variant, so the
-/// parent tree (and every path derived from it) is bit-identical.
-pub fn dijkstra_with_parents_into<W: EdgeWeights>(
-    g: &Graph,
-    source: NodeId,
-    w: &W,
-    dist: &mut [f64],
-    parent: &mut [NodeId],
-    reached: &mut Vec<NodeId>,
-) {
     let mut heap: BinaryHeap<Reverse<(OrdF64, NodeId)>> = BinaryHeap::new();
     dist[source as usize] = 0.0;
     parent[source as usize] = source;
-    reached.push(source);
     heap.push(Reverse((OrdF64(0.0), source)));
     while let Some(Reverse((OrdF64(d), u))) = heap.pop() {
         if d > dist[u as usize] {
@@ -117,15 +98,13 @@ pub fn dijkstra_with_parents_into<W: EdgeWeights>(
         for &v in g.neighbors(u) {
             let nd = d + w.weight(u, v);
             if nd < dist[v as usize] {
-                if dist[v as usize] == f64::INFINITY {
-                    reached.push(v);
-                }
                 dist[v as usize] = nd;
                 parent[v as usize] = u;
                 heap.push(Reverse((OrdF64(nd), v)));
             }
         }
     }
+    (dist, parent)
 }
 
 /// Reconstruct the path `source .. target` from a parent array produced by

@@ -5,17 +5,10 @@
 //! each other in the neighbour array — real edge lists arrive in
 //! arbitrary id order, and a BFS over a scattered component touches one
 //! cache line per node. This module renumbers nodes so that topological
-//! neighbours become memory neighbours:
-//!
-//! - [`LayoutPolicy::Degree`] — hubs first (descending degree). Groups
-//!   the high-traffic rows at the front of the array, the classic
-//!   push/pull layout for power-law graphs.
-//! - [`LayoutPolicy::Bfs`] — breadth-first visitation order per
-//!   component. Frontier neighbours land in adjacent rows, so the BFS
-//!   and peeling loops stream the neighbour array nearly sequentially.
-//! - [`LayoutPolicy::Rcm`] — reverse Cuthill–McKee: BFS from a minimum
-//!   degree seed expanding cheapest-first, then reversed; the standard
-//!   bandwidth-minimising ordering from sparse linear algebra.
+//! neighbours become memory neighbours: [`LayoutPolicy::Bfs`] lays each
+//! component out in breadth-first visitation order, so frontier
+//! neighbours land in adjacent rows and the BFS and peeling loops
+//! stream the neighbour array nearly sequentially.
 //!
 //! A renumbered graph is **internal only**. Every public surface of the
 //! engine — queries, updates, shard assignment, JSON output, cache keys
@@ -34,7 +27,8 @@
 //! the session boundary. Density values themselves are derived from
 //! integer edge/degree counts, which are isomorphism-invariant, so the
 //! full removal sequence (and therefore the response JSON) is
-//! byte-identical under every layout policy. The planner
+//! byte-identical under either layout policy. The multi-node Steiner
+//! seed breaks its path ties by the same canonical ids. The planner
 //! (`dmcs-engine`'s `QueryPlan`) decides per snapshot whether serving
 //! uses the mirror; weighted kernels accumulate floating-point sums in
 //! traversal order and stay on the canonical CSR.
@@ -45,37 +39,26 @@ use crate::{Graph, NodeId};
 use std::sync::Arc;
 
 /// Node renumbering policy of a store or snapshot. `Identity` is the
-/// default and costs nothing; the other policies build a permuted
-/// compute mirror at snapshot-build time.
+/// default and costs nothing; `Bfs` builds a permuted compute mirror at
+/// snapshot-build time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LayoutPolicy {
     /// Keep external ids as internal ids (no mirror is built).
     #[default]
     Identity,
-    /// Descending-degree order (hubs first), ties broken by id.
-    Degree,
     /// Per-component breadth-first visitation order.
     Bfs,
-    /// Reverse Cuthill–McKee (bandwidth-minimising) order.
-    Rcm,
 }
 
 impl LayoutPolicy {
     /// All policies, in the order the CLI documents them.
-    pub const ALL: [LayoutPolicy; 4] = [
-        LayoutPolicy::Identity,
-        LayoutPolicy::Degree,
-        LayoutPolicy::Bfs,
-        LayoutPolicy::Rcm,
-    ];
+    pub const ALL: [LayoutPolicy; 2] = [LayoutPolicy::Identity, LayoutPolicy::Bfs];
 
-    /// The canonical lowercase name (`identity`, `degree`, `bfs`, `rcm`).
+    /// The canonical lowercase name (`identity`, `bfs`).
     pub fn as_str(self) -> &'static str {
         match self {
             LayoutPolicy::Identity => "identity",
-            LayoutPolicy::Degree => "degree",
             LayoutPolicy::Bfs => "bfs",
-            LayoutPolicy::Rcm => "rcm",
         }
     }
 }
@@ -86,11 +69,9 @@ impl std::str::FromStr for LayoutPolicy {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "identity" => Ok(LayoutPolicy::Identity),
-            "degree" => Ok(LayoutPolicy::Degree),
             "bfs" => Ok(LayoutPolicy::Bfs),
-            "rcm" => Ok(LayoutPolicy::Rcm),
             other => Err(format!(
-                "unknown layout policy '{other}' (expected identity, degree, bfs or rcm)"
+                "unknown layout policy '{other}' (expected identity or bfs)"
             )),
         }
     }
@@ -176,8 +157,8 @@ impl NodeMap {
 /// A permuted compute mirror of a canonical graph: the renumbered CSR,
 /// the [`NodeMap`] that translates ids, and the policy that produced
 /// it. Built behind a store's layout policy at snapshot-build time;
-/// see the module docs for why serving searches stay on the canonical
-/// graph.
+/// see the module docs for how searches run on it with byte-identical
+/// output.
 #[derive(Debug)]
 pub struct ComputeGraph {
     graph: Graph,
@@ -251,9 +232,7 @@ fn build_ext_rank(mirror: &Graph, map: &NodeMap) -> Vec<NodeId> {
 pub fn compute_order(g: &Graph, policy: LayoutPolicy) -> Option<Vec<NodeId>> {
     match policy {
         LayoutPolicy::Identity => None,
-        LayoutPolicy::Degree => Some(degree_order(g)),
         LayoutPolicy::Bfs => Some(bfs_order(g)),
-        LayoutPolicy::Rcm => Some(rcm_order(g)),
     }
 }
 
@@ -310,13 +289,6 @@ pub fn apply_order(g: &Graph, order: &[NodeId]) -> Graph {
     }
 }
 
-/// Descending-degree order, ties broken by ascending external id.
-fn degree_order(g: &Graph) -> Vec<NodeId> {
-    let mut order: Vec<NodeId> = (0..g.n() as NodeId).collect();
-    order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
-    order
-}
-
 /// Per-component BFS visitation order: components in ascending order of
 /// their smallest node id, frontier expanded in sorted-adjacency order.
 fn bfs_order(g: &Graph) -> Vec<NodeId> {
@@ -340,52 +312,6 @@ fn bfs_order(g: &Graph) -> Vec<NodeId> {
             }
         }
     }
-    order
-}
-
-/// Reverse Cuthill–McKee: per component, BFS from a minimum-degree seed
-/// expanding neighbours cheapest-degree-first, with the full visitation
-/// order reversed at the end (components stay contiguous).
-fn rcm_order(g: &Graph) -> Vec<NodeId> {
-    let n = g.n();
-    let (labels, count) = connected_components(g);
-    // Minimum-degree seed per component (ties: smallest id — the scan
-    // order guarantees it).
-    let mut seed: Vec<Option<NodeId>> = vec![None; count];
-    for v in 0..n as NodeId {
-        let c = labels[v as usize] as usize;
-        match seed[c] {
-            Some(s) if g.degree(s) <= g.degree(v) => {}
-            _ => seed[c] = Some(v),
-        }
-    }
-    let mut order = Vec::with_capacity(n);
-    let mut visited = BitMask::with_len(n);
-    let mut queue = std::collections::VecDeque::new();
-    let mut nbrs: Vec<NodeId> = Vec::new();
-    for root in seed.into_iter().flatten() {
-        if visited.get(root as usize) {
-            continue;
-        }
-        visited.set(root as usize);
-        queue.push_back(root);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            nbrs.clear();
-            nbrs.extend(
-                g.neighbors(v)
-                    .iter()
-                    .copied()
-                    .filter(|&u| !visited.get(u as usize)),
-            );
-            nbrs.sort_unstable_by_key(|&u| (g.degree(u), u));
-            for &u in &nbrs {
-                visited.set(u as usize);
-                queue.push_back(u);
-            }
-        }
-    }
-    order.reverse();
     order
 }
 
@@ -425,34 +351,20 @@ mod tests {
     }
 
     #[test]
-    fn all_policies_produce_isomorphic_graphs() {
+    fn bfs_policy_produces_an_isomorphic_graph() {
         let g = two_triangles();
-        for policy in [LayoutPolicy::Degree, LayoutPolicy::Bfs, LayoutPolicy::Rcm] {
-            let mirror = ComputeGraph::build(&g, policy).expect("non-identity builds");
-            assert_eq!(mirror.policy(), policy);
-            assert_isomorphic(&g, mirror.graph(), mirror.map());
-        }
+        let mirror = ComputeGraph::build(&g, LayoutPolicy::Bfs).expect("non-identity builds");
+        assert_eq!(mirror.policy(), LayoutPolicy::Bfs);
+        assert_isomorphic(&g, mirror.graph(), mirror.map());
     }
 
     #[test]
     fn node_map_round_trips() {
         let g = two_triangles();
-        for policy in [LayoutPolicy::Degree, LayoutPolicy::Bfs, LayoutPolicy::Rcm] {
-            let mirror = ComputeGraph::build(&g, policy).unwrap();
-            for v in 0..g.n() as NodeId {
-                assert_eq!(mirror.map().to_external(mirror.map().to_internal(v)), v);
-            }
+        let mirror = ComputeGraph::build(&g, LayoutPolicy::Bfs).unwrap();
+        for v in 0..g.n() as NodeId {
+            assert_eq!(mirror.map().to_external(mirror.map().to_internal(v)), v);
         }
-    }
-
-    #[test]
-    fn degree_order_puts_hubs_first() {
-        let g = two_triangles();
-        let order = compute_order(&g, LayoutPolicy::Degree).unwrap();
-        // Node 2 and 4 have degree 3; 2 < 4 breaks the tie.
-        assert_eq!(&order[..2], &[2, 4]);
-        // Isolated node 3 (degree 0) lands last.
-        assert_eq!(order[g.n() - 1], 3);
     }
 
     #[test]
@@ -460,22 +372,6 @@ mod tests {
         let g = GraphBuilder::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
         let order = compute_order(&g, LayoutPolicy::Bfs).unwrap();
         assert_eq!(order, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn rcm_reduces_bandwidth_on_a_path() {
-        // A path labeled in scrambled order has bandwidth > 1; RCM
-        // restores the chain layout (bandwidth exactly 1).
-        let g = GraphBuilder::from_edges(6, &[(0, 3), (3, 1), (1, 5), (5, 2), (2, 4)]);
-        let order = compute_order(&g, LayoutPolicy::Rcm).unwrap();
-        let p = apply_order(&g, &order);
-        let map = NodeMap::from_order(&order);
-        assert_isomorphic(&g, &p, &map);
-        let bandwidth = (0..p.n() as NodeId)
-            .flat_map(|v| p.neighbors(v).iter().map(move |&u| v.abs_diff(u)))
-            .max()
-            .unwrap();
-        assert_eq!(bandwidth, 1, "RCM must recover the chain layout");
     }
 
     #[test]

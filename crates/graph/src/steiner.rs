@@ -7,9 +7,7 @@
 //! paper's five steps: pick a query node, run single-source shortest paths,
 //! keep the paths ending at the other queries, and return the union.
 
-use crate::dijkstra::{
-    dijkstra_with_parents, dijkstra_with_parents_into, path_from_parents, UnitWeights,
-};
+use crate::traversal::UNREACHABLE;
 use crate::view::QueryWorkspace;
 use crate::{Graph, GraphError, NodeId};
 
@@ -18,38 +16,22 @@ use crate::{Graph, GraphError, NodeId};
 /// root (the paper picks it "randomly"; we take the first for determinism —
 /// callers can shuffle `query` if they want the randomized variant).
 ///
-/// `O(|E| + |V| log |V|)`, matching the paper's stated bound.
+/// [`steiner_seed_with_workspace`] on a fresh workspace, so ties break by
+/// node id.
 pub fn steiner_seed(g: &Graph, query: &[NodeId]) -> Result<Vec<NodeId>, GraphError> {
-    for &q in query {
-        if q as usize >= g.n() {
-            return Err(GraphError::NodeOutOfRange(q));
-        }
-    }
-    let Some(&root) = query.first() else {
-        return Ok(Vec::new());
-    };
-    if query.len() == 1 {
-        return Ok(vec![root]);
-    }
-    let (_, parent) = dijkstra_with_parents(g, root, &UnitWeights);
-    let mut seed: Vec<NodeId> = Vec::new();
-    for &q in query {
-        let Some(path) = path_from_parents(&parent, q) else {
-            return Err(GraphError::QueryDisconnected);
-        };
-        seed.extend(path);
-    }
-    seed.sort_unstable();
-    seed.dedup();
-    Ok(seed)
+    steiner_seed_with_workspace(g, query, &mut QueryWorkspace::new())
 }
 
-/// [`steiner_seed`] over a workspace's pooled shortest-path-tree buffers:
-/// identical root choice, traversal order and tie-breaks — byte-identical
-/// seeds — without the two `O(n)` array allocations the one-shot variant
-/// pays per multi-node query. On fragmented graphs those allocations (not
-/// the traversal, which only visits the root's component) dominate the
-/// seed cost, so the serving path always routes through here.
+/// [`steiner_seed`] over a workspace's pooled BFS buffers. One BFS from
+/// the root layers its component; each other query node then walks back
+/// to the root, stepping at each hop to the neighbour one layer closer
+/// with the smallest *canonical* id ([`QueryWorkspace::canon`]). The
+/// path therefore depends only on the graph up to isomorphism and the
+/// canonical order: a seed grown on a renumbered compute mirror with the
+/// mirror's map as canon is, translated back, the seed grown on the
+/// canonical graph. Returns the seed in ascending (substrate) id order.
+///
+/// `O(|E|)` for the BFS plus `O(Σ deg)` over the walked paths.
 pub fn steiner_seed_with_workspace(
     g: &Graph,
     query: &[NodeId],
@@ -66,22 +48,49 @@ pub fn steiner_seed_with_workspace(
     if query.len() == 1 {
         return Ok(vec![root]);
     }
-    let (mut dist, mut parent) = ws.take_path_tree(g.n());
-    let mut reached = Vec::new();
-    dijkstra_with_parents_into(g, root, &UnitWeights, &mut dist, &mut parent, &mut reached);
-    let mut seed: Vec<NodeId> = Vec::new();
-    let mut disconnected = false;
-    for &q in query {
-        match path_from_parents(&parent, q) {
-            Some(path) => seed.extend(path),
-            None => {
-                disconnected = true;
-                break;
+    let (mut dist, mut order) = ws.take_dist_order(g.n());
+    dist[root as usize] = 0;
+    order.push(root);
+    let mut head = 0usize;
+    while head < order.len() {
+        let u = order[head];
+        head += 1;
+        let du = dist[u as usize];
+        for &w in g.neighbors(u) {
+            if dist[w as usize] == UNREACHABLE {
+                dist[w as usize] = du + 1;
+                order.push(w);
             }
         }
     }
+    let ext = ws.canon().external_ids();
+    let canon_key = |v: NodeId| ext.map_or(v, |e| e[v as usize]);
+    let mut seed: Vec<NodeId> = Vec::new();
+    let mut disconnected = false;
+    for &q in query {
+        if dist[q as usize] == UNREACHABLE {
+            disconnected = true;
+            break;
+        }
+        let mut v = q;
+        seed.push(v);
+        while dist[v as usize] > 0 {
+            let closer = dist[v as usize] - 1;
+            let Some(parent) = g
+                .neighbors(v)
+                .iter()
+                .copied()
+                .filter(|&w| dist[w as usize] == closer)
+                .min_by_key(|&w| canon_key(w))
+            else {
+                break; // unreachable: every BFS node has a parent one layer up
+            };
+            v = parent;
+            seed.push(v);
+        }
+    }
     // The buffers go back to the pool on the error path too.
-    ws.put_path_tree(dist, parent, &reached);
+    ws.put_dist_order(dist, order);
     if disconnected {
         return Err(GraphError::QueryDisconnected);
     }
@@ -135,6 +144,20 @@ mod tests {
         }
         let view = SubgraphView::from_nodes(&g, &seed);
         assert!(view.is_connected());
+    }
+
+    #[test]
+    fn ties_break_by_canonical_id() {
+        // Two shortest 0→3 paths, through 1 or through 2.
+        let g = GraphBuilder::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
+        assert_eq!(steiner_seed(&g, &[0, 3]).unwrap(), vec![0, 1, 3]);
+        // A canon that ranks 2 before 1 takes the other path.
+        let mut ws = QueryWorkspace::new();
+        ws.set_canon(crate::layout::NodeMap::from_order(&[0, 2, 1, 3]));
+        assert_eq!(
+            steiner_seed_with_workspace(&g, &[0, 3], &mut ws).unwrap(),
+            vec![0, 2, 3]
+        );
     }
 
     #[test]

@@ -266,12 +266,6 @@ pub struct QueryWorkspace {
     /// Pooled `f64` per-node scratch (the weighted algorithms' local
     /// incident-weight array `w_{v,S}`).
     weights: Option<Vec<f64>>,
-    /// Pooled shortest-path-tree distances (`INFINITY`-clean) for the
-    /// Steiner-seed pass of multi-node queries.
-    path_dist: Option<Vec<f64>>,
-    /// Pooled shortest-path-tree parents (`NodeId::MAX`-clean), paired
-    /// with `path_dist`.
-    path_parent: Option<Vec<NodeId>>,
     /// Present between `begin_shard_tracking` and `take_touched_shards`.
     shard_tracking: Option<ShardTracker>,
     /// Last-component memo (present iff armed; see
@@ -540,48 +534,6 @@ impl QueryWorkspace {
             weights[v as usize] = 0.0;
         }
         self.weights = Some(weights);
-    }
-
-    /// Take the pooled shortest-path-tree buffers — `f64` distances (all
-    /// `INFINITY`) and parent pointers (all `NodeId::MAX`), sized to `n`.
-    /// Multi-node queries grow a Steiner seed from a shortest-path tree
-    /// before peeling; without pooling those two `O(n)` arrays were
-    /// allocated and zeroed per query, which dominated the per-query
-    /// constant on fragmented graphs. Same sparse-reset contract as the
-    /// other buffers: pair with [`QueryWorkspace::put_path_tree`],
-    /// listing the nodes the traversal reached.
-    pub fn take_path_tree(&mut self, n: usize) -> (Vec<f64>, Vec<NodeId>) {
-        let mut dist = self.path_dist.take().unwrap_or_default();
-        if dist.len() != n {
-            dist.clear();
-            dist.resize(n, f64::INFINITY);
-        }
-        let mut parent = self.path_parent.take().unwrap_or_default();
-        if parent.len() != n {
-            parent.clear();
-            parent.resize(n, NodeId::MAX);
-        }
-        debug_assert!(
-            dist.iter().all(|&d| d == f64::INFINITY) && parent.iter().all(|&p| p == NodeId::MAX),
-            "recycled path-tree buffers not clean"
-        );
-        (dist, parent)
-    }
-
-    /// Return the shortest-path-tree buffers to the pool, resetting
-    /// exactly the entries the traversal reached.
-    pub fn put_path_tree(
-        &mut self,
-        mut dist: Vec<f64>,
-        mut parent: Vec<NodeId>,
-        reached: &[NodeId],
-    ) {
-        for &v in reached {
-            dist[v as usize] = f64::INFINITY;
-            parent[v as usize] = NodeId::MAX;
-        }
-        self.path_dist = Some(dist);
-        self.path_parent = Some(parent);
     }
 
     /// Build a view over `nodes` when `nodes` is known to be a **closed

@@ -110,15 +110,15 @@ def _ratio(times, baseline, contender):
 def derive_locality_ratios(results):
     """Headline ratios of the locality/planning benches (`bench_batch`).
 
-    - ``layout_fpa``: identity-layout per-query FPA time over each
-      renumbered compute mirror (>1 means the renumbering is faster) on
-      the scrambled fragmented-50k graph.
+    - ``layout_fpa``: identity-layout per-query FPA time over the bfs
+      compute mirror (>1 means the renumbering is faster) on the
+      scrambled fragmented-50k graph.
     - ``batch_sched``: ungrouped/unmemoized batch wall-clock over the
       planned variants — ``plan_auto`` isolates component-grouped
       scheduling + the component memo on the same scrambled store;
-      ``plan_auto_rcm`` is the full stack (the same planned batch served
-      from a physically RCM-renumbered store), the end-to-end
-      `--layout rcm --plan auto` configuration.
+      ``plan_auto_bfs`` is the full stack (the same planned batch served
+      from a physically BFS-renumbered store), the end-to-end
+      `--layout bfs --plan auto` configuration.
     - ``session_memo``: the session's consecutive-same-component stream
       without over with the workspace component memo.
     """
@@ -127,14 +127,13 @@ def derive_locality_ratios(results):
         by_group.setdefault(r["group"], {})[r["name"]] = r["median_seconds"]
     derived = {}
     layout = by_group.get("layout_fpa_fragmented50k", {})
-    for policy in ("degree", "bfs", "rcm"):
-        ratio = _ratio(layout, "identity", policy)
-        if ratio is not None:
-            derived[f"layout_identity_over_{policy}"] = ratio
+    ratio = _ratio(layout, "identity", "bfs")
+    if ratio is not None:
+        derived["layout_identity_over_bfs"] = ratio
     sched = by_group.get("batch_sched_fragmented100k", {})
     for name, key in (
         ("plan_auto", "sched_off_over_auto"),
-        ("plan_auto_rcm", "sched_off_over_auto_rcm"),
+        ("plan_auto_bfs", "sched_off_over_auto_bfs"),
     ):
         ratio = _ratio(sched, "plan_off", name)
         if ratio is not None:
@@ -166,7 +165,7 @@ def derive_mirror_ratios(results):
         by_group.setdefault(r["group"], {})[r["name"]] = r["median_seconds"]
     derived = {}
     mirror = by_group.get("mirror_fpa_fragmented50k", {})
-    for policy in ("identity", "bfs", "rcm"):
+    for policy in ("identity", "bfs"):
         ratio = _ratio(mirror, "canonical", f"mirror_{policy}")
         if ratio is not None:
             derived[f"mirror_canonical_over_{policy}"] = ratio

@@ -106,10 +106,10 @@ pub struct CliConfig {
     /// from snapshot statistics. Strategy only — output bytes are
     /// identical across modes.
     pub plan: PlanMode,
-    /// Compute-mirror layout policy (`--layout
-    /// {identity,degree,bfs,rcm}`): the store additionally builds a
-    /// cache-friendly renumbered CSR mirror per snapshot. Public ids
-    /// (and all output) stay in the external id space.
+    /// Compute-mirror layout policy (`--layout {identity,bfs}`): `bfs`
+    /// makes the store additionally build a cache-friendly renumbered
+    /// CSR mirror per snapshot. Public ids (and all output) stay in the
+    /// external id space.
     pub layout: LayoutPolicy,
 }
 
@@ -198,9 +198,9 @@ OPTIONS:
                       (ungrouped canonical baseline). Execution strategy
                       only — results are bit-identical across modes
     --layout <policy> snapshot compute-mirror layout: identity (default;
-                      no mirror), degree, bfs or rcm — builds a
-                      renumbered cache-friendly CSR mirror per snapshot
-                      that mirror-safe searches execute on under --plan
+                      no mirror) or bfs — builds a renumbered
+                      cache-friendly CSR mirror per snapshot that
+                      mirror-safe searches execute on under --plan
                       auto; ids in all output stay in the input id space
     --help            show this text
 
@@ -1246,8 +1246,8 @@ OPTIONS:
     --no-pruning      disable FPA's layer-based pruning
     --shards <n>      partition the store's node-id space into n shards
                       (default: 16; see `dmcs --help`)
-    --layout <policy> snapshot compute-mirror layout: identity (default),
-                      degree, bfs or rcm (see `dmcs --help`)
+    --layout <policy> snapshot compute-mirror layout: identity (default)
+                      or bfs (see `dmcs --help`)
     --queue-cap <n>   bounded admission: at most n queries/updates in
                       flight across all connections; requests past the
                       cap get a typed overload error line, wire code 8
