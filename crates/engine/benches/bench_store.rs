@@ -6,12 +6,13 @@
 //!    measures a mutate→snapshot cycle at 10k and 50k nodes three ways:
 //!    `full_rebuild` (a single-shard store — the pre-sharding code path,
 //!    every row re-serialized), `one_dirty_shard` (16 shards, the update
-//!    touches one — the steady loop recycles the retired snapshot and
-//!    patches just that shard's segments in place), and `all_dirty`
-//!    (16 shards, every shard touched — the worst case, which must not
-//!    regress against `full_rebuild_batch`, the *same* 16-edge write
-//!    batch on a single-shard store). `cached_read` is the no-mutation
-//!    baseline: snapshot() between versions is an Arc clone.
+//!    touches one — the rebuild re-serializes that shard's rows and
+//!    copies the other 15 shards' segments forward from the previous
+//!    snapshot), and `all_dirty` (16 shards, every shard touched — the
+//!    worst case, which must not regress against `full_rebuild_batch`,
+//!    the *same* 16-edge write batch on a single-shard store).
+//!    `cached_read` is the no-mutation baseline: snapshot() between
+//!    versions is an Arc clone.
 //! 2. **Repeated queries are dominated by the result cache** —
 //!    `cached_repeats` compares a repeated single query on the
 //!    fragmented-50k serving graph with the shard-scoped cache against

@@ -109,7 +109,30 @@ impl BatchReport {
         cache_hits: usize,
         cache_misses: usize,
     ) -> Self {
-        let mut lat: Vec<f64> = responses.iter().map(|r| r.seconds).collect();
+        let latencies = responses.iter().map(|r| r.seconds).collect();
+        BatchReport {
+            responses,
+            ..BatchReport::from_latencies(
+                latencies,
+                wall_seconds,
+                unique_queries,
+                cache_hits,
+                cache_misses,
+            )
+        }
+    }
+
+    /// [`BatchReport::from_responses`] for a caller that kept only each
+    /// query's latency (`seconds`): the report's `responses` stay empty.
+    /// The daemon builds its per-connection summary this way, since a
+    /// long-lived connection cannot afford to keep every response.
+    pub(crate) fn from_latencies(
+        mut lat: Vec<f64>,
+        wall_seconds: f64,
+        unique_queries: usize,
+        cache_hits: usize,
+        cache_misses: usize,
+    ) -> Self {
         lat.sort_unstable_by(|a, b| a.total_cmp(b));
         let pct = |p: f64| -> f64 {
             if lat.is_empty() {
@@ -120,12 +143,12 @@ impl BatchReport {
         };
         let (p50_seconds, p95_seconds) = (pct(0.50), pct(0.95));
         let queries_per_sec = if wall_seconds > 0.0 {
-            responses.len() as f64 / wall_seconds
+            lat.len() as f64 / wall_seconds
         } else {
             0.0
         };
         BatchReport {
-            responses,
+            responses: Vec::new(),
             wall_seconds,
             queries_per_sec,
             p50_seconds,

@@ -555,19 +555,46 @@ pub fn response_json(resp: &QueryResponse, original: Option<&[u64]>) -> Json {
     )
 }
 
-/// The `summary` object of a [`BatchReport`]. `weighted` records
-/// whether the batch ran the weighted objective.
-pub fn summary_json(algo: &str, weighted: bool, report: &BatchReport) -> Json {
+/// What a `summary` line describes: a [`BatchReport`] plus how many
+/// queries it answered and how many of them succeeded. A batch report
+/// counts its own responses (the `From<&BatchReport>` conversion); a
+/// daemon connection keeps no responses, so it supplies the counts it
+/// tallied.
+#[derive(Debug, Clone, Copy)]
+pub struct SummaryInput<'a> {
+    /// Latency, cache and scheduling figures.
+    pub report: &'a BatchReport,
+    /// Queries answered.
+    pub queries: usize,
+    /// Queries that produced a community.
+    pub ok: usize,
+}
+
+impl<'a> From<&'a BatchReport> for SummaryInput<'a> {
+    fn from(report: &'a BatchReport) -> Self {
+        SummaryInput {
+            report,
+            queries: report.responses.len(),
+            ok: report.succeeded(),
+        }
+    }
+}
+
+/// The `summary` object of a [`BatchReport`] (see [`SummaryInput`]).
+/// `weighted` records whether the batch ran the weighted objective.
+pub fn summary_json<'a>(algo: &str, weighted: bool, input: impl Into<SummaryInput<'a>>) -> Json {
+    let SummaryInput {
+        report,
+        queries,
+        ok,
+    } = input.into();
     typed_obj(
         "summary",
         vec![
             ("algo".to_string(), Json::str(algo)),
             ("weighted".to_string(), Json::Bool(weighted)),
-            (
-                "queries".to_string(),
-                Json::UInt(report.responses.len() as u64),
-            ),
-            ("ok".to_string(), Json::UInt(report.succeeded() as u64)),
+            ("queries".to_string(), Json::UInt(queries as u64)),
+            ("ok".to_string(), Json::UInt(ok as u64)),
             ("wall_seconds".to_string(), Json::Num(report.wall_seconds)),
             (
                 "queries_per_sec".to_string(),

@@ -63,9 +63,9 @@
 
 use crate::batch::BatchReport;
 use crate::error::EngineError;
-use crate::output::{response_json, summary_json, typed_obj, Json};
+use crate::output::{response_json, summary_json, typed_obj, Json, SummaryInput};
 use crate::registry::AlgoSpec;
-use crate::request::{QueryRequest, QueryResponse};
+use crate::request::QueryRequest;
 use crate::{Engine, Session};
 use dmcs_graph::NodeId;
 use std::collections::HashMap;
@@ -432,8 +432,14 @@ struct ConnState {
     /// malformed and discarded ones — the client can correlate error
     /// replies with what it sent).
     line_no: usize,
-    /// Single-query responses served, for the summary percentiles.
-    responses: Vec<QueryResponse>,
+    /// Latency (`seconds`) of each single query served, for the summary
+    /// percentiles. The responses themselves are not kept: a long-lived
+    /// connection would otherwise grow by every community it returned.
+    seconds: Vec<f64>,
+    /// Single queries that produced a community.
+    ok: usize,
+    /// Single queries answered from the shared result cache.
+    cache_hits: usize,
     /// Queries the connection's earlier sessions ran on the compute
     /// mirror (`repin` replaces the session and its counter).
     mirror_served: u64,
@@ -453,7 +459,9 @@ fn serve_conn<S: Read + Write>(shared: &Shared, mut stream: S) {
     };
     let mut conn = ConnState {
         line_no: 0,
-        responses: Vec::new(),
+        seconds: Vec::new(),
+        ok: 0,
+        cache_hits: 0,
         mirror_served: 0,
         started: Instant::now(),
     };
@@ -546,16 +554,21 @@ fn serve_conn<S: Read + Write>(shared: &Shared, mut stream: S) {
 
     // Per-connection summary: same schema as a batch footer.
     let wall = conn.started.elapsed().as_secs_f64();
-    let hits = conn.responses.iter().filter(|r| r.cached).count();
-    let misses = conn.responses.len() - hits;
-    let unique = conn.responses.len();
-    let mut report = BatchReport::from_responses(conn.responses, wall, unique, hits, misses);
+    let queries = conn.seconds.len();
+    let misses = queries - conn.cache_hits;
+    let mut report =
+        BatchReport::from_latencies(conn.seconds, wall, queries, conn.cache_hits, misses);
     // The daemon serves on an auto plan: surface how many queries ran
     // on the compute mirror and the pinned snapshot's skew statistic.
     report.mirror_served = conn.mirror_served + session.mirror_served();
     report.skew =
         crate::plan::QueryPlan::choose(crate::plan::PlanMode::Auto, session.snapshot()).skew;
-    let summary = summary_json(shared.algo_name, shared.spec.serves_weighted(), &report);
+    let input = SummaryInput {
+        report: &report,
+        queries,
+        ok: conn.ok,
+    };
+    let summary = summary_json(shared.algo_name, shared.spec.serves_weighted(), input);
     let _ = write_reply(&mut stream, &summary);
 }
 
@@ -831,9 +844,11 @@ fn serve_admitted_query(
         Ok(resp) => {
             shared.served.fetch_add(1, Ordering::SeqCst);
             let ids = shared.ids_read();
-            let json = response_json(&resp, Some(&ids.original));
-            conn.responses.push(resp); // feeds the closing summary line
-            json
+            // Feeds the closing summary line.
+            conn.seconds.push(resp.seconds);
+            conn.ok += usize::from(resp.is_ok());
+            conn.cache_hits += usize::from(resp.cached);
+            response_json(&resp, Some(&ids.original))
         }
         // Unreachable (`Session::query` answers every request), but keep
         // the taxonomy honest rather than panicking a connection thread.
@@ -1225,6 +1240,77 @@ mod tests {
         }
         assert_eq!(replies[7].get("type").unwrap().as_str(), Some("summary"));
         assert_eq!(replies[7].get("queries").unwrap().as_u64(), Some(0));
+    }
+
+    #[test]
+    fn connection_summary_equals_the_batch_report_over_its_replies() {
+        use crate::request::QueryResponse;
+        use dmcs_core::{SearchError, SearchResult};
+        // Two triangles, so {0, 3} is a per-query search failure.
+        let g = GraphBuilder::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]);
+        let sh = shared(Engine::from_graph(g), (0..6).collect(), 8);
+        let mut io = Script::new(
+            "{\"op\":\"query\",\"nodes\":[0]}\n\
+             {\"op\":\"query\",\"nodes\":[4]}\n\
+             {\"op\":\"query\",\"nodes\":[0,3]}\n\
+             {\"op\":\"query\",\"nodes\":[77]}\n\
+             {\"op\":\"query\",\"nodes\":[0]}\n\
+             {\"op\":\"query\",\"nodes\":[2]}\n",
+        );
+        serve_conn(&sh, &mut io);
+        let replies = io.replies();
+        assert_eq!(replies.len(), 7, "{replies:?}");
+        assert_eq!(replies[3].get("type").unwrap().as_str(), Some("error"));
+        let summary = &replies[6];
+        assert_eq!(summary.get("type").unwrap().as_str(), Some("summary"));
+
+        // The same replies as batch-mode responses: only `seconds`, the
+        // outcome and the cache flag feed the compared keys. No update
+        // runs, so exactly the repeated query is a cache hit.
+        let mut seen: Vec<&Json> = Vec::new();
+        let responses: Vec<QueryResponse> = replies
+            .iter()
+            .filter(|r| r.get("type").unwrap().as_str() == Some("response"))
+            .map(|r| {
+                let query = r.get("query").unwrap();
+                let cached = seen.contains(&query);
+                seen.push(query);
+                let result = if r.get("ok").unwrap().as_bool().unwrap() {
+                    Ok(SearchResult {
+                        community: Vec::new(),
+                        density_modularity: 0.0,
+                        removal_order: Vec::new(),
+                        iterations: 0,
+                    })
+                } else {
+                    Err(SearchError::EmptyQuery)
+                };
+                QueryResponse {
+                    request: QueryRequest::new(Vec::new()),
+                    algo: "FPA",
+                    result,
+                    seconds: r.get("seconds").unwrap().as_f64().unwrap(),
+                    cached,
+                }
+            })
+            .collect();
+        assert_eq!(responses.len(), 5);
+        let hits = responses.iter().filter(|r| r.cached).count();
+        assert_eq!(hits, 1);
+        let n = responses.len();
+        let report = BatchReport::from_responses(responses, 1.0, n, hits, n - hits);
+        let expected = summary_json("FPA", false, &report);
+        for key in [
+            "queries",
+            "ok",
+            "p50_seconds",
+            "p95_seconds",
+            "cache_hits",
+            "cache_misses",
+        ] {
+            assert_eq!(summary.get(key), expected.get(key), "{key}");
+        }
+        assert_eq!(summary.get("ok").unwrap().as_u64(), Some(4));
     }
 
     #[test]

@@ -90,12 +90,6 @@ pub struct Session {
     /// Whether queries execute on the snapshot's compute mirror (see the
     /// module docs); `ws` then carries the mirror's map as its canon.
     mirrored: bool,
-    /// Sentinel-filled (`NodeId::MAX`) slots indexed by
-    /// [`ComputeGraph::ext_rank`], lazily sized to the mirror;
-    /// `mirror_search` parks each community member at its rank and
-    /// sweeps the touched band back out in canonical order, restoring
-    /// the sentinels as it goes.
-    rank_slots: Vec<NodeId>,
     mirror_served: u64,
     cache: Option<Arc<ResponseCache>>,
 }
@@ -111,7 +105,6 @@ fn mirror_search(
     algo: &dyn CommunitySearch,
     compute: &ComputeGraph,
     ws: &mut QueryWorkspace,
-    rank_slots: &mut Vec<NodeId>,
     nodes: &[NodeId],
 ) -> Result<SearchResult, SearchError> {
     let map = compute.map();
@@ -131,34 +124,12 @@ fn mirror_search(
     // always present; index it directly rather than paying
     // `to_external`'s indirection per translated node.
     if let Some(ext) = map.external_ids() {
-        // Community: translate *and* canonically order in linear time.
-        // Each member parks its external id at its component-band rank;
-        // sweeping the touched band emits ascending external ids (the
-        // community lives in exactly one component, whose band ranks
-        // ascend by external id), replacing the `O(k log k)` sort this
-        // path used to pay per query.
-        let rank = compute.ext_rank();
-        if rank_slots.len() < rank.len() {
-            rank_slots.resize(rank.len(), NodeId::MAX);
-        }
-        let (mut lo, mut hi) = (usize::MAX, 0usize);
-        for &v in &r.community {
-            let rk = rank[v as usize] as usize;
-            rank_slots[rk] = ext[v as usize];
-            lo = lo.min(rk);
-            hi = hi.max(rk);
-        }
-        let mut sorted = Vec::with_capacity(r.community.len());
-        if lo <= hi {
-            for slot in &mut rank_slots[lo..=hi] {
-                if *slot != NodeId::MAX {
-                    sorted.push(*slot);
-                    *slot = NodeId::MAX;
-                }
-            }
-        }
-        debug_assert_eq!(sorted.len(), r.community.len());
-        r.community = sorted;
+        // Translate into a fresh, exactly sized vector rather than in
+        // place: the result cache keeps the community, and the kernel's
+        // buffer carries spare capacity.
+        let mut community: Vec<NodeId> = r.community.iter().map(|&v| ext[v as usize]).collect();
+        community.sort_unstable();
+        r.community = community;
         for v in &mut r.removal_order {
             *v = ext[*v as usize];
         }
@@ -205,7 +176,6 @@ impl Session {
             algo,
             ws,
             mirrored,
-            rank_slots: Vec::new(),
             mirror_served: 0,
             cache: None,
         })
@@ -272,13 +242,7 @@ impl Session {
         match self.snapshot.compute().filter(|_| self.mirrored) {
             Some(compute) => {
                 self.mirror_served += 1;
-                mirror_search(
-                    self.algo.as_ref(),
-                    compute,
-                    &mut self.ws,
-                    &mut self.rank_slots,
-                    nodes,
-                )
+                mirror_search(self.algo.as_ref(), compute, &mut self.ws, nodes)
             }
             None => self
                 .algo

@@ -34,7 +34,6 @@
 //! traversal order and stay on the canonical CSR.
 
 use crate::bits::BitMask;
-use crate::traversal::connected_components;
 use crate::{Graph, NodeId};
 use std::sync::Arc;
 
@@ -164,7 +163,6 @@ pub struct ComputeGraph {
     graph: Graph,
     map: NodeMap,
     policy: LayoutPolicy,
-    ext_rank: Vec<NodeId>,
 }
 
 impl ComputeGraph {
@@ -175,13 +173,7 @@ impl ComputeGraph {
         let order = compute_order(g, policy)?;
         let graph = apply_order(g, &order);
         let map = NodeMap::from_order(&order);
-        let ext_rank = build_ext_rank(&graph, &map);
-        Some(ComputeGraph {
-            graph,
-            map,
-            policy,
-            ext_rank,
-        })
+        Some(ComputeGraph { graph, map, policy })
     }
 
     /// The renumbered CSR graph (internal ids).
@@ -198,33 +190,6 @@ impl ComputeGraph {
     pub fn policy(&self) -> LayoutPolicy {
         self.policy
     }
-
-    /// Canonical-order rank of each internal node *within its connected
-    /// component's band*: ranks group nodes by component and ascend by
-    /// external id inside each group. A community always lives in one
-    /// component, so a serving layer can emit it in canonical sorted
-    /// order with a linear bucket-place-and-compact over the band —
-    /// replacing the `O(k log k)` sort it would otherwise pay per query
-    /// to undo the mirror's permutation. Built once per mirror.
-    pub fn ext_rank(&self) -> &[NodeId] {
-        &self.ext_rank
-    }
-}
-
-/// See [`ComputeGraph::ext_rank`]: argsort internal ids by
-/// `(component, external id)` and invert.
-fn build_ext_rank(mirror: &Graph, map: &NodeMap) -> Vec<NodeId> {
-    let (comp, _) = connected_components(mirror);
-    let mut order: Vec<NodeId> = (0..mirror.n() as NodeId).collect();
-    match map.external_ids() {
-        Some(ext) => order.sort_unstable_by_key(|&v| (comp[v as usize], ext[v as usize])),
-        None => order.sort_unstable_by_key(|&v| (comp[v as usize], v)),
-    }
-    let mut rank = vec![0 as NodeId; mirror.n()];
-    for (r, &v) in order.iter().enumerate() {
-        rank[v as usize] = r as NodeId;
-    }
-    rank
 }
 
 /// Compute the node ordering for `policy`: `order[internal] = external`.

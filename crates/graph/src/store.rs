@@ -27,16 +27,14 @@
 //!   hands out cheap [`Snapshot`] clones after that. The rebuild is
 //!   **incremental**: the node-id space is partitioned into `P` shards
 //!   (see [`ShardLayout`]), only shards whose counter moved since the
-//!   previous snapshot have their CSR segments re-serialized (fanned out
-//!   across a `std::thread::scope` pool when there is enough dirty
-//!   work), and clean shards' neighbour/weight segments are copied
-//!   verbatim from the previous snapshot's arrays — so post-update
-//!   snapshot cost scales with the write footprint, not the graph.
-//!   Better still, the store keeps the snapshot displaced two epochs ago
-//!   and, when nothing outside the store still pins it and slot counts
-//!   line up, *patches its buffers in place* — the steady mutate→read
-//!   loop then pays `O(dirty rows)` per snapshot with no allocation or
-//!   copy-forward at all (see `rebuild_csr` for the tier rules).
+//!   previous snapshot have their CSR segments re-serialized, and clean
+//!   shards' neighbour/weight segments are copied forward verbatim from
+//!   the previous snapshot's arrays in one sequential pass — so the rows
+//!   a rebuild re-serializes scale with the write footprint, and the
+//!   rest of the graph costs a memcpy. Every epoch gets fresh arrays; a
+//!   snapshot's buffers are never written after it is built. Under a
+//!   non-identity [`LayoutPolicy`] each epoch also builds its
+//!   renumbered mirror (see [`Snapshot::compute`]).
 //! - A [`Snapshot`] **pins** its epoch: an in-flight batch keeps the
 //!   graph it started with while later updates land in the store, so
 //!   concurrent serve-and-mutate never tears a query. The carried
@@ -98,23 +96,15 @@ impl Snapshot {
     /// Freeze a standalone graph as a version-0 snapshot — the bridge
     /// for static workloads (benchmark line-ups, examples) that have a
     /// [`Graph`] and no store. Frozen snapshots use the trivial
-    /// one-shard layout.
+    /// one-shard layout and carry no compute mirror.
     pub fn freeze(graph: Graph) -> Snapshot {
-        Snapshot::freeze_with_layout(graph, LayoutPolicy::Identity)
-    }
-
-    /// [`Snapshot::freeze`] with an explicit layout policy: a
-    /// non-identity policy builds the renumbered compute mirror
-    /// up front.
-    pub fn freeze_with_layout(graph: Graph, policy: LayoutPolicy) -> Snapshot {
-        let compute = ComputeGraph::build(&graph, policy).map(Arc::new);
         Snapshot {
             graph: Arc::new(graph),
             store_id: next_store_id(),
             version: 0,
             layout: ShardLayout::single(),
             shard_versions: Arc::from(vec![0u64]),
-            compute,
+            compute: None,
             components: Arc::new(OnceLock::new()),
         }
     }
@@ -168,13 +158,11 @@ impl Snapshot {
     /// identity policy — the canonical graph *is* the layout, and
     /// identity stores pay neither build time nor memory for a mirror.
     ///
-    /// The serving search path deliberately does **not** run on the
-    /// mirror: peeling breaks density ties by node id, so permuted ids
-    /// could select a different (equally valid) community and break the
-    /// byte-identical-across-layouts results contract. The mirror
-    /// accelerates id-insensitive work — BFS sweeps, stats, bulk scans
-    /// — and is the substrate of the layout benchmarks (see
-    /// [`crate::layout`] for the full argument).
+    /// Sessions serve unweighted FPA/NCA queries on the mirror: the
+    /// kernels break every id tie by the mirror's canonical
+    /// [`NodeMap`](crate::layout::NodeMap), so responses are
+    /// byte-identical to canonical execution (see [`crate::layout`]).
+    /// The store builds the mirror afresh for every epoch.
     pub fn compute(&self) -> Option<&ComputeGraph> {
         self.compute.as_deref()
     }
@@ -242,15 +230,10 @@ pub struct RebuildStats {
 
 struct Inner {
     dynamic: DynamicGraph,
-    /// CSR rebuilt lazily: valid iff `cached.version == dynamic.version()`.
+    /// The latest epoch's snapshot, rebuilt lazily: current iff
+    /// `cached.version == dynamic.version()`. A stale one is the source
+    /// the next rebuild copies clean shards forward from.
     cached: Option<Snapshot>,
-    /// The snapshot displaced by `cached` — kept one extra generation so
-    /// a rebuild can recycle its buffers *in place* when nothing outside
-    /// the store still pins them (see `patch_in_place`). In the
-    /// steady-state mutate→snapshot serving loop this turns the rebuild
-    /// into a pure `O(dirty rows)` patch with no allocation or
-    /// copy-forward at all.
-    retired: Option<Snapshot>,
     stats: RebuildStats,
     /// Node renumbering policy applied to every snapshot built from
     /// here on (identity by default: no mirror, no cost).
@@ -306,7 +289,6 @@ impl GraphStore {
             inner: RwLock::new(Inner {
                 dynamic,
                 cached: None,
-                retired: None,
                 stats,
                 layout_policy: LayoutPolicy::Identity,
             }),
@@ -345,7 +327,6 @@ impl GraphStore {
             inner: RwLock::new(Inner {
                 dynamic,
                 cached,
-                retired: None,
                 stats,
                 layout_policy: LayoutPolicy::Identity,
             }),
@@ -392,7 +373,7 @@ impl GraphStore {
 
     // Poison recovery: a reader panicking mid-snapshot cannot corrupt
     // `Inner` (readers never mutate), and the write path replaces
-    // `cached`/`retired` wholesale rather than editing in place, so a
+    // `cached` wholesale rather than editing it in place, so a
     // poisoned guard still sees a coherent store. Serving threads keep
     // serving instead of inheriting another thread's panic.
     fn read(&self) -> std::sync::RwLockReadGuard<'_, Inner> {
@@ -511,8 +492,7 @@ impl GraphStore {
             }
         }
         let started = std::time::Instant::now();
-        let recycle = inner.retired.take();
-        let (graph, dirty) = rebuild_csr(&inner.dynamic, inner.cached.as_ref(), recycle);
+        let (graph, dirty) = rebuild_csr(&inner.dynamic, inner.cached.as_ref());
         let compute = ComputeGraph::build(&graph, inner.layout_policy).map(Arc::new);
         let snap = Snapshot {
             graph: Arc::new(graph),
@@ -543,9 +523,7 @@ impl GraphStore {
         inner.stats.shards_reused += (shards - dirty) as u64;
         inner.stats.last_dirty_shards = dirty;
         inner.stats.last_rebuild_seconds = started.elapsed().as_secs_f64();
-        // The displaced snapshot becomes the recycling candidate for the
-        // *next* rebuild (once every outside clone of it is dropped).
-        inner.retired = inner.cached.replace(snap.clone());
+        inner.cached = Some(snap.clone());
         snap
     }
 
@@ -603,49 +581,23 @@ impl GraphStore {
     }
 }
 
-/// Below this many total CSR slots a rebuild always runs sequentially —
-/// thread spawn/join overhead dwarfs the serialization work.
-const PARALLEL_REBUILD_MIN_SLOTS: usize = 1 << 16;
-
-/// One shard's slice of the flat CSR arrays being filled.
-struct ShardFill<'a> {
-    shard: usize,
-    /// Node-id range `[start, end)` of the shard.
-    start: usize,
-    end: usize,
-    nbrs: &'a mut [NodeId],
-    wts: Option<&'a mut [f64]>,
-}
-
-/// Recompile the CSR from the live adjacency, re-serializing only dirty
-/// shards. Returns the graph and the number of dirty shards (relative to
-/// `prev`, the snapshot the store currently caches).
+/// Recompile the CSR from the live adjacency by copying it forward from
+/// `prev`, the snapshot the store currently caches. Returns the graph
+/// and the number of dirty shards (relative to `prev`).
 ///
-/// Three tiers, fastest applicable wins:
+/// Dirty shards re-serialize their live rows; clean shards'
+/// offset/neighbour/weight segments are copied verbatim from `prev`
+/// (offsets shifted by a constant). Without a usable `prev` (first
+/// snapshot, or the layout or weightedness changed) every shard is
+/// dirty, which is the full rebuild.
 ///
-/// 1. **In-place patch** — when `recycle` (the snapshot displaced two
-///    epochs ago) is held by nobody else and every stale shard kept its
-///    slot count, its buffers are patched in place: `O(stale rows)` with
-///    zero allocation or copy-forward (see [`patch_in_place`]).
-/// 2. **Copy-forward** — fresh arrays; dirty shards re-serialize their
-///    live rows, clean shards' offset/neighbour/weight segments are
-///    copied verbatim from `prev` (offsets shifted by a constant), fanned
-///    out across a `std::thread::scope` pool when there is enough dirty
-///    work.
-/// 3. **Full rebuild** — no usable `prev` (layout or weightedness
-///    changed, or first snapshot): every shard is dirty under tier 2.
-///
-/// Soundness of reusing a clean shard (tiers 1 and 2): every effective
-/// mutation bumps the shard counters of *both* endpoints (and `add_node`
-/// the shard of the new node, the only shard whose node range changes),
-/// so a shard whose counter matches the reference snapshot's has
-/// bitwise-identical adjacency rows, weight rows, and node range — its
-/// segments differ from that snapshot's only by their base offset.
-fn rebuild_csr(
-    dynamic: &DynamicGraph,
-    prev: Option<&Snapshot>,
-    recycle: Option<Snapshot>,
-) -> (Graph, usize) {
+/// Soundness of reusing a clean shard: every effective mutation bumps
+/// the shard counters of *both* endpoints (and `add_node` the shard of
+/// the new node, the only shard whose node range changes), so a shard
+/// whose counter matches `prev`'s has bitwise-identical adjacency rows,
+/// weight rows, and node range — its segments differ from `prev`'s only
+/// by their base offset.
+fn rebuild_csr(dynamic: &DynamicGraph, prev: Option<&Snapshot>) -> (Graph, usize) {
     let n = dynamic.n();
     let layout = dynamic.shard_layout();
     let shards = layout.shards();
@@ -664,18 +616,11 @@ fn rebuild_csr(
     };
     let dirty_count = dirty.iter().filter(|&&d| d).count();
 
-    // Tier 1: patch the retired snapshot's buffers in place.
-    if let Some(retired) = recycle {
-        if let Ok(graph) = patch_in_place(dynamic, retired) {
-            return (graph, dirty_count);
-        }
-    }
-
-    // Tiers 2/3. Offsets: a clean shard's segment is the previous
-    // snapshot's shifted by a constant, so only dirty shards scan their
-    // live row lengths. (Empty shards contribute nothing; skipping them
-    // also keeps a clamped `start` beyond the previous snapshot's node
-    // count from being consulted.)
+    // Offsets: a clean shard's segment is the previous snapshot's
+    // shifted by a constant, so only dirty shards scan their live row
+    // lengths. (Empty shards contribute nothing; skipping them also
+    // keeps a clamped `start` beyond the previous snapshot's node count
+    // from being consulted.)
     let mut offsets: Vec<usize> = Vec::with_capacity(n + 1);
     offsets.push(0);
     for (shard, &shard_dirty) in dirty.iter().enumerate() {
@@ -714,21 +659,7 @@ fn rebuild_csr(
     );
     let total = offsets.last().copied().unwrap_or(0);
 
-    let workers = if dirty_count > 1 && total >= PARALLEL_REBUILD_MIN_SLOTS {
-        std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1)
-            .min(dirty_count)
-    } else {
-        1
-    };
-
-    let (neighbors, slot_weight) = if workers <= 1 {
-        fill_sequential(adj, wadj, layout, n, total, &dirty, reusable)
-    } else {
-        fill_parallel(adj, wadj, layout, n, &offsets, &dirty, reusable, workers)
-    };
-
+    let (neighbors, slot_weight) = fill_csr(adj, wadj, layout, n, total, &dirty, reusable);
     let graph = Graph::from_csr(offsets, neighbors);
     let graph = match slot_weight {
         Some(sw) => graph.attach_weights(sw),
@@ -737,11 +668,11 @@ fn rebuild_csr(
     (graph, dirty_count)
 }
 
-/// Sequential CSR fill: append shard segments in node-id order — dirty
-/// shards serialize their live rows, clean shards memcpy the previous
-/// snapshot's segments. Appending into `with_capacity` buffers skips the
-/// zero-initialization a carve-into-segments fill would pay.
-fn fill_sequential(
+/// CSR fill: append shard segments in node-id order — dirty shards
+/// serialize their live rows, clean shards memcpy the previous
+/// snapshot's segments. Appending into `with_capacity` buffers skips
+/// zero-initializing them.
+fn fill_csr(
     adj: &[Vec<NodeId>],
     wadj: Option<&[Vec<f64>]>,
     layout: ShardLayout,
@@ -786,188 +717,6 @@ fn fill_sequential(
         }
     }
     (neighbors, slot_weight)
-}
-
-/// Parallel CSR fill: carve zero-initialized flat arrays into disjoint
-/// per-shard segments and round-robin them over a scoped thread pool.
-fn fill_parallel(
-    adj: &[Vec<NodeId>],
-    wadj: Option<&[Vec<f64>]>,
-    layout: ShardLayout,
-    n: usize,
-    offsets: &[usize],
-    dirty: &[bool],
-    reusable: Option<&Snapshot>,
-    workers: usize,
-) -> (Vec<NodeId>, Option<Vec<f64>>) {
-    let total = offsets.last().copied().unwrap_or(0);
-    let mut neighbors = vec![0 as NodeId; total];
-    let mut slot_weight = wadj.map(|_| vec![0.0f64; total]);
-
-    // Carve the flat arrays into disjoint per-shard segments (shards are
-    // contiguous node-id ranges, so segments tile the arrays in order).
-    let shards = layout.shards();
-    let mut jobs = Vec::with_capacity(shards);
-    {
-        let mut rest_n: &mut [NodeId] = &mut neighbors;
-        let mut rest_w: Option<&mut [f64]> = slot_weight.as_deref_mut();
-        for shard in 0..shards {
-            let (start, end) = layout.node_range(shard, n);
-            let len = offsets[end] - offsets[start];
-            let (seg_n, tail) = rest_n.split_at_mut(len);
-            rest_n = tail;
-            let wts = rest_w.take().map(|rw| {
-                let (seg_w, tail) = rw.split_at_mut(len);
-                rest_w = Some(tail);
-                seg_w
-            });
-            jobs.push(ShardFill {
-                shard,
-                start,
-                end,
-                nbrs: seg_n,
-                wts,
-            });
-        }
-    }
-
-    let fill = |job: &mut ShardFill<'_>| {
-        // As in the sequential fill: a clean shard implies a reusable
-        // snapshot, and the unreachable clean-without-prev arm falls
-        // back to serializing the live rows rather than panicking a
-        // pool thread.
-        let reuse = if dirty[job.shard] { None } else { reusable };
-        match reuse {
-            Some(prev) if !job.nbrs.is_empty() => {
-                // Clean shard: memcpy the previous snapshot's segments.
-                let base = prev.graph.offsets[job.start];
-                job.nbrs
-                    .copy_from_slice(&prev.graph.neighbors[base..base + job.nbrs.len()]);
-                if let (Some(w), Some(lane)) = (&mut job.wts, prev.graph.weights.as_deref()) {
-                    w.copy_from_slice(&lane.slot_weight[base..base + w.len()]);
-                }
-            }
-            // Clean but empty segment: nothing to copy — and an empty
-            // shard's clamped `start` may lie beyond the previous
-            // snapshot's node count, so its offsets must not be
-            // consulted.
-            Some(_) => {}
-            None => {
-                // Serialize the live rows (already sorted and deduped).
-                let mut cursor = 0usize;
-                for v in job.start..job.end {
-                    let row = &adj[v];
-                    job.nbrs[cursor..cursor + row.len()].copy_from_slice(row);
-                    if let (Some(w), Some(wrows)) = (&mut job.wts, wadj) {
-                        w[cursor..cursor + row.len()].copy_from_slice(&wrows[v]);
-                    }
-                    cursor += row.len();
-                }
-            }
-        }
-    };
-
-    // Round-robin the shard jobs over the workers; each worker owns
-    // disjoint segments, so a scoped spawn per worker suffices.
-    let mut buckets: Vec<Vec<ShardFill<'_>>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, job) in jobs.into_iter().enumerate() {
-        buckets[i % workers].push(job);
-    }
-    let fill = &fill;
-    std::thread::scope(|scope| {
-        for mut bucket in buckets {
-            scope.spawn(move || {
-                for job in &mut bucket {
-                    fill(job);
-                }
-            });
-        }
-    });
-
-    (neighbors, slot_weight)
-}
-
-/// Try to rebuild by patching `retired`'s CSR buffers in place.
-///
-/// Applicable when the store holds the only reference to the retired
-/// graph, the layout / weightedness / node count are unchanged, and every
-/// *stale* shard (counter moved since the retired epoch) kept its total
-/// slot count — then no offset outside the stale shards shifts, and the
-/// rebuild degenerates to rewriting the stale shards' offset, neighbour,
-/// and weight segments from the live rows. Shards whose counter still
-/// matches the retired epoch have bitwise-identical rows (same argument
-/// as the copy-forward tier), so their segments are already correct.
-///
-/// On any precondition failure the retired snapshot is simply dropped and
-/// the caller falls back to the copy-forward tier.
-fn patch_in_place(dynamic: &DynamicGraph, retired: Snapshot) -> Result<Graph, ()> {
-    let n = dynamic.n();
-    let layout = dynamic.shard_layout();
-    let adj = dynamic.adj_rows();
-    let wadj = dynamic.weight_rows();
-    if retired.layout != layout
-        || retired.graph.n() != n
-        || retired.graph.is_weighted() != wadj.is_some()
-    {
-        return Err(());
-    }
-    let live = dynamic.shard_versions();
-    let stale: Vec<usize> = (0..layout.shards())
-        .filter(|&s| retired.shard_versions[s] != live[s])
-        .collect();
-    // Every stale shard must keep its slot count, or offsets past it
-    // would shift and the whole tail would need rewriting anyway.
-    for &s in &stale {
-        let (start, end) = layout.node_range(s, n);
-        let new_len: usize = adj[start..end].iter().map(Vec::len).sum();
-        if new_len != retired.graph.offsets[end] - retired.graph.offsets[start] {
-            return Err(());
-        }
-    }
-    // Nobody else may observe the mutation: the store's retired slot must
-    // hold the only strong reference.
-    let mut graph = Arc::try_unwrap(retired.graph).map_err(|_| ())?;
-    for &s in &stale {
-        let (start, end) = layout.node_range(s, n);
-        let mut cursor = graph.offsets[start];
-        let boundary = graph.offsets[end];
-        for v in start..end {
-            let row = &adj[v];
-            graph.neighbors[cursor..cursor + row.len()].copy_from_slice(row);
-            if let (Some(lane), Some(wrows)) = (graph.weights.as_deref_mut(), wadj) {
-                lane.slot_weight[cursor..cursor + row.len()].copy_from_slice(&wrows[v]);
-            }
-            cursor += row.len();
-            graph.offsets[v + 1] = cursor;
-        }
-        // Slot conservation was verified before the patch began; the
-        // rewrite must land exactly on the shard's pre-patch boundary.
-        debug_assert_eq!(
-            cursor, boundary,
-            "in-place patch must conserve shard slot counts"
-        );
-    }
-    debug_assert_eq!(
-        graph.offsets.last().copied().unwrap_or(0),
-        graph.neighbors.len(),
-        "patched offsets must still span the slot array"
-    );
-    if let Some(lane) = graph.weights.as_deref_mut() {
-        // Re-derive the aggregates exactly as `attach_weights` does, so a
-        // patched graph is bit-identical to a from-scratch build: stale
-        // nodes' strengths from their new slots, then the total from all
-        // strengths.
-        for &s in &stale {
-            let (start, end) = layout.node_range(s, n);
-            for v in start..end {
-                lane.strength[v] = lane.slot_weight[graph.offsets[v]..graph.offsets[v + 1]]
-                    .iter()
-                    .sum();
-            }
-        }
-        lane.total_weight = lane.strength.iter().sum::<f64>() / 2.0;
-    }
-    Ok(graph)
 }
 
 impl std::fmt::Debug for GraphStore {
@@ -1211,19 +960,18 @@ mod tests {
     }
 
     #[test]
-    fn steady_churn_recycles_the_retired_snapshot_in_place() {
+    fn steady_churn_rebuilds_match_from_scratch() {
         // A mutate→snapshot loop that keeps no outside snapshot alive:
-        // from the third rebuild on, the store recycles the snapshot
-        // displaced two epochs ago and patches only the stale shard — the
-        // result must still match a from-scratch build every time.
+        // every rebuild copies the seven clean shards forward from the
+        // previous epoch and re-serializes only the dirty one — the
+        // result must match a from-scratch build every time.
         let store = GraphStore::with_shards(32, 8); // shard_size 4
         for v in 0..31u32 {
             store.insert_edge(v, v + 1);
         }
         for round in 0..5 {
-            // Toggle an edge inside shard 1 ({4..8}): slot counts are
-            // restored, so the patch tier applies once a retired buffer
-            // exists.
+            // Toggle an edge inside shard 1 ({4..8}): the graph returns
+            // to the same shape, but the shard's counter moves.
             assert!(store.remove_edge(5, 6));
             assert!(store.insert_edge(5, 6));
             let snap = store.snapshot();
@@ -1240,8 +988,8 @@ mod tests {
                 if round == 0 { 8 } else { 1 }
             );
         }
-        // A slot-count-changing update in the same shard still lands
-        // correctly (the patch tier refuses; copy-forward takes over).
+        // A slot-count-changing update in the same shard shifts every
+        // later shard's offsets; the copied segments must follow.
         assert!(store.insert_edge(4, 6));
         let snap = store.snapshot();
         assert_eq!(snap.neighbors(4), &[3, 5, 6]);
@@ -1253,10 +1001,10 @@ mod tests {
     }
 
     #[test]
-    fn weighted_churn_patches_strengths_and_totals_exactly() {
-        // Weight toggles keep slot counts, so the patch tier engages;
-        // strengths and the total must re-derive exactly as a scratch
-        // build computes them.
+    fn weighted_churn_rederives_strengths_and_totals_exactly() {
+        // Weight changes inside one shard: clean shards' slot weights are
+        // copied forward, and strengths and the total must re-derive
+        // exactly as a scratch build computes them.
         let store = GraphStore::from_dynamic(
             crate::dynamic::DynamicGraph::new_weighted_with_shards(16, 4),
         );
@@ -1282,9 +1030,10 @@ mod tests {
     }
 
     #[test]
-    fn a_pinned_retired_snapshot_is_never_patched() {
-        // Hold every snapshot: the store can never recycle buffers, and
-        // pinned epochs stay immutable through arbitrary churn.
+    fn pinned_snapshots_survive_churn() {
+        // Hold every snapshot: pinned epochs stay immutable through
+        // arbitrary churn, and each rebuild copies forward from the
+        // latest one.
         let store = GraphStore::with_shards(16, 4);
         store.insert_edge(0, 1);
         let mut pinned = vec![store.snapshot()];
