@@ -92,16 +92,14 @@ pub struct BatchReport {
     /// the grouping decision.
     pub skew: f64,
     /// Label of the query plan that scheduled the batch, e.g.
-    /// `"auto:grouped+memo"`; `"off"` for unplanned paths like the
-    /// CLI's `--updates` loop.
+    /// `"auto:grouped+memo"`, or `"off"`. A query stream reports the
+    /// planner's choice for the snapshot it ended on.
     pub plan: &'static str,
 }
 
 impl BatchReport {
     /// Assemble a report from finished responses: computes throughput
-    /// and the latency percentiles. Used by [`BatchRunner::run`] and by
-    /// the CLI's `--updates` loop (which interleaves queries with
-    /// mutations and builds its report at the end).
+    /// and the latency percentiles. Used by [`BatchRunner::run`].
     pub fn from_responses(
         responses: Vec<QueryResponse>,
         wall_seconds: f64,
@@ -124,8 +122,9 @@ impl BatchReport {
 
     /// [`BatchReport::from_responses`] for a caller that kept only each
     /// query's latency (`seconds`): the report's `responses` stay empty.
-    /// The daemon builds its per-connection summary this way, since a
-    /// long-lived connection cannot afford to keep every response.
+    /// A [`StreamTally`](crate::ops::StreamTally) builds a stream's
+    /// summary this way, since a long-lived connection cannot afford to
+    /// keep every response.
     pub(crate) fn from_latencies(
         mut lat: Vec<f64>,
         wall_seconds: f64,

@@ -43,6 +43,12 @@
 //! - [`output`] — a hand-rolled [`Json`](output::Json) writer/parser
 //!   rendering responses and reports as JSON-lines (the CLI's
 //!   `--format json`).
+//! - [`ops`] — the op layer every front end drives (`--queries`,
+//!   `--updates`, `dmcs serve`): the one original ↔ dense id map
+//!   ([`IdSpace`](ops::IdSpace)), query-id hygiene, the one update
+//!   interpreter ([`Mutation`](ops::Mutation) and the `--updates`
+//!   script parser), and the [`StreamTally`](ops::StreamTally) behind
+//!   a query stream's closing `summary` line.
 //! - [`server`] — [`Server`], the `dmcs serve` socket daemon: unix/TCP
 //!   listeners on `std::net`, one snapshot-pinned [`Session`] per
 //!   connection, a versioned JSON-lines wire protocol
@@ -89,6 +95,7 @@
 pub mod batch;
 pub mod cache;
 pub mod error;
+pub mod ops;
 pub mod output;
 pub mod plan;
 pub mod registry;

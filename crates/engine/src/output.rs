@@ -59,7 +59,11 @@
 //! compute mirror (always byte-identical to canonical execution, see
 //! `dmcs_graph::layout`), and `skew` is the largest-component mass
 //! fraction the planner weighed. None of these affect response bytes —
-//! plans choose execution strategy only.
+//! plans choose execution strategy only. A query stream's summary (a
+//! daemon connection, an `--updates` script) reports the planner's
+//! label for the snapshot it ended on; an `--updates` summary appends
+//! the store's rebuild counters (`shards`, `rebuilds`, `shards_rebuilt`,
+//! `shards_reused`) after `skew`.
 //!
 //! Node ids in `query` and `community` are in the *original* (input
 //! file) id space when a mapping is supplied, dense ids otherwise.
@@ -68,7 +72,8 @@
 use crate::batch::BatchReport;
 use crate::request::QueryResponse;
 use dmcs_core::{SearchError, SearchResult};
-use dmcs_graph::NodeId;
+use dmcs_graph::{NodeId, RebuildStats};
+use std::borrow::Cow;
 
 /// Revision of the JSON-lines wire schema. Bumped only on an
 /// incompatible change (a field rename, a meaning change); additive
@@ -558,24 +563,30 @@ pub fn response_json(resp: &QueryResponse, original: Option<&[u64]>) -> Json {
 /// What a `summary` line describes: a [`BatchReport`] plus how many
 /// queries it answered and how many of them succeeded. A batch report
 /// counts its own responses (the `From<&BatchReport>` conversion); a
-/// daemon connection keeps no responses, so it supplies the counts it
-/// tallied.
-#[derive(Debug, Clone, Copy)]
+/// query stream keeps no responses, so its
+/// [`StreamTally`](crate::ops::StreamTally) supplies the counts and an
+/// owned report.
+#[derive(Debug, Clone)]
 pub struct SummaryInput<'a> {
     /// Latency, cache and scheduling figures.
-    pub report: &'a BatchReport,
+    pub report: Cow<'a, BatchReport>,
     /// Queries answered.
     pub queries: usize,
     /// Queries that produced a community.
     pub ok: usize,
+    /// The store's rebuild counters, written after `skew` as `shards`,
+    /// `rebuilds`, `shards_rebuilt` and `shards_reused` (the `--updates`
+    /// summary; a batch runs on one snapshot and leaves this empty).
+    pub store: Option<RebuildStats>,
 }
 
 impl<'a> From<&'a BatchReport> for SummaryInput<'a> {
     fn from(report: &'a BatchReport) -> Self {
         SummaryInput {
-            report,
+            report: Cow::Borrowed(report),
             queries: report.responses.len(),
             ok: report.succeeded(),
+            store: None,
         }
     }
 }
@@ -587,50 +598,57 @@ pub fn summary_json<'a>(algo: &str, weighted: bool, input: impl Into<SummaryInpu
         report,
         queries,
         ok,
+        store,
     } = input.into();
-    typed_obj(
-        "summary",
-        vec![
-            ("algo".to_string(), Json::str(algo)),
-            ("weighted".to_string(), Json::Bool(weighted)),
-            ("queries".to_string(), Json::UInt(queries as u64)),
-            ("ok".to_string(), Json::UInt(ok as u64)),
-            ("wall_seconds".to_string(), Json::Num(report.wall_seconds)),
-            (
-                "queries_per_sec".to_string(),
-                Json::Num(report.queries_per_sec),
-            ),
-            ("p50_seconds".to_string(), Json::Num(report.p50_seconds)),
-            ("p95_seconds".to_string(), Json::Num(report.p95_seconds)),
-            (
-                "unique".to_string(),
-                Json::UInt(report.unique_queries as u64),
-            ),
-            (
-                "cache_hits".to_string(),
-                Json::UInt(report.cache_hits as u64),
-            ),
-            (
-                "cache_misses".to_string(),
-                Json::UInt(report.cache_misses as u64),
-            ),
-            ("groups".to_string(), Json::UInt(report.groups as u64)),
-            (
-                "grouped_queries".to_string(),
-                Json::UInt(report.grouped_queries as u64),
-            ),
-            (
-                "shared_bfs_reuses".to_string(),
-                Json::UInt(report.shared_bfs_reuses),
-            ),
-            ("plan".to_string(), Json::str(report.plan)),
-            (
-                "mirror_served".to_string(),
-                Json::UInt(report.mirror_served),
-            ),
-            ("skew".to_string(), Json::Num(report.skew)),
-        ],
-    )
+    let mut members = vec![
+        ("algo".to_string(), Json::str(algo)),
+        ("weighted".to_string(), Json::Bool(weighted)),
+        ("queries".to_string(), Json::UInt(queries as u64)),
+        ("ok".to_string(), Json::UInt(ok as u64)),
+        ("wall_seconds".to_string(), Json::Num(report.wall_seconds)),
+        (
+            "queries_per_sec".to_string(),
+            Json::Num(report.queries_per_sec),
+        ),
+        ("p50_seconds".to_string(), Json::Num(report.p50_seconds)),
+        ("p95_seconds".to_string(), Json::Num(report.p95_seconds)),
+        (
+            "unique".to_string(),
+            Json::UInt(report.unique_queries as u64),
+        ),
+        (
+            "cache_hits".to_string(),
+            Json::UInt(report.cache_hits as u64),
+        ),
+        (
+            "cache_misses".to_string(),
+            Json::UInt(report.cache_misses as u64),
+        ),
+        ("groups".to_string(), Json::UInt(report.groups as u64)),
+        (
+            "grouped_queries".to_string(),
+            Json::UInt(report.grouped_queries as u64),
+        ),
+        (
+            "shared_bfs_reuses".to_string(),
+            Json::UInt(report.shared_bfs_reuses),
+        ),
+        ("plan".to_string(), Json::str(report.plan)),
+        (
+            "mirror_served".to_string(),
+            Json::UInt(report.mirror_served),
+        ),
+        ("skew".to_string(), Json::Num(report.skew)),
+    ];
+    if let Some(rb) = store {
+        members.extend([
+            ("shards".to_string(), Json::UInt(rb.shards as u64)),
+            ("rebuilds".to_string(), Json::UInt(rb.rebuilds)),
+            ("shards_rebuilt".to_string(), Json::UInt(rb.shards_rebuilt)),
+            ("shards_reused".to_string(), Json::UInt(rb.shards_reused)),
+        ]);
+    }
+    typed_obj("summary", members)
 }
 
 /// A whole [`BatchReport`] as JSON-lines: one `response` line per query

@@ -11,6 +11,10 @@
 //! [`GraphStore`](dmcs_graph::GraphStore) and shard-scoped result
 //! cache, so one client's computation is every client's cache hit.
 //!
+//! This module keeps framing, admission and reply rendering. Mapping
+//! ids, applying updates and tallying a connection's `summary` are the
+//! [`ops`](crate::ops) layer's jobs, shared with the CLI.
+//!
 //! ## Wire protocol (protocol_version 1)
 //!
 //! Requests are JSON objects, one per line, parsed by the same strict
@@ -38,7 +42,9 @@
 //!
 //! `line` is the 1-based request line number on this connection and
 //! `code` is the exit-code analog of the error class (5 unknown node,
-//! 7 bad update, 8 overloaded, 9 bad request).
+//! 7 bad update, 8 overloaded, 9 bad request). Malformed requests —
+//! a `nodes` array that repeats an id among them — are answered before
+//! admission.
 //!
 //! **Framing** is newline-delimited and defensive: a torn line (the
 //! peer closes mid-request) and an oversized line (longer than
@@ -61,23 +67,22 @@
 //! already received, flushes its per-connection `summary` line, and the
 //! unix socket file is unlinked before [`Server::run`] returns.
 
-use crate::batch::BatchReport;
 use crate::error::EngineError;
-use crate::output::{response_json, summary_json, typed_obj, Json, SummaryInput};
+use crate::ops::{check_distinct, Action, IdSpace, Mutation, StreamTally};
+use crate::output::{response_json, summary_json, typed_obj, Json};
+use crate::plan::{PlanMode, QueryPlan};
 use crate::registry::AlgoSpec;
 use crate::request::QueryRequest;
 use crate::{Engine, Session};
-use dmcs_graph::NodeId;
-use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener};
 #[cfg(unix)]
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::thread::Scope;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How long a blocked read/accept waits before re-checking the drain
 /// flag. Bounds shutdown latency, not throughput (data ready on the
@@ -116,20 +121,12 @@ impl Default for ServerConfig {
     }
 }
 
-/// Original-id ↔ dense-id mapping shared by all connections. `add`
-/// ops may introduce fresh ids; `original` only ever grows, in lockstep
-/// with the store's node count.
-struct IdSpace {
-    index: HashMap<u64, NodeId>,
-    original: Vec<u64>,
-}
-
 /// State shared by the listeners and every connection thread.
 struct Shared {
     engine: Engine,
     spec: AlgoSpec,
     algo_name: &'static str,
-    ids: RwLock<IdSpace>,
+    ids: IdSpace,
     drain: AtomicBool,
     in_flight: AtomicUsize,
     queue_cap: usize,
@@ -164,22 +161,6 @@ pub fn install_sigterm_drain() {
 impl Shared {
     fn draining(&self) -> bool {
         self.drain.load(Ordering::SeqCst) || SIGTERM_DRAIN.load(Ordering::SeqCst)
-    }
-
-    // Id-map access with poison recovery: a panicking connection thread
-    // must not take the map down with it. Both id spaces only ever grow
-    // (appends under the write lock), so a poisoned guard still holds a
-    // usable — at worst slightly stale — mapping.
-    fn ids_read(&self) -> std::sync::RwLockReadGuard<'_, IdSpace> {
-        self.ids
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn ids_write(&self) -> std::sync::RwLockWriteGuard<'_, IdSpace> {
-        self.ids
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Try to admit one work op through the bounded gate.
@@ -260,16 +241,11 @@ impl Server {
                 "serve needs at least one listener (--unix <path> and/or --tcp <addr>)",
             ));
         }
-        let index = original
-            .iter()
-            .enumerate()
-            .map(|(i, &o)| (o, i as NodeId))
-            .collect();
         let shared = Arc::new(Shared {
             engine,
             spec,
             algo_name,
-            ids: RwLock::new(IdSpace { index, original }),
+            ids: IdSpace::new(original),
             drain: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
             queue_cap: cfg.queue_cap,
@@ -426,24 +402,14 @@ enum Flow {
     Close,
 }
 
-/// Per-connection bookkeeping for the closing `summary` line.
+/// Per-connection bookkeeping.
 struct ConnState {
     /// 1-based count of request lines received (including empty,
     /// malformed and discarded ones — the client can correlate error
     /// replies with what it sent).
     line_no: usize,
-    /// Latency (`seconds`) of each single query served, for the summary
-    /// percentiles. The responses themselves are not kept: a long-lived
-    /// connection would otherwise grow by every community it returned.
-    seconds: Vec<f64>,
-    /// Single queries that produced a community.
-    ok: usize,
-    /// Single queries answered from the shared result cache.
-    cache_hits: usize,
-    /// Queries the connection's earlier sessions ran on the compute
-    /// mirror (`repin` replaces the session and its counter).
-    mirror_served: u64,
-    started: Instant,
+    /// The single queries served, for the closing `summary` line.
+    tally: StreamTally,
 }
 
 /// Serve one connection: newline-framed requests in, JSON-lines out,
@@ -459,11 +425,7 @@ fn serve_conn<S: Read + Write>(shared: &Shared, mut stream: S) {
     };
     let mut conn = ConnState {
         line_no: 0,
-        seconds: Vec::new(),
-        ok: 0,
-        cache_hits: 0,
-        mirror_served: 0,
-        started: Instant::now(),
+        tally: StreamTally::start(),
     };
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
@@ -552,22 +514,11 @@ fn serve_conn<S: Read + Write>(shared: &Shared, mut stream: S) {
         }
     }
 
-    // Per-connection summary: same schema as a batch footer.
-    let wall = conn.started.elapsed().as_secs_f64();
-    let queries = conn.seconds.len();
-    let misses = queries - conn.cache_hits;
-    let mut report =
-        BatchReport::from_latencies(conn.seconds, wall, queries, conn.cache_hits, misses);
-    // The daemon serves on an auto plan: surface how many queries ran
-    // on the compute mirror and the pinned snapshot's skew statistic.
-    report.mirror_served = conn.mirror_served + session.mirror_served();
-    report.skew =
-        crate::plan::QueryPlan::choose(crate::plan::PlanMode::Auto, session.snapshot()).skew;
-    let input = SummaryInput {
-        report: &report,
-        queries,
-        ok: conn.ok,
-    };
+    // Per-connection summary: same schema as a batch footer. The daemon
+    // serves on an auto plan; the summary reports the planner's choice
+    // for the snapshot the connection ended on, as `stats` does.
+    let plan = QueryPlan::choose(PlanMode::Auto, session.snapshot());
+    let input = conn.tally.finish(Some(&session), &plan);
     let summary = summary_json(shared.algo_name, shared.spec.serves_weighted(), input);
     let _ = write_reply(&mut stream, &summary);
 }
@@ -644,7 +595,7 @@ fn process_line<S: Write>(
         "repin" => {
             let reply = match shared.engine.session(&shared.spec) {
                 Ok(fresh) => {
-                    conn.mirror_served += session.mirror_served();
+                    conn.tally.repin(session);
                     *session = fresh;
                     let snap = session.snapshot();
                     typed_obj(
@@ -666,8 +617,7 @@ fn process_line<S: Write>(
             let store = shared.engine.store();
             let cache = shared.engine.cache();
             let rb = store.rebuild_stats();
-            let plan =
-                crate::plan::QueryPlan::choose(crate::plan::PlanMode::Auto, session.snapshot());
+            let plan = QueryPlan::choose(PlanMode::Auto, session.snapshot());
             let reply = typed_obj(
                 "stats",
                 vec![
@@ -691,7 +641,7 @@ fn process_line<S: Write>(
                     ("plan".to_string(), Json::str(plan.label)),
                     (
                         "mirror_served".to_string(),
-                        Json::UInt(conn.mirror_served + session.mirror_served()),
+                        Json::UInt(conn.tally.mirror_served(session)),
                     ),
                     ("skew".to_string(), Json::Num(plan.skew)),
                     ("cache_hits".to_string(), Json::UInt(cache.hits())),
@@ -783,6 +733,9 @@ fn op_query(
             }
         }
     }
+    if let Err(reason) = check_distinct(&nodes_raw) {
+        return error_json(line_no, &EngineError::bad_request(line_no, reason));
+    }
     let k = match req.get("k") {
         None => 0,
         Some(v) => match v.as_u64() {
@@ -816,24 +769,17 @@ fn serve_admitted_query(
     tag: Option<String>,
     line_no: usize,
 ) -> Json {
-    // Original → dense, under the shared id map.
-    let dense: Result<Vec<NodeId>, u64> = {
-        let ids = shared.ids_read();
-        nodes_raw
-            .iter()
-            .map(|raw| ids.index.get(raw).copied().ok_or(*raw))
-            .collect()
-    };
-    let dense = match dense {
+    let dense = match shared.ids.map_query(nodes_raw) {
         Ok(d) => d,
-        Err(raw) => return error_json(line_no, &EngineError::unknown_node(raw)),
+        Err(e) => return error_json(line_no, &e),
     };
 
     if k > 0 {
         let outcome = session.top_k(&dense, k);
         shared.served.fetch_add(1, Ordering::SeqCst);
-        let ids = shared.ids_read();
-        return topk_json(&outcome, k, tag.as_deref(), nodes_raw, &ids.original);
+        return shared
+            .ids
+            .with_original(|original| topk_json(&outcome, k, tag.as_deref(), nodes_raw, original));
     }
 
     let mut request = QueryRequest::new(dense);
@@ -843,12 +789,10 @@ fn serve_admitted_query(
     match session.query(&request) {
         Ok(resp) => {
             shared.served.fetch_add(1, Ordering::SeqCst);
-            let ids = shared.ids_read();
-            // Feeds the closing summary line.
-            conn.seconds.push(resp.seconds);
-            conn.ok += usize::from(resp.is_ok());
-            conn.cache_hits += usize::from(resp.cached);
-            response_json(&resp, Some(&ids.original))
+            conn.tally.record(&resp);
+            shared
+                .ids
+                .with_original(|original| response_json(&resp, Some(original)))
         }
         // Unreachable (`Session::query` answers every request), but keep
         // the taxonomy honest rather than panicking a connection thread.
@@ -909,175 +853,31 @@ fn topk_json(
 }
 
 /// `{"op":"update","action":"add|del|setw","u":..,"v":..,"w":..}` —
-/// same semantics (and error taxonomy) as a `--updates` script line,
-/// applied to the live store. Sessions keep serving their pinned
-/// snapshot until the client sends `repin`.
+/// the [`Mutation`] a `--updates` script line would apply, with the
+/// same rules and error texts, applied to the live store. Sessions keep
+/// serving their pinned snapshot until the client sends `repin`.
 fn op_update(shared: &Shared, req: &Json, line_no: usize) -> Json {
-    let Some(action) = req.get("action").and_then(Json::as_str) else {
-        return error_json(
-            line_no,
-            &EngineError::bad_request(
-                line_no,
-                "update needs an \"action\" member (add, del or setw)",
-            ),
-        );
+    let mutation = match wire_mutation(req, line_no) {
+        Ok(m) => m,
+        Err(e) => return error_json(line_no, &e),
     };
-    let endpoint = |name: &str| -> Result<u64, EngineError> {
-        req.get(name).and_then(Json::as_u64).ok_or_else(|| {
-            EngineError::bad_request(line_no, format!("update needs {name:?} (unsigned node id)"))
-        })
-    };
-    let (u_raw, v_raw) = match (endpoint("u"), endpoint("v")) {
-        (Ok(u), Ok(v)) => (u, v),
-        (Err(e), _) | (_, Err(e)) => return error_json(line_no, &e),
-    };
-    let weight = match req.get("w") {
-        None => None,
-        Some(v) => match v.as_f64() {
-            Some(w) if dmcs_graph::weighted::valid_weight(w) => Some(w),
-            Some(w) => {
-                return error_json(
-                    line_no,
-                    &EngineError::bad_update(
-                        line_no,
-                        format!("weight {w} {}", dmcs_graph::weighted::WEIGHT_CONSTRAINT),
-                    ),
-                )
-            }
-            None => {
-                return error_json(
-                    line_no,
-                    &EngineError::bad_request(line_no, "\"w\" must be a number"),
-                )
-            }
-        },
-    };
-    if u_raw == v_raw {
-        return error_json(
-            line_no,
-            &EngineError::bad_update(line_no, format!("self-loop {action} {u_raw} {u_raw}")),
-        );
-    }
-
     if !shared.admit() {
         let e = EngineError::overloaded(shared.in_flight.load(Ordering::SeqCst), shared.queue_cap);
         return error_json(line_no, &e);
     }
-    let reply = apply_update(shared, action, u_raw, v_raw, weight, line_no);
-    shared.release();
-    reply
-}
-
-/// The admitted body of an `update` op.
-fn apply_update(
-    shared: &Shared,
-    action: &str,
-    u_raw: u64,
-    v_raw: u64,
-    weight: Option<f64>,
-    line_no: usize,
-) -> Json {
-    let engine = &shared.engine;
-    let bad_update = |reason: String| EngineError::bad_update(line_no, reason);
-    // Dense ids for known nodes (del/setw never create).
-    let known = |raw: u64| -> Result<NodeId, EngineError> {
-        shared
-            .ids_read()
-            .index
-            .get(&raw)
-            .copied()
-            .ok_or_else(|| bad_update(format!("unknown node {raw}")))
-    };
-    let mut extra: Vec<(String, Json)> = Vec::new();
-    let outcome: Result<(), EngineError> = match action {
-        "add" => {
-            if weight.is_some() && !engine.store().is_weighted() {
-                Err(bad_update(format!(
-                    "weighted add {u_raw} {v_raw} requires a weighted graph"
-                )))
-            } else {
-                // Unseen ids create fresh store nodes, in lockstep with
-                // the shared id map (one write lock spans both).
-                let (u, v) = {
-                    let mut ids = shared.ids_write();
-                    let mut resolve = |raw: u64| -> NodeId {
-                        if let Some(&dense) = ids.index.get(&raw) {
-                            return dense;
-                        }
-                        let dense = engine.add_node();
-                        debug_assert_eq!(
-                            dense as usize,
-                            ids.original.len(),
-                            "id spaces in lockstep"
-                        );
-                        ids.index.insert(raw, dense);
-                        ids.original.push(raw);
-                        dense
-                    };
-                    let u = resolve(u_raw);
-                    let v = resolve(v_raw);
-                    (u, v)
-                };
-                let inserted = if engine.store().is_weighted() {
-                    engine.insert_edge_w(u, v, weight.unwrap_or(1.0))
-                } else {
-                    engine.insert_edge(u, v)
-                };
-                if inserted {
-                    Ok(())
-                } else {
-                    Err(bad_update(format!("edge {u_raw} {v_raw} already exists")))
-                }
-            }
-        }
-        "del" => match (known(u_raw), known(v_raw)) {
-            (Ok(u), Ok(v)) => {
-                if engine.remove_edge(u, v) {
-                    Ok(())
-                } else {
-                    Err(bad_update(format!("edge {u_raw} {v_raw} does not exist")))
-                }
-            }
-            (Err(e), _) | (_, Err(e)) => Err(e),
-        },
-        "setw" => {
-            if !engine.store().is_weighted() {
-                Err(bad_update(format!(
-                    "setw {u_raw} {v_raw} requires a weighted graph"
-                )))
-            } else {
-                match weight {
-                    None => Err(EngineError::bad_request(
-                        line_no,
-                        "setw needs a \"w\" member",
-                    )),
-                    Some(w) => match (known(u_raw), known(v_raw)) {
-                        (Ok(u), Ok(v)) => match engine.set_weight(u, v, w) {
-                            Some(old) => {
-                                extra.push(("previous".to_string(), Json::Num(old)));
-                                Ok(())
-                            }
-                            None => Err(bad_update(format!("edge {u_raw} {v_raw} does not exist"))),
-                        },
-                        (Err(e), _) | (_, Err(e)) => Err(e),
-                    },
-                }
-            }
-        }
-        other => Err(EngineError::bad_request(
-            line_no,
-            format!("unknown update action {other:?} (expected add, del or setw)"),
-        )),
-    };
-    match outcome {
-        Ok(()) => {
+    let reply = match mutation.apply(&shared.engine, &shared.ids, line_no) {
+        Ok(previous) => {
             shared.served.fetch_add(1, Ordering::SeqCst);
+            let engine = &shared.engine;
+            let (u, v) = mutation.endpoints();
             let mut members = vec![
-                ("action".to_string(), Json::str(action)),
-                ("u".to_string(), Json::UInt(u_raw)),
-                ("v".to_string(), Json::UInt(v_raw)),
+                ("action".to_string(), Json::str(mutation.action().name())),
+                ("u".to_string(), Json::UInt(u)),
+                ("v".to_string(), Json::UInt(v)),
             ];
-            members.extend(extra);
+            if let Some(old) = previous {
+                members.push(("previous".to_string(), Json::Num(old)));
+            }
             members.extend([
                 ("version".to_string(), Json::UInt(engine.version())),
                 ("nodes".to_string(), Json::UInt(engine.store().n() as u64)),
@@ -1086,7 +886,36 @@ fn apply_update(
             typed_obj("update", members)
         }
         Err(e) => error_json(line_no, &e),
-    }
+    };
+    shared.release();
+    reply
+}
+
+/// The wire shape of an `update` request: a missing or non-integer
+/// `u`/`v`, a non-number `w`, an unknown `action` or a `setw` without
+/// `w` is a bad request (code 9), answered before admission.
+fn wire_mutation(req: &Json, line_no: usize) -> Result<Mutation, EngineError> {
+    let bad = |reason: String| EngineError::bad_request(line_no, reason);
+    let Some(action) = req.get("action").and_then(Json::as_str) else {
+        return Err(bad(
+            "update needs an \"action\" member (add, del or setw)".to_string()
+        ));
+    };
+    let endpoint = |name: &str| -> Result<u64, EngineError> {
+        req.get(name)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| bad(format!("update needs {name:?} (unsigned node id)")))
+    };
+    let (u, v) = (endpoint("u")?, endpoint("v")?);
+    let w = match req.get("w") {
+        None => None,
+        Some(w) => Some(
+            w.as_f64()
+                .ok_or_else(|| bad("\"w\" must be a number".to_string()))?,
+        ),
+    };
+    let action = Action::parse(action, u, v, w).map_err(bad)?;
+    Mutation::new(action, u, v, line_no)
 }
 
 #[cfg(test)]
@@ -1140,16 +969,11 @@ mod tests {
     }
 
     fn shared(engine: Engine, original: Vec<u64>, queue_cap: usize) -> Shared {
-        let index = original
-            .iter()
-            .enumerate()
-            .map(|(i, &o)| (o, i as NodeId))
-            .collect();
         Shared {
             engine,
             spec: AlgoSpec::new("fpa"),
             algo_name: "FPA",
-            ids: RwLock::new(IdSpace { index, original }),
+            ids: IdSpace::new(original),
             drain: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
             queue_cap,
@@ -1223,12 +1047,22 @@ mod tests {
              {\"op\":\"dance\"}\n\
              {\"op\":\"query\"}\n\
              {\"op\":\"query\",\"nodes\":[\"zero\"]}\n\
+             {\"op\":\"query\",\"nodes\":[0,0]}\n\
              {\"op\":\"query\",\"nodes\":[77]}\n",
         );
         serve_conn(&sh, &mut io);
         let replies = io.replies();
-        assert_eq!(replies.len(), 8, "{replies:?}");
-        for (i, expect_code) in [(0, 9), (1, 9), (2, 9), (3, 9), (4, 9), (5, 9), (6, 5)] {
+        assert_eq!(replies.len(), 9, "{replies:?}");
+        for (i, expect_code) in [
+            (0, 9),
+            (1, 9),
+            (2, 9),
+            (3, 9),
+            (4, 9),
+            (5, 9),
+            (6, 9),
+            (7, 5),
+        ] {
             let r = &replies[i];
             assert_eq!(r.get("type").unwrap().as_str(), Some("error"), "{r:?}");
             assert_eq!(
@@ -1238,12 +1072,16 @@ mod tests {
             );
             assert_eq!(r.get("line").unwrap().as_u64(), Some(i as u64 + 1));
         }
-        assert_eq!(replies[7].get("type").unwrap().as_str(), Some("summary"));
-        assert_eq!(replies[7].get("queries").unwrap().as_u64(), Some(0));
+        // A repeated id is rejected like every CLI front end rejects it.
+        let dup = replies[6].get("error").unwrap().as_str().unwrap();
+        assert!(dup.contains("duplicate query id 0"), "{dup}");
+        assert_eq!(replies[8].get("type").unwrap().as_str(), Some("summary"));
+        assert_eq!(replies[8].get("queries").unwrap().as_u64(), Some(0));
     }
 
     #[test]
     fn connection_summary_equals_the_batch_report_over_its_replies() {
+        use crate::batch::BatchReport;
         use crate::request::QueryResponse;
         use dmcs_core::{SearchError, SearchResult};
         // Two triangles, so {0, 3} is a per-query search failure.
@@ -1320,11 +1158,13 @@ mod tests {
         let mut io = Script::new(
             "{\"op\":\"query\",\"nodes\":[0]}\n\
              {\"op\":\"update\",\"action\":\"add\",\"u\":0,\"v\":5}\n\
-             {\"op\":\"stats\"}\n",
+             {\"op\":\"stats\"}\n\
+             {\"op\":\"update\",\"action\":\"swap\",\"u\":0,\"v\":1}\n\
+             {\"op\":\"update\",\"action\":\"setw\",\"u\":0,\"v\":1}\n",
         );
         serve_conn(&sh, &mut io);
         let replies = io.replies();
-        assert_eq!(replies.len(), 4, "{replies:?}");
+        assert_eq!(replies.len(), 6, "{replies:?}");
         for r in &replies[..2] {
             assert_eq!(r.get("type").unwrap().as_str(), Some("error"), "{r:?}");
             assert_eq!(r.get("code").unwrap().as_u64(), Some(8));
@@ -1338,36 +1178,84 @@ mod tests {
         assert_eq!(replies[2].get("type").unwrap().as_str(), Some("stats"));
         assert_eq!(replies[2].get("queue_cap").unwrap().as_u64(), Some(0));
         assert_eq!(replies[2].get("served").unwrap().as_u64(), Some(0));
+        // Malformed requests are answered before admission: a bad
+        // request (code 9) even behind a full gate.
+        for r in &replies[3..5] {
+            assert_eq!(r.get("code").unwrap().as_u64(), Some(9), "{r:?}");
+        }
+        let setw = replies[4].get("error").unwrap().as_str().unwrap();
+        assert!(setw.ends_with("setw 0 1 needs a weight"), "{setw}");
     }
 
     #[test]
     fn update_taxonomy_matches_the_script_mode() {
+        use crate::ops::{parse_update_script, UpdateOp};
+        // Each case runs twice, in order, on twin engines: as an
+        // `--updates` line through the script interpreter
+        // (`parse_update_script`, then `Mutation::apply`), and as the
+        // same op over the wire through `serve_conn`. Both fail with
+        // code 7 and the same reason after the `update script line N:`
+        // prefix, or both succeed.
+        let cases = [
+            ("add 0 1", Some("edge 0 1 already exists")),
+            ("del 0 9", Some("unknown node 9")),
+            ("del 0 5", Some("edge 0 5 does not exist")),
+            (
+                "setw 0 1 2.0",
+                Some("setw 0 1 requires --weighted (graph has no weights)"),
+            ),
+            ("add 4 4", Some("self-loop add 4 4 (simple graph)")),
+            (
+                "add 0 5 -2.0",
+                Some("weight -2 must be finite and strictly positive"),
+            ),
+            ("add 0 9", None), // a fresh id creates a node
+        ];
+        let wire: String = cases
+            .iter()
+            .map(|(line, _)| {
+                let t: Vec<&str> = line.split(' ').collect();
+                let w = t.get(3).map_or(String::new(), |w| format!(",\"w\":{w}"));
+                let (action, u, v) = (t[0], t[1], t[2]);
+                format!("{{\"op\":\"update\",\"action\":\"{action}\",\"u\":{u},\"v\":{v}{w}}}\n")
+            })
+            .collect();
         let (engine, original) = demo_engine();
         let sh = shared(engine, original, 8);
-        let mut io = Script::new(
-            "{\"op\":\"update\",\"action\":\"add\",\"u\":0,\"v\":1}\n\
-             {\"op\":\"update\",\"action\":\"del\",\"u\":0,\"v\":9}\n\
-             {\"op\":\"update\",\"action\":\"setw\",\"u\":0,\"v\":1,\"w\":2.0}\n\
-             {\"op\":\"update\",\"action\":\"add\",\"u\":4,\"v\":4}\n\
-             {\"op\":\"update\",\"action\":\"add\",\"u\":0,\"v\":1,\"w\":-2.0}\n\
-             {\"op\":\"update\",\"action\":\"add\",\"u\":0,\"v\":9}\n",
-        );
+        let mut io = Script::new(&wire);
         serve_conn(&sh, &mut io);
         let replies = io.replies();
-        assert_eq!(replies.len(), 7, "{replies:?}");
-        // Duplicate edge, unknown node, setw on unweighted, self-loop,
-        // invalid weight: all exit-7 analogs.
-        for r in &replies[..5] {
-            assert_eq!(r.get("type").unwrap().as_str(), Some("error"), "{r:?}");
-            assert_eq!(r.get("code").unwrap().as_u64(), Some(7), "{r:?}");
+        assert_eq!(replies.len(), cases.len() + 1, "{replies:?}");
+
+        let (script_engine, original) = demo_engine();
+        let script_ids = IdSpace::new(original);
+        for (i, (line, expected)) in cases.iter().enumerate() {
+            let script = parse_update_script(line).and_then(|ops| match &ops[..] {
+                [(n, UpdateOp::Mutate(m))] => m.apply(&script_engine, &script_ids, *n),
+                other => panic!("{line}: not one mutation: {other:?}"),
+            });
+            let reply = &replies[i];
+            match expected {
+                Some(reason) => {
+                    let err = script.expect_err(line);
+                    let code = reply.get("code").and_then(Json::as_u64);
+                    assert_eq!((err.exit_code(), code), (7, Some(7)), "{reply:?}");
+                    assert_eq!(err.to_string(), format!("update script line 1: {reason}"));
+                    let text = reply.get("error").unwrap().as_str().unwrap();
+                    assert_eq!(text, format!("update script line {}: {reason}", i + 1));
+                }
+                None => {
+                    assert_eq!(script.unwrap_or_else(|e| panic!("{line}: {e}")), None);
+                    assert_eq!(reply.get("type").unwrap().as_str(), Some("update"));
+                    assert_eq!(reply.get("nodes").unwrap().as_u64(), Some(7));
+                    assert_eq!(script_engine.store().n(), 7);
+                }
+            }
         }
-        // A fresh id creates a node (id map growth).
-        let grown = &replies[5];
-        assert_eq!(grown.get("type").unwrap().as_str(), Some("update"));
-        assert_eq!(grown.get("nodes").unwrap().as_u64(), Some(7));
-        let ids = sh.ids.read().unwrap();
-        assert_eq!(ids.original.last(), Some(&9));
-        assert_eq!(ids.index.get(&9), Some(&6));
+        for ids in [&sh.ids, &script_ids] {
+            assert_eq!(ids.map_query(&[9]).unwrap(), vec![6]);
+            assert_eq!(ids.with_original(|o| o.last().copied()), Some(9));
+        }
     }
 
     #[test]

@@ -558,6 +558,9 @@ fn mirror_served_survives_repin_and_counts_multi_node_queries() {
         reader.read_line(&mut line).expect("summary");
         let summary = Json::parse(line.trim()).expect("summary parses");
         assert_eq!(reply_type(&summary), "summary");
+        // The summary reports the plan `stats` reported on the same
+        // connection.
+        assert_eq!(summary.get("plan"), replies[4].get("plan"), "{layout}");
         let expect = if layout == LayoutPolicy::Bfs { 3 } else { 0 };
         for reply in [&replies[4], &summary] {
             assert_eq!(

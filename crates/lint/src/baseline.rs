@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn unknown_key_allows_nothing() {
-        let v = apply(&[finding("json-schema", "README.md")], &Baseline::new());
+        let v = apply(&[finding("registry-readme", "README.md")], &Baseline::new());
         assert_eq!(v.new.len(), 1);
         assert!(!v.ok());
     }

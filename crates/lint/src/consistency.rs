@@ -1,9 +1,9 @@
 //! Cross-artifact consistency: the hand-maintained facts that live in
 //! more than one place must agree, and the lint parses the **real
-//! sources of truth** — the Rust sources, the README, the golden file —
-//! not copies of them.
+//! sources of truth** — the Rust sources and the README — not copies of
+//! them.
 //!
-//! Three families:
+//! Two families:
 //!
 //! 1. **Exit codes** — the canonical map is the match in
 //!    `EngineError::exit_code` (`crates/engine/src/error.rs`). The
@@ -14,12 +14,6 @@
 //! 2. **Registry labels** — every algorithm label registered in
 //!    `registry.rs` must be documented (appear as a backticked span) in
 //!    the README.
-//! 3. **JSON schema** — the `summary` field list written by
-//!    `output.rs::summary_json` must match the checked-in golden file
-//!    byte-for-byte (same keys, same order), and every key the
-//!    `json_smoke` validator requires must be written somewhere
-//!    (summary keys by `summary_json`/the CLI's `--updates` summary,
-//!    stats keys by the serve daemon's `stats` arm).
 
 use crate::Finding;
 use std::path::Path;
@@ -28,8 +22,6 @@ use std::path::Path;
 pub const RULE_EXIT_CODES: &str = "exit-code-map";
 /// Rule id for registry labels missing from the README.
 pub const RULE_REGISTRY_README: &str = "registry-readme";
-/// Rule id for JSON schema drift (writer vs golden vs validator).
-pub const RULE_JSON_SCHEMA: &str = "json-schema";
 
 /// What each canonical error variant means, as a lowercase keyword that
 /// must appear in human-facing descriptions of its code. This table is
@@ -76,16 +68,8 @@ pub fn check_all(root: &Path) -> Vec<Finding> {
     let readme = read("README.md");
     let server_rs = read("crates/engine/src/server.rs");
     let registry_rs = read("crates/engine/src/registry.rs");
-    let output_rs = read("crates/engine/src/output.rs");
-    let golden = read("crates/engine/tests/golden/batch_report.jsonl");
-    let validator_rs = read("tests/cli_binary.rs");
-    let (Some(error_rs), Some(cli_rs), Some(readme), Some(server_rs)) =
-        (error_rs, cli_rs, readme, server_rs)
-    else {
-        return findings;
-    };
-    let (Some(registry_rs), Some(output_rs), Some(golden), Some(validator_rs)) =
-        (registry_rs, output_rs, golden, validator_rs)
+    let (Some(error_rs), Some(cli_rs), Some(readme), Some(server_rs), Some(registry_rs)) =
+        (error_rs, cli_rs, readme, server_rs, registry_rs)
     else {
         return findings;
     };
@@ -98,14 +82,6 @@ pub fn check_all(root: &Path) -> Vec<Finding> {
         check_wire_codes(&server_rs, &canonical, &mut findings);
     }
     check_registry_labels(&registry_rs, &readme, &mut findings);
-    check_json_schema(
-        &output_rs,
-        &golden,
-        &validator_rs,
-        &cli_rs,
-        &server_rs,
-        &mut findings,
-    );
     findings
 }
 
@@ -445,127 +421,6 @@ pub fn registry_labels(registry_rs: &str) -> Vec<(String, usize)> {
     labels
 }
 
-/// Summary/stats field-list agreement: writer vs golden vs validator.
-fn check_json_schema(
-    output_rs: &str,
-    golden: &str,
-    validator_rs: &str,
-    cli_rs: &str,
-    server_rs: &str,
-    out: &mut Vec<Finding>,
-) {
-    let writer_file = "crates/engine/src/output.rs";
-    // Writer key order: typed_obj prefix (type + protocol fields), then
-    // summary_json's own members.
-    let prefix: Vec<String> = [
-        fn_body(output_rs, "fn typed_obj"),
-        fn_body(output_rs, "fn protocol_members"),
-    ]
-    .into_iter()
-    .flatten()
-    .flat_map(|body| string_keys(&body))
-    .collect();
-    let Some(summary_body) = fn_body(output_rs, "fn summary_json") else {
-        out.push(Finding::new(
-            RULE_JSON_SCHEMA,
-            writer_file,
-            0,
-            "cannot locate fn summary_json in output.rs".to_string(),
-        ));
-        return;
-    };
-    let mut writer_keys = prefix;
-    writer_keys.extend(string_keys(&summary_body));
-    if writer_keys.len() < 4 {
-        out.push(Finding::new(
-            RULE_JSON_SCHEMA,
-            writer_file,
-            0,
-            format!("summary writer keys parsed implausibly: {writer_keys:?}"),
-        ));
-        return;
-    }
-
-    // Golden file: the summary line's top-level keys, in order.
-    let golden_file = "crates/engine/tests/golden/batch_report.jsonl";
-    let summary_line = golden
-        .lines()
-        .enumerate()
-        .find(|(_, l)| l.contains("\"type\":\"summary\""));
-    match summary_line {
-        None => out.push(Finding::new(
-            RULE_JSON_SCHEMA,
-            golden_file,
-            0,
-            "golden file has no summary line".to_string(),
-        )),
-        Some((i, line)) => {
-            let golden_keys = top_level_keys(line);
-            if golden_keys != writer_keys {
-                out.push(Finding::new(
-                    RULE_JSON_SCHEMA,
-                    golden_file,
-                    i + 1,
-                    format!(
-                        "golden summary keys {golden_keys:?} != summary_json writer keys {writer_keys:?}"
-                    ),
-                ));
-            }
-        }
-    }
-
-    // Validator: every key the summary arm requires must be written by
-    // summary_json or by the CLI's `--updates` summary augmentation.
-    let validator_file = "tests/cli_binary.rs";
-    let cli_keys = string_keys(cli_rs);
-    match match_arm_body(validator_rs, "Some(\"summary\")") {
-        None => out.push(Finding::new(
-            RULE_JSON_SCHEMA,
-            validator_file,
-            0,
-            "validate_jsonl has no summary arm".to_string(),
-        )),
-        Some(arm) => {
-            for key in get_keys(&arm) {
-                let written = writer_keys.contains(&key) || cli_keys.contains(&key);
-                if !written {
-                    out.push(Finding::new(
-                        RULE_JSON_SCHEMA,
-                        validator_file,
-                        0,
-                        format!("validator requires summary key {key:?}, which nothing writes"),
-                    ));
-                }
-            }
-        }
-    }
-    // Stats: the validator's stats arm vs the serve daemon's stats arm.
-    match (
-        match_arm_body(validator_rs, "Some(\"stats\")"),
-        match_arm_body(server_rs, "\"stats\" =>"),
-    ) {
-        (Some(arm), Some(writer)) => {
-            let written = string_keys(&writer);
-            for key in get_keys(&arm) {
-                if !written.contains(&key) {
-                    out.push(Finding::new(
-                        RULE_JSON_SCHEMA,
-                        validator_file,
-                        0,
-                        format!("validator requires stats key {key:?}, which the serve daemon does not write"),
-                    ));
-                }
-            }
-        }
-        _ => out.push(Finding::new(
-            RULE_JSON_SCHEMA,
-            validator_file,
-            0,
-            "cannot pair the validator's stats arm with the daemon's stats writer".to_string(),
-        )),
-    }
-}
-
 /// The body (between the outermost braces) of the first function whose
 /// signature contains `needle`.
 fn fn_body(text: &str, needle: &str) -> Option<String> {
@@ -588,95 +443,6 @@ fn fn_body(text: &str, needle: &str) -> Option<String> {
     None
 }
 
-/// Same brace-matching, but anchored at a match arm `needle ... => {`.
-fn match_arm_body(text: &str, needle: &str) -> Option<String> {
-    fn_body(text, needle)
-}
-
-/// JSON member keys written as `("key".to_string(), ...)`, in order.
-/// Tolerates rustfmt's multi-line layout: the `(` may be separated from
-/// the key by whitespace/newlines.
-fn string_keys(body: &str) -> Vec<String> {
-    let mut keys = Vec::new();
-    let mut from = 0usize;
-    while let Some(p) = body[from..].find("\".to_string()") {
-        let close = from + p;
-        from = close + 1;
-        let Some(open) = body[..close].rfind('"') else {
-            continue;
-        };
-        let before = body[..open].trim_end();
-        if before.ends_with('(') {
-            keys.push(body[open + 1..close].to_string());
-        }
-    }
-    keys
-}
-
-/// Keys required via `v.get("key")` (or `.get("key")`), in order of
-/// first appearance, deduplicated.
-fn get_keys(body: &str) -> Vec<String> {
-    let mut keys: Vec<String> = Vec::new();
-    let mut from = 0usize;
-    while let Some(p) = body[from..].find(".get(\"") {
-        let at = from + p + ".get(\"".len();
-        from = at;
-        let Some(q) = body[at..].find('"') else { break };
-        let key = body[at..at + q].to_string();
-        if !keys.contains(&key) {
-            keys.push(key);
-        }
-    }
-    keys
-}
-
-/// Top-level member keys of one JSON object line, in order (tracks
-/// string state and nesting, so values never masquerade as keys).
-pub fn top_level_keys(line: &str) -> Vec<String> {
-    let bytes = line.as_bytes();
-    let mut keys = Vec::new();
-    let mut depth = 0usize;
-    let mut i = 0usize;
-    let mut expecting_key = false;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' | b'[' => {
-                depth += 1;
-                if depth == 1 {
-                    expecting_key = true;
-                }
-                i += 1;
-            }
-            b'}' | b']' => {
-                depth = depth.saturating_sub(1);
-                i += 1;
-            }
-            b',' if depth == 1 => {
-                expecting_key = true;
-                i += 1;
-            }
-            b'"' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() {
-                    match bytes[j] {
-                        b'\\' => j += 2,
-                        b'"' => break,
-                        _ => j += 1,
-                    }
-                }
-                if depth == 1 && expecting_key && bytes.get(j + 1) == Some(&b':') {
-                    keys.push(line[start..j].to_string());
-                    expecting_key = false;
-                }
-                i = j + 1;
-            }
-            _ => i += 1,
-        }
-    }
-    keys
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -693,25 +459,5 @@ mod tests {
             vec![("BadParam".to_string(), 2), ("Io".to_string(), 4)]
         );
         assert!(f.is_empty());
-    }
-
-    #[test]
-    fn top_level_keys_skip_nested_and_values() {
-        let keys = top_level_keys(
-            r#"{"type":"summary","algo":"a:b","query":[1,2],"meta":{"inner":1},"ok":true}"#,
-        );
-        assert_eq!(keys, vec!["type", "algo", "query", "meta", "ok"]);
-    }
-
-    #[test]
-    fn string_keys_in_order() {
-        let body = r#"vec![("algo".to_string(), x), ("ok".to_string(), y), (not_a_key, z)]"#;
-        assert_eq!(string_keys(body), vec!["algo", "ok"]);
-    }
-
-    #[test]
-    fn get_keys_dedup() {
-        let body = r#"v.get("a").x; v.get("b"); v.get("a");"#;
-        assert_eq!(get_keys(body), vec!["a", "b"]);
     }
 }

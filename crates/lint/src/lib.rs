@@ -6,9 +6,9 @@
 //!   and lock discipline on the serving path, `process::exit`
 //!   confinement, rustdoc coverage of the engine's public surface.
 //! - **Cross-artifact consistency** ([`consistency`]): the exit-code
-//!   map, registry labels, and JSON field lists are each maintained by
-//!   hand in several artifacts; the lint parses the real sources of
-//!   truth and proves they agree.
+//!   map and the registry labels are each maintained by hand in several
+//!   artifacts; the lint parses the real sources of truth and proves
+//!   they agree.
 //!
 //! Findings stream as JSON lines (the house wire style) and are gated
 //! by a checked-in ratchet ([`baseline`]): pre-existing violations are

@@ -10,6 +10,7 @@
 //! dmcs --demo --updates script.txt --format json
 //! ```
 //!
+//! This module keeps two jobs: flag parsing and text rendering.
 //! Argument parsing is hand-rolled (the workspace's dependency policy
 //! admits no CLI crate) and lives in the library so it is unit-testable;
 //! `src/main.rs` is a thin wrapper. Algorithm labels resolve through the
@@ -26,7 +27,9 @@
 //! pin epoch snapshots, and the
 //! `--updates` mode interleaves `add` / `del` / `setw` mutations with
 //! `query` lines, exercising the full mutate → snapshot → query →
-//! cache-invalidate cycle in a single run.
+//! cache-invalidate cycle in a single run. Mapping ids, interpreting
+//! `--updates` lines and tallying a query stream's summary are the
+//! [`dmcs_engine::ops`] layer's jobs, shared with `dmcs serve`.
 //!
 //! **Weighted serving** is the same stack, not a side door: `--weighted`
 //! loads a `u v w` edge list into a weighted
@@ -38,7 +41,10 @@
 //! cache all compose with weights.
 
 use crate::core::SearchResult;
-use crate::engine::output::{report_jsonl, response_json, result_json, summary_json, Json};
+use crate::engine::ops::{
+    parse_query_ids, parse_update_script, Action, IdSpace, Mutation, StreamTally, UpdateOp,
+};
+use crate::engine::output::{report_jsonl, response_json, result_json, summary_json, SummaryInput};
 use crate::engine::registry::{self, AlgoParams, AlgoSpec};
 use crate::engine::{
     BatchReport, Engine, EngineError, PlanMode, QueryPlan, QueryRequest, QueryResponse, Server,
@@ -47,8 +53,6 @@ use crate::engine::{
 use crate::graph::io::{load_edge_list, read_weighted_edge_list};
 use crate::graph::{Graph, LayoutPolicy, NodeId};
 use crate::metrics::Goodness;
-use std::collections::HashMap;
-use std::time::Instant;
 
 /// Output rendering of the binary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -212,29 +216,6 @@ EXIT CODES:
 ",
         algos = registry::algo_help()
     )
-}
-
-/// Parse one comma-separated query-id list with strict hygiene: empty
-/// tokens (trailing or doubled commas), non-numeric ids and duplicate
-/// ids are all rejected with a message naming the offender.
-pub fn parse_query_ids(s: &str) -> Result<Vec<u64>, EngineError> {
-    let mut ids = Vec::new();
-    for tok in s.split(',') {
-        let tok = tok.trim();
-        if tok.is_empty() {
-            return Err(EngineError::bad_param(format!(
-                "empty query id in {s:?} (trailing or doubled comma?)"
-            )));
-        }
-        let id: u64 = tok
-            .parse()
-            .map_err(|_| EngineError::bad_param(format!("bad query id {tok:?}")))?;
-        if ids.contains(&id) {
-            return Err(EngineError::bad_param(format!("duplicate query id {id}")));
-        }
-        ids.push(id);
-    }
-    Ok(ids)
 }
 
 /// Parse `args` (without the program name). `Ok(None)` means `--help`.
@@ -448,8 +429,9 @@ pub fn load_graph(cfg: &CliConfig) -> Result<(Graph, Vec<u64>), EngineError> {
     }
 }
 
-/// Map original query ids to dense ids. An id missing from the graph is
-/// an [`EngineError::UnknownNode`] (exit code 5).
+/// Map original query ids to dense ids by scanning `original`: cheaper
+/// than building an [`IdSpace`] for a single `--query`. An id missing
+/// from the graph is an [`EngineError::UnknownNode`] (exit code 5).
 pub fn map_queries(query: &[u64], original: &[u64]) -> Result<Vec<NodeId>, EngineError> {
     query
         .iter()
@@ -600,7 +582,7 @@ pub fn run<W: std::io::Write>(cfg: &CliConfig, out: &mut W) -> Result<(), Engine
 
     // Batch path: fan a query file out across worker threads.
     if let Some(qpath) = &cfg.queries_path {
-        return run_batch(cfg, qpath, &engine, &original, out);
+        return run_batch(cfg, qpath, &engine, original, out);
     }
     let snap = engine.snapshot();
     let query = map_queries(&cfg.query, &original)?;
@@ -765,11 +747,13 @@ fn write_query_line<W: std::io::Write>(
     }
 }
 
-/// The text-format throughput/cache footer (batch and update modes).
+/// The text-format throughput/cache footer (batch and update modes):
+/// the `summary` line's figures, from the same input.
 fn write_summary_lines<W: std::io::Write>(
     out: &mut W,
-    report: &BatchReport,
+    input: &SummaryInput,
 ) -> std::io::Result<()> {
+    let report = &input.report;
     writeln!(
         out,
         "throughput: {:.1} queries/sec  wall {:.3}s  p50 {:.2}ms  p95 {:.2}ms  ok {}/{}",
@@ -777,16 +761,13 @@ fn write_summary_lines<W: std::io::Write>(
         report.wall_seconds,
         report.p50_seconds * 1e3,
         report.p95_seconds * 1e3,
-        report.succeeded(),
-        report.responses.len()
+        input.ok,
+        input.queries
     )?;
     writeln!(
         out,
         "cache: {} hits, {} misses  unique: {}/{}",
-        report.cache_hits,
-        report.cache_misses,
-        report.unique_queries,
-        report.responses.len()
+        report.cache_hits, report.cache_misses, report.unique_queries, input.queries
     )?;
     writeln!(
         out,
@@ -800,21 +781,23 @@ fn write_summary_lines<W: std::io::Write>(
     )
 }
 
-/// Batch execution through the engine: map every query, run them on
-/// `cfg.threads` workers with deterministic output ordering, and print
-/// per-query lines plus the throughput summary (text) or JSON-lines.
+/// Batch execution through the engine: map every query through one
+/// [`IdSpace`], run them on `cfg.threads` workers with deterministic
+/// output ordering, and print per-query lines plus the throughput
+/// summary (text) or JSON-lines.
 fn run_batch<W: std::io::Write>(
     cfg: &CliConfig,
     qpath: &str,
     engine: &Engine,
-    original: &[u64],
+    original: Vec<u64>,
     out: &mut W,
 ) -> Result<(), EngineError> {
     let text = std::fs::read_to_string(qpath).map_err(|e| EngineError::io(qpath, e))?;
     let raw_queries = parse_query_file(qpath, &text)?;
+    let ids = IdSpace::new(original);
     let mut requests = Vec::with_capacity(raw_queries.len());
     for q in &raw_queries {
-        requests.push(QueryRequest::new(map_queries(q, original).map_err(
+        requests.push(QueryRequest::new(ids.map_query(q).map_err(
             // 0-based "query N", matching the per-query output lines.
             |e| e.with_node_context(format!("{qpath}: query {}", requests.len())),
         )?));
@@ -822,19 +805,34 @@ fn run_batch<W: std::io::Write>(
     let spec = algo_spec(cfg);
     let algo_name = spec.build()?.name();
     let report = engine.run_batch_planned(&spec, &requests, cfg.threads, cfg.plan)?;
-
-    if cfg.format == OutputFormat::Json {
-        // `serves_weighted`, not the bare flag: `--algo fpa-w` runs the
-        // weighted objective even without `--weighted`.
-        write!(
+    // `serves_weighted`, not the bare flag: `--algo fpa-w` runs the
+    // weighted objective even without `--weighted`.
+    let weighted = spec.serves_weighted();
+    let snap = engine.snapshot();
+    ids.with_original(|original| match cfg.format {
+        OutputFormat::Json => write!(
             out,
             "{}",
-            report_jsonl(algo_name, spec.serves_weighted(), &report, Some(original))
-        )
-        .map_err(werr)?;
-        return Ok(());
-    }
+            report_jsonl(algo_name, weighted, &report, Some(original))
+        ),
+        OutputFormat::Text => {
+            write_batch_text(cfg, &snap, algo_name, &raw_queries, &report, original, out)
+        }
+    })
+    .map_err(werr)
+}
 
+/// The text rendering of a finished batch: a header, one line per query
+/// (plus its goodness line under `--stats`), and the footer.
+fn write_batch_text<W: std::io::Write>(
+    cfg: &CliConfig,
+    g: &Graph,
+    algo_name: &str,
+    raw_queries: &[Vec<u64>],
+    report: &BatchReport,
+    original: &[u64],
+    out: &mut W,
+) -> std::io::Result<()> {
     writeln!(
         out,
         "batch: {} queries, algo {}, {} thread{}",
@@ -842,12 +840,9 @@ fn run_batch<W: std::io::Write>(
         algo_name,
         cfg.threads,
         if cfg.threads == 1 { "" } else { "s" }
-    )
-    .map_err(werr)?;
-    let snap = engine.snapshot();
-    let g: &Graph = &snap;
+    )?;
     for ((i, raw), resp) in raw_queries.iter().enumerate().zip(&report.responses) {
-        write_query_line(cfg, out, original, i, raw, resp).map_err(werr)?;
+        write_query_line(cfg, out, original, i, raw, resp)?;
         if cfg.stats {
             if let Ok(r) = &resp.result {
                 let l = g.internal_edges(&r.community);
@@ -861,148 +856,11 @@ fn run_batch<W: std::io::Write>(
                     good.cut_ratio(),
                     good.internal_density(),
                     good.separability()
-                )
-                .map_err(werr)?;
+                )?;
             }
         }
     }
-    write_summary_lines(out, &report).map_err(werr)
-}
-
-/// One operation of a `--updates` script (original/file id space).
-#[derive(Debug, Clone, PartialEq)]
-pub enum UpdateOp {
-    /// `add u v [w]` — insert the edge; unseen ids create fresh nodes.
-    /// The optional weight requires a weighted graph (`--weighted`);
-    /// without one a plain `add` inserts at weight 1.
-    Add(u64, u64, Option<f64>),
-    /// `del u v` — remove an existing edge between known nodes.
-    Del(u64, u64),
-    /// `setw u v w` — update the weight of an existing edge (weighted
-    /// graphs only).
-    SetW(u64, u64, f64),
-    /// `query id[,id...]` — answer against the graph as mutated so far.
-    Query(Vec<u64>),
-}
-
-/// Parse a `--updates` script with the same strict-grammar discipline as
-/// the JSON parser: blank lines and `#` comments are skipped, everything
-/// else must be exactly `add u v [w]`, `del u v`, `setw u v w` or
-/// `query id[,id...]`. Violations are [`EngineError::BadUpdate`]s
-/// carrying the 1-based line number (exit code 7). Whether weight ops
-/// are *admissible* (they need a weighted graph) is checked at execution
-/// time, where the store is known.
-pub fn parse_update_script(text: &str) -> Result<Vec<(usize, UpdateOp)>, EngineError> {
-    let mut ops = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut tokens = line.split_whitespace();
-        let op = tokens.next().expect("non-empty line has a first token");
-        match op {
-            "add" | "del" | "setw" => {
-                let mut endpoint = |which: &str| -> Result<u64, EngineError> {
-                    let tok = tokens.next().ok_or_else(|| {
-                        EngineError::bad_update(
-                            line_no,
-                            format!("{op} needs two node ids (missing {which})"),
-                        )
-                    })?;
-                    tok.parse().map_err(|_| {
-                        EngineError::bad_update(line_no, format!("bad node id {tok:?}"))
-                    })
-                };
-                let u = endpoint("u")?;
-                let v = endpoint("v")?;
-                // `add` takes an optional weight, `setw` a mandatory
-                // one, `del` none.
-                let mut weight = |mandatory: bool| -> Result<Option<f64>, EngineError> {
-                    let Some(tok) = tokens.next() else {
-                        if mandatory {
-                            return Err(EngineError::bad_update(
-                                line_no,
-                                format!("{op} {u} {v} needs a weight"),
-                            ));
-                        }
-                        return Ok(None);
-                    };
-                    let w: f64 = tok.parse().map_err(|_| {
-                        EngineError::bad_update(line_no, format!("bad weight {tok:?}"))
-                    })?;
-                    if !crate::graph::weighted::valid_weight(w) {
-                        return Err(EngineError::bad_update(
-                            line_no,
-                            format!("weight {w} {}", crate::graph::weighted::WEIGHT_CONSTRAINT),
-                        ));
-                    }
-                    Ok(Some(w))
-                };
-                let w = match op {
-                    "add" => weight(false)?,
-                    "setw" => weight(true)?,
-                    _ => None,
-                };
-                if let Some(extra) = tokens.next() {
-                    return Err(EngineError::bad_update(
-                        line_no,
-                        format!("trailing token {extra:?} after {op} {u} {v}"),
-                    ));
-                }
-                if u == v {
-                    return Err(EngineError::bad_update(
-                        line_no,
-                        format!("self-loop {op} {u} {u} (simple graph)"),
-                    ));
-                }
-                ops.push((
-                    line_no,
-                    match op {
-                        "add" => UpdateOp::Add(u, v, w),
-                        "del" => UpdateOp::Del(u, v),
-                        _ => UpdateOp::SetW(u, v, w.expect("setw weight mandatory")),
-                    },
-                ));
-            }
-            "query" => {
-                let ids = line[op.len()..].trim();
-                if ids.is_empty() {
-                    return Err(EngineError::bad_update(
-                        line_no,
-                        "query needs at least one node id",
-                    ));
-                }
-                let ids = parse_query_ids(ids)
-                    .map_err(|e| EngineError::bad_update(line_no, e.to_string()))?;
-                ops.push((line_no, UpdateOp::Query(ids)));
-            }
-            other => {
-                return Err(EngineError::bad_update(
-                    line_no,
-                    format!("unknown op {other:?} (expected add, del, setw or query)"),
-                ))
-            }
-        }
-    }
-    Ok(ops)
-}
-
-/// Dense id for original id `id`, creating a fresh store node on first
-/// sight (the `add` path may grow the graph).
-fn resolve_or_create(
-    engine: &Engine,
-    index: &mut HashMap<u64, NodeId>,
-    original: &mut Vec<u64>,
-    id: u64,
-) -> NodeId {
-    *index.entry(id).or_insert_with(|| {
-        let dense = engine.add_node();
-        debug_assert_eq!(dense as usize, original.len(), "id spaces in lockstep");
-        original.push(id);
-        dense
-    })
+    write_summary_lines(out, &SummaryInput::from(report))
 }
 
 /// Live-update execution: apply the script in order against the
@@ -1023,7 +881,7 @@ fn run_updates<W: std::io::Write>(
     cfg: &CliConfig,
     upath: &str,
     engine: &Engine,
-    mut original: Vec<u64>,
+    original: Vec<u64>,
     out: &mut W,
 ) -> Result<(), EngineError> {
     let text = std::fs::read_to_string(upath).map_err(|e| EngineError::io(upath, e))?;
@@ -1035,114 +893,22 @@ fn run_updates<W: std::io::Write>(
     }
     let spec = algo_spec(cfg);
     let algo_name = spec.build()?.name();
-    let mut index: HashMap<u64, NodeId> = original
-        .iter()
-        .enumerate()
-        .map(|(i, &o)| (o, i as NodeId))
-        .collect();
+    let ids = IdSpace::new(original);
 
     let mut session: Option<Session> = None;
-    // Mirror-served count survives re-pins: each fresh session starts
-    // its counter at zero, so fold the old one in before replacing it.
-    let mut mirrored: u64 = 0;
-    let mut responses: Vec<QueryResponse> = Vec::new();
-    let start = Instant::now();
+    let mut tally = StreamTally::start();
     for (line_no, op) in &ops {
         match op {
-            UpdateOp::Add(a, b, w) => {
-                if w.is_some() && !engine.store().is_weighted() {
-                    return Err(EngineError::bad_update(
-                        *line_no,
-                        format!("weighted add {a} {b} requires --weighted (graph has no weights)"),
-                    ));
-                }
-                let u = resolve_or_create(engine, &mut index, &mut original, *a);
-                let v = resolve_or_create(engine, &mut index, &mut original, *b);
-                let inserted = if engine.store().is_weighted() {
-                    engine.insert_edge_w(u, v, w.unwrap_or(1.0))
-                } else {
-                    engine.insert_edge(u, v)
-                };
-                if !inserted {
-                    return Err(EngineError::bad_update(
-                        *line_no,
-                        format!("edge {a} {b} already exists"),
-                    ));
-                }
+            UpdateOp::Mutate(m) => {
+                let previous = m.apply(engine, &ids, *line_no)?;
                 if cfg.format == OutputFormat::Text {
-                    let weight_note = w.map_or(String::new(), |w| format!(" (weight {w})"));
-                    writeln!(
-                        out,
-                        "update add {a} {b}{weight_note}: {} nodes, {} edges (version {})",
-                        engine.store().n(),
-                        engine.store().m(),
-                        engine.version()
-                    )
-                    .map_err(werr)?;
+                    write_update_line(out, engine, m, previous).map_err(werr)?;
                 }
             }
-            UpdateOp::SetW(a, b, w) => {
-                if !engine.store().is_weighted() {
-                    return Err(EngineError::bad_update(
-                        *line_no,
-                        format!("setw {a} {b} requires --weighted (graph has no weights)"),
-                    ));
-                }
-                let known = |id: u64| -> Result<NodeId, EngineError> {
-                    index.get(&id).copied().ok_or_else(|| {
-                        EngineError::bad_update(*line_no, format!("unknown node {id}"))
-                    })
-                };
-                let (u, v) = (known(*a)?, known(*b)?);
-                let Some(old) = engine.set_weight(u, v, *w) else {
-                    return Err(EngineError::bad_update(
-                        *line_no,
-                        format!("edge {a} {b} does not exist"),
-                    ));
-                };
-                if cfg.format == OutputFormat::Text {
-                    writeln!(
-                        out,
-                        "update setw {a} {b} {w} (was {old}): version {}",
-                        engine.version()
-                    )
-                    .map_err(werr)?;
-                }
-            }
-            UpdateOp::Del(a, b) => {
-                let known = |id: u64| -> Result<NodeId, EngineError> {
-                    index.get(&id).copied().ok_or_else(|| {
-                        EngineError::bad_update(*line_no, format!("unknown node {id}"))
-                    })
-                };
-                let (u, v) = (known(*a)?, known(*b)?);
-                if !engine.remove_edge(u, v) {
-                    return Err(EngineError::bad_update(
-                        *line_no,
-                        format!("edge {a} {b} does not exist"),
-                    ));
-                }
-                if cfg.format == OutputFormat::Text {
-                    writeln!(
-                        out,
-                        "update del {a} {b}: {} nodes, {} edges (version {})",
-                        engine.store().n(),
-                        engine.store().m(),
-                        engine.version()
-                    )
-                    .map_err(werr)?;
-                }
-            }
-            UpdateOp::Query(ids) => {
-                let nodes: Vec<NodeId> = ids
-                    .iter()
-                    .map(|&raw| {
-                        index.get(&raw).copied().ok_or_else(|| {
-                            EngineError::unknown_node(raw)
-                                .with_node_context(format!("{upath}:{line_no}"))
-                        })
-                    })
-                    .collect::<Result<_, _>>()?;
+            UpdateOp::Query(raw) => {
+                let nodes = ids
+                    .map_query(raw)
+                    .map_err(|e| e.with_node_context(format!("{upath}:{line_no}")))?;
                 // Re-pin only when an update moved the store version;
                 // between updates the session (and its workspace) is
                 // reused just like a batch worker's.
@@ -1151,7 +917,7 @@ fn run_updates<W: std::io::Write>(
                     .is_none_or(|s| s.snapshot().version() != engine.version());
                 if fresh {
                     if let Some(s) = session.take() {
-                        mirrored += s.mirror_served();
+                        tally.repin(&s);
                     }
                     session = Some(plan_session(engine, cfg, &spec)?);
                 }
@@ -1159,54 +925,72 @@ fn run_updates<W: std::io::Write>(
                     .as_mut()
                     .expect("session opened above")
                     .query(&QueryRequest::new(nodes))?;
-                match cfg.format {
+                ids.with_original(|original| match cfg.format {
                     OutputFormat::Text => {
-                        write_query_line(cfg, out, &original, responses.len(), ids, &resp)
-                            .map_err(werr)?
+                        write_query_line(cfg, out, original, tally.queries(), raw, &resp)
                     }
                     OutputFormat::Json => {
-                        writeln!(out, "{}", response_json(&resp, Some(&original)).render())
-                            .map_err(werr)?
+                        writeln!(out, "{}", response_json(&resp, Some(original)).render())
                     }
-                }
-                responses.push(resp);
+                })
+                .map_err(werr)?;
+                tally.record(&resp);
             }
         }
     }
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let hits = responses.iter().filter(|r| r.cached).count();
-    let misses = responses.len() - hits;
-    let unique = responses.len();
-    mirrored += session.as_ref().map_or(0, |s| s.mirror_served());
-    // Skew of the snapshot the queries actually saw: read it off the
+    // The plan of the snapshot the queries actually saw: read it off the
     // last pinned session. Falling through to `engine.snapshot()` would
     // force a rebuild the script's queries never paid for when the
     // script ends on a mutation run (and the summary would report stats
     // no query observed).
-    let skew = match &session {
-        Some(s) => QueryPlan::choose(cfg.plan, s.snapshot()).skew,
-        None => QueryPlan::choose(cfg.plan, &engine.snapshot()).skew,
+    let plan = match &session {
+        Some(s) => QueryPlan::choose(cfg.plan, s.snapshot()),
+        None => QueryPlan::choose(cfg.plan, &engine.snapshot()),
     };
-    let mut report = BatchReport::from_responses(responses, wall_seconds, unique, hits, misses);
-    report.mirror_served = mirrored;
-    report.skew = skew;
+    // The summary additionally carries the store's rebuild counters:
+    // how many snapshot recompilations the script's query lines forced
+    // (coalesced mutation runs pay one), and how many shard segments
+    // they actually touched.
+    let input = SummaryInput {
+        store: Some(engine.rebuild_stats()),
+        ..tally.finish(session.as_ref(), &plan)
+    };
     match cfg.format {
-        OutputFormat::Json => {
-            // The updates-mode summary additionally carries the store's
-            // rebuild counters: how many snapshot recompilations the
-            // script's query lines forced (coalesced mutation runs pay
-            // one), and how many shard segments they actually touched.
-            let mut line = summary_json(algo_name, spec.serves_weighted(), &report);
-            if let Json::Obj(members) = &mut line {
-                let rb = engine.rebuild_stats();
-                members.push(("shards".to_string(), Json::UInt(rb.shards as u64)));
-                members.push(("rebuilds".to_string(), Json::UInt(rb.rebuilds)));
-                members.push(("shards_rebuilt".to_string(), Json::UInt(rb.shards_rebuilt)));
-                members.push(("shards_reused".to_string(), Json::UInt(rb.shards_reused)));
-            }
-            writeln!(out, "{}", line.render()).map_err(werr)
+        OutputFormat::Json => writeln!(
+            out,
+            "{}",
+            summary_json(algo_name, spec.serves_weighted(), input).render()
+        ),
+        OutputFormat::Text => write_summary_lines(out, &input),
+    }
+    .map_err(werr)
+}
+
+/// The text line of one applied mutation.
+fn write_update_line<W: std::io::Write>(
+    out: &mut W,
+    engine: &Engine,
+    m: &Mutation,
+    previous: Option<f64>,
+) -> std::io::Result<()> {
+    let ((a, b), version) = (m.endpoints(), engine.version());
+    let (n, e) = (engine.store().n(), engine.store().m());
+    match (m.action(), previous) {
+        (Action::SetW(w), Some(old)) => {
+            writeln!(
+                out,
+                "update setw {a} {b} {w} (was {old}): version {version}"
+            )
         }
-        OutputFormat::Text => write_summary_lines(out, &report).map_err(werr),
+        (Action::Add(Some(w)), _) => writeln!(
+            out,
+            "update add {a} {b} (weight {w}): {n} nodes, {e} edges (version {version})"
+        ),
+        (action, _) => writeln!(
+            out,
+            "update {} {a} {b}: {n} nodes, {e} edges (version {version})",
+            action.name()
+        ),
     }
 }
 
@@ -1811,6 +1595,38 @@ mod tests {
             text.contains("[100, 200, 300]"),
             "community reported in original ids: {text}"
         );
+
+        // Batch mode maps ids through the same map and answers in file
+        // ids too.
+        let qfile = dir.join("toy_queries.txt");
+        std::fs::write(&qfile, "100\n200,300\n").unwrap();
+        let cfg = parse(&args(&format!(
+            "--graph {} --queries {} --algo nca --format json",
+            path.display(),
+            qfile.display()
+        )))
+        .unwrap()
+        .unwrap();
+        let mut out = Vec::new();
+        run(&cfg, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let ids = |line: &str, key: &str| -> Vec<u64> {
+            let v = Json::parse(line).unwrap();
+            v.get(key)
+                .unwrap()
+                .as_arr()
+                .unwrap()
+                .iter()
+                .map(|x| x.as_u64().unwrap())
+                .collect()
+        };
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "2 responses + summary: {text}");
+        assert_eq!(ids(lines[0], "query"), [100]);
+        assert_eq!(ids(lines[1], "query"), [200, 300]);
+        for line in &lines[..2] {
+            assert_eq!(ids(line, "community"), [100, 200, 300], "{text}");
+        }
     }
 
     #[test]
@@ -2115,6 +1931,11 @@ mod tests {
         }
     }
 
+    /// An expected script op: `action` on `u v`.
+    fn mutate(action: Action, u: u64, v: u64) -> UpdateOp {
+        UpdateOp::Mutate(Mutation::new(action, u, v, 0).unwrap())
+    }
+
     #[test]
     fn update_script_parses_the_strict_grammar() {
         let ops = parse_update_script(
@@ -2124,11 +1945,11 @@ mod tests {
         assert_eq!(
             ops,
             vec![
-                (2, UpdateOp::Add(7, 9, None)),
-                (4, UpdateOp::Del(7, 9)),
+                (2, mutate(Action::Add(None), 7, 9)),
+                (4, mutate(Action::Del, 7, 9)),
                 (5, UpdateOp::Query(vec![0])),
                 (6, UpdateOp::Query(vec![1, 2])),
-                (7, UpdateOp::Add(100, 0, None)),
+                (7, mutate(Action::Add(None), 100, 0)),
             ]
         );
         assert!(parse_update_script("# only comments\n").unwrap().is_empty());
@@ -2140,9 +1961,9 @@ mod tests {
         assert_eq!(
             ops,
             vec![
-                (1, UpdateOp::Add(7, 9, Some(2.5))),
-                (2, UpdateOp::SetW(7, 9, 0.25)),
-                (3, UpdateOp::Add(1, 2, None)),
+                (1, mutate(Action::Add(Some(2.5)), 7, 9)),
+                (2, mutate(Action::SetW(0.25), 7, 9)),
+                (3, mutate(Action::Add(None), 1, 2)),
                 (4, UpdateOp::Query(vec![7])),
             ]
         );
@@ -2255,6 +2076,21 @@ mod tests {
         let reused = summary.get("shards_reused").and_then(Json::as_u64).unwrap();
         assert!((1..16).contains(&rebuilt), "incremental: {rebuilt}");
         assert_eq!(rebuilt + reused, 16, "one rebuild covers all shards");
+        // The plan is the planner's choice for the snapshot the queries
+        // saw, like a batch's; `--plan off` says so.
+        assert_eq!(
+            summary.get("plan").and_then(Json::as_str),
+            Some("auto:memo")
+        );
+        let mut out = Vec::new();
+        let off = CliConfig {
+            plan: PlanMode::Off,
+            ..cfg
+        };
+        run(&off, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let summary = Json::parse(text.lines().last().unwrap()).unwrap();
+        assert_eq!(summary.get("plan").and_then(Json::as_str), Some("off"));
     }
 
     #[test]
