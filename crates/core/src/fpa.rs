@@ -228,9 +228,9 @@ impl FpaSetup {
         if !memo_hit {
             ws.memoize_component(&order, g.n());
         }
-        // Shard-scoped caching: the answer depends only on this component
-        // (plus the global edge count, handled by the caller's fingerprint
-        // semantics) — record which shards it intersects.
+        // Shard-scoped caching: the answer reads only this component and
+        // the graph's edge count m, and the caller's fingerprint pins
+        // both — record which shards the component intersects.
         ws.note_component(&order);
         Ok(FpaSetup {
             order,

@@ -41,7 +41,6 @@
 
 pub mod bnb;
 pub mod detect;
-pub mod dynamic;
 pub mod exact;
 pub mod fpa;
 pub mod framework;

@@ -11,10 +11,10 @@
 //! with the full-graph density modularity (comparable across rounds —
 //! rounds are ordered by construction, not necessarily by score).
 
-use crate::dynamic::search_within_scored;
 use crate::{validate_query, CommunitySearch, Fpa, SearchError, SearchResult};
 use dmcs_graph::traversal::component_of;
-use dmcs_graph::{Graph, NodeId};
+use dmcs_graph::{Graph, GraphError, NodeId};
+use std::collections::HashMap;
 
 /// Configuration for [`top_k_communities`].
 #[derive(Debug, Clone, Copy)]
@@ -102,6 +102,46 @@ pub fn top_k_communities_with(
         pool.retain(|&v| is_query(v) || !used.contains(&v));
     }
     Ok(out)
+}
+
+/// Run `algo` on the subgraph induced by the round's `pool`, translate
+/// the result back to `g`'s ids, and re-score the community against the
+/// *full* graph, so rounds are comparable: with the weighted density
+/// modularity when `weighted` (unit weights when `g` carries no lane),
+/// otherwise the unweighted one. The induced subgraph keeps its weights
+/// lane either way. A query node outside the pool is an error, which
+/// ends the enumeration.
+fn search_within_scored(
+    g: &Graph,
+    pool: &[NodeId],
+    query: &[NodeId],
+    algo: &dyn CommunitySearch,
+    weighted: bool,
+) -> Result<SearchResult, SearchError> {
+    let (sub, back) = g.induced(pool);
+    let fwd: HashMap<NodeId, NodeId> = back
+        .iter()
+        .enumerate()
+        .map(|(i, &orig)| (orig, i as NodeId))
+        .collect();
+    let local_query: Vec<NodeId> = query
+        .iter()
+        .map(|q| {
+            fwd.get(q)
+                .copied()
+                .ok_or(SearchError::Graph(GraphError::NodeOutOfRange(*q)))
+        })
+        .collect::<Result<_, _>>()?;
+    let mut r = algo.search(&sub, &local_query)?;
+    r.community = r.community.iter().map(|&v| back[v as usize]).collect();
+    r.community.sort_unstable();
+    r.removal_order = r.removal_order.iter().map(|&v| back[v as usize]).collect();
+    r.density_modularity = if weighted {
+        g.weighted_density_modularity(&r.community)
+    } else {
+        crate::measure::density_modularity(g, &r.community)
+    };
+    Ok(r)
 }
 
 #[cfg(test)]
@@ -258,5 +298,23 @@ mod tests {
         let g = bowtie();
         let rs = top_k_communities(&g, &[0], TopKConfig { k: 0, min_dm: 0.0 }).unwrap();
         assert!(rs.is_empty());
+    }
+
+    #[test]
+    fn search_within_rescoring_uses_full_graph_m() {
+        let g =
+            GraphBuilder::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]);
+        let pool: Vec<NodeId> = vec![0, 1, 2];
+        let r = search_within_scored(&g, &pool, &[0], &Fpa::default(), false).unwrap();
+        // DM of {0,1,2} in the FULL graph: (3 - 49/28)/3.
+        let expect = crate::measure::density_modularity(&g, &[0, 1, 2]);
+        assert!((r.density_modularity - expect).abs() < 1e-12);
+    }
+
+    #[test]
+    fn queries_outside_ball_error() {
+        let g = GraphBuilder::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let pool: Vec<NodeId> = vec![0, 1];
+        assert!(search_within_scored(&g, &pool, &[3], &Fpa::default(), false).is_err());
     }
 }

@@ -8,19 +8,61 @@
 //! canonical seed. Disconnected queries must fail on both substrates.
 
 use dmcs_gen::{lfr, sbm};
-use dmcs_graph::dijkstra::{dijkstra_with_parents, path_from_parents, UnitWeights};
 use dmcs_graph::steiner::steiner_seed_with_workspace;
 use dmcs_graph::view::QueryWorkspace;
 use dmcs_graph::{ComputeGraph, Graph, GraphError, LayoutPolicy, NodeId};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// Unit-weight Dijkstra from `source` with parent pointers: `parent[s]
+/// == s` for the source, `NodeId::MAX` for unreachable nodes. The heap
+/// settles equal distances in id order and relaxation is strict, so a
+/// node's parent is its smallest-id neighbour one hop closer.
+fn dijkstra_parents(g: &Graph, source: NodeId) -> Vec<NodeId> {
+    let mut dist = vec![u32::MAX; g.n()];
+    let mut parent = vec![NodeId::MAX; g.n()];
+    let mut heap = BinaryHeap::new();
+    dist[source as usize] = 0;
+    parent[source as usize] = source;
+    heap.push(Reverse((0u32, source)));
+    while let Some(Reverse((d, u))) = heap.pop() {
+        if d > dist[u as usize] {
+            continue; // stale entry
+        }
+        for &v in g.neighbors(u) {
+            if d + 1 < dist[v as usize] {
+                dist[v as usize] = d + 1;
+                parent[v as usize] = u;
+                heap.push(Reverse((d + 1, v)));
+            }
+        }
+    }
+    parent
+}
+
+/// The tree path from the source to `target`, or `None` when `target`
+/// is unreachable.
+fn path_to(parent: &[NodeId], target: NodeId) -> Option<Vec<NodeId>> {
+    if parent[target as usize] == NodeId::MAX {
+        return None;
+    }
+    let mut path = vec![target];
+    let mut cur = target;
+    while parent[cur as usize] != cur {
+        cur = parent[cur as usize];
+        path.push(cur);
+    }
+    Some(path)
+}
 
 /// The Dijkstra-tree seed, rooted at the first query node; `None` when
 /// some query node is unreachable from it.
 fn oracle(g: &Graph, query: &[NodeId]) -> Option<Vec<NodeId>> {
-    let (_, parent) = dijkstra_with_parents(g, query[0], &UnitWeights);
+    let parent = dijkstra_parents(g, query[0]);
     let mut seed = Vec::new();
     for &q in query {
-        seed.extend(path_from_parents(&parent, q)?);
+        seed.extend(path_to(&parent, q)?);
     }
     seed.sort_unstable();
     seed.dedup();

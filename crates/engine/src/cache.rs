@@ -1,28 +1,27 @@
 //! The shard-scoped response cache: a hand-rolled LRU (the workspace's
 //! dependency policy admits no cache crate) mapping `(algorithm, params,
 //! sorted query nodes, store id)` to finished answers, each validated by
-//! a **shard fingerprint**.
+//! a [`Fingerprint`].
 //!
 //! Correctness comes from the fingerprint: every entry records the
 //! `(shard, version)` pairs of the shards its community's component
 //! actually touched (captured at search time via
-//! [`QueryWorkspace`](dmcs_graph::view::QueryWorkspace) shard tracking),
-//! and a lookup replays the entry only while the serving snapshot still
-//! carries those exact shard versions. An update to shard 3 therefore
-//! stops matching entries whose communities touch shard 3 — and leaves
-//! entries living entirely in shards 0–2 hot. When a search path cannot
-//! report what it touched (top-k enumerations, validation errors,
-//! algorithms without component tracking) the entry conservatively
-//! fingerprints *every* shard, degrading to whole-graph invalidation,
-//! never to a wrong answer.
-//!
-//! One deliberate relaxation: the fingerprint covers the query's
-//! *component*, while the density modularity's normalization reads the
-//! global edge count — an update in a *different* component rescales DM
-//! values without re-running searches whose component is untouched. The
-//! community membership served is unchanged by such updates; callers
-//! that need globally renormalized DM scores re-query after re-pinning.
-//! Stale entries age out of the LRU like everything else.
+//! [`QueryWorkspace`](dmcs_graph::view::QueryWorkspace) shard tracking)
+//! together with the graph's edge count `m`, and a lookup replays the
+//! entry only while the serving snapshot still carries those exact shard
+//! versions and that `m`. The pair is an exact certificate: the only
+//! searches that report a component (FPA and FPA-DMG) read that
+//! component and `m` — density modularity (Definition 2) divides by the
+//! whole graph's `|E|`, both in the §5.7 layer choice and in the
+//! best-prefix score — and nothing else. An update to shard 3 therefore
+//! stops matching entries whose communities touch shard 3, and an update
+//! anywhere that changes `m` stops matching every entry; a `del` + `add`
+//! pair elsewhere restores `m` and leaves entries living entirely in
+//! shards 0–2 hot. When a search path cannot report what it touched
+//! (top-k enumerations, validation errors, algorithms without component
+//! tracking, weighted specs) the entry conservatively fingerprints
+//! *every* shard, degrading to whole-graph invalidation, never to a
+//! wrong answer. Stale entries age out of the LRU like everything else.
 //!
 //! A cached answer replays the original response verbatim — including
 //! its `seconds` — so a cache hit renders **byte-identical** JSON to the
@@ -37,26 +36,48 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// A cache entry's validity certificate: the `(shard, shard version)`
-/// pairs the answer depends on, sorted by shard. Built with
-/// [`fingerprint`].
-pub type ShardFingerprint = Vec<(u32, u64)>;
+/// A cache entry's validity certificate: the graph's edge count plus
+/// the `(shard, shard version)` pairs the answer depends on, sorted by
+/// shard. Built with [`fingerprint`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fingerprint {
+    m: usize,
+    shards: Vec<(u32, u64)>,
+}
+
+impl Fingerprint {
+    /// Whether a snapshot still carries this certificate's edge count
+    /// and shard versions.
+    fn matches(&self, snapshot: &Snapshot) -> bool {
+        let versions = snapshot.shard_versions();
+        self.m == snapshot.m()
+            && self
+                .shards
+                .iter()
+                .all(|&(s, v)| versions.get(s as usize) == Some(&v))
+    }
+}
 
 /// Build the fingerprint for an answer computed against `snapshot`:
 /// `touched` is the sorted shard list the query's component covered
 /// (from [`QueryWorkspace::take_touched_shards`]), or `None` to
-/// conservatively pin every shard.
+/// conservatively pin every shard. The snapshot's edge count is always
+/// recorded.
 ///
 /// [`QueryWorkspace::take_touched_shards`]: dmcs_graph::view::QueryWorkspace::take_touched_shards
-pub fn fingerprint(snapshot: &Snapshot, touched: Option<&[u32]>) -> ShardFingerprint {
+pub fn fingerprint(snapshot: &Snapshot, touched: Option<&[u32]>) -> Fingerprint {
     let versions = snapshot.shard_versions();
-    match touched {
+    let shards = match touched {
         Some(shards) => shards.iter().map(|&s| (s, versions[s as usize])).collect(),
         None => versions
             .iter()
             .enumerate()
             .map(|(s, &v)| (s as u32, v))
             .collect(),
+    };
+    Fingerprint {
+        m: snapshot.m(),
+        shards,
     }
 }
 
@@ -110,7 +131,7 @@ impl CachedAnswer {
 
 /// Cache key: everything that determines a search outcome, *except* the
 /// graph epoch — staleness is handled by each entry's
-/// [`ShardFingerprint`], not by the key.
+/// [`Fingerprint`], not by the key.
 ///
 /// Query nodes are **sorted** — the searches treat the query as a set,
 /// so `[0, 33]` and `[33, 0]` share an entry. The process-unique store
@@ -173,17 +194,8 @@ impl CacheKey {
 struct Entry {
     answer: CachedAnswer,
     last_used: u64,
-    /// The shard versions this entry is valid for (see [`fingerprint`]).
-    fingerprint: ShardFingerprint,
-}
-
-impl Entry {
-    /// Whether this entry may answer a query served at `shard_versions`.
-    fn matches(&self, shard_versions: &[u64]) -> bool {
-        self.fingerprint
-            .iter()
-            .all(|&(s, v)| shard_versions.get(s as usize) == Some(&v))
-    }
+    /// The graph state this entry is valid for (see [`fingerprint`]).
+    fingerprint: Fingerprint,
 }
 
 /// Buckets per key: sessions pinned to *different epochs* can each keep
@@ -211,7 +223,7 @@ struct LruInner {
 /// let cache = ResponseCache::new(2);
 /// let snap = Snapshot::freeze(GraphBuilder::from_edges(34, &[(0, 33)]));
 /// let key = CacheKey::new(&AlgoSpec::new("fpa"), &[33, 0], &snap);
-/// assert!(cache.get(&key, snap.shard_versions()).is_none());
+/// assert!(cache.get(&key, &snap).is_none());
 /// cache.insert(
 ///     key.clone(),
 ///     CachedAnswer {
@@ -221,7 +233,7 @@ struct LruInner {
 ///     },
 ///     fingerprint(&snap, None),
 /// );
-/// assert_eq!(cache.get(&key, snap.shard_versions()).unwrap().seconds, 0.25);
+/// assert_eq!(cache.get(&key, &snap).unwrap().seconds, 0.25);
 /// assert_eq!((cache.hits(), cache.misses()), (1, 1));
 /// ```
 #[derive(Debug)]
@@ -254,18 +266,19 @@ impl ResponseCache {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Look `key` up for a caller serving at `shard_versions` (the
-    /// pinned snapshot's [`Snapshot::shard_versions`]), bumping the
-    /// matched entry's recency and the hit/miss counters. Entries whose
-    /// fingerprints no longer match are left to age out.
-    pub fn get(&self, key: &CacheKey, shard_versions: &[u64]) -> Option<CachedAnswer> {
+    /// Look `key` up for a caller serving at the pinned `snapshot`,
+    /// bumping the matched entry's recency and the hit/miss counters. An
+    /// entry matches while the snapshot carries its fingerprint's edge
+    /// count and shard versions; entries that no longer match are left
+    /// to age out.
+    pub fn get(&self, key: &CacheKey, snapshot: &Snapshot) -> Option<CachedAnswer> {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         let hit = inner
             .map
             .get_mut(key)
-            .and_then(|bucket| bucket.iter_mut().find(|e| e.matches(shard_versions)));
+            .and_then(|bucket| bucket.iter_mut().find(|e| e.fingerprint.matches(snapshot)));
         match hit {
             Some(entry) => {
                 entry.last_used = tick;
@@ -283,7 +296,7 @@ impl ResponseCache {
     /// evicting the least-recently-used entry when at capacity. An
     /// existing entry with the *same* fingerprint is overwritten in
     /// place; entries for other epochs coexist in the key's bucket.
-    pub fn insert(&self, key: CacheKey, answer: CachedAnswer, fingerprint: ShardFingerprint) {
+    pub fn insert(&self, key: CacheKey, answer: CachedAnswer, fingerprint: Fingerprint) {
         if self.capacity == 0 {
             return;
         }
@@ -384,9 +397,34 @@ mod tests {
         }
     }
 
-    /// Fingerprint pinning shard 0 at version `v`.
-    fn fp(v: u64) -> ShardFingerprint {
-        vec![(0, v)]
+    /// A snapshot whose shard `s` sits at version `versions[s]`: a
+    /// weighted store with one edge inside each shard, moved by
+    /// weight-only updates, so its edge count is always the shard count.
+    fn at(versions: &[u64]) -> Snapshot {
+        use dmcs_graph::{weighted::WeightedGraphBuilder, GraphStore};
+        let shards = versions.len();
+        let mut b = WeightedGraphBuilder::new(2 * shards);
+        for s in 0..shards as NodeId {
+            b.add_edge(2 * s, 2 * s + 1, 1.0);
+        }
+        let store = GraphStore::from_graph_sharded(b.build().into_graph(), shards);
+        for (s, &v) in versions.iter().enumerate() {
+            let u = 2 * s as NodeId;
+            for i in 0..v {
+                store.set_weight(u, u + 1, if i % 2 == 0 { 2.0 } else { 1.0 });
+            }
+        }
+        let snap = store.snapshot();
+        assert_eq!((snap.shard_versions(), snap.m()), (versions, shards));
+        snap
+    }
+
+    /// Fingerprint of a one-shard, one-edge snapshot at version `v`.
+    fn fp(v: u64) -> Fingerprint {
+        Fingerprint {
+            m: 1,
+            shards: vec![(0, v)],
+        }
     }
 
     #[test]
@@ -435,9 +473,10 @@ mod tests {
     #[test]
     fn round_trip_and_counters() {
         let cache = ResponseCache::new(8);
-        assert!(cache.get(&key(&[0]), &[0]).is_none());
+        let snap = at(&[0]);
+        assert!(cache.get(&key(&[0]), &snap).is_none());
         cache.insert(key(&[0]), answer(0.125), fp(0));
-        let got = cache.get(&key(&[0]), &[0]).unwrap();
+        let got = cache.get(&key(&[0]), &snap).unwrap();
         assert_eq!(got.seconds, 0.125, "original timing replayed");
         assert_eq!(got.into_single_result().unwrap().community, vec![0, 1]);
         let empty = CachedAnswer {
@@ -453,29 +492,31 @@ mod tests {
     #[test]
     fn lru_evicts_the_coldest_entry() {
         let cache = ResponseCache::new(2);
+        let snap = at(&[0]);
         cache.insert(key(&[0]), answer(0.1), fp(0));
         cache.insert(key(&[1]), answer(0.2), fp(0));
         // Touch [0] so [1] is the coldest.
-        assert!(cache.get(&key(&[0]), &[0]).is_some());
+        assert!(cache.get(&key(&[0]), &snap).is_some());
         cache.insert(key(&[2]), answer(0.3), fp(0));
         assert_eq!(cache.len(), 2);
         assert!(
-            cache.get(&key(&[0]), &[0]).is_some(),
+            cache.get(&key(&[0]), &snap).is_some(),
             "recently used survives"
         );
-        assert!(cache.get(&key(&[1]), &[0]).is_none(), "coldest evicted");
-        assert!(cache.get(&key(&[2]), &[0]).is_some());
+        assert!(cache.get(&key(&[1]), &snap).is_none(), "coldest evicted");
+        assert!(cache.get(&key(&[2]), &snap).is_some());
     }
 
     #[test]
     fn reinserting_a_fingerprint_overwrites_in_place() {
         let cache = ResponseCache::new(2);
+        let snap = at(&[0]);
         cache.insert(key(&[0]), answer(0.1), fp(0));
         cache.insert(key(&[1]), answer(0.2), fp(0));
         cache.insert(key(&[0]), answer(0.9), fp(0)); // overwrite, no eviction
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(&key(&[0]), &[0]).unwrap().seconds, 0.9);
-        assert!(cache.get(&key(&[1]), &[0]).is_some());
+        assert_eq!(cache.get(&key(&[0]), &snap).unwrap().seconds, 0.9);
+        assert!(cache.get(&key(&[1]), &snap).is_some());
     }
 
     #[test]
@@ -483,24 +524,35 @@ mod tests {
         let cache = ResponseCache::new(0);
         cache.insert(key(&[0]), answer(0.1), fp(0));
         assert!(cache.is_empty());
-        assert!(cache.get(&key(&[0]), &[0]).is_none());
+        assert!(cache.get(&key(&[0]), &at(&[0])).is_none());
         assert_eq!(cache.misses(), 1);
     }
 
     #[test]
     fn shard_scoped_invalidation() {
         let cache = ResponseCache::new(8);
-        // An answer whose community touches only shard 1 (version 5).
-        cache.insert(key(&[0]), answer(0.1), vec![(1, 5)]);
-        // Updates in other shards leave the entry hot ...
-        assert!(cache.get(&key(&[0]), &[9, 5, 7]).is_some());
-        assert!(cache.get(&key(&[0]), &[0, 5, 99]).is_some());
-        // ... but a shard-1 move kills it.
-        assert!(cache.get(&key(&[0]), &[9, 6, 7]).is_none());
+        // An answer whose community touches only shard 1 (version 5) of
+        // a 3-edge graph.
+        let scoped = Fingerprint {
+            m: 3,
+            shards: vec![(1, 5)],
+        };
+        cache.insert(key(&[0]), answer(0.1), scoped);
+        // Updates in other shards that keep m leave the entry hot ...
+        assert!(cache.get(&key(&[0]), &at(&[9, 5, 7])).is_some());
+        assert!(cache.get(&key(&[0]), &at(&[0, 5, 99])).is_some());
+        // ... but a shard-1 move kills it, and so does a change of m
+        // with shard 1 untouched.
+        assert!(cache.get(&key(&[0]), &at(&[9, 6, 7])).is_none());
+        assert!(cache.get(&key(&[0]), &at(&[9, 5, 7, 0])).is_none());
         // A fingerprint naming a shard the serving layout lacks never
         // matches (defensive: store ids should already prevent this).
-        cache.insert(key(&[1]), answer(0.2), vec![(7, 0)]);
-        assert!(cache.get(&key(&[1]), &[0, 0]).is_none());
+        let foreign = Fingerprint {
+            m: 2,
+            shards: vec![(7, 0)],
+        };
+        cache.insert(key(&[1]), answer(0.2), foreign);
+        assert!(cache.get(&key(&[1]), &at(&[0, 0])).is_none());
     }
 
     #[test]
@@ -511,32 +563,37 @@ mod tests {
         cache.insert(key(&[0]), answer(0.2), fp(1));
         assert_eq!(cache.len(), 2);
         assert_eq!(
-            cache.get(&key(&[0]), &[0]).unwrap().seconds,
+            cache.get(&key(&[0]), &at(&[0])).unwrap().seconds,
             0.1,
             "old-epoch pinned session replays its own entry"
         );
-        assert_eq!(cache.get(&key(&[0]), &[1]).unwrap().seconds, 0.2);
+        assert_eq!(cache.get(&key(&[0]), &at(&[1])).unwrap().seconds, 0.2);
     }
 
     #[test]
     fn fingerprint_builder_covers_touched_or_all_shards() {
         use dmcs_graph::GraphBuilder;
         let snap = Snapshot::freeze(GraphBuilder::from_edges(4, &[(0, 1)]));
-        assert_eq!(fingerprint(&snap, None), vec![(0, 0)], "freeze: one shard");
-        assert_eq!(fingerprint(&snap, Some(&[0])), vec![(0, 0)]);
+        let one_shard = Fingerprint {
+            m: 1,
+            shards: vec![(0, 0)],
+        };
+        assert_eq!(fingerprint(&snap, None), one_shard, "freeze: one shard");
+        assert_eq!(fingerprint(&snap, Some(&[0])), one_shard);
 
         let store = dmcs_graph::GraphStore::with_shards(8, 4);
         store.insert_edge(0, 7); // shards 0 and 3
         let snap = store.snapshot();
         assert_eq!(
-            fingerprint(&snap, Some(&[0, 3])),
+            fingerprint(&snap, Some(&[0, 3])).shards,
             vec![(0, 1), (3, 1)],
             "touched shards pin their current versions"
         );
         assert_eq!(
-            fingerprint(&snap, None),
+            fingerprint(&snap, None).shards,
             vec![(0, 1), (1, 0), (2, 0), (3, 1)],
             "no tracking: conservative all-shard pin"
         );
+        assert_eq!(fingerprint(&snap, Some(&[0])).m, 1, "m is always pinned");
     }
 }

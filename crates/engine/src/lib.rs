@@ -25,9 +25,10 @@
 //!   cache).
 //! - [`cache`] — [`ResponseCache`], the
 //!   hand-rolled LRU keyed by `(algorithm, params, sorted query nodes,
-//!   store id)` with entries validated by a *shard fingerprint*: the
-//!   versions of exactly the store shards the answering search touched.
-//!   Updates to other shards leave the entry live.
+//!   store id)` with entries validated by a *fingerprint*: the versions
+//!   of exactly the store shards the answering search touched, plus the
+//!   graph's edge count. Updates to other shards that keep the edge
+//!   count leave the entry live; a hit always equals a fresh search.
 //! - [`session`] — [`Session`]: a pinned
 //!   [`dmcs_graph::Snapshot`] + resolved algorithm + one
 //!   persistent [`QueryWorkspace`](dmcs_graph::view::QueryWorkspace), so
@@ -127,9 +128,10 @@ use std::sync::Arc;
 /// Reads pin snapshots: a batch (or session) opened before an update
 /// keeps answering against the graph it started with, while the next
 /// [`Engine::snapshot`] call sees the new epoch. Cache entries carry a
-/// shard fingerprint — the versions of the shards their search actually
-/// touched — so an update in one shard invalidates the answers living
-/// there and leaves the rest of the cache warm.
+/// fingerprint — the versions of the shards their search actually
+/// touched, plus the edge count — so an update in one shard invalidates
+/// the answers living there, and leaves the rest of the cache warm
+/// unless it changes the edge count.
 #[derive(Debug, Clone)]
 pub struct Engine {
     store: Arc<GraphStore>,
@@ -139,8 +141,8 @@ pub struct Engine {
 impl Engine {
     /// Serve an existing store (pass a [`GraphStore`] to hand over
     /// ownership, or an `Arc<GraphStore>` to share it with other
-    /// writers, e.g. a [`dmcs_core::dynamic::IncrementalSearch`]), with
-    /// a default-capacity result cache.
+    /// writers, e.g. another engine), with a default-capacity result
+    /// cache.
     pub fn new(store: impl Into<Arc<GraphStore>>) -> Self {
         Engine::with_cache_capacity(store, DEFAULT_CACHE_CAPACITY)
     }

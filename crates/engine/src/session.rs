@@ -215,9 +215,10 @@ impl Session {
     /// Attach a shared result cache. Subsequent [`Session::query`] calls
     /// consult it before searching and populate it after; the cache key
     /// carries the pinned snapshot's store id, and each entry carries a
-    /// shard fingerprint validated against the pinned snapshot's shard
-    /// versions — so entries never cross stores, and they survive
-    /// updates that touch none of the shards their community lives in.
+    /// fingerprint validated against the pinned snapshot's shard
+    /// versions and edge count — so entries never cross stores, and they
+    /// survive updates that touch none of the shards their community
+    /// lives in and leave the edge count unchanged.
     pub fn with_cache(mut self, cache: Arc<ResponseCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -263,7 +264,7 @@ impl Session {
             .as_ref()
             .map(|_| CacheKey::new(&self.spec, &req.nodes, &self.snapshot));
         if let (Some(cache), Some(key)) = (&self.cache, &key) {
-            if let Some(hit) = cache.get(key, self.snapshot.shard_versions()) {
+            if let Some(hit) = cache.get(key, &self.snapshot) {
                 let (algo, seconds) = (hit.algo, hit.seconds);
                 return Ok(respond(req, algo, hit.into_single_result(), seconds, true));
             }
@@ -301,7 +302,7 @@ impl Session {
             .as_ref()
             .map(|_| CacheKey::for_top_k(&self.spec, nodes, &self.snapshot, k));
         if let (Some(cache), Some(key)) = (&self.cache, &key) {
-            if let Some(hit) = cache.get(key, self.snapshot.shard_versions()) {
+            if let Some(hit) = cache.get(key, &self.snapshot) {
                 return TopKOutcome {
                     algo: hit.algo,
                     rounds: hit.result,

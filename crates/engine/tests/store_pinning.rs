@@ -5,8 +5,9 @@
 //! 2. the result cache invalidates by *shard fingerprint* — a repeated
 //!    query recomputes after any update touching a shard its component
 //!    lives in (in a connected graph: any update at all), while a repeat
-//!    with no intervening update is a hit with byte-identical JSON, and
-//!    an update confined to other shards leaves the hit hot;
+//!    with no intervening update is a hit with byte-identical JSON, an
+//!    update confined to other shards that keeps the edge count leaves
+//!    the hit hot, and one that changes the edge count recomputes;
 //! 3. in-batch dedup plus the shared cache compose across batches.
 
 use dmcs_engine::output::{report_jsonl, response_json};
@@ -162,30 +163,53 @@ fn update_in_one_shard_leaves_other_shards_cached_answers_hot() {
     let first_left = engine.run_batch(&spec, &left, 1).unwrap();
     let _first_right = engine.run_batch(&spec, &right, 1).unwrap();
     assert_eq!((engine.cache().hits(), engine.cache().misses()), (0, 2));
+    let fresh = |req: &[QueryRequest]| {
+        let direct = Engine::new(GraphStore::from_graph(engine.snapshot().graph().clone()));
+        direct.run_batch(&spec, req, 1).unwrap().responses[0]
+            .result
+            .clone()
+    };
 
-    // Mutate the right triangle only: bumps shards 2 and 3.
+    // Rewire the right side only: a del + add pair in shards 2 and 3
+    // that keeps the edge count m at 6.
     assert!(engine.remove_edge(5, 7));
+    assert!(engine.insert_edge(4, 7));
 
     // The left answer survives as a byte-identical hit — the update
-    // never touched shards 0 or 1, the only ones its fingerprint pins.
+    // never touched shards 0 or 1, the only ones its fingerprint pins,
+    // and m, which density modularity divides by, did not move.
     let replay_left = engine.run_batch(&spec, &left, 1).unwrap();
     assert_eq!(
         (replay_left.cache_hits, replay_left.cache_misses),
         (1, 0),
-        "update in shard 2/3 must not evict a shard-0/1 answer"
+        "update in shard 2/3 that keeps m must not evict a shard-0/1 answer"
     );
     assert_eq!(
         response_json(&first_left.responses[0], None).render(),
         response_json(&replay_left.responses[0], None).render(),
         "cache hit must replay byte-identical JSON"
     );
+    assert_eq!(replay_left.responses[0].result, fresh(&left));
 
     // The right answer's shards moved: it recomputes honestly.
     let replay_right = engine.run_batch(&spec, &right, 1).unwrap();
     assert_eq!((replay_right.cache_hits, replay_right.cache_misses), (0, 1));
-    let direct = Engine::new(GraphStore::from_graph(engine.snapshot().graph().clone()));
-    let check = direct.run_batch(&spec, &right, 1).unwrap();
-    assert_eq!(replay_right.responses[0].result, check.responses[0].result);
+    assert_eq!(replay_right.responses[0].result, fresh(&right));
+
+    // An update in shards 2-3 that changes m (6 to 5) changes the left
+    // answer's density modularity: the left query must miss.
+    assert!(engine.remove_edge(4, 7));
+    let after_m = engine.run_batch(&spec, &left, 1).unwrap();
+    assert_eq!(
+        (after_m.cache_hits, after_m.cache_misses),
+        (0, 1),
+        "a change of m anywhere must evict the left answer"
+    );
+    assert_eq!(after_m.responses[0].result, fresh(&left));
+    assert_ne!(
+        after_m.responses[0].result, first_left.responses[0].result,
+        "the replay this test guards against would be stale"
+    );
 }
 
 #[test]

@@ -6,9 +6,9 @@
 //! follows) need a mutable representation: [`DynamicGraph`] keeps sorted
 //! adjacency vectors, supports edge insertion/removal in `O(deg)`, node
 //! growth in `O(1)`, and snapshots to CSR in `O(|V| + |E|)` for the
-//! search algorithms. A monotonically increasing [`version`] lets caches
-//! (e.g. `dmcs_core::dynamic::IncrementalSearch`) detect staleness
-//! exactly.
+//! search algorithms. A monotonically increasing [`version`] tells a
+//! reader exactly when the graph has moved since it last looked (the
+//! engine re-pins its sessions on it).
 //!
 //! The node-id space is additionally partitioned into `P` range
 //! **shards** (a fixed [`ShardLayout`], default [`DEFAULT_SHARD_COUNT`]),
@@ -17,8 +17,8 @@
 //! node. Shard counters are what make snapshot rebuilds *incremental*
 //! (clean shards' CSR segments are reused; see
 //! [`GraphStore`](crate::GraphStore)) and cache invalidation
-//! *shard-scoped* (a cached answer only dies when a shard its community
-//! touches moves).
+//! *shard-scoped* (a cached answer dies when a shard its component
+//! touches moves, or when the graph's edge count does).
 //!
 //! A dynamic graph is **weighted** when it carries a per-edge weight
 //! lane (see [`DynamicGraph::new_weighted`]); weighted mutators
@@ -445,34 +445,6 @@ impl DynamicGraph {
             None => g,
         }
     }
-
-    /// Nodes within `radius` hops of any node in `seeds` (BFS ball) —
-    /// the locality set used by localized re-search after an update.
-    pub fn ball(&self, seeds: &[NodeId], radius: u32) -> Vec<NodeId> {
-        let mut dist = vec![u32::MAX; self.n()];
-        let mut queue = std::collections::VecDeque::new();
-        for &s in seeds {
-            if (s as usize) < self.n() && dist[s as usize] == u32::MAX {
-                dist[s as usize] = 0;
-                queue.push_back(s);
-            }
-        }
-        let mut out = Vec::new();
-        while let Some(v) = queue.pop_front() {
-            out.push(v);
-            if dist[v as usize] == radius {
-                continue;
-            }
-            for &w in &self.adj[v as usize] {
-                if dist[w as usize] == u32::MAX {
-                    dist[w as usize] = dist[v as usize] + 1;
-                    queue.push_back(w);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -595,20 +567,6 @@ mod tests {
         for v in 0..4u32 {
             assert_eq!(s.neighbors(v), g.neighbors(v));
         }
-    }
-
-    #[test]
-    fn ball_is_the_bfs_ball() {
-        // Path 0-1-2-3-4-5.
-        let mut d = DynamicGraph::new(6);
-        for i in 0..5u32 {
-            d.insert_edge(i, i + 1);
-        }
-        assert_eq!(d.ball(&[0], 0), vec![0]);
-        assert_eq!(d.ball(&[0], 2), vec![0, 1, 2]);
-        assert_eq!(d.ball(&[2], 1), vec![1, 2, 3]);
-        assert_eq!(d.ball(&[0, 5], 1), vec![0, 1, 4, 5]);
-        assert_eq!(d.ball(&[], 3), Vec::<NodeId>::new());
     }
 
     #[test]

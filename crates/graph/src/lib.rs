@@ -10,10 +10,6 @@
 //!   `O(deg)` node removal, the workhorse of the top-down peeling framework.
 //! - [`traversal`] — BFS (single- and multi-source), connected components,
 //!   eccentricity and diameter.
-//! - [`dijkstra`] — weighted shortest paths (the paper's §5.5 complexity
-//!   analysis assumes Dijkstra; social graphs here are unweighted so BFS is
-//!   used in practice, but the weighted form backs the weighted
-//!   density-modularity definition).
 //! - [`articulation`] — iterative Hopcroft–Tarjan articulation points over a
 //!   view (NCA's removable-node test, §5.2.1).
 //! - [`cores`] — k-core peeling and core decomposition (kc / highcore
@@ -44,7 +40,6 @@ pub mod cliques;
 pub mod clustering;
 pub mod cores;
 pub mod diameter;
-pub mod dijkstra;
 pub mod dot;
 pub mod dynamic;
 pub mod eigen;

@@ -572,13 +572,6 @@ impl GraphStore {
     pub fn with_dynamic<R>(&self, f: impl FnOnce(&DynamicGraph) -> R) -> R {
         f(&self.read().dynamic)
     }
-
-    /// Nodes within `radius` hops of any node in `seeds` on the *live*
-    /// graph (see [`DynamicGraph::ball`]) — the locality set used by
-    /// localized re-search after an update.
-    pub fn ball(&self, seeds: &[NodeId], radius: u32) -> Vec<NodeId> {
-        self.read().dynamic.ball(seeds, radius)
-    }
 }
 
 /// Recompile the CSR from the live adjacency by copying it forward from
@@ -796,11 +789,9 @@ mod tests {
     }
 
     #[test]
-    fn ball_and_with_dynamic_see_the_live_graph() {
+    fn with_dynamic_and_has_edge_see_the_live_graph() {
         let store = GraphStore::from_graph(barbell());
-        assert_eq!(store.ball(&[0], 1), vec![0, 1, 2]);
         store.insert_edge(0, 5);
-        assert_eq!(store.ball(&[0], 1), vec![0, 1, 2, 5]);
         assert_eq!(store.with_dynamic(|d| d.degree(0)), 3);
         assert!(store.has_edge(0, 5));
     }

@@ -1,18 +1,28 @@
-//! Streaming community search: maintain a query's community while the
-//! network grows, with cached exact refresh, localized re-search, and a
-//! serving engine sharing the same versioned store.
+//! Streaming community search: keep answering a query while the network
+//! changes, through a serving engine whose shared result cache replays
+//! repeats until an update can change their answer.
 //!
 //! ```text
 //! cargo run --release --example streaming
 //! ```
 
-use dmcs::core::dynamic::IncrementalSearch;
-use dmcs::core::topk::{top_k_communities, TopKConfig};
-use dmcs::core::Fpa;
-use dmcs::engine::{AlgoSpec, Engine, QueryRequest};
+use dmcs::engine::{AlgoSpec, Engine, QueryRequest, QueryResponse, Session};
 use dmcs::graph::dynamic::DynamicGraph;
 use dmcs::graph::GraphStore;
-use std::sync::Arc;
+
+/// Answer a query for `author`, first re-pinning `session` to the current
+/// epoch when an update has moved the store version (what
+/// `dmcs --updates` does between script lines).
+fn ask(engine: &Engine, spec: &AlgoSpec, session: &mut Session, author: u32) -> QueryResponse {
+    if session.snapshot().version() != engine.version() {
+        *session = engine.session(spec).unwrap();
+    }
+    session.query(&QueryRequest::new(vec![author])).unwrap()
+}
+
+fn community(resp: &QueryResponse) -> &[u32] {
+    &resp.result.as_ref().unwrap().community
+}
 
 fn main() {
     // A collaboration network starts as two 4-cliques sharing author 0.
@@ -26,14 +36,16 @@ fn main() {
     }
     println!("day 0: {} authors, {} collaborations", g.n(), g.m());
 
-    // One versioned store of record; the tracker and the serving engine
-    // below share it.
-    let store = Arc::new(GraphStore::from_dynamic(g));
+    // One versioned store of record behind one serving engine; sessions
+    // pin its snapshots and share its result cache.
+    let engine = Engine::new(GraphStore::from_dynamic(g));
+    let spec = AlgoSpec::new("fpa");
+    let mut session = engine.session(&spec).unwrap();
 
     // Author 0 sits in two communities — top-k sees both.
-    let rounds = top_k_communities(&store.snapshot(), &[0], TopKConfig::default()).unwrap();
+    let top = session.top_k(&[0], 3);
     println!("top-k communities of author 0:");
-    for (i, r) in rounds.iter().enumerate() {
+    for (i, r) in top.rounds.unwrap().iter().enumerate() {
         println!(
             "  #{}: {:?} (DM {:.3})",
             i + 1,
@@ -42,61 +54,56 @@ fn main() {
         );
     }
 
-    // Pin the query and stream updates.
-    let mut inc = IncrementalSearch::new(Arc::clone(&store), vec![0], Fpa::default());
-    let day0 = inc.community().unwrap();
-    println!("\ntracked community: {:?}", day0.community);
+    let day0 = ask(&engine, &spec, &mut session, 0);
+    println!("\ncommunity of author 0: {:?}", community(&day0));
 
     // Day 1: five new authors join and densify the left group.
     for _ in 0..5 {
-        let v = inc.add_node();
+        let v = engine.add_node();
         for anchor in [1, 2, 3] {
-            inc.insert_edge(v, anchor);
+            engine.insert_edge(v, anchor);
         }
     }
-    let day1 = inc.community().unwrap();
+    let day1 = ask(&engine, &spec, &mut session, 0);
     println!(
-        "day 1 (+5 authors around the left group): community {:?}",
-        day1.community
+        "day 1 (+5 authors around the left group, version {}): community {:?}",
+        engine.version(),
+        community(&day1)
     );
 
-    // Day 2: repeated queries are free until the next mutation.
-    let _ = inc.community().unwrap();
-    let _ = inc.community().unwrap();
+    // Day 2: repeats are replayed from the cache until the next update.
+    let repeats = [
+        ask(&engine, &spec, &mut session, 0),
+        ask(&engine, &spec, &mut session, 0),
+    ];
     println!(
-        "day 2: {} recomputations after 4 queries (caching works)",
-        inc.recomputations
+        "day 2: 2 repeats, cached {:?}; engine cache {} hits, {} misses",
+        repeats.iter().map(|r| r.cached).collect::<Vec<_>>(),
+        engine.cache().hits(),
+        engine.cache().misses()
     );
 
     // Day 3: the collaborations bridging to the right group dissolve.
-    inc.remove_edge(0, 4);
-    inc.remove_edge(0, 5);
-    inc.remove_edge(0, 6);
-    let day3 = inc.community().unwrap();
+    for v in [4, 5, 6] {
+        engine.remove_edge(0, v);
+    }
+    let day3 = ask(&engine, &spec, &mut session, 0);
     println!(
-        "day 3 (right group detached): community {:?}, {} recomputations",
-        day3.community, inc.recomputations
+        "day 3 (right group detached, version {}): community {:?}, cached {}",
+        engine.version(),
+        community(&day3),
+        day3.cached
     );
 
-    // Localized refresh: only look 2 hops around the query.
-    let local = inc.search_local(2).unwrap();
-    println!(
-        "local refresh (radius 2): {:?} (DM {:.3})",
-        local.community, local.density_modularity
-    );
-
-    // Day 4: a serving engine over the SAME store — its snapshots track
-    // the tracker's mutations, and its version-keyed cache turns repeat
-    // traffic into hits until the next update.
-    let engine = Engine::new(Arc::clone(&store));
-    let spec = AlgoSpec::new("fpa");
+    // Day 4: batch traffic through the same engine — repeats inside and
+    // across batches are cache hits until the next update.
     let requests: Vec<QueryRequest> = [0u32, 4, 0, 4, 0]
         .iter()
         .map(|&v| QueryRequest::new(vec![v]))
         .collect();
     let report = engine.run_batch(&spec, &requests, 2).unwrap();
     println!(
-        "\nday 4, engine batch on the shared store (version {}): {} queries, {} unique, {} cache hits",
+        "\nday 4, engine batch (version {}): {} queries, {} unique, {} cache hits",
         engine.version(),
         report.responses.len(),
         report.unique_queries,
@@ -104,13 +111,13 @@ fn main() {
     );
     let report = engine.run_batch(&spec, &requests, 2).unwrap();
     println!(
-        "        repeat batch: {} cache hits, {} misses (all served from the version-keyed cache)",
+        "        repeat batch: {} cache hits, {} misses",
         report.cache_hits, report.cache_misses
     );
     engine.insert_edge(0, 4);
     let report = engine.run_batch(&spec, &requests, 2).unwrap();
     println!(
-        "        after one more update (version {}): {} hits, {} misses (cache invalidated by version)",
+        "        after one more update (version {}): {} hits, {} misses",
         engine.version(),
         report.cache_hits,
         report.cache_misses

@@ -21,6 +21,10 @@ unplanned batch, session memo on vs off) under
 fresh-bytemask validation BFS, skew-aware vs count-only planning)
 under `derived.mirror_and_skew`.
 
+Every file carries a `host` object saying where it was measured: the
+usable CPU count, the CPU model, `rustc -V` and the git commit (with a
+`-dirty` suffix when the working tree had uncommitted changes).
+
 Usage:
     python3 scripts/bench_to_json.py --out BENCH_7.json
     cargo bench -q -p dmcs-engine --bench bench_store | \
@@ -33,6 +37,7 @@ No dependencies beyond the standard library.
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -43,6 +48,35 @@ LINE = re.compile(
 )
 
 TO_SECONDS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
+
+
+def run_quiet(cmd):
+    try:
+        return subprocess.run(cmd, capture_output=True, text=True).stdout.strip()
+    except OSError:
+        return ""
+
+
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return None
+
+
+def host():
+    """The host stamp: where and from what source the figures came."""
+    commit = run_quiet(["git", "describe", "--always", "--dirty", "--abbrev=40"])
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "cpu_model": cpu_model(),
+        "rustc": run_quiet(["rustc", "-V"]) or None,
+        "commit": commit or None,
+    }
 
 
 def parse(lines):
@@ -212,6 +246,7 @@ def main():
         "package": args.package,
         "generated_by": "scripts/bench_to_json.py",
         "unit": "median_seconds are wall-clock seconds per iteration",
+        "host": host(),
         "results": results,
         "derived": {},
     }

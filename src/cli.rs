@@ -193,6 +193,7 @@ OPTIONS:
                       (default: 16): updates dirty only the shards they
                       touch, so snapshot rebuilds recompile dirty shards
                       and cached answers scoped to clean shards survive
+                      updates that leave the edge count unchanged
     --plan <mode>     query planner: auto (default; batches schedule
                       component-grouped with a per-worker component memo
                       when snapshot stats warrant it — grouping is
@@ -2141,6 +2142,60 @@ mod tests {
                 "no per-response cache marker in JSON"
             );
         }
+    }
+
+    #[test]
+    fn updates_cache_hit_after_an_update_elsewhere_equals_a_fresh_search() {
+        // Component A (nodes 0-8) and the path 100-…-113, whose ids sit in
+        // other shards. Densifying the path never touches A's shards but
+        // moves m from 28 to 83, and density modularity divides by m, so
+        // A's answer changes: the repeat must not replay the old one.
+        let dir = std::env::temp_dir().join("dmcs_cli_updates_elsewhere");
+        std::fs::create_dir_all(&dir).unwrap();
+        let component_a =
+            "0 1\n0 2\n0 3\n1 2\n1 5\n1 8\n2 3\n3 4\n3 7\n4 5\n5 6\n5 7\n6 7\n6 8\n7 8\n";
+        let path: String = (100..113).map(|i| format!("{i} {}\n", i + 1)).collect();
+        let added: Vec<(u32, u32)> = (102..=113)
+            .flat_map(|i| (i + 2..=113).map(move |j| (i, j)))
+            .collect();
+        assert_eq!(added.len(), 55);
+        let pairs: String = added.iter().map(|(u, v)| format!("{u} {v}\n")).collect();
+        let adds: String = added
+            .iter()
+            .map(|(u, v)| format!("add {u} {v}\n"))
+            .collect();
+        let write = |name: &str, text: String| {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            path.display().to_string()
+        };
+        let graph = write("r.txt", format!("{component_a}{path}"));
+        let script = write("ru.txt", format!("query 0\n{adds}query 0\n"));
+        let final_graph = write("final.txt", format!("{component_a}{path}{pairs}"));
+        let run_json = |flags: String| -> Vec<Json> {
+            let cfg = parse(&args(&flags)).unwrap().unwrap();
+            let mut out = Vec::new();
+            run(&cfg, &mut out).unwrap();
+            let text = String::from_utf8(out).unwrap();
+            text.lines().map(|l| Json::parse(l).unwrap()).collect()
+        };
+        // A response without its wall time, the one field a fresh run
+        // cannot reproduce.
+        let answer = |v: &Json| match v {
+            Json::Obj(members) => members
+                .iter()
+                .filter(|(k, _)| k != "seconds")
+                .cloned()
+                .collect::<Vec<_>>(),
+            other => panic!("not an object: {other:?}"),
+        };
+
+        let streamed = run_json(format!("--graph {graph} --updates {script} --format json"));
+        let fresh = run_json(format!("--graph {final_graph} --query 0 --format json"));
+        assert_eq!(streamed.len(), 3, "2 responses + summary");
+        assert_eq!(answer(&streamed[1]), answer(&fresh[0]));
+        assert_eq!(fresh[0].get("size").unwrap().as_u64(), Some(9));
+        assert_eq!(streamed[2].get("cache_hits").unwrap().as_u64(), Some(0));
     }
 
     #[test]

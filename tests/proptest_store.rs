@@ -12,11 +12,15 @@
 //! inserts / removals / `set_weight` through a weighted store and
 //! compares against a from-scratch [`WeightedGraphBuilder`] build,
 //! pinning down that weight-only updates bump the version exactly when
-//! the stored weight changes.
+//! the stored weight changes. Finally, an [`Engine`] over a sharded
+//! store answers random query / update / re-pin transcripts, and every
+//! response, cache hits included, must equal a cache-less search on the
+//! pinned edge set.
 
+use dmcs::engine::{AlgoSpec, Engine, QueryRequest, Session};
 use dmcs::graph::dynamic::DynamicGraph;
 use dmcs::graph::weighted::WeightedGraphBuilder;
-use dmcs::graph::{Graph, GraphBuilder, GraphStore, NodeId};
+use dmcs::graph::{Graph, GraphBuilder, GraphStore, NodeId, Snapshot};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -45,7 +49,7 @@ fn op_strategy(id_bound: u32) -> impl Strategy<Value = Op> {
 }
 
 /// Reference model: the node count plus the normalized edge set.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Model {
     n: usize,
     edges: BTreeSet<(NodeId, NodeId)>,
@@ -77,6 +81,33 @@ impl Model {
         let edges: Vec<(NodeId, NodeId)> = self.edges.iter().copied().collect();
         GraphBuilder::from_edges(self.n, &edges)
     }
+}
+
+/// One step of a serving transcript: a store mutation, a 1- or 2-node
+/// query on the pinned session, or a re-pin.
+#[derive(Debug, Clone)]
+enum Step {
+    Mutate(Op),
+    Query(Vec<NodeId>),
+    Repin,
+}
+
+fn step_strategy(id_bound: u32) -> impl Strategy<Value = Step> {
+    // kind 0-1 mutate (through `op_strategy`), 2-3 query, 4 re-pin; a
+    // second node drawn at or past `id_bound` (3 times in 4) makes a
+    // 1-node query, so repeats, and with them cache hits, are common.
+    (0u8..5).prop_flat_map(move |kind| {
+        op_strategy(id_bound).prop_flat_map(move |op| {
+            (0..id_bound).prop_flat_map(move |a| {
+                (0..4 * id_bound).prop_map(move |b| match kind {
+                    0..=1 => Step::Mutate(op),
+                    2..=3 if b < id_bound => Step::Query(vec![a, b]),
+                    2..=3 => Step::Query(vec![a]),
+                    _ => Step::Repin,
+                })
+            })
+        })
+    })
 }
 
 fn assert_same_graph(got: &Graph, want: &Graph) {
@@ -346,6 +377,59 @@ proptest! {
         // The global version is the total of effective ops; per-shard
         // versions decompose it minus the shared-shard edge ops.
         prop_assert!(want.iter().sum::<u64>() >= dynamic.version());
+    }
+
+    #[test]
+    fn cached_answers_equal_a_cacheless_search_on_the_pinned_graph(
+        steps in proptest::collection::vec(step_strategy(14), 0..60),
+    ) {
+        // Three components, each inside its own shard ({0..3} {4..7}
+        // {8..11}), so an update inside one component leaves the other
+        // components' shards — and their cached answers' fingerprints —
+        // untouched.
+        let base = [
+            (0, 1), (0, 2), (1, 2), (2, 3),
+            (4, 5), (5, 6), (6, 7), (4, 7), (4, 6),
+            (8, 9), (9, 10), (10, 11),
+        ];
+        let store = GraphStore::from_graph_sharded(GraphBuilder::from_edges(12, &base), 3);
+        let engine = Engine::new(store);
+        let spec = AlgoSpec::new("fpa");
+        let mut live = Model { n: 12, edges: base.iter().copied().collect() };
+        let mut pinned = live.clone();
+        let mut session = engine.session(&spec).unwrap();
+
+        for step in &steps {
+            match step {
+                Step::Mutate(op) => {
+                    let effective = live.apply(*op);
+                    let changed = match *op {
+                        Op::Insert(u, v) => engine.insert_edge(u, v),
+                        Op::Remove(u, v) => engine.remove_edge(u, v),
+                        Op::AddNode => { engine.add_node(); true }
+                    };
+                    prop_assert_eq!(changed, effective, "effectiveness of {:?}", op);
+                }
+                Step::Repin => {
+                    if session.snapshot().version() != engine.version() {
+                        session = engine.session(&spec).unwrap();
+                        pinned = live.clone();
+                    }
+                }
+                Step::Query(nodes) => {
+                    let req = QueryRequest::new(nodes.clone());
+                    let got = session.query(&req).unwrap();
+                    let reference = Session::new(Snapshot::freeze(pinned.build()), &spec)
+                        .unwrap()
+                        .query(&req)
+                        .unwrap();
+                    prop_assert_eq!(
+                        &got.result, &reference.result,
+                        "query {:?} (cached: {}) after {:?}", nodes, got.cached, steps
+                    );
+                }
+            }
+        }
     }
 
     #[test]
