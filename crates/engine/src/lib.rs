@@ -41,9 +41,10 @@
 //!   over the same pinned snapshot; in-batch dedup of identical
 //!   requests; deterministic (submission-order) responses and a
 //!   throughput/latency [`BatchReport`] with cache counters.
-//! - [`output`] — a hand-rolled [`Json`](output::Json) writer/parser
-//!   rendering responses and reports as JSON-lines (the CLI's
-//!   `--format json`).
+//! - [`output`] — [`LineWriter`](output::LineWriter), the one
+//!   JSON-lines writer behind every `--format json` line and every
+//!   daemon reply, and the hand-rolled [`Json`](output::Json) parser
+//!   and value type.
 //! - [`ops`] — the op layer every front end drives (`--queries`,
 //!   `--updates`, `dmcs serve`): the one original ↔ dense id map
 //!   ([`IdSpace`](ops::IdSpace)), query-id hygiene, the one update

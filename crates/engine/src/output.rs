@@ -1,10 +1,17 @@
 //! Structured (JSON) output for the serving API — hand-rolled, like the
 //! `vendor/` shims, because the workspace's dependency policy admits no
-//! serde. One [`Json`] value type with a writer and a strict parser: the
-//! writer renders [`QueryResponse`]s and [`BatchReport`]s as JSON-lines
-//! (one object per line, machine-consumable by the bench harness and
-//! `--format json` CLI users); the parser backs the round-trip property
-//! tests and the CI output validator.
+//! serde. Two halves:
+//!
+//! - [`LineWriter`], the one JSON-lines writer. Every line the program
+//!   emits — all `--format json` output and every `dmcs serve` reply —
+//!   is appended by it to a caller-owned `String`: literal keys, numbers
+//!   written in place, id lists mapped to original ids and sorted in the
+//!   writer's reused scratch vector. No value tree is built: a warm
+//!   writer and buffer allocate nothing for a successful `response`.
+//! - [`Json`], a value type with a strict parser. The daemon parses every
+//!   request line with it, and tests and the CI output validator read
+//!   output back through it. [`Json::render`] writes a value (tests build
+//!   reference trees with it to check the writer's bytes).
 //!
 //! ## JSON-lines schema
 //!
@@ -70,10 +77,12 @@
 //! Non-finite floats render as `null` (JSON has no NaN/Infinity).
 
 use crate::batch::BatchReport;
-use crate::request::QueryResponse;
+use crate::request::{QueryRequest, QueryResponse};
+use crate::session::TopKOutcome;
 use dmcs_core::{SearchError, SearchResult};
 use dmcs_graph::{NodeId, RebuildStats};
 use std::borrow::Cow;
+use std::fmt::Write as _;
 
 /// Revision of the JSON-lines wire schema. Bumped only on an
 /// incompatible change (a field rename, a meaning change); additive
@@ -85,20 +94,307 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// every object (`"dmcs/<crate version>"`).
 pub const SERVER_ID: &str = concat!("dmcs/", env!("CARGO_PKG_VERSION"));
 
-/// The two members every emitted object leads with, right after `type`.
-fn protocol_members() -> [(String, Json); 2] {
-    [
-        ("protocol_version".to_string(), Json::UInt(PROTOCOL_VERSION)),
-        ("server".to_string(), Json::str(SERVER_ID)),
-    ]
+/// The one JSON-lines writer: it appends each finished line, newline
+/// included, to a caller-owned `String`. The shape methods
+/// ([`response`](LineWriter::response), [`result`](LineWriter::result),
+/// [`topk`](LineWriter::topk), [`summary`](LineWriter::summary)) write
+/// the schema's objects; inside the crate, `object` opens any other
+/// typed object (the daemon's control and error replies). Keep one
+/// writer and one buffer per output stream: the scratch vector and the
+/// buffer's capacity carry over from line to line.
+#[derive(Debug, Default)]
+pub struct LineWriter {
+    /// One id list at a time, mapped to original ids and sorted.
+    ids: Vec<u64>,
 }
 
-/// An object of the given `type` with the protocol fields in place.
-pub(crate) fn typed_obj(ty: &str, members: Vec<(String, Json)>) -> Json {
-    let mut all = vec![("type".to_string(), Json::str(ty))];
-    all.extend(protocol_members());
-    all.extend(members);
-    Json::Obj(all)
+impl LineWriter {
+    /// A writer with an empty scratch vector.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Open an object of type `ty` in `out`, with the protocol members
+    /// (`protocol_version`, `server`) right after `type`. Members follow
+    /// through the returned [`Obj`]; [`Obj::end`] finishes the line.
+    pub(crate) fn object<'a>(&'a mut self, out: &'a mut String, ty: &str) -> Obj<'a> {
+        out.push_str("{\"type\":");
+        push_str_value(out, ty);
+        out.push_str(",\"protocol_version\":");
+        push_uint(out, PROTOCOL_VERSION);
+        out.push_str(",\"server\":");
+        push_str_value(out, SERVER_ID);
+        Obj {
+            out,
+            ids: &mut self.ids,
+        }
+    }
+
+    /// The `response` line of one [`QueryResponse`].
+    pub fn response(&mut self, out: &mut String, resp: &QueryResponse, original: Option<&[u64]>) {
+        let QueryResponse {
+            request,
+            algo,
+            result,
+            seconds,
+            ..
+        } = resp;
+        self.result(out, algo, request, result.as_ref(), *seconds, original);
+    }
+
+    /// A `response` line from its parts: the `tag` and query of
+    /// `request`, and a borrowed outcome (the CLI's top-k rounds).
+    pub fn result(
+        &mut self,
+        out: &mut String,
+        algo: &str,
+        request: &QueryRequest,
+        result: Result<&SearchResult, &SearchError>,
+        seconds: f64,
+        original: Option<&[u64]>,
+    ) {
+        let obj = self
+            .object(out, "response")
+            .str_or_null("tag", request.tag.as_deref())
+            .str("algo", algo)
+            .ids("query", &request.nodes, original);
+        match result {
+            Ok(r) => obj
+                .bool("ok", true)
+                .uint("size", r.community.len() as u64)
+                .num("dm", r.density_modularity)
+                .uint("iterations", r.iterations as u64)
+                .num("seconds", seconds)
+                .ids("community", &r.community, original),
+            Err(e) => obj
+                .bool("ok", false)
+                .str("error", &e.to_string())
+                .num("seconds", seconds),
+        }
+        .end();
+    }
+
+    /// One `topk` line: a top-`k` enumeration's rounds inlined as
+    /// `{size, dm, iterations, community}` objects.
+    pub fn topk(
+        &mut self,
+        out: &mut String,
+        outcome: &TopKOutcome,
+        k: usize,
+        tag: Option<&str>,
+        query: &[NodeId],
+        original: Option<&[u64]>,
+    ) {
+        let obj = self
+            .object(out, "topk")
+            .str_or_null("tag", tag)
+            .str("algo", outcome.algo)
+            .ids("query", query, original)
+            .uint("k", k as u64);
+        match &outcome.rounds {
+            Ok(rounds) => {
+                let mut obj = obj.bool("ok", true).num("seconds", outcome.seconds);
+                obj.key("rounds").push('[');
+                for (i, r) in rounds.iter().enumerate() {
+                    if i > 0 {
+                        obj.out.push(',');
+                    }
+                    obj.out.push_str("{\"size\":");
+                    push_uint(obj.out, r.community.len() as u64);
+                    obj.out.push_str(",\"dm\":");
+                    push_num(obj.out, r.density_modularity);
+                    obj.out.push_str(",\"iterations\":");
+                    push_uint(obj.out, r.iterations as u64);
+                    obj.out.push_str(",\"community\":");
+                    obj.id_list(&r.community, original);
+                    obj.out.push('}');
+                }
+                obj.out.push(']');
+                obj
+            }
+            Err(e) => obj
+                .bool("ok", false)
+                .str("error", &e.to_string())
+                .num("seconds", outcome.seconds),
+        }
+        .end();
+    }
+
+    /// The `summary` line of a [`BatchReport`] or a query stream (see
+    /// [`SummaryInput`]). `weighted` records whether it ran the weighted
+    /// objective.
+    pub fn summary<'i>(
+        &mut self,
+        out: &mut String,
+        algo: &str,
+        weighted: bool,
+        input: impl Into<SummaryInput<'i>>,
+    ) {
+        let SummaryInput {
+            report,
+            queries,
+            ok,
+            store,
+        } = input.into();
+        let obj = self
+            .object(out, "summary")
+            .str("algo", algo)
+            .bool("weighted", weighted)
+            .uint("queries", queries as u64)
+            .uint("ok", ok as u64)
+            .num("wall_seconds", report.wall_seconds)
+            .num("queries_per_sec", report.queries_per_sec)
+            .num("p50_seconds", report.p50_seconds)
+            .num("p95_seconds", report.p95_seconds)
+            .uint("unique", report.unique_queries as u64)
+            .uint("cache_hits", report.cache_hits as u64)
+            .uint("cache_misses", report.cache_misses as u64)
+            .uint("groups", report.groups as u64)
+            .uint("grouped_queries", report.grouped_queries as u64)
+            .uint("shared_bfs_reuses", report.shared_bfs_reuses)
+            .str("plan", report.plan)
+            .uint("mirror_served", report.mirror_served)
+            .num("skew", report.skew);
+        match store {
+            Some(rb) => obj
+                .uint("shards", rb.shards as u64)
+                .uint("rebuilds", rb.rebuilds)
+                .uint("shards_rebuilt", rb.shards_rebuilt)
+                .uint("shards_reused", rb.shards_reused),
+            None => obj,
+        }
+        .end();
+    }
+}
+
+/// An object a [`LineWriter`] is writing. Each member method appends
+/// `,"key":value` with `key` written as given (a literal that needs no
+/// escaping); [`Obj::end`] closes the object and its line.
+#[must_use = "the line is unfinished until `end` closes it"]
+pub(crate) struct Obj<'a> {
+    out: &'a mut String,
+    ids: &'a mut Vec<u64>,
+}
+
+impl Obj<'_> {
+    /// Write `,"key":` and hand back the buffer for the value.
+    fn key(&mut self, key: &'static str) -> &mut String {
+        self.out.push_str(",\"");
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        self.out
+    }
+
+    /// An unsigned integer member.
+    pub fn uint(mut self, key: &'static str, v: u64) -> Self {
+        push_uint(self.key(key), v);
+        self
+    }
+
+    /// A number member; a non-finite value writes `null`.
+    pub fn num(mut self, key: &'static str, x: f64) -> Self {
+        push_num(self.key(key), x);
+        self
+    }
+
+    /// A boolean member.
+    pub fn bool(mut self, key: &'static str, b: bool) -> Self {
+        self.key(key).push_str(if b { "true" } else { "false" });
+        self
+    }
+
+    /// A string member, escaped.
+    pub fn str(mut self, key: &'static str, s: &str) -> Self {
+        push_str_value(self.key(key), s);
+        self
+    }
+
+    /// A string member, or `null` when there is none.
+    pub fn str_or_null(mut self, key: &'static str, s: Option<&str>) -> Self {
+        match s {
+            Some(s) => push_str_value(self.key(key), s),
+            None => self.key(key).push_str("null"),
+        }
+        self
+    }
+
+    /// An id-list member: `nodes` mapped through `original` (dense ids
+    /// when `None`), sorted ascending.
+    pub fn ids(mut self, key: &'static str, nodes: &[NodeId], original: Option<&[u64]>) -> Self {
+        self.key(key);
+        self.id_list(nodes, original);
+        self
+    }
+
+    /// Write `nodes` as a sorted array of original ids, mapped and
+    /// sorted in the writer's scratch vector.
+    fn id_list(&mut self, nodes: &[NodeId], original: Option<&[u64]>) {
+        self.ids.clear();
+        match original {
+            Some(o) => self.ids.extend(nodes.iter().map(|&v| o[v as usize])),
+            None => self.ids.extend(nodes.iter().map(|&v| u64::from(v))),
+        }
+        self.ids.sort_unstable();
+        self.out.push('[');
+        for (i, &id) in self.ids.iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            push_uint(self.out, id);
+        }
+        self.out.push(']');
+    }
+
+    /// Close the object and end the line.
+    pub fn end(self) {
+        self.out.push_str("}\n");
+    }
+}
+
+fn push_uint(out: &mut String, v: u64) {
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{v}");
+}
+
+/// Rust's shortest round-trip float formatting; whole numbers render
+/// without a fraction ("5", not "5.0"). JSON has no NaN or infinity, so
+/// non-finite values write `null`.
+fn push_num(out: &mut String, x: f64) {
+    if x.is_finite() {
+        let _ = write!(out, "{x}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// `s` as a quoted JSON string, with quotes, backslashes and control
+/// characters escaped. Every byte that needs an escape is ASCII, so each
+/// run between two of them starts and ends on a char boundary and is
+/// copied whole.
+fn push_str_value(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match escape {
+            Some(e) => out.push_str(e),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// A JSON value. Object member order is preserved (the writer emits a
@@ -197,17 +493,9 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::UInt(v) => out.push_str(&format!("{v}")),
-            Json::Num(x) => {
-                if x.is_finite() {
-                    // Rust's shortest round-trip float formatting; whole
-                    // numbers render without a fraction ("5", not "5.0").
-                    out.push_str(&format!("{x}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(s, out),
+            Json::UInt(v) => push_uint(out, *v),
+            Json::Num(x) => push_num(out, *x),
+            Json::Str(s) => push_str_value(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -224,7 +512,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(k, out);
+                    push_str_value(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -247,22 +535,6 @@ impl Json {
         }
         Ok(value)
     }
-}
-
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// A parse failure: byte offset plus a short description.
@@ -425,18 +697,20 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     _ => return Err(JsonError::new(*pos, "unknown escape")),
                 }
             }
+            Some(&b) if b < 0x20 => {
+                return Err(JsonError::new(*pos, "raw control character in string"));
+            }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so slicing
-                // at char boundaries is safe via the chars iterator).
-                let rest = &bytes[*pos..];
-                let s =
-                    std::str::from_utf8(rest).map_err(|_| JsonError::new(*pos, "invalid UTF-8"))?;
-                let c = s.chars().next().expect("non-empty");
-                if (c as u32) < 0x20 {
-                    return Err(JsonError::new(*pos, "raw control character in string"));
+                // Copy the whole unescaped run at once: it ends before an
+                // ASCII byte (or at the end of the input), so it is whole
+                // UTF-8 and each byte is validated once.
+                let start = *pos;
+                while matches!(bytes.get(*pos), Some(&b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                    *pos += 1;
                 }
-                out.push(c);
-                *pos += c.len_utf8();
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| JsonError::new(start, "invalid UTF-8"))?;
+                out.push_str(run);
             }
         }
     }
@@ -486,7 +760,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             return Err(JsonError::new(*pos, "expected exponent digits"));
         }
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ASCII by construction");
+    let text = std::str::from_utf8(&bytes[start..*pos])
+        .map_err(|_| JsonError::new(start, "malformed number"))?;
     // Bare digit runs stay exact u64 integers (node ids above 2^53 must
     // not round-trip through f64); everything else is an f64.
     if !is_float && !text.starts_with('-') {
@@ -499,65 +774,27 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         .map_err(|_| JsonError::new(start, "malformed number"))
 }
 
-/// Map a dense node id to the original (file) id space, when a mapping
-/// is present.
-fn map_id(v: NodeId, original: Option<&[u64]>) -> u64 {
-    original.map_or(v as u64, |o| o[v as usize])
-}
+/// One finished line, as [`response_json`] and [`summary_json`] return
+/// it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JsonLine(String);
 
-fn id_array(nodes: &[NodeId], original: Option<&[u64]>) -> Json {
-    let mut ids: Vec<u64> = nodes.iter().map(|&v| map_id(v, original)).collect();
-    ids.sort_unstable();
-    Json::Arr(ids.into_iter().map(Json::UInt).collect())
-}
-
-/// One `response` object from its parts. The lower-level entry point
-/// for output that does not flow through a [`QueryResponse`] (the CLI's
-/// top-k rounds and weighted searches).
-pub fn result_json(
-    algo: &str,
-    tag: Option<&str>,
-    query: &[NodeId],
-    result: &Result<SearchResult, SearchError>,
-    seconds: f64,
-    original: Option<&[u64]>,
-) -> Json {
-    let mut members = vec![
-        (
-            "tag".to_string(),
-            tag.map_or(Json::Null, |t| Json::str(t.to_string())),
-        ),
-        ("algo".to_string(), Json::str(algo)),
-        ("query".to_string(), id_array(query, original)),
-    ];
-    match result {
-        Ok(r) => {
-            members.push(("ok".to_string(), Json::Bool(true)));
-            members.push(("size".to_string(), Json::UInt(r.community.len() as u64)));
-            members.push(("dm".to_string(), Json::Num(r.density_modularity)));
-            members.push(("iterations".to_string(), Json::UInt(r.iterations as u64)));
-            members.push(("seconds".to_string(), Json::Num(seconds)));
-            members.push(("community".to_string(), id_array(&r.community, original)));
-        }
-        Err(e) => {
-            members.push(("ok".to_string(), Json::Bool(false)));
-            members.push(("error".to_string(), Json::str(e.to_string())));
-            members.push(("seconds".to_string(), Json::Num(seconds)));
-        }
+impl JsonLine {
+    /// The line's text, without its newline.
+    pub fn render(self) -> String {
+        let mut text = self.0;
+        text.pop();
+        text
     }
-    typed_obj("response", members)
 }
 
-/// The `response` object for one [`QueryResponse`].
-pub fn response_json(resp: &QueryResponse, original: Option<&[u64]>) -> Json {
-    result_json(
-        resp.algo,
-        resp.request.tag.as_deref(),
-        &resp.request.nodes,
-        &resp.result,
-        resp.seconds,
-        original,
-    )
+/// The `response` line of one [`QueryResponse`], through a fresh
+/// [`LineWriter`]; a stream of lines should keep one writer and buffer
+/// instead.
+pub fn response_json(resp: &QueryResponse, original: Option<&[u64]>) -> JsonLine {
+    let mut out = String::new();
+    LineWriter::new().response(&mut out, resp, original);
+    JsonLine(out)
 }
 
 /// What a `summary` line describes: a [`BatchReport`] plus how many
@@ -591,64 +828,17 @@ impl<'a> From<&'a BatchReport> for SummaryInput<'a> {
     }
 }
 
-/// The `summary` object of a [`BatchReport`] (see [`SummaryInput`]).
-/// `weighted` records whether the batch ran the weighted objective.
-pub fn summary_json<'a>(algo: &str, weighted: bool, input: impl Into<SummaryInput<'a>>) -> Json {
-    let SummaryInput {
-        report,
-        queries,
-        ok,
-        store,
-    } = input.into();
-    let mut members = vec![
-        ("algo".to_string(), Json::str(algo)),
-        ("weighted".to_string(), Json::Bool(weighted)),
-        ("queries".to_string(), Json::UInt(queries as u64)),
-        ("ok".to_string(), Json::UInt(ok as u64)),
-        ("wall_seconds".to_string(), Json::Num(report.wall_seconds)),
-        (
-            "queries_per_sec".to_string(),
-            Json::Num(report.queries_per_sec),
-        ),
-        ("p50_seconds".to_string(), Json::Num(report.p50_seconds)),
-        ("p95_seconds".to_string(), Json::Num(report.p95_seconds)),
-        (
-            "unique".to_string(),
-            Json::UInt(report.unique_queries as u64),
-        ),
-        (
-            "cache_hits".to_string(),
-            Json::UInt(report.cache_hits as u64),
-        ),
-        (
-            "cache_misses".to_string(),
-            Json::UInt(report.cache_misses as u64),
-        ),
-        ("groups".to_string(), Json::UInt(report.groups as u64)),
-        (
-            "grouped_queries".to_string(),
-            Json::UInt(report.grouped_queries as u64),
-        ),
-        (
-            "shared_bfs_reuses".to_string(),
-            Json::UInt(report.shared_bfs_reuses),
-        ),
-        ("plan".to_string(), Json::str(report.plan)),
-        (
-            "mirror_served".to_string(),
-            Json::UInt(report.mirror_served),
-        ),
-        ("skew".to_string(), Json::Num(report.skew)),
-    ];
-    if let Some(rb) = store {
-        members.extend([
-            ("shards".to_string(), Json::UInt(rb.shards as u64)),
-            ("rebuilds".to_string(), Json::UInt(rb.rebuilds)),
-            ("shards_rebuilt".to_string(), Json::UInt(rb.shards_rebuilt)),
-            ("shards_reused".to_string(), Json::UInt(rb.shards_reused)),
-        ]);
-    }
-    typed_obj("summary", members)
+/// The `summary` line of a [`BatchReport`] or query stream (see
+/// [`SummaryInput`]), through a fresh [`LineWriter`]. `weighted` records
+/// whether it ran the weighted objective.
+pub fn summary_json<'a>(
+    algo: &str,
+    weighted: bool,
+    input: impl Into<SummaryInput<'a>>,
+) -> JsonLine {
+    let mut out = String::new();
+    LineWriter::new().summary(&mut out, algo, weighted, input);
+    JsonLine(out)
 }
 
 /// A whole [`BatchReport`] as JSON-lines: one `response` line per query
@@ -661,12 +851,11 @@ pub fn report_jsonl(
     original: Option<&[u64]>,
 ) -> String {
     let mut out = String::new();
+    let mut writer = LineWriter::new();
     for resp in &report.responses {
-        out.push_str(&response_json(resp, original).render());
-        out.push('\n');
+        writer.response(&mut out, resp, original);
     }
-    out.push_str(&summary_json(algo, weighted, report).render());
-    out.push('\n');
+    writer.summary(&mut out, algo, weighted, report);
     out
 }
 
@@ -682,6 +871,10 @@ mod tests {
             (Json::UInt(5), "5"),
             (Json::Num(-0.25), "-0.25"),
             (Json::str("a \"b\"\n\t\\"), "\"a \\\"b\\\"\\n\\t\\\\\""),
+            (
+                Json::str("c\r\u{1}\u{1f}\u{7f} é 社"),
+                "\"c\\r\\u0001\\u001f\u{7f} é 社\"",
+            ),
         ] {
             assert_eq!(v.render(), text);
             assert_eq!(Json::parse(text).unwrap(), v);
@@ -792,16 +985,21 @@ mod tests {
     }
 
     #[test]
-    fn result_json_maps_ids_and_reports_errors() {
+    fn writer_maps_ids_and_reports_errors() {
         let original = vec![100u64, 200, 300];
-        let ok = Ok(SearchResult {
+        let ok = SearchResult {
             community: vec![2, 0],
             density_modularity: 0.5,
             removal_order: vec![],
             iterations: 3,
-        });
-        let line = result_json("FPA", Some("t"), &[0], &ok, 0.25, Some(&original)).render();
-        let v = Json::parse(&line).unwrap();
+        };
+        let mut writer = LineWriter::new();
+        let mut out = String::new();
+        let request = QueryRequest::new(vec![0]).with_tag("t");
+        writer.result(&mut out, "FPA", &request, Ok(&ok), 0.25, Some(&original));
+        assert_eq!(out.matches('\n').count(), 1);
+        assert!(out.ends_with('\n'));
+        let v = Json::parse(out.trim_end()).unwrap();
         assert_eq!(v.get("type").unwrap().as_str(), Some("response"));
         assert_eq!(
             v.get("protocol_version").unwrap().as_u64(),
@@ -822,12 +1020,47 @@ mod tests {
             .collect();
         assert_eq!(comm, vec![100.0, 300.0], "mapped and sorted");
 
-        let err = Err(SearchError::EmptyQuery);
-        let line = result_json("FPA", None, &[], &err, 0.0, None).render();
-        let v = Json::parse(&line).unwrap();
+        // The next line appends to the same buffer.
+        let err = SearchError::EmptyQuery;
+        let before = out.len();
+        writer.result(
+            &mut out,
+            "FPA",
+            &QueryRequest::new(vec![]),
+            Err(&err),
+            0.0,
+            None,
+        );
+        let v = Json::parse(out[before..].trim_end()).unwrap();
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(false));
         assert_eq!(v.get("error").unwrap().as_str(), Some("query set is empty"));
         assert_eq!(v.get("tag").unwrap(), &Json::Null);
         assert!(v.get("community").is_none());
+        assert_eq!(v.get("query").unwrap(), &Json::Arr(vec![]));
+    }
+
+    #[test]
+    fn parsing_a_long_string_is_linear() {
+        // A request line holding a 1 MiB tag (mixed ASCII, two- and
+        // three-byte characters, and escapes) parses well within the
+        // bound. A parser that re-validates the rest of the line at every
+        // character is quadratic: 19 s for 256 KiB of such text (release
+        // build, 2-vCPU VM).
+        let unit = "abcdefgh é 社 \\\" ";
+        let tag: String = unit.repeat((1 << 20) / unit.len() + 1);
+        let line = format!("{{\"op\":\"query\",\"nodes\":[0],\"tag\":\"{tag}\"}}");
+        assert!(line.len() > 1 << 20);
+        let start = std::time::Instant::now();
+        let v = Json::parse(&line).unwrap();
+        let took = start.elapsed();
+        assert!(took.as_secs_f64() < 3.0, "1 MiB string took {took:?}");
+        let parsed = v.get("tag").unwrap().as_str().unwrap();
+        assert_eq!(parsed, tag.replace("\\\"", "\""));
+        // Errors keep their offsets: a raw control byte inside a run.
+        let err = Json::parse("\"ab\u{1}c\"").unwrap_err();
+        assert_eq!(
+            (err.offset, err.msg.as_str()),
+            (3, "raw control character in string")
+        );
     }
 }

@@ -11,9 +11,12 @@
 //! [`GraphStore`](dmcs_graph::GraphStore) and shard-scoped result
 //! cache, so one client's computation is every client's cache hit.
 //!
-//! This module keeps framing, admission and reply rendering. Mapping
-//! ids, applying updates and tallying a connection's `summary` are the
-//! [`ops`](crate::ops) layer's jobs, shared with the CLI.
+//! This module keeps framing, admission and the members of the control
+//! replies. Every reply line is written by the one JSON-lines writer,
+//! [`LineWriter`], into a reply buffer the connection keeps, and leaves
+//! with a single `write_all`. Mapping ids, applying updates and tallying
+//! a connection's `summary` are the [`ops`](crate::ops) layer's jobs,
+//! shared with the CLI.
 //!
 //! ## Wire protocol (protocol_version 1)
 //!
@@ -69,7 +72,7 @@
 
 use crate::error::EngineError;
 use crate::ops::{check_distinct, Action, IdSpace, Mutation, StreamTally};
-use crate::output::{response_json, summary_json, typed_obj, Json};
+use crate::output::{Json, LineWriter};
 use crate::plan::{PlanMode, QueryPlan};
 use crate::registry::AlgoSpec;
 use crate::request::QueryRequest;
@@ -410,6 +413,24 @@ struct ConnState {
     line_no: usize,
     /// The single queries served, for the closing `summary` line.
     tally: StreamTally,
+    /// The reply being written: [`send`] ships it with one `write_all`
+    /// and clears it, keeping its capacity for the next reply.
+    reply: String,
+    /// Writes every reply line into `reply`.
+    json: LineWriter,
+}
+
+impl ConnState {
+    /// A wire `error` line for `err`, tagged with the request's line
+    /// number and the error's exit-code analog.
+    fn error_line(&mut self, err: &EngineError) {
+        self.json
+            .object(&mut self.reply, "error")
+            .uint("line", self.line_no as u64)
+            .uint("code", err.exit_code() as u64)
+            .str("error", &err.to_string())
+            .end();
+    }
 }
 
 /// Serve one connection: newline-framed requests in, JSON-lines out,
@@ -426,6 +447,8 @@ fn serve_conn<S: Read + Write>(shared: &Shared, mut stream: S) {
     let mut conn = ConnState {
         line_no: 0,
         tally: StreamTally::start(),
+        reply: String::new(),
+        json: LineWriter::new(),
     };
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
@@ -438,36 +461,36 @@ fn serve_conn<S: Read + Write>(shared: &Shared, mut stream: S) {
         while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
             let line: Vec<u8> = buf.drain(..=pos).collect();
             conn.line_no += 1;
-            if line.len() - 1 > shared.max_line_bytes {
+            let flow = if line.len() - 1 > shared.max_line_bytes {
                 // A complete-but-oversized line (it can arrive whole when
                 // the peer writes fast): same typed reply as the
                 // streaming case below, no resync needed.
-                let e = EngineError::bad_request(
+                conn.error_line(&EngineError::bad_request(
                     conn.line_no,
                     format!("request line exceeds {} bytes", shared.max_line_bytes),
-                );
-                if write_reply(&mut stream, &error_json(conn.line_no, &e)).is_err() {
-                    return;
-                }
-                continue;
+                ));
+                Flow::Continue
+            } else {
+                let text = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
+                process_line(shared, &mut session, &mut conn, text.trim())
+            };
+            if send(&mut stream, &mut conn.reply).is_err() {
+                return; // peer gone mid-write: nothing to flush
             }
-            let text = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
-            match process_line(shared, &mut session, &mut conn, &mut stream, text.trim()) {
-                Ok(Flow::Continue) => {}
-                Ok(Flow::Close) => break 'conn,
-                Err(_) => return, // peer gone mid-write: nothing to flush
+            if let Flow::Close = flow {
+                break 'conn;
             }
         }
         if !discarding && buf.len() > shared.max_line_bytes {
             conn.line_no += 1; // the dropped line keeps its sequence slot
-            let e = EngineError::bad_request(
+            conn.error_line(&EngineError::bad_request(
                 conn.line_no,
                 format!(
                     "request line exceeds {} bytes; discarding to the next newline",
                     shared.max_line_bytes
                 ),
-            );
-            if write_reply(&mut stream, &error_json(conn.line_no, &e)).is_err() {
+            ));
+            if send(&mut stream, &mut conn.reply).is_err() {
                 return;
             }
             buf.clear();
@@ -480,11 +503,11 @@ fn serve_conn<S: Read + Write>(shared: &Shared, mut stream: S) {
                     // reply instead of silence (best effort — the write
                     // side may already be gone too).
                     conn.line_no += 1;
-                    let e = EngineError::bad_request(
+                    conn.error_line(&EngineError::bad_request(
                         conn.line_no,
                         "connection closed mid-request (torn line, no trailing newline)",
-                    );
-                    let _ = write_reply(&mut stream, &error_json(conn.line_no, &e));
+                    ));
+                    let _ = send(&mut stream, &mut conn.reply);
                 }
                 break;
             }
@@ -519,232 +542,152 @@ fn serve_conn<S: Read + Write>(shared: &Shared, mut stream: S) {
     // for the snapshot the connection ended on, as `stats` does.
     let plan = QueryPlan::choose(PlanMode::Auto, session.snapshot());
     let input = conn.tally.finish(Some(&session), &plan);
-    let summary = summary_json(shared.algo_name, shared.spec.serves_weighted(), input);
-    let _ = write_reply(&mut stream, &summary);
+    let weighted = shared.spec.serves_weighted();
+    conn.json
+        .summary(&mut conn.reply, shared.algo_name, weighted, input);
+    let _ = send(&mut stream, &mut conn.reply);
 }
 
-fn write_reply<W: Write>(out: &mut W, reply: &Json) -> std::io::Result<()> {
-    let mut line = reply.render();
-    line.push('\n');
-    out.write_all(line.as_bytes())?;
-    out.flush()
-}
-
-/// A wire `error` line for `err`, tagged with the request's line number
-/// and the error's exit-code analog.
-fn error_json(line_no: usize, err: &EngineError) -> Json {
-    typed_obj(
-        "error",
-        vec![
-            ("line".to_string(), Json::UInt(line_no as u64)),
-            ("code".to_string(), Json::UInt(err.exit_code() as u64)),
-            ("error".to_string(), Json::str(err.to_string())),
-        ],
-    )
+/// Send the reply written into `reply` (nothing, for an ignored empty
+/// line) with one `write_all`, then clear the buffer for the next one.
+fn send<W: Write>(out: &mut W, reply: &mut String) -> std::io::Result<()> {
+    if reply.is_empty() {
+        return Ok(());
+    }
+    let sent = out.write_all(reply.as_bytes()).and_then(|()| out.flush());
+    reply.clear();
+    sent
 }
 
 /// Parse and execute one request line, writing exactly one reply line
-/// (empty input lines are ignored). `Err` means the peer is gone.
-fn process_line<S: Write>(
-    shared: &Shared,
-    session: &mut Session,
-    conn: &mut ConnState,
-    stream: &mut S,
-    text: &str,
-) -> std::io::Result<Flow> {
+/// into `conn.reply` (empty input lines are ignored).
+fn process_line(shared: &Shared, session: &mut Session, conn: &mut ConnState, text: &str) -> Flow {
     if text.is_empty() {
-        return Ok(Flow::Continue);
+        return Flow::Continue;
     }
     let line_no = conn.line_no;
     let bad = |reason: String| EngineError::bad_request(line_no, reason);
     let parsed = match Json::parse(text) {
         Ok(v @ Json::Obj(_)) => v,
         Ok(_) => {
-            write_reply(
-                stream,
-                &error_json(line_no, &bad("not a JSON object".into())),
-            )?;
-            return Ok(Flow::Continue);
+            conn.error_line(&bad("not a JSON object".into()));
+            return Flow::Continue;
         }
         Err(e) => {
-            write_reply(
-                stream,
-                &error_json(line_no, &bad(format!("not valid JSON: {e}"))),
-            )?;
-            return Ok(Flow::Continue);
+            conn.error_line(&bad(format!("not valid JSON: {e}")));
+            return Flow::Continue;
         }
     };
     let Some(op) = parsed.get("op").and_then(Json::as_str) else {
-        write_reply(
-            stream,
-            &error_json(line_no, &bad("missing \"op\" member (string)".into())),
-        )?;
-        return Ok(Flow::Continue);
+        conn.error_line(&bad("missing \"op\" member (string)".into()));
+        return Flow::Continue;
     };
     match op {
-        "query" => {
-            let reply = op_query(shared, session, conn, &parsed, line_no);
-            write_reply(stream, &reply)?;
-            Ok(Flow::Continue)
-        }
-        "update" => {
-            let reply = op_update(shared, &parsed, line_no);
-            write_reply(stream, &reply)?;
-            Ok(Flow::Continue)
-        }
-        "repin" => {
-            let reply = match shared.engine.session(&shared.spec) {
-                Ok(fresh) => {
-                    conn.tally.repin(session);
-                    *session = fresh;
-                    let snap = session.snapshot();
-                    typed_obj(
-                        "repin",
-                        vec![
-                            ("version".to_string(), Json::UInt(snap.version())),
-                            ("nodes".to_string(), Json::UInt(snap.n() as u64)),
-                            ("edges".to_string(), Json::UInt(snap.m() as u64)),
-                        ],
-                    )
-                }
-                Err(e) => error_json(line_no, &e),
-            };
-            write_reply(stream, &reply)?;
-            Ok(Flow::Continue)
-        }
-        "stats" => {
-            let snap_version = shared.engine.version();
-            let store = shared.engine.store();
-            let cache = shared.engine.cache();
-            let rb = store.rebuild_stats();
-            let plan = QueryPlan::choose(PlanMode::Auto, session.snapshot());
-            let reply = typed_obj(
-                "stats",
-                vec![
-                    ("algo".to_string(), Json::str(shared.algo_name)),
-                    (
-                        "weighted".to_string(),
-                        Json::Bool(shared.spec.serves_weighted()),
-                    ),
-                    ("version".to_string(), Json::UInt(snap_version)),
-                    ("nodes".to_string(), Json::UInt(store.n() as u64)),
-                    ("edges".to_string(), Json::UInt(store.m() as u64)),
-                    (
-                        "pinned_version".to_string(),
-                        Json::UInt(session.snapshot().version()),
-                    ),
-                    // What the auto planner chooses for the pinned
-                    // snapshot (the daemon serves single queries, so
-                    // this reports strategy, it never alters results),
-                    // plus its skew statistic and how many of this
-                    // connection's queries ran on the compute mirror.
-                    ("plan".to_string(), Json::str(plan.label)),
-                    (
-                        "mirror_served".to_string(),
-                        Json::UInt(conn.tally.mirror_served(session)),
-                    ),
-                    ("skew".to_string(), Json::Num(plan.skew)),
-                    ("cache_hits".to_string(), Json::UInt(cache.hits())),
-                    ("cache_misses".to_string(), Json::UInt(cache.misses())),
-                    ("shards".to_string(), Json::UInt(store.shard_count() as u64)),
-                    (
-                        "dirty_shards".to_string(),
-                        Json::UInt(store.dirty_shards() as u64),
-                    ),
-                    ("rebuilds".to_string(), Json::UInt(rb.rebuilds)),
-                    ("shards_rebuilt".to_string(), Json::UInt(rb.shards_rebuilt)),
-                    (
-                        "last_dirty_shards".to_string(),
-                        Json::UInt(rb.last_dirty_shards as u64),
-                    ),
-                    (
-                        "last_rebuild_seconds".to_string(),
-                        Json::Num(rb.last_rebuild_seconds),
-                    ),
-                    (
-                        "in_flight".to_string(),
-                        Json::UInt(shared.in_flight.load(Ordering::SeqCst) as u64),
-                    ),
-                    ("queue_cap".to_string(), Json::UInt(shared.queue_cap as u64)),
-                    (
-                        "connections".to_string(),
-                        Json::UInt(shared.connections.load(Ordering::SeqCst)),
-                    ),
-                    (
-                        "served".to_string(),
-                        Json::UInt(shared.served.load(Ordering::SeqCst)),
-                    ),
-                    ("draining".to_string(), Json::Bool(shared.draining())),
-                ],
-            );
-            write_reply(stream, &reply)?;
-            Ok(Flow::Continue)
-        }
+        "query" => op_query(shared, session, conn, &parsed),
+        "update" => op_update(shared, conn, &parsed),
+        "repin" => match shared.engine.session(&shared.spec) {
+            Ok(fresh) => {
+                conn.tally.repin(session);
+                *session = fresh;
+                let snap = session.snapshot();
+                conn.json
+                    .object(&mut conn.reply, "repin")
+                    .uint("version", snap.version())
+                    .uint("nodes", snap.n() as u64)
+                    .uint("edges", snap.m() as u64)
+                    .end();
+            }
+            Err(e) => conn.error_line(&e),
+        },
+        "stats" => op_stats(shared, session, conn),
         "shutdown" => {
             shared.drain.store(true, Ordering::SeqCst);
-            let reply = typed_obj("shutdown", vec![("draining".to_string(), Json::Bool(true))]);
-            write_reply(stream, &reply)?;
-            Ok(Flow::Close)
+            conn.json
+                .object(&mut conn.reply, "shutdown")
+                .bool("draining", true)
+                .end();
+            return Flow::Close;
         }
-        other => {
-            write_reply(
-                stream,
-                &error_json(
-                    line_no,
-                    &bad(format!(
-                        "unknown op {other:?} (expected query, update, repin, stats or shutdown)"
-                    )),
-                ),
-            )?;
-            Ok(Flow::Continue)
-        }
+        other => conn.error_line(&bad(format!(
+            "unknown op {other:?} (expected query, update, repin, stats or shutdown)"
+        ))),
     }
+    Flow::Continue
+}
+
+/// The `stats` reply: store, cache, planner and admission counters.
+fn op_stats(shared: &Shared, session: &Session, conn: &mut ConnState) {
+    let store = shared.engine.store();
+    let cache = shared.engine.cache();
+    let rb = store.rebuild_stats();
+    let plan = QueryPlan::choose(PlanMode::Auto, session.snapshot());
+    conn.json
+        .object(&mut conn.reply, "stats")
+        .str("algo", shared.algo_name)
+        .bool("weighted", shared.spec.serves_weighted())
+        .uint("version", shared.engine.version())
+        .uint("nodes", store.n() as u64)
+        .uint("edges", store.m() as u64)
+        .uint("pinned_version", session.snapshot().version())
+        // What the auto planner chooses for the pinned snapshot (the
+        // daemon serves single queries, so this reports strategy, it
+        // never alters results), plus its skew statistic and how many
+        // of this connection's queries ran on the compute mirror.
+        .str("plan", plan.label)
+        .uint("mirror_served", conn.tally.mirror_served(session))
+        .num("skew", plan.skew)
+        .uint("cache_hits", cache.hits())
+        .uint("cache_misses", cache.misses())
+        .uint("shards", store.shard_count() as u64)
+        .uint("dirty_shards", store.dirty_shards() as u64)
+        .uint("rebuilds", rb.rebuilds)
+        .uint("shards_rebuilt", rb.shards_rebuilt)
+        .uint("last_dirty_shards", rb.last_dirty_shards as u64)
+        .num("last_rebuild_seconds", rb.last_rebuild_seconds)
+        .uint("in_flight", shared.in_flight.load(Ordering::SeqCst) as u64)
+        .uint("queue_cap", shared.queue_cap as u64)
+        .uint("connections", shared.connections.load(Ordering::SeqCst))
+        .uint("served", shared.served.load(Ordering::SeqCst))
+        .bool("draining", shared.draining())
+        .end();
 }
 
 /// `{"op":"query","nodes":[...],"tag":...,"k":...}` — a single
 /// community (the typed [`Session::query`] path, rendered exactly like
 /// `--format json`) or, with `k` > 0, a top-k enumeration as one `topk`
 /// line.
-fn op_query(
-    shared: &Shared,
-    session: &mut Session,
-    conn: &mut ConnState,
-    req: &Json,
-    line_no: usize,
-) -> Json {
+fn op_query(shared: &Shared, session: &mut Session, conn: &mut ConnState, req: &Json) {
+    let line_no = conn.line_no;
     let Some(raw_nodes) = req.get("nodes").and_then(Json::as_arr) else {
-        return error_json(
+        return conn.error_line(&EngineError::bad_request(
             line_no,
-            &EngineError::bad_request(line_no, "query needs a \"nodes\" array of node ids"),
-        );
+            "query needs a \"nodes\" array of node ids",
+        ));
     };
     let mut nodes_raw = Vec::with_capacity(raw_nodes.len());
     for v in raw_nodes {
         match v.as_u64() {
             Some(id) => nodes_raw.push(id),
             None => {
-                return error_json(
+                return conn.error_line(&EngineError::bad_request(
                     line_no,
-                    &EngineError::bad_request(
-                        line_no,
-                        format!("bad node id {} (unsigned integers only)", v.render()),
-                    ),
-                )
+                    format!("bad node id {} (unsigned integers only)", v.render()),
+                ))
             }
         }
     }
     if let Err(reason) = check_distinct(&nodes_raw) {
-        return error_json(line_no, &EngineError::bad_request(line_no, reason));
+        return conn.error_line(&EngineError::bad_request(line_no, reason));
     }
     let k = match req.get("k") {
         None => 0,
         Some(v) => match v.as_u64() {
             Some(k) => k as usize,
             None => {
-                return error_json(
+                return conn.error_line(&EngineError::bad_request(
                     line_no,
-                    &EngineError::bad_request(line_no, "\"k\" must be an unsigned integer"),
-                )
+                    "\"k\" must be an unsigned integer",
+                ))
             }
         },
     };
@@ -752,11 +695,10 @@ fn op_query(
 
     if !shared.admit() {
         let e = EngineError::overloaded(shared.in_flight.load(Ordering::SeqCst), shared.queue_cap);
-        return error_json(line_no, &e);
+        return conn.error_line(&e);
     }
-    let reply = serve_admitted_query(shared, session, conn, &nodes_raw, k, tag, line_no);
+    serve_admitted_query(shared, session, conn, &nodes_raw, k, tag);
     shared.release();
-    reply
 }
 
 /// The admitted body of a `query` op (the caller pairs admit/release).
@@ -767,19 +709,21 @@ fn serve_admitted_query(
     nodes_raw: &[u64],
     k: usize,
     tag: Option<String>,
-    line_no: usize,
-) -> Json {
+) {
     let dense = match shared.ids.map_query(nodes_raw) {
         Ok(d) => d,
-        Err(e) => return error_json(line_no, &e),
+        Err(e) => return conn.error_line(&e),
     };
 
     if k > 0 {
         let outcome = session.top_k(&dense, k);
         shared.served.fetch_add(1, Ordering::SeqCst);
-        return shared
-            .ids
-            .with_original(|original| topk_json(&outcome, k, tag.as_deref(), nodes_raw, original));
+        // `dense` maps back to exactly `nodes_raw`.
+        return shared.ids.with_original(|original| {
+            let tag = tag.as_deref();
+            conn.json
+                .topk(&mut conn.reply, &outcome, k, tag, &dense, Some(original))
+        });
     }
 
     let mut request = QueryRequest::new(dense);
@@ -790,105 +734,53 @@ fn serve_admitted_query(
         Ok(resp) => {
             shared.served.fetch_add(1, Ordering::SeqCst);
             conn.tally.record(&resp);
-            shared
-                .ids
-                .with_original(|original| response_json(&resp, Some(original)))
+            shared.ids.with_original(|original| {
+                conn.json.response(&mut conn.reply, &resp, Some(original))
+            })
         }
         // Unreachable (`Session::query` answers every request), but keep
         // the taxonomy honest rather than panicking a connection thread.
-        Err(e) => error_json(line_no, &e),
+        Err(e) => conn.error_line(&e),
     }
-}
-
-/// One `topk` reply line: the enumeration's rounds inlined, communities
-/// in original ids.
-fn topk_json(
-    outcome: &crate::session::TopKOutcome,
-    k: usize,
-    tag: Option<&str>,
-    query_raw: &[u64],
-    original: &[u64],
-) -> Json {
-    let mut query: Vec<u64> = query_raw.to_vec();
-    query.sort_unstable();
-    let mut members = vec![
-        ("tag".to_string(), tag.map_or(Json::Null, Json::str)),
-        ("algo".to_string(), Json::str(outcome.algo)),
-        (
-            "query".to_string(),
-            Json::Arr(query.into_iter().map(Json::UInt).collect()),
-        ),
-        ("k".to_string(), Json::UInt(k as u64)),
-    ];
-    match &outcome.rounds {
-        Ok(rounds) => {
-            members.push(("ok".to_string(), Json::Bool(true)));
-            members.push(("seconds".to_string(), Json::Num(outcome.seconds)));
-            let rounds_json: Vec<Json> = rounds
-                .iter()
-                .map(|r| {
-                    let mut community: Vec<u64> =
-                        r.community.iter().map(|&v| original[v as usize]).collect();
-                    community.sort_unstable();
-                    Json::Obj(vec![
-                        ("size".to_string(), Json::UInt(r.community.len() as u64)),
-                        ("dm".to_string(), Json::Num(r.density_modularity)),
-                        ("iterations".to_string(), Json::UInt(r.iterations as u64)),
-                        (
-                            "community".to_string(),
-                            Json::Arr(community.into_iter().map(Json::UInt).collect()),
-                        ),
-                    ])
-                })
-                .collect();
-            members.push(("rounds".to_string(), Json::Arr(rounds_json)));
-        }
-        Err(e) => {
-            members.push(("ok".to_string(), Json::Bool(false)));
-            members.push(("error".to_string(), Json::str(e.to_string())));
-            members.push(("seconds".to_string(), Json::Num(outcome.seconds)));
-        }
-    }
-    typed_obj("topk", members)
 }
 
 /// `{"op":"update","action":"add|del|setw","u":..,"v":..,"w":..}` —
 /// the [`Mutation`] a `--updates` script line would apply, with the
 /// same rules and error texts, applied to the live store. Sessions keep
 /// serving their pinned snapshot until the client sends `repin`.
-fn op_update(shared: &Shared, req: &Json, line_no: usize) -> Json {
+fn op_update(shared: &Shared, conn: &mut ConnState, req: &Json) {
+    let line_no = conn.line_no;
     let mutation = match wire_mutation(req, line_no) {
         Ok(m) => m,
-        Err(e) => return error_json(line_no, &e),
+        Err(e) => return conn.error_line(&e),
     };
     if !shared.admit() {
         let e = EngineError::overloaded(shared.in_flight.load(Ordering::SeqCst), shared.queue_cap);
-        return error_json(line_no, &e);
+        return conn.error_line(&e);
     }
-    let reply = match mutation.apply(&shared.engine, &shared.ids, line_no) {
+    match mutation.apply(&shared.engine, &shared.ids, line_no) {
         Ok(previous) => {
             shared.served.fetch_add(1, Ordering::SeqCst);
             let engine = &shared.engine;
             let (u, v) = mutation.endpoints();
-            let mut members = vec![
-                ("action".to_string(), Json::str(mutation.action().name())),
-                ("u".to_string(), Json::UInt(u)),
-                ("v".to_string(), Json::UInt(v)),
-            ];
-            if let Some(old) = previous {
-                members.push(("previous".to_string(), Json::Num(old)));
+            let obj = conn
+                .json
+                .object(&mut conn.reply, "update")
+                .str("action", mutation.action().name())
+                .uint("u", u)
+                .uint("v", v);
+            match previous {
+                Some(old) => obj.num("previous", old),
+                None => obj,
             }
-            members.extend([
-                ("version".to_string(), Json::UInt(engine.version())),
-                ("nodes".to_string(), Json::UInt(engine.store().n() as u64)),
-                ("edges".to_string(), Json::UInt(engine.store().m() as u64)),
-            ]);
-            typed_obj("update", members)
+            .uint("version", engine.version())
+            .uint("nodes", engine.store().n() as u64)
+            .uint("edges", engine.store().m() as u64)
+            .end();
         }
-        Err(e) => error_json(line_no, &e),
-    };
+        Err(e) => conn.error_line(&e),
+    }
     shared.release();
-    reply
 }
 
 /// The wire shape of an `update` request: a missing or non-integer
@@ -1137,7 +1029,8 @@ mod tests {
         assert_eq!(hits, 1);
         let n = responses.len();
         let report = BatchReport::from_responses(responses, 1.0, n, hits, n - hits);
-        let expected = summary_json("FPA", false, &report);
+        let expected = crate::output::summary_json("FPA", false, &report).render();
+        let expected = Json::parse(&expected).unwrap();
         for key in [
             "queries",
             "ok",
@@ -1322,6 +1215,134 @@ mod tests {
             .unwrap()
             .contains("torn line"));
         assert_eq!(replies[3].get("type").unwrap().as_str(), Some("summary"));
+    }
+
+    /// Every timing member (`seconds`, `*_seconds`, `queries_per_sec`)
+    /// with its value replaced by `0`; every other byte as written.
+    fn zero_timings(line: &str) -> String {
+        let mut out = String::with_capacity(line.len());
+        let mut rest = line;
+        while let Some(at) = rest.find("\":") {
+            let (head, tail) = rest.split_at(at + 2);
+            out.push_str(head);
+            let key = head[..at].rsplit('"').next().unwrap();
+            rest = tail;
+            if key.ends_with("seconds") || key == "queries_per_sec" {
+                out.push('0');
+                rest = &tail[tail.find([',', '}']).unwrap()..];
+            }
+        }
+        out.push_str(rest);
+        out
+    }
+
+    /// The replies of three scripted connections, timings zeroed: every
+    /// reply type (`response`, `topk`, `update`, `repin`, `stats`,
+    /// `error`, `shutdown`, `summary`) and every error path of the wire.
+    fn wire_transcript() -> String {
+        // Triangles {0,1,2} and {3,4,5} joined by 2-3, plus a separate
+        // edge 6-7; original ids shuffled so sorting after mapping
+        // shows.
+        let edges = [
+            (0, 1),
+            (1, 2),
+            (0, 2),
+            (3, 4),
+            (4, 5),
+            (3, 5),
+            (2, 3),
+            (6, 7),
+        ];
+        let original = vec![50, 10, 40, 0, 30, 20, 70, 60];
+        let mut sh = shared(
+            Engine::from_graph(GraphBuilder::from_edges(8, &edges)),
+            original.clone(),
+            8,
+        );
+        sh.max_line_bytes = 128;
+        let oversized = format!("{{\"op\":\"query\",\"nodes\":[{}0]}}", "0,".repeat(90));
+        let streamed = format!("{{\"op\":\"query\",\"tag\":\"{}\"}}", "x".repeat(5000));
+        let script = [
+            r#"{"op":"query","nodes":[50],"tag":"q \"t\" \\ \u0001\t ü 社"}"#,
+            r#"{"op":"query","nodes":[0,50]}"#,
+            r#"{"op":"query","nodes":[50,70]}"#,
+            r#"{"op":"query","nodes":[50],"k":3,"tag":"k"}"#,
+            r#"{"op":"query","nodes":[50,70],"k":2}"#,
+            r#"{"op":"query","nodes":[50]}"#,
+            r#"{"op":"update","action":"add","u":50,"v":30}"#,
+            r#"{"op":"update","action":"del","u":60,"v":70}"#,
+            r#"{"op":"update","action":"add","u":50,"v":99}"#,
+            r#"{"op":"update","action":"add","u":50,"v":10}"#,
+            r#"{"op":"update","action":"setw","u":50,"v":10,"w":2.0}"#,
+            r#"{"op":"repin"}"#,
+            r#"{"op":"stats"}"#,
+            "",
+            "this is not json",
+            "[1,2,3]",
+            r#"{"nodes":[0]}"#,
+            r#"{"op":"dance"}"#,
+            r#"{"op":"query"}"#,
+            r#"{"op":"query","nodes":[50,50]}"#,
+            r#"{"op":"query","nodes":[77]}"#,
+            r#"{"op":"query","nodes":["zero"]}"#,
+            r#"{"op":"query","nodes":[0],"k":-1}"#,
+            r#"{"op":"update","u":0,"v":1}"#,
+            r#"{"op":"update","action":"swap","u":0,"v":1}"#,
+            r#"{"op":"update","action":"setw","u":0,"v":1}"#,
+            &oversized,
+            r#"{"op":"query","nodes":[99,0]}"#,
+            &streamed,
+            r#"{"op":"query","nodes":[10],"tag":"after"}"#,
+        ]
+        .join("\n");
+        let mut io = Script::new(&format!("{script}\n{{\"op\":\"stats\""));
+        serve_conn(&sh, &mut io);
+        let mut transcript = io.output;
+
+        // Overload: work ops are refused with code 8, control ops pass.
+        let sh = shared(
+            Engine::from_graph(GraphBuilder::from_edges(8, &edges)),
+            original.clone(),
+            0,
+        );
+        let mut io = Script::new(
+            "{\"op\":\"query\",\"nodes\":[50]}\n\
+             {\"op\":\"update\",\"action\":\"add\",\"u\":50,\"v\":30}\n\
+             {\"op\":\"stats\"}\n",
+        );
+        serve_conn(&sh, &mut io);
+        transcript.extend(io.output);
+
+        // Weighted serving: `setw` reports the previous weight, and the
+        // summary says weighted; `shutdown` closes the connection.
+        let weighted = GraphBuilder::from_edges(8, &edges).with_unit_weights();
+        let mut sh = shared(Engine::from_graph(weighted), original, 8);
+        sh.spec = AlgoSpec::new("fpa-w");
+        sh.algo_name = "W-FPA";
+        let mut io = Script::new(
+            "{\"op\":\"query\",\"nodes\":[50]}\n\
+             {\"op\":\"update\",\"action\":\"setw\",\"u\":50,\"v\":10,\"w\":2.5}\n\
+             {\"op\":\"update\",\"action\":\"add\",\"u\":50,\"v\":30,\"w\":0.125}\n\
+             {\"op\":\"repin\"}\n\
+             {\"op\":\"query\",\"nodes\":[50],\"k\":2}\n\
+             {\"op\":\"shutdown\"}\n\
+             {\"op\":\"query\",\"nodes\":[10]}\n",
+        );
+        serve_conn(&sh, &mut io);
+        transcript.extend(io.output);
+
+        let text = String::from_utf8(transcript).unwrap();
+        text.lines().map(|l| zero_timings(l) + "\n").collect()
+    }
+
+    #[test]
+    fn wire_transcript_matches_the_golden_file() {
+        let transcript = wire_transcript();
+        assert_eq!(
+            transcript,
+            include_str!("../tests/golden/wire_transcript.jsonl"),
+            "wire bytes drifted from tests/golden/wire_transcript.jsonl"
+        );
     }
 
     #[test]

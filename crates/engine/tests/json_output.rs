@@ -100,7 +100,7 @@ fn every_golden_line_is_valid_json() {
 fn id_mapping_rewrites_query_and_community() {
     let original: Vec<u64> = vec![100, 200, 300, 4000, 5000, 6000];
     let resp = &fixed_report().responses[0];
-    let v = response_json(resp, Some(&original));
+    let v = Json::parse(&response_json(resp, Some(&original)).render()).unwrap();
     let ids = |key: &str| -> Vec<u64> {
         v.get(key)
             .unwrap()

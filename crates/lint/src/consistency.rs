@@ -293,8 +293,9 @@ fn check_cli_help(cli_rs: &str, canonical: &[(String, u32)], out: &mut Vec<Findi
 }
 
 /// The server.rs wire-code doc (`code` is the exit-code analog ...) must
-/// cite codes that agree with the canonical map, and `error_json` must
-/// derive codes from `exit_code()` instead of re-hardcoding them.
+/// cite codes that agree with the canonical map, and `error_line` (the
+/// writer of every wire `error` reply) must derive codes from
+/// `exit_code()` instead of re-hardcoding them.
 fn check_wire_codes(server_rs: &str, canonical: &[(String, u32)], out: &mut Vec<Finding>) {
     let file = "crates/engine/src/server.rs";
     let Some(anchor) = server_rs.find("exit-code analog") else {
@@ -357,19 +358,19 @@ fn check_wire_codes(server_rs: &str, canonical: &[(String, u32)], out: &mut Vec<
             "wire-code doc lists no codes".to_string(),
         ));
     }
-    match fn_body(server_rs, "fn error_json") {
+    match fn_body(server_rs, "fn error_line") {
         Some(body) if body.contains("exit_code()") => {}
         Some(_) => out.push(Finding::new(
             RULE_EXIT_CODES,
             file,
             0,
-            "error_json no longer derives wire codes from EngineError::exit_code()".to_string(),
+            "error_line no longer derives wire codes from EngineError::exit_code()".to_string(),
         )),
         None => out.push(Finding::new(
             RULE_EXIT_CODES,
             file,
             0,
-            "cannot locate fn error_json in server.rs".to_string(),
+            "cannot locate fn error_line in server.rs".to_string(),
         )),
     }
 }

@@ -16,6 +16,7 @@ pub const SERVING_PATHS: &[&str] = &[
     "crates/engine/src/batch.rs",
     "crates/engine/src/plan.rs",
     "crates/engine/src/ops.rs",
+    "crates/engine/src/output.rs",
     "crates/graph/src/store.rs",
     "crates/graph/src/dynamic.rs",
     "crates/graph/src/layout.rs",

@@ -44,7 +44,7 @@ use crate::core::SearchResult;
 use crate::engine::ops::{
     parse_query_ids, parse_update_script, Action, IdSpace, Mutation, StreamTally, UpdateOp,
 };
-use crate::engine::output::{report_jsonl, response_json, result_json, summary_json, SummaryInput};
+use crate::engine::output::{report_jsonl, LineWriter, SummaryInput};
 use crate::engine::registry::{self, AlgoParams, AlgoSpec};
 use crate::engine::{
     BatchReport, Engine, EngineError, PlanMode, QueryPlan, QueryRequest, QueryResponse, Server,
@@ -601,6 +601,9 @@ pub fn run<W: std::io::Write>(cfg: &CliConfig, out: &mut W) -> Result<(), Engine
             source: e,
         })?;
         let secs = outcome.seconds;
+        // In JSON each round is a `response` line tagged `round-N`.
+        let mut round = QueryRequest::new(query);
+        let (mut json, mut line) = (LineWriter::new(), String::new());
         if cfg.format == OutputFormat::Text {
             writeln!(
                 out,
@@ -622,16 +625,10 @@ pub fn run<W: std::io::Write>(cfg: &CliConfig, out: &mut W) -> Result<(), Engine
                     secs,
                 )?,
                 OutputFormat::Json => {
-                    let tag = format!("round-{}", i + 1);
-                    let line = result_json(
-                        algo,
-                        Some(&tag),
-                        &query,
-                        &Ok(r.clone()),
-                        secs,
-                        Some(&original),
-                    );
-                    writeln!(out, "{}", line.render()).map_err(werr)?;
+                    round.tag = Some(format!("round-{}", i + 1));
+                    line.clear();
+                    json.result(&mut line, algo, &round, Ok(r), secs, Some(&original));
+                    out.write_all(line.as_bytes()).map_err(werr)?;
                 }
             }
         }
@@ -669,12 +666,9 @@ pub fn run<W: std::io::Write>(cfg: &CliConfig, out: &mut W) -> Result<(), Engine
             response.seconds,
         )?,
         OutputFormat::Json => {
-            writeln!(
-                out,
-                "{}",
-                response_json(&response, Some(&original)).render()
-            )
-            .map_err(werr)?;
+            let mut line = String::new();
+            LineWriter::new().response(&mut line, &response, Some(&original));
+            out.write_all(line.as_bytes()).map_err(werr)?;
         }
     }
     if let Some(dot) = &cfg.dot_path {
@@ -811,11 +805,9 @@ fn run_batch<W: std::io::Write>(
     let weighted = spec.serves_weighted();
     let snap = engine.snapshot();
     ids.with_original(|original| match cfg.format {
-        OutputFormat::Json => write!(
-            out,
-            "{}",
-            report_jsonl(algo_name, weighted, &report, Some(original))
-        ),
+        OutputFormat::Json => {
+            out.write_all(report_jsonl(algo_name, weighted, &report, Some(original)).as_bytes())
+        }
         OutputFormat::Text => {
             write_batch_text(cfg, &snap, algo_name, &raw_queries, &report, original, out)
         }
@@ -898,6 +890,7 @@ fn run_updates<W: std::io::Write>(
 
     let mut session: Option<Session> = None;
     let mut tally = StreamTally::start();
+    let (mut json, mut line) = (LineWriter::new(), String::new());
     for (line_no, op) in &ops {
         match op {
             UpdateOp::Mutate(m) => {
@@ -931,7 +924,9 @@ fn run_updates<W: std::io::Write>(
                         write_query_line(cfg, out, original, tally.queries(), raw, &resp)
                     }
                     OutputFormat::Json => {
-                        writeln!(out, "{}", response_json(&resp, Some(original)).render())
+                        line.clear();
+                        json.response(&mut line, &resp, Some(original));
+                        out.write_all(line.as_bytes())
                     }
                 })
                 .map_err(werr)?;
@@ -957,11 +952,11 @@ fn run_updates<W: std::io::Write>(
         ..tally.finish(session.as_ref(), &plan)
     };
     match cfg.format {
-        OutputFormat::Json => writeln!(
-            out,
-            "{}",
-            summary_json(algo_name, spec.serves_weighted(), input).render()
-        ),
+        OutputFormat::Json => {
+            line.clear();
+            json.summary(&mut line, algo_name, spec.serves_weighted(), input);
+            out.write_all(line.as_bytes())
+        }
         OutputFormat::Text => write_summary_lines(out, &input),
     }
     .map_err(werr)
