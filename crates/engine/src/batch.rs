@@ -5,12 +5,13 @@
 //! Each worker is a thin wrapper over a per-thread
 //! [`Session`], so the `O(n)` per-query allocations
 //! (alive masks, degree and distance arrays) are paid once per worker,
-//! not once per query. Workers pull request indices from a shared atomic
-//! counter (work stealing by construction — a slow query never stalls
-//! the others), and responses are re-ordered by index before returning,
-//! so the output of [`BatchRunner::run`] is bit-identical to sequential
-//! execution regardless of the thread count — a property the engine's
-//! property tests pin down for every registered algorithm.
+//! not once per query. Every worker, the only one of a one-thread batch
+//! included, runs the same loop on a scoped thread: it pulls work from a
+//! shared atomic counter (work stealing by construction — a slow query
+//! never stalls the others). Responses are re-ordered by index before
+//! returning, so the output of [`BatchRunner::run`] is bit-identical to
+//! sequential execution regardless of the thread count — a property the
+//! engine's property tests pin down for every registered algorithm.
 //!
 //! Three serving optimisations happen transparently:
 //!
@@ -203,8 +204,8 @@ pub struct BatchRunner {
     plan_override: Option<QueryPlan>,
 }
 
-/// What the multi-worker scope hands back: submission-indexed responses
-/// plus the workers' summed memo-hit and mirror-served counters.
+/// What the worker scope hands back: submission-indexed responses plus
+/// the workers' summed memo-hit and mirror-served counters.
 type WorkerHarvest = (Vec<(usize, QueryResponse)>, u64, u64);
 
 impl BatchRunner {
@@ -354,73 +355,53 @@ impl BatchRunner {
             (0..work.len()).map(|i| vec![i]).collect()
         };
 
+        // Workers steal whole groups, so a group's queries stay on one
+        // session (and its memo); a slow group never stalls the others.
+        // One worker is the same loop on a single scoped thread.
         let workers = self.threads.min(groups.len()).max(1);
-        let shared_bfs_reuses: u64;
-        let mirror_served: u64;
-        let mut indexed: Vec<(usize, QueryResponse)> = if workers == 1 {
-            let mut session = self.worker_session(snap, &plan)?;
-            let mut indexed = Vec::with_capacity(work.len());
-            for group in &groups {
-                for &i in group {
-                    indexed.push((i, session.query(work[i])?));
-                }
-            }
-            shared_bfs_reuses = session.memo_hits();
-            mirror_served = session.mirror_served();
-            indexed
-        } else {
-            let next = AtomicUsize::new(0);
-            let work = &work;
-            let groups = &groups;
-            let plan = &plan;
-            let (indexed, reuses, mirrored) =
-                std::thread::scope(|scope| -> Result<WorkerHarvest, EngineError> {
-                    let mut handles = Vec::with_capacity(workers);
-                    for _ in 0..workers {
-                        let next = &next;
-                        let mut session = self.worker_session(snap, plan)?;
-                        // Workers carry per-request Results home instead
-                        // of unwrapping on their own thread (a worker
-                        // must not decide to panic for the whole batch).
-                        // They steal whole groups so a group's queries
-                        // stay on one session (and its memo); a slow
-                        // group never stalls the others.
-                        handles.push(scope.spawn(move || {
-                            let mut local = Vec::new();
-                            loop {
-                                let g = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(group) = groups.get(g) else { break };
-                                for &i in group {
-                                    local.push((i, session.query(work[i])));
-                                }
+        let next = AtomicUsize::new(0);
+        let (work, groups, plan) = (&work, &groups, &plan);
+        let (mut indexed, shared_bfs_reuses, mirror_served) =
+            std::thread::scope(|scope| -> Result<WorkerHarvest, EngineError> {
+                let mut handles = Vec::with_capacity(workers);
+                for _ in 0..workers {
+                    let next = &next;
+                    let mut session = self.worker_session(snap, plan)?;
+                    // Workers carry per-request Results home instead of
+                    // unwrapping on their own thread (a worker must not
+                    // decide to panic for the whole batch).
+                    handles.push(scope.spawn(move || {
+                        let mut local = Vec::new();
+                        loop {
+                            let g = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(group) = groups.get(g) else { break };
+                            for &i in group {
+                                local.push((i, session.query(work[i])));
                             }
-                            (local, session.memo_hits(), session.mirror_served())
-                        }));
-                    }
-                    let mut indexed = Vec::with_capacity(work.len());
-                    let mut reuses = 0u64;
-                    let mut mirrored = 0u64;
-                    for h in handles {
-                        match h.join() {
-                            Ok((local, hits, served)) => {
-                                reuses += hits;
-                                mirrored += served;
-                                for (i, r) in local {
-                                    indexed.push((i, r?));
-                                }
-                            }
-                            // A worker panic is a bug in search code;
-                            // re-raise it on the batch thread rather
-                            // than inventing an error value for it.
-                            Err(payload) => std::panic::resume_unwind(payload),
                         }
+                        (local, session.memo_hits(), session.mirror_served())
+                    }));
+                }
+                let mut indexed = Vec::with_capacity(work.len());
+                let mut reuses = 0u64;
+                let mut mirrored = 0u64;
+                for h in handles {
+                    match h.join() {
+                        Ok((local, hits, served)) => {
+                            reuses += hits;
+                            mirrored += served;
+                            for (i, r) in local {
+                                indexed.push((i, r?));
+                            }
+                        }
+                        // A worker panic is a bug in search code; re-raise
+                        // it on the batch thread rather than inventing an
+                        // error value for it.
+                        Err(payload) => std::panic::resume_unwind(payload),
                     }
-                    Ok((indexed, reuses, mirrored))
-                })?;
-            shared_bfs_reuses = reuses;
-            mirror_served = mirrored;
-            indexed
-        };
+                }
+                Ok((indexed, reuses, mirrored))
+            })?;
         // Grouped order is an execution detail; answers go home in
         // submission order whatever the plan or thread count.
         indexed.sort_unstable_by_key(|&(i, _)| i);
@@ -459,7 +440,7 @@ impl BatchRunner {
             if grouped { work.len() } else { 0 },
             shared_bfs_reuses,
             mirror_served,
-            &plan,
+            plan,
         ))
     }
 }

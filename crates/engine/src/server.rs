@@ -69,6 +69,13 @@
 //! listeners stop accepting, every connection finishes the requests it
 //! already received, flushes its per-connection `summary` line, and the
 //! unix socket file is unlinked before [`Server::run`] returns.
+//!
+//! **Slow readers**: one accept loop, generic over the TCP and unix
+//! listeners, configures every accepted stream. A read waits at most
+//! 25 ms, so an idle connection notices drain; a reply's write waits at
+//! most 5 s. A client that reads nothing for that long loses its
+//! connection, counted as `slow_client_drops` in `stats`, so it cannot
+//! hold up drain.
 
 use crate::error::EngineError;
 use crate::ops::{check_distinct, Action, IdSpace, Mutation, StreamTally};
@@ -78,9 +85,9 @@ use crate::registry::AlgoSpec;
 use crate::request::QueryRequest;
 use crate::{Engine, Session};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
-use std::os::unix::net::UnixListener;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -91,6 +98,11 @@ use std::time::Duration;
 /// flag. Bounds shutdown latency, not throughput (data ready on the
 /// socket returns immediately).
 const POLL: Duration = Duration::from_millis(25);
+
+/// How long one reply may wait on a client that does not read it. A
+/// reply still unsent after this closes its connection and counts in
+/// `slow_client_drops`, so a stalled client cannot hold up drain.
+const WRITE_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Where and how the daemon listens.
 #[derive(Debug, Clone)]
@@ -134,8 +146,12 @@ struct Shared {
     in_flight: AtomicUsize,
     queue_cap: usize,
     max_line_bytes: usize,
+    /// [`WRITE_DEADLINE`] (tests shorten it).
+    write_deadline: Duration,
     served: AtomicU64,
     connections: AtomicU64,
+    /// Connections closed because a reply missed the write deadline.
+    slow_client_drops: AtomicU64,
 }
 
 /// Set by the SIGTERM handler (signal handlers may only touch statics);
@@ -253,8 +269,10 @@ impl Server {
             in_flight: AtomicUsize::new(0),
             queue_cap: cfg.queue_cap,
             max_line_bytes: cfg.max_line_bytes.max(2),
+            write_deadline: WRITE_DEADLINE,
             served: AtomicU64::new(0),
             connections: AtomicU64::new(0),
+            slow_client_drops: AtomicU64::new(0),
         });
 
         #[cfg(unix)]
@@ -335,11 +353,11 @@ impl Server {
         let shared = &*self.shared;
         std::thread::scope(|scope| {
             if let Some(listener) = &self.tcp {
-                scope.spawn(move || accept_tcp(listener, shared, scope));
+                scope.spawn(move || accept_loop(listener, shared, scope));
             }
             #[cfg(unix)]
             if let Some(listener) = &self.unix {
-                scope.spawn(move || accept_unix(listener, shared, scope));
+                scope.spawn(move || accept_loop(listener, shared, scope));
             }
         });
         // All listeners and connections are done; close the listeners
@@ -360,35 +378,57 @@ impl Server {
     }
 }
 
-fn accept_tcp<'s, 'e>(listener: &'e TcpListener, shared: &'e Shared, scope: &'s Scope<'s, 'e>) {
-    loop {
-        if shared.draining() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(POLL));
-                scope.spawn(move || serve_conn(shared, stream));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
+/// What the accept loop needs of a bound listener, TCP or unix: its
+/// next connection, and the socket calls that configure the stream.
+trait Listener: Sync {
+    /// The stream of an accepted connection.
+    type Stream: Read + Write + Send + 'static;
+    /// Accept one pending connection (`WouldBlock` when none waits).
+    fn accept_stream(&self) -> std::io::Result<Self::Stream>;
+    /// Make `stream` blocking, with these read and write timeouts.
+    fn set_timeouts(stream: &Self::Stream, read: Duration, write: Duration) -> std::io::Result<()>;
+}
+
+impl Listener for TcpListener {
+    type Stream = TcpStream;
+    fn accept_stream(&self) -> std::io::Result<TcpStream> {
+        Ok(self.accept()?.0)
+    }
+    fn set_timeouts(stream: &TcpStream, read: Duration, write: Duration) -> std::io::Result<()> {
+        stream.set_nonblocking(false)?;
+        stream.set_read_timeout(Some(read))?;
+        stream.set_write_timeout(Some(write))
     }
 }
 
 #[cfg(unix)]
-fn accept_unix<'s, 'e>(listener: &'e UnixListener, shared: &'e Shared, scope: &'s Scope<'s, 'e>) {
+impl Listener for UnixListener {
+    type Stream = UnixStream;
+    fn accept_stream(&self) -> std::io::Result<UnixStream> {
+        Ok(self.accept()?.0)
+    }
+    fn set_timeouts(stream: &UnixStream, read: Duration, write: Duration) -> std::io::Result<()> {
+        stream.set_nonblocking(false)?;
+        stream.set_read_timeout(Some(read))?;
+        stream.set_write_timeout(Some(write))
+    }
+}
+
+/// Accept connections until drain, serving each on its own thread of
+/// `scope`. Every accepted stream gets the same deadlines: a read waits
+/// at most [`POLL`], so an idle connection notices drain, and a reply
+/// write at most the write deadline, so a client that stops reading
+/// cannot hold up drain. A stream that cannot take them is closed.
+fn accept_loop<'s, 'e, L: Listener>(listener: &'e L, shared: &'e Shared, scope: &'s Scope<'s, 'e>) {
     loop {
         if shared.draining() {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(POLL));
-                scope.spawn(move || serve_conn(shared, stream));
+        match listener.accept_stream() {
+            Ok(stream) => {
+                if L::set_timeouts(&stream, POLL, shared.write_deadline).is_ok() {
+                    scope.spawn(move || serve_conn(shared, stream));
+                }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -474,8 +514,8 @@ fn serve_conn<S: Read + Write>(shared: &Shared, mut stream: S) {
                 let text = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
                 process_line(shared, &mut session, &mut conn, text.trim())
             };
-            if send(&mut stream, &mut conn.reply).is_err() {
-                return; // peer gone mid-write: nothing to flush
+            if send(shared, &mut stream, &mut conn.reply).is_err() {
+                return; // peer gone or stalled mid-write: nothing to flush
             }
             if let Flow::Close = flow {
                 break 'conn;
@@ -490,7 +530,7 @@ fn serve_conn<S: Read + Write>(shared: &Shared, mut stream: S) {
                     shared.max_line_bytes
                 ),
             ));
-            if send(&mut stream, &mut conn.reply).is_err() {
+            if send(shared, &mut stream, &mut conn.reply).is_err() {
                 return;
             }
             buf.clear();
@@ -507,7 +547,9 @@ fn serve_conn<S: Read + Write>(shared: &Shared, mut stream: S) {
                         conn.line_no,
                         "connection closed mid-request (torn line, no trailing newline)",
                     ));
-                    let _ = send(&mut stream, &mut conn.reply);
+                    if send(shared, &mut stream, &mut conn.reply).is_err() {
+                        return;
+                    }
                 }
                 break;
             }
@@ -545,17 +587,25 @@ fn serve_conn<S: Read + Write>(shared: &Shared, mut stream: S) {
     let weighted = shared.spec.serves_weighted();
     conn.json
         .summary(&mut conn.reply, shared.algo_name, weighted, input);
-    let _ = send(&mut stream, &mut conn.reply);
+    let _ = send(shared, &mut stream, &mut conn.reply);
 }
 
 /// Send the reply written into `reply` (nothing, for an ignored empty
 /// line) with one `write_all`, then clear the buffer for the next one.
-fn send<W: Write>(out: &mut W, reply: &mut String) -> std::io::Result<()> {
+/// A failed send ends the connection; one that timed out (the client
+/// stopped reading for the whole write deadline) counts in
+/// `slow_client_drops`.
+fn send<W: Write>(shared: &Shared, out: &mut W, reply: &mut String) -> std::io::Result<()> {
     if reply.is_empty() {
         return Ok(());
     }
     let sent = out.write_all(reply.as_bytes()).and_then(|()| out.flush());
     reply.clear();
+    if let Err(e) = &sent {
+        if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+            shared.slow_client_drops.fetch_add(1, Ordering::SeqCst);
+        }
+    }
     sent
 }
 
@@ -648,6 +698,10 @@ fn op_stats(shared: &Shared, session: &Session, conn: &mut ConnState) {
         .uint("queue_cap", shared.queue_cap as u64)
         .uint("connections", shared.connections.load(Ordering::SeqCst))
         .uint("served", shared.served.load(Ordering::SeqCst))
+        .uint(
+            "slow_client_drops",
+            shared.slow_client_drops.load(Ordering::SeqCst),
+        )
         .bool("draining", shared.draining())
         .end();
 }
@@ -870,8 +924,10 @@ mod tests {
             in_flight: AtomicUsize::new(0),
             queue_cap,
             max_line_bytes: 64 * 1024,
+            write_deadline: WRITE_DEADLINE,
             served: AtomicU64::new(0),
             connections: AtomicU64::new(0),
+            slow_client_drops: AtomicU64::new(0),
         }
     }
 
@@ -1362,5 +1418,61 @@ mod tests {
         assert_eq!(replies[1].get("type").unwrap().as_str(), Some("shutdown"));
         assert_eq!(replies[2].get("type").unwrap().as_str(), Some("summary"));
         assert_eq!(replies[2].get("queries").unwrap().as_u64(), Some(1));
+    }
+
+    #[test]
+    fn a_client_that_stops_reading_cannot_wedge_drain() {
+        use std::io::{BufRead, BufReader};
+        // Two 100-cliques joined by one edge, with 16-digit original ids:
+        // each answer lists 100 of them, about 1.9 KB a reply.
+        let mut b = GraphBuilder::new(200);
+        for base in [0u32, 100] {
+            for i in base..base + 100 {
+                for j in i + 1..base + 100 {
+                    b.add_edge(i, j);
+                }
+            }
+        }
+        b.add_edge(0, 100);
+        let original = (0..200).map(|i| 1_000_000_000_000_000 + i).collect();
+        let cfg = ServerConfig {
+            tcp_addr: Some("127.0.0.1:0".into()),
+            ..ServerConfig::default()
+        };
+        let spec = AlgoSpec::new("fpa");
+        let mut server = Server::bind(Engine::from_graph(b.build()), spec, original, &cfg).unwrap();
+        let deadline = Duration::from_millis(200);
+        Arc::get_mut(&mut server.shared).unwrap().write_deadline = deadline;
+        let (addr, handle) = (server.tcp_addr().unwrap(), server.handle());
+        let (done, finished) = std::sync::mpsc::channel();
+        let daemon = std::thread::spawn(move || done.send(server.run()));
+
+        // One round trip: the connection is accepted and served.
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.write_all(b"{\"op\":\"stats\"}\n").unwrap();
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        let read_limit = Some(Duration::from_secs(10));
+        reader.get_ref().set_read_timeout(read_limit).unwrap();
+        let mut first = String::new();
+        reader.read_line(&mut first).unwrap();
+        assert!(first.contains("\"type\":\"stats\""), "{first}");
+        // Then it pipelines 20 000 queries, whose ~38 MB of replies no
+        // socket buffer holds, and never reads again. Its own write
+        // gives up after a while, so the test cannot hang on it.
+        let write_limit = Some(Duration::from_secs(2));
+        client.set_write_timeout(write_limit).unwrap();
+        let flood = format!(
+            "{{\"op\":\"query\",\"nodes\":[{}]}}\n",
+            1_000_000_000_000_000u64
+        );
+        let _ = client.write_all(flood.repeat(20_000).as_bytes());
+
+        handle.shutdown();
+        let margin = Duration::from_secs(5);
+        let stats = finished.recv_timeout(deadline + margin);
+        assert!(stats.is_ok(), "run still waits on the stalled client");
+        assert_eq!(handle.shared.slow_client_drops.load(Ordering::SeqCst), 1);
+        drop((client, reader));
+        daemon.join().unwrap().unwrap();
     }
 }

@@ -1,6 +1,7 @@
 //! Breadth-first traversals: distances, multi-source BFS (FPA's distance
-//! layers, §5.2.2), connected components, eccentricity and diameter
-//! (community-diameter study, Fig 4).
+//! layers, §5.2.2), eccentricity and diameter (community-diameter study,
+//! Fig 4), plus the one connected-component labelling, union-find's
+//! [`ComponentIndex`] (which [`connected_components`] returns).
 
 use crate::view::QueryWorkspace;
 use crate::{Graph, NodeId, SubgraphView};
@@ -95,29 +96,11 @@ pub fn multi_source_bfs_view(view: &SubgraphView<'_>, sources: &[NodeId]) -> Vec
 }
 
 /// Connected-component labelling. Returns `(labels, component_count)`;
-/// labels are dense in `0..count`.
+/// labels are dense in `0..count`, numbered by each component's smallest
+/// node id: [`ComponentIndex`]'s labels, without the sizes.
 pub fn connected_components(g: &Graph) -> (Vec<u32>, usize) {
-    let n = g.n();
-    let mut label = vec![u32::MAX; n];
-    let mut count = 0u32;
-    let mut stack = Vec::new();
-    for v in 0..n as NodeId {
-        if label[v as usize] != u32::MAX {
-            continue;
-        }
-        label[v as usize] = count;
-        stack.push(v);
-        while let Some(u) = stack.pop() {
-            for &w in g.neighbors(u) {
-                if label[w as usize] == u32::MAX {
-                    label[w as usize] = count;
-                    stack.push(w);
-                }
-            }
-        }
-        count += 1;
-    }
-    (label, count as usize)
+    let ComponentIndex { labels, sizes } = ComponentIndex::compute(g);
+    (labels, sizes.len())
 }
 
 /// Nodes of the connected component containing `seed`.
@@ -232,8 +215,8 @@ pub fn diameter_within(g: &Graph, nodes: &[NodeId]) -> Option<u32> {
 /// Built by union-find (union by size, path halving) over the edge
 /// list: `O(m α(n))` with no queue allocation, then relabeled densely
 /// so that label `k` is the component whose smallest node id is the
-/// `k`-th smallest among component minima (matching
-/// [`connected_components`]' labeling order).
+/// `k`-th smallest among component minima. It is the workspace's one
+/// component labelling: [`connected_components`] returns its labels.
 #[derive(Debug, Clone)]
 pub struct ComponentIndex {
     labels: Vec<u32>,
@@ -354,10 +337,7 @@ mod tests {
         let g = GraphBuilder::from_edges(6, &[(0, 1), (2, 3), (3, 4)]);
         let (labels, count) = connected_components(&g);
         assert_eq!(count, 3); // {0,1}, {2,3,4}, {5}
-        assert_eq!(labels[0], labels[1]);
-        assert_eq!(labels[2], labels[3]);
-        assert_ne!(labels[0], labels[2]);
-        assert_ne!(labels[5], labels[0]);
+        assert_eq!(labels, [0, 0, 1, 1, 1, 2]);
     }
 
     #[test]
@@ -407,16 +387,16 @@ mod tests {
     }
 
     #[test]
-    fn component_index_matches_bfs_labeling() {
-        let g = GraphBuilder::from_edges(7, &[(0, 1), (1, 2), (4, 3), (5, 6)]);
+    fn component_index_labels_by_smallest_member() {
+        // Components {0,1,2}, {3,4,7} and {5,6}: labels follow each
+        // component's smallest node, so 7 shares label 1 with 3.
+        let g = GraphBuilder::from_edges(8, &[(6, 5), (4, 3), (1, 2), (2, 0), (7, 3)]);
         let idx = ComponentIndex::compute(&g);
-        let (labels, count) = connected_components(&g);
-        assert_eq!(idx.count(), count);
-        assert_eq!(idx.labels(), labels.as_slice());
-        assert_eq!(idx.sizes(), &[3, 2, 2]);
+        assert_eq!(idx.labels(), &[0, 0, 0, 1, 1, 2, 2, 1]);
+        assert_eq!(idx.count(), 3);
+        assert_eq!(idx.sizes(), &[3, 3, 2]);
         assert_eq!(idx.largest(), 3);
-        assert_eq!(idx.label(3), idx.label(4));
-        assert_ne!(idx.label(0), idx.label(6));
+        assert_eq!(idx.label(7), idx.label(3));
     }
 
     #[test]

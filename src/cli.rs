@@ -10,12 +10,14 @@
 //! dmcs --demo --updates script.txt --format json
 //! ```
 //!
-//! This module keeps two jobs: flag parsing and text rendering.
-//! Argument parsing is hand-rolled (the workspace's dependency policy
-//! admits no CLI crate) and lives in the library so it is unit-testable;
-//! `src/main.rs` is a thin wrapper. Algorithm labels resolve through the
-//! [`dmcs_engine::registry`], and the `--algo` section of the usage text
-//! is generated from it, so help cannot drift from the code.
+//! This module keeps two jobs: flag parsing and text rendering. Parsing
+//! is hand-rolled (the workspace's dependency policy admits no CLI
+//! crate) and lives in the library so it is unit-testable; `src/main.rs`
+//! is a thin wrapper. `dmcs …` and `dmcs serve …` share one flag loop,
+//! and [`run`] and [`run_serve`] one engine setup. Algorithm labels
+//! resolve through the [`dmcs_engine::registry`], and the `--algo`
+//! section of the usage text is generated from it, so help cannot drift
+//! from the code.
 //!
 //! Every failure is a typed [`EngineError`]; `main` maps each variant to
 //! its documented exit code (2 = bad flags/params, 3 = unknown
@@ -221,30 +223,58 @@ EXIT CODES:
 
 /// Parse `args` (without the program name). `Ok(None)` means `--help`.
 pub fn parse(args: &[String]) -> Result<Option<CliConfig>, EngineError> {
-    let mut cfg = CliConfig::default();
-    let mut demo = false;
-    let mut threads_set = false;
+    Ok(parse_grammar(args, Grammar::Run)?.map(|parsed| parsed.cfg))
+}
+
+/// The two command lines [`parse_grammar`] reads: a one-shot run
+/// (`dmcs …`) and the daemon (`dmcs serve …`). Both take the graph and
+/// algorithm flags; each rejects the other's own flags as unknown.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Grammar {
+    Run,
+    Serve,
+}
+
+/// The one flag loop behind [`parse`] and [`parse_serve`]. Errors come
+/// in a fixed order: the first bad flag or value on the line, then the
+/// graph source, then the grammar's own rules, then `--weighted`
+/// against `--algo`. Under [`Grammar::Run`] the listener configuration
+/// keeps its defaults.
+fn parse_grammar(args: &[String], grammar: Grammar) -> Result<Option<ServeCli>, EngineError> {
+    use Grammar::{Run, Serve};
+    let (mut cfg, mut server) = (CliConfig::default(), ServerConfig::default());
+    let (mut demo, mut threads_set) = (false, false);
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> Result<&String, EngineError> {
+        let mut value = || {
             it.next()
-                .ok_or_else(|| EngineError::bad_param(format!("{flag} needs a value")))
+                .map(String::as_str)
+                .ok_or_else(|| EngineError::bad_param(format!("{arg} needs a value")))
         };
-        match arg.as_str() {
-            "--help" | "-h" => return Ok(None),
-            "--graph" => cfg.graph_path = Some(value("--graph")?.clone()),
-            "--demo" => demo = true,
-            "--query" => cfg.query = parse_query_ids(value("--query")?)?,
-            "--queries" => cfg.queries_path = Some(value("--queries")?.clone()),
-            "--updates" => cfg.updates_path = Some(value("--updates")?.clone()),
-            "--threads" => {
-                cfg.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| EngineError::bad_param("bad --threads value"))?;
+        match (arg.as_str(), grammar) {
+            ("--help" | "-h", _) => return Ok(None),
+            ("--graph", _) => cfg.graph_path = Some(value()?.to_string()),
+            ("--demo", _) => demo = true,
+            ("--weighted", _) => cfg.weighted = true,
+            ("--algo", _) => cfg.algo = value()?.to_lowercase(),
+            ("--k", _) => cfg.k = number(arg, value()?)?,
+            ("--no-pruning", _) => cfg.no_pruning = true,
+            ("--shards", _) => {
+                cfg.shards = number(arg, value()?)?;
+                if cfg.shards == 0 {
+                    return Err(EngineError::bad_param("--shards must be at least 1"));
+                }
+            }
+            ("--layout", _) => cfg.layout = policy(arg, value()?)?,
+            ("--query", Run) => cfg.query = parse_query_ids(value()?)?,
+            ("--queries", Run) => cfg.queries_path = Some(value()?.to_string()),
+            ("--updates", Run) => cfg.updates_path = Some(value()?.to_string()),
+            ("--threads", Run) => {
+                cfg.threads = number(arg, value()?)?;
                 threads_set = true;
             }
-            "--format" => {
-                cfg.format = match value("--format")?.as_str() {
+            ("--format", Run) => {
+                cfg.format = match value()? {
                     "text" => OutputFormat::Text,
                     "json" => OutputFormat::Json,
                     other => {
@@ -254,48 +284,20 @@ pub fn parse(args: &[String]) -> Result<Option<CliConfig>, EngineError> {
                     }
                 };
             }
-            "--algo" => cfg.algo = value("--algo")?.to_lowercase(),
-            "--k" => {
-                cfg.k = value("--k")?
-                    .parse()
-                    .map_err(|_| EngineError::bad_param("bad --k value"))?;
-            }
-            "--no-pruning" => cfg.no_pruning = true,
-            "--stats" => cfg.stats = true,
-            "--max-print" => {
-                cfg.max_print = value("--max-print")?
-                    .parse()
-                    .map_err(|_| EngineError::bad_param("bad --max-print value"))?;
-            }
-            "--weighted" => cfg.weighted = true,
-            "--top-k" => {
-                cfg.top_k = value("--top-k")?
-                    .parse()
-                    .map_err(|_| EngineError::bad_param("bad --top-k value"))?;
-            }
-            "--dot" => cfg.dot_path = Some(value("--dot")?.clone()),
-            "--shards" => {
-                cfg.shards = value("--shards")?
-                    .parse()
-                    .map_err(|_| EngineError::bad_param("bad --shards value"))?;
-                if cfg.shards == 0 {
-                    return Err(EngineError::bad_param("--shards must be at least 1"));
-                }
-            }
-            "--plan" => {
-                cfg.plan = value("--plan")?.parse().map_err(|e: String| {
-                    EngineError::bad_param(format!("bad --plan value: {e}"))
-                })?;
-            }
-            "--layout" => {
-                cfg.layout = value("--layout")?.parse().map_err(|e: String| {
-                    EngineError::bad_param(format!("bad --layout value: {e}"))
-                })?;
-            }
-            other => {
+            ("--stats", Run) => cfg.stats = true,
+            ("--max-print", Run) => cfg.max_print = number(arg, value()?)?,
+            ("--top-k", Run) => cfg.top_k = number(arg, value()?)?,
+            ("--dot", Run) => cfg.dot_path = Some(value()?.to_string()),
+            ("--plan", Run) => cfg.plan = policy(arg, value()?)?,
+            ("--unix", Serve) => server.unix_path = Some(value()?.to_string()),
+            ("--tcp", Serve) => server.tcp_addr = Some(value()?.to_string()),
+            ("--queue-cap", Serve) => server.queue_cap = number(arg, value()?)?,
+            ("--max-line-bytes", Serve) => server.max_line_bytes = number(arg, value()?)?,
+            (other, _) => {
+                let serve = if grammar == Serve { " serve" } else { "" };
                 return Err(EngineError::bad_param(format!(
-                    "unknown argument {other:?}"
-                )))
+                    "unknown{serve} argument {other:?}"
+                )));
             }
         }
     }
@@ -309,49 +311,81 @@ pub fn parse(args: &[String]) -> Result<Option<CliConfig>, EngineError> {
             "either --graph or --demo is required",
         ));
     }
-    if cfg.query.is_empty() && cfg.queries_path.is_none() && cfg.updates_path.is_none() {
+    if grammar == Run {
+        run_rules(&cfg, threads_set)?;
+    } else if server.unix_path.is_none() && server.tcp_addr.is_none() {
         return Err(EngineError::bad_param(
-            "--query, --queries or --updates is required",
+            "serve needs at least one listener (--unix <path> and/or --tcp <addr>)",
         ));
     }
+    validate_weighted_algo(&cfg)?;
+    Ok(Some(ServeCli { cfg, server }))
+}
+
+/// A flag's numeric value; anything else is `bad <flag> value`.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, EngineError> {
+    value
+        .parse()
+        .map_err(|_| EngineError::bad_param(format!("bad {flag} value")))
+}
+
+/// A flag's named policy (`--plan`, `--layout`); an unknown name is
+/// `bad <flag> value: ` and the policy's own reason.
+fn policy<T: std::str::FromStr<Err = String>>(flag: &str, value: &str) -> Result<T, EngineError> {
+    value
+        .parse()
+        .map_err(|e| EngineError::bad_param(format!("bad {flag} value: {e}")))
+}
+
+/// The one-shot run's own rules: exactly one query source, `--threads`
+/// only for a batch, and no flag the chosen source cannot honour.
+fn run_rules(cfg: &CliConfig, threads_set: bool) -> Result<(), EngineError> {
     let sources = [
         !cfg.query.is_empty(),
         cfg.queries_path.is_some(),
         cfg.updates_path.is_some(),
     ];
-    if sources.iter().filter(|&&s| s).count() > 1 {
-        return Err(EngineError::bad_param(
-            "--query, --queries and --updates are mutually exclusive",
-        ));
+    match sources.iter().filter(|&&s| s).count() {
+        0 => {
+            return Err(EngineError::bad_param(
+                "--query, --queries or --updates is required",
+            ))
+        }
+        1 => {}
+        _ => {
+            return Err(EngineError::bad_param(
+                "--query, --queries and --updates are mutually exclusive",
+            ))
+        }
     }
     if threads_set && cfg.queries_path.is_none() {
         return Err(EngineError::bad_param(
             "--threads requires --queries (batch mode)",
         ));
     }
-    if cfg.queries_path.is_some() {
-        if cfg.top_k > 0 {
-            return Err(EngineError::bad_param("--queries does not support --top-k"));
-        }
-        if cfg.dot_path.is_some() {
-            return Err(EngineError::bad_param("--queries does not support --dot"));
-        }
+    // A batch or an update script answers each query with one
+    // community: no top-k rounds, no DOT file.
+    let stream = match (&cfg.queries_path, &cfg.updates_path) {
+        (Some(_), _) => "--queries",
+        (_, Some(_)) => "--updates",
+        _ => return Ok(()),
+    };
+    if cfg.top_k > 0 {
+        return Err(EngineError::bad_param(format!(
+            "{stream} does not support --top-k"
+        )));
     }
-    if cfg.updates_path.is_some() {
-        if cfg.top_k > 0 {
-            return Err(EngineError::bad_param("--updates does not support --top-k"));
-        }
-        if cfg.dot_path.is_some() {
-            return Err(EngineError::bad_param("--updates does not support --dot"));
-        }
-        if cfg.stats {
-            return Err(EngineError::bad_param(
-                "--updates does not support --stats (the graph changes mid-run)",
-            ));
-        }
+    if cfg.dot_path.is_some() {
+        return Err(EngineError::bad_param(format!(
+            "{stream} does not support --dot"
+        )));
     }
-    validate_weighted_algo(&cfg)?;
-    Ok(Some(cfg))
+    if cfg.stats && cfg.updates_path.is_some() {
+        return Err(EngineError::bad_param(
+            "--updates does not support --stats (the graph changes mid-run)",
+        ));
+    }
+    Ok(())
 }
 
 /// `--weighted` needs a weight-aware algorithm. A label the registry
@@ -469,17 +503,7 @@ fn print_result<W: std::io::Write>(
     )
     .map_err(werr)?;
 
-    let mut members: Vec<u64> = result
-        .community
-        .iter()
-        .map(|&v| original[v as usize])
-        .collect();
-    members.sort_unstable();
-    let shown = if cfg.max_print == 0 {
-        members.len()
-    } else {
-        cfg.max_print.min(members.len())
-    };
+    let (members, shown) = shown_members(cfg, original, &result.community);
     writeln!(
         out,
         "community ({} shown{}): {:?}",
@@ -494,26 +518,38 @@ fn print_result<W: std::io::Write>(
     .map_err(werr)?;
 
     if cfg.stats {
-        let l = g.internal_edges(&result.community);
-        let vol = g.degree_sum(&result.community);
-        let good = Goodness::from_counts(g.n(), result.community.len(), l, vol, g.m() as u64);
-        writeln!(
-            out,
-            "stats: conductance {:.4}  expansion {:.3}  cut-ratio {:.5}  int-density {:.4}  separability {:.3}",
-            good.conductance(),
-            good.expansion(),
-            good.cut_ratio(),
-            good.internal_density(),
-            good.separability()
-        )
-        .map_err(werr)?;
+        write_goodness(out, "", g, &result.community).map_err(werr)?;
     }
     Ok(())
 }
 
+/// The `--stats` goodness line of one community after `indent`: flush
+/// under a single or top-k result, indented under a batch's query line.
+fn write_goodness<W: std::io::Write>(
+    out: &mut W,
+    indent: &str,
+    g: &Graph,
+    community: &[NodeId],
+) -> std::io::Result<()> {
+    let l = g.internal_edges(community);
+    let vol = g.degree_sum(community);
+    let good = Goodness::from_counts(g.n(), community.len(), l, vol, g.m() as u64);
+    writeln!(
+        out,
+        "{indent}stats: conductance {:.4}  expansion {:.3}  cut-ratio {:.5}  int-density {:.4}  separability {:.3}",
+        good.conductance(),
+        good.expansion(),
+        good.cut_ratio(),
+        good.internal_density(),
+        good.separability()
+    )
+}
+
 /// Write the DOT rendering of `communities` (dense ids, labelled with
-/// original ids).
-fn write_dot_file(
+/// original ids) to `path`, and say so in the text format.
+fn write_dot_file<W: std::io::Write>(
+    cfg: &CliConfig,
+    out: &mut W,
     path: &str,
     g: &Graph,
     original: &[u64],
@@ -522,22 +558,30 @@ fn write_dot_file(
     let file = std::fs::File::create(path).map_err(|e| EngineError::io(path, e))?;
     let labels = |v: NodeId| original[v as usize].to_string();
     crate::graph::dot::write_dot(g, communities, Some(&labels), file)
-        .map_err(|e| EngineError::io(path, e))
+        .map_err(|e| EngineError::io(path, e))?;
+    if cfg.format == OutputFormat::Text {
+        writeln!(out, "DOT written to {path}").map_err(werr)?;
+    }
+    Ok(())
+}
+
+/// The engine behind [`run`] and [`run_serve`], the dense → original id
+/// map and the algorithm's display name. `--algo` resolves first, so an
+/// unregistered label fails (exit code 3) before any graph loads; then
+/// the graph (with its weights lane under `--weighted`) seeds a store of
+/// `--shards` shards under the `--layout` policy, which every mode
+/// serves from through the shard-scoped result cache.
+fn open_engine(cfg: &CliConfig) -> Result<(Engine, Vec<u64>, &'static str), EngineError> {
+    let algo_name = algo_spec(cfg).build()?.name();
+    let (g, original) = load_graph(cfg)?;
+    let engine = Engine::from_graph_sharded(g, cfg.shards);
+    engine.store().set_layout_policy(cfg.layout);
+    Ok((engine, original, algo_name))
 }
 
 /// Full CLI run; writes text or JSON-lines output to `out`.
 pub fn run<W: std::io::Write>(cfg: &CliConfig, out: &mut W) -> Result<(), EngineError> {
-    // Fail fast on an unregistered --algo, before loading any graph, so
-    // the error (exit code 3, with suggestion) is the only output.
-    algo_spec(cfg).build()?;
-
-    // Every mode — weighted or not — serves through the versioned
-    // store: the engine owns a sharded GraphStore (seeded from the
-    // loaded edge list, with its weights lane under --weighted) plus
-    // the shard-scoped result cache, and queries pin snapshots.
-    let (g, original) = load_graph(cfg)?;
-    let engine = Engine::from_graph_sharded(g, cfg.shards);
-    engine.store().set_layout_policy(cfg.layout);
+    let (engine, original, algo_name) = open_engine(cfg)?;
     if cfg.format == OutputFormat::Text {
         let snap = engine.snapshot();
         if snap.is_weighted() {
@@ -578,22 +622,24 @@ pub fn run<W: std::io::Write>(cfg: &CliConfig, out: &mut W) -> Result<(), Engine
 
     // Live-update path: interleaved mutations and queries.
     if let Some(upath) = &cfg.updates_path {
-        return run_updates(cfg, upath, &engine, original, out);
+        return run_updates(cfg, upath, &engine, original, algo_name, out);
     }
 
     // Batch path: fan a query file out across worker threads.
     if let Some(qpath) = &cfg.queries_path {
-        return run_batch(cfg, qpath, &engine, original, out);
+        return run_batch(cfg, qpath, &engine, original, algo_name, out);
     }
     let snap = engine.snapshot();
     let query = map_queries(&cfg.query, &original)?;
+    // A one-query session (the typed serving API; a long-running caller
+    // would keep the session and loop).
+    let mut session = plan_session(&engine, cfg, &algo_spec(cfg))?;
 
     // Top-k path: several diverse communities, served through the
     // session like every other query — the registry resolves the
     // searcher (so --algo and --weighted compose) and the shared result
     // cache replays repeat enumerations.
     if cfg.top_k > 0 {
-        let mut session = plan_session(&engine, cfg, &algo_spec(cfg))?;
         let outcome = session.top_k(&query, cfg.top_k);
         let algo = outcome.algo;
         let rounds = outcome.rounds.map_err(|e| EngineError::Search {
@@ -634,17 +680,12 @@ pub fn run<W: std::io::Write>(cfg: &CliConfig, out: &mut W) -> Result<(), Engine
         }
         if let Some(dot) = &cfg.dot_path {
             let comms: Vec<&[NodeId]> = rounds.iter().map(|r| r.community.as_slice()).collect();
-            write_dot_file(dot, &snap, &original, &comms)?;
-            if cfg.format == OutputFormat::Text {
-                writeln!(out, "DOT written to {dot}").map_err(werr)?;
-            }
+            write_dot_file(cfg, out, dot, &snap, &original, &comms)?;
         }
         return Ok(());
     }
 
-    // Single-community path: a one-query session (the typed serving API;
-    // a long-running caller would keep the session and loop).
-    let mut session = plan_session(&engine, cfg, &algo_spec(cfg))?;
+    // Single-community path.
     let response = session.query(&QueryRequest::new(query))?;
     let result = match &response.result {
         Ok(r) => r,
@@ -672,10 +713,7 @@ pub fn run<W: std::io::Write>(cfg: &CliConfig, out: &mut W) -> Result<(), Engine
         }
     }
     if let Some(dot) = &cfg.dot_path {
-        write_dot_file(dot, &snap, &original, &[&result.community])?;
-        if cfg.format == OutputFormat::Text {
-            writeln!(out, "DOT written to {dot}").map_err(werr)?;
-        }
+        write_dot_file(cfg, out, dot, &snap, &original, &[&result.community])?;
     }
     Ok(())
 }
@@ -702,15 +740,21 @@ pub fn parse_query_file(path: &str, text: &str) -> Result<Vec<Vec<u64>>, EngineE
     Ok(queries)
 }
 
-/// Sorted community members in original ids, elided to `--max-print`.
-fn members_string(cfg: &CliConfig, original: &[u64], community: &[NodeId]) -> String {
+/// A community's members in original ids, sorted, and how many of them
+/// `--max-print` shows.
+fn shown_members(cfg: &CliConfig, original: &[u64], community: &[NodeId]) -> (Vec<u64>, usize) {
     let mut members: Vec<u64> = community.iter().map(|&v| original[v as usize]).collect();
     members.sort_unstable();
-    let shown = if cfg.max_print == 0 {
-        members.len()
-    } else {
-        cfg.max_print.min(members.len())
+    let shown = match cfg.max_print {
+        0 => members.len(),
+        cap => cap.min(members.len()),
     };
+    (members, shown)
+}
+
+/// Sorted community members in original ids, elided to `--max-print`.
+fn members_string(cfg: &CliConfig, original: &[u64], community: &[NodeId]) -> String {
+    let (members, shown) = shown_members(cfg, original, community);
     let elided = if shown < members.len() {
         format!(" (+{} more)", members.len() - shown)
     } else {
@@ -785,6 +829,7 @@ fn run_batch<W: std::io::Write>(
     qpath: &str,
     engine: &Engine,
     original: Vec<u64>,
+    algo_name: &str,
     out: &mut W,
 ) -> Result<(), EngineError> {
     let text = std::fs::read_to_string(qpath).map_err(|e| EngineError::io(qpath, e))?;
@@ -798,7 +843,6 @@ fn run_batch<W: std::io::Write>(
         )?));
     }
     let spec = algo_spec(cfg);
-    let algo_name = spec.build()?.name();
     let report = engine.run_batch_planned(&spec, &requests, cfg.threads, cfg.plan)?;
     // `serves_weighted`, not the bare flag: `--algo fpa-w` runs the
     // weighted objective even without `--weighted`.
@@ -838,18 +882,7 @@ fn write_batch_text<W: std::io::Write>(
         write_query_line(cfg, out, original, i, raw, resp)?;
         if cfg.stats {
             if let Ok(r) = &resp.result {
-                let l = g.internal_edges(&r.community);
-                let vol = g.degree_sum(&r.community);
-                let good = Goodness::from_counts(g.n(), r.community.len(), l, vol, g.m() as u64);
-                writeln!(
-                    out,
-                    "  stats: conductance {:.4}  expansion {:.3}  cut-ratio {:.5}  int-density {:.4}  separability {:.3}",
-                    good.conductance(),
-                    good.expansion(),
-                    good.cut_ratio(),
-                    good.internal_density(),
-                    good.separability()
-                )?;
+                write_goodness(out, "  ", g, &r.community)?;
             }
         }
     }
@@ -875,6 +908,7 @@ fn run_updates<W: std::io::Write>(
     upath: &str,
     engine: &Engine,
     original: Vec<u64>,
+    algo_name: &str,
     out: &mut W,
 ) -> Result<(), EngineError> {
     let text = std::fs::read_to_string(upath).map_err(|e| EngineError::io(upath, e))?;
@@ -885,7 +919,6 @@ fn run_updates<W: std::io::Write>(
         )));
     }
     let spec = algo_spec(cfg);
-    let algo_name = spec.build()?.name();
     let ids = IdSpace::new(original);
 
     let mut session: Option<Session> = None;
@@ -1060,96 +1093,19 @@ EXIT CODES:
 /// Parse `dmcs serve` arguments (without the program name and the
 /// leading `serve`). `Ok(None)` means `--help`.
 pub fn parse_serve(args: &[String]) -> Result<Option<ServeCli>, EngineError> {
-    let mut cfg = CliConfig::default();
-    let mut server = ServerConfig::default();
-    let mut demo = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> Result<&String, EngineError> {
-            it.next()
-                .ok_or_else(|| EngineError::bad_param(format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--help" | "-h" => return Ok(None),
-            "--graph" => cfg.graph_path = Some(value("--graph")?.clone()),
-            "--demo" => demo = true,
-            "--weighted" => cfg.weighted = true,
-            "--algo" => cfg.algo = value("--algo")?.to_lowercase(),
-            "--k" => {
-                cfg.k = value("--k")?
-                    .parse()
-                    .map_err(|_| EngineError::bad_param("bad --k value"))?;
-            }
-            "--no-pruning" => cfg.no_pruning = true,
-            "--shards" => {
-                cfg.shards = value("--shards")?
-                    .parse()
-                    .map_err(|_| EngineError::bad_param("bad --shards value"))?;
-                if cfg.shards == 0 {
-                    return Err(EngineError::bad_param("--shards must be at least 1"));
-                }
-            }
-            "--layout" => {
-                cfg.layout = value("--layout")?.parse().map_err(|e: String| {
-                    EngineError::bad_param(format!("bad --layout value: {e}"))
-                })?;
-            }
-            "--unix" => server.unix_path = Some(value("--unix")?.clone()),
-            "--tcp" => server.tcp_addr = Some(value("--tcp")?.clone()),
-            "--queue-cap" => {
-                server.queue_cap = value("--queue-cap")?
-                    .parse()
-                    .map_err(|_| EngineError::bad_param("bad --queue-cap value"))?;
-            }
-            "--max-line-bytes" => {
-                server.max_line_bytes = value("--max-line-bytes")?
-                    .parse()
-                    .map_err(|_| EngineError::bad_param("bad --max-line-bytes value"))?;
-            }
-            other => {
-                return Err(EngineError::bad_param(format!(
-                    "unknown serve argument {other:?}"
-                )))
-            }
-        }
-    }
-    if demo && cfg.graph_path.is_some() {
-        return Err(EngineError::bad_param(
-            "--demo and --graph are mutually exclusive",
-        ));
-    }
-    if !demo && cfg.graph_path.is_none() {
-        return Err(EngineError::bad_param(
-            "either --graph or --demo is required",
-        ));
-    }
-    if server.unix_path.is_none() && server.tcp_addr.is_none() {
-        return Err(EngineError::bad_param(
-            "serve needs at least one listener (--unix <path> and/or --tcp <addr>)",
-        ));
-    }
-    validate_weighted_algo(&cfg)?;
-    Ok(Some(ServeCli { cfg, server }))
+    parse_grammar(args, Grammar::Serve)
 }
 
 /// Load the graph, bind the listeners and serve until drained (a
 /// `shutdown` op or SIGTERM). Startup and shutdown banners go to `out`.
 pub fn run_serve<W: std::io::Write>(serve: &ServeCli, out: &mut W) -> Result<(), EngineError> {
     let cfg = &serve.cfg;
-    // Fail fast on an unregistered --algo before touching the graph.
-    let algo_name = algo_spec(cfg).build()?.name();
-    let (g, original) = load_graph(cfg)?;
-    let engine = Engine::from_graph_sharded(g, cfg.shards);
-    engine.store().set_layout_policy(cfg.layout);
+    let (engine, original, algo_name) = open_engine(cfg)?;
     let snap = engine.snapshot();
     writeln!(
         out,
         "serving {} ({} nodes, {} edges{}) with {algo_name}",
-        if cfg.graph_path.is_some() {
-            cfg.graph_path.as_deref().unwrap()
-        } else {
-            "demo graph"
-        },
+        cfg.graph_path.as_deref().unwrap_or("demo graph"),
         snap.n(),
         snap.m(),
         if cfg.weighted { ", weighted" } else { "" },

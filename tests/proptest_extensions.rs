@@ -32,6 +32,45 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Every flag of `dmcs` and `dmcs serve`.
+const CLI_FLAGS: &[&str] = &[
+    "--help",
+    "-h",
+    "--graph",
+    "--demo",
+    "--weighted",
+    "--algo",
+    "--k",
+    "--no-pruning",
+    "--shards",
+    "--layout",
+    "--query",
+    "--queries",
+    "--updates",
+    "--threads",
+    "--format",
+    "--stats",
+    "--max-print",
+    "--top-k",
+    "--dot",
+    "--plan",
+    "--unix",
+    "--tcp",
+    "--queue-cap",
+    "--max-line-bytes",
+];
+
+/// One command-line token: a flag of either grammar half the time, a
+/// random word (a value, a typo, a stray dash) otherwise.
+fn cli_token() -> impl Strategy<Value = String> {
+    (0..2 * CLI_FLAGS.len()).prop_flat_map(|i| {
+        "[-a-z0-9,]{0,12}".prop_map(move |word| match CLI_FLAGS.get(i) {
+            Some(flag) => flag.to_string(),
+            None => word,
+        })
+    })
+}
+
 /// Random cover of `n` nodes: 1..4 possibly-overlapping non-empty sets.
 fn arb_cover(n: usize) -> impl Strategy<Value = Vec<Vec<NodeId>>> {
     proptest::collection::vec(
@@ -215,9 +254,11 @@ proptest! {
     }
 
     #[test]
-    fn cli_parse_never_panics(tokens in proptest::collection::vec("[-a-z0-9,]{0,12}", 0..8)) {
-        // Arbitrary argv must parse or error — never panic.
+    fn cli_parse_never_panics(tokens in proptest::collection::vec(cli_token(), 0..8)) {
+        // Arbitrary argv must parse or error under both grammars — never
+        // panic.
         let _ = dmcs::cli::parse(&tokens);
+        let _ = dmcs::cli::parse_serve(&tokens);
     }
 
     #[test]
