@@ -28,6 +28,23 @@
 //! miss that populated it. Community-size caps are applied *after*
 //! retrieval (they are response shaping, not search work), so one cached
 //! search serves requests with different caps.
+//!
+//! **Rendered replies.** An answer is a pure function of the query set
+//! and the graph, so its `response` line never changes after the `tag`
+//! member. The daemon keeps those bytes in the entry: on an entry's
+//! first hit it renders the reply and [attaches](ResponseCache::attach)
+//! the tail, stamped with the id of the
+//! [`IdSpace`](crate::ops::IdSpace) that mapped its ids, and every later
+//! [`lookup`](ResponseCache::lookup) under that id space copies the bytes
+//! instead of cloning the answer and rendering it again. A miss attaches
+//! nothing, so traffic that never repeats stores no bytes; overwriting an
+//! entry drops them.
+//!
+//! The cache keeps running totals of its entries and of their bytes
+//! ([`ResponseCache::len`], [`ResponseCache::bytes`]): 4 bytes per node
+//! id an entry stores (its key's query nodes and each round's community
+//! and removal order) plus its attached reply bytes. These are lengths,
+//! not allocator capacities, so the same entries always count the same.
 
 use crate::registry::AlgoSpec;
 use dmcs_core::{SearchError, SearchResult};
@@ -194,9 +211,60 @@ impl CacheKey {
 struct Entry {
     answer: CachedAnswer,
     last_used: u64,
+    /// The tick that stored `answer`: a [`Ticket`] attaches bytes only
+    /// to the answer it rendered, never to one that overwrote it.
+    born: u64,
     /// The graph state this entry is valid for (see [`fingerprint`]).
     fingerprint: Fingerprint,
+    /// The rendered reply tail, once a hit has attached it.
+    reply: Option<Reply>,
 }
+
+impl Entry {
+    /// What the entry counts toward [`ResponseCache::bytes`].
+    fn bytes(&self, key: &CacheKey) -> u64 {
+        let ids = key.nodes.len()
+            + self.answer.result.as_ref().map_or(0, |rounds| {
+                rounds
+                    .iter()
+                    .map(|r| r.community.len() + r.removal_order.len())
+                    .sum()
+            });
+        4 * ids as u64 + self.reply.as_ref().map_or(0, |r| r.bytes.len() as u64)
+    }
+}
+
+/// A `response` line's bytes after its `tag` member, and the id of the
+/// id space whose original ids they name.
+#[derive(Debug)]
+struct Reply {
+    space: u64,
+    bytes: String,
+}
+
+/// What a [`ResponseCache::lookup`] found.
+#[derive(Debug)]
+pub enum Lookup {
+    /// No entry matches the snapshot.
+    Miss,
+    /// The entry's reply tail, rendered under the asking id space, was
+    /// appended to the caller's buffer. `seconds` and `ok` are the
+    /// answer's, for the caller's tally.
+    Copied {
+        /// Wall-clock seconds of the original computation.
+        seconds: f64,
+        /// Whether the answer is a community rather than an error.
+        ok: bool,
+    },
+    /// A hit without usable bytes: a copy of the answer, and on the
+    /// entry's first hit the [`Ticket`] that attaches its rendering.
+    Hit(CachedAnswer, Option<Ticket>),
+}
+
+/// Permission to [attach](ResponseCache::attach) a rendered reply to the
+/// entry a [`Lookup::Hit`] came from.
+#[derive(Debug, Clone, Copy)]
+pub struct Ticket(u64);
 
 /// Buckets per key: sessions pinned to *different epochs* can each keep
 /// a live entry under the same key (their fingerprints differ), so an
@@ -205,6 +273,10 @@ struct Entry {
 struct LruInner {
     map: HashMap<CacheKey, Vec<Entry>>,
     tick: u64,
+    /// Entries across all buckets.
+    entries: usize,
+    /// Sum of [`Entry::bytes`] over all entries.
+    bytes: u64,
 }
 
 /// A bounded, thread-safe LRU of query answers with hit/miss counters.
@@ -266,24 +338,27 @@ impl ResponseCache {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Look `key` up for a caller serving at the pinned `snapshot`,
-    /// bumping the matched entry's recency and the hit/miss counters. An
-    /// entry matches while the snapshot carries its fingerprint's edge
-    /// count and shard versions; entries that no longer match are left
-    /// to age out.
-    pub fn get(&self, key: &CacheKey, snapshot: &Snapshot) -> Option<CachedAnswer> {
+    /// Find the entry under `key` that `snapshot` still certifies, bump
+    /// its recency and the hit/miss counters, and hand it to `hit`.
+    /// Entries that no longer match are left to age out.
+    fn find<R>(
+        &self,
+        key: &CacheKey,
+        snapshot: &Snapshot,
+        hit: impl FnOnce(&Entry) -> R,
+    ) -> Option<R> {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        let hit = inner
+        let entry = inner
             .map
             .get_mut(key)
             .and_then(|bucket| bucket.iter_mut().find(|e| e.fingerprint.matches(snapshot)));
-        match hit {
+        match entry {
             Some(entry) => {
                 entry.last_used = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.answer.clone())
+                Some(hit(entry))
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -292,31 +367,93 @@ impl ResponseCache {
         }
     }
 
+    /// Look `key` up for a caller serving at the pinned `snapshot`,
+    /// bumping the matched entry's recency and the hit/miss counters. An
+    /// entry matches while the snapshot carries its fingerprint's edge
+    /// count and shard versions.
+    pub fn get(&self, key: &CacheKey, snapshot: &Snapshot) -> Option<CachedAnswer> {
+        self.find(key, snapshot, |e| e.answer.clone())
+    }
+
+    /// [`get`](ResponseCache::get) for a caller that renders replies
+    /// under the id space `space`: when the entry holds a reply tail
+    /// rendered under `space`, it is appended to `out` and the answer is
+    /// not copied. A hit on an entry without bytes hands out the
+    /// [`Ticket`] to [`attach`](ResponseCache::attach) them.
+    pub fn lookup(
+        &self,
+        key: &CacheKey,
+        snapshot: &Snapshot,
+        space: u64,
+        out: &mut String,
+    ) -> Lookup {
+        self.find(key, snapshot, |e| match &e.reply {
+            Some(reply) if reply.space == space => {
+                out.push_str(&reply.bytes);
+                Lookup::Copied {
+                    seconds: e.answer.seconds,
+                    ok: e.answer.result.is_ok(),
+                }
+            }
+            Some(_) => Lookup::Hit(e.answer.clone(), None),
+            None => Lookup::Hit(e.answer.clone(), Some(Ticket(e.born))),
+        })
+        .unwrap_or(Lookup::Miss)
+    }
+
+    /// Keep `bytes`, the reply tail rendered under the id space `space`,
+    /// in the entry `ticket` came from. A no-op when that answer has
+    /// since been evicted or overwritten, or already holds bytes.
+    pub fn attach(&self, key: &CacheKey, ticket: Ticket, space: u64, bytes: String) {
+        let mut inner = self.lock();
+        let Some(entry) = inner
+            .map
+            .get_mut(key)
+            .and_then(|bucket| bucket.iter_mut().find(|e| e.born == ticket.0))
+            .filter(|e| e.reply.is_none())
+        else {
+            return;
+        };
+        let added = bytes.len() as u64;
+        entry.reply = Some(Reply { space, bytes });
+        inner.bytes += added;
+    }
+
     /// Store `answer` under `key` with its validity `fingerprint`,
     /// evicting the least-recently-used entry when at capacity. An
     /// existing entry with the *same* fingerprint is overwritten in
-    /// place; entries for other epochs coexist in the key's bucket.
+    /// place, dropping its rendered reply; entries for other epochs
+    /// coexist in the key's bucket.
     pub fn insert(&self, key: CacheKey, answer: CachedAnswer, fingerprint: Fingerprint) {
         if self.capacity == 0 {
             return;
         }
-        let mut inner = self.lock();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         inner.tick += 1;
         let tick = inner.tick;
-        if let Some(existing) = inner
-            .map
-            .get_mut(&key)
-            .and_then(|bucket| bucket.iter_mut().find(|e| e.fingerprint == fingerprint))
-        {
-            existing.answer = answer;
-            existing.last_used = tick;
+        let entry = Entry {
+            answer,
+            last_used: tick,
+            born: tick,
+            fingerprint,
+            reply: None,
+        };
+        let added = entry.bytes(&key);
+        if let Some(existing) = inner.map.get_mut(&key).and_then(|bucket| {
+            bucket
+                .iter_mut()
+                .find(|e| e.fingerprint == entry.fingerprint)
+        }) {
+            inner.bytes = inner.bytes - existing.bytes(&key) + added;
+            *existing = entry;
             return;
         }
         // Eviction is a linear min-scan over u64 recency ticks. At the
         // default capacity (1024) that is microseconds, paid only on a
         // miss that already paid a full search; an index that made this
         // O(log n) would clone keys on every *hit*, the wrong trade.
-        if inner.map.values().map(Vec::len).sum::<usize>() >= self.capacity {
+        if inner.entries >= self.capacity {
             let evict = inner
                 .map
                 .iter()
@@ -331,23 +468,30 @@ impl ResponseCache {
                 .map(|(used, k)| (k, used));
             if let Some((k, used)) = evict {
                 if let Some(bucket) = inner.map.get_mut(&k) {
-                    bucket.retain(|e| e.last_used != used);
+                    if let Some(i) = bucket.iter().position(|e| e.last_used == used) {
+                        inner.bytes -= bucket.remove(i).bytes(&k);
+                        inner.entries -= 1;
+                    }
                     if bucket.is_empty() {
                         inner.map.remove(&k);
                     }
                 }
             }
         }
-        inner.map.entry(key).or_default().push(Entry {
-            answer,
-            last_used: tick,
-            fingerprint,
-        });
+        inner.entries += 1;
+        inner.bytes += added;
+        inner.map.entry(key).or_default().push(entry);
     }
 
     /// Number of live entries (across all epochs).
     pub fn len(&self) -> usize {
-        self.lock().map.values().map(Vec::len).sum()
+        self.lock().entries
+    }
+
+    /// What the live entries hold, in bytes: 4 per stored node id plus
+    /// the attached reply bytes (see the module docs).
+    pub fn bytes(&self) -> u64 {
+        self.lock().bytes
     }
 
     /// Whether the cache currently holds no entries.
@@ -517,6 +661,52 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.get(&key(&[0]), &snap).unwrap().seconds, 0.9);
         assert!(cache.get(&key(&[1]), &snap).is_some());
+    }
+
+    #[test]
+    fn a_hit_copies_the_reply_its_first_hit_attached() {
+        let cache = ResponseCache::new(2);
+        let snap = at(&[0]);
+        let mut out = String::new();
+        let lookup = |space, out: &mut String| cache.lookup(&key(&[0]), &snap, space, out);
+        assert!(matches!(lookup(1, &mut out), Lookup::Miss));
+        // One query node and a two-node community: 12 bytes, no reply.
+        cache.insert(key(&[0]), answer(0.5), fp(0));
+        assert_eq!((cache.len(), cache.bytes()), (1, 12));
+        let Lookup::Hit(hit, Some(ticket)) = lookup(1, &mut out) else {
+            panic!("the first hit carries a ticket");
+        };
+        assert_eq!(hit.seconds, 0.5);
+        cache.attach(&key(&[0]), ticket, 1, "tail\n".into());
+        assert_eq!(cache.bytes(), 17);
+        // The same id space copies the bytes ...
+        assert!(matches!(
+            lookup(1, &mut out),
+            Lookup::Copied { seconds, ok: true } if seconds == 0.5
+        ));
+        assert_eq!(out, "tail\n");
+        // ... another gets the answer to render, and no ticket.
+        assert!(matches!(lookup(2, &mut out), Lookup::Hit(_, None)));
+        cache.attach(&key(&[0]), ticket, 2, "other\n".into());
+        assert_eq!((out.as_str(), cache.bytes()), ("tail\n", 17));
+        assert_eq!((cache.hits(), cache.misses()), (3, 1));
+
+        // Overwriting the answer drops its bytes, and a ticket for the
+        // old answer attaches nothing to the new one.
+        cache.insert(key(&[0]), answer(0.75), fp(0));
+        assert_eq!(cache.bytes(), 12);
+        cache.attach(&key(&[0]), ticket, 1, "stale\n".into());
+        assert_eq!(cache.bytes(), 12);
+        assert!(matches!(lookup(1, &mut out), Lookup::Hit(_, Some(_))));
+
+        // Eviction takes the evicted entry's bytes out of the total.
+        cache.insert(key(&[1]), answer(0.1), fp(0));
+        cache.insert(key(&[1, 2]), answer(0.2), fp(0));
+        assert_eq!((cache.len(), cache.bytes()), (2, 12 + 16));
+        assert!(
+            matches!(lookup(1, &mut out), Lookup::Miss),
+            "[0] was coldest"
+        );
     }
 
     #[test]

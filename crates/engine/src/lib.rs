@@ -29,6 +29,8 @@
 //!   of exactly the store shards the answering search touched, plus the
 //!   graph's edge count. Updates to other shards that keep the edge
 //!   count leave the entry live; a hit always equals a fresh search.
+//!   An entry the daemon has hit also keeps its rendered reply bytes,
+//!   so later hits copy them.
 //! - [`session`] — [`Session`]: a pinned
 //!   [`dmcs_graph::Snapshot`] + resolved algorithm + one
 //!   persistent [`QueryWorkspace`](dmcs_graph::view::QueryWorkspace), so

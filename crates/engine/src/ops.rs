@@ -3,12 +3,17 @@
 //!
 //! - [`IdSpace`] — the one original-id ↔ dense-id map, plus the
 //!   query-id hygiene rules ([`parse_query_ids`], [`check_distinct`]).
+//!   Its process-unique [`id`](IdSpace::id) stamps the reply bytes the
+//!   result cache keeps for the daemon.
 //! - [`Mutation`] — one `add`/`del`/`setw`, checked on construction
 //!   against the rules that hold whatever the store and by
 //!   [`Mutation::apply`] against the rest, with one error text per rule.
 //!   [`parse_update_script`] reads the `--updates` grammar into it; the
 //!   wire builds it from JSON members.
-//! - [`StreamTally`] — what a query stream's closing `summary` needs.
+//! - [`StreamTally`] — what a query stream's closing `summary` needs:
+//!   each query's seconds, success and cache flag, recorded without a
+//!   [`QueryResponse`](crate::QueryResponse), which a copied cache hit
+//!   never builds.
 //!
 //! Shape errors stay with the front ends, with their own codes: a
 //! malformed script line is a `BadUpdate` (exit 7), a malformed wire
@@ -18,12 +23,12 @@ use crate::batch::BatchReport;
 use crate::error::EngineError;
 use crate::output::SummaryInput;
 use crate::plan::QueryPlan;
-use crate::request::QueryResponse;
 use crate::{Engine, Session};
 use dmcs_graph::weighted::{valid_weight, WEIGHT_CONSTRAINT};
 use dmcs_graph::NodeId;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
@@ -32,10 +37,19 @@ use std::time::Instant;
 /// the store's node count. Shared by every connection of a daemon, so
 /// it sits behind a lock: queries, `del` and `setw` take it for
 /// reading, an `add` takes it for writing once for both endpoints.
+///
+/// Each map carries a process-unique [`id`](IdSpace::id). Since a
+/// dense id never changes its original id, a reply rendered through
+/// one map stays valid for it, and the result cache stamps the reply
+/// bytes it keeps with this id.
 #[derive(Debug)]
 pub struct IdSpace {
+    id: u64,
     ids: RwLock<Ids>,
 }
+
+/// The next [`IdSpace::id`].
+static NEXT_SPACE: AtomicU64 = AtomicU64::new(1);
 
 #[derive(Debug)]
 struct Ids {
@@ -53,8 +67,14 @@ impl IdSpace {
             .map(|(dense, &raw)| (raw, dense as NodeId))
             .collect();
         IdSpace {
+            id: NEXT_SPACE.fetch_add(1, Ordering::Relaxed),
             ids: RwLock::new(Ids { index, original }),
         }
+    }
+
+    /// This map's process-unique id.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     // Poison recovery: a panicking connection thread must not take the
@@ -387,11 +407,15 @@ impl StreamTally {
         self.seconds.len()
     }
 
-    /// Count one answered query.
-    pub fn record(&mut self, resp: &QueryResponse) {
-        self.seconds.push(resp.seconds);
-        self.ok += usize::from(resp.is_ok());
-        self.cache_hits += usize::from(resp.cached);
+    /// Count one answered query: its (replayed) wall time, whether it
+    /// found a community, and whether the cache answered it. The daemon
+    /// copies most cached replies without building a
+    /// [`QueryResponse`](crate::QueryResponse), so the tally takes the
+    /// three facts it needs.
+    pub fn record(&mut self, seconds: f64, ok: bool, cached: bool) {
+        self.seconds.push(seconds);
+        self.ok += usize::from(ok);
+        self.cache_hits += usize::from(cached);
     }
 
     /// The stream re-pins: `replaced` is about to be dropped, so fold

@@ -8,6 +8,10 @@
 //!   written in place, id lists mapped to original ids and sorted in the
 //!   writer's reused scratch vector. No value tree is built: a warm
 //!   writer and buffer allocate nothing for a successful `response`.
+//!   A `response` is written as a head (`type`, the protocol members and
+//!   `tag`) and a tail (`algo` on), which depends on the answer alone;
+//!   the daemon keeps a cached answer's tail and copies it on later hits
+//!   (see [`cache`](crate::cache)).
 //! - [`Json`], a value type with a strict parser. The daemon parses every
 //!   request line with it, and tests and the CI output validator read
 //!   output back through it. [`Json::render`] writes a value (tests build
@@ -118,12 +122,7 @@ impl LineWriter {
     /// (`protocol_version`, `server`) right after `type`. Members follow
     /// through the returned [`Obj`]; [`Obj::end`] finishes the line.
     pub(crate) fn object<'a>(&'a mut self, out: &'a mut String, ty: &str) -> Obj<'a> {
-        out.push_str("{\"type\":");
-        push_str_value(out, ty);
-        out.push_str(",\"protocol_version\":");
-        push_uint(out, PROTOCOL_VERSION);
-        out.push_str(",\"server\":");
-        push_str_value(out, SERVER_ID);
+        open_object(out, ty);
         Obj {
             out,
             ids: &mut self.ids,
@@ -153,11 +152,28 @@ impl LineWriter {
         seconds: f64,
         original: Option<&[u64]>,
     ) {
-        let obj = self
-            .object(out, "response")
-            .str_or_null("tag", request.tag.as_deref())
-            .str("algo", algo)
-            .ids("query", &request.nodes, original);
+        response_head(out, request.tag.as_deref());
+        self.response_tail(out, algo, &request.nodes, result, seconds, original);
+    }
+
+    /// The rest of a `response` line after [`response_head`]: everything
+    /// from `algo` on, which depends on the answer alone, never on the
+    /// request's tag. The daemon keeps these bytes in the result cache.
+    pub(crate) fn response_tail(
+        &mut self,
+        out: &mut String,
+        algo: &str,
+        query: &[NodeId],
+        result: Result<&SearchResult, &SearchError>,
+        seconds: f64,
+        original: Option<&[u64]>,
+    ) {
+        let obj = Obj {
+            out,
+            ids: &mut self.ids,
+        }
+        .str("algo", algo)
+        .ids("query", query, original);
         match result {
             Ok(r) => obj
                 .bool("ok", true)
@@ -267,6 +283,25 @@ impl LineWriter {
     }
 }
 
+/// Write `{"type":<ty>` and the protocol members, leaving the object
+/// open.
+fn open_object(out: &mut String, ty: &str) {
+    out.push_str("{\"type\":");
+    push_str_value(out, ty);
+    out.push_str(",\"protocol_version\":");
+    push_uint(out, PROTOCOL_VERSION);
+    out.push_str(",\"server\":");
+    push_str_value(out, SERVER_ID);
+}
+
+/// The head of a `response` line: `type`, the protocol members and
+/// `tag`, with the object left open for [`LineWriter::response_tail`].
+pub(crate) fn response_head(out: &mut String, tag: Option<&str>) {
+    open_object(out, "response");
+    out.push_str(",\"tag\":");
+    push_str_or_null(out, tag);
+}
+
 /// An object a [`LineWriter`] is writing. Each member method appends
 /// `,"key":value` with `key` written as given (a literal that needs no
 /// escaping); [`Obj::end`] closes the object and its line.
@@ -311,10 +346,7 @@ impl Obj<'_> {
 
     /// A string member, or `null` when there is none.
     pub fn str_or_null(mut self, key: &'static str, s: Option<&str>) -> Self {
-        match s {
-            Some(s) => push_str_value(self.key(key), s),
-            None => self.key(key).push_str("null"),
-        }
+        push_str_or_null(self.key(key), s);
         self
     }
 
@@ -364,6 +396,14 @@ fn push_num(out: &mut String, x: f64) {
         let _ = write!(out, "{x}");
     } else {
         out.push_str("null");
+    }
+}
+
+/// `s` as a quoted JSON string, or `null` when there is none.
+fn push_str_or_null(out: &mut String, s: Option<&str>) {
+    match s {
+        Some(s) => push_str_value(out, s),
+        None => out.push_str("null"),
     }
 }
 

@@ -18,6 +18,13 @@
 //! a connection's `summary` are the [`ops`](crate::ops) layer's jobs,
 //! shared with the CLI.
 //!
+//! A `query` makes one cache lookup. The connection writes the
+//! `response` head with the request's own `tag`; when the entry keeps a
+//! tail rendered through this daemon's [`IdSpace`], the tail is copied
+//! from the cache, otherwise the writer renders it, and an entry's first
+//! hit keeps what was rendered (see [`cache`](crate::cache)). Top-k
+//! replies are rendered every time.
+//!
 //! ## Wire protocol (protocol_version 1)
 //!
 //! Requests are JSON objects, one per line, parsed by the same strict
@@ -46,8 +53,9 @@
 //! `line` is the 1-based request line number on this connection and
 //! `code` is the exit-code analog of the error class (5 unknown node,
 //! 7 bad update, 8 overloaded, 9 bad request). Malformed requests —
-//! a `nodes` array that repeats an id among them — are answered before
-//! admission.
+//! a `nodes` array that repeats an id, a `k` that is not an unsigned
+//! integer, a `tag` that is not a string among them — are answered
+//! before admission.
 //!
 //! **Framing** is newline-delimited and defensive: a torn line (the
 //! peer closes mid-request) and an oversized line (longer than
@@ -75,11 +83,12 @@
 //! 25 ms, so an idle connection notices drain; a reply's write waits at
 //! most 5 s. A client that reads nothing for that long loses its
 //! connection, counted as `slow_client_drops` in `stats`, so it cannot
-//! hold up drain.
+//! hold up drain. The loop itself polls: idle, it sleeps 1 ms, doubling
+//! up to 25 ms, and each accepted connection resets the sleep.
 
 use crate::error::EngineError;
 use crate::ops::{check_distinct, Action, IdSpace, Mutation, StreamTally};
-use crate::output::{Json, LineWriter};
+use crate::output::{response_head, Json, LineWriter};
 use crate::plan::{PlanMode, QueryPlan};
 use crate::registry::AlgoSpec;
 use crate::request::QueryRequest;
@@ -94,10 +103,17 @@ use std::sync::Arc;
 use std::thread::Scope;
 use std::time::Duration;
 
-/// How long a blocked read/accept waits before re-checking the drain
-/// flag. Bounds shutdown latency, not throughput (data ready on the
-/// socket returns immediately).
+/// How long a blocked read waits, and an idle accept loop sleeps at
+/// most, before re-checking the drain flag. Bounds shutdown latency,
+/// not throughput (data ready on the socket returns immediately).
 const POLL: Duration = Duration::from_millis(25);
+
+/// The accept loop's first sleep after it finds no connection waiting.
+/// Each further idle round doubles the sleep, up to [`POLL`], and an
+/// accepted connection resets it: a connection arriving soon after bind
+/// or after another connection waits a few milliseconds at most, one
+/// arriving after a long idle still up to `POLL`.
+const FIRST_NAP: Duration = Duration::from_millis(1);
 
 /// How long one reply may wait on a client that does not read it. A
 /// reply still unsent after this closes its connection and counts in
@@ -419,18 +435,29 @@ impl Listener for UnixListener {
 /// at most [`POLL`], so an idle connection notices drain, and a reply
 /// write at most the write deadline, so a client that stops reading
 /// cannot hold up drain. A stream that cannot take them is closed.
+///
+/// The listener does not block: while no connection waits, the loop
+/// sleeps from [`FIRST_NAP`] doubling up to [`POLL`], so drain is
+/// noticed within `POLL`. (A blocking accept would need a wake-up
+/// connection on drain, which cannot reach a unix path that another
+/// daemon has since bound.)
 fn accept_loop<'s, 'e, L: Listener>(listener: &'e L, shared: &'e Shared, scope: &'s Scope<'s, 'e>) {
+    let mut nap = FIRST_NAP;
     loop {
         if shared.draining() {
             return;
         }
         match listener.accept_stream() {
             Ok(stream) => {
+                nap = FIRST_NAP;
                 if L::set_timeouts(&stream, POLL, shared.write_deadline).is_ok() {
                     scope.spawn(move || serve_conn(shared, stream));
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                std::thread::sleep(nap);
+                nap = (nap * 2).min(POLL);
+            }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => return,
         }
@@ -688,6 +715,8 @@ fn op_stats(shared: &Shared, session: &Session, conn: &mut ConnState) {
         .num("skew", plan.skew)
         .uint("cache_hits", cache.hits())
         .uint("cache_misses", cache.misses())
+        .uint("cache_entries", cache.len() as u64)
+        .uint("cache_bytes", cache.bytes())
         .uint("shards", store.shard_count() as u64)
         .uint("dirty_shards", store.dirty_shards() as u64)
         .uint("rebuilds", rb.rebuilds)
@@ -745,7 +774,16 @@ fn op_query(shared: &Shared, session: &mut Session, conn: &mut ConnState, req: &
             }
         },
     };
-    let tag = req.get("tag").and_then(Json::as_str).map(str::to_string);
+    let tag = match req.get("tag").map(Json::as_str) {
+        None => None,
+        Some(Some(tag)) => Some(tag),
+        Some(None) => {
+            return conn.error_line(&EngineError::bad_request(
+                line_no,
+                "\"tag\" must be a string",
+            ))
+        }
+    };
 
     if !shared.admit() {
         let e = EngineError::overloaded(shared.in_flight.load(Ordering::SeqCst), shared.queue_cap);
@@ -762,7 +800,7 @@ fn serve_admitted_query(
     conn: &mut ConnState,
     nodes_raw: &[u64],
     k: usize,
-    tag: Option<String>,
+    tag: Option<&str>,
 ) {
     let dense = match shared.ids.map_query(nodes_raw) {
         Ok(d) => d,
@@ -774,28 +812,31 @@ fn serve_admitted_query(
         shared.served.fetch_add(1, Ordering::SeqCst);
         // `dense` maps back to exactly `nodes_raw`.
         return shared.ids.with_original(|original| {
-            let tag = tag.as_deref();
             conn.json
                 .topk(&mut conn.reply, &outcome, k, tag, &dense, Some(original))
         });
     }
 
-    let mut request = QueryRequest::new(dense);
-    if let Some(t) = tag {
-        request = request.with_tag(t);
-    }
-    match session.query(&request) {
-        Ok(resp) => {
-            shared.served.fetch_add(1, Ordering::SeqCst);
-            conn.tally.record(&resp);
+    // The head carries this request's tag; the tail after it depends on
+    // the answer alone, so a cached answer's tail is copied as rendered.
+    let ConnState {
+        tally, reply, json, ..
+    } = conn;
+    response_head(reply, tag);
+    let served = session.serve(
+        &QueryRequest::new(dense),
+        shared.ids.id(),
+        reply,
+        |resp, out| {
             shared.ids.with_original(|original| {
-                conn.json.response(&mut conn.reply, &resp, Some(original))
+                let result = resp.result.as_ref();
+                let (nodes, seconds) = (&resp.request.nodes, resp.seconds);
+                json.response_tail(out, resp.algo, nodes, result, seconds, Some(original))
             })
-        }
-        // Unreachable (`Session::query` answers every request), but keep
-        // the taxonomy honest rather than panicking a connection thread.
-        Err(e) => conn.error_line(&e),
-    }
+        },
+    );
+    shared.served.fetch_add(1, Ordering::SeqCst);
+    tally.record(served.seconds, served.ok, served.cached);
 }
 
 /// `{"op":"update","action":"add|del|setw","u":..,"v":..,"w":..}` —
@@ -867,7 +908,8 @@ fn wire_mutation(req: &Json, line_no: usize) -> Result<Mutation, EngineError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmcs_graph::GraphBuilder;
+    use dmcs_graph::{GraphBuilder, NodeId, Snapshot};
+    use proptest::prelude::*;
 
     fn demo_engine() -> (Engine, Vec<u64>) {
         let g =
@@ -1275,6 +1317,9 @@ mod tests {
 
     /// Every timing member (`seconds`, `*_seconds`, `queries_per_sec`)
     /// with its value replaced by `0`; every other byte as written.
+    /// `cache_bytes` is zeroed too: it counts the cached reply bytes,
+    /// which hold a `seconds` value of varying length
+    /// (`stats_report_the_cache_totals` pins it exactly).
     fn zero_timings(line: &str) -> String {
         let mut out = String::with_capacity(line.len());
         let mut rest = line;
@@ -1283,7 +1328,7 @@ mod tests {
             out.push_str(head);
             let key = head[..at].rsplit('"').next().unwrap();
             rest = tail;
-            if key.ends_with("seconds") || key == "queries_per_sec" {
+            if key.ends_with("seconds") || key == "queries_per_sec" || key == "cache_bytes" {
                 out.push('0');
                 rest = &tail[tail.find([',', '}']).unwrap()..];
             }
@@ -1355,7 +1400,8 @@ mod tests {
         serve_conn(&sh, &mut io);
         let mut transcript = io.output;
 
-        // Overload: work ops are refused with code 8, control ops pass.
+        // Overload: work ops are refused with code 8, control ops pass,
+        // and a malformed query is a bad request even behind a full gate.
         let sh = shared(
             Engine::from_graph(GraphBuilder::from_edges(8, &edges)),
             original.clone(),
@@ -1364,7 +1410,8 @@ mod tests {
         let mut io = Script::new(
             "{\"op\":\"query\",\"nodes\":[50]}\n\
              {\"op\":\"update\",\"action\":\"add\",\"u\":50,\"v\":30}\n\
-             {\"op\":\"stats\"}\n",
+             {\"op\":\"stats\"}\n\
+             {\"op\":\"query\",\"nodes\":[50],\"tag\":5}\n",
         );
         serve_conn(&sh, &mut io);
         transcript.extend(io.output);
@@ -1399,6 +1446,265 @@ mod tests {
             include_str!("../tests/golden/wire_transcript.jsonl"),
             "wire bytes drifted from tests/golden/wire_transcript.jsonl"
         );
+    }
+
+    /// The raw reply lines of `script` on `sh`, one connection.
+    fn raw_replies(sh: &Shared, script: &str) -> Vec<String> {
+        let mut io = Script::new(script);
+        serve_conn(sh, &mut io);
+        let text = String::from_utf8(io.output).unwrap();
+        text.lines().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn a_reply_cached_under_one_id_space_is_rendered_again_under_another() {
+        // Two daemons over one engine, so one cache, naming its nodes
+        // through different id maps.
+        let (engine, _) = demo_engine();
+        let a = shared(engine.clone(), (0..6).collect(), 8);
+        let b = shared(engine.clone(), (100..106).collect(), 8);
+        let query = |node: u64| format!("{{\"op\":\"query\",\"nodes\":[{node}]}}\n");
+        // A miss, the first hit (which keeps the rendered tail) and a
+        // hit that copies it: three identical lines.
+        let under_a = raw_replies(&a, &query(0).repeat(3));
+        assert!(
+            under_a[..3].iter().all(|line| *line == under_a[0]),
+            "{under_a:?}"
+        );
+        let bytes = engine.cache().bytes();
+        // Under the other map the same entry hits, and is rendered in
+        // that map's ids rather than copied.
+        let under_b = raw_replies(&b, &query(100).repeat(2));
+        let community = |line: &Json| -> Vec<u64> {
+            let ids = line.get("community").unwrap().as_arr().unwrap();
+            ids.iter().map(|v| v.as_u64().unwrap()).collect()
+        };
+        let under_a = community(&Json::parse(&under_a[0]).unwrap());
+        let want: Vec<u64> = under_a.iter().map(|v| v + 100).collect();
+        for line in &under_b[..2] {
+            let line = Json::parse(line).unwrap();
+            let query = line.get("query").unwrap();
+            assert_eq!(query, &Json::Arr(vec![Json::UInt(100)]));
+            assert_eq!(community(&line), want, "{line:?}");
+        }
+        assert_eq!((engine.cache().hits(), engine.cache().misses()), (4, 1));
+        assert_eq!(engine.cache().bytes(), bytes, "the first map's bytes stay");
+    }
+
+    #[test]
+    fn stats_report_the_cache_totals() {
+        let (engine, original) = demo_engine();
+        let expected = Session::new(engine.snapshot(), &AlgoSpec::new("fpa"))
+            .unwrap()
+            .search(&[0])
+            .unwrap();
+        let sh = shared(engine, original, 8);
+        let replies = raw_replies(
+            &sh,
+            "{\"op\":\"query\",\"nodes\":[0],\"tag\":\"t\"}\n\
+             {\"op\":\"query\",\"nodes\":[0]}\n\
+             {\"op\":\"stats\"}\n",
+        );
+        // The first hit kept its reply after the tag member.
+        let tail = &replies[1][replies[1].find(",\"algo\"").unwrap()..];
+        let ids = 1 + expected.community.len() + expected.removal_order.len();
+        let stats = Json::parse(&replies[2]).unwrap();
+        assert_eq!(stats.get("cache_entries").unwrap().as_u64(), Some(1));
+        assert_eq!(
+            stats.get("cache_bytes").unwrap().as_u64(),
+            Some(4 * ids as u64 + tail.len() as u64 + 1),
+            "4 bytes per stored id plus the reply tail and its newline"
+        );
+    }
+
+    /// One op of a random wire transcript, over [`WIRE_IDS`].
+    #[derive(Debug, Clone, Copy)]
+    enum WireOp {
+        /// Query `WIRE_IDS[a]`, plus `WIRE_IDS[b]` when `b` indexes it,
+        /// tagged with `WIRE_TAGS[tag]`.
+        Query { a: usize, b: usize, tag: usize },
+        /// Add the edge `WIRE_IDS[a]`–`WIRE_IDS[b]`.
+        Add { a: usize, b: usize },
+        /// Delete the `pick`-th live edge (modulo the edge count).
+        Del { pick: usize },
+        /// Pin the connection's session to the current graph.
+        Repin,
+    }
+
+    /// Original ids: the twelve loaded nodes, shuffled so that sorting
+    /// after mapping shows, and three fresh ids (5, 15, 25) an `add`
+    /// creates.
+    const WIRE_IDS: [u64; 15] = [50, 10, 5, 40, 0, 15, 30, 20, 25, 70, 60, 110, 90, 100, 80];
+
+    /// Tags with quotes, backslashes, control characters and non-ASCII
+    /// text; `None` sends no tag.
+    const WIRE_TAGS: [Option<&str>; 6] = [
+        None,
+        Some("plain"),
+        Some("q \"t\" \\ end"),
+        Some("ctl \u{1}\t\n\u{1f}"),
+        Some("ü 社区 é"),
+        Some(""),
+    ];
+
+    fn wire_op() -> impl Strategy<Value = WireOp> {
+        // Six in nine ops query the first nine ids (so the same query
+        // repeats, hitting the cache), the rest add, delete or repin.
+        (0u8..9).prop_flat_map(|kind| {
+            (0..WIRE_IDS.len()).prop_flat_map(move |a| {
+                (0..2 * WIRE_IDS.len()).prop_flat_map(move |b| {
+                    (0..WIRE_TAGS.len()).prop_map(move |tag| match kind {
+                        0..=5 => WireOp::Query { a: a % 9, b, tag },
+                        6 => WireOp::Add {
+                            a,
+                            b: b % WIRE_IDS.len(),
+                        },
+                        7 => WireOp::Del { pick: b },
+                        _ => WireOp::Repin,
+                    })
+                })
+            })
+        })
+    }
+
+    /// What the wire proptest expects of one reply line.
+    #[derive(Debug)]
+    enum Want {
+        /// A `response` line with these bytes, timings zeroed.
+        Response(String),
+        /// A reply of this `type`.
+        Type(&'static str),
+    }
+
+    /// The reference the wire proptest checks the daemon against: the
+    /// id map and the edge set, in dense ids.
+    #[derive(Clone)]
+    struct WireModel {
+        original: Vec<u64>,
+        edges: std::collections::BTreeSet<(NodeId, NodeId)>,
+    }
+
+    impl WireModel {
+        fn dense(&self, raw: u64) -> Option<NodeId> {
+            self.original
+                .iter()
+                .position(|&r| r == raw)
+                .map(|d| d as NodeId)
+        }
+
+        /// The dense id of `raw`, created when unseen (as an `add` does).
+        fn dense_or_create(&mut self, raw: u64) -> NodeId {
+            self.dense(raw).unwrap_or_else(|| {
+                self.original.push(raw);
+                (self.original.len() - 1) as NodeId
+            })
+        }
+
+        /// The graph, rebuilt from scratch.
+        fn graph(&self) -> dmcs_graph::Graph {
+            let edges: Vec<(NodeId, NodeId)> = self.edges.iter().copied().collect();
+            GraphBuilder::from_edges(self.original.len(), &edges)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn wire_replies_equal_a_cacheless_session_on_the_pinned_graph(
+            ops in proptest::collection::vec(wire_op(), 0..50),
+        ) {
+            // Three components, each inside one of three shards.
+            let base: [(NodeId, NodeId); 12] = [
+                (0, 1), (0, 2), (1, 2), (2, 3),
+                (4, 5), (5, 6), (6, 7), (4, 7), (4, 6),
+                (8, 9), (9, 10), (10, 11),
+            ];
+            let loaded: Vec<u64> = WIRE_IDS.iter().copied().filter(|id| id % 10 == 0).collect();
+            let engine = Engine::from_graph_sharded(GraphBuilder::from_edges(12, &base), 3);
+            let sh = shared(engine, loaded.clone(), 8);
+            let mut live = WireModel { original: loaded, edges: base.into_iter().collect() };
+            let mut pinned = live.clone();
+
+            // The transcript, and the reply type the model expects for
+            // each line: `response` lines carry the expected bytes.
+            let (mut script, mut expected) = (String::new(), Vec::new());
+            for op in &ops {
+                let want = match *op {
+                    WireOp::Query { a, b, tag } => {
+                        let mut raw = vec![WIRE_IDS[a]];
+                        if b < WIRE_IDS.len() && b != a {
+                            raw.push(WIRE_IDS[b]);
+                        }
+                        let tag = WIRE_TAGS[tag];
+                        let nodes = Json::Arr(raw.iter().map(|&id| Json::UInt(id)).collect());
+                        script += &format!("{{\"op\":\"query\",\"nodes\":{}", nodes.render());
+                        if let Some(t) = tag {
+                            script += &format!(",\"tag\":{}", Json::str(t).render());
+                        }
+                        script += "}\n";
+                        match raw.iter().map(|&id| live.dense(id)).collect::<Option<Vec<_>>>() {
+                            Some(dense) => {
+                                let mut request = QueryRequest::new(dense);
+                                request.tag = tag.map(str::to_string);
+                                let resp = Session::new(Snapshot::freeze(pinned.graph()), &sh.spec)
+                                    .unwrap()
+                                    .query(&request)
+                                    .unwrap();
+                                let mut line = String::new();
+                                LineWriter::new().response(&mut line, &resp, Some(&live.original));
+                                Want::Response(zero_timings(line.trim_end()))
+                            }
+                            None => Want::Type("error"),
+                        }
+                    }
+                    WireOp::Add { a, b } => {
+                        let (u, v) = (WIRE_IDS[a], WIRE_IDS[b]);
+                        script += &format!("{{\"op\":\"update\",\"action\":\"add\",\"u\":{u},\"v\":{v}}}\n");
+                        if u == v {
+                            Want::Type("error")
+                        } else {
+                            let (du, dv) = (live.dense_or_create(u), live.dense_or_create(v));
+                            match live.edges.insert((du.min(dv), du.max(dv))) {
+                                true => Want::Type("update"),
+                                false => Want::Type("error"),
+                            }
+                        }
+                    }
+                    WireOp::Del { pick } => {
+                        let edge = live.edges.iter().nth(pick % live.edges.len().max(1)).copied();
+                        let (du, dv) = edge.unwrap_or((0, 1));
+                        let (u, v) = (live.original[du as usize], live.original[dv as usize]);
+                        script += &format!("{{\"op\":\"update\",\"action\":\"del\",\"u\":{u},\"v\":{v}}}\n");
+                        match live.edges.remove(&(du, dv)) {
+                            true => Want::Type("update"),
+                            false => Want::Type("error"),
+                        }
+                    }
+                    WireOp::Repin => {
+                        script += "{\"op\":\"repin\"}\n";
+                        pinned = live.clone();
+                        Want::Type("repin")
+                    }
+                };
+                expected.push(want);
+            }
+
+            let replies = raw_replies(&sh, &script);
+            prop_assert_eq!(replies.len(), ops.len() + 1, "one reply per op, then the summary");
+            for (i, (got, want)) in replies.iter().zip(&expected).enumerate() {
+                match want {
+                    Want::Response(line) => {
+                        prop_assert_eq!(&zero_timings(got), line, "op {} of {:?}", i, ops)
+                    }
+                    Want::Type(ty) => {
+                        let reply = Json::parse(got).unwrap();
+                        let got_ty = reply.get("type").and_then(Json::as_str);
+                        prop_assert_eq!(got_ty, Some(*ty), "op {} of {:?}: {}", i, ops, got);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! the canonical CSR. Weighted specs stay canonical because their
 //! floating-point sums follow the traversal order.
 
-use crate::cache::{fingerprint, CacheKey, CachedAnswer, ResponseCache};
+use crate::cache::{fingerprint, CacheKey, CachedAnswer, Lookup, ResponseCache};
 use crate::error::EngineError;
 use crate::registry::AlgoSpec;
 use crate::request::{QueryRequest, QueryResponse};
@@ -259,21 +259,74 @@ impl Session {
     /// cache hit replays the original computation — algorithm name,
     /// outcome **and** timing — so repeated output is byte-identical.
     pub fn query(&mut self, req: &QueryRequest) -> Result<QueryResponse, EngineError> {
-        let key = self
-            .cache
-            .as_ref()
-            .map(|_| CacheKey::new(&self.spec, &req.nodes, &self.snapshot));
+        let key = self.cache_key(req);
         if let (Some(cache), Some(key)) = (&self.cache, &key) {
             if let Some(hit) = cache.get(key, &self.snapshot) {
                 let (algo, seconds) = (hit.algo, hit.seconds);
                 return Ok(respond(req, algo, hit.into_single_result(), seconds, true));
             }
+        }
+        Ok(self.compute(req, key))
+    }
+
+    /// Answer `req` by appending the tail of its `response` line (see
+    /// [`LineWriter::response_tail`](crate::output::LineWriter)) to
+    /// `out`, for a caller rendering original ids through the id space
+    /// `space`. One cache lookup decides how: a hit whose entry keeps a
+    /// tail rendered under `space` copies it; any other request is
+    /// answered as [`Session::query`] answers it and handed to `render`,
+    /// and on an entry's first hit the cache keeps what `render` wrote.
+    pub(crate) fn serve(
+        &mut self,
+        req: &QueryRequest,
+        space: u64,
+        out: &mut String,
+        render: impl FnOnce(&QueryResponse, &mut String),
+    ) -> Served {
+        let key = self.cache_key(req);
+        if let (Some(cache), Some(key)) = (&self.cache, &key) {
+            match cache.lookup(key, &self.snapshot, space, out) {
+                Lookup::Copied { seconds, ok } => {
+                    return Served {
+                        seconds,
+                        ok,
+                        cached: true,
+                    }
+                }
+                Lookup::Hit(hit, ticket) => {
+                    let (algo, seconds) = (hit.algo, hit.seconds);
+                    let resp = respond(req, algo, hit.into_single_result(), seconds, true);
+                    let start = out.len();
+                    render(&resp, out);
+                    if let Some(ticket) = ticket {
+                        cache.attach(key, ticket, space, out[start..].to_string());
+                    }
+                    return Served::of(&resp);
+                }
+                Lookup::Miss => {}
+            }
+        }
+        let resp = self.compute(req, key);
+        render(&resp, out);
+        Served::of(&resp)
+    }
+
+    /// The cache key of `req`, when a cache is attached.
+    fn cache_key(&self, req: &QueryRequest) -> Option<CacheKey> {
+        self.cache
+            .as_ref()
+            .map(|_| CacheKey::new(&self.spec, &req.nodes, &self.snapshot))
+    }
+
+    /// Time the search for `req` and, given its cache `key`, store the
+    /// answer.
+    fn compute(&mut self, req: &QueryRequest, key: Option<CacheKey>) -> QueryResponse {
+        if key.is_some() {
             // Record which shards the search actually explores, so the
             // entry's fingerprint can be scoped to them. On the mirror
             // the workspace's canon map keeps them external-id shards.
             self.ws.begin_shard_tracking(self.snapshot.shard_layout());
         }
-
         let start = Instant::now();
         let result = self.search(&req.nodes);
         let seconds = start.elapsed().as_secs_f64();
@@ -287,7 +340,7 @@ impl Session {
                 fingerprint(&self.snapshot, touched.as_deref()),
             );
         }
-        Ok(respond(req, self.algo.name(), result, seconds, false))
+        respond(req, self.algo.name(), result, seconds, false)
     }
 
     /// Enumerate up to `k` node-diverse communities for `nodes`, driving
@@ -344,6 +397,28 @@ impl Session {
             rounds,
             seconds,
             cached: false,
+        }
+    }
+}
+
+/// What [`Session::serve`] answered, for the caller's
+/// [`StreamTally`](crate::ops::StreamTally).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Served {
+    /// Wall-clock seconds of the (original) computation.
+    pub seconds: f64,
+    /// Whether the search produced a community.
+    pub ok: bool,
+    /// Whether the cache answered.
+    pub cached: bool,
+}
+
+impl Served {
+    fn of(resp: &QueryResponse) -> Served {
+        Served {
+            seconds: resp.seconds,
+            ok: resp.is_ok(),
+            cached: resp.cached,
         }
     }
 }

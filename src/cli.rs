@@ -963,7 +963,7 @@ fn run_updates<W: std::io::Write>(
                     }
                 })
                 .map_err(werr)?;
-                tally.record(&resp);
+                tally.record(resp.seconds, resp.is_ok(), resp.cached);
             }
         }
     }
@@ -1112,6 +1112,10 @@ pub fn run_serve<W: std::io::Write>(serve: &ServeCli, out: &mut W) -> Result<(),
     )
     .map_err(werr)?;
     let server = Server::bind(engine, algo_spec(cfg), original, &serve.server)?;
+    // Before the banners: a supervisor that waits for them may send
+    // SIGTERM at once, and must get a drain rather than the default kill.
+    #[cfg(unix)]
+    crate::engine::install_sigterm_drain();
     if let Some(path) = server.unix_path() {
         writeln!(out, "listening on unix socket {}", path.display()).map_err(werr)?;
     }
@@ -1119,8 +1123,6 @@ pub fn run_serve<W: std::io::Write>(serve: &ServeCli, out: &mut W) -> Result<(),
         writeln!(out, "listening on tcp {addr}").map_err(werr)?;
     }
     out.flush().map_err(werr)?;
-    #[cfg(unix)]
-    crate::engine::install_sigterm_drain();
     let stats = server.run();
     writeln!(
         out,

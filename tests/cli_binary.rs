@@ -632,6 +632,49 @@ fn serve_smoke_over_a_unix_socket() {
 
 #[cfg(unix)]
 #[test]
+fn serve_drains_on_sigterm() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::time::{Duration, Instant};
+
+    let path = std::env::temp_dir().join(format!("dmcs-bin-term-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let mut daemon = dmcs()
+        .args(["serve", "--demo", "--unix", path.to_str().unwrap()])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    // The banner follows the SIGTERM handler's installation.
+    let mut stdout = BufReader::new(daemon.stdout.take().unwrap());
+    let mut banner = String::new();
+    while !banner.contains("listening on unix socket") {
+        assert_ne!(stdout.read_line(&mut banner).unwrap(), 0, "{banner}");
+    }
+
+    // An idle daemon: no connection ever arrives.
+    let sent = Instant::now();
+    let kill = std::process::Command::new("kill")
+        .args(["-TERM", &daemon.id().to_string()])
+        .status()
+        .unwrap();
+    assert!(kill.success());
+    let status = loop {
+        if let Some(status) = daemon.try_wait().unwrap() {
+            break status;
+        }
+        if sent.elapsed() > Duration::from_secs(2) {
+            let _ = daemon.kill();
+            panic!("no exit within 2 s of SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(status.code(), Some(0), "{status:?}");
+    stdout.read_to_string(&mut banner).unwrap();
+    assert!(banner.contains("drained: 0 connections"), "{banner}");
+    assert!(!path.exists(), "socket file unlinked on SIGTERM");
+}
+
+#[cfg(unix)]
+#[test]
 fn serve_overload_wire_code_8() {
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::UnixStream;
