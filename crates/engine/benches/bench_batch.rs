@@ -539,15 +539,15 @@ fn bench_plan_skew(c: &mut Criterion) {
     }
     let requests = QueryRequest::from_node_lists(&queries);
 
-    let auto_plan = dmcs_engine::QueryPlan::choose(PlanMode::Auto, &snap);
-    assert!(
-        !auto_plan.grouped && auto_plan.memoize,
-        "skew must veto grouping: {auto_plan:?}"
-    );
+    let auto = BatchRunner::new(AlgoSpec::new("fpa"), 1).unwrap();
+    let auto_plan = auto.run(&snap, &requests).unwrap().plan;
+    assert_eq!(auto_plan, "auto:memo", "skew must veto grouping");
     let count_only = dmcs_engine::QueryPlan {
         grouped: true, // what a count>1 planner would decide here
+        memoize: true,
+        mirror: false,
+        skew,
         label: "count-only",
-        ..auto_plan
     };
 
     let mut group = c.benchmark_group("plan_skew_giant50k");

@@ -93,14 +93,16 @@ pub struct BatchReport {
     /// the grouping decision.
     pub skew: f64,
     /// Label of the query plan that scheduled the batch, e.g.
-    /// `"auto:grouped+memo"`, or `"off"`. A query stream reports the
-    /// planner's choice for the snapshot it ended on.
+    /// `"auto:grouped+memo"`, or `"off"`. Empty when no planner ran (a
+    /// query stream's report): its summary then leaves out `plan` and
+    /// `skew`.
     pub plan: &'static str,
 }
 
 impl BatchReport {
     /// Assemble a report from finished responses: computes throughput
-    /// and the latency percentiles. Used by [`BatchRunner::run`].
+    /// and the latency percentiles. The scheduling counters start at 0
+    /// and the plan empty; [`BatchRunner::run`] fills them in.
     pub fn from_responses(
         responses: Vec<QueryResponse>,
         wall_seconds: f64,
@@ -161,29 +163,15 @@ impl BatchReport {
             shared_bfs_reuses: 0,
             mirror_served: 0,
             skew: 1.0,
-            plan: "off",
+            plan: "",
         }
     }
 
-    /// Record how the batch was scheduled: group/memo/mirror counters
-    /// plus the plan's label and skew statistic. [`BatchRunner::run`]
-    /// calls this; the defaults from [`BatchReport::from_responses`]
-    /// describe an unplanned run.
-    pub fn with_scheduling(
-        mut self,
-        groups: usize,
-        grouped_queries: usize,
-        shared_bfs_reuses: u64,
-        mirror_served: u64,
-        plan: &QueryPlan,
-    ) -> Self {
-        self.groups = groups;
-        self.grouped_queries = grouped_queries;
-        self.shared_bfs_reuses = shared_bfs_reuses;
-        self.mirror_served = mirror_served;
-        self.skew = plan.skew;
-        self.plan = plan.label;
-        self
+    /// Whether a planner scheduled the report's queries: a batch. A
+    /// query stream's report has no plan, and its summary leaves out
+    /// `plan` and `skew`.
+    pub fn planned(&self) -> bool {
+        !self.plan.is_empty()
     }
 
     /// Number of requests that produced a community.
@@ -197,7 +185,6 @@ impl BatchReport {
 #[derive(Debug, Clone)]
 pub struct BatchRunner {
     spec: AlgoSpec,
-    algo_name: &'static str,
     threads: usize,
     cache: Option<Arc<ResponseCache>>,
     plan_mode: PlanMode,
@@ -221,10 +208,9 @@ impl BatchRunner {
                 "batch thread count must be at least 1 (got 0)",
             ));
         }
-        let algo_name = spec.build()?.name();
+        spec.build()?;
         Ok(BatchRunner {
             spec,
-            algo_name,
             threads,
             cache: None,
             plan_mode: PlanMode::default(),
@@ -257,16 +243,6 @@ impl BatchRunner {
     pub fn with_plan(mut self, mode: PlanMode) -> Self {
         self.plan_mode = mode;
         self
-    }
-
-    /// The configured planner mode.
-    pub fn plan_mode(&self) -> PlanMode {
-        self.plan_mode
-    }
-
-    /// Display name of the default algorithm.
-    pub fn algo_name(&self) -> &'static str {
-        self.algo_name
     }
 
     /// Configured worker count (before per-batch clamping).
@@ -303,10 +279,6 @@ impl BatchRunner {
         requests: &[QueryRequest],
     ) -> Result<BatchReport, EngineError> {
         let start = Instant::now();
-        let plan = match self.plan_override {
-            Some(plan) => plan,
-            None => QueryPlan::choose(self.plan_mode, snap),
-        };
 
         // Dedup: answer each distinct node list once, fan back out below
         // (the correlation tag deliberately excluded).
@@ -321,6 +293,14 @@ impl BatchRunner {
             assign.push(slot);
         }
         let work: Vec<&QueryRequest> = unique.iter().map(|&i| &requests[i]).collect();
+        let mut plan = self
+            .plan_override
+            .unwrap_or_else(|| QueryPlan::choose(self.plan_mode, snap));
+        // One distinct query leaves nothing to group; the report's label
+        // says what ran.
+        if work.len() < 2 {
+            plan = plan.ungrouped();
+        }
 
         // Schedule: under a grouped plan, one group per connected
         // component of the first query node (groups ordered by first
@@ -329,8 +309,7 @@ impl BatchRunner {
         // stealing. Grouping is a heuristic about *locality only* —
         // multi-node or out-of-range queries still validate inside the
         // search, whatever group they land in.
-        let grouped = plan.grouped && work.len() > 1;
-        let groups: Vec<Vec<usize>> = if grouped {
+        let groups: Vec<Vec<usize>> = if plan.grouped {
             let index = snap.component_index();
             let mut by_label: HashMap<u32, usize> = HashMap::new();
             let mut groups: Vec<Vec<usize>> = Vec::new();
@@ -428,20 +407,21 @@ impl BatchRunner {
             })
             .collect();
 
-        Ok(BatchReport::from_responses(
-            responses,
-            wall_seconds,
-            work.len(),
-            cache_hits,
-            cache_misses,
-        )
-        .with_scheduling(
-            if grouped { groups.len() } else { 0 },
-            if grouped { work.len() } else { 0 },
+        Ok(BatchReport {
+            groups: if plan.grouped { groups.len() } else { 0 },
+            grouped_queries: if plan.grouped { work.len() } else { 0 },
             shared_bfs_reuses,
             mirror_served,
-            plan,
-        ))
+            skew: plan.skew,
+            plan: plan.label,
+            ..BatchReport::from_responses(
+                responses,
+                wall_seconds,
+                work.len(),
+                cache_hits,
+                cache_misses,
+            )
+        })
     }
 }
 
@@ -665,6 +645,38 @@ mod tests {
             .unwrap();
         assert_eq!(report.groups, 3);
         assert_eq!(report.shared_bfs_reuses, 6);
+    }
+
+    #[test]
+    fn one_distinct_query_is_labelled_ungrouped() {
+        // Three disjoint triangles: the planner would group, but a batch
+        // of one distinct query (sent twice) has nothing to group.
+        let edges = [
+            (0, 1),
+            (1, 2),
+            (0, 2),
+            (3, 4),
+            (4, 5),
+            (3, 5),
+            (6, 7),
+            (7, 8),
+            (6, 8),
+        ];
+        let snap = Snapshot::freeze(GraphBuilder::from_edges(9, &edges));
+        let reqs = QueryRequest::from_node_lists(&[vec![0u32], vec![0]]);
+        let report = BatchRunner::new(AlgoSpec::new("fpa"), 2)
+            .unwrap()
+            .run(&snap, &reqs)
+            .unwrap();
+        assert_eq!((report.groups, report.grouped_queries), (0, 0));
+        assert_eq!(report.plan, "auto:memo");
+        // Two distinct queries do group, and say so.
+        let reqs = QueryRequest::from_node_lists(&[vec![0u32], vec![3]]);
+        let report = BatchRunner::new(AlgoSpec::new("fpa"), 2)
+            .unwrap()
+            .run(&snap, &reqs)
+            .unwrap();
+        assert_eq!((report.groups, report.plan), (2, "auto:grouped+memo"));
     }
 
     #[test]

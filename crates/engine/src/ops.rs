@@ -13,7 +13,8 @@
 //! - [`StreamTally`] — what a query stream's closing `summary` needs:
 //!   each query's seconds, success and cache flag, recorded without a
 //!   [`QueryResponse`](crate::QueryResponse), which a copied cache hit
-//!   never builds.
+//!   never builds. A stream answers queries one by one and never asks
+//!   the planner, so its summary carries no `plan` or `skew`.
 //!
 //! Shape errors stay with the front ends, with their own codes: a
 //! malformed script line is a `BadUpdate` (exit 7), a malformed wire
@@ -22,7 +23,6 @@
 use crate::batch::BatchReport;
 use crate::error::EngineError;
 use crate::output::SummaryInput;
-use crate::plan::QueryPlan;
 use crate::{Engine, Session};
 use dmcs_graph::weighted::{valid_weight, WEIGHT_CONSTRAINT};
 use dmcs_graph::NodeId;
@@ -431,22 +431,22 @@ impl StreamTally {
     }
 
     /// Close the stream: latency percentiles and throughput through
-    /// [`BatchReport`]'s percentile code, every query counted as
-    /// unique, `plan`'s label and skew (the planner's choice for the
-    /// snapshot the stream ended on), and the mirror count including
-    /// `current`'s.
-    pub fn finish(self, current: Option<&Session>, plan: &QueryPlan) -> SummaryInput<'static> {
+    /// [`BatchReport`]'s percentile code, every query counted as unique,
+    /// and the mirror count including `current`'s. The report's plan
+    /// stays empty: no planner scheduled the stream.
+    pub fn finish(self, current: Option<&Session>) -> SummaryInput<'static> {
         let queries = self.seconds.len();
-        let mirror_served = self.mirror_served + current.map_or(0, Session::mirror_served);
         let wall = self.started.elapsed().as_secs_f64();
-        let report = BatchReport::from_latencies(
-            self.seconds,
-            wall,
-            queries,
-            self.cache_hits,
-            queries - self.cache_hits,
-        )
-        .with_scheduling(0, 0, 0, mirror_served, plan);
+        let report = BatchReport {
+            mirror_served: self.mirror_served + current.map_or(0, Session::mirror_served),
+            ..BatchReport::from_latencies(
+                self.seconds,
+                wall,
+                queries,
+                self.cache_hits,
+                queries - self.cache_hits,
+            )
+        };
         SummaryInput {
             report: Cow::Owned(report),
             queries,

@@ -64,17 +64,20 @@
 //! component-aware scheduler: how many connected-component groups the
 //! plan formed, how many work items ran through them (both 0 on an
 //! ungrouped run), and how many queries reused a component BFS memoized
-//! by an earlier query on the same worker. `plan` is the planner's
-//! label (`"auto:grouped+memo"`, `"auto:memo+mirror"`, `"off"`);
-//! `mirror_served` counts queries executed on the snapshot's renumbered
-//! compute mirror (always byte-identical to canonical execution, see
+//! by an earlier query on the same worker. `plan` is the label of the
+//! plan that ran (`"auto:grouped+memo"`, `"auto:memo+mirror"`, `"off"`;
+//! it says `grouped` only when the batch grouped); `mirror_served`
+//! counts queries executed on the snapshot's renumbered compute mirror
+//! (always byte-identical to canonical execution, see
 //! `dmcs_graph::layout`), and `skew` is the largest-component mass
 //! fraction the planner weighed. None of these affect response bytes —
-//! plans choose execution strategy only. A query stream's summary (a
-//! daemon connection, an `--updates` script) reports the planner's
-//! label for the snapshot it ended on; an `--updates` summary appends
-//! the store's rebuild counters (`shards`, `rebuilds`, `shards_rebuilt`,
-//! `shards_reused`) after `skew`.
+//! plans choose execution strategy only.
+//!
+//! A query stream (a daemon connection, an `--updates` script) closes
+//! with the same `summary` minus `plan` and `skew`: it answers queries
+//! one by one and never asks the planner. An `--updates` summary
+//! appends the store's rebuild counters (`shards`, `rebuilds`,
+//! `shards_rebuilt`, `shards_reused`) after `mirror_served`.
 //!
 //! Node ids in `query` and `community` are in the *original* (input
 //! file) id space when a mapping is supplied, dense ids otherwise.
@@ -238,7 +241,8 @@ impl LineWriter {
 
     /// The `summary` line of a [`BatchReport`] or a query stream (see
     /// [`SummaryInput`]). `weighted` records whether it ran the weighted
-    /// objective.
+    /// objective. `plan` and `skew` are written only for a report a
+    /// planner scheduled (see [`BatchReport::planned`]).
     pub fn summary<'i>(
         &mut self,
         out: &mut String,
@@ -252,7 +256,7 @@ impl LineWriter {
             ok,
             store,
         } = input.into();
-        let obj = self
+        let mut obj = self
             .object(out, "summary")
             .str("algo", algo)
             .bool("weighted", weighted)
@@ -267,10 +271,14 @@ impl LineWriter {
             .uint("cache_misses", report.cache_misses as u64)
             .uint("groups", report.groups as u64)
             .uint("grouped_queries", report.grouped_queries as u64)
-            .uint("shared_bfs_reuses", report.shared_bfs_reuses)
-            .str("plan", report.plan)
-            .uint("mirror_served", report.mirror_served)
-            .num("skew", report.skew);
+            .uint("shared_bfs_reuses", report.shared_bfs_reuses);
+        if report.planned() {
+            obj = obj.str("plan", report.plan);
+        }
+        obj = obj.uint("mirror_served", report.mirror_served);
+        if report.planned() {
+            obj = obj.num("skew", report.skew);
+        }
         match store {
             Some(rb) => obj
                 .uint("shards", rb.shards as u64)
@@ -851,7 +859,7 @@ pub struct SummaryInput<'a> {
     pub queries: usize,
     /// Queries that produced a community.
     pub ok: usize,
-    /// The store's rebuild counters, written after `skew` as `shards`,
+    /// The store's rebuild counters, written last as `shards`,
     /// `rebuilds`, `shards_rebuilt` and `shards_reused` (the `--updates`
     /// summary; a batch runs on one snapshot and leaves this empty).
     pub store: Option<RebuildStats>,

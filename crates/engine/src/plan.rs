@@ -1,5 +1,11 @@
-//! Stats-driven query planning: pick *execution strategy* — never
+//! Stats-driven batch planning: pick *execution strategy* — never
 //! results — from cheap per-snapshot graph statistics.
+//!
+//! Only a batch plans: [`BatchRunner::run`](crate::BatchRunner::run) is
+//! the program's one caller of [`QueryPlan::choose`], because a batch is
+//! the only work whose order can be rearranged. A query stream (a `dmcs serve`
+//! connection, an `--updates` script) answers each query as it arrives
+//! and never asks the planner, so it never pays for the component index.
 //!
 //! The planner reads the snapshot's component index (a one-pass
 //! union-find computed lazily and cached on the snapshot, see
@@ -46,7 +52,7 @@
 
 use dmcs_graph::Snapshot;
 
-/// Planner switch, selected with `--plan auto|off` on the CLI.
+/// Planner switch, selected with `--plan auto|off` on a batch run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlanMode {
     /// Choose strategy from per-snapshot statistics (the default).
@@ -99,10 +105,10 @@ pub struct QueryPlan {
     pub mirror: bool,
     /// Largest-component mass fraction of the snapshot (`1.0` on a
     /// connected or empty graph) — the statistic behind the grouping
-    /// decision, surfaced in summaries and `stats` replies.
+    /// decision, surfaced in batch summaries.
     pub skew: f64,
-    /// Human-readable label surfaced in batch summaries and server
-    /// `stats` output, e.g. `"auto:grouped+memo"`.
+    /// Human-readable label surfaced in batch summaries, e.g.
+    /// `"auto:grouped+memo"`.
     pub label: &'static str,
 }
 
@@ -146,15 +152,33 @@ impl QueryPlan {
                     memoize: true,
                     mirror,
                     skew,
-                    label: match (grouped, mirror) {
-                        (false, false) => "auto:memo",
-                        (true, false) => "auto:grouped+memo",
-                        (false, true) => "auto:memo+mirror",
-                        (true, true) => "auto:grouped+memo+mirror",
-                    },
+                    label: auto_label(grouped, mirror),
                 }
             }
         }
+    }
+
+    /// This plan without component grouping, labelled for what runs: a
+    /// batch with at most one distinct query has nothing to group.
+    pub(crate) fn ungrouped(self) -> QueryPlan {
+        if !self.grouped {
+            return self;
+        }
+        QueryPlan {
+            grouped: false,
+            label: auto_label(false, self.mirror),
+            ..self
+        }
+    }
+}
+
+/// The label of an `Auto` plan (which always memoizes).
+fn auto_label(grouped: bool, mirror: bool) -> &'static str {
+    match (grouped, mirror) {
+        (false, false) => "auto:memo",
+        (true, false) => "auto:grouped+memo",
+        (false, true) => "auto:memo+mirror",
+        (true, true) => "auto:grouped+memo+mirror",
     }
 }
 

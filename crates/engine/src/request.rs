@@ -81,11 +81,6 @@ impl QueryResponse {
         self.result.as_ref().ok().map(|r| r.community.len())
     }
 
-    /// Density-modularity score, if the search succeeded.
-    pub fn dm_score(&self) -> Option<f64> {
-        self.result.as_ref().ok().map(|r| r.density_modularity)
-    }
-
     /// Whether the search produced a community.
     pub fn is_ok(&self) -> bool {
         self.result.is_ok()
@@ -126,7 +121,6 @@ mod tests {
             cached: false,
         };
         assert_eq!(ok.community_size(), Some(3));
-        assert_eq!(ok.dm_score(), Some(0.5));
         assert!(ok.is_ok());
 
         let err = QueryResponse {
@@ -134,7 +128,6 @@ mod tests {
             ..ok
         };
         assert_eq!(err.community_size(), None);
-        assert_eq!(err.dm_score(), None);
         assert!(!err.is_ok());
     }
 }

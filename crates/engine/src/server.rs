@@ -59,11 +59,20 @@
 //!
 //! **Framing** is newline-delimited and defensive: a torn line (the
 //! peer closes mid-request) and an oversized line (longer than
-//! [`ServerConfig::max_line_bytes`]) are typed
-//! [`EngineError::BadRequest`] replies — never hangs; the oversized
-//! line's remainder is discarded up to the next newline so the
-//! connection resynchronises. Pipelined requests on one connection are
-//! answered strictly in order.
+//! [`ServerConfig::max_line_bytes`], newline excluded) are typed
+//! [`EngineError::BadRequest`] replies — never hangs. An oversized line
+//! gets one `request line exceeds N bytes` reply as soon as the limit is
+//! crossed, however reads split it, and its remainder is discarded up to
+//! the next newline so the connection resynchronises. Blank lines get no
+//! reply. Pipelined requests on one connection are answered strictly in
+//! order.
+//!
+//! **No planner**: a connection answers its queries one by one, so it
+//! never asks the [`plan`](crate::plan) module for a schedule (only a
+//! batch plans) and the daemon never builds a component index. `stats`
+//! reports counters of what happened (store, cache, admission, and how
+//! many of the connection's queries ran on the compute mirror), and the
+//! closing `summary` carries no `plan` or `skew`.
 //!
 //! **Backpressure**: queries and updates pass a bounded admission gate
 //! shared by all connections ([`ServerConfig::queue_cap`] concurrent
@@ -89,7 +98,6 @@
 use crate::error::EngineError;
 use crate::ops::{check_distinct, Action, IdSpace, Mutation, StreamTally};
 use crate::output::{response_head, Json, LineWriter};
-use crate::plan::{PlanMode, QueryPlan};
 use crate::registry::AlgoSpec;
 use crate::request::QueryRequest;
 use crate::{Engine, Session};
@@ -226,11 +234,6 @@ impl ServerHandle {
     /// [`Server::run`].
     pub fn shutdown(&self) {
         self.shared.drain.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether the server is draining.
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining()
     }
 }
 
@@ -524,23 +527,31 @@ fn serve_conn<S: Read + Write>(shared: &Shared, mut stream: S) {
     let mut discarding = false;
 
     'conn: loop {
-        // Answer every complete line already buffered (pipelining).
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=pos).collect();
+        // Answer every complete line already buffered (pipelining). A
+        // line longer than the limit is answered once, as soon as the
+        // limit is crossed, whether or not its newline has arrived: the
+        // reply does not depend on how reads split the line.
+        loop {
+            let newline = buf.iter().position(|&b| b == b'\n');
+            let len = newline.unwrap_or(buf.len());
+            if newline.is_none() && len <= shared.max_line_bytes {
+                break; // an open line within the limit: read on
+            }
             conn.line_no += 1;
-            let flow = if line.len() - 1 > shared.max_line_bytes {
-                // A complete-but-oversized line (it can arrive whole when
-                // the peer writes fast): same typed reply as the
-                // streaming case below, no resync needed.
+            let flow = if len > shared.max_line_bytes {
                 conn.error_line(&EngineError::bad_request(
                     conn.line_no,
                     format!("request line exceeds {} bytes", shared.max_line_bytes),
                 ));
                 Flow::Continue
             } else {
-                let text = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
+                let text = String::from_utf8_lossy(&buf[..len]).into_owned();
                 process_line(shared, &mut session, &mut conn, text.trim())
             };
+            // Consume the line and its newline. An open oversized line is
+            // dropped up to the newline still to come.
+            discarding = newline.is_none();
+            buf.drain(..newline.map_or(len, |pos| pos + 1));
             if send(shared, &mut stream, &mut conn.reply).is_err() {
                 return; // peer gone or stalled mid-write: nothing to flush
             }
@@ -548,24 +559,9 @@ fn serve_conn<S: Read + Write>(shared: &Shared, mut stream: S) {
                 break 'conn;
             }
         }
-        if !discarding && buf.len() > shared.max_line_bytes {
-            conn.line_no += 1; // the dropped line keeps its sequence slot
-            conn.error_line(&EngineError::bad_request(
-                conn.line_no,
-                format!(
-                    "request line exceeds {} bytes; discarding to the next newline",
-                    shared.max_line_bytes
-                ),
-            ));
-            if send(shared, &mut stream, &mut conn.reply).is_err() {
-                return;
-            }
-            buf.clear();
-            discarding = true;
-        }
         match stream.read(&mut chunk) {
             Ok(0) => {
-                if !buf.is_empty() && !discarding {
+                if !buf.is_empty() {
                     // Torn request: the peer closed mid-line. A typed
                     // reply instead of silence (best effort — the write
                     // side may already be gone too).
@@ -606,11 +602,9 @@ fn serve_conn<S: Read + Write>(shared: &Shared, mut stream: S) {
         }
     }
 
-    // Per-connection summary: same schema as a batch footer. The daemon
-    // serves on an auto plan; the summary reports the planner's choice
-    // for the snapshot the connection ended on, as `stats` does.
-    let plan = QueryPlan::choose(PlanMode::Auto, session.snapshot());
-    let input = conn.tally.finish(Some(&session), &plan);
+    // Per-connection summary: a batch footer's schema, less the plan
+    // members (a connection answers queries one by one; nothing plans).
+    let input = conn.tally.finish(Some(&session));
     let weighted = shared.spec.serves_weighted();
     conn.json
         .summary(&mut conn.reply, shared.algo_name, weighted, input);
@@ -692,12 +686,12 @@ fn process_line(shared: &Shared, session: &mut Session, conn: &mut ConnState, te
     Flow::Continue
 }
 
-/// The `stats` reply: store, cache, planner and admission counters.
+/// The `stats` reply: store, cache and admission counters, and how
+/// many of this connection's queries ran on the compute mirror.
 fn op_stats(shared: &Shared, session: &Session, conn: &mut ConnState) {
     let store = shared.engine.store();
     let cache = shared.engine.cache();
     let rb = store.rebuild_stats();
-    let plan = QueryPlan::choose(PlanMode::Auto, session.snapshot());
     conn.json
         .object(&mut conn.reply, "stats")
         .str("algo", shared.algo_name)
@@ -706,13 +700,7 @@ fn op_stats(shared: &Shared, session: &Session, conn: &mut ConnState) {
         .uint("nodes", store.n() as u64)
         .uint("edges", store.m() as u64)
         .uint("pinned_version", session.snapshot().version())
-        // What the auto planner chooses for the pinned snapshot (the
-        // daemon serves single queries, so this reports strategy, it
-        // never alters results), plus its skew statistic and how many
-        // of this connection's queries ran on the compute mirror.
-        .str("plan", plan.label)
         .uint("mirror_served", conn.tally.mirror_served(session))
-        .num("skew", plan.skew)
         .uint("cache_hits", cache.hits())
         .uint("cache_misses", cache.misses())
         .uint("cache_entries", cache.len() as u64)
@@ -908,6 +896,7 @@ fn wire_mutation(req: &Json, line_no: usize) -> Result<Mutation, EngineError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::MAX_JSON_DEPTH;
     use dmcs_graph::{GraphBuilder, NodeId, Snapshot};
     use proptest::prelude::*;
 
@@ -917,16 +906,23 @@ mod tests {
         (Engine::from_graph(g), (0..6).collect())
     }
 
-    /// In-memory stream double: requests in, replies captured.
+    /// In-memory stream double: request bytes in, at most `chunk` of
+    /// them per read, replies captured.
     struct Script {
         input: std::io::Cursor<Vec<u8>>,
+        chunk: usize,
         output: Vec<u8>,
     }
 
     impl Script {
         fn new(text: &str) -> Self {
+            Script::chunked(text.as_bytes(), usize::MAX)
+        }
+
+        fn chunked(bytes: &[u8], chunk: usize) -> Self {
             Script {
-                input: std::io::Cursor::new(text.as_bytes().to_vec()),
+                input: std::io::Cursor::new(bytes.to_vec()),
+                chunk,
                 output: Vec::new(),
             }
         }
@@ -942,7 +938,8 @@ mod tests {
 
     impl Read for Script {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            self.input.read(buf)
+            let n = buf.len().min(self.chunk);
+            self.input.read(&mut buf[..n])
         }
     }
 
@@ -1703,6 +1700,269 @@ mod tests {
                         prop_assert_eq!(got_ty, Some(*ty), "op {} of {:?}: {}", i, ops, got);
                     }
                 }
+            }
+        }
+    }
+
+    /// The replies of `transcript` on a fresh demo daemon whose lines are
+    /// at most `max_line_bytes` long, read at most `chunk` bytes at a
+    /// time; `None` when serving it panics.
+    fn serve_fresh(transcript: &[u8], chunk: usize, max_line_bytes: usize) -> Option<Vec<u8>> {
+        let (engine, original) = demo_engine();
+        let mut sh = shared(engine, original, 8);
+        sh.max_line_bytes = max_line_bytes;
+        let mut io = Script::chunked(transcript, chunk);
+        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            serve_conn(&sh, &mut io);
+        }));
+        served.ok().map(|()| io.output)
+    }
+
+    #[test]
+    fn an_oversized_line_gets_one_reply_however_reads_split_it() {
+        let script = format!(
+            "{{\"op\":\"query\",\"nodes\":[{}0]}}\n{{\"op\":\"query\",\"nodes\":[0]}}\n",
+            "0,".repeat(40)
+        );
+        let replies = |chunk| {
+            let output = serve_fresh(script.as_bytes(), chunk, 32).unwrap();
+            let text = String::from_utf8(output).unwrap();
+            text.lines().map(zero_timings).collect::<Vec<_>>()
+        };
+        let (whole, bytewise) = (replies(usize::MAX), replies(1));
+        assert_eq!(whole, bytewise);
+        assert_eq!(whole.len(), 3, "{whole:?}");
+        let error = Json::parse(&whole[0]).unwrap();
+        let text = error.get("error").and_then(Json::as_str);
+        assert_eq!(
+            text,
+            Some("bad request line 1: request line exceeds 32 bytes")
+        );
+        assert!(whole[1].contains("\"type\":\"response\""), "{whole:?}");
+    }
+
+    /// The fuzzed daemon's line limit: deep enough for nesting past the
+    /// parser's cap to reach the parser.
+    const FUZZ_MAX: usize = 512;
+
+    /// Valid requests the wire fuzzer mutates. None is `shutdown`, which
+    /// ends the connection.
+    const FUZZ_REQUESTS: [&str; 8] = [
+        r#"{"op":"query","nodes":[0]}"#,
+        r#"{"op":"query","nodes":[3,5],"tag":"t"}"#,
+        r#"{"op":"query","nodes":[1],"k":2}"#,
+        r#"{"op":"update","action":"add","u":0,"v":4}"#,
+        r#"{"op":"update","action":"del","u":0,"v":1}"#,
+        r#"{"op":"update","action":"setw","u":0,"v":2,"w":2.5}"#,
+        r#"{"op":"repin"}"#,
+        r#"{"op":"stats"}"#,
+    ];
+
+    /// Numbers out of every range the wire reads.
+    const FUZZ_HUGE: [&str; 6] = [
+        r#"{"op":"query","nodes":[18446744073709551616]}"#,
+        r#"{"op":"query","nodes":[18446744073709551615]}"#,
+        r#"{"op":"query","nodes":[0],"k":18446744073709551615}"#,
+        r#"{"op":"query","nodes":[1e400],"k":-1e-400}"#,
+        r#"{"op":"update","action":"setw","u":0,"v":1,"w":1e400}"#,
+        r#"{"op":"update","action":"add","u":-0,"v":1.5e3}"#,
+    ];
+
+    /// splitmix64: each fuzzed line's bytes come from its own drawn seed.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// One fuzzed request line from `seed`, without its newline (random
+    /// bytes may still hold one).
+    fn fuzz_line(seed: u64) -> Vec<u8> {
+        let mut rng = SplitMix(seed);
+        let mut line = FUZZ_REQUESTS[rng.below(FUZZ_REQUESTS.len())]
+            .as_bytes()
+            .to_vec();
+        match rng.below(10) {
+            // Random bytes.
+            0 => return (0..rng.below(48)).map(|_| rng.next() as u8).collect(),
+            // A valid request with bytes replaced, deleted or inserted.
+            1 | 2 => {
+                for _ in 0..=rng.below(3) {
+                    let (at, byte) = (rng.below(line.len()), rng.next() as u8);
+                    match rng.below(3) {
+                        0 => line[at] = byte,
+                        1 => {
+                            line.remove(at);
+                        }
+                        _ => line.insert(at, byte),
+                    }
+                }
+            }
+            // Nesting around the parser's depth cap.
+            3 => {
+                let depth = MAX_JSON_DEPTH - 2 + rng.below(8);
+                let nodes = "[".repeat(depth) + &"]".repeat(depth);
+                line = format!("{{\"op\":\"query\",\"nodes\":{nodes}}}").into_bytes();
+            }
+            // A tag cut inside a three-byte character, closed or not.
+            4 => {
+                line = br#"{"op":"query","nodes":[2],"tag":"a"#.to_vec();
+                line.extend_from_slice(&"社".as_bytes()[..1 + rng.below(2)]);
+                if rng.below(2) == 0 {
+                    line.extend_from_slice(br#""}"#);
+                }
+            }
+            5 => line = FUZZ_HUGE[rng.below(FUZZ_HUGE.len())].as_bytes().to_vec(),
+            // NULs.
+            6 => {
+                for _ in 0..=rng.below(3) {
+                    line.insert(rng.below(line.len() + 1), 0);
+                }
+            }
+            // CRLF.
+            7 => line.push(b'\r'),
+            // Blank lines.
+            8 => return [&b""[..], b" ", b"\t", b"\r", b" \t\r "][rng.below(5)].to_vec(),
+            // A `stats` request padded to one byte either side of the limit.
+            _ => {
+                let pad = FUZZ_MAX - 1 + rng.below(3) - b"{\"op\":\"stats\"}".len();
+                line = format!("{{\"op\":\"stats\"{}}}", " ".repeat(pad)).into_bytes();
+            }
+        }
+        line
+    }
+
+    /// The reply types the framing rules promise for `transcript`: one
+    /// per complete line that is oversized or not blank (`stats` for an
+    /// exact stats request, any type otherwise: `None`), one for a
+    /// non-empty torn tail (oversized or not), then the `summary`.
+    fn promised_replies(transcript: &[u8]) -> Vec<Option<&'static str>> {
+        let mut lines: Vec<&[u8]> = transcript.split(|&b| b == b'\n').collect();
+        let tail = lines.pop().unwrap_or_default();
+        let mut promised: Vec<Option<&str>> = Vec::new();
+        for line in lines {
+            if line == br#"{"op":"stats"}"# {
+                promised.push(Some("stats"));
+            } else if line.len() > FUZZ_MAX || !String::from_utf8_lossy(line).trim().is_empty() {
+                promised.push(None);
+            }
+        }
+        if !tail.is_empty() {
+            promised.push(None);
+        }
+        promised.push(Some("summary"));
+        promised
+    }
+
+    /// Why serving `transcript` breaks the wire's promises, if it does.
+    /// It is served whole and in reads of at most `chunk` bytes, each on
+    /// a fresh daemon: neither may panic, the whole run must give the
+    /// promised replies, each an object with a `type`, and both runs
+    /// the same bytes once timings are zeroed.
+    fn wire_violation(transcript: &[u8], chunk: usize) -> Option<String> {
+        let serve = |chunk| serve_fresh(transcript, chunk, FUZZ_MAX);
+        let (Some(whole), Some(chunked)) = (serve(usize::MAX), serve(chunk)) else {
+            return Some("serving panicked".into());
+        };
+        let (Ok(whole), Ok(chunked)) = (String::from_utf8(whole), String::from_utf8(chunked))
+        else {
+            return Some("a reply is not UTF-8".into());
+        };
+        let promised = promised_replies(transcript);
+        let replies: Vec<&str> = whole.lines().collect();
+        let (got, want) = (replies.len(), promised.len());
+        if got != want {
+            return Some(format!("{got} replies, {want} promised: {replies:?}"));
+        }
+        for (reply, want) in replies.iter().zip(&promised) {
+            let parsed = Json::parse(reply).ok();
+            match (parsed.as_ref().and_then(|v| v.get("type")?.as_str()), want) {
+                (None, _) => return Some(format!("not an object with a type: {reply}")),
+                (Some(ty), Some(want)) if ty != *want => {
+                    return Some(format!("a {ty} reply where {want} was promised: {reply}"))
+                }
+                _ => {}
+            }
+        }
+        let zeroed = |text: &str| text.lines().map(zero_timings).collect::<Vec<_>>();
+        if zeroed(&whole) != zeroed(&chunked) {
+            return Some(format!("reads of {chunk} bytes change the replies"));
+        }
+        None
+    }
+
+    /// Shrink a transcript that `fails`: drop whole lines while it still
+    /// fails, then single bytes.
+    fn minimize(mut transcript: Vec<u8>, fails: impl Fn(&[u8]) -> bool) -> Vec<u8> {
+        let mut at = 0;
+        while at < transcript.len() {
+            let end = transcript[at..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(transcript.len(), |p| at + p + 1);
+            let mut shorter = transcript.clone();
+            shorter.drain(at..end);
+            if fails(&shorter) {
+                transcript = shorter;
+            } else {
+                at = end;
+            }
+        }
+        let mut at = 0;
+        while at < transcript.len() {
+            let mut shorter = transcript.clone();
+            shorter.remove(at);
+            if fails(&shorter) {
+                transcript = shorter;
+            } else {
+                at += 1;
+            }
+        }
+        transcript
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn fuzzed_wire_bytes_get_the_replies_framing_promises(
+            seeds in proptest::collection::vec(0u64..u64::MAX, 0..24),
+            tail in 0u64..u64::MAX,
+            cut in 0usize..600,
+            chunk in 1usize..32,
+        ) {
+            // Fuzzed lines, a `stats` request that must be answered as
+            // usual, and a torn tail: a fuzzed line, newlines removed,
+            // cut short or not (a padded `stats` line can tear oversized).
+            let mut transcript = Vec::new();
+            for &seed in &seeds {
+                transcript.extend(fuzz_line(seed));
+                transcript.push(b'\n');
+            }
+            transcript.extend_from_slice(b"{\"op\":\"stats\"}\n");
+            let torn = fuzz_line(tail).into_iter().filter(|&b| b != b'\n').take(cut);
+            transcript.extend(torn);
+            // `shutdown` would end the connection early.
+            if transcript.windows(8).any(|w| w == b"shutdown") {
+                return Ok(());
+            }
+            if let Some(why) = wire_violation(&transcript, chunk) {
+                let small = minimize(transcript, |t| wire_violation(t, chunk).is_some());
+                let why_small = wire_violation(&small, chunk).unwrap_or(why);
+                prop_assert!(
+                    false,
+                    "{why_small}\nminimized transcript, reads of {chunk} bytes: b\"{}\"",
+                    small.escape_ascii()
+                );
             }
         }
     }

@@ -29,6 +29,11 @@
 //! Otherwise (and after [`Session::without_mirror`]) every query runs on
 //! the canonical CSR. Weighted specs stay canonical because their
 //! floating-point sums follow the traversal order.
+//!
+//! Sessions that answer queries one by one — a single `--query`, an
+//! `--updates` script, a daemon connection — keep these defaults: no
+//! planner is consulted. Only a batch plans, and a `--plan off` batch
+//! opens its worker sessions without the memo and the mirror.
 
 use crate::cache::{fingerprint, CacheKey, CachedAnswer, Lookup, ResponseCache};
 use crate::error::EngineError;
@@ -157,7 +162,7 @@ impl Session {
     /// connected component skip the connectivity-validation BFS
     /// (memoization is free
     /// when it never hits; [`Session::without_memo`] turns it off for
-    /// `--plan off` runs and baseline benchmarks).
+    /// `--plan off` batches and baseline benchmarks).
     pub fn new(snapshot: Snapshot, spec: &AlgoSpec) -> Result<Self, EngineError> {
         let algo = spec.build()?;
         let mut ws = QueryWorkspace::new();
@@ -182,8 +187,8 @@ impl Session {
     }
 
     /// Disarm the workspace's component memo — every query re-derives
-    /// its connected component from scratch. Used by `--plan off` and by
-    /// benchmarks that measure the memo's effect.
+    /// its connected component from scratch. Used by `--plan off` batch
+    /// workers and by benchmarks that measure the memo's effect.
     pub fn without_memo(mut self) -> Self {
         self.ws.disarm_component_memo();
         self

@@ -49,8 +49,8 @@ use crate::engine::ops::{
 use crate::engine::output::{report_jsonl, LineWriter, SummaryInput};
 use crate::engine::registry::{self, AlgoParams, AlgoSpec};
 use crate::engine::{
-    BatchReport, Engine, EngineError, PlanMode, QueryPlan, QueryRequest, QueryResponse, Server,
-    ServerConfig, Session,
+    BatchReport, Engine, EngineError, PlanMode, QueryRequest, QueryResponse, Server, ServerConfig,
+    Session,
 };
 use crate::graph::io::{load_edge_list, read_weighted_edge_list};
 use crate::graph::{Graph, LayoutPolicy, NodeId};
@@ -107,10 +107,10 @@ pub struct CliConfig {
     /// per shard, giving incremental dirty-shard-only snapshot rebuilds
     /// and shard-scoped cache invalidation under updates.
     pub shards: usize,
-    /// Query planner mode (`--plan {auto,off}`): whether batches pick
-    /// component-grouped scheduling and the per-worker component memo
-    /// from snapshot statistics. Strategy only — output bytes are
-    /// identical across modes.
+    /// Batch planner mode (`--plan {auto,off}`, batch mode only): whether
+    /// a batch picks component-grouped scheduling and the per-worker
+    /// component memo from snapshot statistics. Strategy only — output
+    /// bytes are identical across modes.
     pub plan: PlanMode,
     /// Compute-mirror layout policy (`--layout {identity,bfs}`): `bfs`
     /// makes the store additionally build a cache-friendly renumbered
@@ -196,19 +196,21 @@ OPTIONS:
                       touch, so snapshot rebuilds recompile dirty shards
                       and cached answers scoped to clean shards survive
                       updates that leave the edge count unchanged
-    --plan <mode>     query planner: auto (default; batches schedule
-                      component-grouped with a per-worker component memo
-                      when snapshot stats warrant it — grouping is
-                      skew-aware, skipped when one giant component holds
-                      most of the mass — and mirror-safe searches run on
-                      the compute mirror when one exists) or off
-                      (ungrouped canonical baseline). Execution strategy
-                      only — results are bit-identical across modes
+    --plan <mode>     batch planner (batch mode only): auto (default;
+                      the batch runs component-grouped with a per-worker
+                      component memo when snapshot stats warrant it —
+                      grouping is skew-aware, skipped when one giant
+                      component holds most of the mass — and mirror-safe
+                      searches run on the compute mirror when one
+                      exists) or off (ungrouped canonical baseline).
+                      Execution strategy only — results are
+                      bit-identical across modes
     --layout <policy> snapshot compute-mirror layout: identity (default;
                       no mirror) or bfs — builds a renumbered
                       cache-friendly CSR mirror per snapshot that
-                      mirror-safe searches execute on under --plan
-                      auto; ids in all output stay in the input id space
+                      mirror-safe searches execute on (in a batch, under
+                      --plan auto); ids in all output stay in the input
+                      id space
     --help            show this text
 
 EXIT CODES:
@@ -243,7 +245,8 @@ enum Grammar {
 fn parse_grammar(args: &[String], grammar: Grammar) -> Result<Option<ServeCli>, EngineError> {
     use Grammar::{Run, Serve};
     let (mut cfg, mut server) = (CliConfig::default(), ServerConfig::default());
-    let (mut demo, mut threads_set) = (false, false);
+    // `demo`, and the first batch-only flag on the line.
+    let (mut demo, mut batch_flag) = (false, None);
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = || {
@@ -271,7 +274,7 @@ fn parse_grammar(args: &[String], grammar: Grammar) -> Result<Option<ServeCli>, 
             ("--updates", Run) => cfg.updates_path = Some(value()?.to_string()),
             ("--threads", Run) => {
                 cfg.threads = number(arg, value()?)?;
-                threads_set = true;
+                batch_flag = batch_flag.or(Some(arg.as_str()));
             }
             ("--format", Run) => {
                 cfg.format = match value()? {
@@ -288,7 +291,10 @@ fn parse_grammar(args: &[String], grammar: Grammar) -> Result<Option<ServeCli>, 
             ("--max-print", Run) => cfg.max_print = number(arg, value()?)?,
             ("--top-k", Run) => cfg.top_k = number(arg, value()?)?,
             ("--dot", Run) => cfg.dot_path = Some(value()?.to_string()),
-            ("--plan", Run) => cfg.plan = policy(arg, value()?)?,
+            ("--plan", Run) => {
+                cfg.plan = policy(arg, value()?)?;
+                batch_flag = batch_flag.or(Some(arg.as_str()));
+            }
             ("--unix", Serve) => server.unix_path = Some(value()?.to_string()),
             ("--tcp", Serve) => server.tcp_addr = Some(value()?.to_string()),
             ("--queue-cap", Serve) => server.queue_cap = number(arg, value()?)?,
@@ -312,7 +318,7 @@ fn parse_grammar(args: &[String], grammar: Grammar) -> Result<Option<ServeCli>, 
         ));
     }
     if grammar == Run {
-        run_rules(&cfg, threads_set)?;
+        run_rules(&cfg, batch_flag)?;
     } else if server.unix_path.is_none() && server.tcp_addr.is_none() {
         return Err(EngineError::bad_param(
             "serve needs at least one listener (--unix <path> and/or --tcp <addr>)",
@@ -337,9 +343,10 @@ fn policy<T: std::str::FromStr<Err = String>>(flag: &str, value: &str) -> Result
         .map_err(|e| EngineError::bad_param(format!("bad {flag} value: {e}")))
 }
 
-/// The one-shot run's own rules: exactly one query source, `--threads`
-/// only for a batch, and no flag the chosen source cannot honour.
-fn run_rules(cfg: &CliConfig, threads_set: bool) -> Result<(), EngineError> {
+/// The one-shot run's own rules: exactly one query source, the
+/// batch-only flags (`--threads`, `--plan`; `batch_flag` is the first
+/// given) only for a batch, and no flag the chosen source cannot honour.
+fn run_rules(cfg: &CliConfig, batch_flag: Option<&str>) -> Result<(), EngineError> {
     let sources = [
         !cfg.query.is_empty(),
         cfg.queries_path.is_some(),
@@ -358,10 +365,10 @@ fn run_rules(cfg: &CliConfig, threads_set: bool) -> Result<(), EngineError> {
             ))
         }
     }
-    if threads_set && cfg.queries_path.is_none() {
-        return Err(EngineError::bad_param(
-            "--threads requires --queries (batch mode)",
-        ));
+    if let (Some(flag), None) = (batch_flag, &cfg.queries_path) {
+        return Err(EngineError::bad_param(format!(
+            "{flag} requires --queries (batch mode)"
+        )));
     }
     // A batch or an update script answers each query with one
     // community: no top-k rounds, no DOT file.
@@ -409,19 +416,6 @@ fn validate_weighted_algo(cfg: &CliConfig) -> Result<(), EngineError> {
         }
     }
     Ok(())
-}
-
-/// Open a session honouring `--plan`: `off` disarms the component memo
-/// and mirror serving (the canonical baseline the planner is measured
-/// against), `auto` keeps the session defaults. Single-query, top-k and
-/// update-script paths all come through here so the planner switch
-/// covers every serving mode, not just batches.
-fn plan_session(engine: &Engine, cfg: &CliConfig, spec: &AlgoSpec) -> Result<Session, EngineError> {
-    let session = engine.session(spec)?;
-    Ok(match cfg.plan {
-        PlanMode::Off => session.without_memo().without_mirror(),
-        PlanMode::Auto => session,
-    })
 }
 
 /// The registry spec a config's `--algo` / `--k` / `--no-pruning` /
@@ -633,7 +627,7 @@ pub fn run<W: std::io::Write>(cfg: &CliConfig, out: &mut W) -> Result<(), Engine
     let query = map_queries(&cfg.query, &original)?;
     // A one-query session (the typed serving API; a long-running caller
     // would keep the session and loop).
-    let mut session = plan_session(&engine, cfg, &algo_spec(cfg))?;
+    let mut session = engine.session(&algo_spec(cfg))?;
 
     // Top-k path: several diverse communities, served through the
     // session like every other query — the registry resolves the
@@ -787,7 +781,8 @@ fn write_query_line<W: std::io::Write>(
 }
 
 /// The text-format throughput/cache footer (batch and update modes):
-/// the `summary` line's figures, from the same input.
+/// the `summary` line's figures, from the same input. Like the JSON
+/// summary, it names the plan and skew only for a batch.
 fn write_summary_lines<W: std::io::Write>(
     out: &mut W,
     input: &SummaryInput,
@@ -808,16 +803,18 @@ fn write_summary_lines<W: std::io::Write>(
         "cache: {} hits, {} misses  unique: {}/{}",
         report.cache_hits, report.cache_misses, report.unique_queries, input.queries
     )?;
-    writeln!(
+    if report.planned() {
+        write!(out, "plan: {}  ", report.plan)?;
+    }
+    write!(
         out,
-        "plan: {}  groups: {} ({} queries)  shared-bfs reuses: {}  mirror-served: {}  skew: {:.2}",
-        report.plan,
-        report.groups,
-        report.grouped_queries,
-        report.shared_bfs_reuses,
-        report.mirror_served,
-        report.skew
-    )
+        "groups: {} ({} queries)  shared-bfs reuses: {}  mirror-served: {}",
+        report.groups, report.grouped_queries, report.shared_bfs_reuses, report.mirror_served,
+    )?;
+    if report.planned() {
+        write!(out, "  skew: {:.2}", report.skew)?;
+    }
+    writeln!(out)
 }
 
 /// Batch execution through the engine: map every query through one
@@ -946,7 +943,7 @@ fn run_updates<W: std::io::Write>(
                     if let Some(s) = session.take() {
                         tally.repin(&s);
                     }
-                    session = Some(plan_session(engine, cfg, &spec)?);
+                    session = Some(engine.session(&spec)?);
                 }
                 let resp = session
                     .as_mut()
@@ -967,22 +964,13 @@ fn run_updates<W: std::io::Write>(
             }
         }
     }
-    // The plan of the snapshot the queries actually saw: read it off the
-    // last pinned session. Falling through to `engine.snapshot()` would
-    // force a rebuild the script's queries never paid for when the
-    // script ends on a mutation run (and the summary would report stats
-    // no query observed).
-    let plan = match &session {
-        Some(s) => QueryPlan::choose(cfg.plan, s.snapshot()),
-        None => QueryPlan::choose(cfg.plan, &engine.snapshot()),
-    };
     // The summary additionally carries the store's rebuild counters:
     // how many snapshot recompilations the script's query lines forced
     // (coalesced mutation runs pay one), and how many shard segments
     // they actually touched.
     let input = SummaryInput {
         store: Some(engine.rebuild_stats()),
-        ..tally.finish(session.as_ref(), &plan)
+        ..tally.finish(session.as_ref())
     };
     match cfg.format {
         OutputFormat::Json => {
@@ -1268,6 +1256,9 @@ mod tests {
         assert!(parse(&args("--demo --queries q.txt --threads x")).is_err());
         assert!(parse(&args("--demo --queries q.txt --top-k 2")).is_err());
         assert!(parse(&args("--demo --queries q.txt --dot o.dot")).is_err());
+        // --plan configures batches alone.
+        assert!(parse(&args("--demo --queries q.txt --plan off")).is_ok());
+        assert!(parse(&args("--demo --query 1 --plan off")).is_err());
         // Weighted batches are first-class: --weighted composes with
         // --queries and --threads.
         assert!(parse(&args("--graph g --queries q.txt --weighted")).is_ok());
@@ -1879,6 +1870,7 @@ mod tests {
             "--demo --updates u.txt --stats",
             "--demo --updates u.txt --top-k 2",
             "--demo --updates u.txt --dot o.dot",
+            "--demo --updates u.txt --plan off",
         ] {
             let err = parse(&args(bad)).unwrap_err();
             assert!(matches!(err, EngineError::BadParam { .. }), "{bad}: {err}");
@@ -2030,21 +2022,9 @@ mod tests {
         let reused = summary.get("shards_reused").and_then(Json::as_u64).unwrap();
         assert!((1..16).contains(&rebuilt), "incremental: {rebuilt}");
         assert_eq!(rebuilt + reused, 16, "one rebuild covers all shards");
-        // The plan is the planner's choice for the snapshot the queries
-        // saw, like a batch's; `--plan off` says so.
-        assert_eq!(
-            summary.get("plan").and_then(Json::as_str),
-            Some("auto:memo")
-        );
-        let mut out = Vec::new();
-        let off = CliConfig {
-            plan: PlanMode::Off,
-            ..cfg
-        };
-        run(&off, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let summary = Json::parse(text.lines().last().unwrap()).unwrap();
-        assert_eq!(summary.get("plan").and_then(Json::as_str), Some("off"));
+        // A script answers its queries one by one and never asks the
+        // planner, so its summary names no plan and no skew.
+        assert_eq!((summary.get("plan"), summary.get("skew")), (None, None));
     }
 
     #[test]

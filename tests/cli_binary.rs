@@ -258,13 +258,8 @@ fn validate_jsonl(text: &str) {
                 );
                 assert!(v.get("last_dirty_shards").unwrap().as_u64().is_some());
                 assert!(v.get("last_rebuild_seconds").unwrap().as_f64().is_some());
-                // The daemon reports its current query plan label, the
-                // pinned snapshot's skew statistic, and how many of
-                // this connection's queries ran on the compute mirror.
-                assert!(
-                    v.get("plan").expect("stats.plan").as_str().is_some(),
-                    "stats.plan must be a string"
-                );
+                // The daemon reports how many of this connection's
+                // queries ran on the compute mirror.
                 assert!(
                     v.get("mirror_served")
                         .expect("stats.mirror_served")
@@ -272,8 +267,6 @@ fn validate_jsonl(text: &str) {
                         .is_some(),
                     "stats.mirror_served must be an integer"
                 );
-                let skew = v.get("skew").expect("stats.skew").as_f64().unwrap();
-                assert!((0.0..=1.0).contains(&skew), "line {i}: skew {skew}");
             }
             Some("shutdown") => {
                 assert_eq!(v.get("draining").unwrap().as_bool(), Some(true));
@@ -320,12 +313,20 @@ fn validate_jsonl(text: &str) {
                     .as_u64()
                     .unwrap();
                 assert!(reuses <= unique, "line {i}: {reuses} reuses > {unique}");
-                assert!(
-                    v.get("plan").expect("plan").as_str().is_some(),
-                    "summary.plan must be a string"
-                );
+                // A batch names its plan and the skew the planner
+                // weighed; a query stream, which nothing plans, names
+                // neither.
+                match (v.get("plan"), v.get("skew")) {
+                    (Some(plan), Some(skew)) => {
+                        assert!(plan.as_str().is_some(), "summary.plan must be a string");
+                        let skew = skew.as_f64().unwrap();
+                        assert!((0.0..=1.0).contains(&skew), "line {i}: skew {skew}");
+                    }
+                    (None, None) => {}
+                    _ => panic!("line {i}: plan and skew come together or not at all\n{line}"),
+                }
                 // Mirror serving is part of the schema: the count never
-                // exceeds the executed queries, and skew is a fraction.
+                // exceeds the executed queries.
                 let mirrored = v
                     .get("mirror_served")
                     .expect("mirror_served")
@@ -335,8 +336,6 @@ fn validate_jsonl(text: &str) {
                     mirrored <= responses as u64,
                     "line {i}: {mirrored} mirror-served > {responses}"
                 );
-                let skew = v.get("skew").expect("skew").as_f64().unwrap();
-                assert!((0.0..=1.0).contains(&skew), "line {i}: skew {skew}");
                 // `--updates` summaries also carry the store's rebuild
                 // counters; when present they must satisfy the sharding
                 // invariant (every shard of every rebuild was either
@@ -396,6 +395,10 @@ fn json_smoke() {
     let text = String::from_utf8(out.stdout).unwrap();
     validate_jsonl(&text);
     assert_eq!(text.lines().count(), 4, "3 responses + summary");
+    // Only a batch plans: its summary names the plan and the skew.
+    let summary = text.lines().last().unwrap();
+    assert!(summary.contains("\"plan\":\"auto:memo\""), "{summary}");
+    assert!(summary.contains("\"skew\":1"), "{summary}");
 }
 
 #[test]
@@ -471,6 +474,9 @@ fn updates_json_smoke() {
     // default 16-shard layout (the seed snapshot is adopted, not built).
     assert!(summary.contains("\"shards\":16"), "{summary}");
     assert!(summary.contains("\"rebuilds\":1"), "{summary}");
+    // A script never plans: no plan or skew in its summary.
+    assert!(!summary.contains("\"plan\""), "{summary}");
+    assert!(!summary.contains("\"skew\""), "{summary}");
 }
 
 #[test]
@@ -619,6 +625,10 @@ fn serve_smoke_over_a_unix_socket() {
     validate_jsonl(&transcript);
     assert!(transcript.contains("\"type\":\"topk\""), "{transcript}");
     assert!(transcript.contains("\"code\":9"), "{transcript}");
+    // A connection never plans: neither `stats` nor its summary names a
+    // plan or a skew.
+    assert!(!transcript.contains("\"plan\""), "{transcript}");
+    assert!(!transcript.contains("\"skew\""), "{transcript}");
 
     // Clean exit after drain, and the socket file is gone.
     let status = daemon.wait().unwrap();

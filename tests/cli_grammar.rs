@@ -110,6 +110,18 @@ const RUN: &[(&str, &str)] = &[
         "--threads requires --queries (batch mode)",
     ),
     (
+        "--demo --query 1 --plan off",
+        "--plan requires --queries (batch mode)",
+    ),
+    (
+        "--demo --query 1 --top-k 2 --plan auto",
+        "--plan requires --queries (batch mode)",
+    ),
+    (
+        "--demo --updates u.txt --plan off",
+        "--plan requires --queries (batch mode)",
+    ),
+    (
         "--demo --queries q.txt --top-k 2",
         "--queries does not support --top-k",
     ),
@@ -173,6 +185,18 @@ const RUN: &[(&str, &str)] = &[
     (
         "--demo --updates u.txt --threads 2 --top-k 2 --stats",
         "--threads requires --queries (batch mode)",
+    ),
+    (
+        "--demo --updates u.txt --plan off --threads 2",
+        "--plan requires --queries (batch mode)",
+    ),
+    (
+        "--demo --query 1 --threads 2 --plan off --dot o.dot",
+        "--threads requires --queries (batch mode)",
+    ),
+    (
+        "--demo --query 1 --queries q.txt --plan off",
+        "--query, --queries and --updates are mutually exclusive",
     ),
     (
         "--demo --queries q.txt --top-k 2 --dot o.dot --weighted --algo kc",
