@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dmcs_gen::lfr;
 use dmcs_graph::{
-    articulation, cores, diameter, dynamic, pagerank, steiner, traversal, truss, SubgraphView,
+    articulation, cores, diameter, pagerank, steiner, traversal, truss, GraphStore, SubgraphView,
 };
 
 fn bench_substrate(c: &mut Criterion) {
@@ -60,21 +60,16 @@ fn bench_substrate(c: &mut Criterion) {
         b.iter(|| diameter::ifub_diameter(black_box(&g)))
     });
     group.bench_function("dynamic_insert_remove_1000", |b| {
-        let base = dynamic::DynamicGraph::from_graph(&g);
         b.iter(|| {
-            let mut d = base.clone();
+            let store = GraphStore::from_graph(g.clone());
             for i in 0..1000u32 {
-                d.insert_edge(i, (i * 7 + 3) % 2000);
+                store.insert_edge(i, (i * 7 + 3) % 2000);
             }
             for i in 0..1000u32 {
-                d.remove_edge(i, (i * 7 + 3) % 2000);
+                store.remove_edge(i, (i * 7 + 3) % 2000);
             }
-            black_box(d.m())
+            black_box(store.m())
         })
-    });
-    group.bench_function("dynamic_snapshot", |b| {
-        let d = dynamic::DynamicGraph::from_graph(&g);
-        b.iter(|| black_box(&d).snapshot())
     });
     group.finish();
 }

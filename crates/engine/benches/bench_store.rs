@@ -2,15 +2,16 @@
 //! live-update path (results committed as `BENCH_7.json`; regenerate
 //! with `scripts/bench_to_json.py`):
 //!
-//! 1. **Incremental rebuild beats full rebuild** — `store_snapshot_rebuild`
-//!    measures a mutate→snapshot cycle at 10k and 50k nodes three ways:
-//!    `full_rebuild` (a single-shard store — the pre-sharding code path,
-//!    every row re-serialized), `one_dirty_shard` (16 shards, the update
-//!    touches one — the rebuild re-serializes that shard's rows and
-//!    copies the other 15 shards' segments forward from the previous
-//!    snapshot), and `all_dirty` (16 shards, every shard touched — the
-//!    worst case, which must not regress against `full_rebuild_batch`,
-//!    the *same* 16-edge write batch on a single-shard store).
+//! 1. **Copy-forward rebuild beats compiling the CSR from scratch** —
+//!    `store_snapshot_rebuild` measures a mutate→snapshot cycle at 10k
+//!    and 50k nodes on a 16-shard store: `one_dirty_shard` toggles one
+//!    edge (the rebuild copies every unchanged row forward from the
+//!    previous snapshot and splices in the two changed ones), and
+//!    `all_dirty` toggles one edge in each of the 16 shards.
+//!    `full_rebuild` and `full_rebuild_batch` time what a rebuild costs
+//!    without copy-forward: `GraphBuilder::from_edges` over the same
+//!    graph's edge list (with the one toggled edge, or the 16, present),
+//!    which a store without copy-forward would pay on every rebuild.
 //!    `cached_read` is the no-mutation baseline: snapshot() between
 //!    versions is an Arc clone.
 //! 2. **Repeated queries are dominated by the result cache** —
@@ -22,7 +23,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dmcs_engine::{AlgoSpec, Engine, QueryRequest};
 use dmcs_gen::sbm;
-use dmcs_graph::{Graph, GraphStore, NodeId};
+use dmcs_graph::{Graph, GraphBuilder, GraphStore, NodeId};
 
 /// Shard count of the incremental-rebuild benches (the store default).
 const SHARDS: usize = 16;
@@ -53,24 +54,16 @@ fn bench_snapshot_rebuild(c: &mut Criterion) {
     for blocks in [50usize, 250] {
         let n = blocks * 200;
 
-        // Full rebuild: a single-shard store re-serializes every row —
-        // the pre-sharding baseline. The 0-1 toggle (an intra-block
-        // pair) bumps the version without changing the final graph.
-        let store = GraphStore::from_graph_sharded(fragmented(blocks), 1);
-        store.insert_edge(0, 1); // ensure the toggled edge exists
-        group.bench_function(format!("full_rebuild_n{n}"), |b| {
-            b.iter(|| {
-                store.remove_edge(0, 1);
-                store.insert_edge(0, 1);
-                black_box(store.snapshot().m())
-            })
-        });
-
-        // One dirty shard of 16: the same toggle leaves 15 shards'
-        // CSR segments to be copied forward from the previous snapshot.
+        // One edge toggled (an intra-block pair, so the final graph does
+        // not change): the rebuild copies every other row forward from
+        // the previous snapshot. The full rebuild compiles the same
+        // graph's CSR from its edge list.
         let store = GraphStore::from_graph_sharded(fragmented(blocks), SHARDS);
-        store.insert_edge(0, 1);
-        store.snapshot();
+        store.insert_edge(0, 1); // ensure the toggled edge exists
+        let edges: Vec<(NodeId, NodeId)> = store.snapshot().edges().collect();
+        group.bench_function(format!("full_rebuild_n{n}"), |b| {
+            b.iter(|| black_box(GraphBuilder::from_edges(n, &edges).m()))
+        });
         group.bench_function(format!("one_dirty_shard_n{n}"), |b| {
             b.iter(|| {
                 store.remove_edge(0, 1);
@@ -79,33 +72,17 @@ fn bench_snapshot_rebuild(c: &mut Criterion) {
             })
         });
 
-        // The same 16-edge batch on a single-shard store: the fair
-        // baseline for `all_dirty` below (identical write workload,
-        // pre-sharding layout).
-        let store = GraphStore::from_graph_sharded(fragmented(blocks), 1);
+        // One edge toggled per shard, all 16 shards dirty, which must
+        // not regress against compiling the same graph from scratch.
+        let store = GraphStore::from_graph_sharded(fragmented(blocks), SHARDS);
         let pairs = per_shard_pairs(n);
         for &(u, v) in &pairs {
             store.insert_edge(u, v); // ensure every toggled edge exists
         }
-        store.snapshot();
+        let edges: Vec<(NodeId, NodeId)> = store.snapshot().edges().collect();
         group.bench_function(format!("full_rebuild_batch_n{n}"), |b| {
-            b.iter(|| {
-                for &(u, v) in &pairs {
-                    store.remove_edge(u, v);
-                    store.insert_edge(u, v);
-                }
-                black_box(store.snapshot().m())
-            })
+            b.iter(|| black_box(GraphBuilder::from_edges(n, &edges).m()))
         });
-
-        // All 16 shards dirty: one edge toggled per shard — the
-        // incremental path's worst case, which must not regress against
-        // the full rebuild of the same batch.
-        let store = GraphStore::from_graph_sharded(fragmented(blocks), SHARDS);
-        for &(u, v) in &pairs {
-            store.insert_edge(u, v); // ensure every toggled edge exists
-        }
-        store.snapshot();
         group.bench_function(format!("all_dirty_n{n}"), |b| {
             b.iter(|| {
                 for &(u, v) in &pairs {

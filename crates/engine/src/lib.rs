@@ -167,8 +167,7 @@ impl Engine {
 
     /// Like [`Engine::from_graph`] with an explicit shard count for the
     /// store (the CLI's `--shards`). More shards mean finer-grained
-    /// incremental rebuilds and cache invalidation; the count is fixed
-    /// for the store's lifetime.
+    /// cache invalidation; the count is fixed for the store's lifetime.
     pub fn from_graph_sharded(graph: dmcs_graph::Graph, shards: usize) -> Self {
         Engine::new(GraphStore::from_graph_sharded(graph, shards))
     }
@@ -206,8 +205,9 @@ impl Engine {
         self.store.rebuild_stats()
     }
 
-    /// Number of shards currently dirty relative to the cached snapshot
-    /// (what the next [`Engine::snapshot`] call would recompile).
+    /// Number of shards whose counter moved since the newest snapshot:
+    /// the shards whose cached answers the writes since then could
+    /// invalidate (see [`GraphStore::dirty_shards`]).
     pub fn dirty_shards(&self) -> usize {
         self.store.dirty_shards()
     }

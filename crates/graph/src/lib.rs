@@ -41,7 +41,6 @@ pub mod clustering;
 pub mod cores;
 pub mod diameter;
 pub mod dot;
-pub mod dynamic;
 pub mod eigen;
 pub mod io;
 pub mod layout;
@@ -56,9 +55,8 @@ pub mod view;
 pub mod weighted;
 
 pub use builder::GraphBuilder;
-pub use dynamic::{ShardLayout, DEFAULT_SHARD_COUNT};
 pub use layout::{ComputeGraph, LayoutPolicy, NodeMap};
-pub use store::{GraphStore, RebuildStats, Snapshot};
+pub use store::{GraphStore, RebuildStats, ShardLayout, Snapshot, DEFAULT_SHARD_COUNT};
 pub use traversal::ComponentIndex;
 pub use view::SubgraphView;
 

@@ -8,8 +8,8 @@
 //! measures need is maintained incrementally.
 
 use crate::bits::BitMask;
-use crate::dynamic::ShardLayout;
 use crate::layout::NodeMap;
+use crate::store::ShardLayout;
 use crate::{Graph, NodeId};
 
 /// A node-induced subgraph of a [`Graph`] supporting cheap node removal.

@@ -22,7 +22,7 @@ use crate::{Graph, GraphBuilder, NodeId};
 
 /// Is `w` an admissible edge weight (finite and strictly positive)?
 /// The single weight-domain predicate of the workspace — the builder,
-/// the dynamic-graph mutators, the edge-list reader and the CLI update
+/// the store's mutators, the edge-list reader and the CLI update
 /// grammar all enforce exactly this.
 pub fn valid_weight(w: f64) -> bool {
     w.is_finite() && w > 0.0

@@ -18,7 +18,6 @@ pub const SERVING_PATHS: &[&str] = &[
     "crates/engine/src/ops.rs",
     "crates/engine/src/output.rs",
     "crates/graph/src/store.rs",
-    "crates/graph/src/dynamic.rs",
     "crates/graph/src/layout.rs",
 ];
 
@@ -94,11 +93,11 @@ fn no_panics(file: &ScannedFile) -> Vec<Finding> {
 /// guard) must not remain in scope across a `.snapshot(` or
 /// `rebuild_csr(` call: the rebuild takes the store's own lock, so the
 /// combination risks deadlock (and at best serializes serving threads
-/// behind an `O(dirty shards)` rebuild).
+/// behind an `O(|V| + |E|)` CSR rebuild).
 ///
 /// A statement that *projects* through the guard in the same expression
-/// (`self.read().dynamic.version()`) drops the guard immediately and is
-/// not a binding.
+/// (`self.read().shard_versions.clone()`) drops the guard immediately
+/// and is not a binding.
 fn no_guard_across_snapshot(file: &ScannedFile) -> Vec<Finding> {
     let text = file.code_text();
     let bytes = text.as_bytes();

@@ -7,8 +7,7 @@
 //! ```
 
 use dmcs::engine::{AlgoSpec, Engine, QueryRequest, QueryResponse, Session};
-use dmcs::graph::dynamic::DynamicGraph;
-use dmcs::graph::GraphStore;
+use dmcs::graph::GraphBuilder;
 
 /// Answer a query for `author`, first re-pinning `session` to the current
 /// epoch when an update has moved the store version (what
@@ -26,19 +25,20 @@ fn community(resp: &QueryResponse) -> &[u32] {
 
 fn main() {
     // A collaboration network starts as two 4-cliques sharing author 0.
-    let mut g = DynamicGraph::new(7);
+    let mut b = GraphBuilder::new(7);
     for c in [[0u32, 1, 2, 3], [0, 4, 5, 6]] {
         for i in 0..4 {
             for j in (i + 1)..4 {
-                g.insert_edge(c[i], c[j]);
+                b.add_edge(c[i], c[j]);
             }
         }
     }
+    let g = b.build();
     println!("day 0: {} authors, {} collaborations", g.n(), g.m());
 
-    // One versioned store of record behind one serving engine; sessions
-    // pin its snapshots and share its result cache.
-    let engine = Engine::new(GraphStore::from_dynamic(g));
+    // One versioned store behind one serving engine; sessions pin its
+    // snapshots and share its result cache.
+    let engine = Engine::from_graph(g);
     let spec = AlgoSpec::new("fpa");
     let mut session = engine.session(&spec).unwrap();
 

@@ -8,10 +8,11 @@ The shim prints one line per benchmark:
 
 This script runs a bench target (or reads the lines from stdin), parses
 those lines, normalizes every median to seconds, and — for the
-`store_snapshot_rebuild` group — derives the headline ratios the sharded
-store claims: how many times faster a single-dirty-shard rebuild is than
-a full rebuild at each graph size, and how the all-dirty worst case
-compares to the full rebuild.
+`store_snapshot_rebuild` group — derives the headline ratios the store
+claims at each graph size: how many times faster a one-edge copy-forward
+rebuild (`one_dirty_shard`) is than compiling the same graph's CSR from
+its edge list (`full_rebuild`), and how the 16-edge batch (`all_dirty`)
+compares to compiling its graph from scratch (`full_rebuild_batch`).
 
 For `bench_batch` runs it additionally derives the locality/planning
 ratios (renumbered vs identity layout per-query FPA, planned vs
@@ -98,7 +99,7 @@ def parse(lines):
 
 
 def derive_rebuild_ratios(results):
-    """full_rebuild / one_dirty_shard and all_dirty / full_rebuild per n."""
+    """full_rebuild / one_dirty_shard and all_dirty / full_rebuild_batch per n."""
     rebuild = {
         r["name"]: r["median_seconds"]
         for r in results
@@ -117,8 +118,8 @@ def derive_rebuild_ratios(results):
         full = rebuild.get(f"full_rebuild_n{n}")
         one = rebuild.get(f"one_dirty_shard_n{n}")
         all_dirty = rebuild.get(f"all_dirty_n{n}")
-        # The all-dirty comparison baseline is the same 16-edge batch on
-        # a single-shard store (falling back to the single-toggle full
+        # The all-dirty comparison baseline is the 16-edge batch's graph
+        # compiled from scratch (falling back to the single-toggle full
         # rebuild if the batch baseline is absent).
         full_batch = rebuild.get(f"full_rebuild_batch_n{n}", full)
         if not (full and one and all_dirty):

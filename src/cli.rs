@@ -104,8 +104,8 @@ pub struct CliConfig {
     /// Output rendering (`--format {text,json}`).
     pub format: OutputFormat,
     /// Shard count for the versioned store (`--shards`): node-id ranges
-    /// per shard, giving incremental dirty-shard-only snapshot rebuilds
-    /// and shard-scoped cache invalidation under updates.
+    /// per shard, giving shard-scoped cache invalidation under updates
+    /// and the store's per-shard rebuild counters.
     pub shards: usize,
     /// Batch planner mode (`--plan {auto,off}`, batch mode only): whether
     /// a batch picks component-grouped scheduling and the per-worker
@@ -169,7 +169,7 @@ OPTIONS:
                       space; `add` may introduce new ids; blank lines and
                       # comments are skipped); queries answer against the
                       graph as mutated so far — consecutive mutations
-                      coalesce into one dirty-shard rebuild at the next
+                      coalesce into one snapshot rebuild at the next
                       query — with shard-scoped result caching. With
                       --weighted the grammar grows
                       `add u v w` and `setw u v w` (weight ops on an
@@ -193,9 +193,8 @@ OPTIONS:
     --dot <path>      write a Graphviz DOT rendering of the result
     --shards <n>      partition the store's node-id space into n shards
                       (default: 16): updates dirty only the shards they
-                      touch, so snapshot rebuilds recompile dirty shards
-                      and cached answers scoped to clean shards survive
-                      updates that leave the edge count unchanged
+                      touch, and cached answers scoped to clean shards
+                      survive updates that leave the edge count unchanged
     --plan <mode>     batch planner (batch mode only): auto (default;
                       the batch runs component-grouped with a per-worker
                       component memo when snapshot stats warrant it —
@@ -889,9 +888,10 @@ fn write_batch_text<W: std::io::Write>(
 /// Live-update execution: apply the script in order against the
 /// engine's store. Mutations land in the [`GraphStore`] **without
 /// snapshotting** — a run of consecutive `add`/`del`/`setw` lines
-/// coalesces into dirty shard versions, and the CSR is recompiled (dirty
-/// shards only) exactly when the next `query` line forces a read; a
-/// script ending in mutations never pays a final rebuild. Each `query`
+/// coalesces into the store's overlay of changed rows, and the CSR is
+/// rebuilt (unchanged rows copied forward from the previous snapshot)
+/// exactly when the next `query` line forces a read; a script ending in
+/// mutations never pays a final rebuild. Each `query`
 /// pins the then-current snapshot (re-opening its session only when the
 /// version moved) and consults the shard-scoped cache, so a repeated
 /// query with no intervening update is a byte-identical cache hit while
@@ -1994,7 +1994,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let ufile = dir.join("script.txt");
         // The run of three mutations between the queries must coalesce
-        // into one dirty-shard rebuild (paid by the second query); the
+        // into one snapshot rebuild (paid by the second query); the
         // trailing add never pays one. The first query reads the seed
         // snapshot adopted at load, which counts no rebuild at all.
         std::fs::write(

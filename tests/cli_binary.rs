@@ -338,8 +338,8 @@ fn validate_jsonl(text: &str) {
                 );
                 // `--updates` summaries also carry the store's rebuild
                 // counters; when present they must satisfy the sharding
-                // invariant (every shard of every rebuild was either
-                // re-serialized or copied forward).
+                // invariant (every rebuild counts every shard, as either
+                // moved or unmoved since the previous snapshot).
                 if let Some(shards) = v.get("shards").and_then(|s| s.as_u64()) {
                     assert!(shards >= 1, "line {i}: shards {shards}");
                     let rebuilds = v.get("rebuilds").expect("rebuilds").as_u64().unwrap();
@@ -470,7 +470,7 @@ fn updates_json_smoke() {
     let summary = text.lines().last().unwrap();
     assert!(summary.contains("\"cache_hits\":2"), "{summary}");
     assert!(summary.contains("\"cache_misses\":2"), "{summary}");
-    // The one mutation burst cost exactly one incremental rebuild on the
+    // The one mutation burst cost exactly one snapshot rebuild on the
     // default 16-shard layout (the seed snapshot is adopted, not built).
     assert!(summary.contains("\"shards\":16"), "{summary}");
     assert!(summary.contains("\"rebuilds\":1"), "{summary}");

@@ -1,24 +1,21 @@
 //! Property: applying a random interleaving of edge inserts, edge
-//! removals and node additions to a [`DynamicGraph`] and snapshotting is
+//! removals and node additions to a [`GraphStore`] and snapshotting is
 //! indistinguishable from building the final edge set from scratch with
 //! [`GraphBuilder`] — and the mutation version is monotone, bumping
-//! exactly on effective mutations. The same interleaving driven through
-//! a [`GraphStore`] (with interleaved snapshot reads, exercising the
-//! lazy rebuild) agrees too — including *sharded* stores, whose
-//! interleaved reads take the incremental dirty-shard-only rebuild
-//! path, and whose per-shard version vector must bump exactly on the
-//! effective ops touching each shard (cross-shard edges dirty both
-//! endpoint shards). The weighted variant drives weighted
-//! inserts / removals / `set_weight` through a weighted store and
-//! compares against a from-scratch [`WeightedGraphBuilder`] build,
-//! pinning down that weight-only updates bump the version exactly when
-//! the stored weight changes. Finally, an [`Engine`] over a sharded
-//! store answers random query / update / re-pin transcripts, and every
-//! response, cache hits included, must equal a cache-less search on the
-//! pinned edge set.
+//! exactly on effective mutations. The same interleaving with
+//! interleaved snapshot reads, which fold the store's overlay of changed
+//! rows into a fresh CSR, agrees too — including *sharded* stores, whose
+//! per-shard version vector must bump exactly on the effective ops
+//! touching each shard (cross-shard edges dirty both endpoint shards).
+//! The weighted variant drives weighted inserts / removals /
+//! `set_weight` through a weighted store and compares against a
+//! from-scratch [`WeightedGraphBuilder`] build, pinning down that
+//! weight-only updates bump the version exactly when the stored weight
+//! changes. Finally, an [`Engine`] over a sharded store answers random
+//! query / update / re-pin transcripts, and every response, cache hits
+//! included, must equal a cache-less search on the pinned edge set.
 
 use dmcs::engine::{AlgoSpec, Engine, QueryRequest, Session};
-use dmcs::graph::dynamic::DynamicGraph;
 use dmcs::graph::weighted::WeightedGraphBuilder;
 use dmcs::graph::{Graph, GraphBuilder, GraphStore, NodeId, Snapshot};
 use proptest::prelude::*;
@@ -233,28 +230,28 @@ proptest! {
         n0 in 0usize..10,
         ops in proptest::collection::vec(op_strategy(14), 0..80),
     ) {
-        let mut dynamic = DynamicGraph::new(n0);
+        let store = GraphStore::new(n0);
         let mut model = Model { n: n0, ..Model::default() };
-        let mut version = dynamic.version();
+        let mut version = store.version();
         prop_assert_eq!(version, 0, "construction is not a mutation");
 
         for &op in &ops {
             let effective = model.apply(op);
             let changed = match op {
-                Op::Insert(u, v) => dynamic.insert_edge(u, v),
-                Op::Remove(u, v) => dynamic.remove_edge(u, v),
-                Op::AddNode => { dynamic.add_node(); true }
+                Op::Insert(u, v) => store.insert_edge(u, v),
+                Op::Remove(u, v) => store.remove_edge(u, v),
+                Op::AddNode => { store.add_node(); true }
             };
             prop_assert_eq!(changed, effective, "effectiveness agrees with the model on {:?}", op);
             // Version monotonicity: +1 on effective mutations, frozen otherwise.
-            let next = dynamic.version();
+            let next = store.version();
             prop_assert_eq!(next, version + u64::from(effective), "version step on {:?}", op);
             version = next;
         }
 
-        prop_assert_eq!(dynamic.n(), model.n);
-        prop_assert_eq!(dynamic.m(), model.edges.len());
-        assert_same_graph(&dynamic.snapshot(), &model.build());
+        prop_assert_eq!(store.n(), model.n);
+        prop_assert_eq!(store.m(), model.edges.len());
+        assert_same_graph(&store.snapshot(), &model.build());
     }
 
     #[test]
@@ -299,9 +296,9 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(14), 0..60),
         read_every in 1usize..5,
     ) {
-        // Interleaved reads force *incremental* rebuilds (clean shards
-        // copied forward from the previous snapshot); the final graph
-        // must still be indistinguishable from a from-scratch build.
+        // Interleaved reads force rebuilds that copy unchanged rows
+        // forward from the previous snapshot; the final graph must still
+        // be indistinguishable from a from-scratch build.
         let store = GraphStore::with_shards(n0, shards);
         prop_assert_eq!(store.shard_count(), shards);
         let mut model = Model { n: n0, ..Model::default() };
@@ -341,19 +338,19 @@ proptest! {
         // of *both* endpoints (once when they share a shard — so a
         // cross-shard edge dirties exactly two shards), add_node bumps
         // only the new id's shard, rejected ops bump nothing.
-        let mut dynamic = DynamicGraph::with_shards(n0, shards);
-        let layout = dynamic.shard_layout();
+        let store = GraphStore::with_shards(n0, shards);
+        let layout = store.shard_layout();
         prop_assert_eq!(layout.shards(), shards);
         let mut model = Model { n: n0, ..Model::default() };
         let mut want = vec![0u64; shards];
-        prop_assert_eq!(dynamic.shard_versions(), &want[..], "construction leaves shards clean");
+        prop_assert_eq!(store.shard_versions(), want.clone(), "construction leaves shards clean");
 
         for &op in &ops {
             let effective = model.apply(op);
             let changed = match op {
-                Op::Insert(u, v) => dynamic.insert_edge(u, v),
-                Op::Remove(u, v) => dynamic.remove_edge(u, v),
-                Op::AddNode => { dynamic.add_node(); true }
+                Op::Insert(u, v) => store.insert_edge(u, v),
+                Op::Remove(u, v) => store.remove_edge(u, v),
+                Op::AddNode => { store.add_node(); true }
             };
             prop_assert_eq!(changed, effective);
             if effective {
@@ -366,17 +363,17 @@ proptest! {
                         }
                     }
                     Op::AddNode => {
-                        let id = (dynamic.n() - 1) as NodeId;
+                        let id = (store.n() - 1) as NodeId;
                         want[layout.shard_of(id)] += 1;
                     }
                 }
             }
-            prop_assert_eq!(dynamic.shard_versions(), &want[..], "per-shard versions after {:?}", op);
+            prop_assert_eq!(store.shard_versions(), want.clone(), "per-shard versions after {:?}", op);
         }
 
         // The global version is the total of effective ops; per-shard
         // versions decompose it minus the shared-shard edge ops.
-        prop_assert!(want.iter().sum::<u64>() >= dynamic.version());
+        prop_assert!(want.iter().sum::<u64>() >= store.version());
     }
 
     #[test]
@@ -438,7 +435,7 @@ proptest! {
         ops in proptest::collection::vec(wop_strategy(14), 0..80),
         read_every in 1usize..5,
     ) {
-        let store = GraphStore::from_dynamic(DynamicGraph::new_weighted(n0));
+        let store = GraphStore::from_graph(WeightedGraphBuilder::new(n0).build().into_graph());
         prop_assert!(store.is_weighted());
         let mut model = WModel { n: n0, ..WModel::default() };
         let mut version = store.version();
@@ -460,6 +457,12 @@ proptest! {
             let next = store.version();
             prop_assert_eq!(next, version + u64::from(effective), "version step on {:?}", op);
             version = next;
+            // Live reads see the overlay before any rebuild folds it in.
+            if let WOp::InsertW(u, v, _) | WOp::Remove(u, v) | WOp::SetW(u, v, _) = op {
+                let want = model.edges.get(&(u.min(v), u.max(v))).copied();
+                prop_assert_eq!(store.edge_weight(u, v), want, "live weight of ({},{})", u, v);
+                prop_assert_eq!(store.has_edge(v, u), want.is_some());
+            }
 
             // Interleaved reads force (and then reuse) lazy rebuilds of
             // the lane-carrying snapshot.
