@@ -1,8 +1,13 @@
-//! Fig 13 micro: FPA with vs without the layer-based pruning strategy.
+//! Fig 13 micro: FPA with vs without the layer-based pruning strategy,
+//! and pruned FPA's one-node queries on a one-component LFR graph at
+//! the paper's Table 2 defaults, where the layered walk stops long
+//! before it has covered the component.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmcs_core::{CommunitySearch, Fpa};
 use dmcs_gen::{lfr, queries, Dataset};
+use dmcs_graph::view::QueryWorkspace;
+use dmcs_graph::NodeId;
 
 fn bench_pruning(c: &mut Criterion) {
     let g = lfr::generate(&lfr::LfrConfig {
@@ -39,5 +44,30 @@ fn bench_pruning(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pruning);
+/// Twenty one-node queries spread evenly over the ids of an LFR graph
+/// with n = 100k, average degree 20, maximum degree 400 and μ = 0.2,
+/// answered in turn through one warm workspace; one iteration is the
+/// whole set.
+fn bench_stopped_walk(c: &mut Criterion) {
+    let g = lfr::generate(&lfr::LfrConfig {
+        n: 100_000,
+        mu: 0.2,
+        ..lfr::LfrConfig::default()
+    })
+    .graph;
+    let queries: Vec<NodeId> = (0..20).map(|i| (i * g.n() / 20) as NodeId).collect();
+    let fpa = Fpa::default();
+    let mut ws = QueryWorkspace::new();
+    let mut group = c.benchmark_group("fpa_one_node_lfr100k");
+    group.bench_function("pruned_20_queries", |b| {
+        b.iter(|| {
+            for &q in &queries {
+                let _ = fpa.search_with_workspace(&g, &[q], &mut ws);
+            }
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_pruning, bench_stopped_walk);
 criterion_main!(benches);

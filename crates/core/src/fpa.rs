@@ -9,11 +9,15 @@
 //! (Lemma 5): removing `u` only changes Θ of `u`'s neighbours, so a lazy
 //! max-heap per layer gives `O((|E|+|V|) log |V|)` total.
 //!
-//! Layer pruning picks the layers to strip from per-layer counts alone
-//! (node count, degree sum, owned edges), which the one BFS that layers
-//! the component also sums. The peel state is then built over the kept
-//! layers only: a stripped node is never touched again, and the strip
-//! is one iteration that `removal_order` does not list node by node.
+//! Layer pruning picks the layers to strip from counts alone: the BFS
+//! that layers the seed's neighbourhood sums each closed prefix's node
+//! count, degree sum and internal edges, and keeps the prefix with the
+//! largest DM. It stops at the first closed layer after which a bound
+//! from those counts proves that no deeper prefix can win, so it walks
+//! the whole component only when the bound never fires (or when
+//! pruning is off). The peel state is then built over the kept layers
+//! only: a stripped node is never touched again, and the strip is one
+//! iteration that `removal_order` does not list node by node.
 //!
 //! With multiple query nodes the algorithm first materialises a Steiner
 //! seed (shortest-path union) and protects it throughout, exactly as §5.6
@@ -23,7 +27,7 @@ use crate::measure::{density_modularity_counts, density_ratio, dm_gain};
 use crate::peel::{PeelState, TieRule};
 use crate::{validate_query_nodes, CommunitySearch, SearchError, SearchResult};
 use dmcs_graph::layout::NodeMap;
-use dmcs_graph::steiner::steiner_seed_with_workspace;
+use dmcs_graph::steiner::steiner_seed_visiting;
 use dmcs_graph::traversal::{same_component_with_workspace, UNREACHABLE};
 use dmcs_graph::view::QueryWorkspace;
 use dmcs_graph::{Graph, GraphError, NodeId};
@@ -38,7 +42,8 @@ pub struct Fpa {
     /// FPA; Fig 13 measures the difference). When enabled, whole outer
     /// layers are bulk-removed first, the best layer prefix is selected,
     /// and node-level peeling runs only on the outermost layer of the
-    /// selected subgraph.
+    /// selected subgraph. The BFS that layers the component then stops
+    /// as soon as no deeper prefix can be selected.
     pub layer_pruning: bool,
 }
 
@@ -83,17 +88,17 @@ impl CommunitySearch for Fpa {
         query: &[NodeId],
         ws: &mut QueryWorkspace,
     ) -> Result<SearchResult, SearchError> {
-        let mut setup = FpaSetup::prepare(g, query, ws)?;
+        let mut setup = FpaSetup::prepare(g, query, ws, self.layer_pruning)?;
         // The bulk strip counts as one pass. Its result is the peel
         // state's starting point: DM(kept) ≥ DM(component) whenever
         // anything is stripped, so the kept prefix is exactly the best
         // snapshot a node-by-node strip would have left behind.
         let (start_layer, mut iterations) = if self.layer_pruning {
-            (prune_layers(&setup.layers, g.m() as u64), 1)
+            (setup.target, 1)
         } else {
             (setup.max_dist(), 0)
         };
-        let kept = &setup.order[..setup.layers[start_layer as usize].end];
+        let kept = &setup.order[..setup.layer_ends[start_layer as usize]];
         let mut st = if kept.len() == setup.order.len() {
             PeelState::new_in_component(g, kept, TieRule::PreferLater, ws)
         } else {
@@ -130,7 +135,7 @@ impl CommunitySearch for FpaDmg {
         query: &[NodeId],
         ws: &mut QueryWorkspace,
     ) -> Result<SearchResult, SearchError> {
-        let setup = FpaSetup::prepare(g, query, ws)?;
+        let setup = FpaSetup::prepare(g, query, ws, false)?;
         let mut st = PeelState::new_in_component(g, &setup.order, TieRule::PreferLater, ws);
         let mut iterations = 0usize;
         for d in (1..=setup.max_dist()).rev() {
@@ -169,40 +174,24 @@ impl CommunitySearch for FpaDmg {
     }
 }
 
-/// One BFS distance layer: where it ends in the visit order, plus the
-/// counts §5.7 pruning reads.
-#[derive(Debug, Clone, Copy, Default)]
-struct Layer {
-    /// One past the layer's last position in [`FpaSetup::order`].
-    end: usize,
-    /// Sum of the full-graph degrees of the layer's nodes.
-    degree_sum: u64,
-    /// Edges from a layer node to a shallower one (each seen once).
-    up: u64,
-    /// Edges inside the layer (each seen once from either endpoint).
-    within_twice: u64,
-}
-
-impl Layer {
-    /// Edges whose deeper endpoint lies in this layer — the edges that
-    /// stripping the layer removes.
-    fn owned_edges(&self) -> u64 {
-        self.up + self.within_twice / 2
-    }
-}
-
-/// Shared preparation: validation, Steiner seed, and one BFS that layers
-/// the seed's connected component and counts each layer.
+/// Shared preparation: validation, Steiner seed, and the BFS that layers
+/// the seed's neighbourhood.
 struct FpaSetup {
-    /// Every node of the seed's connected component in BFS visit order,
-    /// so each distance layer is one contiguous run (see
-    /// [`FpaSetup::layer`]).
+    /// Every node the layered walk discovered, in BFS visit order, so
+    /// each distance layer is one contiguous run (see
+    /// [`FpaSetup::layer`]). A walk that ran to the end holds the seed's
+    /// whole connected component; a stopped one holds the closed layers
+    /// plus the layer after them.
     order: Vec<NodeId>,
-    /// `dist[v]` = BFS distance from the seed (UNREACHABLE outside the
-    /// component).
+    /// `dist[v]` = BFS distance from the seed (UNREACHABLE for nodes
+    /// the walk never discovered).
     dist: Vec<u32>,
-    /// `layers[d]` describes the nodes at BFS distance `d`.
-    layers: Vec<Layer>,
+    /// `layer_ends[d]` is one past the last position of layer `d` in
+    /// `order`, for every layer the walk closed.
+    layer_ends: Vec<usize>,
+    /// The outermost layer of the §5.7 target prefix (see
+    /// [`layered_walk`]).
+    target: u32,
     /// Canonical external ordering for id tie-breaks (identity unless
     /// the workspace serves from a renumbered mirror — then every tie
     /// compares external ids so the removal sequence stays byte-
@@ -211,10 +200,18 @@ struct FpaSetup {
 }
 
 impl FpaSetup {
-    fn prepare(g: &Graph, query: &[NodeId], ws: &mut QueryWorkspace) -> Result<Self, SearchError> {
+    /// `stop` lets the layered walk end once no deeper prefix can
+    /// become the §5.7 target (layer pruning); without it the walk
+    /// layers the whole component.
+    fn prepare(
+        g: &Graph,
+        query: &[NodeId],
+        ws: &mut QueryWorkspace,
+        stop: bool,
+    ) -> Result<Self, SearchError> {
         validate_query_nodes(g, query)?;
         // Last-component memo: when every query node is a member of the
-        // component the previous query explored (same graph epoch — the
+        // last whole component a query walked (same graph epoch — the
         // session layer arms the memo), that membership already proves
         // the query connected, so the validation BFS is skipped.
         let memo_hit = ws.memo_covers(query);
@@ -222,34 +219,52 @@ impl FpaSetup {
             return Err(SearchError::Graph(GraphError::QueryDisconnected));
         }
         // §5.6: merge multiple queries into a protected connected seed.
-        let seed = steiner_seed_with_workspace(g, query, ws)?;
+        // Its BFS walks the root's whole component (the validation
+        // walk's component) and the seed reads distances across all of
+        // it, so the answer depends on that component and on m. Note
+        // its shards for the caller's cache fingerprint, and memoize it
+        // on a miss.
+        let mut steiner_walked = false;
+        let seed = steiner_seed_visiting(g, query, ws, |ws, component| {
+            steiner_walked = true;
+            ws.note_component(component);
+            if !memo_hit {
+                ws.memoize_component(component, g.n());
+            }
+        })?;
         let (mut dist, mut order) = ws.take_dist_order(g.n());
-        let layers = layered_bfs(g, &seed, &mut dist, &mut order);
-        if !memo_hit {
-            ws.memoize_component(&order, g.n());
+        let (layer_ends, target) = layered_walk(g, &seed, &mut dist, &mut order, stop);
+        if !steiner_walked {
+            // A one-node seed: the answer reads m, the rows of the
+            // layers the walk closed and the degrees of the layer after
+            // them — the nodes in `order`, whose shards are therefore an
+            // exact certificate. Only a walk that reached the end of the
+            // component may fill the memo.
+            ws.note_component(&order);
+            if !memo_hit && layer_ends.last() == Some(&order.len()) {
+                ws.memoize_component(&order, g.n());
+            }
         }
-        // Shard-scoped caching: the answer reads only this component and
-        // the graph's edge count m, and the caller's fingerprint pins
-        // both — record which shards the component intersects.
-        ws.note_component(&order);
         Ok(FpaSetup {
             order,
             dist,
-            layers,
+            layer_ends,
+            target,
             canon: ws.canon().clone(),
         })
     }
 
-    /// Largest BFS distance in the component.
+    /// Largest BFS distance the walk closed (the component's largest
+    /// distance when the walk was not stopped).
     fn max_dist(&self) -> u32 {
-        self.layers.len() as u32 - 1
+        self.layer_ends.len() as u32 - 1
     }
 
     /// Positions of layer `d` in [`FpaSetup::order`].
     fn layer(&self, d: u32) -> Range<usize> {
         let d = d as usize;
-        let start = if d == 0 { 0 } else { self.layers[d - 1].end };
-        start..self.layers[d].end
+        let start = if d == 0 { 0 } else { self.layer_ends[d - 1] };
+        start..self.layer_ends[d]
     }
 
     /// Hand the BFS buffers back to the workspace pool.
@@ -258,79 +273,121 @@ impl FpaSetup {
     }
 }
 
-/// Multi-source BFS from `seed` into the clean `dist` buffer. Every
-/// reached node is appended to `order`, which doubles as the queue; BFS
-/// visits layer by layer, so each layer is one contiguous run of it.
-/// The same pass sums each layer's degrees and the edges it owns: an
-/// edge belongs to the layer of its deeper endpoint, the layer whose
-/// strip removes it. A neighbour read as UNREACHABLE is being found
-/// right now, one layer deeper, and counts for neither comparison. The
-/// comparisons are added as integers rather than branched on: their
-/// outcome varies edge by edge, so a branch would mispredict often.
-fn layered_bfs(
+/// Relative margin by which the deeper-prefix bound must undercut the
+/// best prefix DM before the layered walk stops, so float rounding in
+/// either value cannot drop a prefix that would have won.
+const STOP_MARGIN: f64 = 1e-9;
+
+/// Multi-source BFS from `seed` into the clean `dist` buffer, one layer
+/// at a time. Every reached node is appended to `order`, which doubles
+/// as the queue, so each layer is one contiguous run of it. Returns
+/// where each closed layer ends, and the §5.7 target: the outermost
+/// layer of the closed prefix (layers `0..=d`) with the largest DM, the
+/// first on ties, so ties go to the smaller subgraph as with
+/// [`TieRule::PreferLater`].
+///
+/// A prefix's DM comes from its node count, degree sum and internal
+/// edges. An edge is internal to the prefix of its deeper endpoint's
+/// layer: scanning a node adds its edges to shallower layers (`up`) and
+/// to its own layer (`within`, seen from both ends). A neighbour read as
+/// UNREACHABLE is being discovered right now, one layer deeper, and
+/// counts for neither comparison. The comparisons are added as integers
+/// rather than branched on: their outcome varies edge by edge, so a
+/// branch would mispredict often. Each node's degree is read once, when
+/// it is discovered, so the next layer's degree sum is known when the
+/// current one closes.
+///
+/// With `stop`, the walk ends at the first closed layer after which
+/// [`deeper_prefix_bound`] proves that no deeper prefix can beat the
+/// best one so far. The target is then the one a full walk would find,
+/// and the walk has read only the rows of the closed layers and the
+/// degrees of the layer after them.
+fn layered_walk(
     g: &Graph,
     seed: &[NodeId],
     dist: &mut [u32],
     order: &mut Vec<NodeId>,
-) -> Vec<Layer> {
+    stop: bool,
+) -> (Vec<usize>, u32) {
+    let m = g.m() as u64;
+    let mut layer_degrees = 0u64;
     for &s in seed {
         if dist[s as usize] != 0 {
             dist[s as usize] = 0;
             order.push(s);
+            layer_degrees += g.degree(s) as u64;
         }
     }
-    let mut layers = Vec::new();
-    let mut cur = Layer::default();
-    let mut head = 0usize;
-    while head < order.len() {
-        let u = order[head];
-        let du = dist[u as usize];
-        if du as usize > layers.len() {
-            // First node of the next layer: close the current one.
-            cur.end = head;
-            layers.push(std::mem::take(&mut cur));
-        }
-        head += 1;
-        let (mut up, mut within) = (0u64, 0u64);
-        for &w in g.neighbors(u) {
-            let dw = dist[w as usize];
-            if dw == UNREACHABLE {
-                dist[w as usize] = du + 1;
-                order.push(w);
+    let mut layer_ends = Vec::new();
+    // The closed prefix: internal edges and degree sum.
+    let (mut edges, mut degree_sum) = (0u64, 0u64);
+    let (mut best_dm, mut target) = (f64::NEG_INFINITY, 0u32);
+    let mut start = 0usize;
+    loop {
+        let depth = layer_ends.len() as u32;
+        let end = order.len();
+        let (mut up, mut within, mut next_degrees) = (0u64, 0u64, 0u64);
+        for head in start..end {
+            let u = order[head];
+            for &w in g.neighbors(u) {
+                let dw = dist[w as usize];
+                if dw == UNREACHABLE {
+                    dist[w as usize] = depth + 1;
+                    order.push(w);
+                    next_degrees += g.degree(w) as u64;
+                }
+                up += u64::from(dw < depth);
+                within += u64::from(dw == depth);
             }
-            up += u64::from(dw < du);
-            within += u64::from(dw == du);
         }
-        cur.degree_sum += g.degree(u) as u64;
-        cur.up += up;
-        cur.within_twice += within;
+        layer_ends.push(end);
+        edges += up + within / 2;
+        degree_sum += layer_degrees;
+        let dm = density_modularity_counts(edges, degree_sum, end, m);
+        if dm > best_dm {
+            best_dm = dm;
+            target = depth;
+        }
+        let next = order.len() - end;
+        if next == 0
+            || (stop
+                && best_dm > 0.0
+                && deeper_prefix_bound(edges, degree_sum, end, next, next_degrees, m)
+                    < best_dm * (1.0 - STOP_MARGIN))
+        {
+            return (layer_ends, target);
+        }
+        start = end;
+        layer_degrees = next_degrees;
     }
-    cur.end = order.len();
-    layers.push(cur);
-    layers
 }
 
-/// §5.7 bulk phase, on the per-layer counts alone: simulate stripping
-/// whole outermost layers and return the outermost layer of the prefix
-/// with the largest DM (ties prefer the smaller subgraph, matching
-/// [`TieRule::PreferLater`]; the last layer means "strip nothing"). The
-/// caller peels that prefix and never touches the stripped layers.
-fn prune_layers(layers: &[Layer], m: u64) -> u32 {
-    let mut l: u64 = layers.iter().map(Layer::owned_edges).sum();
-    let mut dsum: u64 = layers.iter().map(|x| x.degree_sum).sum();
-    let last = layers.len() - 1;
-    let mut best_dm = density_modularity_counts(l, dsum, layers[last].end, m);
-    let mut target = last;
-    for d in (1..=last).rev() {
-        l -= layers[d].owned_edges();
-        dsum -= layers[d].degree_sum;
-        let dm = density_modularity_counts(l, dsum, layers[d - 1].end, m);
-        if dm >= best_dm {
-            best_dm = dm;
-            target = d - 1;
-        }
-    }
-    target as u32
+/// Upper bound on the DM of every prefix deeper than a closed prefix P
+/// of `size` nodes, `edges` internal edges and degree sum D =
+/// `degree_sum`, whose next layer holds `next` nodes with degree sum
+/// `next_degrees`.
+///
+/// P's c = D − 2·edges cut edges all end in the next layer. A deeper
+/// prefix adds a node set X that contains the next layer, so X's degree
+/// sum x is at least `next_degrees`, and the prefix gains the c cut
+/// edges plus at most (x − c)/2 edges inside X. Its DM (Definition 2)
+/// is therefore at most f(x) / (size + next), where
+/// f(x) = edges + (x + c)/2 − (D + x)²/(4m). f is concave and peaks at
+/// x = m − D, so f(max(next_degrees, m − D)) bounds it; when that is
+/// not positive, 0 bounds every deeper DM.
+fn deeper_prefix_bound(
+    edges: u64,
+    degree_sum: u64,
+    size: usize,
+    next: usize,
+    next_degrees: u64,
+    m: u64,
+) -> f64 {
+    let x = next_degrees.max(m.saturating_sub(degree_sum)) as f64;
+    let (l, d, m) = (edges as f64, degree_sum as f64, m as f64);
+    let c = d - 2.0 * l;
+    let f = l + (x + c) / 2.0 - (d + x) * (d + x) / (4.0 * m);
+    f.max(0.0) / (size + next) as f64
 }
 
 /// Peel one distance layer with the stable density-ratio scorer and a
@@ -432,7 +489,7 @@ impl Ord for OrdF64 {
 mod tests {
     use super::*;
     use crate::measure::density_modularity;
-    use dmcs_graph::{GraphBuilder, SubgraphView};
+    use dmcs_graph::{GraphBuilder, ShardLayout, SubgraphView};
 
     fn barbell() -> Graph {
         GraphBuilder::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
@@ -573,6 +630,32 @@ mod tests {
             // Disconnected queries still error with the memo armed.
             assert!(alg.search_with_workspace(&g, &[0, 4], &mut memoed).is_err());
         }
+    }
+
+    /// The nodes `alg` noted for `query` on `g`, through a layout with
+    /// one node per shard.
+    fn noted_nodes(alg: &dyn CommunitySearch, g: &Graph, query: &[NodeId]) -> Vec<u32> {
+        let mut ws = QueryWorkspace::new();
+        ws.begin_shard_tracking(ShardLayout::new(g.n(), g.n()));
+        alg.search_with_workspace(g, query, &mut ws).unwrap();
+        ws.take_touched_shards().expect("FPA notes what it read")
+    }
+
+    #[test]
+    fn layer_pruning_stops_the_walk_short_of_the_component() {
+        // From 0 the triangle {0,1,2} closes at layer 1 with DM 5/12,
+        // and the bound on any deeper prefix, f(3)/4 = (5 − 100/28)/4,
+        // is below it: the walk stops with {3} discovered and {4,5}
+        // never reached.
+        let g = barbell();
+        let whole: Vec<u32> = (0..6).collect();
+        assert_eq!(noted_nodes(&Fpa::default(), &g, &[0]), vec![0, 1, 2, 3]);
+        // The walk of a multi-node query may stop as well, but its
+        // Steiner seed read the whole component.
+        assert_eq!(noted_nodes(&Fpa::default(), &g, &[0, 5]), whole);
+        // Without pruning, and in FPA-DMG, the walk never stops.
+        assert_eq!(noted_nodes(&Fpa::without_pruning(), &g, &[0]), whole);
+        assert_eq!(noted_nodes(&FpaDmg, &g, &[0]), whole);
     }
 
     #[test]

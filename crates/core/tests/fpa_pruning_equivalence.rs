@@ -16,26 +16,38 @@
 //! oracle grows its Steiner seed on the canonical graph and translates
 //! it, so the mirror leg also checks that the kernel's seed is the
 //! canonical one.
+//!
+//! The oracle always layers the whole component, while the kernel stops
+//! its walk once no deeper prefix can win. The workspace tracks shards
+//! with one node per shard, so the touched shards are the nodes the
+//! kernel noted for the cache certificate: they must lie inside the
+//! component and hold the community. The one-component legs count the
+//! one-node queries whose walk stopped short of the component.
 
 use dmcs_core::measure::{density_modularity_counts, density_ratio};
 use dmcs_core::{CommunitySearch, Fpa, SearchError, SearchResult};
 use dmcs_gen::{lfr, sbm};
 use dmcs_graph::steiner::steiner_seed;
-use dmcs_graph::traversal::{multi_source_bfs, same_component, UNREACHABLE};
+use dmcs_graph::traversal::{connected_components, multi_source_bfs, same_component, UNREACHABLE};
 use dmcs_graph::view::QueryWorkspace;
-use dmcs_graph::{ComputeGraph, Graph, LayoutPolicy, NodeId, NodeMap, SubgraphView};
+use dmcs_graph::{
+    ComputeGraph, Graph, GraphBuilder, LayoutPolicy, NodeId, NodeMap, ShardLayout, SubgraphView,
+};
 use proptest::prelude::*;
 
+/// What the oracle answers for one query.
+struct Expected {
+    /// The result, with the bulk strip listed in `removal_order`.
+    result: SearchResult,
+    /// How many nodes the bulk strip removed.
+    stripped: usize,
+    /// The seed's connected component, ascending.
+    component: Vec<NodeId>,
+}
+
 /// The pre-change pruned FPA on `g`, whose ids `canon` maps to those of
-/// `canonical`. Returns the result with the bulk strip listed in
-/// `removal_order`, plus the number of stripped nodes; `None` when the
-/// query is disconnected.
-fn oracle(
-    g: &Graph,
-    query: &[NodeId],
-    canon: &NodeMap,
-    canonical: &Graph,
-) -> Option<(SearchResult, usize)> {
+/// `canonical`; `None` when the query is disconnected.
+fn oracle(g: &Graph, query: &[NodeId], canon: &NodeMap, canonical: &Graph) -> Option<Expected> {
     if !same_component(g, query) {
         return None;
     }
@@ -134,23 +146,38 @@ fn oracle(
         removal_order: removed,
         iterations,
     };
-    Some((result, stripped))
+    Some(Expected {
+        result,
+        stripped,
+        component,
+    })
 }
 
 /// Run the kernel and the oracle on `g` under `canon` (mapping to
 /// `canonical`'s ids) for each query (given in `g`'s own ids) and
-/// require agreement.
+/// require agreement. Returns how many one-node queries noted a strict
+/// subset of their component, i.e. stopped their walk early.
 fn assert_matches_oracle(
     g: &Graph,
     canon: &NodeMap,
     canonical: &Graph,
     queries: &[Vec<NodeId>],
-) -> Result<(), TestCaseError> {
+) -> Result<usize, TestCaseError> {
     let mut ws = QueryWorkspace::new();
     ws.set_canon(canon.clone());
+    let mut stopped = 0;
     for q in queries {
+        // One node per shard: the touched shards are the noted nodes,
+        // in canonical ids.
+        ws.begin_shard_tracking(ShardLayout::new(g.n(), g.n()));
         let got = Fpa::default().search_with_workspace(g, q, &mut ws);
-        let Some((want, stripped)) = oracle(g, q, canon, canonical) else {
+        let noted = ws.take_touched_shards();
+        let Some(Expected {
+            result: want,
+            stripped,
+            component,
+        }) = oracle(g, q, canon, canonical)
+        else {
             prop_assert!(
                 matches!(got, Err(SearchError::Graph(_))),
                 "query {q:?}: disconnected, got {got:?}"
@@ -158,6 +185,30 @@ fn assert_matches_oracle(
             continue;
         };
         let got = got.map_err(|e| TestCaseError::fail(format!("query {q:?}: {e}")))?;
+        let noted =
+            noted.ok_or_else(|| TestCaseError::fail(format!("query {q:?}: nothing noted")))?;
+        let external = |nodes: &[NodeId]| {
+            let mut ids: Vec<u32> = nodes.iter().map(|&v| canon.to_external(v)).collect();
+            ids.sort_unstable();
+            ids
+        };
+        let component = external(&component);
+        prop_assert!(
+            noted.iter().all(|v| component.binary_search(v).is_ok()),
+            "query {:?}: noted nodes outside the component",
+            q
+        );
+        prop_assert!(
+            external(&got.community)
+                .iter()
+                .all(|v| noted.binary_search(v).is_ok()),
+            "query {:?}: community not inside the noted nodes",
+            q
+        );
+        if noted.len() < component.len() {
+            prop_assert_eq!(q.len(), 1, "multi-node queries note the whole component");
+            stopped += 1;
+        }
         prop_assert_eq!(&got.community, &want.community, "query {:?}", q);
         prop_assert_eq!(
             got.density_modularity.to_bits(),
@@ -173,17 +224,18 @@ fn assert_matches_oracle(
             q
         );
     }
-    Ok(())
+    Ok(stopped)
 }
 
-/// Check `g` under the identity canon and on its bfs mirror.
-fn check_both_substrates(g: &Graph, picks: &[Vec<usize>]) -> Result<(), TestCaseError> {
+/// Check `g` under the identity canon and on its bfs mirror; returns
+/// the stopped walks counted on each.
+fn check_both_substrates(g: &Graph, picks: &[Vec<usize>]) -> Result<[usize; 2], TestCaseError> {
     let n = g.n();
     let queries: Vec<Vec<NodeId>> = picks
         .iter()
         .map(|p| p.iter().map(|&i| (i % n) as NodeId).collect())
         .collect();
-    assert_matches_oracle(g, &NodeMap::identity(), g, &queries)?;
+    let canonical = assert_matches_oracle(g, &NodeMap::identity(), g, &queries)?;
 
     let mirror = ComputeGraph::build(g, LayoutPolicy::Bfs).expect("bfs builds a mirror");
     let map = mirror.map();
@@ -191,7 +243,40 @@ fn check_both_substrates(g: &Graph, picks: &[Vec<usize>]) -> Result<(), TestCase
         .iter()
         .map(|q| q.iter().map(|&v| map.to_internal(v)).collect())
         .collect();
-    assert_matches_oracle(mirror.graph(), map, g, &internal)
+    Ok([
+        canonical,
+        assert_matches_oracle(mirror.graph(), map, g, &internal)?,
+    ])
+}
+
+/// `g` with one edge added from each component's smallest node to the
+/// previous component's, so the whole graph is one component.
+fn connected(g: &Graph) -> Graph {
+    let (labels, count) = connected_components(g);
+    let mut first = vec![NodeId::MAX; count];
+    for v in (0..g.n() as NodeId).rev() {
+        first[labels[v as usize] as usize] = v;
+    }
+    let mut edges: Vec<(NodeId, NodeId)> = g.edges().collect();
+    edges.extend(first.windows(2).map(|w| (w[0], w[1])));
+    GraphBuilder::from_edges(g.n(), &edges)
+}
+
+/// Check a one-component graph. Its one-node queries must stop their
+/// walk as often on the mirror as on the canonical graph, since the stop
+/// reads only counts, which renumbering leaves alone. And some must
+/// stop, or the leg would not cover stopped walks at all.
+fn check_one_component(g: &Graph, picks: &[Vec<usize>]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(connected_components(g).1, 1);
+    let [canonical, mirror] = check_both_substrates(g, picks)?;
+    prop_assert_eq!(canonical, mirror, "stopped walks per substrate");
+    let one_node = picks.iter().filter(|p| p.len() == 1).count();
+    prop_assert!(
+        one_node == 0 || canonical > 0,
+        "none of {} one-node walks stopped",
+        one_node
+    );
+    Ok(())
 }
 
 /// 1–3 query nodes per query, as indices reduced modulo `n`.
@@ -228,5 +313,32 @@ proptest! {
             ..lfr::LfrConfig::default()
         };
         check_both_substrates(&lfr::generate(&cfg).graph, &picks)?;
+    }
+
+    // One component of a few hundred nodes, where the kernel's walk
+    // stops early for most one-node queries and the oracle's never does.
+    #[test]
+    fn stopped_walks_match_oracle_on_connected_sbm(
+        seed in 0u64..10_000,
+        p_out_permille in 2u32..20,
+        picks in query_picks(),
+    ) {
+        let p_out = f64::from(p_out_permille) / 1000.0;
+        let (g, _) = sbm::planted_partition(&[60, 50, 45, 40, 35, 30], 0.2, p_out, seed);
+        check_one_component(&connected(&g), &picks)?;
+    }
+
+    #[test]
+    fn stopped_walks_match_oracle_on_connected_lfr(seed in 0u64..10_000, picks in query_picks()) {
+        let cfg = lfr::LfrConfig {
+            n: 300,
+            avg_degree: 20.0,
+            max_degree: 60,
+            min_community: 20,
+            max_community: 60,
+            seed,
+            ..lfr::LfrConfig::default()
+        };
+        check_one_component(&connected(&lfr::generate(&cfg).graph), &picks)?;
     }
 }

@@ -4,24 +4,39 @@
 //! a [`Fingerprint`].
 //!
 //! Correctness comes from the fingerprint: every entry records the
-//! `(shard, version)` pairs of the shards its community's component
-//! actually touched (captured at search time via
+//! `(shard, version)` pairs of the shards holding the nodes its search
+//! read (captured at search time via
 //! [`QueryWorkspace`](dmcs_graph::view::QueryWorkspace) shard tracking)
 //! together with the graph's edge count `m`, and a lookup replays the
 //! entry only while the serving snapshot still carries those exact shard
 //! versions and that `m`. The pair is an exact certificate: the only
-//! searches that report a component (FPA and FPA-DMG) read that
-//! component and `m` — density modularity (Definition 2) divides by the
-//! whole graph's `|E|`, both in the §5.7 layer choice and in the
-//! best-prefix score — and nothing else. An update to shard 3 therefore
-//! stops matching entries whose communities touch shard 3, and an update
-//! anywhere that changes `m` stops matching every entry; a `del` + `add`
-//! pair elsewhere restores `m` and leaves entries living entirely in
-//! shards 0–2 hot. When a search path cannot report what it touched
-//! (top-k enumerations, validation errors, algorithms without component
-//! tracking, weighted specs) the entry conservatively fingerprints
-//! *every* shard, degrading to whole-graph invalidation, never to a
-//! wrong answer. Stale entries age out of the LRU like everything else.
+//! searches that note what they read (FPA and FPA-DMG) read those
+//! nodes' rows and `m` — density modularity (Definition 2) divides by
+//! the whole graph's `|E|`, both in the §5.7 layer choice and in the
+//! best-prefix score — and nothing else. Which nodes they note depends
+//! on the query:
+//!
+//! - a one-node query notes the nodes its layered BFS discovered. With
+//!   layer pruning that walk stops once no deeper layer prefix can win,
+//!   so it notes the layers it closed plus the layer after them, whose
+//!   degrees the stop read; a walk that ran to the end notes the whole
+//!   component;
+//! - a multi-node query notes its whole component: the Steiner seed's
+//!   BFS walks all of it, and the seed's shortest paths depend on
+//!   distances across it, wherever the layered walk stopped;
+//! - weighted specs note nothing, so their entries pin every shard:
+//!   weighted DM divides by the total edge weight, which the
+//!   fingerprint does not record.
+//!
+//! An update to shard 3 therefore stops matching entries that noted a
+//! node in shard 3, and an update anywhere that changes `m` stops
+//! matching every entry; a `del` + `add` pair elsewhere restores `m` and
+//! leaves entries whose noted nodes live entirely in shards 0–2 hot.
+//! When a search path cannot report what it read (top-k enumerations,
+//! validation errors, algorithms without component tracking, weighted
+//! specs) the entry conservatively fingerprints *every* shard, degrading
+//! to whole-graph invalidation, never to a wrong answer. Stale entries
+//! age out of the LRU like everything else.
 //!
 //! A cached answer replays the original response verbatim — including
 //! its `seconds` — so a cache hit renders **byte-identical** JSON to the
@@ -76,7 +91,7 @@ impl Fingerprint {
 }
 
 /// Build the fingerprint for an answer computed against `snapshot`:
-/// `touched` is the sorted shard list the query's component covered
+/// `touched` is the sorted shard list of the nodes the search noted
 /// (from [`QueryWorkspace::take_touched_shards`]), or `None` to
 /// conservatively pin every shard. The snapshot's edge count is always
 /// recorded.

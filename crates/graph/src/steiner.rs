@@ -37,6 +37,21 @@ pub fn steiner_seed_with_workspace(
     query: &[NodeId],
     ws: &mut QueryWorkspace,
 ) -> Result<Vec<NodeId>, GraphError> {
+    steiner_seed_visiting(g, query, ws, |_, _| {})
+}
+
+/// [`steiner_seed_with_workspace`] that also hands `visited` the
+/// workspace and every node the root's BFS reached — the root's whole
+/// connected component, whose distances the seed depends on — before
+/// the BFS buffers go back to the pool. `visited` runs only when a seed
+/// is grown by that BFS: not for a one-node query, whose seed is the
+/// node itself, and not on an error.
+pub fn steiner_seed_visiting(
+    g: &Graph,
+    query: &[NodeId],
+    ws: &mut QueryWorkspace,
+    visited: impl FnOnce(&mut QueryWorkspace, &[NodeId]),
+) -> Result<Vec<NodeId>, GraphError> {
     for &q in query {
         if q as usize >= g.n() {
             return Err(GraphError::NodeOutOfRange(q));
@@ -88,6 +103,9 @@ pub fn steiner_seed_with_workspace(
             v = parent;
             seed.push(v);
         }
+    }
+    if !disconnected {
+        visited(ws, &order);
     }
     // The buffers go back to the pool on the error path too.
     ws.put_dist_order(dist, order);

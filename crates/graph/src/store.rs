@@ -113,21 +113,6 @@ impl ShardLayout {
     pub fn shard_of(&self, v: NodeId) -> usize {
         ((v as usize) / self.shard_size).min(self.shards - 1)
     }
-
-    /// Node-id range `[start, end)` of shard `s` for a graph currently
-    /// holding `n` nodes. The ranges of all shards partition `0..n`, and
-    /// growing `n` by one (an `add_node`) changes exactly the range of
-    /// the shard owning the new node.
-    pub fn node_range(&self, s: usize, n: usize) -> (usize, usize) {
-        debug_assert!(s < self.shards);
-        let start = self.shard_size.saturating_mul(s).min(n);
-        let end = if s + 1 == self.shards {
-            n
-        } else {
-            self.shard_size.saturating_mul(s + 1).min(n)
-        };
-        (start, end)
-    }
 }
 
 impl Default for ShardLayout {
@@ -1183,17 +1168,6 @@ mod tests {
         assert_eq!(l.shard_of(3), 1);
         assert_eq!(l.shard_of(9), 3);
         assert_eq!(l.shard_of(500), 3, "late nodes clamp to the last shard");
-        // Ranges partition 0..n, for the original n and after growth.
-        for n in [10usize, 11, 13, 40] {
-            let mut covered = 0usize;
-            for s in 0..l.shards() {
-                let (start, end) = l.node_range(s, n);
-                assert_eq!(start, covered, "contiguous at n={n}");
-                assert!(end >= start);
-                covered = end;
-            }
-            assert_eq!(covered, n);
-        }
         // Degenerate layouts stay well-formed.
         assert_eq!(ShardLayout::new(0, 16).shard_of(0), 0);
         assert_eq!(ShardLayout::new(5, 0).shards(), 1);

@@ -231,10 +231,9 @@ impl<'g> SubgraphView<'g> {
 ///
 /// A workspace can additionally **track the shards a query touches**
 /// (see [`QueryWorkspace::begin_shard_tracking`]): the search algorithms
-/// call [`note_component`](QueryWorkspace::note_component) on the
-/// component they actually explore, and the caller collects the touched
-/// shard set afterwards — the ingredient of shard-scoped cache
-/// fingerprints.
+/// call [`note_component`](QueryWorkspace::note_component) on the nodes
+/// their answer depends on, and the caller collects the touched shard
+/// set afterwards — the ingredient of shard-scoped cache fingerprints.
 ///
 /// When a workspace serves queries **on a renumbered compute mirror**
 /// (see [`crate::layout::ComputeGraph`]), the session installs the
@@ -406,11 +405,16 @@ impl QueryWorkspace {
         &self.canon
     }
 
-    /// Record that the query explored `nodes` (typically the connected
-    /// component a community search peels). `O(|nodes|)`; a no-op when
-    /// tracking is not active. Node ids are translated through the
-    /// workspace's canonical map first, so mirror-served queries note
-    /// the *external* shards their component lives in.
+    /// Record that the query's answer depends on `nodes`: together with
+    /// the edge count m, their rows must determine it, so that an update
+    /// with both endpoints outside `nodes` that keeps m cannot change
+    /// it. FPA notes the nodes its layered BFS discovered for a one-node
+    /// query (the whole component unless layer pruning stopped the walk
+    /// early), and the whole component its Steiner seed's BFS walked
+    /// for a multi-node query. `O(|nodes|)`; a no-op when tracking is
+    /// not active. Node ids are translated through the workspace's
+    /// canonical map first, so mirror-served queries note the
+    /// *external* shards their nodes live in.
     pub fn note_component(&mut self, nodes: &[NodeId]) {
         if let Some(t) = &mut self.shard_tracking {
             t.noted = true;
@@ -622,8 +626,8 @@ impl QueryWorkspace {
         covered
     }
 
-    /// Memoize `component` (the connected component the current query
-    /// explored, in any order) for subsequent
+    /// Memoize `component` (a whole connected component the current
+    /// query walked, in any order) for subsequent
     /// [`memo_covers`](QueryWorkspace::memo_covers) probes. Replaces any
     /// previously memoized component, reusing its storage. A no-op when
     /// the memo is not armed.

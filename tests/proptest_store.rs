@@ -13,7 +13,9 @@
 //! weight-only updates bump the version exactly when the stored weight
 //! changes. Finally, an [`Engine`] over a sharded store answers random
 //! query / update / re-pin transcripts, and every response, cache hits
-//! included, must equal a cache-less search on the pinned edge set.
+//! included, must equal a cache-less search on the pinned edge set, on
+//! a base of three components and on one that is a single component, so
+//! FPA's stopped layered walks feed the cache too.
 
 use dmcs::engine::{AlgoSpec, Engine, QueryRequest, Session};
 use dmcs::graph::weighted::WeightedGraphBuilder;
@@ -222,6 +224,113 @@ fn assert_same_weighted_graph(got: &Graph, model: &WModel) {
     );
 }
 
+/// Drive `steps` through a cached engine over a 12-node, 3-shard store
+/// seeded with `base`, and require every response, cache hits
+/// included, to equal a cache-less search on the pinned edge set.
+fn check_cached_transcript(base: &[(NodeId, NodeId)], steps: &[Step]) -> Result<(), TestCaseError> {
+    let store = GraphStore::from_graph_sharded(GraphBuilder::from_edges(12, base), 3);
+    let engine = Engine::new(store);
+    let spec = AlgoSpec::new("fpa");
+    let mut live = Model {
+        n: 12,
+        edges: base.iter().copied().collect(),
+    };
+    let mut pinned = live.clone();
+    let mut session = engine.session(&spec).unwrap();
+
+    for step in steps {
+        match step {
+            Step::Mutate(op) => {
+                let effective = live.apply(*op);
+                let changed = match *op {
+                    Op::Insert(u, v) => engine.insert_edge(u, v),
+                    Op::Remove(u, v) => engine.remove_edge(u, v),
+                    Op::AddNode => {
+                        engine.add_node();
+                        true
+                    }
+                };
+                prop_assert_eq!(changed, effective, "effectiveness of {:?}", op);
+            }
+            Step::Repin => {
+                if session.snapshot().version() != engine.version() {
+                    session = engine.session(&spec).unwrap();
+                    pinned = live.clone();
+                }
+            }
+            Step::Query(nodes) => {
+                let req = QueryRequest::new(nodes.clone());
+                let got = session.query(&req).unwrap();
+                let reference = Session::new(Snapshot::freeze(pinned.build()), &spec)
+                    .unwrap()
+                    .query(&req)
+                    .unwrap();
+                prop_assert_eq!(
+                    &got.result,
+                    &reference.result,
+                    "query {:?} (cached: {}) on base {:?} after {:?}",
+                    nodes,
+                    got.cached,
+                    base,
+                    steps
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A multi-node query's Steiner seed reads distances across everything
+/// its BFS visited, so a cached answer must pin those shards, not only
+/// the shards of the nodes FPA's stopped layered walk discovered. From
+/// the seed 10..16 the walk stops one layer out, at {0, 20, 100..129},
+/// short of 60..62 (shard 4 of 16). The edge 60–61 then opens a second
+/// shortest 10–16 path, through 0, 24, 61, 60 and 20, which the seed
+/// takes, and removing 200–201 keeps m unchanged.
+#[test]
+fn multi_node_hits_pin_the_shards_the_steiner_walk_read() {
+    let mut edges: Vec<(NodeId, NodeId)> = (10..16).map(|v| (v, v + 1)).collect();
+    edges.extend([
+        (16, 0),
+        (10, 20),
+        (20, 60),
+        (60, 62),
+        (62, 61),
+        (61, 24),
+        (24, 0),
+    ]);
+    for u in 100..130 {
+        edges.extend(((u + 1)..130).map(|v| (u, v)));
+        edges.push((u, 13));
+    }
+    edges.push((200, 201));
+    let store = GraphStore::from_graph_sharded(GraphBuilder::from_edges(202, &edges), 16);
+    let engine = Engine::new(store);
+    let spec = AlgoSpec::new("fpa");
+    let req = QueryRequest::new(vec![10, 16]);
+    let first = engine.session(&spec).unwrap().query(&req).unwrap();
+    let path: Vec<NodeId> = (10..=16).collect();
+    assert_eq!(first.result.unwrap().community, path);
+
+    assert!(engine.insert_edge(60, 61));
+    assert!(engine.remove_edge(200, 201));
+    edges.retain(|&e| e != (200, 201));
+    edges.push((60, 61));
+    let got = engine.session(&spec).unwrap().query(&req).unwrap();
+    let reference = Session::new(
+        Snapshot::freeze(GraphBuilder::from_edges(202, &edges)),
+        &spec,
+    )
+    .unwrap()
+    .query(&req)
+    .unwrap();
+    assert_eq!(got.result, reference.result, "cached: {}", got.cached);
+    assert_eq!(
+        got.result.unwrap().community,
+        vec![0, 10, 16, 20, 24, 60, 61, 62]
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -384,48 +493,19 @@ proptest! {
         // {8..11}), so an update inside one component leaves the other
         // components' shards — and their cached answers' fingerprints —
         // untouched.
-        let base = [
+        let components = [
             (0, 1), (0, 2), (1, 2), (2, 3),
             (4, 5), (5, 6), (6, 7), (4, 7), (4, 6),
             (8, 9), (9, 10), (10, 11),
         ];
-        let store = GraphStore::from_graph_sharded(GraphBuilder::from_edges(12, &base), 3);
-        let engine = Engine::new(store);
-        let spec = AlgoSpec::new("fpa");
-        let mut live = Model { n: 12, edges: base.iter().copied().collect() };
-        let mut pinned = live.clone();
-        let mut session = engine.session(&spec).unwrap();
-
-        for step in &steps {
-            match step {
-                Step::Mutate(op) => {
-                    let effective = live.apply(*op);
-                    let changed = match *op {
-                        Op::Insert(u, v) => engine.insert_edge(u, v),
-                        Op::Remove(u, v) => engine.remove_edge(u, v),
-                        Op::AddNode => { engine.add_node(); true }
-                    };
-                    prop_assert_eq!(changed, effective, "effectiveness of {:?}", op);
-                }
-                Step::Repin => {
-                    if session.snapshot().version() != engine.version() {
-                        session = engine.session(&spec).unwrap();
-                        pinned = live.clone();
-                    }
-                }
-                Step::Query(nodes) => {
-                    let req = QueryRequest::new(nodes.clone());
-                    let got = session.query(&req).unwrap();
-                    let reference = Session::new(Snapshot::freeze(pinned.build()), &spec)
-                        .unwrap()
-                        .query(&req)
-                        .unwrap();
-                    prop_assert_eq!(
-                        &got.result, &reference.result,
-                        "query {:?} (cached: {}) after {:?}", nodes, got.cached, steps
-                    );
-                }
-            }
+        // The same edges bridged into one component spanning the three
+        // shards: FPA's layered walk stops short of it for some one-node
+        // queries (from 0 it closes {0,1,2,3} and discovers 4 only), so
+        // those entries pin only the shards of the nodes it discovered.
+        let mut one_component = components.to_vec();
+        one_component.extend([(3, 4), (7, 8)]);
+        for base in [&components[..], &one_component] {
+            check_cached_transcript(base, &steps)?;
         }
     }
 
