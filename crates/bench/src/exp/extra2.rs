@@ -8,13 +8,13 @@
 //!   expansion, cut ratio, separability, ...) of the communities each
 //!   algorithm returns on the default LFR benchmark.
 //! - `weighted` — the weighted DMCS extension: when edge weights carry
-//!   the community signal that topology alone hides, `WeightedFpa` /
-//!   `WeightedNca` recover the planted blocks while the unweighted FPA
-//!   cannot.
+//!   the community signal that topology alone hides, FPA and NCA on the
+//!   weighted objective (`W-FPA` / `W-NCA`) recover the planted blocks
+//!   while the unweighted FPA cannot.
 
 use crate::harness::{csv_line, csv_writer, f3, mean, median, print_table, Scale};
 use dmcs_core::topk::{top_k_communities, TopKConfig};
-use dmcs_core::{BranchAndBound, CommunitySearch, Exact, Fpa, WeightedFpa, WeightedNca};
+use dmcs_core::{BranchAndBound, CommunitySearch, Exact, Fpa, Nca};
 use dmcs_engine::registry::AlgoSpec;
 use dmcs_gen::{lfr, queries, ring, sbm};
 use dmcs_graph::weighted::{WeightedGraph, WeightedGraphBuilder};
@@ -351,8 +351,8 @@ pub fn weighted(scale: Scale) {
         let n = wg.n();
         let outcomes = [
             Fpa::default().search(wg.topology(), &[q]),
-            WeightedFpa.search(&wg, &[q]),
-            WeightedNca::default().search(&wg, &[q]),
+            Fpa::default().weighted().search(&wg, &[q]),
+            Nca::default().weighted().search(&wg, &[q]),
         ];
         for (i, out) in outcomes.into_iter().enumerate() {
             if let Ok(r) = out {
@@ -421,8 +421,8 @@ pub fn weighted(scale: Scale) {
         let n = ds.graph.n();
         let outcomes = [
             Fpa::default().search(&ds.graph, q),
-            WeightedFpa.search(&wg, q),
-            WeightedNca::default().search(&wg, q),
+            Fpa::default().weighted().search(&wg, q),
+            Nca::default().weighted().search(&wg, q),
         ];
         for (i, out) in outcomes.into_iter().enumerate() {
             if let Ok(r) = out {

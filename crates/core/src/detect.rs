@@ -38,6 +38,7 @@ pub fn detect_communities(g: &Graph, cfg: DetectConfig) -> (Vec<u32>, Vec<Vec<No
     let mut communities: Vec<Vec<NodeId>> = Vec::new();
     let fpa = Fpa {
         layer_pruning: cfg.layer_pruning,
+        ..Fpa::default()
     };
 
     // Residual graph handling: rebuild the induced subgraph on uncovered

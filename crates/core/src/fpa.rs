@@ -2,6 +2,10 @@
 //! pruning strategy (§5.7), multi-query handling (§5.6), and the FPA-DMG
 //! ablation variant (§6.2.5).
 //!
+//! FPA sums on either [`Lane`]: edge counts, or edge weights (`W-FPA`).
+//! Layers stay hop-distance layers, as removal safety is topological;
+//! Θ, Lemma 5 and §5.7 carry over with strengths and `w_G`.
+//!
 //! Removable nodes: the farthest BFS layer from the query seed — always
 //! safe to remove, because every node at distance `d` keeps a BFS parent
 //! at distance `d − 1` (§5.2.2). Best node within the layer: maximum
@@ -23,7 +27,7 @@
 //! seed (shortest-path union) and protects it throughout, exactly as §5.6
 //! prescribes.
 
-use crate::measure::{density_modularity_counts, density_ratio, dm_gain};
+use crate::measure::{density_modularity_sums, Lane};
 use crate::peel::{PeelState, TieRule};
 use crate::{validate_query_nodes, CommunitySearch, SearchError, SearchResult};
 use dmcs_graph::layout::NodeMap;
@@ -36,6 +40,20 @@ use std::collections::BinaryHeap;
 use std::ops::Range;
 
 /// The Fast Peeling Algorithm.
+///
+/// ```
+/// use dmcs_core::{CommunitySearch, Fpa};
+/// use dmcs_graph::weighted::WeightedGraphBuilder;
+///
+/// // Heavy triangle, light triangle, light bridge.
+/// let mut b = WeightedGraphBuilder::new(6);
+/// for (u, v, w) in [(0, 1, 5.0), (1, 2, 5.0), (0, 2, 5.0),
+///                   (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0), (2, 3, 0.5)] {
+///     b.add_edge(u, v, w);
+/// }
+/// let r = Fpa::default().weighted().search(&b.build(), &[0]).unwrap();
+/// assert_eq!(r.community, vec![0, 1, 2]);
+/// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Fpa {
     /// Apply the layer-based pruning strategy of §5.7 (the paper's default
@@ -45,12 +63,17 @@ pub struct Fpa {
     /// selected subgraph. The BFS that layers the component then stops
     /// as soon as no deeper prefix can be selected.
     pub layer_pruning: bool,
+    /// Maximise the *weighted* density modularity (`W-FPA`): sum edge
+    /// weights (unit weights when the graph carries none) instead of
+    /// counting edges. On unit weights the answer is the unweighted one.
+    pub weighted: bool,
 }
 
 impl Default for Fpa {
     fn default() -> Self {
         Fpa {
             layer_pruning: true,
+            weighted: false,
         }
     }
 }
@@ -61,7 +84,54 @@ impl Fpa {
     pub fn without_pruning() -> Self {
         Fpa {
             layer_pruning: false,
+            ..Fpa::default()
         }
+    }
+
+    /// The same FPA on the weighted density modularity (see the
+    /// `weighted` field).
+    pub fn weighted(self) -> Self {
+        Fpa {
+            weighted: true,
+            ..self
+        }
+    }
+
+    fn run<L: Lane>(
+        &self,
+        g: &Graph,
+        query: &[NodeId],
+        ws: &mut QueryWorkspace,
+    ) -> Result<SearchResult, SearchError> {
+        let mut setup = FpaSetup::prepare::<L>(g, query, ws, self.layer_pruning)?;
+        // The bulk strip counts as one pass. Its result is the peel
+        // state's starting point: DM(kept) ≥ DM(component) whenever
+        // anything is stripped, so the kept prefix is exactly the best
+        // snapshot a node-by-node strip would have left behind.
+        let (start_layer, mut iterations) = if self.layer_pruning {
+            (setup.target, 1)
+        } else {
+            (setup.max_dist(), 0)
+        };
+        let kept = &setup.order[..setup.layer_ends[start_layer as usize]];
+        let mut st = if kept.len() == setup.order.len() {
+            PeelState::<L>::new_in_component(g, kept, TieRule::PreferLater, ws)
+        } else {
+            PeelState::<L>::new_in(g, kept, TieRule::PreferLater, ws)
+        };
+
+        // Node-level peeling, outermost layer first.
+        for d in (1..=start_layer).rev() {
+            peel_layer_by_ratio(&mut st, &mut setup, d, &mut iterations);
+            if self.layer_pruning {
+                // §5.7: node-level peeling applies only to the outermost
+                // layer of the selected subgraph.
+                break;
+            }
+        }
+        let result = finish(st, iterations, ws);
+        setup.release(ws);
+        result
     }
 }
 
@@ -75,7 +145,11 @@ pub struct FpaDmg;
 
 impl CommunitySearch for Fpa {
     fn name(&self) -> &'static str {
-        "FPA"
+        if self.weighted {
+            "W-FPA"
+        } else {
+            "FPA"
+        }
     }
 
     fn search(&self, g: &Graph, query: &[NodeId]) -> Result<SearchResult, SearchError> {
@@ -88,35 +162,11 @@ impl CommunitySearch for Fpa {
         query: &[NodeId],
         ws: &mut QueryWorkspace,
     ) -> Result<SearchResult, SearchError> {
-        let mut setup = FpaSetup::prepare(g, query, ws, self.layer_pruning)?;
-        // The bulk strip counts as one pass. Its result is the peel
-        // state's starting point: DM(kept) ≥ DM(component) whenever
-        // anything is stripped, so the kept prefix is exactly the best
-        // snapshot a node-by-node strip would have left behind.
-        let (start_layer, mut iterations) = if self.layer_pruning {
-            (setup.target, 1)
+        if self.weighted {
+            self.run::<f64>(g, query, ws)
         } else {
-            (setup.max_dist(), 0)
-        };
-        let kept = &setup.order[..setup.layer_ends[start_layer as usize]];
-        let mut st = if kept.len() == setup.order.len() {
-            PeelState::new_in_component(g, kept, TieRule::PreferLater, ws)
-        } else {
-            PeelState::new_in(g, kept, TieRule::PreferLater, ws)
-        };
-
-        // Node-level peeling, outermost layer first.
-        for d in (1..=start_layer).rev() {
-            peel_layer_by_ratio(g, &mut st, &mut setup, d, &mut iterations);
-            if self.layer_pruning {
-                // §5.7: node-level peeling applies only to the outermost
-                // layer of the selected subgraph.
-                break;
-            }
+            self.run::<u64>(g, query, ws)
         }
-        let result = finish(st, iterations, ws);
-        setup.release(ws);
-        result
     }
 }
 
@@ -135,8 +185,8 @@ impl CommunitySearch for FpaDmg {
         query: &[NodeId],
         ws: &mut QueryWorkspace,
     ) -> Result<SearchResult, SearchError> {
-        let setup = FpaSetup::prepare(g, query, ws, false)?;
-        let mut st = PeelState::new_in_component(g, &setup.order, TieRule::PreferLater, ws);
+        let setup = FpaSetup::prepare::<u64>(g, query, ws, false)?;
+        let mut st = PeelState::<u64>::new_in_component(g, &setup.order, TieRule::PreferLater, ws);
         let mut iterations = 0usize;
         for d in (1..=setup.max_dist()).rev() {
             // Candidates: the nodes at distance d, all alive (removals so
@@ -148,18 +198,10 @@ impl CommunitySearch for FpaDmg {
                     .iter()
                     .enumerate()
                     .map(|(i, &v)| {
-                        let k = st.view().local_degree(v) as u64;
-                        let dv = g.degree(v) as u64;
                         // Tie-break towards the smallest *canonical* node
                         // id, matching FPA's heap order and keeping the
                         // removal sequence layout-invariant.
-                        (
-                            i,
-                            (
-                                dm_gain(st.m(), k, st.d_s(), dv),
-                                std::cmp::Reverse(setup.canon.to_external(v)),
-                            ),
-                        )
+                        (i, (st.gain(v), Reverse(setup.canon.to_external(v))))
                     })
                     .max_by_key(|&(_, key)| key)
                     .expect("cand non-empty");
@@ -175,7 +217,7 @@ impl CommunitySearch for FpaDmg {
 }
 
 /// Shared preparation: validation, Steiner seed, and the BFS that layers
-/// the seed's neighbourhood.
+/// the seed's neighbourhood, summed on the peel's lane.
 struct FpaSetup {
     /// Every node the layered walk discovered, in BFS visit order, so
     /// each distance layer is one contiguous run (see
@@ -203,7 +245,7 @@ impl FpaSetup {
     /// `stop` lets the layered walk end once no deeper prefix can
     /// become the §5.7 target (layer pruning); without it the walk
     /// layers the whole component.
-    fn prepare(
+    fn prepare<L: Lane>(
         g: &Graph,
         query: &[NodeId],
         ws: &mut QueryWorkspace,
@@ -233,9 +275,9 @@ impl FpaSetup {
             }
         })?;
         let (mut dist, mut order) = ws.take_dist_order(g.n());
-        let (layer_ends, target) = layered_walk(g, &seed, &mut dist, &mut order, stop);
+        let (layer_ends, target) = layered_walk::<L>(g, &seed, &mut dist, &mut order, stop);
         if !steiner_walked {
-            // A one-node seed: the answer reads m, the rows of the
+            // A one-node seed: the answer reads m (w_G), the rows of the
             // layers the walk closed and the degrees of the layer after
             // them — the nodes in `order`, whose shards are therefore an
             // exact certificate. Only a walk that reached the end of the
@@ -287,63 +329,66 @@ const STOP_MARGIN: f64 = 1e-9;
 /// [`TieRule::PreferLater`].
 ///
 /// A prefix's DM comes from its node count, degree sum and internal
-/// edges. An edge is internal to the prefix of its deeper endpoint's
-/// layer: scanning a node adds its edges to shallower layers (`up`) and
-/// to its own layer (`within`, seen from both ends). A neighbour read as
-/// UNREACHABLE is being discovered right now, one layer deeper, and
-/// counts for neither comparison. The comparisons are added as integers
-/// rather than branched on: their outcome varies edge by edge, so a
-/// branch would mispredict often. Each node's degree is read once, when
-/// it is discovered, so the next layer's degree sum is known when the
-/// current one closes.
+/// edges, summed on the lane `L`. An edge is internal to the prefix of
+/// its deeper endpoint's layer: scanning a node adds its edges to
+/// shallower layers (`up`) and to its own layer (`within`, seen from
+/// both ends). A neighbour read as UNREACHABLE is being discovered right
+/// now, one layer deeper, and counts for neither comparison. On counts
+/// the comparisons select 1 or 0, which compiles to adding them as
+/// integers rather than branching on them: their outcome varies edge by
+/// edge, so a branch would mispredict often. Each node's degree is read
+/// once, when it is discovered, so the next layer's degree sum is known
+/// when the current one closes.
 ///
 /// With `stop`, the walk ends at the first closed layer after which
 /// [`deeper_prefix_bound`] proves that no deeper prefix can beat the
 /// best one so far. The target is then the one a full walk would find,
 /// and the walk has read only the rows of the closed layers and the
 /// degrees of the layer after them.
-fn layered_walk(
+fn layered_walk<L: Lane>(
     g: &Graph,
     seed: &[NodeId],
     dist: &mut [u32],
     order: &mut Vec<NodeId>,
     stop: bool,
 ) -> (Vec<usize>, u32) {
-    let m = g.m() as u64;
-    let mut layer_degrees = 0u64;
+    let m = L::total(g);
+    let mut layer_degrees = L::default();
     for &s in seed {
         if dist[s as usize] != 0 {
             dist[s as usize] = 0;
             order.push(s);
-            layer_degrees += g.degree(s) as u64;
+            layer_degrees += L::node(g, s);
         }
     }
     let mut layer_ends = Vec::new();
     // The closed prefix: internal edges and degree sum.
-    let (mut edges, mut degree_sum) = (0u64, 0u64);
+    let (mut edges, mut degree_sum) = (L::default(), L::default());
     let (mut best_dm, mut target) = (f64::NEG_INFINITY, 0u32);
     let mut start = 0usize;
     loop {
         let depth = layer_ends.len() as u32;
         let end = order.len();
-        let (mut up, mut within, mut next_degrees) = (0u64, 0u64, 0u64);
+        let (mut up, mut within, mut next_degrees) = (L::default(), L::default(), L::default());
         for head in start..end {
             let u = order[head];
-            for &w in g.neighbors(u) {
+            for (w, x) in L::row(g, u) {
                 let dw = dist[w as usize];
                 if dw == UNREACHABLE {
                     dist[w as usize] = depth + 1;
                     order.push(w);
-                    next_degrees += g.degree(w) as u64;
+                    next_degrees += L::node(g, w);
                 }
-                up += u64::from(dw < depth);
-                within += u64::from(dw == depth);
+                up += if dw < depth { x } else { L::default() };
+                within += if dw == depth { x } else { L::default() };
             }
         }
         layer_ends.push(end);
-        edges += up + within / 2;
+        edges += up;
+        edges += within / L::count(2);
         degree_sum += layer_degrees;
-        let dm = density_modularity_counts(edges, degree_sum, end, m);
+        let (l, d, m) = (edges.to_f64(), degree_sum.to_f64(), m.to_f64());
+        let dm = density_modularity_sums(l, d, end, m);
         if dm > best_dm {
             best_dm = dm;
             target = depth;
@@ -352,7 +397,7 @@ fn layered_walk(
         if next == 0
             || (stop
                 && best_dm > 0.0
-                && deeper_prefix_bound(edges, degree_sum, end, next, next_degrees, m)
+                && deeper_prefix_bound(l, d, end, next, next_degrees.to_f64(), m)
                     < best_dm * (1.0 - STOP_MARGIN))
         {
             return (layer_ends, target);
@@ -365,7 +410,8 @@ fn layered_walk(
 /// Upper bound on the DM of every prefix deeper than a closed prefix P
 /// of `size` nodes, `edges` internal edges and degree sum D =
 /// `degree_sum`, whose next layer holds `next` nodes with degree sum
-/// `next_degrees`.
+/// `next_degrees`, in a graph of `m` edges. On weights the same argument
+/// reads edge weight for edges, strengths for degrees and `w_G` for `m`.
 ///
 /// P's c = D − 2·edges cut edges all end in the next layer. A deeper
 /// prefix adds a node set X that contains the next layer, so X's degree
@@ -376,15 +422,15 @@ fn layered_walk(
 /// x = m − D, so f(max(next_degrees, m − D)) bounds it; when that is
 /// not positive, 0 bounds every deeper DM.
 fn deeper_prefix_bound(
-    edges: u64,
-    degree_sum: u64,
+    edges: f64,
+    degree_sum: f64,
     size: usize,
     next: usize,
-    next_degrees: u64,
-    m: u64,
+    next_degrees: f64,
+    m: f64,
 ) -> f64 {
-    let x = next_degrees.max(m.saturating_sub(degree_sum)) as f64;
-    let (l, d, m) = (edges as f64, degree_sum as f64, m as f64);
+    let x = next_degrees.max(m - degree_sum);
+    let (l, d) = (edges, degree_sum);
     let c = d - 2.0 * l;
     let f = l + (x + c) / 2.0 - (d + x) * (d + x) / (4.0 * m);
     f.max(0.0) / (size + next) as f64
@@ -393,9 +439,8 @@ fn deeper_prefix_bound(
 /// Peel one distance layer with the stable density-ratio scorer and a
 /// lazy max-heap, snapshotting after every removal (Algorithm 2 lines
 /// 7–14).
-fn peel_layer_by_ratio(
-    g: &Graph,
-    st: &mut PeelState<'_>,
+fn peel_layer_by_ratio<L: Lane>(
+    st: &mut PeelState<'_, L>,
     setup: &mut FpaSetup,
     d: u32,
     iterations: &mut usize,
@@ -424,15 +469,14 @@ fn peel_layer_by_ratio(
         BinaryHeap::with_capacity(layer.len());
     for &v in layer {
         debug_assert!(st.view().contains(v));
-        let theta = density_ratio(g.degree(v) as u64, st.view().local_degree(v) as u64);
-        heap.push((OrdF64(theta), Reverse(canon_key(v)), v));
+        heap.push((OrdF64(st.ratio(v)), Reverse(canon_key(v)), v));
     }
     let mut neighbors: Vec<NodeId> = Vec::new();
     while let Some((OrdF64(theta), _, v)) = heap.pop() {
         if dist[v as usize] != d {
             continue; // already removed
         }
-        let current = density_ratio(g.degree(v) as u64, st.view().local_degree(v) as u64);
+        let current = st.ratio(v);
         if theta != current && !(theta.is_infinite() && current.is_infinite()) {
             heap.push((OrdF64(current), Reverse(canon_key(v)), v));
             continue; // stale entry; re-queue with the fresh Θ
@@ -447,15 +491,14 @@ fn peel_layer_by_ratio(
         *iterations += 1;
         for &w in &neighbors {
             if dist[w as usize] == d {
-                let t = density_ratio(g.degree(w) as u64, st.view().local_degree(w) as u64);
-                heap.push((OrdF64(t), Reverse(canon_key(w)), w));
+                heap.push((OrdF64(st.ratio(w)), Reverse(canon_key(w)), w));
             }
         }
     }
 }
 
-fn finish(
-    st: PeelState<'_>,
+fn finish<L: Lane>(
+    st: PeelState<'_, L>,
     iterations: usize,
     ws: &mut QueryWorkspace,
 ) -> Result<SearchResult, SearchError> {
@@ -469,9 +512,9 @@ fn finish(
 }
 
 /// Total-ordered f64 for the Θ heap (Θ is never NaN: degrees are finite
-/// and `k = 0` maps to +∞). Shared with the weighted FPA's layer scans.
+/// and `k = 0` maps to +∞).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct OrdF64(pub(crate) f64);
+struct OrdF64(f64);
 
 impl Eq for OrdF64 {}
 impl PartialOrd for OrdF64 {
@@ -489,6 +532,7 @@ impl Ord for OrdF64 {
 mod tests {
     use super::*;
     use crate::measure::density_modularity;
+    use dmcs_graph::weighted::WeightedGraphBuilder;
     use dmcs_graph::{GraphBuilder, ShardLayout, SubgraphView};
 
     fn barbell() -> Graph {
@@ -665,6 +709,80 @@ mod tests {
         assert!(Fpa::default().search(&g, &[42]).is_err());
         let disconnected = GraphBuilder::from_edges(4, &[(0, 1), (2, 3)]);
         assert!(Fpa::default().search(&disconnected, &[0, 3]).is_err());
+    }
+
+    /// Barbell with weights: left triangle `left`, right triangle
+    /// `right`, bridge 0.5.
+    fn weighted_barbell(left: f64, right: f64) -> Graph {
+        let mut b = WeightedGraphBuilder::new(6);
+        for (u, v, w) in [(0, 1, left), (1, 2, left), (0, 2, left)] {
+            b.add_edge(u, v, w);
+        }
+        for (u, v, w) in [(3, 4, right), (4, 5, right), (3, 5, right)] {
+            b.add_edge(u, v, w);
+        }
+        b.add_edge(2, 3, 0.5);
+        b.build().into_graph()
+    }
+
+    #[test]
+    fn weighted_fpa_finds_query_triangle() {
+        let g = weighted_barbell(1.0, 1.0);
+        for fpa in [Fpa::default(), Fpa::without_pruning()] {
+            let r = fpa.weighted().search(&g, &[0]).unwrap();
+            assert_eq!(r.community, vec![0, 1, 2]);
+            assert!(
+                (r.density_modularity - g.weighted_density_modularity(&[0, 1, 2])).abs() < 1e-12
+            );
+            // Unit triangles, but the 0.5 bridge: weights still count.
+            for q in 0..6u32 {
+                let wr = fpa.weighted().search(&g, &[q]).unwrap();
+                let ur = Fpa::without_pruning().search(&g, &[q]).unwrap();
+                assert_eq!(wr.community, ur.community, "query {q}");
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_fpa_on_a_laneless_graph_reads_unit_weights() {
+        let topo = dmcs_gen::karate::karate();
+        let unit = topo.clone().with_unit_weights();
+        for q in [0u32, 16, 33] {
+            let bare = Fpa::default().weighted().search(&topo, &[q]).unwrap();
+            let lane = Fpa::default().weighted().search(&unit, &[q]).unwrap();
+            assert_eq!(bare, lane, "query {q}");
+        }
+    }
+
+    #[test]
+    fn weights_steer_the_community() {
+        // The right triangle massively heavier: from the bridge node 3
+        // the community is its heavy triangle, and from node 2 (light
+        // side) peeling keeps node 2.
+        let g = weighted_barbell(0.2, 10.0);
+        let r = Fpa::default().weighted().search(&g, &[3]).unwrap();
+        assert_eq!(r.community, vec![3, 4, 5]);
+        let r2 = Fpa::default().weighted().search(&g, &[2]).unwrap();
+        assert!(r2.community.contains(&2));
+        let r = Fpa::default().weighted().search(&g, &[0, 5]).unwrap();
+        for v in [0, 2, 3, 5] {
+            assert!(r.community.contains(&v));
+        }
+    }
+
+    #[test]
+    fn weighted_workspace_reuse_is_bit_identical() {
+        let g = weighted_barbell(0.5, 4.0);
+        let mut ws = QueryWorkspace::new();
+        for fpa in [Fpa::default().weighted(), Fpa::without_pruning().weighted()] {
+            for q in 0..6u32 {
+                let fresh = fpa.search(&g, &[q]).unwrap();
+                let reused = fpa.search_with_workspace(&g, &[q], &mut ws).unwrap();
+                assert_eq!(fresh, reused, "query {q}");
+            }
+            assert!(fpa.search(&g, &[]).is_err());
+            assert!(fpa.search(&g, &[9]).is_err());
+        }
     }
 
     #[test]

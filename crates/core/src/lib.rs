@@ -9,7 +9,8 @@
 //!   (Definition 7).
 //! - [`peel`] — shared state for the top-down greedy framework
 //!   (Algorithm 1): a [`dmcs_graph::SubgraphView`] plus incrementally
-//!   maintained `l_S`, `d_S`, `|S|` and best-snapshot tracking.
+//!   maintained `l_S`, `d_S`, `|S|` and best-snapshot tracking, summed
+//!   on a [`measure::Lane`]: unit edge counts, or edge weights.
 //! - [`nca`] — the Non-articulation Cancellation Algorithm (§5.4) and its
 //!   `NCA-DR` ablation variant ((a)+(d) in Figure 3).
 //! - [`fpa`] — the Fast Peeling Algorithm (§5.5) with the layer-based
@@ -18,12 +19,13 @@
 //! - [`theory`] — executable versions of Definition 3 (free-rider effect)
 //!   and Definition 4 (resolution-limit), used to validate Lemmas 1–2
 //!   empirically.
-//! - [`weighted`] / [`weighted_nca`] — `W-FPA` and `W-NCA`, the two
-//!   searchers maximising the *weighted* form of Definition 2. Both
-//!   implement [`CommunitySearch`] over any [`dmcs_graph::Graph`]
-//!   (graphs without a weights lane fall back to unit weights) and are
-//!   registered as `fpa-w` / `nca-w` in the engine's registry, so they
-//!   serve through sessions, batches and the result cache.
+//!
+//! FPA and NCA also maximise the *weighted* form of Definition 2: with
+//! their `weighted` field set (`Fpa::default().weighted()`, registered
+//! as `fpa-w` / `nca-w` and named `W-FPA` / `W-NCA`) the same kernels
+//! sum the graph's edge weights instead of counting edges (graphs
+//! without a weights lane read as unit weights, where the answer is bit
+//! for bit the unweighted one). FPA-DMG and NCA-DR stay unweighted.
 //!
 //! ## Quick start
 //!
@@ -49,15 +51,11 @@ pub mod nca;
 pub mod peel;
 pub mod theory;
 pub mod topk;
-pub mod weighted;
-pub mod weighted_nca;
 
 pub use bnb::BranchAndBound;
 pub use exact::Exact;
 pub use fpa::{Fpa, FpaDmg};
 pub use nca::{Nca, NcaDr};
-pub use weighted::WeightedFpa;
-pub use weighted_nca::WeightedNca;
 
 use dmcs_graph::view::QueryWorkspace;
 use dmcs_graph::{Graph, GraphError, NodeId};

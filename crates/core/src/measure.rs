@@ -9,7 +9,9 @@
 //! `CM(C) = l_C/m − (d_C / 2m)²`.
 //!
 //! Density modularity (Definition 2, unweighted):
-//! `DM(C) = l_C/|C| − d_C² / (4 m |C|)`.
+//! `DM(C) = l_C/|C| − d_C² / (4 m |C|)`. Its weighted form reads edge
+//! weights for edges, strengths for degrees and `w_G` for `m`; the
+//! peeling kernels evaluate both on the sums of a [`Lane`].
 //!
 //! These are the forms the paper's own worked examples use (Example 3 and
 //! the appendix proofs). Example 2 reports values exactly twice these —
@@ -17,7 +19,9 @@
 //! Definition 2 and Example 2 — and a constant factor changes no argmax,
 //! no gain ordering and no algorithm; tests pin both relationships down.
 
+use dmcs_graph::view::QueryWorkspace;
 use dmcs_graph::{Graph, NodeId};
+use std::ops::{AddAssign, Div, SubAssign};
 
 /// Classic modularity from counts: `l/m − (d/2m)²`.
 #[inline]
@@ -39,56 +43,114 @@ pub fn classic_modularity(g: &Graph, c: &[NodeId]) -> f64 {
 /// Density modularity from counts: `l/|C| − d²/(4m|C|)`.
 #[inline]
 pub fn density_modularity_counts(l_c: u64, d_c: u64, size: usize, m: u64) -> f64 {
-    if size == 0 || m == 0 {
+    density_modularity_sums(l_c as f64, d_c as f64, size, m as f64)
+}
+
+/// Density modularity from [`Lane`] sums, in the operation order of
+/// [`density_modularity_counts`]: `l/|C| − d²/(4·total·|C|)` with `l`
+/// the internal weight, `d` the strength sum and `total` = `w_G`.
+#[inline]
+pub fn density_modularity_sums(l: f64, d: f64, size: usize, total: f64) -> f64 {
+    if size == 0 || total == 0.0 {
         return f64::NEG_INFINITY;
     }
     let s = size as f64;
-    let m = m as f64;
-    let l = l_c as f64;
-    let d = d_c as f64;
-    l / s - d * d / (4.0 * m * s)
+    l / s - d * d / (4.0 * total * s)
+}
+
+/// The weight lane the peeling kernels sum over; Definition 2 and the
+/// Θ stability of Lemma 5 hold on either. `u64` counts unit edges from
+/// the CSR (`l_C`, degrees, `m`); `f64` sums edge weights from the
+/// graph's weights lane (`w_C`, strengths, `w_G`; unit weights when the
+/// graph carries none). On unit weights every `f64` sum is an exact
+/// integer, so both lanes score every node set bit for bit alike.
+pub trait Lane: Copy + Default + Div<Output = Self> + AddAssign + SubAssign {
+    /// The gain Λ (Definition 6): exact `i128` on counts, `f64` on
+    /// strengths.
+    type Gain: Copy + Default + PartialOrd;
+    /// Whether the lane's sums differ from the edge counts a
+    /// [`SubgraphView`](dmcs_graph::SubgraphView) keeps, so that a peel
+    /// state must keep `k_{v,S}` and `l_S` itself.
+    const SUMS: bool;
+    /// `m`, or `w_G`.
+    fn total(g: &Graph) -> Self;
+    /// `d_v`: the degree, or the strength.
+    fn node(g: &Graph, v: NodeId) -> Self;
+    /// `v`'s neighbours, each with its edge's value on the lane.
+    fn row(g: &Graph, v: NodeId) -> impl Iterator<Item = (NodeId, Self)> + '_;
+    /// `k` unit edges on the lane.
+    fn count(k: u64) -> Self;
+    /// The value as an `f64`.
+    fn to_f64(self) -> f64;
+    /// `Λ_v = −4·m·k_{v,S} + 2·d_S·d_v − d_v²` (Definition 6).
+    fn gain(m: Self, k_vs: Self, d_s: Self, d_v: Self) -> Self::Gain;
+    /// A per-node array over `0..n`, all zero, from `ws`'s pool (empty
+    /// when the lane keeps no [`SUMS`](Lane::SUMS)).
+    fn take_sums(ws: &mut QueryWorkspace, n: usize) -> Vec<Self>;
+    /// Return a [`Lane::take_sums`] array, naming the entries written.
+    fn put_sums(ws: &mut QueryWorkspace, sums: Vec<Self>, written: &[NodeId]);
+}
+
+impl Lane for u64 {
+    type Gain = i128;
+    const SUMS: bool = false;
+    fn total(g: &Graph) -> u64 {
+        g.m() as u64
+    }
+    fn node(g: &Graph, v: NodeId) -> u64 {
+        g.degree(v) as u64
+    }
+    fn row(g: &Graph, v: NodeId) -> impl Iterator<Item = (NodeId, u64)> + '_ {
+        g.neighbors(v).iter().map(|&u| (u, 1))
+    }
+    fn count(k: u64) -> u64 {
+        k
+    }
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+    fn gain(m: u64, k_vs: u64, d_s: u64, d_v: u64) -> i128 {
+        dm_gain(m, k_vs, d_s, d_v)
+    }
+    fn take_sums(_: &mut QueryWorkspace, _: usize) -> Vec<u64> {
+        Vec::new()
+    }
+    fn put_sums(_: &mut QueryWorkspace, _: Vec<u64>, _: &[NodeId]) {}
+}
+
+impl Lane for f64 {
+    type Gain = f64;
+    const SUMS: bool = true;
+    fn total(g: &Graph) -> f64 {
+        g.total_weight()
+    }
+    fn node(g: &Graph, v: NodeId) -> f64 {
+        g.strength(v)
+    }
+    fn row(g: &Graph, v: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+        g.weighted_neighbors(v)
+    }
+    fn count(k: u64) -> f64 {
+        k as f64
+    }
+    fn to_f64(self) -> f64 {
+        self
+    }
+    fn gain(m: f64, k_vs: f64, d_s: f64, d_v: f64) -> f64 {
+        -4.0 * m * k_vs + 2.0 * d_s * d_v - d_v * d_v
+    }
+    fn take_sums(ws: &mut QueryWorkspace, n: usize) -> Vec<f64> {
+        ws.take_weights(n)
+    }
+    fn put_sums(ws: &mut QueryWorkspace, sums: Vec<f64>, written: &[NodeId]) {
+        ws.put_weights(sums, written);
+    }
 }
 
 /// Density modularity of the node set `c` in `g` (Definition 2,
 /// unweighted).
 pub fn density_modularity(g: &Graph, c: &[NodeId]) -> f64 {
     density_modularity_counts(g.internal_edges(c), g.degree_sum(c), c.len(), g.m() as u64)
-}
-
-/// Weighted density modularity (Definition 2): `(w_C − d_C²/(4 w_G))/|C|`,
-/// where `w_C` sums internal edge weights, `d_C` sums node weights (a node
-/// weight is the sum of its adjacent edge weights) and `w_G` sums all edge
-/// weights.
-pub fn density_modularity_weighted<W>(g: &Graph, c: &[NodeId], weight: W) -> f64
-where
-    W: Fn(NodeId, NodeId) -> f64,
-{
-    if c.is_empty() {
-        return f64::NEG_INFINITY;
-    }
-    let mut in_c = vec![false; g.n()];
-    for &v in c {
-        in_c[v as usize] = true;
-    }
-    let mut w_c = 0.0f64;
-    let mut d_c = 0.0f64;
-    for &v in c {
-        for &w in g.neighbors(v) {
-            let ew = weight(v, w);
-            d_c += ew;
-            if in_c[w as usize] && v < w {
-                w_c += ew;
-            }
-        }
-    }
-    let mut w_g = 0.0f64;
-    for (u, v) in g.edges() {
-        w_g += weight(u, v);
-    }
-    if w_g == 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    (w_c - d_c * d_c / (4.0 * w_g)) / c.len() as f64
 }
 
 /// Single-community term of the generalized modularity density (Guo,
@@ -220,25 +282,6 @@ mod tests {
         assert!((dm_split - 2.411111).abs() < EPS, "DM split {dm_split}");
         assert!((dm_merged - 2.405556).abs() < EPS, "DM merged {dm_merged}");
         assert!(dm_split > dm_merged, "density modularity splits");
-    }
-
-    #[test]
-    fn weighted_dm_with_unit_weights_matches_unweighted() {
-        let g = toy::figure1();
-        let a = toy::figure1_community_a();
-        let w = density_modularity_weighted(&g, &a, |_, _| 1.0);
-        let u = density_modularity(&g, &a);
-        assert!((w - u).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_dm_scales_with_weights() {
-        // Doubling every weight doubles w_C, d_C, w_G: DM doubles.
-        let g = toy::figure1();
-        let a = toy::figure1_community_a();
-        let w1 = density_modularity_weighted(&g, &a, |_, _| 1.0);
-        let w2 = density_modularity_weighted(&g, &a, |_, _| 2.0);
-        assert!((w2 - 2.0 * w1).abs() < 1e-12);
     }
 
     #[test]

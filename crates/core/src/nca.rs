@@ -9,8 +9,11 @@
 //! *removed* node is the tied candidate farthest from the queries. Total
 //! complexity `O(|V|(|V|+|E|))` — the articulation recomputation is the
 //! bottleneck FPA exists to avoid.
+//!
+//! On edge weights (`W-NCA`, see [`Lane`]) Λ reads `−4·w_G·w_{v,S} +
+//! 2·d_S·d_v − d_v²`; removability stays topological.
 
-use crate::measure::{density_ratio, dm_gain};
+use crate::measure::Lane;
 use crate::peel::{PeelState, TieRule};
 use crate::{validate_query_in, CommunitySearch, SearchError, SearchResult};
 use dmcs_graph::articulation::articulation_nodes;
@@ -34,6 +37,20 @@ pub struct Nca {
     /// Optional hard cap on peeling iterations (a safety valve for very
     /// large inputs; `None` = peel to the end as the paper does).
     pub max_iterations: Option<usize>,
+    /// Maximise the *weighted* density modularity (`W-NCA`); see
+    /// [`Fpa`](crate::Fpa)'s field of the same name.
+    pub weighted: bool,
+}
+
+impl Nca {
+    /// The same NCA on the weighted density modularity (see the
+    /// `weighted` field).
+    pub fn weighted(self) -> Self {
+        Nca {
+            weighted: true,
+            ..self
+        }
+    }
 }
 
 /// NCA-DR: NCA's removable-node rule with FPA's density-ratio scorer
@@ -46,17 +63,15 @@ pub struct NcaDr {
 
 impl CommunitySearch for Nca {
     fn name(&self) -> &'static str {
-        "NCA"
+        if self.weighted {
+            "W-NCA"
+        } else {
+            "NCA"
+        }
     }
 
     fn search(&self, g: &Graph, query: &[NodeId]) -> Result<SearchResult, SearchError> {
-        run_nca(
-            g,
-            query,
-            Score::Gain,
-            self.max_iterations,
-            &mut QueryWorkspace::new(),
-        )
+        self.search_with_workspace(g, query, &mut QueryWorkspace::new())
     }
 
     fn search_with_workspace(
@@ -65,7 +80,11 @@ impl CommunitySearch for Nca {
         query: &[NodeId],
         ws: &mut QueryWorkspace,
     ) -> Result<SearchResult, SearchError> {
-        run_nca(g, query, Score::Gain, self.max_iterations, ws)
+        if self.weighted {
+            run_nca::<f64>(g, query, Score::Gain, self.max_iterations, ws)
+        } else {
+            run_nca::<u64>(g, query, Score::Gain, self.max_iterations, ws)
+        }
     }
 }
 
@@ -75,13 +94,7 @@ impl CommunitySearch for NcaDr {
     }
 
     fn search(&self, g: &Graph, query: &[NodeId]) -> Result<SearchResult, SearchError> {
-        run_nca(
-            g,
-            query,
-            Score::Ratio,
-            self.max_iterations,
-            &mut QueryWorkspace::new(),
-        )
+        self.search_with_workspace(g, query, &mut QueryWorkspace::new())
     }
 
     fn search_with_workspace(
@@ -90,11 +103,11 @@ impl CommunitySearch for NcaDr {
         query: &[NodeId],
         ws: &mut QueryWorkspace,
     ) -> Result<SearchResult, SearchError> {
-        run_nca(g, query, Score::Ratio, self.max_iterations, ws)
+        run_nca::<u64>(g, query, Score::Ratio, self.max_iterations, ws)
     }
 }
 
-fn run_nca(
+fn run_nca<L: Lane>(
     g: &Graph,
     query: &[NodeId],
     score: Score,
@@ -115,45 +128,33 @@ fn run_nca(
     // restores exactly that canonical winner.
     let canon = ws.canon().clone();
 
-    let mut st = PeelState::new_in(g, &comp, TieRule::KeepEarlier, ws);
+    let mut st = PeelState::<L>::new_in(g, &comp, TieRule::KeepEarlier, ws);
     let cap = max_iterations.unwrap_or(usize::MAX);
     let mut iterations = 0usize;
     while iterations < cap {
         let art = articulation_nodes(st.view());
-        let mut best: Option<(NodeId, i128, f64, u32)> = None;
+        // Candidates rank by (Λ, Θ, distance), one of Λ and Θ being
+        // constant under `score`; a full tie goes to the canonical id.
+        let mut best: Option<(NodeId, _)> = None;
         for v in st.view().iter_alive() {
             if dist[v as usize] == 0 || art[v as usize] {
                 continue;
             }
-            let k_vs = st.view().local_degree(v) as u64;
-            let d_v = g.degree(v) as u64;
-            let (gain, ratio) = match score {
-                Score::Gain => (dm_gain(st.m(), k_vs, st.d_s(), d_v), 0.0),
-                Score::Ratio => (0, density_ratio(d_v, k_vs)),
+            let key = match score {
+                Score::Gain => (st.gain(v), 0.0, dist[v as usize]),
+                Score::Ratio => (L::Gain::default(), st.ratio(v), dist[v as usize]),
             };
-            let d = dist[v as usize];
-            let better = match (&best, score) {
-                (None, _) => true,
-                (Some((bv, bg, _, bd)), Score::Gain) => {
-                    gain > *bg
-                        || (gain == *bg && d > *bd)
-                        || (gain == *bg
-                            && d == *bd
-                            && canon.to_external(v) < canon.to_external(*bv))
-                }
-                (Some((bv, _, br, bd)), Score::Ratio) => {
-                    ratio > *br
-                        || (ratio == *br && d > *bd)
-                        || (ratio == *br
-                            && d == *bd
-                            && canon.to_external(v) < canon.to_external(*bv))
+            let better = match &best {
+                None => true,
+                Some((bv, bkey)) => {
+                    key > *bkey || (key == *bkey && canon.to_external(v) < canon.to_external(*bv))
                 }
             };
             if better {
-                best = Some((v, gain, ratio, d));
+                best = Some((v, key));
             }
         }
-        let Some((v, _, _, _)) = best else {
+        let Some((v, _)) = best else {
             break; // no removable node left
         };
         // Never peel below the query set itself.
@@ -177,7 +178,8 @@ fn run_nca(
 mod tests {
     use super::*;
     use crate::measure::density_modularity;
-    use dmcs_graph::GraphBuilder;
+    use dmcs_graph::weighted::WeightedGraphBuilder;
+    use dmcs_graph::{GraphBuilder, SubgraphView};
 
     /// Two triangles joined by a bridge 2-3.
     fn barbell() -> Graph {
@@ -265,10 +267,88 @@ mod tests {
         let g = barbell();
         let r = Nca {
             max_iterations: Some(1),
+            ..Nca::default()
         }
         .search(&g, &[0])
         .unwrap();
         assert!(r.iterations <= 1);
+    }
+
+    /// Barbell with weights: left triangle `left`, right triangle
+    /// `right`, bridge `bridge`.
+    fn weighted_barbell(left: f64, right: f64, bridge: f64) -> Graph {
+        let mut b = WeightedGraphBuilder::new(6);
+        for (u, v, w) in [(0, 1, left), (1, 2, left), (0, 2, left)] {
+            b.add_edge(u, v, w);
+        }
+        for (u, v, w) in [(3, 4, right), (4, 5, right), (3, 5, right)] {
+            b.add_edge(u, v, w);
+        }
+        b.add_edge(2, 3, bridge);
+        b.build().into_graph()
+    }
+
+    #[test]
+    fn weighted_nca_finds_the_query_triangle() {
+        let wnca = Nca::default().weighted();
+        let g = weighted_barbell(1.0, 1.0, 0.5);
+        let r = wnca.search(&g, &[0]).unwrap();
+        assert_eq!(r.community, vec![0, 1, 2]);
+        assert!((r.density_modularity - g.weighted_density_modularity(&[0, 1, 2])).abs() < 1e-12);
+        // A heavy triangle and a light one: from node 0, the heavy one.
+        let g = weighted_barbell(5.0, 1.0, 0.5);
+        assert_eq!(wnca.search(&g, &[0]).unwrap().community, vec![0, 1, 2]);
+        // The right triangle massively heavier: from node 3, the right.
+        let g = weighted_barbell(0.2, 10.0, 0.5);
+        assert_eq!(wnca.search(&g, &[3]).unwrap().community, vec![3, 4, 5]);
+        let g = weighted_barbell(1.0, 1.0, 0.5);
+        let r = wnca.search(&g, &[0, 5]).unwrap();
+        assert!(r.community.contains(&0) && r.community.contains(&5));
+        assert!(SubgraphView::from_nodes(&g, &r.community).is_connected());
+    }
+
+    #[test]
+    fn weighted_nca_on_unit_weights_is_nca() {
+        let karate = dmcs_gen::karate::karate();
+        for (topo, queries) in [
+            (barbell(), vec![0, 1, 2, 3, 4, 5]),
+            (karate, vec![0, 16, 33]),
+        ] {
+            let unit = topo.clone().with_unit_weights();
+            for q in queries {
+                let ur = Nca::default().search(&topo, &[q]).unwrap();
+                let wr = Nca::default().weighted().search(&unit, &[q]).unwrap();
+                assert_eq!(wr.community, ur.community, "query {q}");
+                assert!((wr.density_modularity - ur.density_modularity).abs() < 1e-9);
+                assert_eq!(wr, ur, "query {q}");
+                // The laneless graph reads as unit weights.
+                let bare = Nca::default().weighted().search(&topo, &[q]).unwrap();
+                assert_eq!(bare.community, wr.community, "laneless query {q}");
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_nca_reuses_workspaces_and_rejects_bad_queries() {
+        let wnca = Nca::default().weighted();
+        let g = weighted_barbell(3.0, 0.5, 0.5);
+        let mut ws = QueryWorkspace::new();
+        for q in 0..6u32 {
+            let fresh = wnca.search(&g, &[q]).unwrap();
+            let reused = wnca.search_with_workspace(&g, &[q], &mut ws).unwrap();
+            assert_eq!(fresh, reused, "query {q}");
+        }
+        assert!(wnca.search(&g, &[]).is_err());
+        assert!(wnca.search(&g, &[9]).is_err());
+        let mut b = WeightedGraphBuilder::new(4);
+        b.add_edge(0, 1, 1.0);
+        b.add_edge(2, 3, 1.0);
+        assert!(wnca.search(&b.build(), &[0, 3]).is_err());
+        let capped = Nca {
+            max_iterations: Some(1),
+            weighted: true,
+        };
+        assert!(capped.search(&g, &[0]).unwrap().iterations <= 1);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Shared state for the top-down greedy peeling framework (Algorithm 1).
 //!
 //! Both NCA and FPA repeatedly remove one node and ask "what is the
-//! density modularity now?". [`PeelState`] maintains `l_S` (via the view),
-//! `d_S` (sum of full-graph degrees of alive nodes) and `|S|`
-//! incrementally, tracks the best intermediate subgraph seen so far, and
-//! reconstructs it at the end from the removal order — `O(1)` per removal
-//! instead of cloning node sets.
+//! density modularity now?". [`PeelState`] maintains `l_S`, `d_S` (the
+//! full-graph degrees or strengths of the alive nodes, summed on its
+//! [`Lane`]) and `|S|` incrementally, tracks the best intermediate
+//! subgraph seen so far, and reconstructs it at the end from the removal
+//! order — `O(1)` per removal instead of cloning node sets.
 
-use crate::measure::density_modularity_counts;
+use crate::measure::{density_modularity_sums, Lane};
 use dmcs_graph::view::QueryWorkspace;
 use dmcs_graph::{Graph, NodeId, SubgraphView};
 
@@ -21,13 +21,18 @@ pub enum TieRule {
     PreferLater,
 }
 
-/// Incremental peeling state over a query-containing component.
-pub struct PeelState<'g> {
+/// Incremental peeling state over a query-containing component, summed
+/// on the lane `L`: unit edge counts by default, or edge weights.
+pub struct PeelState<'g, L: Lane = u64> {
     view: SubgraphView<'g>,
-    /// Sum of full-graph degrees of alive nodes (`d_S` of the measures).
-    d_s: u64,
-    /// Total edges of the full graph (`m`).
-    m: u64,
+    /// Sum of full-graph degrees (strengths) of alive nodes (`d_S`).
+    d_s: L,
+    /// Total edges (edge weight) of the full graph (`m`, `w_G`).
+    m: L,
+    /// With [`Lane::SUMS`]: `k_{v,S}` of every node, and `l_S`, as lane
+    /// sums (the view counts edges only). Empty and zero otherwise.
+    sums: Vec<L>,
+    l_s: L,
     /// Node set at the start (before any removal), sorted.
     initial: Vec<NodeId>,
     /// Removal order.
@@ -42,9 +47,12 @@ impl<'g> PeelState<'g> {
     /// Start peeling from the induced subgraph on `nodes` (usually the
     /// connected component containing the queries).
     pub fn new(graph: &'g Graph, nodes: &[NodeId], tie: TieRule) -> Self {
-        Self::with_view(SubgraphView::from_nodes(graph, nodes), graph, nodes, tie)
+        let view = SubgraphView::from_nodes(graph, nodes);
+        Self::with_view(view, graph, nodes, tie, Vec::new())
     }
+}
 
+impl<'g, L: Lane> PeelState<'g, L> {
     /// [`PeelState::new`] reusing the buffers pooled in `ws` — pair with
     /// [`PeelState::finish_in`] to return them after the query.
     pub fn new_in(
@@ -53,7 +61,8 @@ impl<'g> PeelState<'g> {
         tie: TieRule,
         ws: &mut QueryWorkspace,
     ) -> Self {
-        Self::with_view(ws.view(graph, nodes), graph, nodes, tie)
+        let sums = L::take_sums(ws, graph.n());
+        Self::with_view(ws.view(graph, nodes), graph, nodes, tie, sums)
     }
 
     /// [`PeelState::new_in`] for the case where `nodes` is a **closed
@@ -68,25 +77,47 @@ impl<'g> PeelState<'g> {
         tie: TieRule,
         ws: &mut QueryWorkspace,
     ) -> Self {
-        Self::with_view(ws.view_component(graph, nodes), graph, nodes, tie)
+        let sums = L::take_sums(ws, graph.n());
+        Self::with_view(ws.view_component(graph, nodes), graph, nodes, tie, sums)
     }
 
-    fn with_view(view: SubgraphView<'g>, graph: &'g Graph, nodes: &[NodeId], tie: TieRule) -> Self {
-        let d_s = graph.degree_sum(nodes);
-        let m = graph.m() as u64;
+    fn with_view(
+        view: SubgraphView<'g>,
+        graph: &'g Graph,
+        nodes: &[NodeId],
+        tie: TieRule,
+        mut sums: Vec<L>,
+    ) -> Self {
+        let (mut d_s, mut l_s) = (L::default(), L::default());
+        for &v in nodes {
+            d_s += L::node(graph, v);
+            if L::SUMS {
+                let mut k = L::default();
+                for (u, w) in L::row(graph, v) {
+                    if view.contains(u) {
+                        k += w;
+                    }
+                }
+                sums[v as usize] = k;
+                l_s += k;
+            }
+        }
         let mut initial = nodes.to_vec();
         initial.sort_unstable();
-        let best_dm = density_modularity_counts(view.m_alive(), d_s, view.n_alive(), m);
-        PeelState {
+        let mut st = PeelState {
             view,
             d_s,
-            m,
+            m: L::total(graph),
+            sums,
+            l_s: l_s / L::count(2),
             initial,
             removed: Vec::new(),
-            best_dm,
+            best_dm: 0.0,
             best_prefix: 0,
             tie,
-        }
+        };
+        st.best_dm = st.current_dm();
+        st
     }
 
     /// The underlying view (read access for the algorithms).
@@ -94,22 +125,53 @@ impl<'g> PeelState<'g> {
         &self.view
     }
 
-    /// `d_S`: sum of full-graph degrees of alive nodes.
+    /// `d_S`: sum of full-graph degrees (strengths) of alive nodes.
     #[inline]
-    pub fn d_s(&self) -> u64 {
+    pub fn d_s(&self) -> L {
         self.d_s
     }
 
-    /// `m`: edge count of the whole graph.
+    /// `m` (`w_G`): edge count (total edge weight) of the whole graph.
     #[inline]
-    pub fn m(&self) -> u64 {
+    pub fn m(&self) -> L {
         self.m
     }
 
-    /// `l_S`: edges alive in the current subgraph.
+    /// `l_S`: edges (edge weight) alive in the current subgraph.
     #[inline]
-    pub fn l_s(&self) -> u64 {
-        self.view.m_alive()
+    pub fn l_s(&self) -> L {
+        if L::SUMS {
+            self.l_s
+        } else {
+            L::count(self.view.m_alive())
+        }
+    }
+
+    /// `k_{v,S}`: `v`'s alive incident edges (their weight).
+    #[inline]
+    pub(crate) fn k(&self, v: NodeId) -> L {
+        if L::SUMS {
+            self.sums[v as usize]
+        } else {
+            L::count(u64::from(self.view.local_degree(v)))
+        }
+    }
+
+    /// The density ratio `Θ_v = d_v / k_{v,S}` (Definition 7), `+∞`
+    /// when `v` has no alive neighbour (the cheapest possible removal).
+    #[inline]
+    pub(crate) fn ratio(&self, v: NodeId) -> f64 {
+        if self.view.local_degree(v) == 0 {
+            f64::INFINITY
+        } else {
+            L::node(self.view.graph(), v).to_f64() / self.k(v).to_f64()
+        }
+    }
+
+    /// The gain `Λ_v` of removing `v` (Definition 6).
+    #[inline]
+    pub(crate) fn gain(&self, v: NodeId) -> L::Gain {
+        L::gain(self.m, self.k(v), self.d_s, L::node(self.view.graph(), v))
     }
 
     /// `|S|`: alive node count.
@@ -121,7 +183,12 @@ impl<'g> PeelState<'g> {
     /// Density modularity of the current subgraph.
     #[inline]
     pub fn current_dm(&self) -> f64 {
-        density_modularity_counts(self.l_s(), self.d_s, self.size(), self.m)
+        density_modularity_sums(
+            self.l_s().to_f64(),
+            self.d_s.to_f64(),
+            self.size(),
+            self.m.to_f64(),
+        )
     }
 
     /// Best density modularity seen so far (including the initial state).
@@ -134,8 +201,17 @@ impl<'g> PeelState<'g> {
     /// Returns the new current DM.
     pub fn remove(&mut self, v: NodeId) -> f64 {
         debug_assert!(self.view.contains(v));
+        let graph = self.view.graph();
+        if L::SUMS {
+            self.l_s -= self.sums[v as usize];
+            for (u, w) in L::row(graph, v) {
+                if self.view.contains(u) {
+                    self.sums[u as usize] -= w;
+                }
+            }
+        }
         self.view.remove(v);
-        self.d_s -= self.view.graph().degree(v) as u64;
+        self.d_s -= L::node(graph, v);
         self.removed.push(v);
         let dm = self.current_dm();
         let better = match self.tie {
@@ -162,6 +238,7 @@ impl<'g> PeelState<'g> {
     pub fn finish_in(self, ws: &mut QueryWorkspace) -> (Vec<NodeId>, f64, Vec<NodeId>) {
         let PeelState {
             view,
+            sums,
             initial,
             removed,
             best_dm,
@@ -169,6 +246,7 @@ impl<'g> PeelState<'g> {
             ..
         } = self;
         ws.recycle(view, &initial);
+        L::put_sums(ws, sums, &initial);
         let community = subtract_sorted(&initial, &removed[..best_prefix]);
         (community, best_dm, removed)
     }

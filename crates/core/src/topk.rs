@@ -270,7 +270,8 @@ mod tests {
         }
         let g = b.build().into_graph();
         let cfg = TopKConfig { k: 3, min_dm: 0.0 };
-        let rounds = top_k_communities_with(&g, &[0], cfg, &crate::WeightedFpa, true).unwrap();
+        let rounds =
+            top_k_communities_with(&g, &[0], cfg, &Fpa::default().weighted(), true).unwrap();
         assert!(rounds.len() >= 2, "got {} rounds", rounds.len());
         for r in &rounds {
             let expect = g.weighted_density_modularity(&r.community);

@@ -23,13 +23,22 @@
 //! kernel noted for the cache certificate: they must lie inside the
 //! component and hold the community. The one-component legs count the
 //! one-node queries whose walk stopped short of the component.
+//!
+//! The oracle sums edge weights (unit weights on a graph without a
+//! weights lane, where its sums are exact integers and the legs above
+//! compare DM bits). The weighted legs draw continuous weights and run
+//! weighted FPA on the canonical graph; the oracle's from-scratch sums
+//! round differently from the kernel's running ones, so their DMs agree
+//! to 1e-12 relative, while community, removal order and iterations
+//! agree exactly.
 
-use dmcs_core::measure::{density_modularity_counts, density_ratio};
+use dmcs_core::measure::density_modularity_sums;
 use dmcs_core::{CommunitySearch, Fpa, SearchError, SearchResult};
 use dmcs_gen::{lfr, sbm};
 use dmcs_graph::steiner::steiner_seed;
 use dmcs_graph::traversal::{connected_components, multi_source_bfs, same_component, UNREACHABLE};
 use dmcs_graph::view::QueryWorkspace;
+use dmcs_graph::weighted::WeightedGraphBuilder;
 use dmcs_graph::{
     ComputeGraph, Graph, GraphBuilder, LayoutPolicy, NodeId, NodeMap, ShardLayout, SubgraphView,
 };
@@ -45,8 +54,9 @@ struct Expected {
     component: Vec<NodeId>,
 }
 
-/// The pre-change pruned FPA on `g`, whose ids `canon` maps to those of
-/// `canonical`; `None` when the query is disconnected.
+/// The pre-change pruned FPA on `g`, on its edge weights, whose ids
+/// `canon` maps to those of `canonical`; `None` when the query is
+/// disconnected.
 fn oracle(g: &Graph, query: &[NodeId], canon: &NodeMap, canonical: &Graph) -> Option<Expected> {
     if !same_component(g, query) {
         return None;
@@ -70,10 +80,18 @@ fn oracle(g: &Graph, query: &[NodeId], canon: &NodeMap, canonical: &Graph) -> Op
         layer.sort_by_key(|&v| canon.to_external(v));
     }
 
-    let m = g.m() as u64;
+    // `v`'s alive incident weight, summed from scratch.
+    let k = |view: &SubgraphView<'_>, v: NodeId| -> f64 {
+        g.weighted_neighbors(v)
+            .filter(|&(u, _)| view.contains(u))
+            .map(|(_, w)| w)
+            .fold(0.0, |a, w| a + w)
+    };
     let dm_of = |view: &SubgraphView<'_>| {
-        let d_s = g.degree_sum(&view.alive_nodes());
-        density_modularity_counts(view.m_alive(), d_s, view.n_alive(), m)
+        let alive = view.alive_nodes();
+        let l: f64 = alive.iter().map(|&v| k(view, v)).fold(0.0, |a, x| a + x) / 2.0;
+        let d = alive.iter().map(|&v| g.strength(v)).fold(0.0, |a, x| a + x);
+        density_modularity_sums(l, d, view.n_alive(), g.total_weight())
     };
 
     // Pick the layer prefix by stripping whole layers off a scratch view.
@@ -114,7 +132,10 @@ fn oracle(g: &Graph, query: &[NodeId], canon: &NodeMap, canonical: &Graph) -> Op
     if target > 0 {
         let mut cand = layers[target].clone();
         while !cand.is_empty() {
-            let theta = |v: NodeId| density_ratio(g.degree(v) as u64, view.local_degree(v) as u64);
+            let theta = |v: NodeId| match view.local_degree(v) {
+                0 => f64::INFINITY,
+                _ => g.strength(v) / k(&view, v),
+            };
             let mut pick = 0;
             for i in 1..cand.len() {
                 let (a, b) = (theta(cand[i]), theta(cand[pick]));
@@ -153,11 +174,13 @@ fn oracle(g: &Graph, query: &[NodeId], canon: &NodeMap, canonical: &Graph) -> Op
     })
 }
 
-/// Run the kernel and the oracle on `g` under `canon` (mapping to
+/// Run `fpa` and the oracle on `g` under `canon` (mapping to
 /// `canonical`'s ids) for each query (given in `g`'s own ids) and
-/// require agreement. Returns how many one-node queries noted a strict
-/// subset of their component, i.e. stopped their walk early.
+/// require agreement, with DM bits equal unless `fpa` is weighted.
+/// Returns how many one-node queries noted a strict subset of their
+/// component, i.e. stopped their walk early.
 fn assert_matches_oracle(
+    fpa: Fpa,
     g: &Graph,
     canon: &NodeMap,
     canonical: &Graph,
@@ -170,7 +193,7 @@ fn assert_matches_oracle(
         // One node per shard: the touched shards are the noted nodes,
         // in canonical ids.
         ws.begin_shard_tracking(ShardLayout::new(g.n(), g.n()));
-        let got = Fpa::default().search_with_workspace(g, q, &mut ws);
+        let got = fpa.search_with_workspace(g, q, &mut ws);
         let noted = ws.take_touched_shards();
         let Some(Expected {
             result: want,
@@ -210,12 +233,20 @@ fn assert_matches_oracle(
             stopped += 1;
         }
         prop_assert_eq!(&got.community, &want.community, "query {:?}", q);
-        prop_assert_eq!(
-            got.density_modularity.to_bits(),
-            want.density_modularity.to_bits(),
-            "query {:?}",
-            q
-        );
+        let (a, b) = (got.density_modularity, want.density_modularity);
+        if fpa.weighted {
+            // Relative to 1 at least: DMs near 0 (a whole graph's is 0 up
+            // to rounding) agree to within rounding only absolutely.
+            prop_assert!(
+                (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1.0),
+                "query {:?}: DM {} vs {}",
+                q,
+                a,
+                b
+            );
+        } else {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "query {:?}", q);
+        }
         prop_assert_eq!(got.iterations, want.iterations, "query {:?}", q);
         prop_assert_eq!(
             &got.removal_order[..],
@@ -235,7 +266,7 @@ fn check_both_substrates(g: &Graph, picks: &[Vec<usize>]) -> Result<[usize; 2], 
         .iter()
         .map(|p| p.iter().map(|&i| (i % n) as NodeId).collect())
         .collect();
-    let canonical = assert_matches_oracle(g, &NodeMap::identity(), g, &queries)?;
+    let canonical = assert_matches_oracle(Fpa::default(), g, &NodeMap::identity(), g, &queries)?;
 
     let mirror = ComputeGraph::build(g, LayoutPolicy::Bfs).expect("bfs builds a mirror");
     let map = mirror.map();
@@ -245,7 +276,7 @@ fn check_both_substrates(g: &Graph, picks: &[Vec<usize>]) -> Result<[usize; 2], 
         .collect();
     Ok([
         canonical,
-        assert_matches_oracle(mirror.graph(), map, g, &internal)?,
+        assert_matches_oracle(Fpa::default(), mirror.graph(), map, g, &internal)?,
     ])
 }
 
@@ -274,6 +305,52 @@ fn check_one_component(g: &Graph, picks: &[Vec<usize>]) -> Result<(), TestCaseEr
     prop_assert!(
         one_node == 0 || canonical > 0,
         "none of {} one-node walks stopped",
+        one_node
+    );
+    Ok(())
+}
+
+/// `g` with a weight uniform in [0.5, 4) on every edge, drawn from `seed`.
+fn with_random_weights(g: &Graph, seed: u64) -> Graph {
+    let mut b = WeightedGraphBuilder::new(g.n());
+    let mut state = seed;
+    for (u, v) in g.edges() {
+        // splitmix64
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        b.add_edge(u, v, 0.5 + 3.5 * (z >> 11) as f64 / (1u64 << 53) as f64);
+    }
+    b.build().into_graph()
+}
+
+/// Check weighted FPA on `g` with random weights; returns the stopped
+/// walks.
+fn check_weighted(g: &Graph, seed: u64, picks: &[Vec<usize>]) -> Result<usize, TestCaseError> {
+    let g = with_random_weights(g, seed);
+    let queries: Vec<Vec<NodeId>> = picks
+        .iter()
+        .map(|p| p.iter().map(|&i| (i % g.n()) as NodeId).collect())
+        .collect();
+    let fpa = Fpa::default().weighted();
+    assert_matches_oracle(fpa, &g, &NodeMap::identity(), &g, &queries)
+}
+
+/// [`check_weighted`] on a one-component graph, where some one-node
+/// walks must stop.
+fn check_weighted_one_component(
+    g: &Graph,
+    seed: u64,
+    picks: &[Vec<usize>],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(connected_components(g).1, 1);
+    let stopped = check_weighted(g, seed, picks)?;
+    let one_node = picks.iter().filter(|p| p.len() == 1).count();
+    prop_assert!(
+        one_node == 0 || stopped > 0,
+        "none of {} weighted one-node walks stopped",
         one_node
     );
     Ok(())
@@ -340,5 +417,60 @@ proptest! {
             ..lfr::LfrConfig::default()
         };
         check_one_component(&connected(&lfr::generate(&cfg).graph), &picks)?;
+    }
+
+    // Weighted FPA with continuous weights: a zero `p_out` draw leaves
+    // the SBM fragmented, the sparse LFR graphs often are.
+    #[test]
+    fn weighted_fpa_matches_oracle_on_sbm(
+        seed in 0u64..10_000,
+        p_out_permille in 0u32..30,
+        picks in query_picks(),
+    ) {
+        let p_out = f64::from(p_out_permille) / 1000.0;
+        let (g, _) = sbm::planted_partition(&[18, 14, 12, 9, 7], 0.35, p_out, seed);
+        check_weighted(&g, seed, &picks)?;
+    }
+
+    #[test]
+    fn weighted_fpa_matches_oracle_on_lfr(seed in 0u64..10_000, picks in query_picks()) {
+        let cfg = lfr::LfrConfig {
+            n: 120,
+            avg_degree: 5.0,
+            max_degree: 20,
+            min_community: 8,
+            max_community: 30,
+            seed,
+            ..lfr::LfrConfig::default()
+        };
+        check_weighted(&lfr::generate(&cfg).graph, seed, &picks)?;
+    }
+
+    #[test]
+    fn weighted_stopped_walks_match_oracle_on_connected_sbm(
+        seed in 0u64..10_000,
+        p_out_permille in 2u32..20,
+        picks in query_picks(),
+    ) {
+        let p_out = f64::from(p_out_permille) / 1000.0;
+        let (g, _) = sbm::planted_partition(&[60, 50, 45, 40, 35, 30], 0.2, p_out, seed);
+        check_weighted_one_component(&connected(&g), seed, &picks)?;
+    }
+
+    #[test]
+    fn weighted_stopped_walks_match_oracle_on_connected_lfr(
+        seed in 0u64..10_000,
+        picks in query_picks(),
+    ) {
+        let cfg = lfr::LfrConfig {
+            n: 300,
+            avg_degree: 20.0,
+            max_degree: 60,
+            min_community: 20,
+            max_community: 60,
+            seed,
+            ..lfr::LfrConfig::default()
+        };
+        check_weighted_one_component(&connected(&lfr::generate(&cfg).graph), seed, &picks)?;
     }
 }

@@ -1,23 +1,27 @@
-//! Weighted-serving benchmarks backing the two performance claims of the
+//! Weighted-serving benchmarks backing the performance claims of the
 //! weights-lane design:
 //!
 //! 1. **The unweighted hot path did not regress** — the weights lane is
 //!    pay-for-what-you-use. `per_query_latency` measures single-query
 //!    FPA on the fragmented-50k serving graph three ways: unweighted FPA
-//!    on a bare graph (the PR-4 baseline shape), unweighted FPA on a
-//!    *lane-carrying* graph (the lane must be inert for unweighted
-//!    algorithms), and W-FPA on the weighted graph (the price of the
-//!    weighted objective: f64 arithmetic + per-layer scans instead of
-//!    the lazy heap).
-//! 2. **Weighted snapshot rebuilds stay `O(|V| + |E|)`** —
+//!    on a bare graph, unweighted FPA on a *lane-carrying* graph (the
+//!    lane must be inert for unweighted algorithms), and W-FPA on the
+//!    weighted graph (the price of the weighted objective: the same
+//!    kernel summing f64 weights where it counts edges).
+//! 2. **Weighted FPA keeps up on one big component** —
+//!    `one_component_lfr20k` times ten one-node queries of `fpa` and of
+//!    `fpa --weighted` on a community-weighted LFR graph, where pruned
+//!    FPA's layered walk stops early on either weighting.
+//! 3. **Weighted snapshot rebuilds stay `O(|V| + |E|)`** —
 //!    `snapshot_rebuild` compares a forced mutate→snapshot cycle on an
 //!    unweighted vs a weighted 50k-node store (the weighted rebuild adds
 //!    one slot-weight copy plus a strength pass).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dmcs_engine::{AlgoSpec, Engine, QueryRequest};
-use dmcs_gen::sbm;
 use dmcs_gen::weighting::{weight_by_communities, WeightingConfig};
+use dmcs_gen::{lfr, sbm};
+use dmcs_graph::traversal::connected_components;
 use dmcs_graph::{Graph, GraphStore, NodeId};
 
 /// The fragmented serving graph of the engine's other benches: 250
@@ -64,6 +68,36 @@ fn bench_per_query_latency(c: &mut Criterion) {
     group.finish();
 }
 
+/// Ten one-node queries spread evenly over the ids of an LFR graph with
+/// n = 20k at the Table 2 defaults (average degree 20, maximum 400,
+/// μ 0.2), weighted by its communities; one iteration answers all ten,
+/// cache off.
+fn bench_one_component(c: &mut Criterion) {
+    let g = lfr::generate(&lfr::LfrConfig {
+        n: 20_000,
+        ..lfr::LfrConfig::default()
+    });
+    assert_eq!(connected_components(&g.graph).1, 1, "one component");
+    let weighted = weight_by_communities(&g.graph, &g.communities, WeightingConfig::default());
+    let n = weighted.n();
+    let reqs: Vec<QueryRequest> = (0..10)
+        .map(|i| QueryRequest::new(vec![(i * n / 10) as NodeId]))
+        .collect();
+    let engine = Engine::with_cache_capacity(GraphStore::from_graph(weighted.into_graph()), 0);
+
+    let mut group = c.benchmark_group("one_component_lfr20k");
+    group.sample_size(10);
+    for (name, spec) in [
+        ("fpa_10_queries", AlgoSpec::new("fpa")),
+        ("fpa_weighted_10_queries", AlgoSpec::new("fpa").weighted()),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(engine.run_batch(&spec, &reqs, 1).unwrap().succeeded()))
+        });
+    }
+    group.finish();
+}
+
 fn bench_snapshot_rebuild(c: &mut Criterion) {
     let mut group = c.benchmark_group("weighted_snapshot_rebuild_n50k");
     group.sample_size(10);
@@ -102,5 +136,10 @@ fn bench_snapshot_rebuild(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_per_query_latency, bench_snapshot_rebuild);
+criterion_group!(
+    benches,
+    bench_per_query_latency,
+    bench_one_component,
+    bench_snapshot_rebuild
+);
 criterion_main!(benches);

@@ -83,7 +83,10 @@ pub struct BatchReport {
     /// when the plan ran ungrouped).
     pub grouped_queries: usize,
     /// Queries that reused a component BFS memoized by an earlier query
-    /// on the same worker session (0 when the plan disabled the memo).
+    /// on the same worker session (0 when the plan disabled the memo),
+    /// weighted FPA queries included. The count repeats exactly only
+    /// with one worker: with more, work stealing decides which worker's
+    /// memo a query meets.
     pub shared_bfs_reuses: u64,
     /// Queries executed on the snapshot's renumbered compute mirror (0
     /// when no mirror exists or the plan disabled mirror serving).

@@ -24,9 +24,10 @@
 //! - a multi-node query notes its whole component: the Steiner seed's
 //!   BFS walks all of it, and the seed's shortest paths depend on
 //!   distances across it, wherever the layered walk stopped;
-//! - weighted specs note nothing, so their entries pin every shard:
-//!   weighted DM divides by the total edge weight, which the
-//!   fingerprint does not record.
+//! - weighted specs run the same kernel, but their session never starts
+//!   shard tracking, so their entries pin every shard: weighted DM
+//!   divides by the total edge weight `w_G`, which the fingerprint does
+//!   not record, and a weight update anywhere moves it.
 //!
 //! An update to shard 3 therefore stops matching entries that noted a
 //! node in shard 3, and an update anywhere that changes `m` stops

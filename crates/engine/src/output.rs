@@ -50,7 +50,9 @@
 //! [`AlgoSpec`](crate::AlgoSpec) with the weighted parameter); weighted
 //! responses additionally reveal themselves through the algorithm name
 //! (`"W-FPA"` / `"W-NCA"`), and their `dm` field is the *weighted*
-//! objective.
+//! objective. On unit weights a weighted line differs from the
+//! unweighted one in its `algo` (and timings) only: the kernels are
+//! the same and every weighted sum is then an exact integer.
 //!
 //! `unique` counts the distinct work items the batch actually dispatched
 //! (in-batch dedup answers the rest by fan-out); `cache_hits` /

@@ -14,9 +14,7 @@ use dmcs_baselines::{
     CliquePercolation, Cnm, Gn, HighCore, HighTruss, Huang2015, Icwi2008, KCore, KTruss, Kecc,
     LocalKCore, Louvain, Lpa, PprSweep, Wu2015,
 };
-use dmcs_core::{
-    BranchAndBound, CommunitySearch, Exact, Fpa, FpaDmg, Nca, NcaDr, WeightedFpa, WeightedNca,
-};
+use dmcs_core::{BranchAndBound, CommunitySearch, Exact, Fpa, FpaDmg, Nca, NcaDr};
 
 /// Tunable parameters an [`AlgoSpec`] carries to the factory. Algorithms
 /// ignore the fields they have no use for.
@@ -25,10 +23,11 @@ pub struct AlgoParams {
     /// `k` for the parameterised baselines (`kc` / `kt` / `kecc` / `ls`);
     /// `kt` clamps to at least 3 (a 2-truss is every edge).
     pub k: u32,
-    /// FPA's layer-based pruning strategy (§5.7). Only `fpa` reads it.
+    /// FPA's layer-based pruning strategy (§5.7). Only `fpa` and `fpa-w`
+    /// read it, on either weighting.
     pub layer_pruning: bool,
-    /// Serve the *weighted* density modularity: `fpa`/`nca` resolve to
-    /// their weight-aware implementations (exactly what the canonical
+    /// Serve the *weighted* density modularity: `fpa`/`nca` build their
+    /// kernels on edge weights (exactly what the canonical
     /// `fpa-w`/`nca-w` labels build). Entries that are not
     /// [`weight_aware`](AlgoEntry::weight_aware) ignore it. Participates
     /// in cache and batch-dedup keys — a weighted and an unweighted
@@ -87,13 +86,10 @@ pub const REGISTRY: &[AlgoEntry] = &[
         weight_aware: true,
         mirror_safe: true,
         factory: |p| {
-            if p.weighted {
-                Box::new(WeightedFpa)
-            } else {
-                Box::new(Fpa {
-                    layer_pruning: p.layer_pruning,
-                })
-            }
+            Box::new(Fpa {
+                layer_pruning: p.layer_pruning,
+                weighted: p.weighted,
+            })
         },
     },
     AlgoEntry {
@@ -103,11 +99,10 @@ pub const REGISTRY: &[AlgoEntry] = &[
         weight_aware: true,
         mirror_safe: true,
         factory: |p| {
-            if p.weighted {
-                Box::new(WeightedNca::default())
-            } else {
-                Box::new(Nca::default())
-            }
+            Box::new(Nca {
+                weighted: p.weighted,
+                ..Nca::default()
+            })
         },
     },
     AlgoEntry {
@@ -116,7 +111,12 @@ pub const REGISTRY: &[AlgoEntry] = &[
         uses_k: false,
         weight_aware: true,
         mirror_safe: false,
-        factory: |_| Box::new(WeightedFpa),
+        factory: |p| {
+            Box::new(Fpa {
+                layer_pruning: p.layer_pruning,
+                weighted: true,
+            })
+        },
     },
     AlgoEntry {
         name: "nca-w",
@@ -124,7 +124,7 @@ pub const REGISTRY: &[AlgoEntry] = &[
         uses_k: false,
         weight_aware: true,
         mirror_safe: false,
-        factory: |_| Box::new(WeightedNca::default()),
+        factory: |_| Box::new(Nca::default().weighted()),
     },
     AlgoEntry {
         name: "fpa-dmg",

@@ -326,10 +326,13 @@ impl Session {
     /// Time the search for `req` and, given its cache `key`, store the
     /// answer.
     fn compute(&mut self, req: &QueryRequest, key: Option<CacheKey>) -> QueryResponse {
-        if key.is_some() {
+        if key.is_some() && !self.spec.serves_weighted() {
             // Record which shards the search actually explores, so the
             // entry's fingerprint can be scoped to them. On the mirror
             // the workspace's canon map keeps them external-id shards.
+            // Weighted DM divides by the total edge weight w_G, which the
+            // fingerprint does not record, so a weighted entry notes
+            // nothing and pins every shard.
             self.ws.begin_shard_tracking(self.snapshot.shard_layout());
         }
         let start = Instant::now();

@@ -231,7 +231,10 @@ fn weight_only_updates_invalidate_the_cache() {
     }
     let engine = Engine::new(GraphStore::from_graph(b.build().into_graph()));
     assert!(engine.store().is_weighted());
-    let spec = AlgoSpec::new("fpa").weighted();
+    // Unpruned, as the light triangle below is unpruned FPA's answer:
+    // from node 3 pruned FPA keeps the whole graph (DM 0), since §5.7
+    // peels only the outer layer of the layer prefix it chose.
+    let spec = AlgoSpec::new("fpa").weighted().without_pruning();
     let req = [QueryRequest::new(vec![3])];
 
     let first = engine.run_batch(&spec, &req, 1).unwrap();

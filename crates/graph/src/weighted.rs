@@ -153,8 +153,9 @@ impl Graph {
     }
 
     /// Weighted density modularity of `nodes` (Definition 2, weighted
-    /// form). With unit weights (or no lane) this equals the unweighted
-    /// DM.
+    /// form), `w_C/|C| − d_C²/(4·w_G·|C|)`: the operation order of the
+    /// unweighted DM, so with unit weights (or no lane), where every sum
+    /// is an exact integer, it equals the unweighted DM bit for bit.
     pub fn weighted_density_modularity(&self, nodes: &[NodeId]) -> f64 {
         let w_g = self.total_weight();
         if nodes.is_empty() || w_g == 0.0 {
@@ -162,7 +163,8 @@ impl Graph {
         }
         let w_c = self.internal_weight(nodes);
         let d_c = self.strength_sum(nodes);
-        (w_c - d_c * d_c / (4.0 * w_g)) / nodes.len() as f64
+        let s = nodes.len() as f64;
+        w_c / s - d_c * d_c / (4.0 * w_g * s)
     }
 }
 

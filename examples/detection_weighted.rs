@@ -7,7 +7,7 @@
 //! ```
 
 use dmcs::core::detect::{detect_communities, partition_density_modularity, DetectConfig};
-use dmcs::core::{CommunitySearch, WeightedFpa};
+use dmcs::core::{CommunitySearch, Fpa};
 use dmcs::gen::ring;
 use dmcs::graph::weighted::WeightedGraphBuilder;
 
@@ -43,7 +43,10 @@ fn main() {
     let wg = b.build();
     println!("\nweighted barbell (right side 10x heavier):");
     for q in [0u32, 4] {
-        let r = WeightedFpa.search(&wg, &[q]).expect("valid query");
+        let r = Fpa::default()
+            .weighted()
+            .search(&wg, &[q])
+            .expect("valid query");
         println!(
             "  query {q} -> community {:?} (weighted DM = {:.3})",
             r.community, r.density_modularity

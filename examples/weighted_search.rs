@@ -6,7 +6,7 @@
 //! cargo run --release --example weighted_search
 //! ```
 
-use dmcs::core::{Fpa, WeightedFpa, WeightedNca};
+use dmcs::core::{Fpa, Nca};
 use dmcs::gen::sbm;
 use dmcs::graph::weighted::WeightedGraphBuilder;
 use dmcs::metrics::nmi;
@@ -32,8 +32,12 @@ fn main() {
     println!("planted 2x{block} blocks, p_in=0.30 / p_out=0.22, intra weight 5x, query {q}\n");
 
     let unweighted = Fpa::default().search(&topo, &[q]).expect("valid query");
-    let wfpa = WeightedFpa.search(&wg, &[q]).expect("valid query");
-    let wnca = WeightedNca::default()
+    let wfpa = Fpa::default()
+        .weighted()
+        .search(&wg, &[q])
+        .expect("valid query");
+    let wnca = Nca::default()
+        .weighted()
         .search(&wg, &[q])
         .expect("valid query");
 
@@ -51,8 +55,8 @@ fn main() {
         &unweighted.community,
         unweighted.density_modularity,
     );
-    report("WeightedFpa", &wfpa.community, wfpa.density_modularity);
-    report("WeightedNca", &wnca.community, wnca.density_modularity);
+    report("W-FPA", &wfpa.community, wfpa.density_modularity);
+    report("W-NCA", &wnca.community, wnca.density_modularity);
 
     // Weighted DM of the planted block vs the whole graph, for reference.
     println!(

@@ -33,6 +33,7 @@ Usage:
     cargo bench -q -p dmcs-engine --bench bench_batch | \
         python3 scripts/bench_to_json.py --stdin --out BENCH_9.json
     python3 scripts/bench_to_json.py --package dmcs-bench --bench bench_pruning --out BENCH_22.json
+    python3 scripts/bench_to_json.py --package dmcs-engine --bench bench_weighted --out BENCH_23.json
 
 No dependencies beyond the standard library.
 """

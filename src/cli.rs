@@ -1834,16 +1834,27 @@ mod tests {
 
     #[test]
     fn demo_weighted_serves_unit_weights() {
-        // --demo --weighted: unit lane, W-FPA, same community as FPA on
-        // the topology.
-        let cfg = parse(&args("--demo --query 0 --weighted --format json"))
-            .unwrap()
-            .unwrap();
-        let mut out = Vec::new();
-        run(&cfg, &mut out).unwrap();
-        let v = Json::parse(String::from_utf8(out).unwrap().trim()).unwrap();
+        // --demo --weighted: unit lane, W-FPA, and the very line FPA
+        // prints on the topology apart from `algo` and `seconds`.
+        let line = |flags: &str| {
+            let cfg = parse(&args(flags)).unwrap().unwrap();
+            let mut out = Vec::new();
+            run(&cfg, &mut out).unwrap();
+            let line = String::from_utf8(out).unwrap().trim().to_string();
+            // Zero the `seconds` value, which varies run to run.
+            let at = line.find("\"seconds\":").unwrap() + "\"seconds\":".len();
+            let end = at + line[at..].find([',', '}']).unwrap();
+            format!("{}0{}", &line[..at], &line[end..])
+        };
+        let weighted = line("--demo --query 0 --weighted --format json");
+        let plain = line("--demo --query 0 --format json");
+        let v = Json::parse(&weighted).unwrap();
         assert_eq!(v.get("algo").unwrap().as_str(), Some("W-FPA"));
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
+        assert_eq!(
+            weighted.replacen("\"algo\":\"W-FPA\"", "\"algo\":\"FPA\"", 1),
+            plain
+        );
     }
 
     #[test]

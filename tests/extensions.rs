@@ -3,7 +3,7 @@
 //! the compositional framework, and the classic random generators.
 
 use dmcs::core::framework::{generic_fpa, generic_nca};
-use dmcs::core::{CommunitySearch, Exact, Fpa, WeightedFpa};
+use dmcs::core::{CommunitySearch, Exact, Fpa};
 use dmcs::gen::{karate, random};
 use dmcs::graph::io::{read_communities, read_edge_list, write_edge_list};
 use dmcs::graph::weighted::WeightedGraphBuilder;
@@ -51,7 +51,7 @@ fn weighted_search_on_karate_with_unit_weights_matches_topology_dm() {
         b.add_edge(u, v, 1.0);
     }
     let wg = b.build();
-    let r = WeightedFpa.search(&wg, &[0]).unwrap();
+    let r = Fpa::default().weighted().search(&wg, &[0]).unwrap();
     let expect = dmcs::core::measure::density_modularity(&g, &r.community);
     assert!((r.density_modularity - expect).abs() < 1e-9);
 }

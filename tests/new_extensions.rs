@@ -3,7 +3,7 @@
 //! baseline, cover metrics, structural goodness, and the CLI.
 
 use dmcs::baselines::Lpa;
-use dmcs::core::{BranchAndBound, CommunitySearch, Exact, Fpa, Nca, WeightedFpa, WeightedNca};
+use dmcs::core::{BranchAndBound, CommunitySearch, Exact, Fpa, Nca};
 use dmcs::gen::{karate, random, ring, sbm};
 use dmcs::graph::pagerank::{pagerank, personalized_pagerank, rank_of, PageRankConfig};
 use dmcs::graph::weighted::WeightedGraphBuilder;
@@ -46,31 +46,34 @@ fn weighted_algorithms_agree_with_unweighted_on_unit_karate() {
         b.add_edge(u, v, 1.0);
     }
     let wg = b.build();
-    for q in [0u32, 33] {
-        // FPA's unweighted heap and the weighted scan break Θ ties in
-        // different orders, and on Karate the trajectories diverge at a
-        // tie — so demand agreement of the *objective semantics* (the
-        // weighted DM of the returned set equals its unweighted DM) and
-        // closeness of the attained optima, not identical membership.
-        let wf = WeightedFpa.search(&wg, &[q]).unwrap();
-        let uf = Fpa::without_pruning().search(&topo, &[q]).unwrap();
-        let recomputed = dmcs::core::measure::density_modularity(&topo, &wf.community);
-        assert!(
-            (wf.density_modularity - recomputed).abs() < 1e-9,
-            "unit-weight DM must equal unweighted DM on the same set"
-        );
-        let rel = (wf.density_modularity - uf.density_modularity).abs()
-            / uf.density_modularity.abs().max(1e-12);
-        assert!(
-            rel < 0.05,
-            "FPA query {q}: weighted {} vs unweighted {} (rel {rel})",
-            wf.density_modularity,
-            uf.density_modularity
-        );
-        // NCA's scorer has no ties here: memberships match exactly.
-        let wn = WeightedNca::default().search(&wg, &[q]).unwrap();
+    for q in 0..topo.n() as u32 {
+        // On unit weights every weighted sum is an exact integer, so the
+        // weighted kernels take the unweighted ones' every step, Θ ties
+        // included: the results agree in every field, DM bits too.
+        for fpa in [Fpa::without_pruning(), Fpa::default()] {
+            let wf = fpa.weighted().search(&wg, &[q]).unwrap();
+            let uf = fpa.search(&topo, &[q]).unwrap();
+            let recomputed = dmcs::core::measure::density_modularity(&topo, &wf.community);
+            assert!(
+                (wf.density_modularity - recomputed).abs() < 1e-9,
+                "unit-weight DM must equal unweighted DM on the same set"
+            );
+            assert_eq!(wf, uf, "FPA query {q}, pruning {}", fpa.layer_pruning);
+            assert_eq!(
+                wf.density_modularity.to_bits(),
+                uf.density_modularity.to_bits(),
+                "FPA query {q}"
+            );
+        }
+        let wn = Nca::default().weighted().search(&wg, &[q]).unwrap();
         let un = Nca::default().search(&topo, &[q]).unwrap();
         assert_eq!(wn.community, un.community, "NCA query {q}");
+        assert_eq!(wn, un, "NCA query {q}");
+        assert_eq!(
+            wn.density_modularity.to_bits(),
+            un.density_modularity.to_bits(),
+            "NCA query {q}"
+        );
     }
 }
 
@@ -87,8 +90,8 @@ fn weights_flip_the_winning_block() {
     let wg = b.build();
     let q = comms[0][0];
     for r in [
-        WeightedFpa.search(&wg, &[q]).unwrap(),
-        WeightedNca::default().search(&wg, &[q]).unwrap(),
+        Fpa::default().weighted().search(&wg, &[q]).unwrap(),
+        Nca::default().weighted().search(&wg, &[q]).unwrap(),
     ] {
         let inside = r.community.iter().filter(|&&v| (v as usize) < 16).count();
         assert!(

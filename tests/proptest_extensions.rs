@@ -1,10 +1,14 @@
 //! Property-based tests for the extension subsystems: branch-and-bound
-//! optimality, weighted/unweighted consistency, PageRank stochasticity,
+//! optimality, weighted/unweighted consistency (unit weights answer
+//! bit for bit like no weights), PageRank stochasticity,
 //! cover metrics, structural goodness, and LPA's search contract.
 
 use dmcs::baselines::Lpa;
 use dmcs::core::measure::density_modularity;
-use dmcs::core::{BranchAndBound, CommunitySearch, Exact, Fpa, Nca, WeightedFpa, WeightedNca};
+use dmcs::core::topk::{top_k_communities_with, TopKConfig};
+use dmcs::core::{BranchAndBound, CommunitySearch, Exact, Fpa, Nca, SearchResult};
+use dmcs::engine::AlgoSpec;
+use dmcs::gen::{lfr, sbm};
 use dmcs::graph::pagerank::{pagerank, personalized_pagerank, PageRankConfig};
 use dmcs::graph::weighted::WeightedGraphBuilder;
 use dmcs::graph::{Graph, GraphBuilder, NodeId, SubgraphView};
@@ -80,6 +84,84 @@ fn arb_cover(n: usize) -> impl Strategy<Value = Vec<Vec<NodeId>>> {
     .prop_map(|sets| sets.into_iter().map(|s| s.into_iter().collect()).collect())
 }
 
+/// On unit weights every weighted sum is an exact integer, so `fpa`
+/// (pruned and unpruned) and `nca` built with the weighted parameter
+/// must answer every query, and every top-k round, exactly as their
+/// unweighted builds, DM bits included, whether the graph carries a
+/// unit weights lane or none.
+fn check_unit_weight_parity(g: &Graph, picks: &[Vec<usize>]) -> Result<(), TestCaseError> {
+    let unit = g.clone().with_unit_weights();
+    let specs = [
+        AlgoSpec::new("fpa"),
+        AlgoSpec::new("fpa").without_pruning(),
+        AlgoSpec::new("nca"),
+    ];
+    for spec in specs {
+        let plain = spec.build().unwrap();
+        let weighted = spec.clone().weighted().build().unwrap();
+        for pick in picks {
+            let q: Vec<NodeId> = pick.iter().map(|&i| (i % g.n()) as NodeId).collect();
+            let want = plain.search(g, &q);
+            let cfg = TopKConfig { k: 2, min_dm: 0.0 };
+            let want_rounds = top_k_communities_with(g, &q, cfg, plain.as_ref(), false);
+            for (lane, graph) in [("no lane", g), ("unit lane", &unit)] {
+                let got = weighted.search(graph, &q);
+                prop_assert_eq!(&got, &want, "{:?} query {:?}, {}", spec, q, lane);
+                // Top-k rounds score the weighted DM of each community.
+                let rounds = top_k_communities_with(graph, &q, cfg, weighted.as_ref(), true);
+                prop_assert_eq!(&rounds, &want_rounds, "{:?} top-k {:?}, {}", spec, q, lane);
+                let bits = |r: &[SearchResult]| -> Vec<u64> {
+                    r.iter().map(|r| r.density_modularity.to_bits()).collect()
+                };
+                if let (Ok(got), Ok(want)) = (&got, &want) {
+                    prop_assert_eq!(
+                        got.density_modularity.to_bits(),
+                        want.density_modularity.to_bits()
+                    );
+                }
+                if let (Ok(got), Ok(want)) = (&rounds, &want_rounds) {
+                    prop_assert_eq!(bits(got), bits(want));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// 1–3 query nodes per query, as indices reduced modulo `n`.
+fn query_picks() -> impl Strategy<Value = Vec<Vec<usize>>> {
+    proptest::collection::vec(proptest::collection::vec(0usize..100_000, 1..4), 6)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn unit_weights_answer_like_no_weights_on_sbm(
+        seed in 0u64..10_000,
+        p_out_permille in 0u32..40,
+        picks in query_picks(),
+    ) {
+        let p_out = f64::from(p_out_permille) / 1000.0;
+        let (g, _) = sbm::planted_partition(&[16, 14, 12, 10, 8], 0.35, p_out, seed);
+        check_unit_weight_parity(&g, &picks)?;
+    }
+
+    #[test]
+    fn unit_weights_answer_like_no_weights_on_lfr(seed in 0u64..10_000, picks in query_picks()) {
+        let cfg = lfr::LfrConfig {
+            n: 120,
+            avg_degree: 8.0,
+            max_degree: 24,
+            min_community: 8,
+            max_community: 30,
+            seed,
+            ..lfr::LfrConfig::default()
+        };
+        check_unit_weight_parity(&lfr::generate(&cfg).graph, &picks)?;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -120,7 +202,10 @@ proptest! {
         let wg = b.build();
         // The weighted objective evaluated on any community equals the
         // unweighted DM of that community.
-        for r in [WeightedFpa.search(&wg, &[q]), WeightedNca::default().search(&wg, &[q])] {
+        for r in [
+            Fpa::default().weighted().search(&wg, &[q]),
+            Nca::default().weighted().search(&wg, &[q]),
+        ] {
             let Ok(r) = r else { continue };
             prop_assert!(
                 (r.density_modularity - density_modularity(&g, &r.community)).abs() < 1e-9

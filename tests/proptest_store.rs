@@ -15,7 +15,8 @@
 //! query / update / re-pin transcripts, and every response, cache hits
 //! included, must equal a cache-less search on the pinned edge set, on
 //! a base of three components and on one that is a single component, so
-//! FPA's stopped layered walks feed the cache too.
+//! FPA's stopped layered walks feed the cache too. A weighted answer
+//! pins every shard: a weight update in another component moves w_G.
 
 use dmcs::engine::{AlgoSpec, Engine, QueryRequest, Session};
 use dmcs::graph::weighted::WeightedGraphBuilder;
@@ -328,6 +329,45 @@ fn multi_node_hits_pin_the_shards_the_steiner_walk_read() {
     assert_eq!(
         got.result.unwrap().community,
         vec![0, 10, 16, 20, 24, 60, 61, 62]
+    );
+}
+
+/// Weighted DM divides by the total edge weight w_G, which a cache
+/// fingerprint does not record, so a weighted answer must pin every
+/// shard. Component A (0..4) lives in shard 0 of a 3-shard, 12-node
+/// store and component B (8..12) in shard 2. A `setw` on an edge of B
+/// keeps m and every row A's search read, and moves w_G: the repeat
+/// must miss and equal a cache-less session, DM bits included.
+#[test]
+fn weighted_hits_pin_every_shard() {
+    let weighted = |w89: f64| {
+        let mut b = WeightedGraphBuilder::new(12);
+        for (u, v, w) in [(0, 1, 2.0), (1, 2, 2.0), (0, 2, 2.0), (2, 3, 1.0)] {
+            b.add_edge(u, v, w);
+        }
+        for (u, v, w) in [(8, 9, w89), (9, 10, 1.0), (8, 10, 1.0), (10, 11, 1.0)] {
+            b.add_edge(u, v, w);
+        }
+        b.build().into_graph()
+    };
+    let engine = Engine::new(GraphStore::from_graph_sharded(weighted(1.0), 3));
+    let spec = AlgoSpec::new("fpa").weighted();
+    let req = QueryRequest::new(vec![0]);
+    assert!(!engine.session(&spec).unwrap().query(&req).unwrap().cached);
+    assert!(engine.session(&spec).unwrap().query(&req).unwrap().cached);
+
+    assert_eq!(engine.set_weight(8, 9, 50.0), Some(1.0));
+    let got = engine.session(&spec).unwrap().query(&req).unwrap();
+    let reference = Session::new(Snapshot::freeze(weighted(50.0)), &spec)
+        .unwrap()
+        .query(&req)
+        .unwrap();
+    assert!(!got.cached, "w_G moved: the repeat must miss");
+    let (got, want) = (got.result.unwrap(), reference.result.unwrap());
+    assert_eq!(got, want);
+    assert_eq!(
+        got.density_modularity.to_bits(),
+        want.density_modularity.to_bits()
     );
 }
 
