@@ -1,11 +1,13 @@
 //! Fig 13 micro: FPA with vs without the layer-based pruning strategy,
-//! and pruned FPA's one-node queries on a one-component LFR graph at
-//! the paper's Table 2 defaults, where the layered walk stops long
-//! before it has covered the component.
+//! and pruned FPA's one-node and two-node queries on a one-component
+//! LFR graph at the paper's Table 2 defaults, where the layered walk,
+//! and a two-node query's Steiner walk, stop long before they have
+//! covered the component.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmcs_core::{CommunitySearch, Fpa};
 use dmcs_gen::{lfr, queries, Dataset};
+use dmcs_graph::traversal::bfs_distances;
 use dmcs_graph::view::QueryWorkspace;
 use dmcs_graph::NodeId;
 
@@ -47,7 +49,9 @@ fn bench_pruning(c: &mut Criterion) {
 /// Twenty one-node queries spread evenly over the ids of an LFR graph
 /// with n = 100k, average degree 20, maximum degree 400 and μ = 0.2,
 /// answered in turn through one warm workspace; one iteration is the
-/// whole set.
+/// whole set. Then the same twenty nodes, each paired with the
+/// smallest-id node two hops from it, so the Steiner seed (§5.6) runs
+/// too.
 fn bench_stopped_walk(c: &mut Criterion) {
     let g = lfr::generate(&lfr::LfrConfig {
         n: 100_000,
@@ -56,6 +60,16 @@ fn bench_stopped_walk(c: &mut Criterion) {
     })
     .graph;
     let queries: Vec<NodeId> = (0..20).map(|i| (i * g.n() / 20) as NodeId).collect();
+    let pairs: Vec<[NodeId; 2]> = queries
+        .iter()
+        .map(|&q| {
+            let dist = bfs_distances(&g, q);
+            let far = (0..g.n() as NodeId)
+                .find(|&v| dist[v as usize] == 2)
+                .expect("LFR-100k has a node two hops from every node");
+            [q, far]
+        })
+        .collect();
     let fpa = Fpa::default();
     let mut ws = QueryWorkspace::new();
     let mut group = c.benchmark_group("fpa_one_node_lfr100k");
@@ -63,6 +77,15 @@ fn bench_stopped_walk(c: &mut Criterion) {
         b.iter(|| {
             for &q in &queries {
                 let _ = fpa.search_with_workspace(&g, &[q], &mut ws);
+            }
+        })
+    });
+    group.finish();
+    let mut group = c.benchmark_group("fpa_two_node_lfr100k");
+    group.bench_function("pruned_20_queries", |b| {
+        b.iter(|| {
+            for q in &pairs {
+                let _ = fpa.search_with_workspace(&g, q, &mut ws);
             }
         })
     });

@@ -10,8 +10,9 @@
 //! safe to remove, because every node at distance `d` keeps a BFS parent
 //! at distance `d − 1` (§5.2.2). Best node within the layer: maximum
 //! density ratio `Θ_v = d_v / k_{v,S}` (Definition 7). Θ is *stable*
-//! (Lemma 5): removing `u` only changes Θ of `u`'s neighbours, so a lazy
-//! max-heap per layer gives `O((|E|+|V|) log |V|)` total.
+//! (Lemma 5): removing `u` only changes Θ of `u`'s neighbours, so an
+//! indexed max-heap per layer, one entry per alive layer node whose key
+//! moves in place, gives `O((|E|+|V|) log |V|)` total.
 //!
 //! Layer pruning picks the layers to strip from counts alone: the BFS
 //! that layers the seed's neighbourhood sums each closed prefix's node
@@ -25,18 +26,17 @@
 //!
 //! With multiple query nodes the algorithm first materialises a Steiner
 //! seed (shortest-path union) and protects it throughout, exactly as §5.6
-//! prescribes.
+//! prescribes. The seed's BFS stops once it has found every query node.
 
 use crate::measure::{density_modularity_sums, Lane};
 use crate::peel::{PeelState, TieRule};
 use crate::{validate_query_nodes, CommunitySearch, SearchError, SearchResult};
 use dmcs_graph::layout::NodeMap;
 use dmcs_graph::steiner::steiner_seed_visiting;
-use dmcs_graph::traversal::{same_component_with_workspace, UNREACHABLE};
+use dmcs_graph::traversal::{same_component_visiting, UNREACHABLE};
 use dmcs_graph::view::QueryWorkspace;
 use dmcs_graph::{Graph, GraphError, NodeId};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::ops::Range;
 
 /// The Fast Peeling Algorithm.
@@ -226,7 +226,8 @@ struct FpaSetup {
     /// plus the layer after them.
     order: Vec<NodeId>,
     /// `dist[v]` = BFS distance from the seed (UNREACHABLE for nodes
-    /// the walk never discovered).
+    /// the walk never discovered). Peeling layer `d` overwrites its
+    /// nodes' entries with their heap slots (see [`LayerHeap`]).
     dist: Vec<u32>,
     /// `layer_ends[d]` is one past the last position of layer `d` in
     /// `order`, for every layer the walk closed.
@@ -255,37 +256,33 @@ impl FpaSetup {
         // Last-component memo: when every query node is a member of the
         // last whole component a query walked (same graph epoch — the
         // session layer arms the memo), that membership already proves
-        // the query connected, so the validation BFS is skipped.
+        // the query connected, so the validation BFS is skipped. On a
+        // miss the validation BFS walks the first node's whole component
+        // and memoizes it.
         let memo_hit = ws.memo_covers(query);
-        if !memo_hit && !same_component_with_workspace(g, query, ws) {
+        if !memo_hit
+            && !same_component_visiting(g, query, ws, |ws, component| {
+                ws.memoize_component(component, g.n())
+            })
+        {
             return Err(SearchError::Graph(GraphError::QueryDisconnected));
         }
         // §5.6: merge multiple queries into a protected connected seed.
-        // Its BFS walks the root's whole component (the validation
-        // walk's component) and the seed reads distances across all of
-        // it, so the answer depends on that component and on m. Note
-        // its shards for the caller's cache fingerprint, and memoize it
-        // on a miss.
-        let mut steiner_walked = false;
-        let seed = steiner_seed_visiting(g, query, ws, |ws, component| {
-            steiner_walked = true;
-            ws.note_component(component);
-            if !memo_hit {
-                ws.memoize_component(component, g.n());
-            }
-        })?;
+        // Its BFS stops once it has found every query node, and the seed
+        // reads the distances of the nodes it found and the rows of the
+        // nodes it scanned: note them for the caller's cache fingerprint.
+        let seed = steiner_seed_visiting(g, query, ws, |ws, found| ws.note_component(found))?;
         let (mut dist, mut order) = ws.take_dist_order(g.n());
         let (layer_ends, target) = layered_walk::<L>(g, &seed, &mut dist, &mut order, stop);
-        if !steiner_walked {
-            // A one-node seed: the answer reads m (w_G), the rows of the
-            // layers the walk closed and the degrees of the layer after
-            // them — the nodes in `order`, whose shards are therefore an
-            // exact certificate. Only a walk that reached the end of the
-            // component may fill the memo.
-            ws.note_component(&order);
-            if !memo_hit && layer_ends.last() == Some(&order.len()) {
-                ws.memoize_component(&order, g.n());
-            }
+        // Given the seed, the answer reads m (w_G), the rows of the
+        // layers the walk closed and the degrees of the layer after them:
+        // the nodes in `order`, which can reach past the Steiner walk's.
+        // With those, their shards are an exact certificate.
+        ws.note_component(&order);
+        // A one-node query ran no validation BFS; only a walk that
+        // reached the end of the component may fill the memo instead.
+        if query.len() == 1 && !memo_hit && layer_ends.last() == Some(&order.len()) {
+            ws.memoize_component(&order, g.n());
         }
         Ok(FpaSetup {
             order,
@@ -436,9 +433,9 @@ fn deeper_prefix_bound(
     f.max(0.0) / (size + next) as f64
 }
 
-/// Peel one distance layer with the stable density-ratio scorer and a
-/// lazy max-heap, snapshotting after every removal (Algorithm 2 lines
-/// 7–14).
+/// Peel one distance layer with the stable density-ratio scorer and an
+/// indexed max-heap, snapshotting after every removal (Algorithm 2
+/// lines 7–14).
 fn peel_layer_by_ratio<L: Lane>(
     st: &mut PeelState<'_, L>,
     setup: &mut FpaSetup,
@@ -453,47 +450,147 @@ fn peel_layer_by_ratio<L: Lane>(
         Some(e) => e[v as usize],
         None => v,
     };
-    // Layer membership rides the distance array instead of a hash set:
-    // `dist[v] == d` means "still in the layer" (every layer-`d` node is
-    // alive when its layer comes up — removals so far were in deeper
-    // layers), and an accepted removal retires the entry to UNREACHABLE.
-    // The layers beyond `d` were already stripped or peeled and `dist` is
-    // sparse-reset wholesale on release, so the mutation is private to
-    // this pass.
-    let dist = &mut setup.dist;
-    // Heap entries order by (Θ, canonical external id descending-Reverse);
-    // the trailing internal id is the node to operate on and never decides
-    // the order (canonical ids are unique), so pop order — and therefore
-    // the removal sequence — is identical across layout policies.
-    let mut heap: BinaryHeap<(OrdF64, Reverse<NodeId>, NodeId)> =
-        BinaryHeap::with_capacity(layer.len());
-    for &v in layer {
-        debug_assert!(st.view().contains(v));
-        heap.push((OrdF64(st.ratio(v)), Reverse(canon_key(v)), v));
-    }
-    let mut neighbors: Vec<NodeId> = Vec::new();
-    while let Some((OrdF64(theta), _, v)) = heap.pop() {
-        if dist[v as usize] != d {
-            continue; // already removed
-        }
-        let current = st.ratio(v);
-        if theta != current && !(theta.is_infinite() && current.is_infinite()) {
-            heap.push((OrdF64(current), Reverse(canon_key(v)), v));
-            continue; // stale entry; re-queue with the fresh Θ
-        }
-        dist[v as usize] = UNREACHABLE;
-        // Stability (Lemma 5): only neighbours' Θ changed; re-queue the
-        // same-layer ones. The scratch vec is reused across removals —
-        // the borrow on the view ends before `remove` needs it mutably.
-        neighbors.clear();
-        neighbors.extend(st.view().alive_neighbors(v));
-        st.remove(v);
-        *iterations += 1;
-        for &w in &neighbors {
-            if dist[w as usize] == d {
-                heap.push((OrdF64(st.ratio(w)), Reverse(canon_key(w)), w));
+    let mut heap = LayerHeap {
+        entries: layer
+            .iter()
+            .map(|&v| {
+                debug_assert!(st.view().contains(v));
+                Entry {
+                    theta: st.ratio(v),
+                    canon: canon_key(v),
+                    node: v,
+                }
+            })
+            .collect(),
+        base: d,
+        slots: &mut setup.dist,
+    };
+    heap.heapify();
+    let mut changed: Vec<NodeId> = Vec::new();
+    while let Some(v) = heap.pop() {
+        // Stability (Lemma 5): only the neighbours' Θ changed. An alive
+        // neighbour lies in layer d − 1 (`dist` d − 1) or in layer d,
+        // whose alive nodes hold their heap slot as `dist` ≥ d.
+        changed.clear();
+        st.remove_visiting(v, |w| {
+            if heap.slots[w as usize] >= d {
+                changed.push(w);
             }
+        });
+        *iterations += 1;
+        for &w in &changed {
+            heap.set_theta(w, st.ratio(w));
         }
+    }
+}
+
+/// A heap entry: the node's Θ, its canonical id for ties, and the node.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    theta: f64,
+    canon: NodeId,
+    node: NodeId,
+}
+
+impl Entry {
+    /// Whether `self` pops before `other`: larger Θ first, then the
+    /// smaller canonical id. Canonical ids are unique, so the pop order
+    /// (and with it the removal sequence) is the same on every layout.
+    /// Θ is never NaN: degrees are finite and `k = 0` maps to +∞.
+    #[inline]
+    fn before(&self, other: &Entry) -> bool {
+        self.theta > other.theta || (self.theta == other.theta && self.canon < other.canon)
+    }
+}
+
+/// One layer's max-heap with one entry per alive layer node, whose keys
+/// change in place. Each entry's slot lives in its node's `dist` entry
+/// as `base + slot`: the layer's `dist` entries belong to this pass
+/// alone (the deeper layers are gone and `dist` is sparse-reset on
+/// release), and a removed node's entry is never read again, since only
+/// alive neighbours are looked up.
+struct LayerHeap<'a> {
+    entries: Vec<Entry>,
+    /// The layer's distance.
+    base: u32,
+    /// The layered walk's `dist`, overwritten for the layer's nodes.
+    slots: &'a mut [u32],
+}
+
+impl LayerHeap<'_> {
+    fn heapify(&mut self) {
+        debug_assert!((self.base as usize + self.entries.len()) < UNREACHABLE as usize);
+        for (i, e) in self.entries.iter().enumerate() {
+            self.slots[e.node as usize] = self.base + i as u32;
+        }
+        for i in (0..self.entries.len() / 2).rev() {
+            self.sift_down(i);
+        }
+    }
+
+    /// Remove and return the node that pops first.
+    fn pop(&mut self) -> Option<NodeId> {
+        let last = self.entries.pop()?;
+        let Some(&top) = self.entries.first() else {
+            return Some(last.node);
+        };
+        self.entries[0] = last;
+        self.sift_down(0);
+        Some(top.node)
+    }
+
+    /// Give the alive layer node `v` the key `theta`.
+    fn set_theta(&mut self, v: NodeId, theta: f64) {
+        let i = (self.slots[v as usize] - self.base) as usize;
+        let old = self.entries[i].theta;
+        self.entries[i].theta = theta;
+        if theta > old {
+            self.sift_up(i);
+        } else if theta < old {
+            self.sift_down(i);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let e = self.entries[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let p = self.entries[parent];
+            if !e.before(&p) {
+                break;
+            }
+            self.entries[i] = p;
+            self.slots[p.node as usize] = self.base + i as u32;
+            i = parent;
+        }
+        self.entries[i] = e;
+        self.slots[e.node as usize] = self.base + i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let e = self.entries[i];
+        let len = self.entries.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= len {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < len && self.entries[right].before(&self.entries[left]) {
+                right
+            } else {
+                left
+            };
+            let c = self.entries[child];
+            if !c.before(&e) {
+                break;
+            }
+            self.entries[i] = c;
+            self.slots[c.node as usize] = self.base + i as u32;
+            i = child;
+        }
+        self.entries[i] = e;
+        self.slots[e.node as usize] = self.base + i as u32;
     }
 }
 
@@ -509,23 +606,6 @@ fn finish<L: Lane>(
         removal_order,
         iterations,
     })
-}
-
-/// Total-ordered f64 for the Θ heap (Θ is never NaN: degrees are finite
-/// and `k = 0` maps to +∞).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrdF64(f64);
-
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).expect("Θ is never NaN")
-    }
 }
 
 #[cfg(test)]
@@ -694,9 +774,14 @@ mod tests {
         let g = barbell();
         let whole: Vec<u32> = (0..6).collect();
         assert_eq!(noted_nodes(&Fpa::default(), &g, &[0]), vec![0, 1, 2, 3]);
-        // The walk of a multi-node query may stop as well, but its
-        // Steiner seed read the whole component.
+        // A multi-node query also notes what its Steiner walk found,
+        // every node within the farthest query node's distance of the
+        // first: node 5 lies 3 hops from 0, and so does all of the
+        // barbell.
         assert_eq!(noted_nodes(&Fpa::default(), &g, &[0, 5]), whole);
+        // From 0 to 1 the Steiner walk stops one hop out, at {0,1,2},
+        // and the layered walk from the seed {0,1} stops with {3}.
+        assert_eq!(noted_nodes(&Fpa::default(), &g, &[0, 1]), vec![0, 1, 2, 3]);
         // Without pruning, and in FPA-DMG, the walk never stops.
         assert_eq!(noted_nodes(&Fpa::without_pruning(), &g, &[0]), whole);
         assert_eq!(noted_nodes(&FpaDmg, &g, &[0]), whole);

@@ -7,7 +7,7 @@
 //! NCA-DR = (a)+(d), FPA-DMG = (b)+(c), FPA = (b)+(d).
 //!
 //! [`Nca`](crate::Nca) and [`Fpa`](crate::Fpa) are hand-specialised for
-//! speed (FPA's per-layer lazy heap only makes sense with the stable Θ);
+//! speed (FPA's per-layer indexed heap only makes sense with the stable Θ);
 //! this module provides the *generic* peeler so new rule/scorer
 //! combinations — e.g. degree-based scorers, hybrid rules — can be
 //! composed and compared without touching the tuned implementations. The

@@ -200,17 +200,27 @@ impl<'g, L: Lane> PeelState<'g, L> {
     /// Remove `v`, update the incremental state and the best snapshot.
     /// Returns the new current DM.
     pub fn remove(&mut self, v: NodeId) -> f64 {
+        self.remove_visiting(v, |_| {})
+    }
+
+    /// [`PeelState::remove`] that also hands `visit` each alive
+    /// neighbour of `v`, the nodes whose `k_{w,S}` (and Θ) the removal
+    /// changed, from the same scan of `v`'s row. `visit` runs while the
+    /// state is mid-update: read a neighbour's new Θ after this returns.
+    #[inline]
+    pub(crate) fn remove_visiting(&mut self, v: NodeId, mut visit: impl FnMut(NodeId)) -> f64 {
         debug_assert!(self.view.contains(v));
         let graph = self.view.graph();
         if L::SUMS {
             self.l_s -= self.sums[v as usize];
-            for (u, w) in L::row(graph, v) {
-                if self.view.contains(u) {
-                    self.sums[u as usize] -= w;
-                }
-            }
         }
-        self.view.remove(v);
+        let sums = &mut self.sums;
+        self.view.remove_visiting(v, L::row(graph, v), |u, w| {
+            if L::SUMS {
+                sums[u as usize] -= w;
+            }
+            visit(u);
+        });
         self.d_s -= L::node(graph, v);
         self.removed.push(v);
         let dm = self.current_dm();

@@ -6,7 +6,7 @@
 //! layer by Θ. The oracle below is that formulation, written
 //! independently: it picks the layer prefix by measuring whole-layer
 //! strips on a scratch view rather than from edge counts, and it finds
-//! each Θ maximum by a linear scan rather than a lazy heap.
+//! each Θ maximum by a linear scan rather than a heap.
 //!
 //! Both must agree on the community, the DM bits and the iteration
 //! count. The new `removal_order` lists node-level removals only, so it
@@ -18,11 +18,15 @@
 //! canonical one.
 //!
 //! The oracle always layers the whole component, while the kernel stops
-//! its walk once no deeper prefix can win. The workspace tracks shards
+//! its walk once no deeper prefix can win, and a multi-node query's
+//! Steiner walk once it is D hops out, D being the distance from the
+//! first query node to the farthest one. The workspace tracks shards
 //! with one node per shard, so the touched shards are the nodes the
 //! kernel noted for the cache certificate: they must lie inside the
-//! component and hold the community. The one-component legs count the
-//! one-node queries whose walk stopped short of the component.
+//! component and hold the community, and a multi-node query's must hold
+//! every node within distance D of its first query node. The
+//! one-component legs count the queries whose noted nodes stop short of
+//! the component.
 //!
 //! The oracle sums edge weights (unit weights on a graph without a
 //! weights lane, where its sums are exact integers and the legs above
@@ -36,7 +40,9 @@ use dmcs_core::measure::density_modularity_sums;
 use dmcs_core::{CommunitySearch, Fpa, SearchError, SearchResult};
 use dmcs_gen::{lfr, sbm};
 use dmcs_graph::steiner::steiner_seed;
-use dmcs_graph::traversal::{connected_components, multi_source_bfs, same_component, UNREACHABLE};
+use dmcs_graph::traversal::{
+    bfs_distances, connected_components, multi_source_bfs, same_component, UNREACHABLE,
+};
 use dmcs_graph::view::QueryWorkspace;
 use dmcs_graph::weighted::WeightedGraphBuilder;
 use dmcs_graph::{
@@ -177,8 +183,8 @@ fn oracle(g: &Graph, query: &[NodeId], canon: &NodeMap, canonical: &Graph) -> Op
 /// Run `fpa` and the oracle on `g` under `canon` (mapping to
 /// `canonical`'s ids) for each query (given in `g`'s own ids) and
 /// require agreement, with DM bits equal unless `fpa` is weighted.
-/// Returns how many one-node queries noted a strict subset of their
-/// component, i.e. stopped their walk early.
+/// Returns how many queries noted a strict subset of their component,
+/// i.e. stopped their walks early.
 fn assert_matches_oracle(
     fpa: Fpa,
     g: &Graph,
@@ -228,8 +234,24 @@ fn assert_matches_oracle(
             "query {:?}: community not inside the noted nodes",
             q
         );
+        if q.len() > 1 {
+            // The Steiner seed reads the distances of every node within
+            // D of the root, so all of them must be noted.
+            let from_root = bfs_distances(g, q[0]);
+            let reach = q.iter().map(|&v| from_root[v as usize]).max().unwrap_or(0);
+            let ball: Vec<NodeId> = (0..g.n() as NodeId)
+                .filter(|&v| from_root[v as usize] <= reach)
+                .collect();
+            prop_assert!(
+                external(&ball)
+                    .iter()
+                    .all(|v| noted.binary_search(v).is_ok()),
+                "query {:?}: a node within distance {} of its root not noted",
+                q,
+                reach
+            );
+        }
         if noted.len() < component.len() {
-            prop_assert_eq!(q.len(), 1, "multi-node queries note the whole component");
             stopped += 1;
         }
         prop_assert_eq!(&got.community, &want.community, "query {:?}", q);
@@ -293,10 +315,10 @@ fn connected(g: &Graph) -> Graph {
     GraphBuilder::from_edges(g.n(), &edges)
 }
 
-/// Check a one-component graph. Its one-node queries must stop their
-/// walk as often on the mirror as on the canonical graph, since the stop
-/// reads only counts, which renumbering leaves alone. And some must
-/// stop, or the leg would not cover stopped walks at all.
+/// Check a one-component graph. Its queries must stop their walks as
+/// often on the mirror as on the canonical graph, since the stops read
+/// only counts and distances, which renumbering leaves alone. And some
+/// must stop, or the leg would not cover stopped walks at all.
 fn check_one_component(g: &Graph, picks: &[Vec<usize>]) -> Result<(), TestCaseError> {
     prop_assert_eq!(connected_components(g).1, 1);
     let [canonical, mirror] = check_both_substrates(g, picks)?;

@@ -14,8 +14,10 @@
 //!    FPA's layered walk stops early on either weighting.
 //! 3. **Weighted snapshot rebuilds stay `O(|V| + |E|)`** —
 //!    `snapshot_rebuild` compares a forced mutate→snapshot cycle on an
-//!    unweighted vs a weighted 50k-node store (the weighted rebuild adds
-//!    one slot-weight copy plus a strength pass).
+//!    unweighted vs a weighted 50k-node store (the weighted rebuild
+//!    copies unchanged rows' slot weights and strengths forward with
+//!    their rows, sums only the changed rows' strengths, and re-sums
+//!    the total over the strengths).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dmcs_engine::{AlgoSpec, Engine, QueryRequest};

@@ -16,14 +16,16 @@
 //! best-prefix score — and nothing else. Which nodes they note depends
 //! on the query:
 //!
-//! - a one-node query notes the nodes its layered BFS discovered. With
-//!   layer pruning that walk stops once no deeper layer prefix can win,
-//!   so it notes the layers it closed plus the layer after them, whose
+//! - every query notes the nodes its layered BFS discovered. With layer
+//!   pruning that walk stops once no deeper layer prefix can win, so it
+//!   notes the layers it closed plus the layer after them, whose
 //!   degrees the stop read; a walk that ran to the end notes the whole
 //!   component;
-//! - a multi-node query notes its whole component: the Steiner seed's
-//!   BFS walks all of it, and the seed's shortest paths depend on
-//!   distances across it, wherever the layered walk stopped;
+//! - a multi-node query also notes what its Steiner seed's BFS found:
+//!   that walk stops at the farthest query node's distance D from the
+//!   first, so it finds exactly the nodes within D hops, and the seed's
+//!   shortest paths read only their distances and the rows of the nodes
+//!   closer than D;
 //! - weighted specs run the same kernel, but their session never starts
 //!   shard tracking, so their entries pin every shard: weighted DM
 //!   divides by the total edge weight `w_G`, which the fingerprint does

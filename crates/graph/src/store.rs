@@ -46,7 +46,7 @@
 
 use crate::layout::{ComputeGraph, LayoutPolicy};
 use crate::traversal::ComponentIndex;
-use crate::weighted::valid_weight;
+use crate::weighted::{row_strength, valid_weight};
 use crate::{Graph, GraphBuilder, NodeId};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -769,10 +769,12 @@ impl GraphStore {
 
 /// Fold `overlay` into a fresh CSR of `n` nodes in one pass in node
 /// order: each run of rows between overlay rows is copied from `base`,
-/// one copy per array (offsets shifted by a constant), and each overlay
-/// row is appended in its place. Appending into `with_capacity` buffers
-/// skips zero-initializing them. Nodes past `base.n()` all have overlay
-/// rows, so the pass emits every row exactly once.
+/// one copy per array (offsets shifted by a constant; on a weighted
+/// store the runs' slot weights and strengths too), and each overlay
+/// row is appended in its place, its strength summed from its weights.
+/// Appending into `with_capacity` buffers skips zero-initializing them.
+/// Nodes past `base.n()` all have overlay rows, so the pass emits every
+/// row exactly once.
 fn rebuild_csr(base: &Graph, overlay: &BTreeMap<NodeId, Row>, n: usize) -> Graph {
     let replaced: usize = overlay.keys().map(|&v| base_row(base, v).0.len()).sum();
     let added: usize = overlay.values().map(|row| row.nbrs.len()).sum();
@@ -780,7 +782,9 @@ fn rebuild_csr(base: &Graph, overlay: &BTreeMap<NodeId, Row>, n: usize) -> Graph
     let lane = base.weights.as_deref();
     let mut offsets: Vec<usize> = Vec::with_capacity(n + 1);
     let mut neighbors: Vec<NodeId> = Vec::with_capacity(total);
-    let mut slot_weight: Option<Vec<f64>> = lane.map(|_| Vec::with_capacity(total));
+    // Slot weights and strengths, on a weighted store.
+    let mut weights: Option<(Vec<f64>, Vec<f64>)> =
+        lane.map(|_| (Vec::with_capacity(total), Vec::with_capacity(n)));
     offsets.push(0);
     let mut next = 0; // first base row not yet emitted
     for entry in overlay.iter().map(Some).chain([None]) {
@@ -791,14 +795,16 @@ fn rebuild_csr(base: &Graph, overlay: &BTreeMap<NodeId, Row>, n: usize) -> Graph
             let at = neighbors.len();
             offsets.extend(base.offsets[next + 1..=end].iter().map(|&o| o - lo + at));
             neighbors.extend_from_slice(&base.neighbors[lo..hi]);
-            if let (Some(w), Some(lane)) = (&mut slot_weight, lane) {
+            if let (Some((w, s)), Some(lane)) = (&mut weights, lane) {
                 w.extend_from_slice(&lane.slot_weight[lo..hi]);
+                s.extend_from_slice(&lane.strength[next..end]);
             }
         }
         if let Some((&v, row)) = entry {
             neighbors.extend_from_slice(&row.nbrs);
-            if let Some(w) = &mut slot_weight {
+            if let Some((w, s)) = &mut weights {
                 w.extend_from_slice(&row.weights);
+                s.push(row_strength(&row.weights));
             }
             offsets.push(neighbors.len());
             next = v as usize + 1;
@@ -810,8 +816,8 @@ fn rebuild_csr(base: &Graph, overlay: &BTreeMap<NodeId, Row>, n: usize) -> Graph
         "CSR offsets must be monotone"
     );
     let graph = Graph::from_csr(offsets, neighbors);
-    match slot_weight {
-        Some(sw) => graph.attach_weights(sw),
+    match weights {
+        Some((w, s)) => graph.attach_lane(w, s),
         None => graph,
     }
 }

@@ -142,6 +142,20 @@ pub fn same_component(g: &Graph, nodes: &[NodeId]) -> bool {
 /// previously every first-in-component multi-node query paid a fresh
 /// `O(n)` distance array here even when a component memo was armed.
 pub fn same_component_with_workspace(g: &Graph, nodes: &[NodeId], ws: &mut QueryWorkspace) -> bool {
+    same_component_visiting(g, nodes, ws, |_, _| {})
+}
+
+/// [`same_component_with_workspace`] that also hands `on_component` the
+/// workspace and the component it walked, the first node's whole
+/// connected component in any order, before the buffers go back to the
+/// pool. `on_component` runs only when the BFS ran and found every
+/// node: not for zero or one node, and not for a disconnected set.
+pub fn same_component_visiting(
+    g: &Graph,
+    nodes: &[NodeId],
+    ws: &mut QueryWorkspace,
+    on_component: impl FnOnce(&mut QueryWorkspace, &[NodeId]),
+) -> bool {
     let (first, rest) = match nodes {
         [] | [_] => return true,
         [first, rest @ ..] => (*first, rest),
@@ -161,6 +175,9 @@ pub fn same_component_with_workspace(g: &Graph, nodes: &[NodeId], ws: &mut Query
         }
     }
     let connected = rest.iter().all(|&v| visited.get(v as usize));
+    if connected {
+        on_component(ws, &queue);
+    }
     ws.put_visit(visited, queue);
     connected
 }

@@ -109,12 +109,29 @@ impl<'g> SubgraphView<'g> {
     ///
     /// Panics in debug builds if `v` is already removed.
     pub fn remove(&mut self, v: NodeId) -> u32 {
+        let row = self.graph.neighbors(v).iter().map(|&w| (w, ()));
+        self.remove_visiting(v, row, |_, _| {})
+    }
+
+    /// [`SubgraphView::remove`] in one scan of `row`, which must be `v`'s
+    /// row in CSR order with any per-slot payload (such as the edge
+    /// weight): `visit(w, x)` runs for each neighbour `w` still alive,
+    /// after its local degree dropped, so a caller learns the neighbours
+    /// whose `k_{w,S}` changed without scanning the row again.
+    #[inline]
+    pub fn remove_visiting<T>(
+        &mut self,
+        v: NodeId,
+        row: impl Iterator<Item = (NodeId, T)>,
+        mut visit: impl FnMut(NodeId, T),
+    ) -> u32 {
         debug_assert!(self.alive.get(v as usize), "removing dead node {v}");
         self.alive.clear(v as usize);
         let k = self.local_deg[v as usize];
-        for &w in self.graph.neighbors(v) {
+        for (w, x) in row {
             if self.alive.get(w as usize) {
                 self.local_deg[w as usize] -= 1;
+                visit(w, x);
             }
         }
         self.n_alive -= 1;
@@ -406,13 +423,14 @@ impl QueryWorkspace {
     }
 
     /// Record that the query's answer depends on `nodes`: together with
-    /// the edge count m, their rows must determine it, so that an update
-    /// with both endpoints outside `nodes` that keeps m cannot change
-    /// it. FPA notes the nodes its layered BFS discovered for a one-node
-    /// query (the whole component unless layer pruning stopped the walk
-    /// early), and the whole component its Steiner seed's BFS walked
-    /// for a multi-node query. `O(|nodes|)`; a no-op when tracking is
-    /// not active. Node ids are translated through the workspace's
+    /// the edge count m, the rows of everything noted must determine it,
+    /// so that an update with both endpoints outside the noted nodes
+    /// that keeps m cannot change it. FPA notes the nodes its layered
+    /// BFS discovered (the whole component unless layer pruning stopped
+    /// the walk early), and for a multi-node query also the nodes its
+    /// Steiner seed's BFS found, every node within the farthest query
+    /// node's distance of the first. `O(|nodes|)`; a no-op when tracking
+    /// is not active. Node ids are translated through the workspace's
     /// canonical map first, so mirror-served queries note the
     /// *external* shards their nodes live in.
     pub fn note_component(&mut self, nodes: &[NodeId]) {
@@ -627,7 +645,8 @@ impl QueryWorkspace {
     }
 
     /// Memoize `component` (a whole connected component the current
-    /// query walked, in any order) for subsequent
+    /// query walked, in any order: FPA's validation BFS, or a one-node
+    /// layered walk that ran to the end) for subsequent
     /// [`memo_covers`](QueryWorkspace::memo_covers) probes. Replaces any
     /// previously memoized component, reusing its storage. A no-op when
     /// the memo is not armed.

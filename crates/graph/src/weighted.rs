@@ -55,20 +55,32 @@ impl WeightsLane {
     }
 }
 
+/// A node's strength from its row's slot weights, summed in row order.
+pub(crate) fn row_strength(row: &[f64]) -> f64 {
+    row.iter().sum()
+}
+
 impl Graph {
     /// Attach a weights lane given per-slot weights (strengths and the
     /// total are derived). `slot_weight` must be parallel to the CSR
     /// neighbour array and symmetric (both directions of an edge carry
     /// the same weight).
-    pub(crate) fn attach_weights(mut self, slot_weight: Vec<f64>) -> Graph {
+    pub(crate) fn attach_weights(self, slot_weight: Vec<f64>) -> Graph {
         debug_assert_eq!(slot_weight.len(), self.neighbors.len());
-        let n = self.n();
-        let mut strength = vec![0.0f64; n];
-        for (v, s) in strength.iter_mut().enumerate() {
-            *s = slot_weight[self.offsets[v]..self.offsets[v + 1]]
-                .iter()
-                .sum();
-        }
+        let strength = self
+            .offsets
+            .windows(2)
+            .map(|w| row_strength(&slot_weight[w[0]..w[1]]))
+            .collect();
+        self.attach_lane(slot_weight, strength)
+    }
+
+    /// [`Graph::attach_weights`] with the strengths already known:
+    /// `strength[v]` must be [`row_strength`] of `v`'s slot weights, so
+    /// the lane is bit for bit the one `attach_weights` derives. The
+    /// total is derived.
+    pub(crate) fn attach_lane(mut self, slot_weight: Vec<f64>, strength: Vec<f64>) -> Graph {
+        debug_assert_eq!(strength.len(), self.n());
         let total_weight = strength.iter().sum::<f64>() / 2.0;
         self.weights = Some(Box::new(WeightsLane {
             slot_weight,

@@ -34,6 +34,7 @@ Usage:
         python3 scripts/bench_to_json.py --stdin --out BENCH_9.json
     python3 scripts/bench_to_json.py --package dmcs-bench --bench bench_pruning --out BENCH_22.json
     python3 scripts/bench_to_json.py --package dmcs-engine --bench bench_weighted --out BENCH_23.json
+    python3 scripts/bench_to_json.py --package dmcs-bench --bench bench_pruning --out BENCH_24.json
 
 No dependencies beyond the standard library.
 """

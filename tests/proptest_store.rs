@@ -15,8 +15,10 @@
 //! query / update / re-pin transcripts, and every response, cache hits
 //! included, must equal a cache-less search on the pinned edge set, on
 //! a base of three components and on one that is a single component, so
-//! FPA's stopped layered walks feed the cache too. A weighted answer
-//! pins every shard: a weight update in another component moves w_G.
+//! FPA's stopped layered walks feed the cache too. Fixed cases pin what
+//! a multi-node answer covers: the nodes its stopped Steiner walk and
+//! its layered walk found, and nothing else. A weighted answer pins
+//! every shard: a weight update in another component moves w_G.
 
 use dmcs::engine::{AlgoSpec, Engine, QueryRequest, Session};
 use dmcs::graph::weighted::WeightedGraphBuilder;
@@ -223,6 +225,20 @@ fn assert_same_weighted_graph(got: &Graph, model: &WModel) {
         "total weight {} vs model {total}",
         got.total_weight()
     );
+    // A rebuild carries strengths forward and sums only changed rows;
+    // both must still match the builder's derivation bit for bit.
+    for v in 0..want.n() as NodeId {
+        assert_eq!(
+            got.strength(v).to_bits(),
+            want.strength(v).to_bits(),
+            "strength of {v}"
+        );
+    }
+    assert_eq!(
+        got.total_weight().to_bits(),
+        want.total_weight().to_bits(),
+        "total weight bits"
+    );
 }
 
 /// Drive `steps` through a cached engine over a 12-node, 3-shard store
@@ -330,6 +346,107 @@ fn multi_node_hits_pin_the_shards_the_steiner_walk_read() {
         got.result.unwrap().community,
         vec![0, 10, 16, 20, 24, 60, 61, 62]
     );
+}
+
+/// A multi-node answer pins only what its walks found. The clique 0..8
+/// leads a path 7, 8, …, 63 in a 16-shard store (4 nodes per shard).
+/// For the query [0, 1] the Steiner walk stops one hop out, at 0..8,
+/// and the layered walk from the seed {0, 1} stops after closing the
+/// layer {8}, having found 0..10: shards 0 to 2. Swapping the edge
+/// 40–41 for 40–42 keeps m and the component and touches shard 10 only,
+/// so the repeat is a hit, equal to a cache-less search on the new
+/// graph, DM bits included.
+#[test]
+fn multi_node_hits_survive_updates_outside_both_walks() {
+    let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+    for u in 0..8 {
+        edges.extend(((u + 1)..8).map(|v| (u, v)));
+    }
+    edges.extend((7..63).map(|v| (v, v + 1)));
+    let engine = Engine::new(GraphStore::from_graph_sharded(
+        GraphBuilder::from_edges(64, &edges),
+        16,
+    ));
+    let spec = AlgoSpec::new("fpa");
+    let req = QueryRequest::new(vec![0, 1]);
+    let first = engine.session(&spec).unwrap().query(&req).unwrap();
+    assert!(!first.cached);
+    assert_eq!(first.result.unwrap().community, (0..8).collect::<Vec<_>>());
+
+    assert!(engine.remove_edge(40, 41));
+    assert!(engine.insert_edge(40, 42));
+    edges.retain(|&e| e != (40, 41));
+    edges.push((40, 42));
+    let got = engine.session(&spec).unwrap().query(&req).unwrap();
+    let reference = Session::new(
+        Snapshot::freeze(GraphBuilder::from_edges(64, &edges)),
+        &spec,
+    )
+    .unwrap()
+    .query(&req)
+    .unwrap();
+    assert!(
+        got.cached,
+        "the update is outside both walks: the repeat must hit"
+    );
+    let (got, want) = (got.result.unwrap(), reference.result.unwrap());
+    assert_eq!(got, want);
+    assert_eq!(
+        got.density_modularity.to_bits(),
+        want.density_modularity.to_bits()
+    );
+}
+
+/// A multi-node answer also pins what its layered walk found past the
+/// Steiner walk. For the query [0, 1] on the edges 0–1, 0–2 and 1–8..12
+/// in a 64-node, 16-shard store, the Steiner walk stops at {0, 1, 2} in
+/// shard 0, while the layered walk from the seed {0, 1} reads the rows
+/// of 8..12 in shard 2. Joining 8..12 into a clique, and removing as
+/// many edges from the far clique 40..48 to keep m, changes the answer:
+/// the repeat must miss and equal a cache-less search.
+#[test]
+fn multi_node_hits_pin_the_shards_the_layered_walk_read() {
+    let mut edges: Vec<(NodeId, NodeId)> = vec![(0, 1), (0, 2), (1, 8), (1, 9), (1, 10), (1, 11)];
+    for u in 40..48 {
+        edges.extend(((u + 1)..48).map(|v| (u, v)));
+    }
+    let engine = Engine::new(GraphStore::from_graph_sharded(
+        GraphBuilder::from_edges(64, &edges),
+        16,
+    ));
+    let spec = AlgoSpec::new("fpa");
+    let req = QueryRequest::new(vec![0, 1]);
+    let first = engine.session(&spec).unwrap().query(&req).unwrap();
+    let first = first.result.unwrap();
+
+    let clique: Vec<(NodeId, NodeId)> = (8..12)
+        .flat_map(|u| ((u + 1)..12).map(move |v| (u, v)))
+        .collect();
+    let far: Vec<(NodeId, NodeId)> = (41..47).map(|v| (40, v)).collect();
+    for (&(u, v), &(x, y)) in clique.iter().zip(&far) {
+        assert!(engine.insert_edge(u, v));
+        assert!(engine.remove_edge(x, y));
+    }
+    edges.retain(|e| !far.contains(e));
+    edges.extend(&clique);
+    let got = engine.session(&spec).unwrap().query(&req).unwrap();
+    let reference = Session::new(
+        Snapshot::freeze(GraphBuilder::from_edges(64, &edges)),
+        &spec,
+    )
+    .unwrap()
+    .query(&req)
+    .unwrap();
+    assert!(
+        !got.cached,
+        "the layered walk read 8..12: the repeat must miss"
+    );
+    let (got, want) = (got.result.unwrap(), reference.result.unwrap());
+    assert_ne!(
+        got.community, first.community,
+        "the clique moves the answer"
+    );
+    assert_eq!(got, want);
 }
 
 /// Weighted DM divides by the total edge weight w_G, which a cache
