@@ -1,6 +1,7 @@
-//! Versioned-store benchmarks backing the performance claims of the
-//! live-update path (results committed as `BENCH_7.json`; regenerate
-//! with `scripts/bench_to_json.py`):
+//! Versioned-store and cache benchmarks backing the performance claims
+//! of the live-update path (results committed as `BENCH_7.json` and,
+//! with the cache group, `BENCH_25.json`; regenerate with
+//! `scripts/bench_to_json.py`):
 //!
 //! 1. **Copy-forward rebuild beats compiling the CSR from scratch** —
 //!    `store_snapshot_rebuild` measures a mutate→snapshot cycle at 10k
@@ -19,11 +20,21 @@
 //!    fragmented-50k serving graph with the shard-scoped cache against
 //!    the same query recomputed every time (cache capacity 0), plus the
 //!    mutate→snapshot→query worst case.
+//! 3. **An evicting insert stays cheap next to a hit** —
+//!    `cache_insert_full` fills a default-capacity (1024-entry)
+//!    `ResponseCache` with two-node keys holding 200-node answers, then
+//!    times one hit and one insert of a new key, which evicts the least
+//!    recently used entry. `bench_to_json.py` derives
+//!    `evicting_insert_over_hit`, which CI bounds.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use dmcs_core::SearchResult;
+use dmcs_engine::cache::{
+    fingerprint, CacheKey, CachedAnswer, ResponseCache, DEFAULT_CACHE_CAPACITY,
+};
 use dmcs_engine::{AlgoSpec, Engine, QueryRequest};
 use dmcs_gen::sbm;
-use dmcs_graph::{Graph, GraphBuilder, GraphStore, NodeId};
+use dmcs_graph::{Graph, GraphBuilder, GraphStore, NodeId, Snapshot};
 
 /// Shard count of the incremental-rebuild benches (the store default).
 const SHARDS: usize = 16;
@@ -141,5 +152,49 @@ fn bench_cached_repeats(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_snapshot_rebuild, bench_cached_repeats);
+fn bench_cache_insert_full(c: &mut Criterion) {
+    let snap = Snapshot::freeze(GraphBuilder::from_edges(2, &[(0, 1)]));
+    let spec = AlgoSpec::new("fpa");
+    let key = |i: NodeId| CacheKey::new(&spec, &[2 * i, 2 * i + 1], &snap);
+    let answer = CachedAnswer::single(
+        "FPA",
+        Ok(SearchResult {
+            community: (0..200).collect(),
+            density_modularity: 0.5,
+            removal_order: vec![],
+            iterations: 1,
+        }),
+        0.001,
+    );
+    let print = fingerprint(&snap, None);
+    let cache = ResponseCache::new(DEFAULT_CACHE_CAPACITY);
+    let full = DEFAULT_CACHE_CAPACITY as NodeId;
+    for i in 0..full {
+        cache.insert(key(i), answer.clone(), print.clone());
+    }
+
+    let mut group = c.benchmark_group("cache_insert_full");
+    group.sample_size(10);
+    let hot = key(0);
+    group.bench_function("hit", |b| {
+        b.iter(|| black_box(cache.get(&hot, &snap).is_some()))
+    });
+    // Every key is new, so every insert evicts one entry.
+    let mut next = full;
+    group.bench_function("evicting_insert", |b| {
+        b.iter(|| {
+            cache.insert(key(next), answer.clone(), print.clone());
+            next += 1;
+        })
+    });
+    assert_eq!(cache.len(), DEFAULT_CACHE_CAPACITY, "the cache stayed full");
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_snapshot_rebuild,
+    bench_cached_repeats,
+    bench_cache_insert_full
+);
 criterion_main!(benches);

@@ -328,6 +328,8 @@ impl ComponentMemo {
 struct ShardTracker {
     layout: ShardLayout,
     touched: Vec<bool>,
+    /// Shards not yet in `touched`: noting stops once none is left.
+    unmarked: usize,
     /// Whether any component was noted — distinguishes "query touched
     /// no shards" (impossible for a served answer) from "the algorithm
     /// never reported", so error paths fall back to conservative
@@ -402,6 +404,7 @@ impl QueryWorkspace {
     pub fn begin_shard_tracking(&mut self, layout: ShardLayout) {
         self.shard_tracking = Some(ShardTracker {
             touched: vec![false; layout.shards()],
+            unmarked: layout.shards(),
             layout,
             noted: false,
         });
@@ -429,15 +432,24 @@ impl QueryWorkspace {
     /// BFS discovered (the whole component unless layer pruning stopped
     /// the walk early), and for a multi-node query also the nodes its
     /// Steiner seed's BFS found, every node within the farthest query
-    /// node's distance of the first. `O(|nodes|)`; a no-op when tracking
-    /// is not active. Node ids are translated through the workspace's
+    /// node's distance of the first. `O(|nodes|)`, and it stops as soon
+    /// as every shard is marked, so a walk of a large component pays for
+    /// the nodes up to its last new shard only; a no-op when tracking is
+    /// not active. Node ids are translated through the workspace's
     /// canonical map first, so mirror-served queries note the
     /// *external* shards their nodes live in.
     pub fn note_component(&mut self, nodes: &[NodeId]) {
         if let Some(t) = &mut self.shard_tracking {
             t.noted = true;
             for &v in nodes {
-                t.touched[t.layout.shard_of(self.canon.to_external(v))] = true;
+                if t.unmarked == 0 {
+                    return;
+                }
+                let s = t.layout.shard_of(self.canon.to_external(v));
+                if !t.touched[s] {
+                    t.touched[s] = true;
+                    t.unmarked -= 1;
+                }
             }
         }
     }
@@ -822,6 +834,18 @@ mod tests {
         ws.note_component(&[0, 1, 5]); // shards 0 and 2
         ws.note_component(&[7]); // shard 3
         assert_eq!(ws.take_touched_shards(), Some(vec![0, 2, 3]));
+        // Every shard is marked before the list ends (node 3 marks the
+        // last one, shard 1): the rest of the list and later notes
+        // change nothing.
+        ws.begin_shard_tracking(layout);
+        ws.note_component(&[6, 0, 5, 1, 3, 2, 7, 4]);
+        ws.note_component(&[0, 7]);
+        assert_eq!(ws.take_touched_shards(), Some(vec![0, 1, 2, 3]));
+        // Repeats within one shard do not count as new shards.
+        ws.begin_shard_tracking(layout);
+        ws.note_component(&[0, 1, 0, 1]);
+        ws.note_component(&[6, 7, 2]);
+        assert_eq!(ws.take_touched_shards(), Some(vec![0, 1, 3]));
         // Tracking is consumed.
         ws.note_component(&[2]);
         assert_eq!(ws.take_touched_shards(), None);

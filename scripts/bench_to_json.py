@@ -13,6 +13,9 @@ claims at each graph size: how many times faster a one-edge copy-forward
 rebuild (`one_dirty_shard`) is than compiling the same graph's CSR from
 its edge list (`full_rebuild`), and how the 16-edge batch (`all_dirty`)
 compares to compiling its graph from scratch (`full_rebuild_batch`).
+For the `cache_insert_full` group it derives `evicting_insert_over_hit`:
+an insert into the full 1024-entry response cache (which evicts the
+least recently used entry) over one cache hit.
 
 For `bench_batch` runs it additionally derives the locality/planning
 ratios (renumbered vs identity layout per-query FPA, planned vs
@@ -35,6 +38,7 @@ Usage:
     python3 scripts/bench_to_json.py --package dmcs-bench --bench bench_pruning --out BENCH_22.json
     python3 scripts/bench_to_json.py --package dmcs-engine --bench bench_weighted --out BENCH_23.json
     python3 scripts/bench_to_json.py --package dmcs-bench --bench bench_pruning --out BENCH_24.json
+    python3 scripts/bench_to_json.py --package dmcs-engine --bench bench_store --out BENCH_25.json
 
 No dependencies beyond the standard library.
 """
@@ -135,6 +139,17 @@ def derive_rebuild_ratios(results):
             }
         )
     return derived
+
+
+def derive_cache_ratio(results):
+    """evicting_insert / hit of the full response cache (`bench_store`)."""
+    cache = {
+        r["name"]: r["median_seconds"]
+        for r in results
+        if r["group"] == "cache_insert_full"
+    }
+    ratio = _ratio(cache, "evicting_insert", "hit")
+    return None if ratio is None else {"evicting_insert_over_hit": ratio}
 
 
 def _ratio(times, baseline, contender):
@@ -257,6 +272,9 @@ def main():
     rebuild = derive_rebuild_ratios(results)
     if rebuild:
         doc["derived"]["store_snapshot_rebuild"] = rebuild
+    cache = derive_cache_ratio(results)
+    if cache:
+        doc["derived"]["cache_insert_full"] = cache
     locality = derive_locality_ratios(results)
     if locality:
         doc["derived"]["locality_and_planning"] = locality
