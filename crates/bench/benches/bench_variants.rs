@@ -27,7 +27,7 @@ fn bench_variants(c: &mut Criterion) {
     group.sample_size(10);
     for algo in [
         &Nca::default() as &dyn CommunitySearch,
-        &NcaDr::default(),
+        &NcaDr,
         &FpaDmg,
         &Fpa::default(),
     ] {

@@ -350,7 +350,7 @@ pub fn weighted(scale: Scale) {
         let q = truth[0];
         let n = wg.n();
         let outcomes = [
-            Fpa::default().search(wg.topology(), &[q]),
+            Fpa::default().search(&wg, &[q]),
             Fpa::default().weighted().search(&wg, &[q]),
             Nca::default().weighted().search(&wg, &[q]),
         ];

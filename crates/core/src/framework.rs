@@ -17,7 +17,7 @@
 use crate::measure::{density_ratio, dm_gain};
 use crate::peel::{PeelState, TieRule};
 use crate::{validate_query, CommunitySearch, SearchError, SearchResult};
-use dmcs_graph::articulation::articulation_nodes;
+use dmcs_graph::articulation::removable_non_articulation;
 use dmcs_graph::traversal::{component_of, multi_source_bfs};
 use dmcs_graph::{Graph, NodeId};
 
@@ -43,11 +43,7 @@ pub struct NonArticulationRule;
 
 impl RemovableRule for NonArticulationRule {
     fn removable(&mut self, st: &PeelState<'_>, protected: &[bool]) -> Vec<NodeId> {
-        let art = articulation_nodes(st.view());
-        st.view()
-            .iter_alive()
-            .filter(|&v| !protected[v as usize] && !art[v as usize])
-            .collect()
+        removable_non_articulation(st.view(), protected)
     }
 }
 
@@ -256,10 +252,7 @@ mod tests {
                         .search(&g, &[q])
                         .unwrap()
                         .density_modularity,
-                    NcaDr::default()
-                        .search(&g, &[q])
-                        .unwrap()
-                        .density_modularity,
+                    NcaDr.search(&g, &[q]).unwrap().density_modularity,
                     "NCA-DR",
                 ),
                 (
@@ -339,12 +332,7 @@ mod tests {
         struct SparsestSafeRule;
         impl RemovableRule for SparsestSafeRule {
             fn removable(&mut self, st: &PeelState<'_>, protected: &[bool]) -> Vec<NodeId> {
-                let art = articulation_nodes(st.view());
-                let safe: Vec<NodeId> = st
-                    .view()
-                    .iter_alive()
-                    .filter(|&v| !protected[v as usize] && !art[v as usize])
-                    .collect();
+                let safe = removable_non_articulation(st.view(), protected);
                 let min = safe
                     .iter()
                     .map(|&v| st.view().local_degree(v))

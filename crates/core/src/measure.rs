@@ -168,15 +168,6 @@ pub fn generalized_modularity_density(g: &Graph, c: &[NodeId]) -> f64 {
     cm * density
 }
 
-/// Graph density `l_C / |C|` (Khuller & Saha 2009) — the "absolute
-/// cohesiveness" half of the density-modularity story.
-pub fn graph_density(g: &Graph, c: &[NodeId]) -> f64 {
-    if c.is_empty() {
-        return 0.0;
-    }
-    g.internal_edges(c) as f64 / c.len() as f64
-}
-
 /// Updated density modularity (Definition 5): the density modularity of
 /// `S ∖ {v}`, from the counts of `S`.
 ///

@@ -34,9 +34,6 @@ enum Score {
 /// articulation tests, best node via the density-modularity gain.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Nca {
-    /// Optional hard cap on peeling iterations (a safety valve for very
-    /// large inputs; `None` = peel to the end as the paper does).
-    pub max_iterations: Option<usize>,
     /// Maximise the *weighted* density modularity (`W-NCA`); see
     /// [`Fpa`](crate::Fpa)'s field of the same name.
     pub weighted: bool,
@@ -46,20 +43,14 @@ impl Nca {
     /// The same NCA on the weighted density modularity (see the
     /// `weighted` field).
     pub fn weighted(self) -> Self {
-        Nca {
-            weighted: true,
-            ..self
-        }
+        Nca { weighted: true }
     }
 }
 
 /// NCA-DR: NCA's removable-node rule with FPA's density-ratio scorer
 /// ((a)+(d) in Figure 3) — faster to score, same articulation bottleneck.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NcaDr {
-    /// See [`Nca::max_iterations`].
-    pub max_iterations: Option<usize>,
-}
+pub struct NcaDr;
 
 impl CommunitySearch for Nca {
     fn name(&self) -> &'static str {
@@ -81,9 +72,9 @@ impl CommunitySearch for Nca {
         ws: &mut QueryWorkspace,
     ) -> Result<SearchResult, SearchError> {
         if self.weighted {
-            run_nca::<f64>(g, query, Score::Gain, self.max_iterations, ws)
+            run_nca::<f64>(g, query, Score::Gain, ws)
         } else {
-            run_nca::<u64>(g, query, Score::Gain, self.max_iterations, ws)
+            run_nca::<u64>(g, query, Score::Gain, ws)
         }
     }
 }
@@ -103,7 +94,7 @@ impl CommunitySearch for NcaDr {
         query: &[NodeId],
         ws: &mut QueryWorkspace,
     ) -> Result<SearchResult, SearchError> {
-        run_nca::<u64>(g, query, Score::Ratio, self.max_iterations, ws)
+        run_nca::<u64>(g, query, Score::Ratio, ws)
     }
 }
 
@@ -111,7 +102,6 @@ fn run_nca<L: Lane>(
     g: &Graph,
     query: &[NodeId],
     score: Score,
-    max_iterations: Option<usize>,
     ws: &mut QueryWorkspace,
 ) -> Result<SearchResult, SearchError> {
     validate_query_in(g, query, ws)?;
@@ -122,6 +112,9 @@ fn run_nca<L: Lane>(
     // query marks themselves (`dist == 0` exactly on query nodes).
     let mut dist = ws.take_dist(g.n());
     let comp = multi_source_bfs_collect(g, query, &mut dist);
+    // The peel reads the rows of `comp` and m (w_G) and nothing else:
+    // note them for the caller's cache fingerprint.
+    ws.note_component(&comp);
     // Canonical ordering for full-tie resolution: on the identity layout
     // the ascending `iter_alive` scan with strict `better` already keeps
     // the smallest id, so the extra clause is inert there; on a mirror it
@@ -129,9 +122,8 @@ fn run_nca<L: Lane>(
     let canon = ws.canon().clone();
 
     let mut st = PeelState::<L>::new_in(g, &comp, TieRule::KeepEarlier, ws);
-    let cap = max_iterations.unwrap_or(usize::MAX);
     let mut iterations = 0usize;
-    while iterations < cap {
+    loop {
         let art = articulation_nodes(st.view());
         // Candidates rank by (Λ, Θ, distance), one of Λ and Θ being
         // constant under `score`; a full tie goes to the canonical id.
@@ -218,7 +210,7 @@ mod tests {
     #[test]
     fn nca_dr_also_finds_triangle() {
         let g = barbell();
-        let r = NcaDr::default().search(&g, &[4]).unwrap();
+        let r = NcaDr.search(&g, &[4]).unwrap();
         assert_eq!(r.community, vec![3, 4, 5]);
     }
 
@@ -247,10 +239,8 @@ mod tests {
                 .search_with_workspace(&g, &[q], &mut ws)
                 .unwrap();
             assert_eq!(fresh, reused, "NCA query {q}");
-            let fresh = NcaDr::default().search(&g, &[q]).unwrap();
-            let reused = NcaDr::default()
-                .search_with_workspace(&g, &[q], &mut ws)
-                .unwrap();
+            let fresh = NcaDr.search(&g, &[q]).unwrap();
+            let reused = NcaDr.search_with_workspace(&g, &[q], &mut ws).unwrap();
             assert_eq!(fresh, reused, "NCA-DR query {q}");
         }
     }
@@ -260,18 +250,6 @@ mod tests {
         let g = barbell();
         assert!(Nca::default().search(&g, &[]).is_err());
         assert!(Nca::default().search(&g, &[99]).is_err());
-    }
-
-    #[test]
-    fn iteration_cap_respected() {
-        let g = barbell();
-        let r = Nca {
-            max_iterations: Some(1),
-            ..Nca::default()
-        }
-        .search(&g, &[0])
-        .unwrap();
-        assert!(r.iterations <= 1);
     }
 
     /// Barbell with weights: left triangle `left`, right triangle
@@ -344,11 +322,6 @@ mod tests {
         b.add_edge(0, 1, 1.0);
         b.add_edge(2, 3, 1.0);
         assert!(wnca.search(&b.build(), &[0, 3]).is_err());
-        let capped = Nca {
-            max_iterations: Some(1),
-            weighted: true,
-        };
-        assert!(capped.search(&g, &[0]).unwrap().iterations <= 1);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! with the full-graph density modularity (comparable across rounds —
 //! rounds are ordered by construction, not necessarily by score).
 
-use crate::{validate_query, CommunitySearch, Fpa, SearchError, SearchResult};
+use crate::{validate_query_nodes, CommunitySearch, Fpa, SearchError, SearchResult};
 use dmcs_graph::traversal::component_of;
+use dmcs_graph::view::QueryWorkspace;
 use dmcs_graph::{Graph, GraphError, NodeId};
 use std::collections::HashMap;
 
@@ -57,7 +58,8 @@ pub fn top_k_communities(
     query: &[NodeId],
     cfg: TopKConfig,
 ) -> Result<Vec<SearchResult>, SearchError> {
-    top_k_communities_with(g, query, cfg, &Fpa::default(), false)
+    let mut tracker = QueryWorkspace::new();
+    top_k_communities_with(g, query, cfg, &Fpa::default(), false, &mut tracker)
 }
 
 /// [`top_k_communities`] with an explicit per-round searcher and
@@ -65,15 +67,25 @@ pub fn top_k_communities(
 /// the rounds, and `weighted` scores them with the weighted density
 /// modularity (the induced round pools keep their weights lane), so
 /// top-k composes with `fpa-w`/`nca-w` exactly like single queries.
+///
+/// `tracker` only notes the query's component for a cache fingerprint
+/// (see [`QueryWorkspace::note_component`]): every round reads only its
+/// rows besides m (or w_G). The ids it notes are `g`'s, so its canon
+/// must be the identity; the per-round searches never see it.
 pub fn top_k_communities_with(
     g: &Graph,
     query: &[NodeId],
     cfg: TopKConfig,
     algo: &dyn CommunitySearch,
     weighted: bool,
+    tracker: &mut QueryWorkspace,
 ) -> Result<Vec<SearchResult>, SearchError> {
-    validate_query(g, query)?;
+    validate_query_nodes(g, query)?;
     let mut pool: Vec<NodeId> = component_of(g, query[0]);
+    if query[1..].iter().any(|q| pool.binary_search(q).is_err()) {
+        return Err(SearchError::Graph(GraphError::QueryDisconnected));
+    }
+    tracker.note_component(&pool);
     let is_query = |v: NodeId| query.contains(&v);
     let mut out = Vec::new();
     for _round in 0..cfg.k {
@@ -235,8 +247,45 @@ mod tests {
     #[test]
     fn errors_propagate() {
         let g = bowtie();
-        assert!(top_k_communities(&g, &[], TopKConfig::default()).is_err());
-        assert!(top_k_communities(&g, &[99], TopKConfig::default()).is_err());
+        let cfg = TopKConfig::default();
+        assert_eq!(
+            top_k_communities(&g, &[], cfg),
+            Err(SearchError::EmptyQuery)
+        );
+        let out_of_range = Err(SearchError::Graph(GraphError::NodeOutOfRange(99)));
+        assert_eq!(top_k_communities(&g, &[99], cfg), out_of_range);
+        // Bounds come before connectivity, as in every search.
+        let split = GraphBuilder::from_edges(4, &[(0, 1), (2, 3)]);
+        assert_eq!(top_k_communities(&split, &[0, 99, 3], cfg), out_of_range);
+        assert_eq!(
+            top_k_communities(&split, &[1, 3], cfg),
+            Err(SearchError::Graph(GraphError::QueryDisconnected))
+        );
+        assert!(top_k_communities(&split, &[1, 0, 1], cfg).is_ok());
+    }
+
+    #[test]
+    fn the_tracker_notes_the_query_component_only() {
+        use dmcs_graph::ShardLayout;
+        // The bowtie in nodes 0..7 (shards 0 and 1 of 4) and an edge
+        // 12-13 (shard 3).
+        let mut b = GraphBuilder::new(16);
+        for (u, v) in bowtie().edges() {
+            b.add_edge(u, v);
+        }
+        b.add_edge(12, 13);
+        let g = b.build();
+        let cfg = TopKConfig::default();
+        let mut ws = QueryWorkspace::new();
+        let mut noted = |query: &[NodeId]| {
+            ws.begin_shard_tracking(ShardLayout::new(16, 4));
+            let rounds = top_k_communities_with(&g, query, cfg, &Fpa::default(), false, &mut ws);
+            (rounds.is_ok(), ws.take_touched_shards())
+        };
+        assert_eq!(noted(&[0]), (true, Some(vec![0, 1])));
+        assert_eq!(noted(&[13]), (true, Some(vec![3])));
+        // An error found before the pool is noted notes nothing.
+        assert_eq!(noted(&[0, 12]), (false, None));
     }
 
     #[test]
@@ -244,10 +293,13 @@ mod tests {
         let g = bowtie();
         let cfg = TopKConfig { k: 3, min_dm: 0.0 };
         let via_wrapper = top_k_communities(&g, &[0], cfg).unwrap();
-        let via_with = top_k_communities_with(&g, &[0], cfg, &Fpa::default(), false).unwrap();
+        let mut ws = QueryWorkspace::new();
+        let via_with =
+            top_k_communities_with(&g, &[0], cfg, &Fpa::default(), false, &mut ws).unwrap();
         assert_eq!(via_wrapper, via_with);
         // A different searcher drives the rounds too.
-        let nca = top_k_communities_with(&g, &[0], cfg, &crate::Nca::default(), false).unwrap();
+        let nca =
+            top_k_communities_with(&g, &[0], cfg, &crate::Nca::default(), false, &mut ws).unwrap();
         assert!(!nca.is_empty());
         for r in &nca {
             assert!(r.community.contains(&0));
@@ -270,8 +322,15 @@ mod tests {
         }
         let g = b.build().into_graph();
         let cfg = TopKConfig { k: 3, min_dm: 0.0 };
-        let rounds =
-            top_k_communities_with(&g, &[0], cfg, &Fpa::default().weighted(), true).unwrap();
+        let rounds = top_k_communities_with(
+            &g,
+            &[0],
+            cfg,
+            &Fpa::default().weighted(),
+            true,
+            &mut QueryWorkspace::new(),
+        )
+        .unwrap();
         assert!(rounds.len() >= 2, "got {} rounds", rounds.len());
         for r in &rounds {
             let expect = g.weighted_density_modularity(&r.community);

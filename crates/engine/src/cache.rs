@@ -1,45 +1,48 @@
 //! The shard-scoped response cache: a hand-rolled LRU (the workspace's
-//! dependency policy admits no cache crate) mapping `(algorithm, params,
-//! sorted query nodes, store id)` to finished answers, each validated by
-//! a [`Fingerprint`].
+//! dependency policy admits no cache crate) mapping `(algorithm spec,
+//! sorted query nodes, top-k rounds, store id)` to finished answers,
+//! each validated by a [`Fingerprint`].
 //!
-//! Correctness comes from the fingerprint: every entry records the
-//! `(shard, version)` pairs of the shards holding the nodes its search
-//! read (captured at search time via
-//! [`QueryWorkspace`](dmcs_graph::view::QueryWorkspace) shard tracking)
-//! together with the graph's edge count `m`, and a lookup replays the
-//! entry only while the serving snapshot still carries those exact shard
-//! versions and that `m`. The pair is an exact certificate: the only
-//! searches that note what they read (FPA and FPA-DMG) read those
-//! nodes' rows and `m` — density modularity (Definition 2) divides by
-//! the whole graph's `|E|`, both in the §5.7 layer choice and in the
-//! best-prefix score — and nothing else. Which nodes they note depends
-//! on the query:
+//! Correctness comes from the fingerprint, and one rule certifies every
+//! answer. Density modularity (Definition 2) reads the rows of the
+//! nodes involved plus one global: the edge count `m`, or in the
+//! weighted form the total edge weight `w_G`. So every entry records
+//! `m`, the bits of `w_G` (`Graph::total_weight`, which is `m` on a
+//! graph without weights) and the `(shard, version)` pairs of the
+//! shards holding the nodes its search noted (captured at search time
+//! via [`QueryWorkspace`](dmcs_graph::view::QueryWorkspace) shard
+//! tracking), and a lookup replays the entry only while the serving
+//! snapshot still carries all three. That is an exact certificate,
+//! because each search notes every node whose row it reads:
 //!
-//! - every query notes the nodes its layered BFS discovered. With layer
-//!   pruning that walk stops once no deeper layer prefix can win, so it
-//!   notes the layers it closed plus the layer after them, whose
-//!   degrees the stop read; a walk that ran to the end notes the whole
-//!   component;
-//! - a multi-node query also notes what its Steiner seed's BFS found:
-//!   that walk stops at the farthest query node's distance D from the
-//!   first, so it finds exactly the nodes within D hops, and the seed's
-//!   shortest paths read only their distances and the rows of the nodes
-//!   closer than D;
-//! - weighted specs run the same kernel, but their session never starts
-//!   shard tracking, so their entries pin every shard: weighted DM
-//!   divides by the total edge weight `w_G`, which the fingerprint does
-//!   not record, and a weight update anywhere moves it.
+//! - FPA, on either weighting, and FPA-DMG note the nodes their layered
+//!   BFS discovered. With layer pruning that walk stops once no deeper
+//!   layer prefix can win, so it notes the layers it closed plus the
+//!   layer after them, whose degrees the stop read; a walk that ran to
+//!   the end notes the whole component. A multi-node query also notes
+//!   what its Steiner seed's BFS found: that walk stops at the farthest
+//!   query node's distance D from the first, so it finds exactly the
+//!   nodes within D hops, and the seed's shortest paths read only their
+//!   distances and the rows of the nodes closer than D;
+//! - NCA and NCA-DR note the component they peel;
+//! - a top-k enumeration notes its query's component: every round runs
+//!   on a subgraph induced from it and is re-scored against `m` or `w_G`.
+//!
+//! `m` stays in the fingerprint beside `w_G` because an unweighted spec
+//! served on a weighted store reads `m`, and a small enough weight can
+//! leave `w_G`'s bits unchanged. The converse is the one conservative
+//! case: such a spec also misses after a weight update elsewhere, though
+//! no front end serves that mix (`--weighted` makes every spec
+//! weighted).
 //!
 //! An update to shard 3 therefore stops matching entries that noted a
-//! node in shard 3, and an update anywhere that changes `m` stops
-//! matching every entry; a `del` + `add` pair elsewhere restores `m` and
-//! leaves entries whose noted nodes live entirely in shards 0–2 hot.
-//! When a search path cannot report what it read (top-k enumerations,
-//! validation errors, algorithms without component tracking, weighted
-//! specs) the entry conservatively fingerprints *every* shard, degrading
-//! to whole-graph invalidation, never to a wrong answer. Stale entries
-//! age out of the LRU like everything else.
+//! node in shard 3, and an update anywhere that changes `m` or `w_G`
+//! stops matching every entry; a `del` + `add` pair elsewhere restores
+//! `m` and leaves entries whose noted nodes live entirely in shards 0–2
+//! hot. Only a search that noted nothing (the exact solvers, the
+//! baselines, and errors raised before noting) fingerprints *every*
+//! shard, degrading to whole-graph invalidation, never to a wrong
+//! answer. Stale entries age out of the LRU like everything else.
 //!
 //! A cached answer replays the original response verbatim — including
 //! its `seconds` — so a cache hit renders **byte-identical** JSON to the
@@ -71,21 +74,25 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// A cache entry's validity certificate: the graph's edge count plus
-/// the `(shard, shard version)` pairs the answer depends on, sorted by
-/// shard. Built with [`fingerprint`].
+/// A cache entry's validity certificate: the graph's edge count, the
+/// bits of its total edge weight, and the `(shard, shard version)`
+/// pairs the answer depends on, sorted by shard. Built with
+/// [`fingerprint`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fingerprint {
     m: usize,
+    /// `w_G`'s bits (`m` on a graph without weights).
+    w_g: u64,
     shards: Vec<(u32, u64)>,
 }
 
 impl Fingerprint {
-    /// Whether a snapshot still carries this certificate's edge count
-    /// and shard versions.
+    /// Whether a snapshot still carries this certificate's edge count,
+    /// total weight and shard versions.
     fn matches(&self, snapshot: &Snapshot) -> bool {
         let versions = snapshot.shard_versions();
         self.m == snapshot.m()
+            && self.w_g == snapshot.total_weight().to_bits()
             && self
                 .shards
                 .iter()
@@ -93,11 +100,11 @@ impl Fingerprint {
     }
 }
 
-/// Build the fingerprint for an answer computed against `snapshot`:
-/// `touched` is the sorted shard list of the nodes the search noted
-/// (from [`QueryWorkspace::take_touched_shards`]), or `None` to
-/// conservatively pin every shard. The snapshot's edge count is always
-/// recorded.
+/// Build the fingerprint for an answer computed against `snapshot`: its
+/// edge count and total weight, and the versions of the `touched`
+/// shards, the sorted shard list of the nodes the search noted (from
+/// [`QueryWorkspace::take_touched_shards`]). `None`, for a search that
+/// noted nothing, conservatively pins every shard.
 ///
 /// [`QueryWorkspace::take_touched_shards`]: dmcs_graph::view::QueryWorkspace::take_touched_shards
 pub fn fingerprint(snapshot: &Snapshot, touched: Option<&[u32]>) -> Fingerprint {
@@ -112,6 +119,7 @@ pub fn fingerprint(snapshot: &Snapshot, touched: Option<&[u32]>) -> Fingerprint 
     };
     Fingerprint {
         m: snapshot.m(),
+        w_g: snapshot.total_weight().to_bits(),
         shards,
     }
 }
@@ -168,25 +176,19 @@ impl CachedAnswer {
 /// graph epoch — staleness is handled by each entry's
 /// [`Fingerprint`], not by the key.
 ///
-/// Query nodes are **sorted** — the searches treat the query as a set,
-/// so `[0, 33]` and `[33, 0]` share an entry. The process-unique store
-/// id keeps snapshots of different graphs from ever colliding in a
-/// shared cache (shard versions only order mutations *within* one
-/// store). `k` participates even for algorithms that ignore it; that
-/// only costs duplicate entries for off-label `--k` usage, never a
-/// wrong answer.
+/// The whole [`AlgoSpec`] is part of the key, so every parameter it
+/// carries separates entries: a weighted and an unweighted request over
+/// the same label never share one. `k` participates even for algorithms
+/// that ignore it; that only costs duplicate entries for off-label
+/// `--k` usage, never a wrong answer. Query nodes are **sorted** — the
+/// searches treat the query as a set, so `[0, 33]` and `[33, 0]` share
+/// an entry. The process-unique store id keeps snapshots of different
+/// graphs from ever colliding in a shared cache (shard versions only
+/// order mutations *within* one store).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// Registry label of the algorithm.
-    pub algo: String,
-    /// The `k` parameter.
-    pub k: u32,
-    /// FPA's layer-pruning toggle.
-    pub layer_pruning: bool,
-    /// Whether the spec asked for the weighted objective
-    /// ([`crate::AlgoParams::weighted`]) — a weighted and an unweighted
-    /// request over the same label must never share an entry.
-    pub weighted: bool,
+    /// The algorithm's registry label and parameters.
+    pub spec: AlgoSpec,
     /// Query nodes, sorted ascending.
     pub nodes: Vec<NodeId>,
     /// `0` for a single-community query; for a top-k enumeration, the
@@ -205,10 +207,7 @@ impl CacheKey {
         let mut nodes = nodes.to_vec();
         nodes.sort_unstable();
         CacheKey {
-            algo: spec.name.clone(),
-            k: spec.params.k,
-            layer_pruning: spec.params.layer_pruning,
-            weighted: spec.params.weighted,
+            spec: spec.clone(),
             nodes,
             top_k: 0,
             store: snapshot.store_id(),
@@ -554,44 +553,64 @@ mod tests {
         let mut nodes = nodes.to_vec();
         nodes.sort_unstable();
         CacheKey {
-            algo: "fpa".into(),
-            k: 3,
-            layer_pruning: true,
-            weighted: false,
+            spec: AlgoSpec::new("fpa"),
             nodes,
             top_k: 0,
             store: 0,
         }
     }
 
-    /// A snapshot whose shard `s` sits at version `versions[s]`: a
-    /// weighted store with one edge inside each shard, moved by
-    /// weight-only updates, so its edge count is always the shard count.
-    fn at(versions: &[u64]) -> Snapshot {
+    /// The total edge weight of every snapshot [`at`] builds.
+    const W_G: f64 = 64.0;
+
+    /// A snapshot whose shard `s` sits at version `versions[s]`, with
+    /// `versions.len() + 1` edges of total weight `w_g`: a weighted store
+    /// with one edge inside each of those shards, moved by weight-only
+    /// updates, and a last shard whose one edge takes up the rest of
+    /// `w_g`. So the edge count depends on the shard count only, and
+    /// `w_g` on nothing else.
+    fn at_weight(versions: &[u64], w_g: f64) -> Snapshot {
         use dmcs_graph::{weighted::WeightedGraphBuilder, GraphStore};
-        let shards = versions.len();
+        let shards = versions.len() + 1;
         let mut b = WeightedGraphBuilder::new(2 * shards);
         for s in 0..shards as NodeId {
             b.add_edge(2 * s, 2 * s + 1, 1.0);
         }
         let store = GraphStore::from_graph_sharded(b.build().into_graph(), shards);
+        let mut rest = w_g;
         for (s, &v) in versions.iter().enumerate() {
             let u = 2 * s as NodeId;
             for i in 0..v {
                 store.set_weight(u, u + 1, if i % 2 == 0 { 2.0 } else { 1.0 });
             }
+            rest -= store.edge_weight(u, u + 1).unwrap();
         }
+        let last = 2 * versions.len() as NodeId;
+        store.set_weight(last, last + 1, rest);
         let snap = store.snapshot();
-        assert_eq!((snap.shard_versions(), snap.m()), (versions, shards));
+        assert_eq!(&snap.shard_versions()[..versions.len()], versions);
+        assert_eq!((snap.m(), snap.total_weight()), (shards, w_g));
         snap
     }
 
-    /// Fingerprint of a one-shard, one-edge snapshot at version `v`.
-    fn fp(v: u64) -> Fingerprint {
+    /// [`at_weight`] with the total weight [`W_G`].
+    fn at(versions: &[u64]) -> Snapshot {
+        at_weight(versions, W_G)
+    }
+
+    /// Fingerprint of shard `shard` at version `v` in a snapshot with
+    /// `m` edges of total weight [`W_G`].
+    fn pin(m: usize, shard: u32, v: u64) -> Fingerprint {
         Fingerprint {
-            m: 1,
-            shards: vec![(0, v)],
+            m,
+            w_g: W_G.to_bits(),
+            shards: vec![(shard, v)],
         }
+    }
+
+    /// Fingerprint of `at(&[v])`: shard 0 at version `v`.
+    fn fp(v: u64) -> Fingerprint {
+        pin(2, 0, v)
     }
 
     #[test]
@@ -615,6 +634,11 @@ mod tests {
             CacheKey::new(&AlgoSpec::new("fpa"), &[0], &snap),
             CacheKey::new(&AlgoSpec::new("fpa").weighted(), &[0], &snap),
             "weightedness separates entries"
+        );
+        assert_ne!(
+            CacheKey::new(&AlgoSpec::new("fpa"), &[0], &snap),
+            CacheKey::new(&AlgoSpec::new("fpa").without_pruning(), &[0], &snap),
+            "so does every other parameter"
         );
         // A top-k enumeration never shares an entry with the single
         // query (or a different k) over the same nodes.
@@ -744,27 +768,23 @@ mod tests {
     #[test]
     fn shard_scoped_invalidation() {
         let cache = ResponseCache::new(8);
-        // An answer whose community touches only shard 1 (version 5) of
-        // a 3-edge graph.
-        let scoped = Fingerprint {
-            m: 3,
-            shards: vec![(1, 5)],
-        };
-        cache.insert(key(&[0]), answer(0.1), scoped);
-        // Updates in other shards that keep m leave the entry hot ...
+        // An answer whose search noted only shard 1 (version 5) of a
+        // 4-edge graph.
+        cache.insert(key(&[0]), answer(0.1), pin(4, 1, 5));
+        // Updates in other shards that keep m and w_G leave the entry
+        // hot ...
         assert!(cache.get(&key(&[0]), &at(&[9, 5, 7])).is_some());
         assert!(cache.get(&key(&[0]), &at(&[0, 5, 99])).is_some());
-        // ... but a shard-1 move kills it, and so does a change of m
-        // with shard 1 untouched.
+        // ... but a shard-1 move kills it, and so does a change of m or
+        // of w_G with shard 1 untouched.
         assert!(cache.get(&key(&[0]), &at(&[9, 6, 7])).is_none());
         assert!(cache.get(&key(&[0]), &at(&[9, 5, 7, 0])).is_none());
+        assert!(cache
+            .get(&key(&[0]), &at_weight(&[9, 5, 7], W_G + 0.5))
+            .is_none());
         // A fingerprint naming a shard the serving layout lacks never
         // matches (defensive: store ids should already prevent this).
-        let foreign = Fingerprint {
-            m: 2,
-            shards: vec![(7, 0)],
-        };
-        cache.insert(key(&[1]), answer(0.2), foreign);
+        cache.insert(key(&[1]), answer(0.2), pin(3, 7, 0));
         assert!(cache.get(&key(&[1]), &at(&[0, 0])).is_none());
     }
 
@@ -833,6 +853,7 @@ mod tests {
         let snap = Snapshot::freeze(GraphBuilder::from_edges(4, &[(0, 1)]));
         let one_shard = Fingerprint {
             m: 1,
+            w_g: 1f64.to_bits(),
             shards: vec![(0, 0)],
         };
         assert_eq!(fingerprint(&snap, None), one_shard, "freeze: one shard");
@@ -852,5 +873,11 @@ mod tests {
             "no tracking: conservative all-shard pin"
         );
         assert_eq!(fingerprint(&snap, Some(&[0])).m, 1, "m is always pinned");
+        let print = fingerprint(&at_weight(&[0], 7.5), Some(&[0]));
+        let want = Fingerprint {
+            w_g: 7.5f64.to_bits(),
+            ..pin(2, 0, 0)
+        };
+        assert_eq!(print, want, "and so is w_G");
     }
 }

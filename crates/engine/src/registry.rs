@@ -18,7 +18,7 @@ use dmcs_core::{BranchAndBound, CommunitySearch, Exact, Fpa, FpaDmg, Nca, NcaDr}
 
 /// Tunable parameters an [`AlgoSpec`] carries to the factory. Algorithms
 /// ignore the fields they have no use for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AlgoParams {
     /// `k` for the parameterised baselines (`kc` / `kt` / `kecc` / `ls`);
     /// `kt` clamps to at least 3 (a 2-truss is every edge).
@@ -101,7 +101,6 @@ pub const REGISTRY: &[AlgoEntry] = &[
         factory: |p| {
             Box::new(Nca {
                 weighted: p.weighted,
-                ..Nca::default()
             })
         },
     },
@@ -140,7 +139,7 @@ pub const REGISTRY: &[AlgoEntry] = &[
         uses_k: false,
         weight_aware: false,
         mirror_safe: true,
-        factory: |_| Box::new(NcaDr::default()),
+        factory: |_| Box::new(NcaDr),
     },
     AlgoEntry {
         name: "exact",
@@ -340,7 +339,7 @@ pub fn algo_help() -> String {
 /// An algorithm request: registry label + parameters. The unit of
 /// dispatch everywhere — CLI flags parse into one, experiment line-ups
 /// are lists of them, the batch engine executes them.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AlgoSpec {
     /// Registry label, e.g. `"fpa"`.
     pub name: String,

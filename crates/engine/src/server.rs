@@ -1518,8 +1518,14 @@ mod tests {
     #[derive(Debug, Clone, Copy)]
     enum WireOp {
         /// Query `WIRE_IDS[a]`, plus `WIRE_IDS[b]` when `b` indexes it,
-        /// tagged with `WIRE_TAGS[tag]`.
-        Query { a: usize, b: usize, tag: usize },
+        /// tagged with `WIRE_TAGS[tag]`: a top-`k` enumeration when `k`
+        /// is not 0.
+        Query {
+            a: usize,
+            b: usize,
+            tag: usize,
+            k: usize,
+        },
         /// Add the edge `WIRE_IDS[a]`–`WIRE_IDS[b]`.
         Add { a: usize, b: usize },
         /// Delete the `pick`-th live edge (modulo the edge count).
@@ -1546,18 +1552,26 @@ mod tests {
 
     fn wire_op() -> impl Strategy<Value = WireOp> {
         // Six in nine ops query the first nine ids (so the same query
-        // repeats, hitting the cache), the rest add, delete or repin.
+        // repeats, hitting the cache), one in three of them as a top-1
+        // or top-2 enumeration; the rest add, delete or repin.
         (0u8..9).prop_flat_map(|kind| {
             (0..WIRE_IDS.len()).prop_flat_map(move |a| {
                 (0..2 * WIRE_IDS.len()).prop_flat_map(move |b| {
-                    (0..WIRE_TAGS.len()).prop_map(move |tag| match kind {
-                        0..=5 => WireOp::Query { a: a % 9, b, tag },
-                        6 => WireOp::Add {
-                            a,
-                            b: b % WIRE_IDS.len(),
-                        },
-                        7 => WireOp::Del { pick: b },
-                        _ => WireOp::Repin,
+                    (0..WIRE_TAGS.len()).prop_flat_map(move |tag| {
+                        (0..6usize).prop_map(move |k| match kind {
+                            0..=5 => WireOp::Query {
+                                a: a % 9,
+                                b,
+                                tag,
+                                k: k.saturating_sub(3).min(2),
+                            },
+                            6 => WireOp::Add {
+                                a,
+                                b: b % WIRE_IDS.len(),
+                            },
+                            7 => WireOp::Del { pick: b },
+                            _ => WireOp::Repin,
+                        })
                     })
                 })
             })
@@ -1567,7 +1581,7 @@ mod tests {
     /// What the wire proptest expects of one reply line.
     #[derive(Debug)]
     enum Want {
-        /// A `response` line with these bytes, timings zeroed.
+        /// A `response` or `topk` line with these bytes, timings zeroed.
         Response(String),
         /// A reply of this `type`.
         Type(&'static str),
@@ -1624,11 +1638,11 @@ mod tests {
             let mut pinned = live.clone();
 
             // The transcript, and the reply type the model expects for
-            // each line: `response` lines carry the expected bytes.
+            // each line: `response` and `topk` lines carry the expected bytes.
             let (mut script, mut expected) = (String::new(), Vec::new());
             for op in &ops {
                 let want = match *op {
-                    WireOp::Query { a, b, tag } => {
+                    WireOp::Query { a, b, tag, k } => {
                         let mut raw = vec![WIRE_IDS[a]];
                         if b < WIRE_IDS.len() && b != a {
                             raw.push(WIRE_IDS[b]);
@@ -1639,17 +1653,25 @@ mod tests {
                         if let Some(t) = tag {
                             script += &format!(",\"tag\":{}", Json::str(t).render());
                         }
+                        if k > 0 {
+                            script += &format!(",\"k\":{k}");
+                        }
                         script += "}\n";
                         match raw.iter().map(|&id| live.dense(id)).collect::<Option<Vec<_>>>() {
                             Some(dense) => {
-                                let mut request = QueryRequest::new(dense);
-                                request.tag = tag.map(str::to_string);
-                                let resp = Session::new(Snapshot::freeze(pinned.graph()), &sh.spec)
-                                    .unwrap()
-                                    .query(&request)
-                                    .unwrap();
-                                let mut line = String::new();
-                                LineWriter::new().response(&mut line, &resp, Some(&live.original));
+                                let mut reference =
+                                    Session::new(Snapshot::freeze(pinned.graph()), &sh.spec).unwrap();
+                                let (mut line, writer) = (String::new(), &mut LineWriter::new());
+                                let original = Some(&live.original[..]);
+                                if k > 0 {
+                                    let outcome = reference.top_k(&dense, k);
+                                    writer.topk(&mut line, &outcome, k, tag, &dense, original);
+                                } else {
+                                    let mut request = QueryRequest::new(dense);
+                                    request.tag = tag.map(str::to_string);
+                                    let resp = reference.query(&request).unwrap();
+                                    writer.response(&mut line, &resp, original);
+                                }
                                 Want::Response(zero_timings(line.trim_end()))
                             }
                             None => Want::Type("error"),

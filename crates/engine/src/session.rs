@@ -217,13 +217,12 @@ impl Session {
         self.mirror_served
     }
 
-    /// Attach a shared result cache. Subsequent [`Session::query`] calls
-    /// consult it before searching and populate it after; the cache key
-    /// carries the pinned snapshot's store id, and each entry carries a
-    /// fingerprint validated against the pinned snapshot's shard
-    /// versions and edge count — so entries never cross stores, and they
-    /// survive updates that touch none of the shards their community
-    /// lives in and leave the edge count unchanged.
+    /// Attach a shared result cache. Subsequent [`Session::query`] and
+    /// [`Session::top_k`] calls consult it before searching and populate
+    /// it after. Keys carry the pinned snapshot's store id, so entries
+    /// never cross stores; each entry's fingerprint certifies it by the
+    /// shards its search read plus the edge count and total edge weight
+    /// (see [`crate::cache`]).
     pub fn with_cache(mut self, cache: Arc<ResponseCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -326,27 +325,18 @@ impl Session {
     /// Time the search for `req` and, given its cache `key`, store the
     /// answer.
     fn compute(&mut self, req: &QueryRequest, key: Option<CacheKey>) -> QueryResponse {
-        if key.is_some() && !self.spec.serves_weighted() {
-            // Record which shards the search actually explores, so the
-            // entry's fingerprint can be scoped to them. On the mirror
-            // the workspace's canon map keeps them external-id shards.
-            // Weighted DM divides by the total edge weight w_G, which the
-            // fingerprint does not record, so a weighted entry notes
-            // nothing and pins every shard.
+        if key.is_some() {
+            // On the mirror the workspace's canon map keeps the noted
+            // shards external-id shards.
             self.ws.begin_shard_tracking(self.snapshot.shard_layout());
         }
         let start = Instant::now();
         let result = self.search(&req.nodes);
         let seconds = start.elapsed().as_secs_f64();
         if let (Some(cache), Some(key)) = (&self.cache, key) {
-            // Algorithms that never report a component (or error paths)
-            // fall back to a conservative all-shards fingerprint.
+            let answer = CachedAnswer::single(self.algo.name(), result.clone(), seconds);
             let touched = self.ws.take_touched_shards();
-            cache.insert(
-                key,
-                CachedAnswer::single(self.algo.name(), result.clone(), seconds),
-                fingerprint(&self.snapshot, touched.as_deref()),
-            );
+            cache.insert(key, answer, fingerprint(&self.snapshot, touched.as_deref()));
         }
         respond(req, self.algo.name(), result, seconds, false)
     }
@@ -377,6 +367,13 @@ impl Session {
             k,
             ..TopKConfig::default()
         };
+        // The rounds run on the canonical CSR even when the session
+        // serves from the mirror, so the shards they read are noted
+        // through a tracker of their own, whose canon is the identity.
+        let mut tracker = QueryWorkspace::new();
+        if key.is_some() {
+            tracker.begin_shard_tracking(self.snapshot.shard_layout());
+        }
         let weighted = self.spec.serves_weighted();
         let start = Instant::now();
         let rounds = top_k_communities_with(
@@ -385,20 +382,17 @@ impl Session {
             cfg,
             self.algo.as_ref(),
             weighted,
+            &mut tracker,
         );
         let seconds = start.elapsed().as_secs_f64();
         if let (Some(cache), Some(key)) = (&self.cache, key) {
-            // Top-k rounds peel diverse regions; no single component is
-            // tracked, so the entry pins every shard (conservative).
-            cache.insert(
-                key,
-                CachedAnswer {
-                    algo: self.algo.name(),
-                    result: rounds.clone(),
-                    seconds,
-                },
-                fingerprint(&self.snapshot, None),
-            );
+            let answer = CachedAnswer {
+                algo: self.algo.name(),
+                result: rounds.clone(),
+                seconds,
+            };
+            let touched = tracker.take_touched_shards();
+            cache.insert(key, answer, fingerprint(&self.snapshot, touched.as_deref()));
         }
         TopKOutcome {
             algo: self.algo.name(),

@@ -38,11 +38,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of (possibly duplicate) edges added so far.
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Add an undirected edge. Self-loops are ignored. Duplicates are
     /// de-duplicated at `build` time.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) {

@@ -426,13 +426,15 @@ impl QueryWorkspace {
     }
 
     /// Record that the query's answer depends on `nodes`: together with
-    /// the edge count m, the rows of everything noted must determine it,
-    /// so that an update with both endpoints outside the noted nodes
-    /// that keeps m cannot change it. FPA notes the nodes its layered
-    /// BFS discovered (the whole component unless layer pruning stopped
-    /// the walk early), and for a multi-node query also the nodes its
-    /// Steiner seed's BFS found, every node within the farthest query
-    /// node's distance of the first. `O(|nodes|)`, and it stops as soon
+    /// the edge count m and the total edge weight w_G, the rows of
+    /// everything noted must determine it, so that an update with both
+    /// endpoints outside the noted nodes that keeps m and w_G cannot
+    /// change it. FPA notes the nodes its layered BFS discovered (the
+    /// whole component unless layer pruning stopped the walk early), and
+    /// for a multi-node query also the nodes its Steiner seed's BFS
+    /// found, every node within the farthest query node's distance of
+    /// the first. NCA notes the component it peels, and a top-k
+    /// enumeration its query's component. `O(|nodes|)`, and it stops as soon
     /// as every shard is marked, so a walk of a large component pays for
     /// the nodes up to its last new shard only; a no-op when tracking is
     /// not active. Node ids are translated through the workspace's

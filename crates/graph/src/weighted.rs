@@ -257,12 +257,6 @@ impl WeightedGraph {
         self.graph
     }
 
-    /// The underlying graph (weights lane included). Retained from the
-    /// pre-lane API; identical to dereferencing.
-    pub fn topology(&self) -> &Graph {
-        &self.graph
-    }
-
     /// Weighted density modularity of `nodes` (Definition 2).
     pub fn density_modularity(&self, nodes: &[NodeId]) -> f64 {
         self.graph.weighted_density_modularity(nodes)

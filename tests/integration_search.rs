@@ -122,7 +122,7 @@ fn dmcs_algorithms_report_true_density_modularity() {
         &Fpa::default() as &dyn CommunitySearch,
         &Nca::default(),
         &FpaDmg,
-        &NcaDr::default(),
+        &NcaDr,
     ] {
         for (q, _) in &sets {
             let r = algo.search(&ds.graph, q).unwrap();
@@ -177,10 +177,7 @@ fn variants_agree_on_objective_direction() {
             .density_modularity,
         FpaDmg.search(&g, &[q]).unwrap().density_modularity,
         Nca::default().search(&g, &[q]).unwrap().density_modularity,
-        NcaDr::default()
-            .search(&g, &[q])
-            .unwrap()
-            .density_modularity,
+        NcaDr.search(&g, &[q]).unwrap().density_modularity,
     ]
     .to_vec();
     let max = scores.iter().cloned().fold(f64::MIN, f64::max);

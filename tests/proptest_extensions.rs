@@ -10,6 +10,7 @@ use dmcs::core::{BranchAndBound, CommunitySearch, Exact, Fpa, Nca, SearchResult}
 use dmcs::engine::AlgoSpec;
 use dmcs::gen::{lfr, sbm};
 use dmcs::graph::pagerank::{pagerank, personalized_pagerank, PageRankConfig};
+use dmcs::graph::view::QueryWorkspace;
 use dmcs::graph::weighted::WeightedGraphBuilder;
 use dmcs::graph::{Graph, GraphBuilder, NodeId, SubgraphView};
 use dmcs::metrics::overlap::{average_f1, omega_index, onmi, set_f1};
@@ -103,12 +104,14 @@ fn check_unit_weight_parity(g: &Graph, picks: &[Vec<usize>]) -> Result<(), TestC
             let q: Vec<NodeId> = pick.iter().map(|&i| (i % g.n()) as NodeId).collect();
             let want = plain.search(g, &q);
             let cfg = TopKConfig { k: 2, min_dm: 0.0 };
-            let want_rounds = top_k_communities_with(g, &q, cfg, plain.as_ref(), false);
+            let mut ws = QueryWorkspace::new();
+            let want_rounds = top_k_communities_with(g, &q, cfg, plain.as_ref(), false, &mut ws);
             for (lane, graph) in [("no lane", g), ("unit lane", &unit)] {
                 let got = weighted.search(graph, &q);
                 prop_assert_eq!(&got, &want, "{:?} query {:?}, {}", spec, q, lane);
                 // Top-k rounds score the weighted DM of each community.
-                let rounds = top_k_communities_with(graph, &q, cfg, weighted.as_ref(), true);
+                let rounds =
+                    top_k_communities_with(graph, &q, cfg, weighted.as_ref(), true, &mut ws);
                 prop_assert_eq!(&rounds, &want_rounds, "{:?} top-k {:?}, {}", spec, q, lane);
                 let bits = |r: &[SearchResult]| -> Vec<u64> {
                     r.iter().map(|r| r.density_modularity.to_bits()).collect()

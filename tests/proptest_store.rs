@@ -12,17 +12,21 @@
 //! from-scratch [`WeightedGraphBuilder`] build, pinning down that
 //! weight-only updates bump the version exactly when the stored weight
 //! changes. Finally, an [`Engine`] over a sharded store answers random
-//! query / update / re-pin transcripts, and every response, cache hits
-//! included, must equal a cache-less search on the pinned edge set, on
-//! a base of three components and on one that is a single component, so
-//! FPA's stopped layered walks feed the cache too. Fixed cases pin what
-//! a multi-node answer covers: the nodes its stopped Steiner walk and
-//! its layered walk found, and nothing else. A weighted answer pins
-//! every shard: a weight update in another component moves w_G.
+//! query / update / re-pin transcripts, and every answer, cache hits
+//! included, must equal a cache-less session's on the pinned edge set,
+//! DM bits included: for FPA and NCA on both weightings and for FPA
+//! top-k, on a base of three components, on one that is a single
+//! component, so FPA's stopped layered walks feed the cache too, and on
+//! a weighted store whose updates include `setw`. Fixed cases pin what
+//! an answer covers: the nodes a multi-node query's stopped Steiner
+//! walk and layered walk found, and nothing else; w_G beside m for a
+//! weighted answer; and the query's component for NCA and top-k on a
+//! mirrored store.
 
+use dmcs::core::{SearchError, SearchResult};
 use dmcs::engine::{AlgoSpec, Engine, QueryRequest, Session};
 use dmcs::graph::weighted::WeightedGraphBuilder;
-use dmcs::graph::{Graph, GraphBuilder, GraphStore, NodeId, Snapshot};
+use dmcs::graph::{Graph, GraphBuilder, GraphStore, LayoutPolicy, NodeId, Snapshot};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -89,17 +93,17 @@ impl Model {
 /// query on the pinned session, or a re-pin.
 #[derive(Debug, Clone)]
 enum Step {
-    Mutate(Op),
+    Mutate(WOp),
     Query(Vec<NodeId>),
     Repin,
 }
 
 fn step_strategy(id_bound: u32) -> impl Strategy<Value = Step> {
-    // kind 0-1 mutate (through `op_strategy`), 2-3 query, 4 re-pin; a
+    // kind 0-1 mutate (through `wop_strategy`), 2-3 query, 4 re-pin; a
     // second node drawn at or past `id_bound` (3 times in 4) makes a
     // 1-node query, so repeats, and with them cache hits, are common.
     (0u8..5).prop_flat_map(move |kind| {
-        op_strategy(id_bound).prop_flat_map(move |op| {
+        wop_strategy(id_bound).prop_flat_map(move |op| {
             (0..id_bound).prop_flat_map(move |a| {
                 (0..4 * id_bound).prop_map(move |b| match kind {
                     0..=1 => Step::Mutate(op),
@@ -152,7 +156,7 @@ fn wop_strategy(id_bound: u32) -> impl Strategy<Value = WOp> {
 }
 
 /// Weighted reference model: node count + normalized edge -> weight map.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct WModel {
     n: usize,
     edges: BTreeMap<(NodeId, NodeId), f64>,
@@ -209,6 +213,15 @@ impl WModel {
         assert!(g.n() <= self.n);
         g
     }
+
+    /// The graph, with its weights when `weighted`, laneless otherwise.
+    fn graph(&self, weighted: bool) -> Graph {
+        if weighted {
+            return self.build();
+        }
+        let edges: Vec<(NodeId, NodeId)> = self.edges.keys().copied().collect();
+        GraphBuilder::from_edges(self.n, &edges)
+    }
 }
 
 fn assert_same_weighted_graph(got: &Graph, model: &WModel) {
@@ -241,28 +254,61 @@ fn assert_same_weighted_graph(got: &Graph, model: &WModel) {
     );
 }
 
-/// Drive `steps` through a cached engine over a 12-node, 3-shard store
-/// seeded with `base`, and require every response, cache hits
-/// included, to equal a cache-less search on the pinned edge set.
-fn check_cached_transcript(base: &[(NodeId, NodeId)], steps: &[Step]) -> Result<(), TestCaseError> {
-    let store = GraphStore::from_graph_sharded(GraphBuilder::from_edges(12, base), 3);
-    let engine = Engine::new(store);
-    let spec = AlgoSpec::new("fpa");
-    let mut live = Model {
-        n: 12,
-        edges: base.iter().copied().collect(),
-    };
+/// One answer as the transcripts compare it: every round (exactly one
+/// for a single query), or the error.
+type Rounds = Result<Vec<SearchResult>, SearchError>;
+
+/// Ask `session` for `nodes`: a single query when `k` is 0, a top-`k`
+/// enumeration otherwise. Returns the answer and whether it was cached.
+fn ask(session: &mut Session, nodes: &[NodeId], k: usize) -> (Rounds, bool) {
+    if k == 0 {
+        let resp = session.query(&QueryRequest::new(nodes.to_vec())).unwrap();
+        (resp.result.map(|r| vec![r]), resp.cached)
+    } else {
+        let outcome = session.top_k(nodes, k);
+        (outcome.rounds, outcome.cached)
+    }
+}
+
+/// The density-modularity bits of every round.
+fn dm_bits(rounds: &Rounds) -> Vec<u64> {
+    rounds
+        .iter()
+        .flatten()
+        .map(|r| r.density_modularity.to_bits())
+        .collect()
+}
+
+/// Drive `steps` through a cached engine over a 3-shard store seeded
+/// with `base` (carrying its weights when `weighted`, laneless
+/// otherwise), asking every query of `spec` (a top-`k` enumeration when
+/// `k > 0`), and require every answer, cache hits included, to equal a
+/// cache-less session's on the pinned edge set, DM bits included.
+fn check_cached_transcript(
+    base: &WModel,
+    weighted: bool,
+    spec: &AlgoSpec,
+    k: usize,
+    steps: &[Step],
+) -> Result<(), TestCaseError> {
+    let engine = Engine::new(GraphStore::from_graph_sharded(base.graph(weighted), 3));
+    let mut live = base.clone();
     let mut pinned = live.clone();
-    let mut session = engine.session(&spec).unwrap();
+    let mut session = engine.session(spec).unwrap();
 
     for step in steps {
         match step {
             Step::Mutate(op) => {
-                let effective = live.apply(*op);
+                // A laneless store refuses every `setw`.
+                let effective = (weighted || !matches!(op, WOp::SetW(..))) && live.apply(*op);
                 let changed = match *op {
-                    Op::Insert(u, v) => engine.insert_edge(u, v),
-                    Op::Remove(u, v) => engine.remove_edge(u, v),
-                    Op::AddNode => {
+                    WOp::InsertW(u, v, w) if weighted => engine.insert_edge_w(u, v, w),
+                    WOp::InsertW(u, v, _) => engine.insert_edge(u, v),
+                    WOp::Remove(u, v) => engine.remove_edge(u, v),
+                    WOp::SetW(u, v, w) => {
+                        matches!(engine.set_weight(u, v, w), Some(old) if old != w)
+                    }
+                    WOp::AddNode => {
                         engine.add_node();
                         true
                     }
@@ -271,26 +317,20 @@ fn check_cached_transcript(base: &[(NodeId, NodeId)], steps: &[Step]) -> Result<
             }
             Step::Repin => {
                 if session.snapshot().version() != engine.version() {
-                    session = engine.session(&spec).unwrap();
+                    session = engine.session(spec).unwrap();
                     pinned = live.clone();
                 }
             }
             Step::Query(nodes) => {
-                let req = QueryRequest::new(nodes.clone());
-                let got = session.query(&req).unwrap();
-                let reference = Session::new(Snapshot::freeze(pinned.build()), &spec)
-                    .unwrap()
-                    .query(&req)
-                    .unwrap();
-                prop_assert_eq!(
-                    &got.result,
-                    &reference.result,
-                    "query {:?} (cached: {}) on base {:?} after {:?}",
-                    nodes,
-                    got.cached,
-                    base,
-                    steps
+                let (got, cached) = ask(&mut session, nodes, k);
+                let mut reference =
+                    Session::new(Snapshot::freeze(pinned.graph(weighted)), spec).unwrap();
+                let (want, _) = ask(&mut reference, nodes, k);
+                let context = format!(
+                    "{spec:?} k={k} query {nodes:?} (cached: {cached}) on base {base:?} after {steps:?}"
                 );
+                prop_assert_eq!(&got, &want, "{}", context);
+                prop_assert_eq!(dm_bits(&got), dm_bits(&want), "{}", context);
             }
         }
     }
@@ -449,43 +489,116 @@ fn multi_node_hits_pin_the_shards_the_layered_walk_read() {
     assert_eq!(got, want);
 }
 
-/// Weighted DM divides by the total edge weight w_G, which a cache
-/// fingerprint does not record, so a weighted answer must pin every
-/// shard. Component A (0..4) lives in shard 0 of a 3-shard, 12-node
-/// store and component B (8..12) in shard 2. A `setw` on an edge of B
-/// keeps m and every row A's search read, and moves w_G: the repeat
-/// must miss and equal a cache-less session, DM bits included.
+/// Weighted DM divides by the total edge weight w_G, so a weighted
+/// answer pins w_G beside m and the shards its search read. Component A
+/// (0..4) lives in shard 0 of a 3-shard, 12-node store and component B
+/// (8..12) in shard 2. Moving half a unit of weight between two edges of
+/// B keeps m, w_G and every row A's search read: the repeat must hit and
+/// equal a cache-less session, DM bits included. A `setw` on an edge of
+/// B that moves w_G must miss, and equal a cache-less session too.
 #[test]
-fn weighted_hits_pin_every_shard() {
-    let weighted = |w89: f64| {
+fn weighted_hits_pin_w_g_and_the_shards_they_read() {
+    let weighted = |w89: f64, w1011: f64| {
         let mut b = WeightedGraphBuilder::new(12);
         for (u, v, w) in [(0, 1, 2.0), (1, 2, 2.0), (0, 2, 2.0), (2, 3, 1.0)] {
             b.add_edge(u, v, w);
         }
-        for (u, v, w) in [(8, 9, w89), (9, 10, 1.0), (8, 10, 1.0), (10, 11, 1.0)] {
+        for (u, v, w) in [(8, 9, w89), (9, 10, 1.0), (8, 10, 1.0), (10, 11, w1011)] {
             b.add_edge(u, v, w);
         }
         b.build().into_graph()
     };
-    let engine = Engine::new(GraphStore::from_graph_sharded(weighted(1.0), 3));
+    let engine = Engine::new(GraphStore::from_graph_sharded(weighted(1.0, 1.0), 3));
     let spec = AlgoSpec::new("fpa").weighted();
-    let req = QueryRequest::new(vec![0]);
-    assert!(!engine.session(&spec).unwrap().query(&req).unwrap().cached);
-    assert!(engine.session(&spec).unwrap().query(&req).unwrap().cached);
+    let repeat = |graph: Graph| {
+        let (got, cached) = ask(&mut engine.session(&spec).unwrap(), &[0], 0);
+        let (want, _) = ask(
+            &mut Session::new(Snapshot::freeze(graph), &spec).unwrap(),
+            &[0],
+            0,
+        );
+        assert_eq!(got, want);
+        assert_eq!(dm_bits(&got), dm_bits(&want));
+        cached
+    };
+    assert!(!repeat(weighted(1.0, 1.0)));
 
-    assert_eq!(engine.set_weight(8, 9, 50.0), Some(1.0));
-    let got = engine.session(&spec).unwrap().query(&req).unwrap();
-    let reference = Session::new(Snapshot::freeze(weighted(50.0)), &spec)
-        .unwrap()
-        .query(&req)
-        .unwrap();
-    assert!(!got.cached, "w_G moved: the repeat must miss");
-    let (got, want) = (got.result.unwrap(), reference.result.unwrap());
-    assert_eq!(got, want);
-    assert_eq!(
-        got.density_modularity.to_bits(),
-        want.density_modularity.to_bits()
+    assert_eq!(engine.set_weight(8, 9, 1.5), Some(1.0));
+    assert_eq!(engine.set_weight(10, 11, 0.5), Some(1.0));
+    assert!(
+        repeat(weighted(1.5, 0.5)),
+        "m and w_G kept, the update is outside A: the repeat must hit"
     );
+
+    assert_eq!(engine.set_weight(8, 9, 50.0), Some(1.5));
+    assert!(
+        !repeat(weighted(50.0, 0.5)),
+        "w_G moved: the repeat must miss"
+    );
+}
+
+/// NCA and top-k answers pin the component they read, also when the
+/// session serves from a bfs-layout mirror (top-k itself runs on the
+/// canonical CSR). In a 16-node, 4-shard store the component X of the
+/// query node 0 is {0, 12, 13, 14, 15} (shards 0 and 3), Y is 4..12
+/// (shards 1 and 2), and 1, 2, 3 are isolated. The bfs layout numbers
+/// X's nodes 0..5 and Y's 8..16, so an id of X read as a mirror id
+/// names a node of Y. Rewiring Y keeps m and must leave both answers
+/// hot; rewiring X inside shard 3 keeps m and must evict them. Every
+/// answer equals a cache-less session's, DM bits included.
+#[test]
+fn nca_and_top_k_hits_on_a_mirrored_store_pin_the_component_they_read() {
+    let mut edges: Vec<(NodeId, NodeId)> = vec![
+        (0, 12),
+        (0, 13),
+        (12, 13),
+        (12, 14),
+        (13, 14),
+        (14, 15),
+        (12, 15),
+    ];
+    edges.extend((4..11).map(|v| (v, v + 1)));
+    edges.extend([(4, 11), (4, 6), (8, 10)]);
+    let store = GraphStore::from_graph_sharded(GraphBuilder::from_edges(16, &edges), 4);
+    store.set_layout_policy(LayoutPolicy::Bfs);
+    let engine = Engine::new(store);
+    let order = engine.snapshot().compute().unwrap().map().clone();
+    assert_eq!(
+        order.to_external(12),
+        7,
+        "X's ids name Y's nodes on the mirror"
+    );
+
+    let rewire =
+        |edges: &mut Vec<(NodeId, NodeId)>, old: (NodeId, NodeId), new: (NodeId, NodeId)| {
+            assert!(engine.remove_edge(old.0, old.1) && engine.insert_edge(new.0, new.1));
+            edges.retain(|&e| e != old);
+            edges.push(new);
+        };
+    for (spec, k) in [(AlgoSpec::new("nca"), 0), (AlgoSpec::new("fpa"), 2)] {
+        let repeat = |edges: &[(NodeId, NodeId)]| {
+            let mut session = engine.session(&spec).unwrap();
+            let (got, cached) = ask(&mut session, &[0], k);
+            let graph = GraphBuilder::from_edges(16, edges);
+            let (want, _) = ask(
+                &mut Session::new(Snapshot::freeze(graph), &spec).unwrap(),
+                &[0],
+                k,
+            );
+            assert_eq!(got, want, "{spec:?} k={k}");
+            assert_eq!(dm_bits(&got), dm_bits(&want), "{spec:?} k={k}");
+            assert!(!got.unwrap().is_empty(), "{spec:?} k={k}");
+            cached
+        };
+        assert!(!repeat(&edges), "{spec:?} k={k}: a first query misses");
+        rewire(&mut edges, (5, 6), (5, 7));
+        assert!(repeat(&edges), "{spec:?} k={k}: the update is outside X");
+        rewire(&mut edges, (14, 15), (13, 15));
+        assert!(!repeat(&edges), "{spec:?} k={k}: the update is inside X");
+        // Undo both, for the next spec.
+        rewire(&mut edges, (5, 7), (5, 6));
+        rewire(&mut edges, (13, 15), (14, 15));
+    }
 }
 
 proptest! {
@@ -661,8 +774,30 @@ proptest! {
         // those entries pin only the shards of the nodes it discovered.
         let mut one_component = components.to_vec();
         one_component.extend([(3, 4), (7, 8)]);
-        for base in [&components[..], &one_component] {
-            check_cached_transcript(base, &steps)?;
+        // Weights in multiples of 0.5, so every sum is exact.
+        let model = |edges: &[(NodeId, NodeId)]| WModel {
+            n: 12,
+            edges: edges
+                .iter()
+                .enumerate()
+                .map(|(i, &e)| (e, 0.5 * (1 + i % 4) as f64))
+                .collect(),
+        };
+        let specs = [
+            (AlgoSpec::new("fpa"), 0),
+            (AlgoSpec::new("nca"), 0),
+            (AlgoSpec::new("fpa").weighted(), 0),
+            (AlgoSpec::new("nca").weighted(), 0),
+            (AlgoSpec::new("fpa"), 2),
+        ];
+        for (base, weighted) in [
+            (model(&components), false),
+            (model(&one_component), false),
+            (model(&components), true),
+        ] {
+            for (spec, k) in &specs {
+                check_cached_transcript(&base, weighted, spec, *k, &steps)?;
+            }
         }
     }
 
