@@ -6,7 +6,7 @@
 
 use crate::result_from_nodes;
 use dmcs_core::measure::density_modularity;
-use dmcs_core::{CommunitySearch, SearchError, SearchResult};
+use dmcs_core::{validate_query_nodes, CommunitySearch, SearchError, SearchResult};
 use dmcs_graph::{Graph, GraphError, NodeId};
 use std::collections::HashMap;
 
@@ -20,14 +20,7 @@ impl CommunitySearch for Cnm {
     }
 
     fn search(&self, g: &Graph, query: &[NodeId]) -> Result<SearchResult, SearchError> {
-        if query.is_empty() {
-            return Err(SearchError::EmptyQuery);
-        }
-        for &q in query {
-            if q as usize >= g.n() {
-                return Err(SearchError::Graph(GraphError::NodeOutOfRange(q)));
-            }
-        }
+        validate_query_nodes(g, query)?;
         let n = g.n();
         let m = g.m() as f64;
         if m == 0.0 {

@@ -9,7 +9,7 @@
 
 use crate::result_from_nodes;
 use dmcs_core::measure::density_modularity;
-use dmcs_core::{CommunitySearch, SearchError, SearchResult};
+use dmcs_core::{validate_query_nodes, CommunitySearch, SearchError, SearchResult};
 use dmcs_graph::betweenness::edge_betweenness_masked;
 use dmcs_graph::traversal::component_of;
 use dmcs_graph::{Graph, GraphBuilder, GraphError, NodeId};
@@ -28,14 +28,7 @@ impl CommunitySearch for Gn {
     }
 
     fn search(&self, g: &Graph, query: &[NodeId]) -> Result<SearchResult, SearchError> {
-        if query.is_empty() {
-            return Err(SearchError::EmptyQuery);
-        }
-        for &q in query {
-            if q as usize >= g.n() {
-                return Err(SearchError::Graph(GraphError::NodeOutOfRange(q)));
-            }
-        }
+        validate_query_nodes(g, query)?;
         let q0 = query[0];
         let mut edges: Vec<(NodeId, NodeId)> = g.edges().collect();
         let mask = vec![true; g.n()];

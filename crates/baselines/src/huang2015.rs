@@ -11,7 +11,7 @@
 //!    distance (the "closest" criterion).
 
 use crate::result_from_nodes;
-use dmcs_core::{CommunitySearch, SearchError, SearchResult};
+use dmcs_core::{validate_query_nodes, CommunitySearch, SearchError, SearchResult};
 use dmcs_graph::truss::{truss_decomposition, EdgeIndex};
 use dmcs_graph::{Graph, GraphBuilder, GraphError, NodeId};
 use std::collections::VecDeque;
@@ -38,14 +38,7 @@ impl CommunitySearch for Huang2015 {
     }
 
     fn search(&self, g: &Graph, query: &[NodeId]) -> Result<SearchResult, SearchError> {
-        if query.is_empty() {
-            return Err(SearchError::EmptyQuery);
-        }
-        for &q in query {
-            if q as usize >= g.n() {
-                return Err(SearchError::Graph(GraphError::NodeOutOfRange(q)));
-            }
-        }
+        validate_query_nodes(g, query)?;
         // --- Step 1: the largest k whose connected k-truss holds all queries.
         let idx = EdgeIndex::new(g);
         let truss = truss_decomposition(g, &idx);

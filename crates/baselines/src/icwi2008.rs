@@ -9,8 +9,8 @@
 //! implementation reproduces exactly that behaviour.
 
 use crate::result_from_nodes;
-use dmcs_core::{CommunitySearch, SearchError, SearchResult};
-use dmcs_graph::{Graph, GraphError, NodeId, SubgraphView};
+use dmcs_core::{validate_query_nodes, CommunitySearch, SearchError, SearchResult};
+use dmcs_graph::{Graph, NodeId, SubgraphView};
 
 /// Luo's local-modularity greedy search.
 #[derive(Debug, Clone, Copy, Default)]
@@ -30,14 +30,7 @@ impl CommunitySearch for Icwi2008 {
     }
 
     fn search(&self, g: &Graph, query: &[NodeId]) -> Result<SearchResult, SearchError> {
-        if query.is_empty() {
-            return Err(SearchError::EmptyQuery);
-        }
-        for &q in query {
-            if q as usize >= g.n() {
-                return Err(SearchError::Graph(GraphError::NodeOutOfRange(q)));
-            }
-        }
+        validate_query_nodes(g, query)?;
         let mut in_s = vec![false; g.n()];
         let mut members: Vec<NodeId> = query.to_vec();
         for &q in query {

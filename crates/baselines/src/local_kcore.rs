@@ -11,7 +11,7 @@
 //! non-empty; return the first (hence locally minimal) such core.
 
 use crate::result_from_nodes;
-use dmcs_core::{CommunitySearch, SearchError, SearchResult};
+use dmcs_core::{validate_query_nodes, CommunitySearch, SearchError, SearchResult};
 use dmcs_graph::{Graph, GraphError, NodeId, SubgraphView};
 
 /// Local-search k-core community search.
@@ -41,14 +41,7 @@ impl CommunitySearch for LocalKCore {
     }
 
     fn search(&self, g: &Graph, query: &[NodeId]) -> Result<SearchResult, SearchError> {
-        if query.is_empty() {
-            return Err(SearchError::EmptyQuery);
-        }
-        for &q in query {
-            if q as usize >= g.n() {
-                return Err(SearchError::Graph(GraphError::NodeOutOfRange(q)));
-            }
-        }
+        validate_query_nodes(g, query)?;
         let mut in_c = vec![false; g.n()];
         let mut cand: Vec<NodeId> = query.to_vec();
         for &q in query {

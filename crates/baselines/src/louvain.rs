@@ -5,7 +5,7 @@
 //! containing the queries.
 
 use crate::result_from_nodes;
-use dmcs_core::{CommunitySearch, SearchError, SearchResult};
+use dmcs_core::{validate_query_nodes, CommunitySearch, SearchError, SearchResult};
 use dmcs_graph::{Graph, GraphError, NodeId};
 use std::collections::{BTreeMap, HashMap};
 
@@ -33,14 +33,7 @@ impl CommunitySearch for Louvain {
     }
 
     fn search(&self, g: &Graph, query: &[NodeId]) -> Result<SearchResult, SearchError> {
-        if query.is_empty() {
-            return Err(SearchError::EmptyQuery);
-        }
-        for &q in query {
-            if q as usize >= g.n() {
-                return Err(SearchError::Graph(GraphError::NodeOutOfRange(q)));
-            }
-        }
+        validate_query_nodes(g, query)?;
         let labels = self.detect(g);
         let target = labels[query[0] as usize];
         if query.iter().any(|&q| labels[q as usize] != target) {

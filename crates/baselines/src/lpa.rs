@@ -12,9 +12,8 @@
 //! cost of labelling the whole graph before it can answer one query.
 
 use crate::result_from_nodes;
-use dmcs_core::{CommunitySearch, SearchError, SearchResult};
-use dmcs_graph::traversal::same_component;
-use dmcs_graph::{Graph, GraphError, NodeId, SubgraphView};
+use dmcs_core::{validate_query, CommunitySearch, SearchError, SearchResult};
+use dmcs_graph::{Graph, NodeId, SubgraphView};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -122,17 +121,7 @@ impl CommunitySearch for Lpa {
     }
 
     fn search(&self, g: &Graph, query: &[NodeId]) -> Result<SearchResult, SearchError> {
-        if query.is_empty() {
-            return Err(SearchError::EmptyQuery);
-        }
-        for &q in query {
-            if q as usize >= g.n() {
-                return Err(SearchError::Graph(GraphError::NodeOutOfRange(q)));
-            }
-        }
-        if !same_component(g, query) {
-            return Err(SearchError::Graph(GraphError::QueryDisconnected));
-        }
+        validate_query(g, query)?;
         let labels = self.propagate(g);
         // Union of the query nodes' label blocks ...
         let mut wanted = vec![false; g.n()];

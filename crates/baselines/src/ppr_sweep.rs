@@ -13,10 +13,9 @@
 //! strategy) buys.
 
 use crate::result_from_nodes;
-use dmcs_core::{CommunitySearch, SearchError, SearchResult};
+use dmcs_core::{validate_query, CommunitySearch, SearchError, SearchResult};
 use dmcs_graph::pagerank::{personalized_pagerank, PageRankConfig};
-use dmcs_graph::traversal::same_component;
-use dmcs_graph::{Graph, GraphError, NodeId, SubgraphView};
+use dmcs_graph::{Graph, NodeId, SubgraphView};
 
 /// PPR sweep-cut community search.
 #[derive(Debug, Clone, Copy, Default)]
@@ -35,17 +34,7 @@ impl CommunitySearch for PprSweep {
     }
 
     fn search(&self, g: &Graph, query: &[NodeId]) -> Result<SearchResult, SearchError> {
-        if query.is_empty() {
-            return Err(SearchError::EmptyQuery);
-        }
-        for &q in query {
-            if q as usize >= g.n() {
-                return Err(SearchError::Graph(GraphError::NodeOutOfRange(q)));
-            }
-        }
-        if !same_component(g, query) {
-            return Err(SearchError::Graph(GraphError::QueryDisconnected));
-        }
+        validate_query(g, query)?;
         if g.m() == 0 {
             // Degenerate: no edges — the queries alone are the community.
             return Ok(result_from_nodes(g, query.to_vec()));

@@ -13,10 +13,10 @@
 //! whose removal maximises ρ; return the best intermediate subgraph.
 
 use crate::result_from_nodes;
-use dmcs_core::{CommunitySearch, SearchError, SearchResult};
+use dmcs_core::{query_component, CommunitySearch, SearchError, SearchResult};
 use dmcs_graph::articulation::articulation_nodes;
-use dmcs_graph::traversal::{component_of, multi_source_bfs};
-use dmcs_graph::{Graph, GraphError, NodeId, SubgraphView};
+use dmcs_graph::traversal::multi_source_bfs;
+use dmcs_graph::{Graph, NodeId, SubgraphView};
 
 /// Query-biased density greedy node deletion.
 #[derive(Debug, Clone, Copy)]
@@ -42,18 +42,7 @@ impl CommunitySearch for Wu2015 {
     }
 
     fn search(&self, g: &Graph, query: &[NodeId]) -> Result<SearchResult, SearchError> {
-        if query.is_empty() {
-            return Err(SearchError::EmptyQuery);
-        }
-        for &q in query {
-            if q as usize >= g.n() {
-                return Err(SearchError::Graph(GraphError::NodeOutOfRange(q)));
-            }
-        }
-        if !dmcs_graph::traversal::same_component(g, query) {
-            return Err(SearchError::Graph(GraphError::QueryDisconnected));
-        }
-        let comp = component_of(g, query[0]);
+        let comp = query_component(g, query)?;
         let dist = multi_source_bfs(g, query);
         // Penalties, with the exponent clamped so π stays finite.
         let decay = 1.0 / self.eta.clamp(1e-6, 1.0);

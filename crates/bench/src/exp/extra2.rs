@@ -17,7 +17,7 @@ use dmcs_core::topk::{top_k_communities, TopKConfig};
 use dmcs_core::{BranchAndBound, CommunitySearch, Exact, Fpa, Nca};
 use dmcs_engine::registry::AlgoSpec;
 use dmcs_gen::{lfr, queries, ring, sbm};
-use dmcs_graph::weighted::{WeightedGraph, WeightedGraphBuilder};
+use dmcs_graph::weighted::WeightedGraphBuilder;
 use dmcs_graph::{Graph, NodeId};
 use dmcs_metrics::overlap::set_f1;
 use dmcs_metrics::Goodness;
@@ -315,7 +315,7 @@ fn weighted_blocks(
     w_in: f64,
     w_out: f64,
     seed: u64,
-) -> (WeightedGraph, Vec<Vec<NodeId>>) {
+) -> (Graph, Vec<Vec<NodeId>>) {
     let (g, comms) = sbm::planted_partition(&[block, block], p_in, p_out, seed);
     let mut b = WeightedGraphBuilder::new(g.n());
     let block_of = |v: NodeId| usize::from(v as usize >= block);

@@ -32,8 +32,7 @@
 //! `O(|A| log |A|)` per tree node.
 
 use crate::measure::density_modularity_counts;
-use crate::{validate_query, CommunitySearch, Fpa, SearchError, SearchResult};
-use dmcs_graph::traversal::component_of;
+use crate::{query_component, CommunitySearch, Fpa, SearchError, SearchResult};
 use dmcs_graph::{Graph, GraphError, NodeId};
 
 /// Exact DMCS via branch-and-bound over connected subsets.
@@ -78,8 +77,7 @@ impl CommunitySearch for BranchAndBound {
     }
 
     fn search(&self, g: &Graph, query: &[NodeId]) -> Result<SearchResult, SearchError> {
-        validate_query(g, query)?;
-        let comp = component_of(g, query[0]);
+        let comp = query_component(g, query)?;
         if comp.len() > self.max_nodes {
             return Err(SearchError::Graph(GraphError::NoFeasibleSolution(
                 "component exceeds the branch-and-bound node cap",

@@ -8,8 +8,7 @@
 //! how close the heuristics actually get.
 
 use crate::measure::density_modularity_counts;
-use crate::{validate_query, CommunitySearch, SearchError, SearchResult};
-use dmcs_graph::traversal::component_of;
+use crate::{query_component, CommunitySearch, SearchError, SearchResult};
 use dmcs_graph::{Graph, GraphError, NodeId};
 
 /// Hard cap on the component size the solver accepts (2^26 masks is the
@@ -26,8 +25,7 @@ impl CommunitySearch for Exact {
     }
 
     fn search(&self, g: &Graph, query: &[NodeId]) -> Result<SearchResult, SearchError> {
-        validate_query(g, query)?;
-        let comp = component_of(g, query[0]);
+        let comp = query_component(g, query)?;
         let k = comp.len();
         if k > MAX_EXACT_NODES {
             return Err(SearchError::Graph(GraphError::NoFeasibleSolution(

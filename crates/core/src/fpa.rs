@@ -807,7 +807,7 @@ mod tests {
             b.add_edge(u, v, w);
         }
         b.add_edge(2, 3, 0.5);
-        b.build().into_graph()
+        b.build()
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!   empirically.
 //!
 //! FPA and NCA also maximise the *weighted* form of Definition 2: with
-//! their `weighted` field set (`Fpa::default().weighted()`, registered
-//! as `fpa-w` / `nca-w` and named `W-FPA` / `W-NCA`) the same kernels
+//! their `weighted` field set (`Fpa::default().weighted()`, the
+//! registry's `fpa`/`nca` with `AlgoParams::weighted`, named `W-FPA` /
+//! `W-NCA`) the same kernels
 //! sum the graph's edge weights instead of counting edges (graphs
 //! without a weights lane read as unit weights, where the answer is bit
 //! for bit the unweighted one). FPA-DMG and NCA-DR stay unweighted.
@@ -45,7 +46,6 @@ pub mod bnb;
 pub mod detect;
 pub mod exact;
 pub mod fpa;
-pub mod framework;
 pub mod measure;
 pub mod nca;
 pub mod peel;
@@ -145,7 +145,11 @@ pub trait CommunitySearch: Send + Sync {
     }
 }
 
-pub(crate) fn validate_query(g: &Graph, query: &[NodeId]) -> Result<(), SearchError> {
+/// The query check of searchers that need every query node in one
+/// component: [`validate_query_nodes`], then
+/// [`SearchError`]`::Graph(QueryDisconnected)` unless all query nodes
+/// share one connected component.
+pub fn validate_query(g: &Graph, query: &[NodeId]) -> Result<(), SearchError> {
     validate_query_nodes(g, query)?;
     if !dmcs_graph::traversal::same_component(g, query) {
         return Err(SearchError::Graph(GraphError::QueryDisconnected));
@@ -168,11 +172,10 @@ pub(crate) fn validate_query_in(
     Ok(())
 }
 
-/// The allocation-free half of [`validate_query`]: empty and bounds
-/// checks only. Callers that can prove connectivity another way (e.g.
-/// every query node is a member of one memoized connected component)
-/// use this to skip the validation BFS.
-pub(crate) fn validate_query_nodes(g: &Graph, query: &[NodeId]) -> Result<(), SearchError> {
+/// The allocation-free half of [`validate_query`]: [`SearchError::EmptyQuery`]
+/// for an empty query, then each node's range in query order. Searchers
+/// that need no shared component (or prove it another way) stop here.
+pub fn validate_query_nodes(g: &Graph, query: &[NodeId]) -> Result<(), SearchError> {
     if query.is_empty() {
         return Err(SearchError::EmptyQuery);
     }
@@ -182,6 +185,19 @@ pub(crate) fn validate_query_nodes(g: &Graph, query: &[NodeId]) -> Result<(), Se
         }
     }
     Ok(())
+}
+
+/// [`validate_query`] for searchers that go on to read the query's
+/// component: one walk from `query[0]` checks connectivity and returns
+/// that component, sorted (what
+/// [`component_of`](dmcs_graph::traversal::component_of) returns).
+pub fn query_component(g: &Graph, query: &[NodeId]) -> Result<Vec<NodeId>, SearchError> {
+    validate_query_nodes(g, query)?;
+    let comp = dmcs_graph::traversal::component_of(g, query[0]);
+    if query[1..].iter().any(|q| comp.binary_search(q).is_err()) {
+        return Err(SearchError::Graph(GraphError::QueryDisconnected));
+    }
+    Ok(comp)
 }
 
 #[cfg(test)]
@@ -207,5 +223,16 @@ mod tests {
             validate_query(&g, &[0, 3]),
             Err(SearchError::Graph(GraphError::QueryDisconnected))
         );
+    }
+
+    #[test]
+    fn query_component_checks_like_validate_query() {
+        let g = GraphBuilder::from_edges(5, &[(0, 1), (2, 3), (3, 4)]);
+        for q in [&[][..], &[7], &[2, 7], &[7, 2], &[0, 3], &[3, 0]] {
+            let (walked, checked) = (query_component(&g, q), validate_query(&g, q));
+            assert_eq!(walked.err(), checked.err(), "{q:?}");
+        }
+        assert_eq!(query_component(&g, &[4, 2]), Ok(vec![2, 3, 4]));
+        assert_eq!(query_component(&g, &[1]), Ok(vec![0, 1]));
     }
 }

@@ -263,7 +263,7 @@ mod tests {
             b.add_edge(u, v, w);
         }
         b.add_edge(2, 3, bridge);
-        b.build().into_graph()
+        b.build()
     }
 
     #[test]

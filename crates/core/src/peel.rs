@@ -43,18 +43,11 @@ pub struct PeelState<'g, L: Lane = u64> {
     tie: TieRule,
 }
 
-impl<'g> PeelState<'g> {
-    /// Start peeling from the induced subgraph on `nodes` (usually the
-    /// connected component containing the queries).
-    pub fn new(graph: &'g Graph, nodes: &[NodeId], tie: TieRule) -> Self {
-        let view = SubgraphView::from_nodes(graph, nodes);
-        Self::with_view(view, graph, nodes, tie, Vec::new())
-    }
-}
-
 impl<'g, L: Lane> PeelState<'g, L> {
-    /// [`PeelState::new`] reusing the buffers pooled in `ws` — pair with
-    /// [`PeelState::finish_in`] to return them after the query.
+    /// Start peeling from the induced subgraph on `nodes` (usually the
+    /// connected component containing the queries), on buffers pooled
+    /// in `ws`: pair with [`PeelState::finish_in`] to return them after
+    /// the query.
     pub fn new_in(
         graph: &'g Graph,
         nodes: &[NodeId],
@@ -123,18 +116,6 @@ impl<'g, L: Lane> PeelState<'g, L> {
     /// The underlying view (read access for the algorithms).
     pub fn view(&self) -> &SubgraphView<'g> {
         &self.view
-    }
-
-    /// `d_S`: sum of full-graph degrees (strengths) of alive nodes.
-    #[inline]
-    pub fn d_s(&self) -> L {
-        self.d_s
-    }
-
-    /// `m` (`w_G`): edge count (total edge weight) of the whole graph.
-    #[inline]
-    pub fn m(&self) -> L {
-        self.m
     }
 
     /// `l_S`: edges (edge weight) alive in the current subgraph.
@@ -236,15 +217,8 @@ impl<'g, L: Lane> PeelState<'g, L> {
     }
 
     /// Finish: reconstruct the best snapshot (initial set minus the first
-    /// `best_prefix` removals) and return `(community, best_dm,
-    /// removal_order)`.
-    pub fn finish(self) -> (Vec<NodeId>, f64, Vec<NodeId>) {
-        let community = subtract_sorted(&self.initial, &self.removed[..self.best_prefix]);
-        (community, self.best_dm, self.removed)
-    }
-
-    /// [`PeelState::finish`] that also recycles the view's buffers into
-    /// `ws` for the next query. Identical return value.
+    /// `best_prefix` removals), recycle the view's buffers into `ws` for
+    /// the next query, and return `(community, best_dm, removal_order)`.
     pub fn finish_in(self, ws: &mut QueryWorkspace) -> (Vec<NodeId>, f64, Vec<NodeId>) {
         let PeelState {
             view,
@@ -298,7 +272,8 @@ mod tests {
     fn incremental_dm_matches_recomputation() {
         let g = barbell();
         let nodes: Vec<NodeId> = g.nodes().collect();
-        let mut st = PeelState::new(&g, &nodes, TieRule::PreferLater);
+        let mut ws = QueryWorkspace::new();
+        let mut st = PeelState::<u64>::new_in(&g, &nodes, TieRule::PreferLater, &mut ws);
         let order = [5, 4, 3, 0];
         let mut alive: Vec<NodeId> = nodes.clone();
         for &v in &order {
@@ -316,13 +291,14 @@ mod tests {
     fn best_snapshot_reconstructed() {
         let g = barbell();
         let nodes: Vec<NodeId> = g.nodes().collect();
-        let mut st = PeelState::new(&g, &nodes, TieRule::PreferLater);
+        let mut ws = QueryWorkspace::new();
+        let mut st = PeelState::<u64>::new_in(&g, &nodes, TieRule::PreferLater, &mut ws);
         // Peel the right triangle then one left node; best should be the
         // left triangle {0,1,2}.
         for v in [5, 4, 3, 1] {
             st.remove(v);
         }
-        let (community, best, order) = st.finish();
+        let (community, best, order) = st.finish_in(&mut ws);
         assert_eq!(community, vec![0, 1, 2]);
         let expect = density_modularity(&g, &[0, 1, 2]);
         assert!((best - expect).abs() < 1e-12);
@@ -334,9 +310,10 @@ mod tests {
         // If every removal makes things worse, the initial set wins.
         let g = GraphBuilder::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
         let nodes: Vec<NodeId> = g.nodes().collect();
-        let mut st = PeelState::new(&g, &nodes, TieRule::KeepEarlier);
+        let mut ws = QueryWorkspace::new();
+        let mut st = PeelState::<u64>::new_in(&g, &nodes, TieRule::KeepEarlier, &mut ws);
         st.remove(2);
-        let (community, best, _) = st.finish();
+        let (community, best, _) = st.finish_in(&mut ws);
         assert_eq!(community, vec![0, 1, 2]);
         assert!((best - density_modularity(&g, &[0, 1, 2])).abs() < 1e-12);
     }
@@ -353,12 +330,13 @@ mod tests {
         // mechanism directly.
         let g = GraphBuilder::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         let nodes: Vec<NodeId> = g.nodes().collect();
-        let mut a = PeelState::new(&g, &nodes, TieRule::PreferLater);
+        let mut ws = QueryWorkspace::new();
+        let mut a = PeelState::<u64>::new_in(&g, &nodes, TieRule::PreferLater, &mut ws);
         let before = a.best_dm();
         // Removing from a 4-cycle strictly lowers DM, so best stays put.
         a.remove(3);
         assert_eq!(a.best_dm(), before);
-        let (community, _, _) = a.finish();
+        let (community, _, _) = a.finish_in(&mut ws);
         assert_eq!(community.len(), 4);
     }
 }

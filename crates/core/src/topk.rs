@@ -11,8 +11,7 @@
 //! with the full-graph density modularity (comparable across rounds —
 //! rounds are ordered by construction, not necessarily by score).
 
-use crate::{validate_query_nodes, CommunitySearch, Fpa, SearchError, SearchResult};
-use dmcs_graph::traversal::component_of;
+use crate::{query_component, CommunitySearch, Fpa, SearchError, SearchResult};
 use dmcs_graph::view::QueryWorkspace;
 use dmcs_graph::{Graph, GraphError, NodeId};
 use std::collections::HashMap;
@@ -66,7 +65,7 @@ pub fn top_k_communities(
 /// objective — the registry-routed form: any [`CommunitySearch`] drives
 /// the rounds, and `weighted` scores them with the weighted density
 /// modularity (the induced round pools keep their weights lane), so
-/// top-k composes with `fpa-w`/`nca-w` exactly like single queries.
+/// top-k composes with weighted `fpa`/`nca` exactly like single queries.
 ///
 /// `tracker` only notes the query's component for a cache fingerprint
 /// (see [`QueryWorkspace::note_component`]): every round reads only its
@@ -80,11 +79,7 @@ pub fn top_k_communities_with(
     weighted: bool,
     tracker: &mut QueryWorkspace,
 ) -> Result<Vec<SearchResult>, SearchError> {
-    validate_query_nodes(g, query)?;
-    let mut pool: Vec<NodeId> = component_of(g, query[0]);
-    if query[1..].iter().any(|q| pool.binary_search(q).is_err()) {
-        return Err(SearchError::Graph(GraphError::QueryDisconnected));
-    }
+    let mut pool: Vec<NodeId> = query_component(g, query)?;
     tracker.note_component(&pool);
     let is_query = |v: NodeId| query.contains(&v);
     let mut out = Vec::new();
@@ -320,7 +315,7 @@ mod tests {
                 }
             }
         }
-        let g = b.build().into_graph();
+        let g = b.build();
         let cfg = TopKConfig { k: 3, min_dm: 0.0 };
         let rounds = top_k_communities_with(
             &g,

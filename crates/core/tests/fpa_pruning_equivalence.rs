@@ -345,7 +345,7 @@ fn with_random_weights(g: &Graph, seed: u64) -> Graph {
         z ^= z >> 31;
         b.add_edge(u, v, 0.5 + 3.5 * (z >> 11) as f64 / (1u64 << 53) as f64);
     }
-    b.build().into_graph()
+    b.build()
 }
 
 /// Check weighted FPA on `g` with random weights; returns the stopped

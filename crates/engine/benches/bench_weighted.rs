@@ -37,7 +37,7 @@ fn fragmented(blocks: usize) -> (Graph, Vec<Vec<NodeId>>) {
 /// seeded jitter) — the weighted regime of Definition 2.
 fn weighted_fragmented(blocks: usize) -> Graph {
     let (g, comms) = fragmented(blocks);
-    weight_by_communities(&g, &comms, WeightingConfig::default()).into_graph()
+    weight_by_communities(&g, &comms, WeightingConfig::default())
 }
 
 fn bench_per_query_latency(c: &mut Criterion) {
@@ -85,7 +85,7 @@ fn bench_one_component(c: &mut Criterion) {
     let reqs: Vec<QueryRequest> = (0..10)
         .map(|i| QueryRequest::new(vec![(i * n / 10) as NodeId]))
         .collect();
-    let engine = Engine::with_cache_capacity(GraphStore::from_graph(weighted.into_graph()), 0);
+    let engine = Engine::with_cache_capacity(GraphStore::from_graph(weighted), 0);
 
     let mut group = c.benchmark_group("one_component_lfr20k");
     group.sample_size(10);

@@ -576,7 +576,7 @@ mod tests {
         for s in 0..shards as NodeId {
             b.add_edge(2 * s, 2 * s + 1, 1.0);
         }
-        let store = GraphStore::from_graph_sharded(b.build().into_graph(), shards);
+        let store = GraphStore::from_graph_sharded(b.build(), shards);
         let mut rest = w_g;
         for (s, &v) in versions.iter().enumerate() {
             let u = 2 * s as NodeId;

@@ -12,9 +12,9 @@
 //!   workspace. CLI `--algo` parsing, the experiment line-ups and the
 //!   generated help text all resolve through it; unknown labels come
 //!   back as [`EngineError::UnknownAlgo`] with a nearest-name
-//!   suggestion. Weighted serving is first-class: `fpa-w`/`nca-w` (or
-//!   any spec with [`AlgoParams::weighted`]) build the weighted
-//!   searchers, and weightedness participates in the cache key.
+//!   suggestion. Weighted serving is first-class: `fpa`/`nca` with
+//!   [`AlgoParams::weighted`] build the weighted searchers, and
+//!   weightedness participates in the cache key.
 //! - [`error`] — [`EngineError`], the workspace-wide error taxonomy.
 //!   Implements `std::error::Error` with full `source()` chains and maps
 //!   every variant to a distinct, documented process exit code.

@@ -23,15 +23,15 @@ pub struct AlgoParams {
     /// `k` for the parameterised baselines (`kc` / `kt` / `kecc` / `ls`);
     /// `kt` clamps to at least 3 (a 2-truss is every edge).
     pub k: u32,
-    /// FPA's layer-based pruning strategy (§5.7). Only `fpa` and `fpa-w`
-    /// read it, on either weighting.
+    /// FPA's layer-based pruning strategy (§5.7). Only `fpa` reads it,
+    /// on either weighting.
     pub layer_pruning: bool,
     /// Serve the *weighted* density modularity: `fpa`/`nca` build their
-    /// kernels on edge weights (exactly what the canonical
-    /// `fpa-w`/`nca-w` labels build). Entries that are not
+    /// kernels on edge weights (`W-FPA`/`W-NCA`). Entries that are not
     /// [`weight_aware`](AlgoEntry::weight_aware) ignore it. Participates
     /// in cache and batch-dedup keys — a weighted and an unweighted
-    /// request never share an answer.
+    /// request never share an answer. The JSON `summary.weighted` field
+    /// reports it.
     pub weighted: bool,
 }
 
@@ -63,7 +63,8 @@ pub struct AlgoEntry {
     /// with byte-identical output (sessions consult this before
     /// mirror-serving; see `dmcs_graph::layout`). Weighted serving is
     /// never mirror-safe — floating-point sums depend on traversal
-    /// order — so `serves_weighted` specs stay canonical regardless.
+    /// order — so specs with [`AlgoParams::weighted`] stay canonical
+    /// regardless.
     pub mirror_safe: bool,
     factory: fn(&AlgoParams) -> Box<dyn CommunitySearch>,
 }
@@ -103,27 +104,6 @@ pub const REGISTRY: &[AlgoEntry] = &[
                 weighted: p.weighted,
             })
         },
-    },
-    AlgoEntry {
-        name: "fpa-w",
-        summary: "FPA on the weighted density modularity (Definition 2, weighted form)",
-        uses_k: false,
-        weight_aware: true,
-        mirror_safe: false,
-        factory: |p| {
-            Box::new(Fpa {
-                layer_pruning: p.layer_pruning,
-                weighted: true,
-            })
-        },
-    },
-    AlgoEntry {
-        name: "nca-w",
-        summary: "NCA on the weighted density modularity",
-        uses_k: false,
-        weight_aware: true,
-        mirror_safe: false,
-        factory: |_| Box::new(Nca::default().weighted()),
     },
     AlgoEntry {
         name: "fpa-dmg",
@@ -375,19 +355,10 @@ impl AlgoSpec {
 
     /// Serve the weighted density modularity (see
     /// [`AlgoParams::weighted`]): `AlgoSpec::new("fpa").weighted()`
-    /// builds the same searcher as `AlgoSpec::new("fpa-w")`.
+    /// builds `W-FPA`, the searcher `--algo fpa --weighted` runs.
     pub fn weighted(mut self) -> Self {
         self.params.weighted = true;
         self
-    }
-
-    /// Whether this spec resolves to a searcher maximising the
-    /// *weighted* objective: either [`AlgoParams::weighted`] is set or
-    /// the label is one of the canonical weighted entries (`fpa-w` /
-    /// `nca-w`, which build the weighted searchers unconditionally).
-    /// The JSON `summary.weighted` field reports this.
-    pub fn serves_weighted(&self) -> bool {
-        self.params.weighted || matches!(self.name.as_str(), "fpa-w" | "nca-w")
     }
 
     /// Instantiate the algorithm. An unregistered label is an
@@ -488,7 +459,7 @@ mod tests {
     }
 
     #[test]
-    fn weightedness_threads_through_specs_and_labels() {
+    fn weightedness_threads_through_specs() {
         // The weighted param reroutes fpa/nca to the weighted searchers…
         assert_eq!(
             AlgoSpec::new("fpa").weighted().build().unwrap().name(),
@@ -498,27 +469,15 @@ mod tests {
             AlgoSpec::new("nca").weighted().build().unwrap().name(),
             "W-NCA"
         );
-        // …which is exactly what the canonical -w labels build.
-        assert_eq!(AlgoSpec::new("fpa-w").build().unwrap().name(), "W-FPA");
-        assert_eq!(AlgoSpec::new("nca-w").build().unwrap().name(), "W-NCA");
-        // Unweighted specs keep the classic implementations.
+        // …and unweighted specs keep the classic implementations.
         assert_eq!(AlgoSpec::new("fpa").build().unwrap().name(), "FPA");
         // Weight-awareness is a registry attribute the CLI validates on.
-        for (label, aware) in [
-            ("fpa", true),
-            ("nca-w", true),
-            ("kc", false),
-            ("louvain", false),
-        ] {
-            assert_eq!(find(label).unwrap().weight_aware, aware, "{label}");
-        }
-        // Typos near the weighted labels get suggestions.
-        assert_eq!(suggest("fpa-v"), Some("fpa-w"));
-        assert_eq!(suggest("nca-W"), Some("nca-w"));
-        // serves_weighted covers both routes to a weighted searcher.
-        assert!(AlgoSpec::new("fpa-w").serves_weighted());
-        assert!(AlgoSpec::new("fpa").weighted().serves_weighted());
-        assert!(!AlgoSpec::new("fpa").serves_weighted());
+        let aware: Vec<&str> = REGISTRY
+            .iter()
+            .filter(|e| e.weight_aware)
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(aware, ["fpa", "nca"]);
     }
 
     #[test]
@@ -529,9 +488,6 @@ mod tests {
             .map(|e| e.name)
             .collect();
         assert_eq!(safe, ["fpa", "nca", "fpa-dmg", "nca-dr"]);
-        // The canonical weighted labels must never mirror-serve.
-        assert!(!find("fpa-w").unwrap().mirror_safe);
-        assert!(!find("nca-w").unwrap().mirror_safe);
     }
 
     #[test]

@@ -206,18 +206,26 @@ impl Shared {
         self.drain.load(Ordering::SeqCst) || SIGTERM_DRAIN.load(Ordering::SeqCst)
     }
 
-    /// Try to admit one work op through the bounded gate.
-    fn admit(&self) -> bool {
+    /// Try to admit one work op through the bounded gate. The op holds
+    /// its slot until the returned guard drops, on every return path
+    /// and on unwind.
+    fn admit(&self) -> Option<Admission<'_>> {
         let prev = self.in_flight.fetch_add(1, Ordering::SeqCst);
         if prev >= self.queue_cap {
             self.in_flight.fetch_sub(1, Ordering::SeqCst);
-            return false;
+            return None;
         }
-        true
+        Some(Admission(&self.in_flight))
     }
+}
 
-    fn release(&self) {
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+/// One admitted work op's slot in [`Shared::admit`]'s gate, given back
+/// when dropped.
+struct Admission<'a>(&'a AtomicUsize);
+
+impl Drop for Admission<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -605,7 +613,7 @@ fn serve_conn<S: Read + Write>(shared: &Shared, mut stream: S) {
     // Per-connection summary: a batch footer's schema, less the plan
     // members (a connection answers queries one by one; nothing plans).
     let input = conn.tally.finish(Some(&session));
-    let weighted = shared.spec.serves_weighted();
+    let weighted = shared.spec.params.weighted;
     conn.json
         .summary(&mut conn.reply, shared.algo_name, weighted, input);
     let _ = send(shared, &mut stream, &mut conn.reply);
@@ -695,7 +703,7 @@ fn op_stats(shared: &Shared, session: &Session, conn: &mut ConnState) {
     conn.json
         .object(&mut conn.reply, "stats")
         .str("algo", shared.algo_name)
-        .bool("weighted", shared.spec.serves_weighted())
+        .bool("weighted", shared.spec.params.weighted)
         .uint("version", shared.engine.version())
         .uint("nodes", store.n() as u64)
         .uint("edges", store.m() as u64)
@@ -773,24 +781,11 @@ fn op_query(shared: &Shared, session: &mut Session, conn: &mut ConnState, req: &
         }
     };
 
-    if !shared.admit() {
+    let Some(_slot) = shared.admit() else {
         let e = EngineError::overloaded(shared.in_flight.load(Ordering::SeqCst), shared.queue_cap);
         return conn.error_line(&e);
-    }
-    serve_admitted_query(shared, session, conn, &nodes_raw, k, tag);
-    shared.release();
-}
-
-/// The admitted body of a `query` op (the caller pairs admit/release).
-fn serve_admitted_query(
-    shared: &Shared,
-    session: &mut Session,
-    conn: &mut ConnState,
-    nodes_raw: &[u64],
-    k: usize,
-    tag: Option<&str>,
-) {
-    let dense = match shared.ids.map_query(nodes_raw) {
+    };
+    let dense = match shared.ids.map_query(&nodes_raw) {
         Ok(d) => d,
         Err(e) => return conn.error_line(&e),
     };
@@ -837,10 +832,10 @@ fn op_update(shared: &Shared, conn: &mut ConnState, req: &Json) {
         Ok(m) => m,
         Err(e) => return conn.error_line(&e),
     };
-    if !shared.admit() {
+    let Some(_slot) = shared.admit() else {
         let e = EngineError::overloaded(shared.in_flight.load(Ordering::SeqCst), shared.queue_cap);
         return conn.error_line(&e);
-    }
+    };
     match mutation.apply(&shared.engine, &shared.ids, line_no) {
         Ok(previous) => {
             shared.served.fetch_add(1, Ordering::SeqCst);
@@ -863,7 +858,6 @@ fn op_update(shared: &Shared, conn: &mut ConnState, req: &Json) {
         }
         Err(e) => conn.error_line(&e),
     }
-    shared.release();
 }
 
 /// The wire shape of an `update` request: a missing or non-integer
@@ -1176,6 +1170,20 @@ mod tests {
     }
 
     #[test]
+    fn a_panic_inside_an_admitted_op_gives_its_slot_back() {
+        let (engine, original) = demo_engine();
+        let sh = shared(engine, original, 1);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _slot = sh.admit().expect("the gate is open");
+            assert!(sh.admit().is_none(), "queue_cap 1 admits one op");
+            panic!("a search panicked mid-query");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(sh.in_flight.load(Ordering::SeqCst), 0);
+        assert!(sh.admit().is_some(), "the next op is admitted");
+    }
+
+    #[test]
     fn update_taxonomy_matches_the_script_mode() {
         use crate::ops::{parse_update_script, UpdateOp};
         // Each case runs twice, in order, on twin engines: as an
@@ -1417,7 +1425,7 @@ mod tests {
         // summary says weighted; `shutdown` closes the connection.
         let weighted = GraphBuilder::from_edges(8, &edges).with_unit_weights();
         let mut sh = shared(Engine::from_graph(weighted), original, 8);
-        sh.spec = AlgoSpec::new("fpa-w");
+        sh.spec = AlgoSpec::new("fpa").weighted();
         sh.algo_name = "W-FPA";
         let mut io = Script::new(
             "{\"op\":\"query\",\"nodes\":[50]}\n\

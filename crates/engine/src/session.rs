@@ -168,7 +168,7 @@ impl Session {
         let mut ws = QueryWorkspace::new();
         ws.arm_component_memo(snapshot.epoch_key());
         let mirror = snapshot.compute().filter(|_| {
-            !spec.serves_weighted()
+            !spec.params.weighted
                 && crate::registry::find(&spec.name).is_some_and(|e| e.mirror_safe)
         });
         if let Some(compute) = mirror {
@@ -374,7 +374,7 @@ impl Session {
         if key.is_some() {
             tracker.begin_shard_tracking(self.snapshot.shard_layout());
         }
-        let weighted = self.spec.serves_weighted();
+        let weighted = self.spec.params.weighted;
         let start = Instant::now();
         let rounds = top_k_communities_with(
             self.snapshot.graph(),

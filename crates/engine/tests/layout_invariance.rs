@@ -111,7 +111,7 @@ fn assert_layouts_invisible(g: &Graph, seed: u64, specs: &[AlgoSpec], queries: &
                     // algorithm executes every query there; plan off and
                     // identity layouts never mirror.
                     let mirror_safe = registry::find(&spec.name)
-                        .is_some_and(|e| e.mirror_safe && !spec.serves_weighted());
+                        .is_some_and(|e| e.mirror_safe && !spec.params.weighted);
                     if plan == PlanMode::Auto && snap.compute().is_some() && mirror_safe {
                         assert_eq!(
                             report.mirror_served, report.unique_queries as u64,

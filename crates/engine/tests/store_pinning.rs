@@ -229,7 +229,7 @@ fn weight_only_updates_invalidate_the_cache() {
     ] {
         b.add_edge(u, v, w);
     }
-    let engine = Engine::new(GraphStore::from_graph(b.build().into_graph()));
+    let engine = Engine::new(GraphStore::from_graph(b.build()));
     assert!(engine.store().is_weighted());
     // Unpruned, as the light triangle below is unpruned FPA's answer:
     // from node 3 pruned FPA keeps the whole graph (DM 0), since §5.7

@@ -9,7 +9,7 @@
 //! weight, inter-community edges from a low one, both jittered with a
 //! seeded multiplicative noise so weights are not trivially separable.
 
-use dmcs_graph::weighted::{WeightedGraph, WeightedGraphBuilder};
+use dmcs_graph::weighted::WeightedGraphBuilder;
 use dmcs_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,13 +41,12 @@ impl Default for WeightingConfig {
 
 /// Weight `g`'s edges by community co-membership: an edge is *intra* when
 /// its endpoints share at least one community in `communities` (supports
-/// overlapping covers). Returns the weighted graph over the same
-/// topology.
+/// overlapping covers). Returns the same topology with a weights lane.
 pub fn weight_by_communities(
     g: &Graph,
     communities: &[Vec<NodeId>],
     cfg: WeightingConfig,
-) -> WeightedGraph {
+) -> Graph {
     assert!(
         cfg.w_in >= 0.0 && cfg.w_out >= 0.0,
         "weights must be non-negative"

@@ -101,15 +101,6 @@ pub fn articulation_nodes(view: &SubgraphView<'_>) -> Vec<bool> {
     is_art
 }
 
-/// Convenience: the removable nodes of Algorithm 1 under NCA's rule —
-/// alive, not a query node, and not an articulation node.
-pub fn removable_non_articulation(view: &SubgraphView<'_>, is_query: &[bool]) -> Vec<NodeId> {
-    let art = articulation_nodes(view);
-    view.iter_alive()
-        .filter(|&v| !is_query[v as usize] && !art[v as usize])
-        .collect()
-}
-
 /// Brute-force articulation test used by the property tests: `v` is an
 /// articulation node iff removing it increases the number of connected
 /// components among the remaining alive nodes.
@@ -174,6 +165,11 @@ mod tests {
         // Two triangles joined by node 2: 0-1-2 and 2-3-4.
         let g = GraphBuilder::from_edges(5, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]);
         assert_eq!(arts_of(&g), vec![2]);
+        // 2 stays an articulation node of the view without node 0: it
+        // is still the only link between 1 and the other triangle.
+        let mut view = SubgraphView::full(&g);
+        view.remove(0);
+        assert_eq!(arts_of_view(&view), vec![2]);
     }
 
     #[test]
@@ -204,17 +200,6 @@ mod tests {
             .filter(|(_, &a)| a)
             .map(|(v, _)| v as NodeId)
             .collect()
-    }
-
-    #[test]
-    fn removable_excludes_queries_and_cuts() {
-        let g = GraphBuilder::from_edges(5, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]);
-        let view = SubgraphView::full(&g);
-        let mut is_query = vec![false; 5];
-        is_query[0] = true;
-        let removable = removable_non_articulation(&view, &is_query);
-        // 2 is an articulation node; 0 is the query.
-        assert_eq!(removable, vec![1, 3, 4]);
     }
 
     #[test]

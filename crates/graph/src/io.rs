@@ -89,9 +89,7 @@ pub fn save_edge_list<P: AsRef<Path>>(g: &Graph, path: P) -> std::io::Result<()>
 ///   duplicates previously accumulated silently;
 /// - a **trailing** fourth column is an error;
 /// - a **self-loop** is an error (the model is a simple graph).
-pub fn read_weighted_edge_list<R: Read>(
-    reader: R,
-) -> std::io::Result<(crate::weighted::WeightedGraph, Vec<u64>)> {
+pub fn read_weighted_edge_list<R: Read>(reader: R) -> std::io::Result<(Graph, Vec<u64>)> {
     let mut edges: Vec<(u64, u64, f64)> = Vec::new();
     let mut seen: std::collections::HashSet<(u64, u64)> = std::collections::HashSet::new();
     let mut ids: std::collections::HashMap<u64, NodeId> = std::collections::HashMap::new();
@@ -150,10 +148,7 @@ pub fn read_weighted_edge_list<R: Read>(
 }
 
 /// Write a weighted graph as `u v w` lines (dense ids).
-pub fn write_weighted_edge_list<W: Write>(
-    g: &crate::weighted::WeightedGraph,
-    writer: W,
-) -> std::io::Result<()> {
+pub fn write_weighted_edge_list<W: Write>(g: &Graph, writer: W) -> std::io::Result<()> {
     let mut w = BufWriter::new(writer);
     writeln!(w, "# {} nodes, {} edges, weighted", g.n(), g.m())?;
     for u in 0..g.n() as NodeId {

@@ -345,7 +345,7 @@ mod tests {
         b.add_edge(0, 1, 2.0);
         b.add_edge(1, 2, 3.0);
         b.add_edge(2, 3, 0.5);
-        let g = b.build().into_graph();
+        let g = b.build();
         let order = vec![3, 2, 1, 0];
         let p = apply_order(&g, &order);
         let map = NodeMap::from_order(&order);

@@ -367,7 +367,7 @@ mod tests {
         b.add_edge(1, 2, 3.0);
         b.add_edge(0, 2, 1.5);
         b.add_edge(2, 3, 0.5);
-        let g = b.build().into_graph();
+        let g = b.build();
         // Keep nodes out of id order: the relabelling must still land
         // every weight on the right subgraph slot.
         let (sub, map) = g.induced(&[2, 0, 1]);

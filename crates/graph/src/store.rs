@@ -496,7 +496,7 @@ impl GraphStore {
 
     /// An empty store on `n` isolated nodes partitioned into `shards`
     /// node-id-range shards. (An empty *weighted* store is
-    /// `GraphStore::from_graph(WeightedGraphBuilder::new(n).build().into_graph())`.)
+    /// `GraphStore::from_graph(WeightedGraphBuilder::new(n).build())`.)
     pub fn with_shards(n: usize, shards: usize) -> Self {
         GraphStore::from_graph_sharded(GraphBuilder::new(n).build(), shards)
     }
@@ -846,7 +846,7 @@ mod tests {
 
     /// An empty weighted store on `n` nodes.
     fn weighted_store(n: usize, shards: usize) -> GraphStore {
-        GraphStore::from_graph_sharded(WeightedGraphBuilder::new(n).build().into_graph(), shards)
+        GraphStore::from_graph_sharded(WeightedGraphBuilder::new(n).build(), shards)
     }
 
     fn overlay(store: &GraphStore) -> BTreeMap<NodeId, Row> {
@@ -1080,7 +1080,7 @@ mod tests {
         b.add_edge(0, 1, 2.0);
         b.add_edge(1, 2, 3.0);
         b.add_edge(2, 3, 7.0);
-        let g = b.build().into_graph();
+        let g = b.build();
         let store = GraphStore::from_graph(g.clone());
         assert!(store.is_weighted());
         assert_eq!(store.version(), 0);
@@ -1282,7 +1282,7 @@ mod tests {
         for (&(u, v), &w) in &edges {
             b.add_edge(u, v, w);
         }
-        let scratch = b.build().into_graph();
+        let scratch = b.build();
         for v in 0..16u32 {
             assert_eq!(snap.neighbors(v), scratch.neighbors(v));
         }
@@ -1387,7 +1387,7 @@ mod tests {
             for (&(u, v), &w) in &edges {
                 b.add_edge(u, v, w);
             }
-            let scratch = b.build().into_graph();
+            let scratch = b.build();
             assert_eq!(snap.edge_weight(5, 6), Some(w));
             assert_eq!(snap.total_weight(), scratch.total_weight(), "round {round}");
             for v in 0..16u32 {

@@ -10,13 +10,8 @@
 //! accessors on [`Graph`] in this module fall back to unit weights when
 //! the lane is absent, so weight-aware algorithms run on any graph while
 //! the unweighted hot path never touches weight state.
-//!
-//! [`WeightedGraph`] survives as a thin wrapper whose invariant is
-//! "the lane is present": it [`Deref`](std::ops::Deref)s to [`Graph`],
-//! so all topology *and* weighted accessors come from the underlying
-//! graph, and [`WeightedGraph::into_graph`] hands the lane-carrying
-//! graph to anything expecting a plain [`Graph`] (snapshots, stores,
-//! engines).
+//! [`WeightedGraphBuilder`] builds a [`Graph`] with its lane attached;
+//! [`Graph::with_unit_weights`] attaches unit weights to a built one.
 
 use crate::{Graph, GraphBuilder, NodeId};
 
@@ -180,17 +175,8 @@ impl Graph {
     }
 }
 
-/// An immutable, undirected, simple graph with positive edge weights —
-/// a [`Graph`] whose weights lane is guaranteed present. Dereferences to
-/// [`Graph`], so every topology and weighted accessor is available, and
-/// a `&WeightedGraph` coerces wherever a `&Graph` is expected (the
-/// weighted search algorithms, snapshots, stores).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WeightedGraph {
-    graph: Graph,
-}
-
-/// Builder for [`WeightedGraph`]: duplicate edges accumulate weight.
+/// Builder for a [`Graph`] with positive edge weights: duplicate edges
+/// accumulate weight.
 #[derive(Debug, Clone, Default)]
 pub struct WeightedGraphBuilder {
     n: usize,
@@ -218,8 +204,9 @@ impl WeightedGraphBuilder {
         *self.edges.entry(key).or_insert(0.0) += w;
     }
 
-    /// Build the weighted graph.
-    pub fn build(self) -> WeightedGraph {
+    /// Build the graph, its weights lane attached (even when it has no
+    /// edges).
+    pub fn build(self) -> Graph {
         let mut b = GraphBuilder::with_capacity(self.n, self.edges.len());
         for &(u, v) in self.edges.keys() {
             b.add_edge(u, v);
@@ -232,48 +219,7 @@ impl WeightedGraphBuilder {
             slot_weight[su] = w;
             slot_weight[sv] = w;
         }
-        WeightedGraph {
-            graph: graph.attach_weights(slot_weight),
-        }
-    }
-}
-
-impl WeightedGraph {
-    /// Wrap a graph, attaching a unit weights lane when it has none.
-    pub fn from_graph(graph: Graph) -> WeightedGraph {
-        WeightedGraph {
-            graph: if graph.is_weighted() {
-                graph
-            } else {
-                graph.with_unit_weights()
-            },
-        }
-    }
-
-    /// The underlying lane-carrying [`Graph`] — hand this to anything
-    /// expecting a plain graph (snapshots, stores, engines); the weights
-    /// travel with it.
-    pub fn into_graph(self) -> Graph {
-        self.graph
-    }
-
-    /// Weighted density modularity of `nodes` (Definition 2).
-    pub fn density_modularity(&self, nodes: &[NodeId]) -> f64 {
-        self.graph.weighted_density_modularity(nodes)
-    }
-}
-
-impl std::ops::Deref for WeightedGraph {
-    type Target = Graph;
-
-    fn deref(&self) -> &Graph {
-        &self.graph
-    }
-}
-
-impl AsRef<Graph> for WeightedGraph {
-    fn as_ref(&self) -> &Graph {
-        &self.graph
+        graph.attach_weights(slot_weight)
     }
 }
 
@@ -281,7 +227,7 @@ impl AsRef<Graph> for WeightedGraph {
 mod tests {
     use super::*;
 
-    fn weighted_triangle_tail() -> WeightedGraph {
+    fn weighted_triangle_tail() -> Graph {
         let mut b = WeightedGraphBuilder::new(4);
         b.add_edge(0, 1, 2.0);
         b.add_edge(1, 2, 3.0);
@@ -319,7 +265,7 @@ mod tests {
         let c = vec![0, 1, 2];
         // w_C = 6.0, d_C = 3 + 5 + 4.5 = 12.5, w_G = 6.5.
         let expect = (6.0 - 12.5 * 12.5 / (4.0 * 6.5)) / 3.0;
-        assert!((g.density_modularity(&c) - expect).abs() < 1e-12);
+        assert!((g.weighted_density_modularity(&c) - expect).abs() < 1e-12);
     }
 
     #[test]
@@ -334,7 +280,7 @@ mod tests {
         let d = wg.degree_sum(&c) as f64;
         let m = wg.m() as f64;
         let unweighted = (l - d * d / (4.0 * m)) / c.len() as f64;
-        assert!((wg.density_modularity(&c) - unweighted).abs() < 1e-12);
+        assert!((wg.weighted_density_modularity(&c) - unweighted).abs() < 1e-12);
     }
 
     #[test]
@@ -426,16 +372,5 @@ mod tests {
         assert!((wg.strength_sum(&[0, 1, 2]) - 7.0).abs() < 1e-12);
         // Total weight = half the strength sum.
         assert!((wg.total_weight() - 3.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn into_graph_keeps_the_lane() {
-        let g = weighted_triangle_tail().into_graph();
-        assert!(g.is_weighted());
-        assert_eq!(g.edge_weight(1, 2), Some(3.0));
-        assert!((g.total_weight() - 6.5).abs() < 1e-12);
-        // Round trip through the wrapper preserves the lane untouched.
-        let back = WeightedGraph::from_graph(g.clone());
-        assert_eq!(back.edge_weight(1, 2), Some(3.0));
     }
 }

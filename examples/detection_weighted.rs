@@ -58,7 +58,7 @@ fn main() {
     // bridge node is excluded from both.
     println!(
         "\nwith the bridge absorbed: DM({{2..5}}) = {:.3} < DM({{3,4,5}}) = {:.3}",
-        wg.density_modularity(&[2, 3, 4, 5]),
-        wg.density_modularity(&[3, 4, 5])
+        wg.weighted_density_modularity(&[2, 3, 4, 5]),
+        wg.weighted_density_modularity(&[3, 4, 5])
     );
 }

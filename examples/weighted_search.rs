@@ -61,8 +61,8 @@ fn main() {
     // Weighted DM of the planted block vs the whole graph, for reference.
     println!(
         "\n  weighted DM(block) = {:.3}   weighted DM(V) = {:.3}",
-        wg.density_modularity(truth),
-        wg.density_modularity(&(0..n as u32).collect::<Vec<_>>())
+        wg.weighted_density_modularity(truth),
+        wg.weighted_density_modularity(&(0..n as u32).collect::<Vec<_>>())
     );
     println!(
         "\nThe weighted searches should recover most of the planted block;\n\

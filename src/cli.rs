@@ -36,8 +36,8 @@
 //! **Weighted serving** is the same stack, not a side door: `--weighted`
 //! loads a `u v w` edge list into a weighted
 //! [`GraphStore`](dmcs_graph::GraphStore) (the demo graph gets unit
-//! weights) and resolves `fpa`/`nca` to their
-//! weight-aware registry implementations (`fpa-w`/`nca-w`), so
+//! weights) and builds `fpa`/`nca` on the weights
+//! ([`AlgoParams::weighted`], `W-FPA`/`W-NCA`), so
 //! `--queries`, `--threads`, `--format json`, `--updates` (whose grammar
 //! grows `add u v w` and `setw u v w`) and the shard-scoped result
 //! cache all compose with weights.
@@ -86,8 +86,8 @@ pub struct CliConfig {
     pub max_print: usize,
     /// Serve the weighted density modularity: load the input as a
     /// strict `u v w` edge list (the demo graph gets unit weights) and
-    /// resolve the algorithm to its weight-aware registry entry
-    /// (`fpa` -> `fpa-w`, `nca` -> `nca-w`). Composes with every mode:
+    /// build the weight-aware algorithm on the weights (`fpa` ->
+    /// `W-FPA`, `nca` -> `W-NCA`). Composes with every mode:
     /// `--query`, `--queries`/`--threads`, `--updates`, `--format json`.
     pub weighted: bool,
     /// Return up to this many diverse communities (0 = single community).
@@ -439,9 +439,7 @@ pub fn load_graph(cfg: &CliConfig) -> Result<(Graph, Vec<u64>), EngineError> {
     match &cfg.graph_path {
         Some(path) if cfg.weighted => {
             let file = std::fs::File::open(path).map_err(|e| EngineError::io(path, e))?;
-            let (wg, original) =
-                read_weighted_edge_list(file).map_err(|e| EngineError::io(path, e))?;
-            Ok((wg.into_graph(), original))
+            read_weighted_edge_list(file).map_err(|e| EngineError::io(path, e))
         }
         Some(path) => load_edge_list(path).map_err(|e| EngineError::io(path, e)),
         None => {
@@ -840,9 +838,7 @@ fn run_batch<W: std::io::Write>(
     }
     let spec = algo_spec(cfg);
     let report = engine.run_batch_planned(&spec, &requests, cfg.threads, cfg.plan)?;
-    // `serves_weighted`, not the bare flag: `--algo fpa-w` runs the
-    // weighted objective even without `--weighted`.
-    let weighted = spec.serves_weighted();
+    let weighted = spec.params.weighted;
     let snap = engine.snapshot();
     ids.with_original(|original| match cfg.format {
         OutputFormat::Json => {
@@ -975,7 +971,7 @@ fn run_updates<W: std::io::Write>(
     match cfg.format {
         OutputFormat::Json => {
             line.clear();
-            json.summary(&mut line, algo_name, spec.serves_weighted(), input);
+            json.summary(&mut line, algo_name, spec.params.weighted, input);
             out.write_all(line.as_bytes())
         }
         OutputFormat::Text => write_summary_lines(out, &input),
@@ -1239,6 +1235,20 @@ mod tests {
         let text = err.to_string();
         assert!(text.contains("did you mean \"fpa-dmg\"?"), "{text}");
         assert!(text.contains("valid: fpa"), "{text}");
+        // The weighted searchers have no labels of their own: the
+        // `-w` labels of earlier releases suggest the label to use with
+        // --weighted.
+        for (gone, label) in [("fpa-w", "fpa"), ("nca-w", "nca")] {
+            let flags = format!("--demo --query 0 --algo {gone}");
+            let cfg = parse(&args(&flags)).unwrap().unwrap();
+            let err = run(&cfg, &mut Vec::new()).unwrap_err();
+            assert_eq!(err.exit_code(), 3, "{gone}");
+            let text = err.to_string();
+            assert!(
+                text.contains(&format!("did you mean \"{label}\"?")),
+                "{text}"
+            );
+        }
     }
 
     #[test]
@@ -1583,17 +1593,13 @@ mod tests {
         assert!(parse(&args("--demo --query 0 --top-k 2 --algo nca")).is_ok());
         assert!(parse(&args("--demo --query 0 --top-k 2")).is_ok());
         assert!(parse(&args("--graph g --query 0 --weighted --algo nca")).is_ok());
-        // The canonical weighted labels and the demo graph are fine too.
-        assert!(parse(&args("--graph g --query 0 --weighted --algo fpa-w")).is_ok());
+        // The demo graph is fine too.
         assert!(parse(&args("--demo --query 0 --weighted")).is_ok());
         // The weight-aware rejection names the supported labels.
         let err = parse(&args("--demo --query 0 --weighted --algo louvain"))
             .unwrap_err()
             .to_string();
-        assert!(
-            err.contains("weight-aware: fpa, nca, fpa-w, nca-w"),
-            "{err}"
-        );
+        assert!(err.contains("weight-aware: fpa, nca)"), "{err}");
         // An unknown label is deferred to run() for the exit-3 error.
         assert!(parse(&args("--demo --query 0 --weighted --algo zeus")).is_ok());
     }
@@ -1645,7 +1651,7 @@ mod tests {
     #[test]
     fn weighted_batch_end_to_end() {
         // --weighted + --queries + --threads + --format json: the full
-        // serving stack (registry fpa-w, sessions, dedup, cache) on a
+        // serving stack (weighted fpa, sessions, dedup, cache) on a
         // weighted graph.
         let dir = std::env::temp_dir().join("dmcs_cli_weighted_batch");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1808,28 +1814,6 @@ mod tests {
         .unwrap();
         let err = run(&cfg, &mut Vec::new()).unwrap_err();
         assert!(err.to_string().contains("does not exist"), "{err}");
-    }
-
-    #[test]
-    fn fpa_w_without_weighted_flag_reports_a_weighted_summary() {
-        // --algo fpa-w serves the weighted objective even without
-        // --weighted (unit fallback); the summary must say so.
-        let dir = std::env::temp_dir().join("dmcs_cli_fpa_w_summary");
-        std::fs::create_dir_all(&dir).unwrap();
-        let qfile = dir.join("q.txt");
-        std::fs::write(&qfile, "0\n").unwrap();
-        let cfg = parse(&args(&format!(
-            "--demo --algo fpa-w --queries {} --format json",
-            qfile.display()
-        )))
-        .unwrap()
-        .unwrap();
-        let mut out = Vec::new();
-        run(&cfg, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let summary = Json::parse(text.lines().last().unwrap()).unwrap();
-        assert_eq!(summary.get("algo").unwrap().as_str(), Some("W-FPA"));
-        assert_eq!(summary.get("weighted").unwrap().as_bool(), Some(true));
     }
 
     #[test]

@@ -35,10 +35,6 @@ fn every_cli_algorithm_answers_on_the_demo() {
     for algo in [
         "fpa",
         "nca",
-        // The weighted searchers run on any graph (unit-weight
-        // fallback when no weights lane is attached).
-        "fpa-w",
-        "nca-w",
         "fpa-dmg",
         "nca-dr",
         "kc",
@@ -55,6 +51,15 @@ fn every_cli_algorithm_answers_on_the_demo() {
             .output()
             .unwrap();
         assert!(out.status.success(), "algo {algo}: {:?}", out);
+    }
+    // The weighted searchers are the weight-aware labels under
+    // --weighted (the demo graph gets unit weights).
+    for algo in ["fpa", "nca"] {
+        let out = dmcs()
+            .args(["--demo", "--query", "0", "--weighted", "--algo", algo])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "weighted {algo}: {:?}", out);
     }
     // The bitmask exact solver refuses the 34-node component with a
     // clean error.

@@ -143,11 +143,11 @@ const RUN: &[(&str, &str)] = &[
     ),
     (
         "--demo --query 0 --weighted --algo kc",
-        "--weighted does not support --algo kc (weight-aware: fpa, nca, fpa-w, nca-w)",
+        "--weighted does not support --algo kc (weight-aware: fpa, nca)",
     ),
     (
         "--graph g.txt --queries q.txt --weighted --algo louvain",
-        "--weighted does not support --algo louvain (weight-aware: fpa, nca, fpa-w, nca-w)",
+        "--weighted does not support --algo louvain (weight-aware: fpa, nca)",
     ),
     // Several errors on one line: the first one found wins.
     ("--wat --k x", "unknown argument \"--wat\""),
@@ -316,7 +316,7 @@ const SERVE: &[(&str, &str)] = &[
     ),
     (
         "--demo --unix d.sock --weighted --algo louvain",
-        "--weighted does not support --algo louvain (weight-aware: fpa, nca, fpa-w, nca-w)",
+        "--weighted does not support --algo louvain (weight-aware: fpa, nca)",
     ),
     // Several errors on one line: the first one found wins.
     ("--query 0 --wat", "unknown serve argument \"--query\""),

@@ -1,9 +1,8 @@
 //! Integration tests for the extension subsystems through the public
 //! umbrella API: edge-list I/O, weighted DMCS, exact solver, DM detection,
-//! the compositional framework, and the classic random generators.
+//! and the classic random generators.
 
-use dmcs::core::framework::{generic_fpa, generic_nca};
-use dmcs::core::{CommunitySearch, Exact, Fpa};
+use dmcs::core::{CommunitySearch, Exact, Fpa, FpaDmg, Nca, NcaDr};
 use dmcs::gen::{karate, random};
 use dmcs::graph::io::{read_communities, read_edge_list, write_edge_list};
 use dmcs::graph::weighted::WeightedGraphBuilder;
@@ -67,8 +66,9 @@ fn exact_dominates_all_heuristics_on_random_graphs() {
         for algo in [
             &Fpa::default() as &dyn CommunitySearch,
             &Fpa::without_pruning(),
-            &generic_fpa(),
-            &generic_nca(),
+            &FpaDmg,
+            &Nca::default(),
+            &NcaDr,
         ] {
             let h = algo.search(&g, &[q]).unwrap();
             assert!(
@@ -87,15 +87,6 @@ fn detection_covers_ba_graph() {
         dmcs::core::detect::detect_communities(&g, dmcs::core::detect::DetectConfig::default());
     assert_eq!(labels.len(), 200);
     assert_eq!(comms.iter().map(|c| c.len()).sum::<usize>(), 200);
-}
-
-#[test]
-fn framework_composes_on_watts_strogatz() {
-    let g = random::watts_strogatz(120, 6, 0.1, 3);
-    let r = generic_fpa().search(&g, &[0]).unwrap();
-    assert!(r.community.contains(&0));
-    let view = dmcs::graph::SubgraphView::from_nodes(&g, &r.community);
-    assert!(view.is_connected());
 }
 
 #[test]

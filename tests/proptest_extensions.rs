@@ -233,7 +233,7 @@ proptest! {
         let scaled = build(lambda);
         let c: Vec<NodeId> = (0..g.n().min(5) as NodeId).collect();
         prop_assert!(
-            (scaled.density_modularity(&c) - lambda * unit.density_modularity(&c)).abs() < 1e-9
+            (scaled.weighted_density_modularity(&c) - lambda * unit.weighted_density_modularity(&c)).abs() < 1e-9
         );
     }
 

@@ -207,7 +207,7 @@ impl WModel {
         for (&(u, v), &w) in &self.edges {
             b.add_edge(u, v, w);
         }
-        let g = b.build().into_graph();
+        let g = b.build();
         // WeightedGraphBuilder grows to the max edge endpoint; isolated
         // trailing nodes exist only in the model's count.
         assert!(g.n() <= self.n);
@@ -506,7 +506,7 @@ fn weighted_hits_pin_w_g_and_the_shards_they_read() {
         for (u, v, w) in [(8, 9, w89), (9, 10, 1.0), (8, 10, 1.0), (10, 11, w1011)] {
             b.add_edge(u, v, w);
         }
-        b.build().into_graph()
+        b.build()
     };
     let engine = Engine::new(GraphStore::from_graph_sharded(weighted(1.0, 1.0), 3));
     let spec = AlgoSpec::new("fpa").weighted();
@@ -807,7 +807,7 @@ proptest! {
         ops in proptest::collection::vec(wop_strategy(14), 0..80),
         read_every in 1usize..5,
     ) {
-        let store = GraphStore::from_graph(WeightedGraphBuilder::new(n0).build().into_graph());
+        let store = GraphStore::from_graph(WeightedGraphBuilder::new(n0).build());
         prop_assert!(store.is_weighted());
         let mut model = WModel { n: n0, ..WModel::default() };
         let mut version = store.version();
