@@ -6,7 +6,7 @@
 
 use crate::result_from_nodes;
 use dmcs_core::measure::density_modularity;
-use dmcs_core::{validate_query_nodes, CommunitySearch, SearchError, SearchResult};
+use dmcs_core::{validate_query, CommunitySearch, SearchError, SearchResult};
 use dmcs_graph::{Graph, GraphError, NodeId};
 use std::collections::HashMap;
 
@@ -20,7 +20,7 @@ impl CommunitySearch for Cnm {
     }
 
     fn search(&self, g: &Graph, query: &[NodeId]) -> Result<SearchResult, SearchError> {
-        validate_query_nodes(g, query)?;
+        validate_query(g, query)?;
         let n = g.n();
         let m = g.m() as f64;
         if m == 0.0 {

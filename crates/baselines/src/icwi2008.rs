@@ -9,7 +9,7 @@
 //! implementation reproduces exactly that behaviour.
 
 use crate::result_from_nodes;
-use dmcs_core::{validate_query_nodes, CommunitySearch, SearchError, SearchResult};
+use dmcs_core::{validate_query, CommunitySearch, SearchError, SearchResult};
 use dmcs_graph::{Graph, NodeId, SubgraphView};
 
 /// Luo's local-modularity greedy search.
@@ -30,7 +30,7 @@ impl CommunitySearch for Icwi2008 {
     }
 
     fn search(&self, g: &Graph, query: &[NodeId]) -> Result<SearchResult, SearchError> {
-        validate_query_nodes(g, query)?;
+        validate_query(g, query)?;
         let mut in_s = vec![false; g.n()];
         let mut members: Vec<NodeId> = query.to_vec();
         for &q in query {

@@ -2,7 +2,7 @@
 //! (Sozio & Gionis 2010, the original community-search paper).
 
 use crate::result_from_nodes;
-use dmcs_core::{validate_query_nodes, CommunitySearch, SearchError, SearchResult};
+use dmcs_core::{validate_query, CommunitySearch, SearchError, SearchResult};
 use dmcs_graph::cores::{highest_core_community, k_core_community};
 use dmcs_graph::{Graph, GraphError, NodeId};
 
@@ -27,7 +27,7 @@ impl CommunitySearch for KCore {
     }
 
     fn search(&self, g: &Graph, query: &[NodeId]) -> Result<SearchResult, SearchError> {
-        validate_query_nodes(g, query)?;
+        validate_query(g, query)?;
         let community = k_core_community(g, self.k, query).ok_or(SearchError::Graph(
             GraphError::NoFeasibleSolution("no connected k-core contains all queries"),
         ))?;
@@ -46,7 +46,7 @@ impl CommunitySearch for HighCore {
     }
 
     fn search(&self, g: &Graph, query: &[NodeId]) -> Result<SearchResult, SearchError> {
-        validate_query_nodes(g, query)?;
+        validate_query(g, query)?;
         let (community, _k) = highest_core_community(g, query).ok_or(SearchError::Graph(
             GraphError::NoFeasibleSolution("queries share no connected core"),
         ))?;

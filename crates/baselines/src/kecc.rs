@@ -3,7 +3,7 @@
 //! maximum connectivity"). The paper's default is `k = 3`.
 
 use crate::result_from_nodes;
-use dmcs_core::{validate_query_nodes, CommunitySearch, SearchError, SearchResult};
+use dmcs_core::{validate_query, CommunitySearch, SearchError, SearchResult};
 use dmcs_graph::mincut::k_edge_connected_community;
 use dmcs_graph::{Graph, GraphError, NodeId};
 
@@ -27,7 +27,7 @@ impl CommunitySearch for Kecc {
     }
 
     fn search(&self, g: &Graph, query: &[NodeId]) -> Result<SearchResult, SearchError> {
-        validate_query_nodes(g, query)?;
+        validate_query(g, query)?;
         let community = k_edge_connected_community(g, self.k, query).ok_or(SearchError::Graph(
             GraphError::NoFeasibleSolution("no k-edge-connected component contains all queries"),
         ))?;

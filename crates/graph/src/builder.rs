@@ -2,8 +2,10 @@
 //!
 //! The builder accepts edges in any order, tolerates duplicates and
 //! self-loops (both are dropped — the paper's model is an undirected
-//! *simple* graph, §3), and produces sorted CSR adjacency in
-//! `O(n + m log deg_max)`.
+//! *simple* graph, §3), and produces sorted CSR adjacency in `O(n + m)`
+//! time without a comparison sort: two stable counting sorts put the
+//! normalised pairs in `(u, v)` order (pairs added in that order skip
+//! them), and one scatter then writes every row already ascending.
 
 use crate::{Graph, NodeId};
 
@@ -56,39 +58,36 @@ impl GraphBuilder {
         }
     }
 
-    /// Consume the builder and produce the CSR graph.
-    pub fn build(mut self) -> Graph {
-        // Sort + dedup the normalised edge list, then do a counting pass.
-        self.edges.sort_unstable();
-        self.edges.dedup();
+    /// Raise the node count to at least `n` (nodes without edges are
+    /// isolated).
+    pub(crate) fn reserve_nodes(&mut self, n: usize) {
+        self.n = self.n.max(n);
+    }
 
+    /// Consume the builder and produce the CSR graph, in `O(n + m)`
+    /// time with `O(n + m)` scratch (see the module docs).
+    pub fn build(self) -> Graph {
         let n = self.n;
-        let mut deg = vec![0usize; n];
-        for &(u, v) in &self.edges {
-            deg[u as usize] += 1;
-            deg[v as usize] += 1;
+        let mut pairs = sorted_pairs(n, self.edges);
+        pairs.dedup();
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v) in &pairs {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut acc = 0usize;
-        for d in &deg {
-            acc += d;
-            offsets.push(acc);
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
         }
-        let mut cursor = offsets.clone();
-        let mut neighbors = vec![0 as NodeId; acc];
-        for &(u, v) in &self.edges {
+        // Row x receives its smaller neighbours u from pairs (u, x) in
+        // ascending u, all before its larger neighbours from pairs
+        // (x, v) in ascending v: pairs are in (u, v) order and u < x.
+        let mut cursor = offsets[..n].to_vec();
+        let mut neighbors = vec![0 as NodeId; offsets[n]];
+        for &(u, v) in &pairs {
             neighbors[cursor[u as usize]] = v;
             cursor[u as usize] += 1;
             neighbors[cursor[v as usize]] = u;
             cursor[v as usize] += 1;
-        }
-        // Each adjacency list is already sorted: edges were globally sorted
-        // by (u, v), so positions written for a fixed u ascend in v; for the
-        // reverse direction v receives u values in ascending u order, but
-        // interleaved with forward writes — sort defensively per list.
-        for v in 0..n {
-            neighbors[offsets[v]..offsets[v + 1]].sort_unstable();
         }
         Graph::from_csr(offsets, neighbors)
     }
@@ -98,6 +97,41 @@ impl GraphBuilder {
         let mut b = GraphBuilder::with_capacity(n, edges.len());
         b.extend_edges(edges.iter().copied());
         b.build()
+    }
+}
+
+/// `pairs` (every endpoint below `n`) in ascending `(u, v)` order:
+/// a stable counting sort by `v`, then one by `u`, unless they already
+/// are.
+fn sorted_pairs(n: usize, mut pairs: Vec<(NodeId, NodeId)>) -> Vec<(NodeId, NodeId)> {
+    if pairs.is_sorted() {
+        return pairs;
+    }
+    let mut by_v = vec![(0, 0); pairs.len()];
+    counting_sort(n, &pairs, &mut by_v, |(_, v)| v);
+    counting_sort(n, &by_v, &mut pairs, |(u, _)| u);
+    pairs
+}
+
+/// Stable counting sort of `src` into `dst` by `key`, whose values are
+/// below `n`.
+fn counting_sort(
+    n: usize,
+    src: &[(NodeId, NodeId)],
+    dst: &mut [(NodeId, NodeId)],
+    key: impl Fn((NodeId, NodeId)) -> NodeId,
+) {
+    let mut next = vec![0usize; n + 1];
+    for &p in src {
+        next[key(p) as usize + 1] += 1;
+    }
+    for k in 0..n {
+        next[k + 1] += next[k];
+    }
+    for &p in src {
+        let k = key(p) as usize;
+        dst[next[k]] = p;
+        next[k] += 1;
     }
 }
 

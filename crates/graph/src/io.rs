@@ -4,53 +4,236 @@
 //! whitespace separated) — the format of SNAP's `-cmty.txt` ground-truth
 //! files. This is what lets a downstream user run the reproduction on the
 //! real DBLP/Youtube/LiveJournal snapshots.
+//!
+//! The edge-list readers make one pass over the bytes through a fixed
+//! 64 KiB buffer; a line that does not end inside the buffer is
+//! gathered on the side. Their grammar is `str`'s:
+//!
+//! - only `\n` ends a line, and a line that is not valid UTF-8 (a
+//!   comment too) fails the load with `InvalidData`, "stream did not
+//!   contain valid UTF-8";
+//! - each line is trimmed with [`str::trim`], and an empty line or one
+//!   starting with `#` or `%` is skipped;
+//! - tokens split on [`char::is_whitespace`]: ASCII space, `\t`, `\n`,
+//!   `\x0B`, `\x0C`, `\r` and non-ASCII whitespace such as U+00A0;
+//! - ids parse with `u64`'s [`FromStr`](std::str::FromStr) (a leading `+`
+//!   is accepted), and the error is its text.
+//!
+//! An all-ASCII line that is blank, a comment, or whose first two tokens
+//! are 1–19 digits each is read straight from the buffer; every other
+//! line is read as `str`, so both give the same ids and the same errors.
 
 use crate::{Graph, GraphBuilder, NodeId};
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::path::Path;
 
-/// Parse an edge list from a reader. Node ids may be arbitrary `u64`s;
-/// they are densely re-labelled in first-appearance order. Returns the
-/// graph and the mapping `dense id -> original id`.
+/// Parse an edge list from a reader: one `u v` pair per line, extra
+/// columns ignored, under the grammar of the [module docs](self). Node
+/// ids may be arbitrary `u64`s; they are densely re-labelled in
+/// first-appearance order (the first token, then the second), and a
+/// self-loop or duplicate line assigns ids too. Returns the graph and
+/// the mapping `dense id -> original id`; the graph has one node per
+/// original id, so a node seen only in self-loops is isolated.
+///
+/// The first line that fails decides the error: `InvalidData` with
+/// `malformed edge line: {trimmed:?}` for fewer than two tokens, or the
+/// `u64` parse error of the first bad id.
 pub fn read_edge_list<R: Read>(reader: R) -> std::io::Result<(Graph, Vec<u64>)> {
+    let mut r = BufReader::with_capacity(READ_BUFFER_BYTES, reader);
+    let mut ids = DenseIds::default();
     let mut b = GraphBuilder::new(0);
-    let mut ids: std::collections::HashMap<u64, NodeId> = std::collections::HashMap::new();
-    let mut original: Vec<u64> = Vec::new();
-    let mut dense = |raw: u64, original: &mut Vec<u64>| -> NodeId {
-        *ids.entry(raw).or_insert_with(|| {
-            let id = original.len() as NodeId;
-            original.push(raw);
-            id
-        })
+    let mut edge = |(u, v): (u64, u64)| {
+        let du = ids.dense(u);
+        let dv = ids.dense(v);
+        b.add_edge(du, dv);
     };
-    let mut line = String::new();
-    let mut r = BufReader::new(reader);
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        if r.read_line(&mut line)? == 0 {
+        // The buffered lines `ascii_line` reads, then the line it stopped
+        // at, read whole (it may run past the buffer), through `str`.
+        let used = match r.fill_buf() {
+            Ok(buf) => {
+                let mut used = 0;
+                while let Some((pair, len)) = ascii_line(&buf[used..]) {
+                    if let Some(pair) = pair {
+                        edge(pair);
+                    }
+                    used += len;
+                }
+                used
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => 0,
+            Err(e) => return Err(e),
+        };
+        r.consume(used);
+        if !next_line(&mut r, &mut line)? {
             break;
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-            continue;
+        if let Some(pair) = str_pair(utf8(&line)?)? {
+            edge(pair);
         }
-        let mut it = trimmed.split_whitespace();
-        let (Some(a), Some(bb)) = (it.next(), it.next()) else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("malformed edge line: {trimmed:?}"),
-            ));
-        };
-        let parse = |s: &str| -> std::io::Result<u64> {
-            s.parse()
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{e}")))
-        };
-        let (u, v) = (parse(a)?, parse(bb)?);
-        let du = dense(u, &mut original);
-        let dv = dense(v, &mut original);
-        b.add_edge(du, dv);
     }
+    let original = ids.original;
+    b.reserve_nodes(original.len());
     Ok((b.build(), original))
+}
+
+/// Buffer size of the edge-list readers.
+const READ_BUFFER_BYTES: usize = 64 * 1024;
+
+/// Read the next line, `\n` included, into `line`; `false` at the end
+/// of the stream.
+fn next_line(r: &mut impl BufRead, line: &mut Vec<u8>) -> std::io::Result<bool> {
+    line.clear();
+    Ok(r.read_until(b'\n', line)? > 0)
+}
+
+/// `line` as text, or the error [`BufRead::read_line`] gives for bytes
+/// that are not UTF-8.
+fn utf8(line: &[u8]) -> std::io::Result<&str> {
+    std::str::from_utf8(line).map_err(|_| {
+        std::io::Error::new(ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+    })
+}
+
+/// `line` trimmed, or `None` when it is blank or a `#`/`%` comment.
+fn content(line: &str) -> Option<&str> {
+    let trimmed = line.trim();
+    let skip = trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%');
+    (!skip).then_some(trimmed)
+}
+
+/// The `u v` pair of an edge line, or `None` for a blank or comment
+/// line: the reference grammar, on text.
+fn str_pair(line: &str) -> std::io::Result<Option<(u64, u64)>> {
+    let Some(trimmed) = content(line) else {
+        return Ok(None);
+    };
+    let mut it = trimmed.split_whitespace();
+    let (Some(a), Some(b)) = (it.next(), it.next()) else {
+        return Err(std::io::Error::new(
+            ErrorKind::InvalidData,
+            format!("malformed edge line: {trimmed:?}"),
+        ));
+    };
+    let parse = |s: &str| -> std::io::Result<u64> {
+        s.parse()
+            .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, format!("{e}")))
+    };
+    Ok(Some((parse(a)?, parse(b)?)))
+}
+
+/// The line at the front of `bytes` when it ends there (with `\n`), is
+/// all ASCII, and is blank, a `#`/`%` comment, or has 1–19 digits (no
+/// sign, so no overflow) as each of its first two tokens: its pair
+/// (`None` for a blank or comment) and its length. `None` for any other
+/// line, which [`str_pair`] reads instead.
+fn ascii_line(bytes: &[u8]) -> Option<(Option<(u64, u64)>, usize)> {
+    let mut i = skip_blanks(bytes, 0);
+    let mut pair = None;
+    if !matches!(bytes.get(i)?, b'\n' | b'#' | b'%') {
+        let (u, end) = ascii_id(bytes, i)?;
+        let (v, end) = ascii_id(bytes, skip_blanks(bytes, end))?;
+        pair = Some((u, v));
+        i = end;
+    }
+    let len = i + bytes[i..].iter().position(|&b| b == b'\n')?;
+    bytes[i..len].is_ascii().then_some((pair, len + 1))
+}
+
+/// Whether `b` is ASCII whitespace other than `\n`, as
+/// [`char::is_whitespace`] sees it (so `\x0B` counts, which
+/// [`u8::is_ascii_whitespace`] leaves out).
+fn is_blank(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | 0x0B | 0x0C | b'\r')
+}
+
+/// The index of the first byte at or after `i` that is not a blank.
+fn skip_blanks(bytes: &[u8], mut i: usize) -> usize {
+    while bytes.get(i).is_some_and(|&b| is_blank(b)) {
+        i += 1;
+    }
+    i
+}
+
+/// The value of 1–19 ASCII digits at `bytes[start..]` followed by a
+/// blank or `\n`, and the index past them.
+fn ascii_id(bytes: &[u8], start: usize) -> Option<(u64, usize)> {
+    let mut x = 0u64;
+    let mut i = start;
+    while let Some(&b) = bytes.get(i).filter(|b| b.is_ascii_digit()) {
+        if i - start == 19 {
+            return None;
+        }
+        x = x * 10 + u64::from(b - b'0');
+        i += 1;
+    }
+    let next = *bytes.get(i)?;
+    (i > start && (next == b'\n' || is_blank(next))).then_some((x, i))
+}
+
+/// Dense ids for raw ids in first-appearance order. Small raw ids index
+/// a direct table, which doubles while it stays within
+/// [`DIRECT_SLOTS_PER_ID`] slots per distinct id (or
+/// [`DIRECT_SLOTS_MIN`]); any other id goes through a hash map, and
+/// moves to the table when it grows over it. So the memory follows the
+/// number of distinct ids, not the largest one.
+#[derive(Default)]
+struct DenseIds {
+    original: Vec<u64>,
+    /// `direct[raw]` is `dense + 1`, or 0 for an unseen id.
+    direct: Vec<NodeId>,
+    sparse: std::collections::HashMap<u64, NodeId>,
+}
+
+/// The direct table of [`DenseIds`] may hold this many slots per
+/// distinct id…
+const DIRECT_SLOTS_PER_ID: usize = 4;
+/// …or this many, whichever is more.
+const DIRECT_SLOTS_MIN: usize = 1 << 12;
+
+impl DenseIds {
+    /// The dense id of `raw`, assigning the next one on first sight.
+    fn dense(&mut self, raw: u64) -> NodeId {
+        if raw >= self.direct.len() as u64 {
+            let Some(len) = self.direct_len_for(raw) else {
+                let next = self.original.len() as NodeId;
+                let id = *self.sparse.entry(raw).or_insert(next);
+                if id == next {
+                    self.original.push(raw);
+                }
+                return id;
+            };
+            self.direct.resize(len, 0);
+            let direct = &mut self.direct;
+            self.sparse.retain(|&raw, &mut id| {
+                match usize::try_from(raw).ok().and_then(|i| direct.get_mut(i)) {
+                    Some(slot) => {
+                        *slot = id + 1;
+                        false
+                    }
+                    None => true,
+                }
+            });
+        }
+        let slot = &mut self.direct[raw as usize];
+        if *slot == 0 {
+            self.original.push(raw);
+            *slot = self.original.len() as NodeId;
+        }
+        *slot - 1
+    }
+
+    /// The direct table's length once it covers `raw`, if it may grow
+    /// that far.
+    fn direct_len_for(&self, raw: u64) -> Option<usize> {
+        let cap = (DIRECT_SLOTS_PER_ID * (self.original.len() + 1)).max(DIRECT_SLOTS_MIN);
+        let len = usize::try_from(raw)
+            .ok()?
+            .checked_add(1)?
+            .checked_next_power_of_two()?;
+        (len <= cap).then_some(len)
+    }
 }
 
 /// Load an edge list from a file path.
@@ -74,38 +257,41 @@ pub fn save_edge_list<P: AsRef<Path>>(g: &Graph, path: P) -> std::io::Result<()>
 }
 
 /// Parse a weighted edge list: strictly one `u v w` triple per line
-/// (`#`/`%` comments and blank lines skipped). Returns the weighted
-/// graph and the dense-id -> original-id mapping.
+/// (`#`/`%` comments and blank lines skipped; lines, trimming and
+/// tokens as in the [module docs](self)). Returns the weighted graph and
+/// the dense-id -> original-id mapping; ids are numbered in first
+/// appearance, the first token then the second, over accepted lines.
 ///
 /// The grammar is deliberately strict — every violation is an
 /// `InvalidData` error naming the 1-based line, so a malformed dataset
-/// fails loudly at load time instead of skewing every weighted answer:
+/// fails loudly at load time instead of skewing every weighted answer.
+/// A line is checked in this order, and the first failing line wins (a
+/// line that is not UTF-8 fails as in [`read_edge_list`], without a line
+/// number):
 ///
 /// - a **missing** weight column (`u v`) is an error, not a silent 1.0
 ///   — run without `--weighted` (or add an explicit weight) for
 ///   unweighted files;
-/// - a **non-finite, zero or negative** weight is an error;
-/// - a **duplicate** edge (either orientation) is an error — weighted
-///   duplicates previously accumulated silently;
 /// - a **trailing** fourth column is an error;
-/// - a **self-loop** is an error (the model is a simple graph).
+/// - a bad node id (either) or weight (`str::parse::<f64>`) is an error;
+/// - a **non-finite, zero or negative** weight is an error;
+/// - a **self-loop** is an error (the model is a simple graph);
+/// - a **duplicate** edge (either orientation) is an error, so weights
+///   never accumulate silently.
 pub fn read_weighted_edge_list<R: Read>(reader: R) -> std::io::Result<(Graph, Vec<u64>)> {
-    let mut edges: Vec<(u64, u64, f64)> = Vec::new();
+    let mut edges: Vec<(NodeId, NodeId, f64)> = Vec::new();
     let mut seen: std::collections::HashSet<(u64, u64)> = std::collections::HashSet::new();
-    let mut ids: std::collections::HashMap<u64, NodeId> = std::collections::HashMap::new();
-    let mut original: Vec<u64> = Vec::new();
-    for (i, line) in BufReader::new(reader).lines().enumerate() {
-        let line_no = i + 1;
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
+    let mut ids = DenseIds::default();
+    let mut r = BufReader::with_capacity(READ_BUFFER_BYTES, reader);
+    let mut line = Vec::new();
+    let mut line_no = 0usize;
+    while next_line(&mut r, &mut line)? {
+        line_no += 1;
+        let Some(trimmed) = content(utf8(&line)?) else {
             continue;
-        }
+        };
         let bad = |msg: String| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("line {line_no}: {msg}"),
-            )
+            std::io::Error::new(ErrorKind::InvalidData, format!("line {line_no}: {msg}"))
         };
         let mut it = trimmed.split_whitespace();
         let (Some(a), Some(b), Some(wt)) = (it.next(), it.next(), it.next()) else {
@@ -131,18 +317,14 @@ pub fn read_weighted_edge_list<R: Read>(reader: R) -> std::io::Result<(Graph, Ve
         if !seen.insert((u.min(v), u.max(v))) {
             return Err(bad(format!("duplicate edge {u} {v}")));
         }
-        edges.push((u, v, w));
-        for raw in [u, v] {
-            ids.entry(raw).or_insert_with(|| {
-                let id = original.len() as NodeId;
-                original.push(raw);
-                id
-            });
-        }
+        let du = ids.dense(u);
+        let dv = ids.dense(v);
+        edges.push((du, dv, w));
     }
+    let original = ids.original;
     let mut b = crate::weighted::WeightedGraphBuilder::new(original.len());
     for (u, v, w) in edges {
-        b.add_edge(ids[&u], ids[&v], w);
+        b.add_edge(u, v, w);
     }
     Ok((b.build(), original))
 }
@@ -225,6 +407,32 @@ mod tests {
         assert_eq!(g.n(), 3);
         assert!(g.has_edge(0, 1)); // 1000000 <-> 5
         assert_eq!(original[0], 1_000_000);
+    }
+
+    #[test]
+    fn a_node_seen_only_in_self_loops_is_isolated() {
+        let (g, original) = read_edge_list("1 2\n2 4\n1 4\n3 3\n".as_bytes()).unwrap();
+        assert_eq!(original, vec![1, 2, 4, 3]);
+        assert_eq!((g.n(), g.m()), (4, 3));
+        assert_eq!(g.degree(3), 0);
+        assert_eq!(g.neighbors(0), &[1, 2]);
+    }
+
+    #[test]
+    fn ids_keep_their_dense_id_when_the_direct_table_takes_them_over() {
+        // 5000 and u64::MAX start in the hash map; the 2100 small ids
+        // after them let the direct table grow over 5000, not u64::MAX.
+        let mut text = String::from("5000 18446744073709551615\n");
+        for i in 0..2100 {
+            text.push_str(&format!("{} {}\n", i + 1, i + 2));
+        }
+        text.push_str("5000 1\n18446744073709551615 1\n");
+        let (g, original) = read_edge_list(text.as_bytes()).unwrap();
+        assert_eq!(&original[..3], &[5000, u64::MAX, 1]);
+        assert_eq!(original.len(), 2103);
+        assert_eq!(g.neighbors(0), &[1, 2]);
+        assert_eq!(g.neighbors(1), &[0, 2]);
+        assert_eq!(g.neighbors(2), &[0, 1, 3]);
     }
 
     #[test]

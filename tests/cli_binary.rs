@@ -194,6 +194,43 @@ fn unknown_query_node_exits_5() {
     assert!(err.contains("query node 999"), "{err}");
 }
 
+#[test]
+fn a_node_seen_only_in_self_loops_is_an_isolated_node() {
+    // 3 appears only in a self-loop: it is a node of the graph (the
+    // fourth), with no edges.
+    let dir = std::env::temp_dir().join("dmcs_bin_self_loop");
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph = dir.join("graph.txt");
+    std::fs::write(&graph, "1 2\n2 4\n1 4\n3 3\n").unwrap();
+    let graph = graph.to_str().unwrap();
+    let out = dmcs()
+        .args(["--graph", graph, "--query", "3", "--format", "json"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        text.contains(r#""query":[3],"ok":true,"size":1,"dm":0,"#),
+        "{text}"
+    );
+    assert!(text.contains(r#""community":[3]}"#), "{text}");
+
+    // A fresh id gets the next dense id, after 3's, so the store and the
+    // id map stay in step: the answer names 7, not 3.
+    let script = dir.join("updates.txt");
+    std::fs::write(&script, "add 7 1\nadd 7 2\nquery 7\n").unwrap();
+    let out = dmcs()
+        .args(["--graph", graph, "--format", "json", "--updates"])
+        .arg(&script)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8(out.stdout).unwrap();
+    let reply = text.lines().next().unwrap();
+    assert!(reply.contains(r#""query":[7],"ok":true"#), "{reply}");
+    assert!(reply.contains(r#""community":[1,2,4,7]}"#), "{reply}");
+}
+
 /// Validate a blob of `--format json` (or `dmcs serve` wire) output:
 /// every line parses as a JSON object carrying the protocol fields
 /// (`protocol_version`, `server`), all lines precede exactly one

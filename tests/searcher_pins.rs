@@ -30,101 +30,20 @@ const PINNED: [(&str, [&str; 5]); 21] = [
     ("nca-dr", [EMPTY, OUT, OUT, OUT, SPLIT]),
     ("exact", [EMPTY, OUT, OUT, OUT, SPLIT]),
     ("bnb", [EMPTY, OUT, OUT, OUT, SPLIT]),
-    (
-        "kc",
-        [
-            EMPTY,
-            OUT,
-            OUT,
-            OUT,
-            "Graph(NoFeasibleSolution(\"no connected k-core contains all queries\"))",
-        ],
-    ),
+    ("kc", [EMPTY, OUT, OUT, OUT, SPLIT]),
     ("kt", [EMPTY, OUT, KT_ONE, KT_ONE, KT_ONE]),
-    (
-        "kecc",
-        [
-            EMPTY,
-            OUT,
-            OUT,
-            OUT,
-            "Graph(NoFeasibleSolution(\"no k-edge-connected component contains all queries\"))",
-        ],
-    ),
-    (
-        "highcore",
-        [
-            EMPTY,
-            OUT,
-            OUT,
-            OUT,
-            "Graph(NoFeasibleSolution(\"queries share no connected core\"))",
-        ],
-    ),
+    ("kecc", [EMPTY, OUT, OUT, OUT, SPLIT]),
+    ("highcore", [EMPTY, OUT, OUT, OUT, SPLIT]),
     ("hightruss", [EMPTY, OUT, KT_ONE, KT_ONE, KT_ONE]),
-    (
-        "ls",
-        [
-            EMPTY,
-            OUT,
-            OUT,
-            OUT,
-            "Graph(NoFeasibleSolution(\"local search exhausted its budget without a feasible core\"))",
-        ],
-    ),
-    (
-        "huang2015",
-        [
-            EMPTY,
-            OUT,
-            OUT,
-            OUT,
-            "Graph(NoFeasibleSolution(\"queries share no connected truss\"))",
-        ],
-    ),
+    ("ls", [EMPTY, OUT, OUT, OUT, SPLIT]),
+    ("huang2015", [EMPTY, OUT, OUT, OUT, SPLIT]),
     ("wu2015", [EMPTY, OUT, OUT, OUT, SPLIT]),
     ("clique", [EMPTY, OUT, CLIQUE_ONE, CLIQUE_ONE, CLIQUE_ONE]),
-    (
-        "cnm",
-        [
-            EMPTY,
-            OUT,
-            OUT,
-            OUT,
-            "Graph(NoFeasibleSolution(\"queries never merged into one community\"))",
-        ],
-    ),
-    (
-        "gn",
-        [
-            EMPTY,
-            OUT,
-            OUT,
-            OUT,
-            "Graph(NoFeasibleSolution(\"queries were never in one component\"))",
-        ],
-    ),
-    (
-        "icwi2008",
-        [
-            EMPTY,
-            OUT,
-            OUT,
-            OUT,
-            "Ok([0, 1, 2, 3, 4, 5], 0x3fdddddddddddde0)",
-        ],
-    ),
+    ("cnm", [EMPTY, OUT, OUT, OUT, SPLIT]),
+    ("gn", [EMPTY, OUT, OUT, OUT, SPLIT]),
+    ("icwi2008", [EMPTY, OUT, OUT, OUT, SPLIT]),
     ("lpa", [EMPTY, OUT, OUT, OUT, SPLIT]),
-    (
-        "louvain",
-        [
-            EMPTY,
-            OUT,
-            OUT,
-            OUT,
-            "Graph(NoFeasibleSolution(\"queries fall into different Louvain communities\"))",
-        ],
-    ),
+    ("louvain", [EMPTY, OUT, OUT, OUT, SPLIT]),
     ("ppr", [EMPTY, OUT, OUT, OUT, SPLIT]),
 ];
 
