@@ -58,9 +58,9 @@ impl CommunitySearch for Huang2015 {
         )))?;
 
         // --- Step 2: bulk-delete farthest nodes on the induced subgraph.
-        let (sub, map) = g.induced(&g0_nodes);
+        let sub = g.induced(&g0_nodes);
         let mut local_of = vec![u32::MAX; g.n()];
-        for (i, &v) in map.iter().enumerate() {
+        for (i, &v) in g0_nodes.iter().enumerate() {
             local_of[v as usize] = i as u32;
         }
         let lq: Vec<NodeId> = query.iter().map(|&q| local_of[q as usize]).collect();
@@ -95,7 +95,7 @@ impl CommunitySearch for Huang2015 {
         let (_, local_nodes) = best.ok_or(SearchError::Graph(GraphError::NoFeasibleSolution(
             "truss collapsed before a candidate appeared",
         )))?;
-        let community: Vec<NodeId> = local_nodes.iter().map(|&v| map[v as usize]).collect();
+        let community: Vec<NodeId> = local_nodes.iter().map(|&v| g0_nodes[v as usize]).collect();
         Ok(result_from_nodes(g, community))
     }
 }

@@ -17,8 +17,7 @@ use dmcs_core::topk::{top_k_communities, TopKConfig};
 use dmcs_core::{BranchAndBound, CommunitySearch, Exact, Fpa, Nca};
 use dmcs_engine::registry::AlgoSpec;
 use dmcs_gen::{lfr, queries, ring, sbm};
-use dmcs_graph::weighted::WeightedGraphBuilder;
-use dmcs_graph::{Graph, NodeId};
+use dmcs_graph::{Graph, GraphBuilder, NodeId};
 use dmcs_metrics::overlap::set_f1;
 use dmcs_metrics::Goodness;
 
@@ -317,7 +316,7 @@ fn weighted_blocks(
     seed: u64,
 ) -> (Graph, Vec<Vec<NodeId>>) {
     let (g, comms) = sbm::planted_partition(&[block, block], p_in, p_out, seed);
-    let mut b = WeightedGraphBuilder::new(g.n());
+    let mut b = GraphBuilder::weighted(g.n());
     let block_of = |v: NodeId| usize::from(v as usize >= block);
     for (u, v) in g.edges() {
         let w = if block_of(u) == block_of(v) {
@@ -325,7 +324,7 @@ fn weighted_blocks(
         } else {
             w_out
         };
-        b.add_edge(u, v, w);
+        b.add_weighted_edge(u, v, w);
     }
     (b.build(), comms)
 }

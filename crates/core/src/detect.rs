@@ -48,7 +48,7 @@ pub fn detect_communities(g: &Graph, cfg: DetectConfig) -> (Vec<u32>, Vec<Vec<No
     // Seed order: highest degree first, recomputed per round on the
     // residual graph.
     while !remaining.is_empty() {
-        let (sub, map) = g.induced(&remaining);
+        let sub = g.induced(&remaining);
         let seed_local = (0..sub.n() as NodeId)
             .max_by_key(|&v| sub.degree(v))
             .expect("remaining non-empty");
@@ -66,7 +66,7 @@ pub fn detect_communities(g: &Graph, cfg: DetectConfig) -> (Vec<u32>, Vec<Vec<No
             Err(_) => vec![seed_local],
         };
         let id = communities.len() as u32;
-        let mut comm: Vec<NodeId> = found.iter().map(|&lv| map[lv as usize]).collect();
+        let mut comm: Vec<NodeId> = found.iter().map(|&lv| remaining[lv as usize]).collect();
         comm.sort_unstable();
         for &v in &comm {
             label[v as usize] = id;

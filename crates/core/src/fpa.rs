@@ -43,13 +43,13 @@ use std::ops::Range;
 ///
 /// ```
 /// use dmcs_core::{CommunitySearch, Fpa};
-/// use dmcs_graph::weighted::WeightedGraphBuilder;
+/// use dmcs_graph::GraphBuilder;
 ///
 /// // Heavy triangle, light triangle, light bridge.
-/// let mut b = WeightedGraphBuilder::new(6);
+/// let mut b = GraphBuilder::weighted(6);
 /// for (u, v, w) in [(0, 1, 5.0), (1, 2, 5.0), (0, 2, 5.0),
 ///                   (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0), (2, 3, 0.5)] {
-///     b.add_edge(u, v, w);
+///     b.add_weighted_edge(u, v, w);
 /// }
 /// let r = Fpa::default().weighted().search(&b.build(), &[0]).unwrap();
 /// assert_eq!(r.community, vec![0, 1, 2]);
@@ -612,7 +612,6 @@ fn finish<L: Lane>(
 mod tests {
     use super::*;
     use crate::measure::density_modularity;
-    use dmcs_graph::weighted::WeightedGraphBuilder;
     use dmcs_graph::{GraphBuilder, ShardLayout, SubgraphView};
 
     fn barbell() -> Graph {
@@ -799,14 +798,14 @@ mod tests {
     /// Barbell with weights: left triangle `left`, right triangle
     /// `right`, bridge 0.5.
     fn weighted_barbell(left: f64, right: f64) -> Graph {
-        let mut b = WeightedGraphBuilder::new(6);
+        let mut b = GraphBuilder::weighted(6);
         for (u, v, w) in [(0, 1, left), (1, 2, left), (0, 2, left)] {
-            b.add_edge(u, v, w);
+            b.add_weighted_edge(u, v, w);
         }
         for (u, v, w) in [(3, 4, right), (4, 5, right), (3, 5, right)] {
-            b.add_edge(u, v, w);
+            b.add_weighted_edge(u, v, w);
         }
-        b.add_edge(2, 3, 0.5);
+        b.add_weighted_edge(2, 3, 0.5);
         b.build()
     }
 

@@ -170,7 +170,6 @@ fn run_nca<L: Lane>(
 mod tests {
     use super::*;
     use crate::measure::density_modularity;
-    use dmcs_graph::weighted::WeightedGraphBuilder;
     use dmcs_graph::{GraphBuilder, SubgraphView};
 
     /// Two triangles joined by a bridge 2-3.
@@ -255,14 +254,14 @@ mod tests {
     /// Barbell with weights: left triangle `left`, right triangle
     /// `right`, bridge `bridge`.
     fn weighted_barbell(left: f64, right: f64, bridge: f64) -> Graph {
-        let mut b = WeightedGraphBuilder::new(6);
+        let mut b = GraphBuilder::weighted(6);
         for (u, v, w) in [(0, 1, left), (1, 2, left), (0, 2, left)] {
-            b.add_edge(u, v, w);
+            b.add_weighted_edge(u, v, w);
         }
         for (u, v, w) in [(3, 4, right), (4, 5, right), (3, 5, right)] {
-            b.add_edge(u, v, w);
+            b.add_weighted_edge(u, v, w);
         }
-        b.add_edge(2, 3, bridge);
+        b.add_weighted_edge(2, 3, bridge);
         b.build()
     }
 
@@ -318,9 +317,9 @@ mod tests {
         }
         assert!(wnca.search(&g, &[]).is_err());
         assert!(wnca.search(&g, &[9]).is_err());
-        let mut b = WeightedGraphBuilder::new(4);
-        b.add_edge(0, 1, 1.0);
-        b.add_edge(2, 3, 1.0);
+        let mut b = GraphBuilder::weighted(4);
+        b.add_weighted_edge(0, 1, 1.0);
+        b.add_weighted_edge(2, 3, 1.0);
         assert!(wnca.search(&b.build(), &[0, 3]).is_err());
     }
 

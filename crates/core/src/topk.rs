@@ -14,7 +14,6 @@
 use crate::{query_component, CommunitySearch, Fpa, SearchError, SearchResult};
 use dmcs_graph::view::QueryWorkspace;
 use dmcs_graph::{Graph, GraphError, NodeId};
-use std::collections::HashMap;
 
 /// Configuration for [`top_k_communities`].
 #[derive(Debug, Clone, Copy)]
@@ -111,13 +110,14 @@ pub fn top_k_communities_with(
     Ok(out)
 }
 
-/// Run `algo` on the subgraph induced by the round's `pool`, translate
-/// the result back to `g`'s ids, and re-score the community against the
-/// *full* graph, so rounds are comparable: with the weighted density
-/// modularity when `weighted` (unit weights when `g` carries no lane),
-/// otherwise the unweighted one. The induced subgraph keeps its weights
-/// lane either way. A query node outside the pool is an error, which
-/// ends the enumeration.
+/// Run `algo` on the subgraph induced by the round's `pool` (ascending,
+/// so a node's local id is its rank in it), translate the result back
+/// to `g`'s ids, and re-score the community against the *full* graph,
+/// so rounds are comparable: with the weighted density modularity when
+/// `weighted` (unit weights when `g` carries no lane), otherwise the
+/// unweighted one. The induced subgraph keeps its weights lane either
+/// way. A query node outside the pool is an error, which ends the
+/// enumeration.
 fn search_within_scored(
     g: &Graph,
     pool: &[NodeId],
@@ -125,24 +125,20 @@ fn search_within_scored(
     algo: &dyn CommunitySearch,
     weighted: bool,
 ) -> Result<SearchResult, SearchError> {
-    let (sub, back) = g.induced(pool);
-    let fwd: HashMap<NodeId, NodeId> = back
-        .iter()
-        .enumerate()
-        .map(|(i, &orig)| (orig, i as NodeId))
-        .collect();
+    debug_assert!(pool.is_sorted());
     let local_query: Vec<NodeId> = query
         .iter()
         .map(|q| {
-            fwd.get(q)
-                .copied()
-                .ok_or(SearchError::Graph(GraphError::NodeOutOfRange(*q)))
+            pool.binary_search(q)
+                .map(|i| i as NodeId)
+                .map_err(|_| SearchError::Graph(GraphError::NodeOutOfRange(*q)))
         })
         .collect::<Result<_, _>>()?;
+    let sub = g.induced(pool);
     let mut r = algo.search(&sub, &local_query)?;
-    r.community = r.community.iter().map(|&v| back[v as usize]).collect();
+    r.community = r.community.iter().map(|&v| pool[v as usize]).collect();
     r.community.sort_unstable();
-    r.removal_order = r.removal_order.iter().map(|&v| back[v as usize]).collect();
+    r.removal_order = r.removal_order.iter().map(|&v| pool[v as usize]).collect();
     r.density_modularity = if weighted {
         g.weighted_density_modularity(&r.community)
     } else {
@@ -303,15 +299,14 @@ mod tests {
 
     #[test]
     fn weighted_rounds_score_the_weighted_objective() {
-        use dmcs_graph::weighted::WeightedGraphBuilder;
         // The bowtie with the right wing triple-weighted: both wings are
         // still found, and each round's DM matches the weighted measure
         // of its community on the full graph.
-        let mut b = WeightedGraphBuilder::new(7);
+        let mut b = GraphBuilder::weighted(7);
         for (c, w) in [([0u32, 1, 2, 3], 1.0), ([0, 4, 5, 6], 3.0)] {
             for i in 0..4 {
                 for j in (i + 1)..4 {
-                    b.add_edge(c[i], c[j], w);
+                    b.add_weighted_edge(c[i], c[j], w);
                 }
             }
         }

@@ -44,7 +44,6 @@ use dmcs_graph::traversal::{
     bfs_distances, connected_components, multi_source_bfs, same_component, UNREACHABLE,
 };
 use dmcs_graph::view::QueryWorkspace;
-use dmcs_graph::weighted::WeightedGraphBuilder;
 use dmcs_graph::{
     ComputeGraph, Graph, GraphBuilder, LayoutPolicy, NodeId, NodeMap, ShardLayout, SubgraphView,
 };
@@ -334,7 +333,7 @@ fn check_one_component(g: &Graph, picks: &[Vec<usize>]) -> Result<(), TestCaseEr
 
 /// `g` with a weight uniform in [0.5, 4) on every edge, drawn from `seed`.
 fn with_random_weights(g: &Graph, seed: u64) -> Graph {
-    let mut b = WeightedGraphBuilder::new(g.n());
+    let mut b = GraphBuilder::weighted(g.n());
     let mut state = seed;
     for (u, v) in g.edges() {
         // splitmix64
@@ -343,7 +342,7 @@ fn with_random_weights(g: &Graph, seed: u64) -> Graph {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^= z >> 31;
-        b.add_edge(u, v, 0.5 + 3.5 * (z >> 11) as f64 / (1u64 << 53) as f64);
+        b.add_weighted_edge(u, v, 0.5 + 3.5 * (z >> 11) as f64 / (1u64 << 53) as f64);
     }
     b.build()
 }

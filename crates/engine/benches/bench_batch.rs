@@ -15,7 +15,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dmcs_core::{CommunitySearch, Fpa, Nca};
 use dmcs_engine::{AlgoSpec, BatchRunner, Engine, PlanMode, QueryRequest, Session};
 use dmcs_gen::sbm;
-use dmcs_graph::layout::{self, ComputeGraph, NodeMap};
+use dmcs_graph::layout::{ComputeGraph, NodeMap};
 use dmcs_graph::view::QueryWorkspace;
 use dmcs_graph::{Graph, GraphStore, LayoutPolicy, NodeId, Snapshot};
 
@@ -163,7 +163,7 @@ fn bench_session_vs_fresh_batch(c: &mut Criterion) {
 }
 
 /// A deterministic random permutation (`order[internal] = external`,
-/// the shape `layout::apply_order` takes) via Fisher–Yates over a
+/// a permutation `Graph::induced` renumbers by) via Fisher–Yates over a
 /// splitmix-style generator — no external RNG crates.
 fn scramble_order(n: usize, mut state: u64) -> Vec<NodeId> {
     let mut order: Vec<NodeId> = (0..n as NodeId).collect();
@@ -195,7 +195,7 @@ fn scrambled_blocks(n_blocks: usize, per: usize, p_in: f64) -> (Graph, Vec<Vec<N
     let blocks = vec![per; n_blocks];
     let (frag, comms) = sbm::planted_partition(&blocks, p_in, 0.0, 7);
     let order = scramble_order(frag.n(), 0xD1CE_5EED);
-    let scrambled = layout::apply_order(&frag, &order);
+    let scrambled = frag.induced(&order);
     let mut inv = vec![0 as NodeId; frag.n()];
     for (i, &ext) in order.iter().enumerate() {
         inv[ext as usize] = i as NodeId;

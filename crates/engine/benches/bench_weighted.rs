@@ -18,11 +18,18 @@
 //!    copies unchanged rows' slot weights and strengths forward with
 //!    their rows, sums only the changed rows' strengths, and re-sums
 //!    the total over the strengths).
+//! 4. **A weighted load costs a small multiple of an unweighted one** —
+//!    `weighted_load_fragmented50k` reads the weighted fragmented-50k
+//!    graph from in-memory text twice: as `u v` lines through
+//!    `read_edge_list` and as `u v w` lines through the strict
+//!    `read_weighted_edge_list`, whose graph `GraphBuilder::weighted`
+//!    builds.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dmcs_engine::{AlgoSpec, Engine, QueryRequest};
 use dmcs_gen::weighting::{weight_by_communities, WeightingConfig};
 use dmcs_gen::{lfr, sbm};
+use dmcs_graph::io::{read_edge_list, read_weighted_edge_list, write_weighted_edge_list};
 use dmcs_graph::traversal::connected_components;
 use dmcs_graph::{Graph, GraphStore, NodeId};
 
@@ -138,10 +145,37 @@ fn bench_snapshot_rebuild(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_weighted_load(c: &mut Criterion) {
+    let g = weighted_fragmented(250);
+    let mut weighted = Vec::new();
+    write_weighted_edge_list(&g, &mut weighted).unwrap();
+    let mut unweighted = Vec::new();
+    for line in weighted.split_inclusive(|&b| b == b'\n') {
+        // Drop the weight column: `u v w\n` -> `u v\n`.
+        let cut = line
+            .iter()
+            .rposition(|&b| b == b' ')
+            .unwrap_or(line.len() - 1);
+        unweighted.extend_from_slice(&line[..cut]);
+        unweighted.push(b'\n');
+    }
+
+    let mut group = c.benchmark_group("weighted_load_fragmented50k");
+    group.sample_size(10);
+    group.bench_function("read_edge_list", |b| {
+        b.iter(|| black_box(read_edge_list(&unweighted[..]).unwrap().0.m()))
+    });
+    group.bench_function("read_weighted_edge_list", |b| {
+        b.iter(|| black_box(read_weighted_edge_list(&weighted[..]).unwrap().0.m()))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_per_query_latency,
     bench_one_component,
-    bench_snapshot_rebuild
+    bench_snapshot_rebuild,
+    bench_weighted_load
 );
 criterion_main!(benches);

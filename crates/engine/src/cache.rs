@@ -570,11 +570,11 @@ mod tests {
     /// `w_g`. So the edge count depends on the shard count only, and
     /// `w_g` on nothing else.
     fn at_weight(versions: &[u64], w_g: f64) -> Snapshot {
-        use dmcs_graph::{weighted::WeightedGraphBuilder, GraphStore};
+        use dmcs_graph::{GraphBuilder, GraphStore};
         let shards = versions.len() + 1;
-        let mut b = WeightedGraphBuilder::new(2 * shards);
+        let mut b = GraphBuilder::weighted(2 * shards);
         for s in 0..shards as NodeId {
-            b.add_edge(2 * s, 2 * s + 1, 1.0);
+            b.add_weighted_edge(2 * s, 2 * s + 1, 1.0);
         }
         let store = GraphStore::from_graph_sharded(b.build(), shards);
         let mut rest = w_g;

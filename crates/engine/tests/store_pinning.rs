@@ -217,7 +217,7 @@ fn weight_only_updates_invalidate_the_cache() {
     // Same topology, changed weight → new epoch → cache miss. The
     // weighted objective depends on every weight through w_G, so the
     // version-keyed cache must not serve pre-update answers.
-    let mut b = dmcs_graph::weighted::WeightedGraphBuilder::new(6);
+    let mut b = dmcs_graph::GraphBuilder::weighted(6);
     for (u, v, w) in [
         (0, 1, 5.0),
         (1, 2, 5.0),
@@ -227,7 +227,7 @@ fn weight_only_updates_invalidate_the_cache() {
         (3, 5, 1.0),
         (2, 3, 0.5),
     ] {
-        b.add_edge(u, v, w);
+        b.add_weighted_edge(u, v, w);
     }
     let engine = Engine::new(GraphStore::from_graph(b.build()));
     assert!(engine.store().is_weighted());

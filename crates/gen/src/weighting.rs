@@ -9,8 +9,8 @@
 //! weight, inter-community edges from a low one, both jittered with a
 //! seeded multiplicative noise so weights are not trivially separable.
 
-use dmcs_graph::weighted::WeightedGraphBuilder;
-use dmcs_graph::{Graph, NodeId};
+use dmcs_graph::weighted::{valid_weight, WEIGHT_CONSTRAINT};
+use dmcs_graph::{Graph, GraphBuilder, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -42,15 +42,22 @@ impl Default for WeightingConfig {
 /// Weight `g`'s edges by community co-membership: an edge is *intra* when
 /// its endpoints share at least one community in `communities` (supports
 /// overlapping covers). Returns the same topology with a weights lane.
+///
+/// # Panics
+///
+/// If `cfg.w_in` or `cfg.w_out` is not a valid edge weight
+/// ([`valid_weight`]), whether or not an edge would use it.
 pub fn weight_by_communities(
     g: &Graph,
     communities: &[Vec<NodeId>],
     cfg: WeightingConfig,
 ) -> Graph {
-    assert!(
-        cfg.w_in >= 0.0 && cfg.w_out >= 0.0,
-        "weights must be non-negative"
-    );
+    for (field, w) in [("w_in", cfg.w_in), ("w_out", cfg.w_out)] {
+        assert!(
+            valid_weight(w),
+            "WeightingConfig::{field} {w} {WEIGHT_CONSTRAINT}"
+        );
+    }
     let noise = cfg.noise.clamp(0.0, 0.999);
     // membership[v] = sorted community indices containing v.
     let mut membership: Vec<Vec<u32>> = vec![Vec::new(); g.n()];
@@ -75,11 +82,11 @@ pub fn weight_by_communities(
         false
     };
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut b = WeightedGraphBuilder::new(g.n());
+    let mut b = GraphBuilder::weighted(g.n());
     for (u, v) in g.edges() {
         let base = if share(u, v) { cfg.w_in } else { cfg.w_out };
         let jitter = 1.0 + rng.gen_range(-noise..=noise);
-        b.add_edge(u, v, base * jitter);
+        b.add_weighted_edge(u, v, base * jitter);
     }
     b.build()
 }
@@ -87,7 +94,6 @@ pub fn weight_by_communities(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmcs_graph::GraphBuilder;
 
     fn barbell() -> (Graph, Vec<Vec<NodeId>>) {
         let g =
@@ -152,6 +158,17 @@ mod tests {
         let wg = weight_by_communities(&g, &comms, cfg);
         assert_eq!(wg.edge_weight(0, 1), Some(5.0));
         assert_eq!(wg.edge_weight(1, 2), Some(1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "WeightingConfig::w_out 0 must be finite and strictly positive")]
+    fn a_zero_base_weight_fails_before_the_build() {
+        let (g, comms) = barbell();
+        let cfg = WeightingConfig {
+            w_out: 0.0,
+            ..Default::default()
+        };
+        weight_by_communities(&g, &comms, cfg);
     }
 
     #[test]

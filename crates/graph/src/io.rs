@@ -279,7 +279,7 @@ pub fn save_edge_list<P: AsRef<Path>>(g: &Graph, path: P) -> std::io::Result<()>
 /// - a **duplicate** edge (either orientation) is an error, so weights
 ///   never accumulate silently.
 pub fn read_weighted_edge_list<R: Read>(reader: R) -> std::io::Result<(Graph, Vec<u64>)> {
-    let mut edges: Vec<(NodeId, NodeId, f64)> = Vec::new();
+    let mut builder = GraphBuilder::weighted(0);
     let mut seen: std::collections::HashSet<(u64, u64)> = std::collections::HashSet::new();
     let mut ids = DenseIds::default();
     let mut r = BufReader::with_capacity(READ_BUFFER_BYTES, reader);
@@ -319,14 +319,9 @@ pub fn read_weighted_edge_list<R: Read>(reader: R) -> std::io::Result<(Graph, Ve
         }
         let du = ids.dense(u);
         let dv = ids.dense(v);
-        edges.push((du, dv, w));
+        builder.add_weighted_edge(du, dv, w);
     }
-    let original = ids.original;
-    let mut b = crate::weighted::WeightedGraphBuilder::new(original.len());
-    for (u, v, w) in edges {
-        b.add_edge(u, v, w);
-    }
-    Ok((b.build(), original))
+    Ok((builder.build(), ids.original))
 }
 
 /// Write a weighted graph as `u v w` lines (dense ids).
@@ -345,7 +340,8 @@ pub fn write_weighted_edge_list<W: Write>(g: &Graph, writer: W) -> std::io::Resu
 
 /// Parse SNAP-style community files: one community per line, original node
 /// ids, mapped through `original -> dense` (the inverse of the mapping
-/// [`read_edge_list`] returns). Unknown node ids are skipped.
+/// [`read_edge_list`] returns). Blank lines and `#`/`%` comments are
+/// skipped, as in the edge lists; unknown node ids are skipped.
 pub fn read_communities<R: Read>(
     reader: R,
     original_ids: &[u64],
@@ -358,10 +354,9 @@ pub fn read_communities<R: Read>(
     let mut out = Vec::new();
     for line in BufReader::new(reader).lines() {
         let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
+        let Some(trimmed) = content(&line) else {
             continue;
-        }
+        };
         let mut comm: Vec<NodeId> = trimmed
             .split_whitespace()
             .filter_map(|tok| tok.parse::<u64>().ok())
@@ -451,6 +446,14 @@ mod tests {
     }
 
     #[test]
+    fn community_files_skip_both_comment_styles() {
+        let (_, original) = read_edge_list("10 20\n20 30\n30 40\n".as_bytes()).unwrap();
+        let cmty = "% 10 40\n10 20 30\n# 20 40\n";
+        let comms = read_communities(cmty.as_bytes(), &original).unwrap();
+        assert_eq!(comms, vec![vec![0, 1, 2]]);
+    }
+
+    #[test]
     fn duplicate_edges_collapse() {
         let text = "1 2\n2 1\n1 2\n";
         let (g, _) = read_edge_list(text.as_bytes()).unwrap();
@@ -459,9 +462,9 @@ mod tests {
 
     #[test]
     fn weighted_roundtrip() {
-        let mut b = crate::weighted::WeightedGraphBuilder::new(3);
-        b.add_edge(0, 1, 2.5);
-        b.add_edge(1, 2, 0.5);
+        let mut b = GraphBuilder::weighted(3);
+        b.add_weighted_edge(0, 1, 2.5);
+        b.add_weighted_edge(1, 2, 0.5);
         let g = b.build();
         let mut buf = Vec::new();
         write_weighted_edge_list(&g, &mut buf).unwrap();

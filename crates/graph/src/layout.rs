@@ -10,6 +10,9 @@
 //! neighbours land in adjacent rows and the BFS and peeling loops
 //! stream the neighbour array nearly sequentially.
 //!
+//! This module picks the order; the renumbered copy is [`Graph::induced`]
+//! on it, which carries the weights lane when the graph has one.
+//!
 //! A renumbered graph is **internal only**. Every public surface of the
 //! engine — queries, updates, shard assignment, JSON output, cache keys
 //! — speaks stable *external* ids; the [`NodeMap`] carried by a
@@ -171,7 +174,7 @@ impl ComputeGraph {
     /// nothing to build or store).
     pub fn build(g: &Graph, policy: LayoutPolicy) -> Option<ComputeGraph> {
         let order = compute_order(g, policy)?;
-        let graph = apply_order(g, &order);
+        let graph = g.induced(&order);
         let map = NodeMap::from_order(&order);
         Some(ComputeGraph { graph, map, policy })
     }
@@ -198,59 +201,6 @@ pub fn compute_order(g: &Graph, policy: LayoutPolicy) -> Option<Vec<NodeId>> {
     match policy {
         LayoutPolicy::Identity => None,
         LayoutPolicy::Bfs => Some(bfs_order(g)),
-    }
-}
-
-/// Renumber `g` by an explicit ordering (`order[internal] = external`;
-/// must be a permutation of `0..g.n()`). The result is isomorphic to
-/// `g` — same degrees, same edges up to relabeling — with the weights
-/// lane, when present, permuted alongside the neighbour array. Public
-/// so benchmarks and tests can apply custom (e.g. scrambling)
-/// permutations through the same code path the store uses.
-pub fn apply_order(g: &Graph, order: &[NodeId]) -> Graph {
-    let n = g.n();
-    assert_eq!(order.len(), n, "order must cover every node");
-    let map = NodeMap::from_order(order);
-    debug_assert!(
-        {
-            let mut seen = vec![false; n];
-            order.iter().all(|&v| {
-                let fresh = !seen[v as usize];
-                seen[v as usize] = true;
-                fresh
-            })
-        },
-        "order must be a permutation"
-    );
-
-    let weighted = g.is_weighted();
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0usize);
-    let mut acc = 0usize;
-    for &external in order {
-        acc += g.degree(external);
-        offsets.push(acc);
-    }
-    let mut neighbors = Vec::with_capacity(acc);
-    let mut slot_weight: Option<Vec<f64>> = weighted.then(|| Vec::with_capacity(acc));
-    // Per-row scratch: translate, then sort so adjacency stays sorted
-    // (the CSR invariant `has_edge` and the views binary-search on).
-    let mut row: Vec<(NodeId, f64)> = Vec::new();
-    for &external in order {
-        row.clear();
-        for (u, w) in g.weighted_neighbors(external) {
-            row.push((map.to_internal(u), w));
-        }
-        row.sort_unstable_by_key(|&(v, _)| v);
-        neighbors.extend(row.iter().map(|&(v, _)| v));
-        if let Some(sw) = &mut slot_weight {
-            sw.extend(row.iter().map(|&(_, w)| w));
-        }
-    }
-    let graph = Graph::from_csr(offsets, neighbors);
-    match slot_weight {
-        Some(sw) => graph.attach_weights(sw),
-        None => graph,
     }
 }
 
@@ -283,7 +233,6 @@ fn bfs_order(g: &Graph) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::weighted::WeightedGraphBuilder;
     use crate::GraphBuilder;
 
     fn two_triangles() -> Graph {
@@ -337,27 +286,6 @@ mod tests {
         let g = GraphBuilder::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
         let order = compute_order(&g, LayoutPolicy::Bfs).unwrap();
         assert_eq!(order, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn apply_order_carries_weights() {
-        let mut b = WeightedGraphBuilder::new(4);
-        b.add_edge(0, 1, 2.0);
-        b.add_edge(1, 2, 3.0);
-        b.add_edge(2, 3, 0.5);
-        let g = b.build();
-        let order = vec![3, 2, 1, 0];
-        let p = apply_order(&g, &order);
-        let map = NodeMap::from_order(&order);
-        assert!(p.is_weighted());
-        assert_eq!(
-            p.edge_weight(map.to_internal(1), map.to_internal(2)),
-            Some(3.0)
-        );
-        assert!((p.total_weight() - g.total_weight()).abs() < 1e-12);
-        for v in 0..4 {
-            assert!((p.strength(map.to_internal(v)) - g.strength(v)).abs() < 1e-12);
-        }
     }
 
     #[test]

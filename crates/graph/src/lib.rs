@@ -234,44 +234,46 @@ impl Graph {
             + self.weights.as_deref().map_or(0, |w| w.memory_bytes())
     }
 
-    /// Extract the induced subgraph `G[nodes]`, relabelling nodes to
-    /// `0..nodes.len()` in the order given. Returns the subgraph and the
-    /// mapping `new -> old`. When this graph carries a weights lane the
-    /// subgraph carries one too, each surviving edge keeping its weight —
-    /// so weighted measures evaluated inside the subgraph stay faithful.
-    pub fn induced(&self, nodes: &[NodeId]) -> (Graph, Vec<NodeId>) {
+    /// The subgraph induced by `nodes`, which must be distinct: `nodes[i]`
+    /// becomes node `i`, so a permutation of `0..n` renumbers the graph.
+    /// Each row is translated through a new-id table and sorted. When this
+    /// graph carries a weights lane the subgraph carries one too, each
+    /// surviving edge keeping its weight.
+    pub fn induced(&self, nodes: &[NodeId]) -> Graph {
         let mut new_id = vec![NodeId::MAX; self.n()];
         for (i, &v) in nodes.iter().enumerate() {
+            debug_assert_eq!(new_id[v as usize], NodeId::MAX, "node {v} given twice");
             new_id[v as usize] = i as NodeId;
         }
-        let mut b = GraphBuilder::new(nodes.len());
+        let lane = self.weights.as_deref();
+        let mut offsets = Vec::with_capacity(nodes.len() + 1);
+        offsets.push(0);
+        let mut neighbors = Vec::with_capacity(self.degree_sum(nodes) as usize);
+        let mut slot_weight = Vec::with_capacity(lane.map_or(0, |_| neighbors.capacity()));
+        let mut row: Vec<(NodeId, f64)> = Vec::new();
         for &v in nodes {
-            for &w in self.neighbors(v) {
-                if v < w && new_id[w as usize] != NodeId::MAX {
-                    b.add_edge(new_id[v as usize], new_id[w as usize]);
-                }
+            if lane.is_some() {
+                let kept = self
+                    .weighted_neighbors(v)
+                    .map(|(u, w)| (new_id[u as usize], w));
+                row.clear();
+                row.extend(kept.filter(|&(u, _)| u != NodeId::MAX));
+                row.sort_unstable_by_key(|&(u, _)| u);
+                neighbors.extend(row.iter().map(|&(u, _)| u));
+                slot_weight.extend(row.iter().map(|&(_, w)| w));
+            } else {
+                let start = neighbors.len();
+                let kept = self.neighbors(v).iter().map(|&u| new_id[u as usize]);
+                neighbors.extend(kept.filter(|&u| u != NodeId::MAX));
+                neighbors[start..].sort_unstable();
             }
+            offsets.push(neighbors.len());
         }
-        let sub = b.build();
-        let sub = if self.is_weighted() {
-            // Fill the subgraph's slot-weight lane by looking each kept
-            // edge up in the host lane (the subgraph relabelling need not
-            // preserve adjacency order, so slots are resolved per edge).
-            let mut slot_weight = vec![0.0f64; 2 * sub.m()];
-            for (i, &v) in nodes.iter().enumerate() {
-                let base = sub.csr_offset(i as NodeId);
-                for (slot, &w_new) in sub.neighbors(i as NodeId).iter().enumerate() {
-                    let w_old = nodes[w_new as usize];
-                    slot_weight[base + slot] = self
-                        .edge_weight(v, w_old)
-                        .expect("kept edge exists in the host graph");
-                }
-            }
-            sub.attach_weights(slot_weight)
-        } else {
-            sub
-        };
-        (sub, nodes.to_vec())
+        let sub = Graph::from_csr(offsets, neighbors);
+        match lane {
+            Some(_) => sub.attach_weights(slot_weight),
+            None => sub,
+        }
     }
 }
 
@@ -351,10 +353,9 @@ mod tests {
     #[test]
     fn induced_subgraph_relabels() {
         let g = path4();
-        let (sub, map) = g.induced(&[1, 2, 3]);
+        let sub = g.induced(&[1, 2, 3]);
         assert_eq!(sub.n(), 3);
         assert_eq!(sub.m(), 2);
-        assert_eq!(map, vec![1, 2, 3]);
         assert!(sub.has_edge(0, 1)); // old (1,2)
         assert!(sub.has_edge(1, 2)); // old (2,3)
         assert!(!sub.has_edge(0, 2));
@@ -362,16 +363,15 @@ mod tests {
 
     #[test]
     fn induced_subgraph_preserves_weights() {
-        let mut b = weighted::WeightedGraphBuilder::new(4);
-        b.add_edge(0, 1, 2.0);
-        b.add_edge(1, 2, 3.0);
-        b.add_edge(0, 2, 1.5);
-        b.add_edge(2, 3, 0.5);
+        let mut b = GraphBuilder::weighted(4);
+        b.add_weighted_edge(0, 1, 2.0);
+        b.add_weighted_edge(1, 2, 3.0);
+        b.add_weighted_edge(0, 2, 1.5);
+        b.add_weighted_edge(2, 3, 0.5);
         let g = b.build();
         // Keep nodes out of id order: the relabelling must still land
         // every weight on the right subgraph slot.
-        let (sub, map) = g.induced(&[2, 0, 1]);
-        assert_eq!(map, vec![2, 0, 1]);
+        let sub = g.induced(&[2, 0, 1]);
         assert!(sub.is_weighted());
         assert_eq!(sub.m(), 3);
         assert_eq!(sub.edge_weight(1, 2), Some(2.0)); // old (0,1)
@@ -379,8 +379,35 @@ mod tests {
         assert_eq!(sub.edge_weight(0, 1), Some(1.5)); // old (2,0)
         assert!((sub.total_weight() - 6.5).abs() < 1e-12);
         // The unweighted host stays laneless through induced().
-        let (plain, _) = path4().induced(&[1, 2, 3]);
-        assert!(!plain.is_weighted());
+        assert!(!path4().induced(&[1, 2, 3]).is_weighted());
+    }
+
+    #[test]
+    fn induced_on_a_permutation_carries_weights() {
+        let mut b = GraphBuilder::weighted(4);
+        b.add_weighted_edge(0, 1, 2.0);
+        b.add_weighted_edge(1, 2, 3.0);
+        b.add_weighted_edge(2, 3, 0.5);
+        let g = b.build();
+        let order = vec![3, 2, 1, 0];
+        let p = g.induced(&order);
+        let map = NodeMap::from_order(&order);
+        assert!(p.is_weighted());
+        assert_eq!(
+            p.edge_weight(map.to_internal(1), map.to_internal(2)),
+            Some(3.0)
+        );
+        assert!((p.total_weight() - g.total_weight()).abs() < 1e-12);
+        for v in 0..4 {
+            assert!((p.strength(map.to_internal(v)) - g.strength(v)).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "given twice")]
+    fn induced_nodes_must_be_distinct() {
+        path4().induced(&[1, 2, 1]);
     }
 
     #[test]

@@ -496,7 +496,7 @@ impl GraphStore {
 
     /// An empty store on `n` isolated nodes partitioned into `shards`
     /// node-id-range shards. (An empty *weighted* store is
-    /// `GraphStore::from_graph(WeightedGraphBuilder::new(n).build())`.)
+    /// `GraphStore::from_graph(GraphBuilder::weighted(n).build())`.)
     pub fn with_shards(n: usize, shards: usize) -> Self {
         GraphStore::from_graph_sharded(GraphBuilder::new(n).build(), shards)
     }
@@ -838,7 +838,6 @@ impl std::fmt::Debug for GraphStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::weighted::WeightedGraphBuilder;
 
     fn barbell() -> Graph {
         GraphBuilder::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
@@ -846,7 +845,7 @@ mod tests {
 
     /// An empty weighted store on `n` nodes.
     fn weighted_store(n: usize, shards: usize) -> GraphStore {
-        GraphStore::from_graph_sharded(WeightedGraphBuilder::new(n).build(), shards)
+        GraphStore::from_graph_sharded(GraphBuilder::weighted(n).build(), shards)
     }
 
     fn overlay(store: &GraphStore) -> BTreeMap<NodeId, Row> {
@@ -1076,10 +1075,10 @@ mod tests {
 
     #[test]
     fn weighted_store_serves_lane_carrying_snapshots() {
-        let mut b = WeightedGraphBuilder::new(4);
-        b.add_edge(0, 1, 2.0);
-        b.add_edge(1, 2, 3.0);
-        b.add_edge(2, 3, 7.0);
+        let mut b = GraphBuilder::weighted(4);
+        b.add_weighted_edge(0, 1, 2.0);
+        b.add_weighted_edge(1, 2, 3.0);
+        b.add_weighted_edge(2, 3, 7.0);
         let g = b.build();
         let store = GraphStore::from_graph(g.clone());
         assert!(store.is_weighted());
@@ -1278,9 +1277,9 @@ mod tests {
         assert_eq!(snap.edge_weight(1, 2), Some(9.0));
         // Unchanged rows' weights copied forward intact.
         assert_eq!(snap.edge_weight(10, 11), Some(10.5));
-        let mut b = WeightedGraphBuilder::new(16);
+        let mut b = GraphBuilder::weighted(16);
         for (&(u, v), &w) in &edges {
-            b.add_edge(u, v, w);
+            b.add_weighted_edge(u, v, w);
         }
         let scratch = b.build();
         for v in 0..16u32 {
@@ -1383,9 +1382,9 @@ mod tests {
             assert_ne!(store.set_weight(5, 6, w), None); // shard 1
             edges.insert((5, 6), w);
             let snap = store.snapshot();
-            let mut b = WeightedGraphBuilder::new(16);
+            let mut b = GraphBuilder::weighted(16);
             for (&(u, v), &w) in &edges {
-                b.add_edge(u, v, w);
+                b.add_weighted_edge(u, v, w);
             }
             let scratch = b.build();
             assert_eq!(snap.edge_weight(5, 6), Some(w));

@@ -10,10 +10,13 @@
 //! accessors on [`Graph`] in this module fall back to unit weights when
 //! the lane is absent, so weight-aware algorithms run on any graph while
 //! the unweighted hot path never touches weight state.
-//! [`WeightedGraphBuilder`] builds a [`Graph`] with its lane attached;
-//! [`Graph::with_unit_weights`] attaches unit weights to a built one.
+//! [`GraphBuilder::weighted`](crate::GraphBuilder::weighted) builds a
+//! [`Graph`] with its lane attached, through the same counting sorts as
+//! an unweighted build; [`Graph::induced`] carries the lane into a
+//! relabelled copy; [`Graph::with_unit_weights`] attaches unit weights
+//! to a built graph.
 
-use crate::{Graph, GraphBuilder, NodeId};
+use crate::{Graph, NodeId};
 
 /// Is `w` an admissible edge weight (finite and strictly positive)?
 /// The single weight-domain predicate of the workspace — the builder,
@@ -175,64 +178,17 @@ impl Graph {
     }
 }
 
-/// Builder for a [`Graph`] with positive edge weights: duplicate edges
-/// accumulate weight.
-#[derive(Debug, Clone, Default)]
-pub struct WeightedGraphBuilder {
-    n: usize,
-    edges: std::collections::BTreeMap<(NodeId, NodeId), f64>,
-}
-
-impl WeightedGraphBuilder {
-    /// Create a builder for at least `n` nodes.
-    pub fn new(n: usize) -> Self {
-        WeightedGraphBuilder {
-            n,
-            edges: std::collections::BTreeMap::new(),
-        }
-    }
-
-    /// Add an undirected edge with weight `w > 0`. Parallel additions of
-    /// the same edge sum their weights; self-loops are ignored.
-    pub fn add_edge(&mut self, u: NodeId, v: NodeId, w: f64) {
-        assert!(valid_weight(w), "edge weight must be positive and finite");
-        if u == v {
-            return;
-        }
-        let key = if u < v { (u, v) } else { (v, u) };
-        self.n = self.n.max(key.1 as usize + 1);
-        *self.edges.entry(key).or_insert(0.0) += w;
-    }
-
-    /// Build the graph, its weights lane attached (even when it has no
-    /// edges).
-    pub fn build(self) -> Graph {
-        let mut b = GraphBuilder::with_capacity(self.n, self.edges.len());
-        for &(u, v) in self.edges.keys() {
-            b.add_edge(u, v);
-        }
-        let graph = b.build();
-        let mut slot_weight = vec![0.0f64; 2 * graph.m()];
-        for (&(u, v), &w) in &self.edges {
-            let su = graph.csr_offset(u) + graph.neighbors(u).binary_search(&v).unwrap();
-            let sv = graph.csr_offset(v) + graph.neighbors(v).binary_search(&u).unwrap();
-            slot_weight[su] = w;
-            slot_weight[sv] = w;
-        }
-        graph.attach_weights(slot_weight)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphBuilder;
 
     fn weighted_triangle_tail() -> Graph {
-        let mut b = WeightedGraphBuilder::new(4);
-        b.add_edge(0, 1, 2.0);
-        b.add_edge(1, 2, 3.0);
-        b.add_edge(0, 2, 1.0);
-        b.add_edge(2, 3, 0.5);
+        let mut b = GraphBuilder::weighted(4);
+        b.add_weighted_edge(0, 1, 2.0);
+        b.add_weighted_edge(1, 2, 3.0);
+        b.add_weighted_edge(0, 2, 1.0);
+        b.add_weighted_edge(2, 3, 0.5);
         b.build()
     }
 
@@ -250,16 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_edges_accumulate() {
-        let mut b = WeightedGraphBuilder::new(2);
-        b.add_edge(0, 1, 1.5);
-        b.add_edge(1, 0, 2.5);
-        let g = b.build();
-        assert_eq!(g.m(), 1);
-        assert_eq!(g.edge_weight(0, 1), Some(4.0));
-    }
-
-    #[test]
     fn weighted_dm_matches_manual_computation() {
         let g = weighted_triangle_tail();
         let c = vec![0, 1, 2];
@@ -270,9 +216,9 @@ mod tests {
 
     #[test]
     fn unit_weights_reduce_to_unweighted_dm() {
-        let mut b = WeightedGraphBuilder::new(4);
+        let mut b = GraphBuilder::weighted(4);
         for (u, v) in [(0, 1), (1, 2), (0, 2), (2, 3)] {
-            b.add_edge(u, v, 1.0);
+            b.add_weighted_edge(u, v, 1.0);
         }
         let wg = b.build();
         let c = vec![0, 1, 2];
@@ -320,22 +266,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn rejects_nonpositive_weight() {
-        let mut b = WeightedGraphBuilder::new(2);
-        b.add_edge(0, 1, 0.0);
+        let mut b = GraphBuilder::weighted(2);
+        b.add_weighted_edge(0, 1, 0.0);
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn rejects_infinite_weight() {
-        let mut b = WeightedGraphBuilder::new(2);
-        b.add_edge(0, 1, f64::INFINITY);
+        let mut b = GraphBuilder::weighted(2);
+        b.add_weighted_edge(0, 1, f64::INFINITY);
     }
 
     #[test]
     fn parallel_edges_sum_their_weights() {
-        let mut b = WeightedGraphBuilder::new(3);
-        b.add_edge(0, 1, 1.5);
-        b.add_edge(1, 0, 2.5); // reversed orientation, same edge
+        let mut b = GraphBuilder::weighted(3);
+        b.add_weighted_edge(0, 1, 1.5);
+        b.add_weighted_edge(1, 0, 2.5); // reversed orientation, same edge
         let wg = b.build();
         assert_eq!(wg.m(), 1);
         assert_eq!(wg.edge_weight(0, 1), Some(4.0));
@@ -344,9 +290,9 @@ mod tests {
 
     #[test]
     fn self_loops_are_ignored() {
-        let mut b = WeightedGraphBuilder::new(2);
-        b.add_edge(1, 1, 5.0);
-        b.add_edge(0, 1, 1.0);
+        let mut b = GraphBuilder::weighted(2);
+        b.add_weighted_edge(1, 1, 5.0);
+        b.add_weighted_edge(0, 1, 1.0);
         let wg = b.build();
         assert_eq!(wg.m(), 1);
         assert!((wg.total_weight() - 1.0).abs() < 1e-12);
@@ -354,8 +300,8 @@ mod tests {
 
     #[test]
     fn builder_grows_to_fit_node_ids() {
-        let mut b = WeightedGraphBuilder::new(1);
-        b.add_edge(0, 9, 2.0);
+        let mut b = GraphBuilder::weighted(1);
+        b.add_weighted_edge(0, 9, 2.0);
         let wg = b.build();
         assert_eq!(wg.n(), 10);
         assert!((wg.strength(9) - 2.0).abs() < 1e-12);
@@ -364,9 +310,9 @@ mod tests {
 
     #[test]
     fn strength_sums_incident_weights() {
-        let mut b = WeightedGraphBuilder::new(3);
-        b.add_edge(0, 1, 1.0);
-        b.add_edge(0, 2, 2.5);
+        let mut b = GraphBuilder::weighted(3);
+        b.add_weighted_edge(0, 1, 1.0);
+        b.add_weighted_edge(0, 2, 2.5);
         let wg = b.build();
         assert!((wg.strength(0) - 3.5).abs() < 1e-12);
         assert!((wg.strength_sum(&[0, 1, 2]) - 7.0).abs() < 1e-12);

@@ -9,7 +9,7 @@
 use dmcs::core::detect::{detect_communities, partition_density_modularity, DetectConfig};
 use dmcs::core::{CommunitySearch, Fpa};
 use dmcs::gen::ring;
-use dmcs::graph::weighted::WeightedGraphBuilder;
+use dmcs::graph::GraphBuilder;
 
 fn main() {
     // --- Part 1: detection on the resolution-limit showcase.
@@ -32,14 +32,14 @@ fn main() {
     // --- Part 2: weighted DMCS.
     // A collaboration graph where edge weight = number of joint papers.
     // Two triangles share a bridge; the right one collaborates 10x more.
-    let mut b = WeightedGraphBuilder::new(6);
-    b.add_edge(0, 1, 1.0);
-    b.add_edge(1, 2, 1.0);
-    b.add_edge(0, 2, 1.0);
-    b.add_edge(3, 4, 10.0);
-    b.add_edge(4, 5, 10.0);
-    b.add_edge(3, 5, 10.0);
-    b.add_edge(2, 3, 0.5);
+    let mut b = GraphBuilder::weighted(6);
+    b.add_weighted_edge(0, 1, 1.0);
+    b.add_weighted_edge(1, 2, 1.0);
+    b.add_weighted_edge(0, 2, 1.0);
+    b.add_weighted_edge(3, 4, 10.0);
+    b.add_weighted_edge(4, 5, 10.0);
+    b.add_weighted_edge(3, 5, 10.0);
+    b.add_weighted_edge(2, 3, 0.5);
     let wg = b.build();
     println!("\nweighted barbell (right side 10x heavier):");
     for q in [0u32, 4] {

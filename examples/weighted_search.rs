@@ -8,7 +8,7 @@
 
 use dmcs::core::{Fpa, Nca};
 use dmcs::gen::sbm;
-use dmcs::graph::weighted::WeightedGraphBuilder;
+use dmcs::graph::GraphBuilder;
 use dmcs::metrics::nmi;
 use dmcs::prelude::CommunitySearch;
 
@@ -21,10 +21,10 @@ fn main() {
     let truth = &comms[0];
 
     // But interactions *inside* a block are five times heavier.
-    let mut b = WeightedGraphBuilder::new(topo.n());
+    let mut b = GraphBuilder::weighted(topo.n());
     for (u, v) in topo.edges() {
         let same_block = ((u as usize) < block) == ((v as usize) < block);
-        b.add_edge(u, v, if same_block { 5.0 } else { 1.0 });
+        b.add_weighted_edge(u, v, if same_block { 5.0 } else { 1.0 });
     }
     let wg = b.build();
 

@@ -244,6 +244,8 @@ fn validate_jsonl(text: &str) {
     let mut responses = 0usize;
     let mut ok = 0usize;
     let mut saw_summary = false;
+    // Response lines tagged `round-{i + 1}` at line i: a top-k run.
+    let mut rounds = 0usize;
     for (i, line) in lines.iter().enumerate() {
         let v = Json::parse(line).unwrap_or_else(|e| panic!("line {i} invalid: {e}\n{line}"));
         // Wire versioning is part of every line of the schema.
@@ -261,6 +263,10 @@ fn validate_jsonl(text: &str) {
         match v.get("type").and_then(|t| t.as_str()) {
             Some("response") => {
                 responses += 1;
+                let tag = v.get("tag").and_then(|t| t.as_str());
+                if tag == Some(format!("round-{}", i + 1).as_str()) {
+                    rounds += 1;
+                }
                 if v.get("ok").unwrap().as_bool() == Some(true) {
                     ok += 1;
                     assert!(v.get("community").unwrap().as_arr().is_some());
@@ -406,7 +412,10 @@ fn validate_jsonl(text: &str) {
             other => panic!("line {i}: unexpected type {other:?}"),
         }
     }
-    assert!(saw_summary, "output must end with a summary line");
+    // A top-k run prints only its rounds, numbered from 1; every other
+    // output ends with a summary.
+    let top_k = rounds == lines.len();
+    assert!(saw_summary || top_k, "output must end with a summary line");
 }
 
 #[test]

@@ -4,9 +4,10 @@
 //! overflow, invalid UTF-8, long lines, a missing final newline) must
 //! load to the same `original` and rows, or fail with the same error,
 //! through readers that return a few bytes per call. The counting-sort
-//! build must give the same rows as the sort on random pair lists, and
-//! a perfbench-shaped file of more than 1 MiB must load to the graph
-//! its first-appearance numbering predicts.
+//! build must give the same rows as the sort on random pair lists, and a
+//! weighted build the same rows, slot weights, strengths and w_G bits as
+//! the `BTreeMap` build; a perfbench-shaped file of more than 1 MiB must
+//! load to the graph its first-appearance numbering predicts.
 
 use dmcs::core::{CommunitySearch, Fpa};
 use dmcs::graph::io::{load_edge_list, read_edge_list, read_weighted_edge_list};
@@ -19,8 +20,8 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{BufRead, BufReader, ErrorKind, Read};
 
 // ---------------------------------------------------------------------
-// Oracles: the readers and the build as they were before the byte
-// scanner and the counting sort.
+// Oracles: the readers and the builds as they were before the byte
+// scanner and the counting sorts.
 // ---------------------------------------------------------------------
 
 /// A CSR as the sort-based build produced it.
@@ -257,6 +258,32 @@ fn same_rows(g: &Graph, want: &OracleCsr, original: &[u64]) -> Result<(), String
     Ok(())
 }
 
+/// The graph carries a weights lane, and its slot weights, strengths
+/// and w_G have the oracle's bits (on the oracle's rows).
+fn same_lane(g: &Graph, want: &OracleWeighted) -> Result<(), String> {
+    if !g.is_weighted() {
+        return Err("no weights lane".into());
+    }
+    for v in 0..want.csr.n() {
+        let got: Vec<u64> = g
+            .weighted_neighbors(v as NodeId)
+            .map(|(_, w)| w.to_bits())
+            .collect();
+        let span = want.csr.offsets[v]..want.csr.offsets[v + 1];
+        let expect: Vec<u64> = want.slot_weight[span].iter().map(|w| w.to_bits()).collect();
+        if got != expect {
+            return Err(format!("weights of row {v}: {got:?} vs {expect:?}"));
+        }
+        if g.strength(v as NodeId).to_bits() != want.strength[v].to_bits() {
+            return Err(format!("strength of {v}"));
+        }
+    }
+    if g.total_weight().to_bits() != want.total.to_bits() {
+        return Err(format!("w_G {} vs {}", g.total_weight(), want.total));
+    }
+    Ok(())
+}
+
 fn same_error(got: &std::io::Error, want: &std::io::Error) -> Result<(), String> {
     if got.kind() != want.kind() || got.to_string() != want.to_string() {
         return Err(format!("error {got:?} vs {want:?}"));
@@ -291,27 +318,7 @@ fn check_weighted(text: &[u8], reader: impl Read) -> Result<(), String> {
                 return Err(format!("original {original:?} vs {want_original:?}"));
             }
             same_rows(&g, &want.csr, &original)?;
-            if !g.is_weighted() {
-                return Err("no weights lane".into());
-            }
-            for v in 0..g.n() {
-                let got: Vec<u64> = g
-                    .weighted_neighbors(v as NodeId)
-                    .map(|(_, w)| w.to_bits())
-                    .collect();
-                let span = want.csr.offsets[v]..want.csr.offsets[v + 1];
-                let expect: Vec<u64> = want.slot_weight[span].iter().map(|w| w.to_bits()).collect();
-                if got != expect {
-                    return Err(format!("weights of row {v}: {got:?} vs {expect:?}"));
-                }
-                if g.strength(v as NodeId).to_bits() != want.strength[v].to_bits() {
-                    return Err(format!("strength of {v}"));
-                }
-            }
-            if g.total_weight().to_bits() != want.total.to_bits() {
-                return Err(format!("w_G {} vs {}", g.total_weight(), want.total));
-            }
-            Ok(())
+            same_lane(&g, &want)
         }
         (Err(got), Err(want)) => same_error(&got, &want),
         (got, want) => Err(format!(
@@ -601,8 +608,12 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let declared = rng.gen_range(0..40usize);
         let reach = declared + rng.gen_range(1..6usize);
-        let mut pairs: Vec<(NodeId, NodeId)> = (0..rng.gen_range(0..200))
-            .map(|_| (rng.gen_range(0..reach as NodeId), rng.gen_range(0..reach as NodeId)))
+        // Endpoints below 5 repeat most pairs three times and more, and
+        // usually leave the declared n above the last endpoint.
+        let ends = if rng.gen_bool(0.3) { reach.min(5) } else { reach } as NodeId;
+        let count = if rng.gen_bool(0.1) { 0 } else { rng.gen_range(0..200) };
+        let mut pairs: Vec<(NodeId, NodeId)> = (0..count)
+            .map(|_| (rng.gen_range(0..ends), rng.gen_range(0..ends)))
             .collect();
         if rng.gen_bool(0.25) {
             // Already in (u, v) order: the build keeps the order it has.
@@ -631,6 +642,78 @@ proptest! {
             prop_assert_eq!(g.csr_offset(v as NodeId), want.offsets[v]);
             prop_assert_eq!(g.neighbors(v as NodeId), want.row(v), "row {}", v);
         }
+        prop_assert!(!g.is_weighted());
+
+        // The weighted legs: the same pairs through a weighted builder,
+        // most with a weight in [0.5, 4), the rest through `add_edge`
+        // (weight 1.0). Copies of a pair sum in insertion order.
+        let weights: Vec<Option<f64>> = pairs
+            .iter()
+            .map(|_| rng.gen_bool(0.8).then(|| rng.gen_range(0.5..4.0)))
+            .collect();
+        let triples: Vec<(NodeId, NodeId, f64)> = pairs
+            .iter()
+            .zip(&weights)
+            .map(|(&(u, v), w)| (u, v, w.unwrap_or(1.0)))
+            .collect();
+        let want = oracle_weighted_build(declared, &triples);
+        let mut b = GraphBuilder::weighted(declared);
+        for (&(u, v), w) in pairs.iter().zip(&weights) {
+            match *w {
+                Some(w) => b.add_weighted_edge(u, v, w),
+                None => b.add_edge(u, v),
+            }
+        }
+        let g = b.build();
+        prop_assert_eq!(g.n(), want.csr.n());
+        prop_assert_eq!(2 * g.m(), want.csr.neighbors.len());
+        for v in 0..g.n() {
+            prop_assert_eq!(g.csr_offset(v as NodeId), want.csr.offsets[v]);
+            prop_assert_eq!(g.neighbors(v as NodeId), want.csr.row(v), "row {}", v);
+        }
+        let lane = same_lane(&g, &want);
+        prop_assert!(lane.is_ok(), "{}", lane.unwrap_err());
+    }
+}
+
+#[test]
+fn weighted_builds_match_the_btreemap_build_on_fixed_lists() {
+    type Case<'a> = (usize, &'a [(NodeId, NodeId, f64)]);
+    let cases: [Case; 6] = [
+        // Empty: still a lane, on the declared nodes.
+        (0, &[]),
+        (4, &[]),
+        // Three and four copies of one pair, in both orientations,
+        // between other edges: (0.1 + 0.2) + 0.3 is not (0.3 + 0.2) + 0.1.
+        (
+            0,
+            &[
+                (1, 0, 0.1),
+                (2, 3, 1.0),
+                (0, 1, 0.2),
+                (3, 2, 0.7),
+                (1, 0, 0.3),
+                (0, 1, 1e-17),
+            ],
+        ),
+        (0, &[(0, 1, 0.3), (0, 1, 0.2), (0, 1, 0.1)]),
+        // Self-loops are dropped and do not grow n.
+        (2, &[(5, 5, 2.0), (0, 1, 1.5), (1, 1, 4.0)]),
+        // A declared n above the last endpoint.
+        (9, &[(3, 1, 2.5), (1, 2, 0.75)]),
+    ];
+    for (declared, edges) in cases {
+        let want = oracle_weighted_build(declared, edges);
+        let mut b = GraphBuilder::weighted(declared);
+        for &(u, v, w) in edges {
+            b.add_weighted_edge(u, v, w);
+        }
+        let g = b.build();
+        assert_eq!(g.n(), want.csr.n(), "{edges:?}");
+        for v in 0..g.n() {
+            assert_eq!(g.neighbors(v as NodeId), want.csr.row(v), "{edges:?}");
+        }
+        same_lane(&g, &want).unwrap_or_else(|e| panic!("{edges:?}: {e}"));
     }
 }
 

@@ -5,7 +5,7 @@
 use dmcs::core::{CommunitySearch, Exact, Fpa, FpaDmg, Nca, NcaDr};
 use dmcs::gen::{karate, random};
 use dmcs::graph::io::{read_communities, read_edge_list, write_edge_list};
-use dmcs::graph::weighted::WeightedGraphBuilder;
+use dmcs::graph::GraphBuilder;
 
 #[test]
 fn karate_roundtrips_through_edge_list_io() {
@@ -45,9 +45,9 @@ fn snap_style_community_file_parses() {
 #[test]
 fn weighted_search_on_karate_with_unit_weights_matches_topology_dm() {
     let g = karate::karate();
-    let mut b = WeightedGraphBuilder::new(34);
+    let mut b = GraphBuilder::weighted(34);
     for (u, v) in g.edges() {
-        b.add_edge(u, v, 1.0);
+        b.add_weighted_edge(u, v, 1.0);
     }
     let wg = b.build();
     let r = Fpa::default().weighted().search(&wg, &[0]).unwrap();

@@ -6,7 +6,7 @@ use dmcs::baselines::Lpa;
 use dmcs::core::{BranchAndBound, CommunitySearch, Exact, Fpa, Nca};
 use dmcs::gen::{karate, random, ring, sbm};
 use dmcs::graph::pagerank::{pagerank, personalized_pagerank, rank_of, PageRankConfig};
-use dmcs::graph::weighted::WeightedGraphBuilder;
+use dmcs::graph::GraphBuilder;
 use dmcs::metrics::overlap::{average_f1, omega_index, onmi};
 use dmcs::metrics::Goodness;
 
@@ -16,7 +16,7 @@ fn bnb_matches_bitmask_on_karate_subsets() {
     // 18-node subgraphs instead.
     let g = karate::karate();
     let nodes: Vec<u32> = (0..18).collect();
-    let (sub, _map) = g.induced(&nodes);
+    let sub = g.induced(&nodes);
     for q in [0u32, 5, 17] {
         let a = Exact.search(&sub, &[q]).unwrap();
         let b = BranchAndBound::default().search(&sub, &[q]).unwrap();
@@ -41,9 +41,9 @@ fn bnb_certifies_fpa_on_the_resolution_limit_ring() {
 #[test]
 fn weighted_algorithms_agree_with_unweighted_on_unit_karate() {
     let topo = karate::karate();
-    let mut b = WeightedGraphBuilder::new(topo.n());
+    let mut b = GraphBuilder::weighted(topo.n());
     for (u, v) in topo.edges() {
-        b.add_edge(u, v, 1.0);
+        b.add_weighted_edge(u, v, 1.0);
     }
     let wg = b.build();
     for q in 0..topo.n() as u32 {
@@ -82,10 +82,10 @@ fn weights_flip_the_winning_block() {
     // Symmetric topology, asymmetric weights: the same query lands in
     // the heavy block's community under both weighted algorithms.
     let (topo, comms) = sbm::planted_partition(&[16, 16], 0.5, 0.1, 5);
-    let mut b = WeightedGraphBuilder::new(topo.n());
+    let mut b = GraphBuilder::weighted(topo.n());
     for (u, v) in topo.edges() {
         let left = (u as usize) < 16 && (v as usize) < 16;
-        b.add_edge(u, v, if left { 4.0 } else { 1.0 });
+        b.add_weighted_edge(u, v, if left { 4.0 } else { 1.0 });
     }
     let wg = b.build();
     let q = comms[0][0];

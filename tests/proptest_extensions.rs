@@ -11,7 +11,6 @@ use dmcs::engine::AlgoSpec;
 use dmcs::gen::{lfr, sbm};
 use dmcs::graph::pagerank::{pagerank, personalized_pagerank, PageRankConfig};
 use dmcs::graph::view::QueryWorkspace;
-use dmcs::graph::weighted::WeightedGraphBuilder;
 use dmcs::graph::{Graph, GraphBuilder, NodeId, SubgraphView};
 use dmcs::metrics::overlap::{average_f1, omega_index, onmi, set_f1};
 use dmcs::metrics::Goodness;
@@ -198,9 +197,9 @@ proptest! {
     fn unit_weighted_dm_is_unweighted_dm(g in arb_graph(14), q in 0..14u32) {
         if g.m() == 0 { return Ok(()) } // DM is -inf everywhere: vacuous
         let q = q % g.n() as u32;
-        let mut b = WeightedGraphBuilder::new(g.n());
+        let mut b = GraphBuilder::weighted(g.n());
         for (u, v) in g.edges() {
-            b.add_edge(u, v, 1.0);
+            b.add_weighted_edge(u, v, 1.0);
         }
         let wg = b.build();
         // The weighted objective evaluated on any community equals the
@@ -225,8 +224,8 @@ proptest! {
         if g.m() == 0 { return Ok(()) }
         let lambda = scale_x10 as f64 / 10.0;
         let build = |w: f64| {
-            let mut b = WeightedGraphBuilder::new(g.n());
-            for (u, v) in g.edges() { b.add_edge(u, v, w); }
+            let mut b = GraphBuilder::weighted(g.n());
+            for (u, v) in g.edges() { b.add_weighted_edge(u, v, w); }
             b.build()
         };
         let unit = build(1.0);

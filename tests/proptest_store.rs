@@ -9,7 +9,7 @@
 //! touching each shard (cross-shard edges dirty both endpoint shards).
 //! The weighted variant drives weighted inserts / removals /
 //! `set_weight` through a weighted store and compares against a
-//! from-scratch [`WeightedGraphBuilder`] build, pinning down that
+//! from-scratch [`GraphBuilder::weighted`] build, pinning down that
 //! weight-only updates bump the version exactly when the stored weight
 //! changes. Finally, an [`Engine`] over a sharded store answers random
 //! query / update / re-pin transcripts, and every answer, cache hits
@@ -25,7 +25,6 @@
 
 use dmcs::core::{SearchError, SearchResult};
 use dmcs::engine::{AlgoSpec, Engine, QueryRequest, Session};
-use dmcs::graph::weighted::WeightedGraphBuilder;
 use dmcs::graph::{Graph, GraphBuilder, GraphStore, LayoutPolicy, NodeId, Snapshot};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -203,12 +202,12 @@ impl WModel {
     }
 
     fn build(&self) -> Graph {
-        let mut b = WeightedGraphBuilder::new(self.n);
+        let mut b = GraphBuilder::weighted(self.n);
         for (&(u, v), &w) in &self.edges {
-            b.add_edge(u, v, w);
+            b.add_weighted_edge(u, v, w);
         }
         let g = b.build();
-        // WeightedGraphBuilder grows to the max edge endpoint; isolated
+        // The builder grows to the max edge endpoint; isolated
         // trailing nodes exist only in the model's count.
         assert!(g.n() <= self.n);
         g
@@ -499,12 +498,12 @@ fn multi_node_hits_pin_the_shards_the_layered_walk_read() {
 #[test]
 fn weighted_hits_pin_w_g_and_the_shards_they_read() {
     let weighted = |w89: f64, w1011: f64| {
-        let mut b = WeightedGraphBuilder::new(12);
+        let mut b = GraphBuilder::weighted(12);
         for (u, v, w) in [(0, 1, 2.0), (1, 2, 2.0), (0, 2, 2.0), (2, 3, 1.0)] {
-            b.add_edge(u, v, w);
+            b.add_weighted_edge(u, v, w);
         }
         for (u, v, w) in [(8, 9, w89), (9, 10, 1.0), (8, 10, 1.0), (10, 11, w1011)] {
-            b.add_edge(u, v, w);
+            b.add_weighted_edge(u, v, w);
         }
         b.build()
     };
@@ -807,7 +806,7 @@ proptest! {
         ops in proptest::collection::vec(wop_strategy(14), 0..80),
         read_every in 1usize..5,
     ) {
-        let store = GraphStore::from_graph(WeightedGraphBuilder::new(n0).build());
+        let store = GraphStore::from_graph(GraphBuilder::weighted(n0).build());
         prop_assert!(store.is_weighted());
         let mut model = WModel { n: n0, ..WModel::default() };
         let mut version = store.version();
