@@ -106,6 +106,9 @@ pub struct SearchResult {
     /// absent, and so are the outer layers that layer-pruned FPA (§5.7)
     /// strips in bulk: that strip is one of the `iterations`, but its
     /// nodes are not listed. [`Fpa::without_pruning`] lists every removal.
+    /// [`CommunitySearch::search`] fills it; the answers the serving
+    /// engine (`dmcs-engine`) serves and caches leave it empty, since no
+    /// reply renders it.
     pub removal_order: Vec<NodeId>,
     /// Number of peeling iterations executed.
     pub iterations: usize,

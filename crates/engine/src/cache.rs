@@ -61,11 +61,15 @@
 //! nothing, so traffic that never repeats stores no bytes; overwriting an
 //! entry drops them.
 //!
-//! The cache keeps running totals of its entries and of their bytes
-//! ([`ResponseCache::len`], [`ResponseCache::bytes`]): 4 bytes per node
-//! id an entry stores (its key's query nodes and each round's community
-//! and removal order) plus its attached reply bytes. These are lengths,
-//! not allocator capacities, so the same entries always count the same.
+//! Entries hold served answers: the community, its density modularity
+//! and the iteration count, with an empty removal order (no reply
+//! renders it; see [`Session`](crate::Session)). The cache keeps running
+//! totals of its entries and of their bytes ([`ResponseCache::len`],
+//! [`ResponseCache::bytes`]): 4 bytes per node id an entry stores (its
+//! key's query nodes and each round's community and removal order, which
+//! a served answer leaves empty) plus its attached reply bytes. These
+//! are lengths, not allocator capacities, so the same entries always
+//! count the same.
 
 use crate::registry::AlgoSpec;
 use dmcs_core::{SearchError, SearchResult};
@@ -127,9 +131,10 @@ pub fn fingerprint(snapshot: &Snapshot, touched: Option<&[u32]>) -> Fingerprint 
 /// Default entry capacity of an engine's cache.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
-/// What one cache entry answers: the exact search outcome plus the
-/// display name of the algorithm that ran and the wall time of the
-/// *original* computation (replayed on hits, keeping output byte-stable).
+/// What one cache entry answers: the served search outcome (its removal
+/// orders empty) plus the display name of the algorithm that ran and the
+/// wall time of the *original* computation (replayed on hits, keeping
+/// output byte-stable).
 ///
 /// The outcome is a *list* of communities: single queries store exactly
 /// one ([`CachedAnswer::single`] / [`CachedAnswer::into_single_result`]),
@@ -511,7 +516,8 @@ impl ResponseCache {
     }
 
     /// What the live entries hold, in bytes: 4 per stored node id plus
-    /// the attached reply bytes (see the module docs).
+    /// the attached reply bytes (see the module docs). Served entries
+    /// store no removal order, so that is 4 per query and community id.
     pub fn bytes(&self) -> u64 {
         self.lock().bytes
     }
@@ -754,6 +760,31 @@ mod tests {
             matches!(lookup(1, &mut out), Lookup::Miss),
             "[0] was coldest"
         );
+    }
+
+    #[test]
+    fn a_served_entry_counts_its_query_and_community_ids() {
+        use crate::{QueryRequest, Session};
+        use dmcs_graph::GraphBuilder;
+        use std::sync::Arc;
+        // Two triangles joined by a bridge: NCA peels all but the query
+        // and keeps the triangle around it.
+        let g =
+            GraphBuilder::from_edges(6, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]);
+        let cache = Arc::new(ResponseCache::new(8));
+        let mut session = Session::new(Snapshot::freeze(g), &AlgoSpec::new("nca"))
+            .unwrap()
+            .with_cache(Arc::clone(&cache));
+        let full = session.search(&[0]).unwrap();
+        assert_eq!(
+            (full.community, full.removal_order.len()),
+            (vec![0, 1, 2], 5)
+        );
+        let served = session.query(&QueryRequest::new(vec![0])).unwrap();
+        assert!(served.result.unwrap().removal_order.is_empty());
+        // One query id, three community ids and no removal order: 16
+        // bytes (the full order would add 20).
+        assert_eq!((cache.len(), cache.bytes()), (1, 16));
     }
 
     #[test]

@@ -61,7 +61,9 @@ pub struct QueryResponse {
     /// Display name of the algorithm that ran.
     pub algo: &'static str,
     /// The search result, or the per-query error. A failed query never
-    /// aborts a batch.
+    /// aborts a batch. A served result leaves `removal_order` empty: no
+    /// reply renders it ([`Session::search`](crate::Session::search)
+    /// returns it).
     pub result: Result<SearchResult, SearchError>,
     /// Wall-clock seconds of this query alone. A response served from
     /// the version-keyed cache replays the *original* computation's

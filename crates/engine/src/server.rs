@@ -1512,7 +1512,9 @@ mod tests {
         );
         // The first hit kept its reply after the tag member.
         let tail = &replies[1][replies[1].find(",\"algo\"").unwrap()..];
-        let ids = 1 + expected.community.len() + expected.removal_order.len();
+        // A served entry holds its query and community ids, no removal
+        // order.
+        let ids = 1 + expected.community.len();
         let stats = Json::parse(&replies[2]).unwrap();
         assert_eq!(stats.get("cache_entries").unwrap().as_u64(), Some(1));
         assert_eq!(

@@ -23,12 +23,21 @@
 //! the spec is unweighted, every query runs on the cache-friendly
 //! mirror, and the workspace's canonical [`NodeMap`] drives every id
 //! tie-break — the Steiner seed of a multi-node query included. Results
-//! are translated back to external ids at this boundary, so responses —
-//! removal order included — are byte-identical to canonical execution;
+//! are translated back to external ids at this boundary, so answers are
+//! bit-identical to canonical execution;
 //! [`Session::mirror_served`] counts the queries the mirror ran.
 //! Otherwise (and after [`Session::without_mirror`]) every query runs on
 //! the canonical CSR. Weighted specs stay canonical because their
 //! floating-point sums follow the traversal order.
+//!
+//! **Served answers:** [`Session::query`], [`Session::top_k`] and the
+//! daemon's serve path answer, and cache, the community, its density
+//! modularity and the iteration count, with an empty `removal_order`.
+//! The removal order is the peel's record for rebuilding its best
+//! snapshot; no CLI output or wire reply renders it, and on a large
+//! component it outweighs the community. So a cache hit and the miss
+//! that stored it agree on every field. [`Session::search`] returns the
+//! full order, in external ids on either substrate, for library callers.
 //!
 //! Sessions that answer queries one by one — a single `--query`, an
 //! `--updates` script, a daemon connection — keep these defaults: no
@@ -55,7 +64,9 @@ pub struct TopKOutcome {
     /// Display name of the algorithm that drove the rounds.
     pub algo: &'static str,
     /// One community per round, diversity-ordered (empty when no round
-    /// clears the objective floor), or the validation error.
+    /// clears the objective floor), or the validation error. Each round
+    /// is a served answer: its `removal_order` is empty (see the module
+    /// docs).
     pub rounds: Result<Vec<SearchResult>, SearchError>,
     /// Wall-clock seconds of the computation (the *original* one when
     /// served from the cache).
@@ -241,8 +252,9 @@ impl Session {
     /// Run one query through the session's algorithm and workspace on
     /// its substrate — the raw hot path for repeated single queries, and
     /// the execution step of [`Session::query`]. Always computes (the
-    /// result cache is consulted only by the typed path); output is
-    /// byte-identical on either substrate (see the module docs).
+    /// result cache is consulted only by the typed path) and returns the
+    /// whole [`SearchResult`], removal order included, bit-identical on
+    /// either substrate (see the module docs).
     pub fn search(&mut self, nodes: &[NodeId]) -> Result<SearchResult, SearchError> {
         match self.snapshot.compute().filter(|_| self.mirrored) {
             Some(compute) => {
@@ -259,9 +271,11 @@ impl Session {
     /// attached), then time the search.
     ///
     /// Per-query search failures land inside the returned
-    /// [`QueryResponse`], so every request is answered with `Ok`. A
-    /// cache hit replays the original computation — algorithm name,
-    /// outcome **and** timing — so repeated output is byte-identical.
+    /// [`QueryResponse`], so every request is answered with `Ok`. The
+    /// answer is a served one, with an empty removal order (see the
+    /// module docs). A cache hit replays the original computation —
+    /// algorithm name, outcome **and** timing — so a hit equals the miss
+    /// that stored it field for field.
     pub fn query(&mut self, req: &QueryRequest) -> Result<QueryResponse, EngineError> {
         let key = self.cache_key(req);
         if let (Some(cache), Some(key)) = (&self.cache, &key) {
@@ -323,7 +337,7 @@ impl Session {
     }
 
     /// Time the search for `req` and, given its cache `key`, store the
-    /// answer.
+    /// served answer (no removal order).
     fn compute(&mut self, req: &QueryRequest, key: Option<CacheKey>) -> QueryResponse {
         if key.is_some() {
             // On the mirror the workspace's canon map keeps the noted
@@ -331,7 +345,10 @@ impl Session {
             self.ws.begin_shard_tracking(self.snapshot.shard_layout());
         }
         let start = Instant::now();
-        let result = self.search(&req.nodes);
+        let result = self.search(&req.nodes).map(|mut r| {
+            r.removal_order = Vec::new();
+            r
+        });
         let seconds = start.elapsed().as_secs_f64();
         if let (Some(cache), Some(key)) = (&self.cache, key) {
             let answer = CachedAnswer::single(self.algo.name(), result.clone(), seconds);
@@ -346,7 +363,9 @@ impl Session {
     /// the weighted objective) and consulting the shared result cache
     /// (when attached) under a top-k key — so repeated enumerations
     /// replay byte-identically, like single queries. Rounds below DM 0
-    /// are cut off (the [`TopKConfig`] default).
+    /// are cut off (the [`TopKConfig`] default). Each round is answered
+    /// and cached without its removal order, as [`Session::query`]
+    /// answers.
     pub fn top_k(&mut self, nodes: &[NodeId], k: usize) -> TopKOutcome {
         let key = self
             .cache
@@ -383,7 +402,13 @@ impl Session {
             self.algo.as_ref(),
             weighted,
             &mut tracker,
-        );
+        )
+        .map(|mut rounds| {
+            for r in &mut rounds {
+                r.removal_order = Vec::new();
+            }
+            rounds
+        });
         let seconds = start.elapsed().as_secs_f64();
         if let (Some(cache), Some(key)) = (&self.cache, key) {
             let answer = CachedAnswer {

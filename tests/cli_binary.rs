@@ -691,6 +691,90 @@ fn serve_smoke_over_a_unix_socket() {
     assert!(banner.contains("drained:"), "{banner}");
 }
 
+/// `cache_bytes` over a real socket: a served entry holds its query and
+/// community ids, 4 bytes each, and no removal order; the first hit of
+/// an entry adds exactly its reply tail (from `algo` on) and newline.
+#[cfg(unix)]
+#[test]
+fn serve_cache_bytes_count_the_ids_replies_carry() {
+    use dmcs::engine::output::Json;
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+
+    /// Kills the daemon if the test fails before its shutdown.
+    struct Daemon(std::process::Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let path = std::env::temp_dir().join(format!("dmcs-bin-bytes-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let mut daemon = Daemon(
+        dmcs()
+            .args(["serve", "--demo", "--unix", path.to_str().unwrap()])
+            .stdout(std::process::Stdio::null())
+            .spawn()
+            .unwrap(),
+    );
+    let mut waited = 0;
+    while !path.exists() {
+        assert!(waited < 5_000, "daemon never bound {path:?}");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        waited += 20;
+    }
+    let stream = UnixStream::connect(&path).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut stream = stream;
+    let mut ask = |req: &str| -> String {
+        writeln!(stream, "{req}").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        line
+    };
+    let cache_bytes = |stats: &str| {
+        let stats = Json::parse(stats).unwrap();
+        stats.get("cache_bytes").unwrap().as_u64().unwrap()
+    };
+
+    // Twenty distinct queries on the karate demo, every one a miss.
+    let queries: Vec<String> = (0..16)
+        .map(|q| format!("[{q}]"))
+        .chain(["[0,33]", "[1,2]", "[5,16]", "[23,31,32]"].map(String::from))
+        .collect();
+    let mut ids = 0;
+    let mut first = String::new();
+    for q in &queries {
+        let reply = ask(&format!("{{\"op\":\"query\",\"nodes\":{q}}}"));
+        let v = Json::parse(&reply).unwrap();
+        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true), "{reply}");
+        let len = |key| v.get(key).unwrap().as_arr().unwrap().len() as u64;
+        ids += len("query") + len("community");
+        if first.is_empty() {
+            first = reply;
+        }
+    }
+    let stats = ask(r#"{"op":"stats"}"#);
+    assert!(stats.contains("\"cache_misses\":20"), "{stats}");
+    assert_eq!(cache_bytes(&stats), 4 * ids, "{stats}");
+
+    // The first repeat keeps its reply tail in the entry.
+    let repeat = ask(&format!("{{\"op\":\"query\",\"nodes\":{}}}", queries[0]));
+    assert_eq!(repeat, first);
+    let tail = &repeat.trim_end()[repeat.find(",\"algo\"").unwrap()..];
+    let stats = ask(r#"{"op":"stats"}"#);
+    assert_eq!(
+        cache_bytes(&stats),
+        4 * ids + tail.len() as u64 + 1,
+        "{stats}"
+    );
+
+    ask(r#"{"op":"shutdown"}"#);
+    assert_eq!(daemon.0.wait().unwrap().code(), Some(0));
+}
+
 #[cfg(unix)]
 #[test]
 fn serve_drains_on_sigterm() {
