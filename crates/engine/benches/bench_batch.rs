@@ -13,7 +13,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dmcs_core::{CommunitySearch, Fpa, Nca};
-use dmcs_engine::{AlgoSpec, BatchRunner, Engine, PlanMode, QueryRequest, Session};
+use dmcs_engine::{AlgoSpec, BatchRunner, Engine, QueryRequest, QueryResponse, Session};
 use dmcs_gen::sbm;
 use dmcs_graph::layout::{ComputeGraph, NodeMap};
 use dmcs_graph::view::QueryWorkspace;
@@ -207,6 +207,21 @@ fn scrambled_blocks(n_blocks: usize, per: usize, p_in: f64) -> (Graph, Vec<Vec<N
     (scrambled, comms)
 }
 
+/// The baseline a batch is measured against: one canonical session,
+/// without the component memo and the mirror, answering `requests` in
+/// submission order — an ungrouped, memo-free batch on one worker.
+fn reference_answers(
+    snap: &Snapshot,
+    spec: &AlgoSpec,
+    requests: &[QueryRequest],
+) -> Vec<QueryResponse> {
+    let mut session = Session::new(snap.clone(), spec)
+        .unwrap()
+        .without_mirror()
+        .without_memo();
+    requests.iter().map(|r| session.query(r).unwrap()).collect()
+}
+
 /// **Locality claim** — `layout_fpa_fragmented50k` runs the same
 /// per-query FPA workload against each layout policy's compute mirror
 /// of the scrambled graph (identity = the scrambled CSR itself).
@@ -243,11 +258,12 @@ fn bench_layout_locality(c: &mut Criterion) {
 
 /// **Scheduling claim** — `batch_sched_fragmented100k` runs a 4000-query
 /// batch (8 queries per component, interleaved round-robin across the
-/// 500 components — the worst case for any per-worker locality) with
-/// the planner off (ungrouped, no memo: the pre-planner baseline) and
-/// on auto (component-grouped group stealing + per-worker component
-/// memo). Results are bit-identical either way — the layout_invariance
-/// and batch tests pin that — so the delta is pure scheduling.
+/// 500 components — the worst case for any per-worker locality) through
+/// the reference session (`plan_off`: ungrouped, no memo, canonical
+/// substrate) and through `BatchRunner` (component-grouped group
+/// stealing + per-worker component memo). Results are bit-identical
+/// either way — the batch tests and tests/batch_plan.rs pin that — so
+/// the delta is pure scheduling.
 fn bench_batch_scheduling(c: &mut Criterion) {
     let (scrambled, comms) = scrambled_fragmented(500);
     // Multi-node queries throughout: that is the paper's multi-query
@@ -278,37 +294,34 @@ fn bench_batch_scheduling(c: &mut Criterion) {
         .map(|q| q.iter().map(|&v| bfs.map().to_internal(v)).collect())
         .collect();
     let scrambled_snap = Snapshot::freeze(scrambled);
-    let cases = [
-        (
-            "plan_off",
-            PlanMode::Off,
-            scrambled_snap.clone(),
-            QueryRequest::from_node_lists(&queries),
-        ),
-        (
-            "plan_auto",
-            PlanMode::Auto,
-            scrambled_snap,
-            QueryRequest::from_node_lists(&queries),
-        ),
-        (
-            "plan_auto_bfs",
-            PlanMode::Auto,
-            Snapshot::freeze(bfs.graph().clone()),
-            QueryRequest::from_node_lists(&bfs_queries),
-        ),
-    ];
+    let requests = QueryRequest::from_node_lists(&queries);
+    let spec = AlgoSpec::new("fpa");
     let mut group = c.benchmark_group("batch_sched_fragmented100k");
     group.sample_size(20);
+    group.bench_function("plan_off", |b| {
+        b.iter(|| {
+            black_box(reference_answers(
+                black_box(&scrambled_snap),
+                &spec,
+                black_box(&requests),
+            ))
+        })
+    });
     // One worker: the benefit measured here is the component-consecutive
     // execution order and the memo it feeds (on multicore, grouping
     // additionally parallelises across groups — group stealing — but a
     // thread count above the machine's core count only adds scheduler
     // noise to both sides of the comparison).
-    for (label, mode, snap, requests) in &cases {
-        let runner = BatchRunner::new(AlgoSpec::new("fpa"), 1)
-            .unwrap()
-            .with_plan(*mode);
+    let cases = [
+        ("plan_auto", scrambled_snap, requests),
+        (
+            "plan_auto_bfs",
+            Snapshot::freeze(bfs.graph().clone()),
+            QueryRequest::from_node_lists(&bfs_queries),
+        ),
+    ];
+    let runner = BatchRunner::new(spec, 1).unwrap();
+    for (label, snap, requests) in &cases {
         group.bench_function(*label, |b| {
             b.iter(|| black_box(runner.run(black_box(snap), black_box(requests)).unwrap()))
         });
@@ -487,15 +500,12 @@ fn bench_validation_bfs(c: &mut Criterion) {
 /// over one 40k-node giant component plus 50 two-hundred-node
 /// villages: fragmented by *count* (51 components), but 80% of the mass
 /// is the giant, and so is virtually all of the traffic. A count-only
-/// planner (simulated via the `count_only` plan override) turns
-/// grouping on — a no-op here (the giant's queries form one group in
-/// submission order) that still pays the group build, and one that
-/// *actively hurts* on multi-worker runs, where stealing whole groups
-/// would pin the giant's entire query stream to a single worker. The
-/// skew-aware auto planner sees `skew > 0.75`, skips grouping and
-/// keeps only the memo — it must never lose to the planner-off
-/// baseline, and count-only gains nothing over it (parity: grouping
-/// had nothing to recover).
+/// planner would turn grouping on — a no-op here (the giant's queries
+/// form one group in submission order) that on multi-worker runs would
+/// pin the giant's entire query stream to a single worker. The
+/// skew-aware planner sees `skew > 0.75`, skips grouping and keeps only
+/// the memo — it must never lose to the reference session (`plan_off`:
+/// ungrouped, no memo).
 fn bench_plan_skew(c: &mut Criterion) {
     let giant = 40_000usize;
     let villages = 50usize;
@@ -538,51 +548,31 @@ fn bench_plan_skew(c: &mut Criterion) {
         }
     }
     let requests = QueryRequest::from_node_lists(&queries);
+    let spec = AlgoSpec::new("fpa");
 
-    let auto = BatchRunner::new(AlgoSpec::new("fpa"), 1).unwrap();
+    let auto = BatchRunner::new(spec.clone(), 1).unwrap();
     let auto_plan = auto.run(&snap, &requests).unwrap().plan;
     assert_eq!(auto_plan, "auto:memo", "skew must veto grouping");
-    let count_only = dmcs_engine::QueryPlan {
-        grouped: true, // what a count>1 planner would decide here
-        memoize: true,
-        mirror: false,
-        skew,
-        label: "count-only",
-    };
 
     let mut group = c.benchmark_group("plan_skew_giant50k");
     group.sample_size(10);
     // One worker: the CI containers are single-core, so the comparison
-    // isolates what the plans cost and recover per query — the memo
-    // (auto vs off) and the pointless group build (count-only vs auto).
-    // The multi-worker serialization cost of grouping a giant is
-    // structural (workers steal whole groups; see `BatchRunner::run`)
-    // and is not priced here.
-    let cases: [(&str, BatchRunner); 3] = [
-        (
-            "plan_off",
-            BatchRunner::new(AlgoSpec::new("fpa"), 1)
-                .unwrap()
-                .with_plan(PlanMode::Off),
-        ),
-        (
-            "plan_auto",
-            BatchRunner::new(AlgoSpec::new("fpa"), 1)
-                .unwrap()
-                .with_plan(PlanMode::Auto),
-        ),
-        (
-            "count_only",
-            BatchRunner::new(AlgoSpec::new("fpa"), 1)
-                .unwrap()
-                .with_plan_override(count_only),
-        ),
-    ];
-    for (label, runner) in &cases {
-        group.bench_function(*label, |b| {
-            b.iter(|| black_box(runner.run(black_box(&snap), black_box(&requests)).unwrap()))
-        });
-    }
+    // isolates what the memo recovers per query. The multi-worker
+    // serialization cost of grouping a giant is structural (workers
+    // steal whole groups; see `BatchRunner::run`) and is not priced
+    // here.
+    group.bench_function("plan_off", |b| {
+        b.iter(|| {
+            black_box(reference_answers(
+                black_box(&snap),
+                &spec,
+                black_box(&requests),
+            ))
+        })
+    });
+    group.bench_function("plan_auto", |b| {
+        b.iter(|| black_box(auto.run(black_box(&snap), black_box(&requests)).unwrap()))
+    });
     group.finish();
 }
 

@@ -25,8 +25,8 @@
 //!   [`Engine::run_batch`](crate::Engine::run_batch) does), workers
 //!   consult it per executed query; [`BatchReport::cache_hits`] /
 //!   [`cache_misses`](BatchReport::cache_misses) surface the outcome.
-//! - **Component-aware scheduling** — under the default
-//!   [`PlanMode::Auto`] plan on a fragmented snapshot, work items are
+//! - **Component-aware scheduling** — when [`QueryPlan::choose`] finds
+//!   the snapshot fragmented, work items are
 //!   grouped by the connected component of their first query node
 //!   (from the snapshot's cached [`ComponentIndex`](
 //!   dmcs_graph::ComponentIndex)) and workers steal *groups* instead
@@ -83,22 +83,22 @@ pub struct BatchReport {
     /// when the plan ran ungrouped).
     pub grouped_queries: usize,
     /// Queries that reused a component BFS memoized by an earlier query
-    /// on the same worker session (0 when the plan disabled the memo),
-    /// weighted FPA queries included. The count repeats exactly only
-    /// with one worker: with more, work stealing decides which worker's
-    /// memo a query meets.
+    /// on the same worker session, weighted FPA queries included. The
+    /// count repeats exactly only with one worker: with more, work
+    /// stealing decides which worker's memo a query meets.
     pub shared_bfs_reuses: u64,
     /// Queries executed on the snapshot's renumbered compute mirror (0
-    /// when no mirror exists or the plan disabled mirror serving).
+    /// unless the worker [`Session`]s serve from it).
     pub mirror_served: u64,
     /// Largest-component mass fraction of the snapshot the planner saw
     /// (`1.0` for a connected or empty graph) — the statistic behind
     /// the grouping decision.
     pub skew: f64,
-    /// Label of the query plan that scheduled the batch, e.g.
-    /// `"auto:grouped+memo"`, or `"off"`. Empty when no planner ran (a
-    /// query stream's report): its summary then leaves out `plan` and
-    /// `skew`.
+    /// Label of the plan that ran the batch: `"auto:"`, then `grouped+`
+    /// when the batch grouped, `memo`, and `+mirror` when the worker
+    /// sessions served from the compute mirror (e.g.
+    /// `"auto:grouped+memo"`). Empty when no planner ran (a query
+    /// stream's report): its summary then leaves out `plan` and `skew`.
     pub plan: &'static str,
 }
 
@@ -190,13 +190,23 @@ pub struct BatchRunner {
     spec: AlgoSpec,
     threads: usize,
     cache: Option<Arc<ResponseCache>>,
-    plan_mode: PlanMode,
-    plan_override: Option<QueryPlan>,
 }
 
 /// What the worker scope hands back: submission-indexed responses plus
 /// the workers' summed memo-hit and mirror-served counters.
 type WorkerHarvest = (Vec<(usize, QueryResponse)>, u64, u64);
+
+/// The summary label of a batch's plan: every worker session memoizes;
+/// `grouped` and `mirror` say whether the batch grouped and whether its
+/// sessions served from the compute mirror.
+fn plan_label(grouped: bool, mirror: bool) -> &'static str {
+    match (grouped, mirror) {
+        (false, false) => "auto:memo",
+        (true, false) => "auto:grouped+memo",
+        (false, true) => "auto:memo+mirror",
+        (true, true) => "auto:grouped+memo+mirror",
+    }
+}
 
 impl BatchRunner {
     /// Runner for `spec` on `threads` workers.
@@ -216,20 +226,7 @@ impl BatchRunner {
             spec,
             threads,
             cache: None,
-            plan_mode: PlanMode::default(),
-            plan_override: None,
         })
-    }
-
-    /// Replace the planner's decision with a fixed plan. Plans are
-    /// result-invariant, so this cannot change responses — it exists so
-    /// benchmarks and regression bisects can force a specific strategy
-    /// (e.g. count-only grouping on a giant-component graph) that
-    /// [`QueryPlan::choose`] would refuse.
-    #[doc(hidden)]
-    pub fn with_plan_override(mut self, plan: QueryPlan) -> Self {
-        self.plan_override = Some(plan);
-        self
     }
 
     /// Attach a shared result cache; worker sessions consult it per
@@ -239,31 +236,15 @@ impl BatchRunner {
         self
     }
 
-    /// Select the planner mode ([`PlanMode::Auto`] by default). The plan
-    /// only chooses execution strategy — grouping and memoization —
-    /// never results; [`BatchRunner::run`] output is bit-identical
-    /// across modes.
-    pub fn with_plan(mut self, mode: PlanMode) -> Self {
-        self.plan_mode = mode;
-        self
-    }
-
     /// Configured worker count (before per-batch clamping).
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Open one worker session over `snap`, attaching the shared cache
-    /// when configured, disarming the component memo and mirror serving
-    /// when the plan says so.
-    fn worker_session(&self, snap: &Snapshot, plan: &QueryPlan) -> Result<Session, EngineError> {
-        let mut session = Session::new(snap.clone(), &self.spec)?;
-        if !plan.memoize {
-            session = session.without_memo();
-        }
-        if !plan.mirror {
-            session = session.without_mirror();
-        }
+    /// Open one worker session over `snap` with [`Session::new`]'s
+    /// defaults, attaching the shared cache when configured.
+    fn worker_session(&self, snap: &Snapshot) -> Result<Session, EngineError> {
+        let session = Session::new(snap.clone(), &self.spec)?;
         Ok(match &self.cache {
             Some(cache) => session.with_cache(Arc::clone(cache)),
             None => session,
@@ -296,14 +277,10 @@ impl BatchRunner {
             assign.push(slot);
         }
         let work: Vec<&QueryRequest> = unique.iter().map(|&i| &requests[i]).collect();
-        let mut plan = self
-            .plan_override
-            .unwrap_or_else(|| QueryPlan::choose(self.plan_mode, snap));
+        let plan = QueryPlan::choose(PlanMode::Auto, snap);
         // One distinct query leaves nothing to group; the report's label
         // says what ran.
-        if work.len() < 2 {
-            plan = plan.ungrouped();
-        }
+        let grouped = plan.grouped && work.len() >= 2;
 
         // Schedule: under a grouped plan, one group per connected
         // component of the first query node (groups ordered by first
@@ -312,7 +289,7 @@ impl BatchRunner {
         // stealing. Grouping is a heuristic about *locality only* —
         // multi-node or out-of-range queries still validate inside the
         // search, whatever group they land in.
-        let groups: Vec<Vec<usize>> = if plan.grouped {
+        let groups: Vec<Vec<usize>> = if grouped {
             let index = snap.component_index();
             let mut by_label: HashMap<u32, usize> = HashMap::new();
             let mut groups: Vec<Vec<usize>> = Vec::new();
@@ -339,16 +316,21 @@ impl BatchRunner {
 
         // Workers steal whole groups, so a group's queries stay on one
         // session (and its memo); a slow group never stalls the others.
-        // One worker is the same loop on a single scoped thread.
+        // One worker is the same loop on a single scoped thread. The
+        // sessions share the snapshot and spec, so they share a
+        // substrate, which the label reports.
         let workers = self.threads.min(groups.len()).max(1);
+        let sessions = (0..workers)
+            .map(|_| self.worker_session(snap))
+            .collect::<Result<Vec<_>, _>>()?;
+        let on_mirror = sessions.iter().any(Session::mirrored);
         let next = AtomicUsize::new(0);
-        let (work, groups, plan) = (&work, &groups, &plan);
+        let (work, groups) = (&work, &groups);
         let (mut indexed, shared_bfs_reuses, mirror_served) =
             std::thread::scope(|scope| -> Result<WorkerHarvest, EngineError> {
                 let mut handles = Vec::with_capacity(workers);
-                for _ in 0..workers {
+                for mut session in sessions {
                     let next = &next;
-                    let mut session = self.worker_session(snap, plan)?;
                     // Workers carry per-request Results home instead of
                     // unwrapping on their own thread (a worker must not
                     // decide to panic for the whole batch).
@@ -411,12 +393,12 @@ impl BatchRunner {
             .collect();
 
         Ok(BatchReport {
-            groups: if plan.grouped { groups.len() } else { 0 },
-            grouped_queries: if plan.grouped { work.len() } else { 0 },
+            groups: if grouped { groups.len() } else { 0 },
+            grouped_queries: if grouped { work.len() } else { 0 },
             shared_bfs_reuses,
             mirror_served,
             skew: plan.skew,
-            plan: plan.label,
+            plan: plan_label(grouped, on_mirror),
             ..BatchReport::from_responses(
                 responses,
                 wall_seconds,
@@ -443,6 +425,16 @@ mod tests {
 
     fn requests() -> Vec<QueryRequest> {
         QueryRequest::from_node_lists(&(0..6u32).map(|v| vec![v]).collect::<Vec<Vec<NodeId>>>())
+    }
+
+    /// The reference answers: one canonical session without the memo
+    /// and the mirror, answering `reqs` in submission order.
+    fn reference(snap: &Snapshot, algo: &str, reqs: &[QueryRequest]) -> Vec<QueryResponse> {
+        let mut session = Session::new(snap.clone(), &AlgoSpec::new(algo))
+            .unwrap()
+            .without_mirror()
+            .without_memo();
+        reqs.iter().map(|r| session.query(r).unwrap()).collect()
     }
 
     #[test]
@@ -603,33 +595,19 @@ mod tests {
     }
 
     #[test]
-    fn grouped_plan_matches_plan_off_bit_identically() {
+    fn grouped_batches_match_the_reference_session_bit_identically() {
         let snap = fragmented_snap();
         let reqs = interleaved_requests();
-        let baseline = BatchRunner::new(AlgoSpec::new("fpa"), 1)
-            .unwrap()
-            .with_plan(PlanMode::Off)
-            .run(&snap, &reqs)
-            .unwrap();
-        assert_eq!(baseline.plan, "off");
-        assert_eq!(
-            (
-                baseline.groups,
-                baseline.grouped_queries,
-                baseline.shared_bfs_reuses
-            ),
-            (0, 0, 0)
-        );
+        let expect = reference(&snap, "fpa", &reqs);
         for threads in [1usize, 2, 4] {
             let grouped = BatchRunner::new(AlgoSpec::new("fpa"), threads)
                 .unwrap()
-                .with_plan(PlanMode::Auto)
                 .run(&snap, &reqs)
                 .unwrap();
             assert_eq!(grouped.plan, "auto:grouped+memo", "{threads} threads");
             assert_eq!(grouped.groups, 3, "{threads} threads");
             assert_eq!(grouped.grouped_queries, reqs.len(), "{threads} threads");
-            for (a, b) in baseline.responses.iter().zip(&grouped.responses) {
+            for (a, b) in expect.iter().zip(&grouped.responses) {
                 assert_eq!(a.request, b.request, "{threads} threads");
                 assert_eq!(a.result, b.result, "{threads} threads");
                 assert_eq!(a.algo, b.algo, "{threads} threads");
@@ -713,7 +691,7 @@ mod tests {
     }
 
     #[test]
-    fn mirror_serving_batches_match_plan_off_bit_identically() {
+    fn mirror_serving_batches_match_the_reference_session_bit_identically() {
         use dmcs_graph::{GraphStore, LayoutPolicy};
         // `fragmented_snap`'s shape under labels the bfs layout permutes
         // (`fragmented_snap` itself is already in bfs order), placed so
@@ -729,12 +707,7 @@ mod tests {
         store.set_layout_policy(LayoutPolicy::Bfs);
         let snap = store.snapshot();
         let reqs = interleaved_requests();
-        let baseline = BatchRunner::new(AlgoSpec::new("fpa"), 1)
-            .unwrap()
-            .with_plan(PlanMode::Off)
-            .run(&snap, &reqs)
-            .unwrap();
-        assert_eq!((baseline.mirror_served, baseline.plan), (0, "off"));
+        let expect = reference(&snap, "fpa", &reqs);
         for threads in [1usize, 2, 4] {
             let mirrored = BatchRunner::new(AlgoSpec::new("fpa"), threads)
                 .unwrap()
@@ -749,9 +722,19 @@ mod tests {
                 "{threads} threads"
             );
             assert!((mirrored.skew - 0.4).abs() < 1e-12);
-            for (a, b) in baseline.responses.iter().zip(&mirrored.responses) {
+            for (a, b) in expect.iter().zip(&mirrored.responses) {
                 assert_eq!(a.result, b.result, "{threads} threads");
             }
+        }
+        // A weighted spec and a baseline that is not mirror-safe run on
+        // the canonical CSR, and their label says so.
+        for spec in [AlgoSpec::new("fpa").weighted(), AlgoSpec::new("kc")] {
+            let report = BatchRunner::new(spec.clone(), 2)
+                .unwrap()
+                .run(&snap, &reqs)
+                .unwrap();
+            assert_eq!(report.mirror_served, 0, "{}", spec.name);
+            assert_eq!(report.plan, "auto:grouped+memo", "{}", spec.name);
         }
     }
 

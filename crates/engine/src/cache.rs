@@ -46,9 +46,7 @@
 //!
 //! A cached answer replays the original response verbatim — including
 //! its `seconds` — so a cache hit renders **byte-identical** JSON to the
-//! miss that populated it. Community-size caps are applied *after*
-//! retrieval (they are response shaping, not search work), so one cached
-//! search serves requests with different caps.
+//! miss that populated it.
 //!
 //! **Rendered replies.** An answer is a pure function of the query set
 //! and the graph, so its `response` line never changes after the `tag`
@@ -144,8 +142,8 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 pub struct CachedAnswer {
     /// Display name of the algorithm that computed the entry.
     pub algo: &'static str,
-    /// The raw (un-capped) search outcome: one community per round
-    /// (exactly one for single queries).
+    /// The search outcome: one community per round (exactly one for
+    /// single queries).
     pub result: Result<Vec<SearchResult>, SearchError>,
     /// Wall-clock seconds of the original computation.
     pub seconds: f64,

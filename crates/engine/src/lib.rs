@@ -255,32 +255,31 @@ impl Engine {
 
     /// Resolve `spec` through the registry and run the whole batch on
     /// `threads` workers (clamped to one worker per distinct request)
-    /// against the current snapshot, consulting the shared cache. Plans
-    /// under [`PlanMode::Auto`]; see [`Engine::run_batch_planned`].
+    /// against the current snapshot, consulting the shared cache. The
+    /// batch plans only its execution order (see [`QueryPlan`]), so
+    /// responses never depend on it; the report's scheduling counters
+    /// and `plan` label record what ran.
     pub fn run_batch(
         &self,
         spec: &AlgoSpec,
         requests: &[QueryRequest],
         threads: usize,
     ) -> Result<BatchReport, EngineError> {
-        self.run_batch_planned(spec, requests, threads, PlanMode::Auto)
+        BatchRunner::new(spec.clone(), threads)?
+            .with_cache(Arc::clone(&self.cache))
+            .run(&self.snapshot(), requests)
     }
 
-    /// [`Engine::run_batch`] with an explicit planner mode (the CLI's
-    /// `--plan`). Plans choose execution strategy only — grouping and
-    /// memoization — so responses are bit-identical across modes; the
-    /// report's scheduling counters and `plan` label record the choice.
+    /// [`Engine::run_batch`] under a named planner mode;
+    /// [`PlanMode::Auto`] is the only one.
     pub fn run_batch_planned(
         &self,
         spec: &AlgoSpec,
         requests: &[QueryRequest],
         threads: usize,
-        plan: PlanMode,
+        _plan: PlanMode,
     ) -> Result<BatchReport, EngineError> {
-        BatchRunner::new(spec.clone(), threads)?
-            .with_cache(Arc::clone(&self.cache))
-            .with_plan(plan)
-            .run(&self.snapshot(), requests)
+        self.run_batch(spec, requests, threads)
     }
 }
 

@@ -67,13 +67,14 @@
 //! plan formed, how many work items ran through them (both 0 on an
 //! ungrouped run), and how many queries reused a component BFS memoized
 //! by an earlier query on the same worker. `plan` is the label of the
-//! plan that ran (`"auto:grouped+memo"`, `"auto:memo+mirror"`, `"off"`;
-//! it says `grouped` only when the batch grouped); `mirror_served`
-//! counts queries executed on the snapshot's renumbered compute mirror
-//! (always byte-identical to canonical execution, see
-//! `dmcs_graph::layout`), and `skew` is the largest-component mass
-//! fraction the planner weighed. None of these affect response bytes —
-//! plans choose execution strategy only.
+//! plan that ran (`"auto:grouped+memo"`, `"auto:memo+mirror"`, …; it
+//! says `grouped` only when the batch grouped and `mirror` only when its
+//! worker sessions served from the mirror); `mirror_served` counts
+//! queries executed on the snapshot's renumbered compute mirror (always
+//! byte-identical to canonical execution, see `dmcs_graph::layout`), and
+//! `skew` is the largest-component mass fraction the planner weighed.
+//! None of these affect response bytes — the plan chooses execution
+//! order only.
 //!
 //! A query stream (a daemon connection, an `--updates` script) closes
 //! with the same `summary` minus `plan` and `skew`: it answers queries

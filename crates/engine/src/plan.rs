@@ -1,4 +1,4 @@
-//! Stats-driven batch planning: pick *execution strategy* — never
+//! Stats-driven batch planning: pick *execution order* — never
 //! results — from cheap per-snapshot graph statistics.
 //!
 //! Only a batch plans: [`BatchRunner::run`](crate::BatchRunner::run) is
@@ -10,22 +10,17 @@
 //! The planner reads the snapshot's component index (a one-pass
 //! union-find computed lazily and cached on the snapshot, see
 //! [`Snapshot::component_index`](dmcs_graph::Snapshot::component_index))
-//! and decides three things:
-//!
-//! - **`grouped`** — whether a [`BatchRunner`](crate::BatchRunner)
-//!   should schedule queries component-by-component so that consecutive
-//!   queries on a worker share a connected component (and therefore the
-//!   worker session's component memo, which spares multi-node queries
-//!   their connectivity-validation BFS). Grouping only pays when
-//!   the graph is fragmented; on a single-component graph it is a no-op
-//!   reordering, so the planner turns it off.
-//! - **`memoize`** — whether worker sessions arm the per-workspace
-//!   component memo at all ([`QueryWorkspace::arm_component_memo`](
-//!   dmcs_graph::view::QueryWorkspace::arm_component_memo)).
-//! - **`mirror`** — whether sessions of mirror-safe, unweighted specs
-//!   execute every query on the snapshot's renumbered compute mirror
-//!   (the canonical tie-break shim keeps the output byte-identical; see
-//!   `dmcs_graph::layout`).
+//! and decides one thing, **`grouped`**: whether a
+//! [`BatchRunner`](crate::BatchRunner) schedules queries
+//! component-by-component so that consecutive queries on a worker share
+//! a connected component (and therefore the worker session's component
+//! memo, which spares multi-node queries their connectivity-validation
+//! BFS). Grouping only pays when the graph is fragmented; on a
+//! single-component graph it is a no-op reordering, so the planner turns
+//! it off. The worker sessions themselves are plain
+//! [`Session::new`](crate::Session::new) sessions: the memo is always
+//! armed, and the session alone decides whether it serves from the
+//! snapshot's compute mirror.
 //!
 //! Grouping is **skew-aware**, not just count-aware: a graph that is one
 //! giant component plus dust has many components but no locality to
@@ -37,41 +32,25 @@
 //!
 //! ## Why the planner never touches the algorithm
 //!
-//! Every knob the planner controls is **result-invariant**: grouping
-//! only permutes the order in which workers *execute* queries (the
-//! report still lists responses in submission order), and the component
-//! memo short-circuits a BFS whose outcome is fully determined by the
-//! snapshot. The planner deliberately has no authority over *which*
-//! algorithm answers a query — the peeling algorithms break ties by
-//! node id and track best-snapshots by removal order, so substituting
-//! an "equivalent" algorithm (or reordering its removals) could return
-//! a different, equally valid community. The engine's contract is
-//! byte-identical output for identical requests, with or without a
-//! plan; strategy choices that cannot alter bytes are the planner's
-//! entire vocabulary.
+//! Grouping only permutes the order in which workers *execute* queries
+//! (the report still lists responses in submission order), and a DMCS
+//! answer reads only its query's component and the edge count. The
+//! planner deliberately has no authority over *which* algorithm answers
+//! a query — the peeling algorithms break ties by node id and track
+//! best-snapshots by removal order, so substituting an "equivalent"
+//! algorithm (or reordering its removals) could return a different,
+//! equally valid community. The engine's contract is byte-identical
+//! output for identical requests, whatever the execution order.
 
 use dmcs_graph::Snapshot;
 
-/// Planner switch, selected with `--plan auto|off` on a batch run.
+/// The planner's mode, named by `--plan auto` on a batch run. `Auto` is
+/// the only one: every batch runs the one plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlanMode {
-    /// Choose strategy from per-snapshot statistics (the default).
+    /// Choose the execution order from per-snapshot statistics.
     #[default]
     Auto,
-    /// Disable planning: ungrouped scheduling, no component memo. The
-    /// baseline execution path, kept selectable for benchmarks and for
-    /// bisecting suspected planner regressions.
-    Off,
-}
-
-impl PlanMode {
-    /// Stable lowercase name, the inverse of the [`FromStr`](std::str::FromStr) parse.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PlanMode::Auto => "auto",
-            PlanMode::Off => "off",
-        }
-    }
 }
 
 impl std::str::FromStr for PlanMode {
@@ -80,55 +59,34 @@ impl std::str::FromStr for PlanMode {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "auto" => Ok(PlanMode::Auto),
-            "off" => Ok(PlanMode::Off),
-            other => Err(format!("unknown plan mode '{other}' (expected auto|off)")),
+            other => Err(format!("unknown plan mode '{other}' (expected auto)")),
         }
     }
 }
 
-impl std::fmt::Display for PlanMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// The execution strategy chosen for one snapshot: all fields are
-/// result-invariant (see the module docs for why that is a hard rule).
+/// The execution order chosen for one snapshot. It cannot change a
+/// response (see the module docs for why that is a hard rule).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryPlan {
     /// Schedule batch queries grouped by connected component.
     pub grouped: bool,
-    /// Arm the per-worker component memo.
-    pub memoize: bool,
-    /// Let sessions serve mirror-safe searches from the renumbered
-    /// compute mirror (only ever true when the snapshot carries one).
-    pub mirror: bool,
     /// Largest-component mass fraction of the snapshot (`1.0` on a
     /// connected or empty graph) — the statistic behind the grouping
     /// decision, surfaced in batch summaries.
     pub skew: f64,
-    /// Human-readable label surfaced in batch summaries, e.g.
-    /// `"auto:grouped+memo"`.
-    pub label: &'static str,
 }
 
 /// Above this largest-component mass fraction the snapshot is treated as
 /// "one giant component plus dust": grouping cannot recover locality
-/// that was never spread out, so Auto plans skip it.
+/// that was never spread out, so the plan skips it.
 const SKEW_GROUPING_CUTOFF: f64 = 0.75;
 
 impl QueryPlan {
-    /// Choose a plan for `snapshot` under `mode`.
-    ///
-    /// `Auto` always memoizes (the memo is free when it never hits),
-    /// groups exactly when the snapshot is fragmented **and** its mass
-    /// is spread out (`skew < SKEW_GROUPING_CUTOFF`, 0.75), and serves
-    /// from the mirror whenever the snapshot carries one — the
-    /// canonical tie-break shim makes that unconditionally safe, and
-    /// eligibility (algorithm, weights) is the session's call when it
-    /// opens. `Off` disables everything; `skew` is still reported so
-    /// observability does not depend on the plan.
-    pub fn choose(mode: PlanMode, snapshot: &Snapshot) -> QueryPlan {
+    /// Choose the plan for `snapshot`: group exactly when the snapshot
+    /// is fragmented **and** its mass is spread out
+    /// (`skew < SKEW_GROUPING_CUTOFF`, 0.75). `PlanMode::Auto` is the
+    /// only mode.
+    pub fn choose(_mode: PlanMode, snapshot: &Snapshot) -> QueryPlan {
         let index = snapshot.component_index();
         let n = snapshot.graph().n();
         let skew = if n == 0 {
@@ -136,49 +94,10 @@ impl QueryPlan {
         } else {
             index.largest() as f64 / n as f64
         };
-        match mode {
-            PlanMode::Off => QueryPlan {
-                grouped: false,
-                memoize: false,
-                mirror: false,
-                skew,
-                label: "off",
-            },
-            PlanMode::Auto => {
-                let grouped = index.count() > 1 && skew < SKEW_GROUPING_CUTOFF;
-                let mirror = snapshot.compute().is_some();
-                QueryPlan {
-                    grouped,
-                    memoize: true,
-                    mirror,
-                    skew,
-                    label: auto_label(grouped, mirror),
-                }
-            }
-        }
-    }
-
-    /// This plan without component grouping, labelled for what runs: a
-    /// batch with at most one distinct query has nothing to group.
-    pub(crate) fn ungrouped(self) -> QueryPlan {
-        if !self.grouped {
-            return self;
-        }
         QueryPlan {
-            grouped: false,
-            label: auto_label(false, self.mirror),
-            ..self
+            grouped: index.count() > 1 && skew < SKEW_GROUPING_CUTOFF,
+            skew,
         }
-    }
-}
-
-/// The label of an `Auto` plan (which always memoizes).
-fn auto_label(grouped: bool, mirror: bool) -> &'static str {
-    match (grouped, mirror) {
-        (false, false) => "auto:memo",
-        (true, false) => "auto:grouped+memo",
-        (false, true) => "auto:memo+mirror",
-        (true, true) => "auto:grouped+memo+mirror",
     }
 }
 
@@ -188,27 +107,25 @@ mod tests {
     use dmcs_graph::GraphBuilder;
 
     #[test]
-    fn mode_round_trips_through_strings() {
-        for mode in [PlanMode::Auto, PlanMode::Off] {
-            assert_eq!(mode.as_str().parse::<PlanMode>().unwrap(), mode);
-            assert_eq!(mode.to_string(), mode.as_str());
-        }
-        assert!("tortoise".parse::<PlanMode>().is_err());
+    fn auto_is_the_only_mode() {
+        assert_eq!("auto".parse::<PlanMode>(), Ok(PlanMode::Auto));
+        assert_eq!(
+            "off".parse::<PlanMode>(),
+            Err("unknown plan mode 'off' (expected auto)".to_string())
+        );
         assert_eq!(PlanMode::default(), PlanMode::Auto);
     }
 
     #[test]
-    fn auto_groups_only_fragmented_snapshots() {
+    fn groups_only_fragmented_snapshots() {
         let connected = Snapshot::freeze(GraphBuilder::from_edges(3, &[(0, 1), (1, 2)]));
         let plan = QueryPlan::choose(PlanMode::Auto, &connected);
-        assert!(!plan.grouped && plan.memoize && !plan.mirror);
-        assert_eq!(plan.label, "auto:memo");
+        assert!(!plan.grouped);
         assert!((plan.skew - 1.0).abs() < 1e-12);
 
         let split = Snapshot::freeze(GraphBuilder::from_edges(4, &[(0, 1), (2, 3)]));
         let plan = QueryPlan::choose(PlanMode::Auto, &split);
-        assert!(plan.grouped && plan.memoize);
-        assert_eq!(plan.label, "auto:grouped+memo");
+        assert!(plan.grouped);
         assert!((plan.skew - 0.5).abs() < 1e-12);
     }
 
@@ -223,30 +140,5 @@ mod tests {
         let plan = QueryPlan::choose(PlanMode::Auto, &giant);
         assert!(!plan.grouped, "skew {} must veto grouping", plan.skew);
         assert!(plan.skew > SKEW_GROUPING_CUTOFF);
-        assert_eq!(plan.label, "auto:memo");
-    }
-
-    #[test]
-    fn auto_serves_from_the_mirror_when_one_exists() {
-        use dmcs_graph::{GraphStore, LayoutPolicy};
-        let store = GraphStore::from_graph(GraphBuilder::from_edges(4, &[(0, 1), (2, 3)]));
-        let plan = QueryPlan::choose(PlanMode::Auto, &store.snapshot());
-        assert!(!plan.mirror, "identity layout builds no mirror");
-        store.set_layout_policy(LayoutPolicy::Bfs);
-        let plan = QueryPlan::choose(PlanMode::Auto, &store.snapshot());
-        assert!(plan.mirror && plan.grouped);
-        assert_eq!(plan.label, "auto:grouped+memo+mirror");
-        // Off never mirrors, but still reports the skew statistic.
-        let off = QueryPlan::choose(PlanMode::Off, &store.snapshot());
-        assert!(!off.mirror);
-        assert!((off.skew - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn off_disables_everything() {
-        let split = Snapshot::freeze(GraphBuilder::from_edges(4, &[(0, 1), (2, 3)]));
-        let plan = QueryPlan::choose(PlanMode::Off, &split);
-        assert!(!plan.grouped && !plan.memoize && !plan.mirror);
-        assert_eq!(plan.label, "off");
     }
 }

@@ -39,10 +39,10 @@
 //! that stored it agree on every field. [`Session::search`] returns the
 //! full order, in external ids on either substrate, for library callers.
 //!
-//! Sessions that answer queries one by one — a single `--query`, an
-//! `--updates` script, a daemon connection — keep these defaults: no
-//! planner is consulted. Only a batch plans, and a `--plan off` batch
-//! opens its worker sessions without the memo and the mirror.
+//! Every session keeps these defaults: those that answer queries one by
+//! one (a single `--query`, an `--updates` script, a daemon connection)
+//! consult no planner, and a batch plans only the order in which its
+//! worker sessions run their queries.
 
 use crate::cache::{fingerprint, CacheKey, CachedAnswer, Lookup, ResponseCache};
 use crate::error::EngineError;
@@ -171,9 +171,9 @@ impl Session {
     /// The workspace's component memo is armed with the snapshot's epoch
     /// key, so consecutive multi-node queries landing in the same
     /// connected component skip the connectivity-validation BFS
-    /// (memoization is free
-    /// when it never hits; [`Session::without_memo`] turns it off for
-    /// `--plan off` batches and baseline benchmarks).
+    /// (memoization is free when it never hits;
+    /// [`Session::without_memo`] turns it off for reference answers and
+    /// baseline benchmarks).
     pub fn new(snapshot: Snapshot, spec: &AlgoSpec) -> Result<Self, EngineError> {
         let algo = spec.build()?;
         let mut ws = QueryWorkspace::new();
@@ -198,15 +198,15 @@ impl Session {
     }
 
     /// Disarm the workspace's component memo — every query re-derives
-    /// its connected component from scratch. Used by `--plan off` batch
-    /// workers and by benchmarks that measure the memo's effect.
+    /// its connected component from scratch. Used by reference sessions
+    /// and by benchmarks that measure the memo's effect.
     pub fn without_memo(mut self) -> Self {
         self.ws.disarm_component_memo();
         self
     }
 
-    /// Run every query on the canonical CSR. Used by `--plan off`
-    /// workers and by benchmarks comparing the substrates (output is
+    /// Run every query on the canonical CSR. Used by reference sessions
+    /// and by benchmarks comparing the substrates (output is
     /// byte-identical either way). Call it before the first query: the
     /// component memo speaks the ids of the substrate that filled it.
     pub fn without_mirror(mut self) -> Self {
@@ -226,6 +226,12 @@ impl Session {
     /// from the mirror (see the module docs), otherwise 0.
     pub fn mirror_served(&self) -> u64 {
         self.mirror_served
+    }
+
+    /// Whether this session serves its queries from the compute mirror
+    /// (see the module docs).
+    pub(crate) fn mirrored(&self) -> bool {
+        self.mirrored
     }
 
     /// Attach a shared result cache. Subsequent [`Session::query`] and

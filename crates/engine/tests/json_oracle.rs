@@ -269,7 +269,12 @@ fn any_summary(rng: &mut TestRng) -> SummaryInput<'static> {
         skew: any_f64(rng),
         plan: pick(
             rng,
-            &["off", "auto:memo", "auto:grouped+memo", "auto:memo+mirror"],
+            &[
+                "auto:memo",
+                "auto:grouped+memo",
+                "auto:memo+mirror",
+                "auto:grouped+memo+mirror",
+            ],
         ),
     };
     let store = (below(rng, 2) == 0).then(|| RebuildStats {

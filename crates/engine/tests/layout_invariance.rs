@@ -2,17 +2,16 @@
 //! mirror answers every query with **byte-identical** response JSON to
 //! the identity-layout store — same communities, same DM, same errors,
 //! same external node ids — for every registered algorithm, at every
-//! thread count, with planning on and off, across random update
-//! interleavings. Under `--plan auto` every query of a mirror-safe,
-//! unweighted spec *executes on the permuted mirror*, multi-node and
-//! out-of-range ones included (the canonical tie-break shim keeps every
-//! byte identical; plan `off` and other specs stay on the canonical
+//! thread count, across random update interleavings. Every batch query
+//! of a mirror-safe, unweighted spec *executes on the permuted mirror*,
+//! multi-node and out-of-range ones included (the canonical tie-break
+//! shim keeps every byte identical; other specs stay on the canonical
 //! external-id CSR), so this test pins down both halves of the
 //! contract: the bytes never move, and the mirror really serves.
 
 use dmcs_engine::output::response_json;
 use dmcs_engine::registry::{self, AlgoSpec};
-use dmcs_engine::{BatchRunner, PlanMode, QueryRequest};
+use dmcs_engine::{BatchRunner, QueryRequest};
 use dmcs_gen::{lfr, sbm};
 use dmcs_graph::{Graph, GraphStore, LayoutPolicy, NodeId, Snapshot};
 use proptest::prelude::*;
@@ -63,7 +62,7 @@ fn apply_updates(store: &GraphStore, seed: u64, rounds: usize) {
 }
 
 /// The property: the bfs layout serves the same bytes as identity, for
-/// each algorithm, at 1/2/4 threads, with planning on and off.
+/// each algorithm, at 1/2/4 threads.
 fn assert_layouts_invisible(g: &Graph, seed: u64, specs: &[AlgoSpec], queries: &[Vec<NodeId>]) {
     let requests = QueryRequest::from_node_lists(queries);
     let snapshots: Vec<(LayoutPolicy, Snapshot)> = LayoutPolicy::ALL
@@ -88,44 +87,40 @@ fn assert_layouts_invisible(g: &Graph, seed: u64, specs: &[AlgoSpec], queries: &
 
     for spec in specs {
         for threads in [1usize, 2, 4] {
-            for plan in [PlanMode::Auto, PlanMode::Off] {
-                let mut baseline: Option<Vec<String>> = None;
-                for (policy, snap) in &snapshots {
-                    let report = BatchRunner::new(spec.clone(), threads)
-                        .expect("registered algorithm")
-                        .with_plan(plan)
-                        .run(snap, &requests)
-                        .expect("batch runs");
-                    let lines = canonical_lines(&report);
-                    match &baseline {
-                        None => baseline = Some(lines),
-                        Some(expect) => assert_eq!(
-                            expect, &lines,
-                            "{}: layout {policy} changed response bytes \
-                             ({threads} threads, plan {plan})",
-                            spec.name
-                        ),
-                    }
-                    // The mirror must actually serve: every plan-auto
-                    // run on a mirrored snapshot of a mirror-safe
-                    // algorithm executes every query there; plan off and
-                    // identity layouts never mirror.
-                    let mirror_safe = registry::find(&spec.name)
-                        .is_some_and(|e| e.mirror_safe && !spec.params.weighted);
-                    if plan == PlanMode::Auto && snap.compute().is_some() && mirror_safe {
-                        assert_eq!(
-                            report.mirror_served, report.unique_queries as u64,
-                            "{}: layout {policy} must mirror-serve every \
-                             executed query ({threads} threads)",
-                            spec.name
-                        );
-                    } else {
-                        assert_eq!(
-                            report.mirror_served, 0,
-                            "{}: layout {policy} plan {plan} must not mirror",
-                            spec.name
-                        );
-                    }
+            let mut baseline: Option<Vec<String>> = None;
+            for (policy, snap) in &snapshots {
+                let report = BatchRunner::new(spec.clone(), threads)
+                    .expect("registered algorithm")
+                    .run(snap, &requests)
+                    .expect("batch runs");
+                let lines = canonical_lines(&report);
+                match &baseline {
+                    None => baseline = Some(lines),
+                    Some(expect) => assert_eq!(
+                        expect, &lines,
+                        "{}: layout {policy} changed response bytes \
+                         ({threads} threads)",
+                        spec.name
+                    ),
+                }
+                // The mirror must actually serve: every run on a
+                // mirrored snapshot of a mirror-safe algorithm executes
+                // every query there; identity layouts never mirror.
+                let mirror_safe = registry::find(&spec.name)
+                    .is_some_and(|e| e.mirror_safe && !spec.params.weighted);
+                if snap.compute().is_some() && mirror_safe {
+                    assert_eq!(
+                        report.mirror_served, report.unique_queries as u64,
+                        "{}: layout {policy} must mirror-serve every \
+                         executed query ({threads} threads)",
+                        spec.name
+                    );
+                } else {
+                    assert_eq!(
+                        report.mirror_served, 0,
+                        "{}: layout {policy} must not mirror",
+                        spec.name
+                    );
                 }
             }
         }

@@ -21,14 +21,6 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Ground-truth communities containing node `v`.
-    pub fn communities_of(&self, v: NodeId) -> Vec<&Vec<NodeId>> {
-        self.communities
-            .iter()
-            .filter(|c| c.binary_search(&v).is_ok() || c.contains(&v))
-            .collect()
-    }
-
     /// Table-1 style statistics row: (|V|, |E|, |C|).
     pub fn stats(&self) -> (usize, usize, usize) {
         (self.graph.n(), self.graph.m(), self.communities.len())
@@ -97,14 +89,6 @@ mod tests {
         let d = karate_dataset();
         assert_eq!(d.stats(), (34, 78, 2));
         assert!(!d.overlapping);
-    }
-
-    #[test]
-    fn communities_of_finds_memberships() {
-        let d = karate_dataset();
-        let cs = d.communities_of(0);
-        assert_eq!(cs.len(), 1);
-        assert!(cs[0].contains(&0));
     }
 
     #[test]

@@ -83,14 +83,6 @@ pub fn sample_query_sets(
         .collect()
 }
 
-/// Convenience for single-node queries.
-pub fn sample_single_queries(ds: &Dataset, num: usize, seed: u64) -> Vec<(NodeId, usize)> {
-    sample_query_sets(ds, num, 1, 4, seed)
-        .into_iter()
-        .map(|(q, c)| (q[0], c))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

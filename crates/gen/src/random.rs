@@ -1,11 +1,8 @@
-//! Classic random-graph models: Erdős–Rényi, Barabási–Albert and
-//! Watts–Strogatz.
+//! Classic random-graph models: Erdős–Rényi and Barabási–Albert.
 //!
-//! The paper's FPA design rests on two structural claims about social
-//! networks: they are *scale-free* (Barabási 2009, §5.5's motivation for
-//! peeling farthest nodes) and *small-world* with tiny diameters (Watts &
-//! Strogatz 1998, §5.7's motivation for few BFS layers). These generators
-//! let the test-suite exercise exactly those regimes — and the ER model
+//! The paper's FPA design rests on social networks being *scale-free*
+//! (Barabási 2009, §5.5's motivation for peeling farthest nodes). The BA
+//! model lets the test-suite exercise that regime, and the ER model
 //! provides the unstructured control.
 
 use dmcs_graph::{Graph, GraphBuilder, NodeId};
@@ -65,55 +62,9 @@ pub fn barabasi_albert(n: usize, m_edges: usize, seed: u64) -> Graph {
     b.build()
 }
 
-/// Watts–Strogatz small world: a ring lattice where each node connects to
-/// its `k/2` nearest neighbours on each side, then each edge is rewired to
-/// a random endpoint with probability `beta`.
-pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> Graph {
-    assert!(k >= 2 && k.is_multiple_of(2), "k must be even and >= 2");
-    assert!(n > k, "need n > k");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(n * k / 2);
-    for u in 0..n {
-        for j in 1..=(k / 2) {
-            edges.push((u as NodeId, ((u + j) % n) as NodeId));
-        }
-    }
-    let mut seen: std::collections::HashSet<(NodeId, NodeId)> = edges
-        .iter()
-        .map(|&(u, v)| if u < v { (u, v) } else { (v, u) })
-        .collect();
-    for edge in edges.iter_mut() {
-        if !rng.gen_bool(beta) {
-            continue;
-        }
-        let (u, old_v) = *edge;
-        // Try a few times to find a fresh endpoint; keep the old edge if
-        // the node is saturated.
-        for _ in 0..16 {
-            let w = rng.gen_range(0..n) as NodeId;
-            if w == u {
-                continue;
-            }
-            let new_key = if u < w { (u, w) } else { (w, u) };
-            if seen.contains(&new_key) {
-                continue;
-            }
-            let old_key = if u < old_v { (u, old_v) } else { (old_v, u) };
-            seen.remove(&old_key);
-            seen.insert(new_key);
-            *edge = (u, w);
-            break;
-        }
-    }
-    let mut b = GraphBuilder::with_capacity(n, edges.len());
-    b.extend_edges(edges);
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmcs_graph::clustering::average_clustering;
     use dmcs_graph::traversal::{bfs_distances, UNREACHABLE};
 
     #[test]
@@ -148,35 +99,8 @@ mod tests {
     }
 
     #[test]
-    fn ws_lattice_has_high_clustering() {
-        let nodes: Vec<u32> = (0..100).collect();
-        let lattice = watts_strogatz(100, 6, 0.0, 4);
-        let rewired = watts_strogatz(100, 6, 0.5, 4);
-        let cl = average_clustering(&lattice, &nodes);
-        let cr = average_clustering(&rewired, &nodes);
-        assert!(cl > 0.5, "lattice clustering {cl}");
-        assert!(cr < cl, "rewiring must lower clustering");
-    }
-
-    #[test]
-    fn ws_rewiring_shrinks_diameter() {
-        let far = |g: &Graph| {
-            bfs_distances(g, 0)
-                .iter()
-                .filter(|&&d| d != UNREACHABLE)
-                .max()
-                .copied()
-                .unwrap()
-        };
-        let lattice = watts_strogatz(200, 4, 0.0, 5);
-        let small_world = watts_strogatz(200, 4, 0.2, 5);
-        assert!(far(&small_world) < far(&lattice));
-    }
-
-    #[test]
     fn determinism_per_seed() {
         assert_eq!(erdos_renyi(50, 0.2, 9), erdos_renyi(50, 0.2, 9));
         assert_eq!(barabasi_albert(50, 2, 9), barabasi_albert(50, 2, 9));
-        assert_eq!(watts_strogatz(50, 4, 0.3, 9), watts_strogatz(50, 4, 0.3, 9));
     }
 }

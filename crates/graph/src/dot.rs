@@ -64,13 +64,6 @@ pub fn write_dot<W: Write>(
     w.flush()
 }
 
-/// Convenience: DOT string with one highlighted community.
-pub fn dot_string(g: &Graph, community: &[NodeId]) -> String {
-    let mut buf = Vec::new();
-    write_dot(g, &[community], None, &mut buf).expect("Vec<u8> writes cannot fail");
-    String::from_utf8(buf).expect("DOT output is ASCII")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,6 +71,13 @@ mod tests {
 
     fn triangle_plus_tail() -> Graph {
         GraphBuilder::from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)])
+    }
+
+    /// The DOT text of `g` with one highlighted community.
+    fn dot_string(g: &Graph, community: &[NodeId]) -> String {
+        let mut buf = Vec::new();
+        write_dot(g, &[community], None, &mut buf).unwrap();
+        String::from_utf8(buf).unwrap()
     }
 
     #[test]

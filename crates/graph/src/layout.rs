@@ -31,10 +31,11 @@
 //! integer edge/degree counts, which are isomorphism-invariant, so the
 //! full removal sequence (and therefore the response JSON) is
 //! byte-identical under either layout policy. The multi-node Steiner
-//! seed breaks its path ties by the same canonical ids. The planner
-//! (`dmcs-engine`'s `QueryPlan`) decides per snapshot whether serving
-//! uses the mirror; weighted kernels accumulate floating-point sums in
-//! traversal order and stay on the canonical CSR.
+//! seed breaks its path ties by the same canonical ids. A session
+//! (`dmcs-engine`'s `Session`) decides once, when it opens, whether it
+//! serves from the mirror: only mirror-safe, unweighted specs do, since
+//! weighted kernels accumulate floating-point sums in traversal order
+//! and stay on the canonical CSR.
 
 use crate::bits::BitMask;
 use crate::{Graph, NodeId};

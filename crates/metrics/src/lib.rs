@@ -75,18 +75,6 @@ pub fn mcc(n: usize, predicted: &[u32], truth: &[u32]) -> f64 {
     Confusion::from_sets(n, predicted, truth).mcc()
 }
 
-/// Jaccard similarity of the two node sets.
-pub fn jaccard(predicted: &[u32], truth: &[u32]) -> f64 {
-    let a: std::collections::HashSet<u32> = predicted.iter().copied().collect();
-    let b: std::collections::HashSet<u32> = truth.iter().copied().collect();
-    let inter = a.intersection(&b).count();
-    let union = a.len() + b.len() - inter;
-    if union == 0 {
-        return 1.0;
-    }
-    inter as f64 / union as f64
-}
-
 /// Normalized Mutual Information between two hard partitions given as
 /// per-node labels (equal length). Normalisation: arithmetic mean of the
 /// entropies (Danon et al. 2005). Returns 1.0 when both partitions are the
@@ -243,13 +231,6 @@ mod tests {
         // Reference values: F = 2/11 ≈ 0.1818, NMI ≈ 0.1233.
         assert!((f - 2.0 / 11.0).abs() < 1e-12);
         assert!(i < f, "NMI {i} should be harsher than F {f}");
-    }
-
-    #[test]
-    fn jaccard_basics() {
-        assert!((jaccard(&[1, 2, 3], &[2, 3, 4]) - 0.5).abs() < 1e-12);
-        assert!((jaccard(&[], &[]) - 1.0).abs() < 1e-12);
-        assert_eq!(jaccard(&[1], &[2]), 0.0);
     }
 
     #[test]

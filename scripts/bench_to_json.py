@@ -18,12 +18,12 @@ an insert into the full 1024-entry response cache (which evicts the
 least recently used entry) over one cache hit.
 
 For `bench_batch` runs it additionally derives the locality/planning
-ratios (renumbered vs identity layout per-query FPA, planned vs
-unplanned batch, session memo on vs off) under
+ratios (renumbered vs identity layout per-query FPA, planned batch vs
+the reference session, session memo on vs off) under
 `derived.locality_and_planning`, and the mirror-serving ratios
 (mirror-served vs canonical sessions per layout, pooled-bitset vs
-fresh-bytemask validation BFS, skew-aware vs count-only planning)
-under `derived.mirror_and_skew`.
+fresh-bytemask validation BFS, skew-aware plan vs the reference
+session) under `derived.mirror_and_skew`.
 
 Every file carries a `host` object saying where it was measured: the
 usable CPU count, the CPU model, `rustc -V` and the git commit (with a
@@ -166,12 +166,12 @@ def derive_locality_ratios(results):
     - ``layout_fpa``: identity-layout per-query FPA time over the bfs
       compute mirror (>1 means the renumbering is faster) on the
       scrambled fragmented-50k graph.
-    - ``batch_sched``: ungrouped/unmemoized batch wall-clock over the
-      planned variants — ``plan_auto`` isolates component-grouped
-      scheduling + the component memo on the same scrambled store;
-      ``plan_auto_bfs`` is the full stack (the same planned batch served
-      from a physically BFS-renumbered store), the end-to-end
-      `--layout bfs --plan auto` configuration.
+    - ``batch_sched``: the reference session's wall-clock (``plan_off``:
+      one canonical session, no memo, answering the batch in submission
+      order) over the planned variants — ``plan_auto`` isolates
+      component-grouped scheduling + the component memo on the same
+      scrambled store; ``plan_auto_bfs`` is the full stack (the same
+      planned batch served from a physically BFS-renumbered store).
     - ``session_memo``: the session's consecutive-same-component stream
       without over with the workspace component memo.
     """
@@ -207,11 +207,9 @@ def derive_mirror_ratios(results):
       and id translation included).
     - ``validate_bytemask_over_bitset``: the old fresh-bytemask
       validation BFS over the pooled u64-bitset frontier.
-    - ``skew_off_over_auto`` / ``skew_count_only_over_auto``: planner-off
-      and forced-grouping (count-only planner) batch wall-clock over the
-      skew-aware auto plan on the giant-plus-dust graph — auto must not
-      lose to off, and the count-only comparison prices the grouping
-      overhead skew-awareness avoids.
+    - ``skew_off_over_auto``: the reference session's wall-clock over the
+      skew-aware plan's batch on the giant-plus-dust graph — the plan
+      must not lose to it.
     """
     by_group = {}
     for r in results:
@@ -227,13 +225,9 @@ def derive_mirror_ratios(results):
     if ratio is not None:
         derived["validate_bytemask_over_bitset"] = ratio
     skew = by_group.get("plan_skew_giant50k", {})
-    for baseline, key in (
-        ("plan_off", "skew_off_over_auto"),
-        ("count_only", "skew_count_only_over_auto"),
-    ):
-        ratio = _ratio(skew, baseline, "plan_auto")
-        if ratio is not None:
-            derived[key] = ratio
+    ratio = _ratio(skew, "plan_off", "plan_auto")
+    if ratio is not None:
+        derived["skew_off_over_auto"] = ratio
     return derived
 
 

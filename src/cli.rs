@@ -107,11 +107,6 @@ pub struct CliConfig {
     /// per shard, giving shard-scoped cache invalidation under updates
     /// and the store's per-shard rebuild counters.
     pub shards: usize,
-    /// Batch planner mode (`--plan {auto,off}`, batch mode only): whether
-    /// a batch picks component-grouped scheduling and the per-worker
-    /// component memo from snapshot statistics. Strategy only — output
-    /// bytes are identical across modes.
-    pub plan: PlanMode,
     /// Compute-mirror layout policy (`--layout {identity,bfs}`): `bfs`
     /// makes the store additionally build a cache-friendly renumbered
     /// CSR mirror per snapshot. Public ids (and all output) stay in the
@@ -137,7 +132,6 @@ impl Default for CliConfig {
             threads: 1,
             format: OutputFormat::Text,
             shards: crate::graph::DEFAULT_SHARD_COUNT,
-            plan: PlanMode::default(),
             layout: LayoutPolicy::default(),
         }
     }
@@ -195,21 +189,17 @@ OPTIONS:
                       (default: 16): updates dirty only the shards they
                       touch, and cached answers scoped to clean shards
                       survive updates that leave the edge count unchanged
-    --plan <mode>     batch planner (batch mode only): auto (default;
-                      the batch runs component-grouped with a per-worker
-                      component memo when snapshot stats warrant it —
-                      grouping is skew-aware, skipped when one giant
-                      component holds most of the mass — and mirror-safe
-                      searches run on the compute mirror when one
-                      exists) or off (ungrouped canonical baseline).
-                      Execution strategy only — results are
-                      bit-identical across modes
+    --plan auto       batch planner (batch mode only; auto is the one
+                      mode and the default): the batch runs
+                      component-grouped when the graph is fragmented,
+                      unless one giant component holds most of the
+                      nodes; each worker memoizes its last component.
+                      Execution order only — results are bit-identical
     --layout <policy> snapshot compute-mirror layout: identity (default;
                       no mirror) or bfs — builds a renumbered
                       cache-friendly CSR mirror per snapshot that
-                      mirror-safe searches execute on (in a batch, under
-                      --plan auto); ids in all output stay in the input
-                      id space
+                      mirror-safe unweighted searches execute on; ids in
+                      all output stay in the input id space
     --help            show this text
 
 EXIT CODES:
@@ -291,7 +281,7 @@ fn parse_grammar(args: &[String], grammar: Grammar) -> Result<Option<ServeCli>, 
             ("--top-k", Run) => cfg.top_k = number(arg, value()?)?,
             ("--dot", Run) => cfg.dot_path = Some(value()?.to_string()),
             ("--plan", Run) => {
-                cfg.plan = policy(arg, value()?)?;
+                policy::<PlanMode>(arg, value()?)?;
                 batch_flag = batch_flag.or(Some(arg.as_str()));
             }
             ("--unix", Serve) => server.unix_path = Some(value()?.to_string()),
@@ -837,7 +827,7 @@ fn run_batch<W: std::io::Write>(
         )?));
     }
     let spec = algo_spec(cfg);
-    let report = engine.run_batch_planned(&spec, &requests, cfg.threads, cfg.plan)?;
+    let report = engine.run_batch(&spec, &requests, cfg.threads)?;
     let weighted = spec.params.weighted;
     let snap = engine.snapshot();
     ids.with_original(|original| match cfg.format {
@@ -1266,9 +1256,10 @@ mod tests {
         assert!(parse(&args("--demo --queries q.txt --threads x")).is_err());
         assert!(parse(&args("--demo --queries q.txt --top-k 2")).is_err());
         assert!(parse(&args("--demo --queries q.txt --dot o.dot")).is_err());
-        // --plan configures batches alone.
-        assert!(parse(&args("--demo --queries q.txt --plan off")).is_ok());
-        assert!(parse(&args("--demo --query 1 --plan off")).is_err());
+        // --plan configures batches alone, and auto is its one mode.
+        assert!(parse(&args("--demo --queries q.txt --plan auto")).is_ok());
+        assert!(parse(&args("--demo --queries q.txt --plan off")).is_err());
+        assert!(parse(&args("--demo --query 1 --plan auto")).is_err());
         // Weighted batches are first-class: --weighted composes with
         // --queries and --threads.
         assert!(parse(&args("--graph g --queries q.txt --weighted")).is_ok());
@@ -1865,7 +1856,7 @@ mod tests {
             "--demo --updates u.txt --stats",
             "--demo --updates u.txt --top-k 2",
             "--demo --updates u.txt --dot o.dot",
-            "--demo --updates u.txt --plan off",
+            "--demo --updates u.txt --plan auto",
         ] {
             let err = parse(&args(bad)).unwrap_err();
             assert!(matches!(err, EngineError::BadParam { .. }), "{bad}: {err}");

@@ -8,6 +8,19 @@ fn dmcs() -> Command {
     Command::new(env!("CARGO_BIN_EXE_dmcs"))
 }
 
+/// A spawned `dmcs serve`, killed when the guard drops, so a test that
+/// fails before its daemon exits leaves no daemon running.
+#[cfg(unix)]
+struct Daemon(std::process::Child);
+
+#[cfg(unix)]
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 #[test]
 fn help_prints_usage_and_exits_zero() {
     let out = dmcs().arg("--help").output().unwrap();
@@ -636,11 +649,13 @@ fn serve_smoke_over_a_unix_socket() {
 
     let path = std::env::temp_dir().join(format!("dmcs-bin-serve-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let mut daemon = dmcs()
-        .args(["serve", "--demo", "--unix", path.to_str().unwrap()])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .unwrap();
+    let mut daemon = Daemon(
+        dmcs()
+            .args(["serve", "--demo", "--unix", path.to_str().unwrap()])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .unwrap(),
+    );
 
     // Wait for the listener (the daemon prints its banner after bind).
     let mut waited = 0;
@@ -682,11 +697,11 @@ fn serve_smoke_over_a_unix_socket() {
     assert!(!transcript.contains("\"skew\""), "{transcript}");
 
     // Clean exit after drain, and the socket file is gone.
-    let status = daemon.wait().unwrap();
+    let status = daemon.0.wait().unwrap();
     assert_eq!(status.code(), Some(0));
     assert!(!path.exists(), "socket file unlinked on shutdown");
     let mut banner = String::new();
-    std::io::Read::read_to_string(daemon.stdout.as_mut().unwrap(), &mut banner).unwrap();
+    std::io::Read::read_to_string(daemon.0.stdout.as_mut().unwrap(), &mut banner).unwrap();
     assert!(banner.contains("listening on unix socket"), "{banner}");
     assert!(banner.contains("drained:"), "{banner}");
 }
@@ -700,15 +715,6 @@ fn serve_cache_bytes_count_the_ids_replies_carry() {
     use dmcs::engine::output::Json;
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::UnixStream;
-
-    /// Kills the daemon if the test fails before its shutdown.
-    struct Daemon(std::process::Child);
-    impl Drop for Daemon {
-        fn drop(&mut self) {
-            let _ = self.0.kill();
-            let _ = self.0.wait();
-        }
-    }
 
     let path = std::env::temp_dir().join(format!("dmcs-bin-bytes-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
@@ -783,13 +789,15 @@ fn serve_drains_on_sigterm() {
 
     let path = std::env::temp_dir().join(format!("dmcs-bin-term-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let mut daemon = dmcs()
-        .args(["serve", "--demo", "--unix", path.to_str().unwrap()])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .unwrap();
+    let mut daemon = Daemon(
+        dmcs()
+            .args(["serve", "--demo", "--unix", path.to_str().unwrap()])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .unwrap(),
+    );
     // The banner follows the SIGTERM handler's installation.
-    let mut stdout = BufReader::new(daemon.stdout.take().unwrap());
+    let mut stdout = BufReader::new(daemon.0.stdout.take().unwrap());
     let mut banner = String::new();
     while !banner.contains("listening on unix socket") {
         assert_ne!(stdout.read_line(&mut banner).unwrap(), 0, "{banner}");
@@ -798,16 +806,15 @@ fn serve_drains_on_sigterm() {
     // An idle daemon: no connection ever arrives.
     let sent = Instant::now();
     let kill = std::process::Command::new("kill")
-        .args(["-TERM", &daemon.id().to_string()])
+        .args(["-TERM", &daemon.0.id().to_string()])
         .status()
         .unwrap();
     assert!(kill.success());
     let status = loop {
-        if let Some(status) = daemon.try_wait().unwrap() {
+        if let Some(status) = daemon.0.try_wait().unwrap() {
             break status;
         }
         if sent.elapsed() > Duration::from_secs(2) {
-            let _ = daemon.kill();
             panic!("no exit within 2 s of SIGTERM");
         }
         std::thread::sleep(Duration::from_millis(10));
@@ -826,18 +833,20 @@ fn serve_overload_wire_code_8() {
 
     let path = std::env::temp_dir().join(format!("dmcs-bin-cap0-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let mut daemon = dmcs()
-        .args([
-            "serve",
-            "--demo",
-            "--unix",
-            path.to_str().unwrap(),
-            "--queue-cap",
-            "0",
-        ])
-        .stdout(std::process::Stdio::null())
-        .spawn()
-        .unwrap();
+    let mut daemon = Daemon(
+        dmcs()
+            .args([
+                "serve",
+                "--demo",
+                "--unix",
+                path.to_str().unwrap(),
+                "--queue-cap",
+                "0",
+            ])
+            .stdout(std::process::Stdio::null())
+            .spawn()
+            .unwrap(),
+    );
     let mut waited = 0;
     while !path.exists() {
         assert!(waited < 5_000, "daemon never bound {path:?}");
@@ -854,7 +863,7 @@ fn serve_overload_wire_code_8() {
     assert!(line.contains("\"code\":8"), "{line}");
     assert!(line.contains("overloaded"), "{line}");
     writeln!(stream, r#"{{"op":"shutdown"}}"#).unwrap();
-    assert_eq!(daemon.wait().unwrap().code(), Some(0));
+    assert_eq!(daemon.0.wait().unwrap().code(), Some(0));
 }
 
 #[test]

@@ -58,7 +58,11 @@ const RUN: &[(&str, &str)] = &[
     ("--demo --query 0 --shards 0", "--shards must be at least 1"),
     (
         "--demo --query 0 --plan sometimes",
-        "bad --plan value: unknown plan mode 'sometimes' (expected auto|off)",
+        "bad --plan value: unknown plan mode 'sometimes' (expected auto)",
+    ),
+    (
+        "--demo --queries q.txt --plan off",
+        "bad --plan value: unknown plan mode 'off' (expected auto)",
     ),
     (
         "--demo --query 0 --layout rcm",
@@ -110,7 +114,7 @@ const RUN: &[(&str, &str)] = &[
         "--threads requires --queries (batch mode)",
     ),
     (
-        "--demo --query 1 --plan off",
+        "--demo --query 1 --plan auto",
         "--plan requires --queries (batch mode)",
     ),
     (
@@ -118,7 +122,7 @@ const RUN: &[(&str, &str)] = &[
         "--plan requires --queries (batch mode)",
     ),
     (
-        "--demo --updates u.txt --plan off",
+        "--demo --updates u.txt --plan auto",
         "--plan requires --queries (batch mode)",
     ),
     (
@@ -187,15 +191,15 @@ const RUN: &[(&str, &str)] = &[
         "--threads requires --queries (batch mode)",
     ),
     (
-        "--demo --updates u.txt --plan off --threads 2",
+        "--demo --updates u.txt --plan auto --threads 2",
         "--plan requires --queries (batch mode)",
     ),
     (
-        "--demo --query 1 --threads 2 --plan off --dot o.dot",
+        "--demo --query 1 --threads 2 --plan auto --dot o.dot",
         "--threads requires --queries (batch mode)",
     ),
     (
-        "--demo --query 1 --queries q.txt --plan off",
+        "--demo --query 1 --queries q.txt --plan auto",
         "--query, --queries and --updates are mutually exclusive",
     ),
     (
@@ -252,7 +256,7 @@ const SERVE: &[(&str, &str)] = &[
         "unknown serve argument \"--dot\"",
     ),
     (
-        "--demo --tcp 127.0.0.1:0 --plan off",
+        "--demo --tcp 127.0.0.1:0 --plan auto",
         "unknown serve argument \"--plan\"",
     ),
     (
