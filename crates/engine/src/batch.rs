@@ -113,11 +113,12 @@ impl BatchReport {
         cache_hits: usize,
         cache_misses: usize,
     ) -> Self {
-        let latencies = responses.iter().map(|r| r.seconds).collect();
+        let mut latencies: Vec<f64> = responses.iter().map(|r| r.seconds).collect();
+        latencies.sort_unstable_by(f64::total_cmp);
         BatchReport {
             responses,
             ..BatchReport::from_latencies(
-                latencies,
+                latencies.iter().map(|&s| (s, 1)),
                 wall_seconds,
                 unique_queries,
                 cache_hits,
@@ -126,29 +127,25 @@ impl BatchReport {
         }
     }
 
-    /// [`BatchReport::from_responses`] for a caller that kept only each
-    /// query's latency (`seconds`): the report's `responses` stay empty.
-    /// A [`StreamTally`](crate::ops::StreamTally) builds a stream's
+    /// [`BatchReport::from_responses`] for a caller that kept only the
+    /// queries' latencies, as `(seconds, count)` runs in ascending
+    /// [`f64::total_cmp`] order (a value may span several runs): the
+    /// report's `responses` stay empty. A
+    /// [`StreamTally`](crate::ops::StreamTally) builds a stream's
     /// summary this way, since a long-lived connection cannot afford to
     /// keep every response.
     pub(crate) fn from_latencies(
-        mut lat: Vec<f64>,
+        runs: impl Iterator<Item = (f64, usize)> + Clone,
         wall_seconds: f64,
         unique_queries: usize,
         cache_hits: usize,
         cache_misses: usize,
     ) -> Self {
-        lat.sort_unstable_by(|a, b| a.total_cmp(b));
-        let pct = |p: f64| -> f64 {
-            if lat.is_empty() {
-                return 0.0;
-            }
-            let idx = ((lat.len() as f64 * p).ceil() as usize).clamp(1, lat.len()) - 1;
-            lat[idx]
-        };
-        let (p50_seconds, p95_seconds) = (pct(0.50), pct(0.95));
+        let queries: usize = runs.clone().map(|(_, count)| count).sum();
+        let p50_seconds = nearest_rank(runs.clone(), queries, 0.50);
+        let p95_seconds = nearest_rank(runs, queries, 0.95);
         let queries_per_sec = if wall_seconds > 0.0 {
-            lat.len() as f64 / wall_seconds
+            queries as f64 / wall_seconds
         } else {
             0.0
         };
@@ -181,6 +178,25 @@ impl BatchReport {
     pub fn succeeded(&self) -> usize {
         self.responses.iter().filter(|r| r.is_ok()).count()
     }
+}
+
+/// The nearest-rank `p` percentile of `len` values given as `runs`,
+/// `(value, count)` pairs in ascending [`f64::total_cmp`] order whose
+/// counts sum to `len`: the value at 1-based rank `ceil(len·p)`,
+/// clamped to `1..=len`, and 0 when there are no values. Every summary's
+/// `p50_seconds` and `p95_seconds` come from here.
+fn nearest_rank(runs: impl Iterator<Item = (f64, usize)>, len: usize, p: f64) -> f64 {
+    if len == 0 {
+        return 0.0;
+    }
+    let rank = ((len as f64 * p).ceil() as usize).clamp(1, len);
+    let mut seen = 0;
+    runs.map(|(value, count)| {
+        seen += count;
+        (seen, value)
+    })
+    .find(|&(seen, _)| seen >= rank)
+    .map_or(0.0, |(_, value)| value)
 }
 
 /// Executes batches of requests with a default algorithm and a worker

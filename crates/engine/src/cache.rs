@@ -1,7 +1,7 @@
 //! The shard-scoped response cache: a hand-rolled LRU (the workspace's
 //! dependency policy admits no cache crate) mapping `(algorithm spec,
-//! sorted query nodes, top-k rounds, store id)` to finished answers,
-//! each validated by a [`Fingerprint`].
+//! query nodes in request order, top-k rounds, store id)` to finished
+//! answers, each validated by a [`Fingerprint`].
 //!
 //! Correctness comes from the fingerprint, and one rule certifies every
 //! answer. Density modularity (Definition 2) reads the rows of the
@@ -183,16 +183,18 @@ impl CachedAnswer {
 /// carries separates entries: a weighted and an unweighted request over
 /// the same label never share one. `k` participates even for algorithms
 /// that ignore it; that only costs duplicate entries for off-label
-/// `--k` usage, never a wrong answer. Query nodes are **sorted** — the
-/// searches treat the query as a set, so `[0, 33]` and `[33, 0]` share
-/// an entry. The process-unique store id keeps snapshots of different
-/// graphs from ever colliding in a shared cache (shard versions only
-/// order mutations *within* one store).
+/// `--k` usage, never a wrong answer. Query nodes keep the **request's
+/// order**: a multi-node FPA search roots its Steiner seed (§5.6) at the
+/// first query node, so `[0, 4]` and `[4, 0]` can answer different
+/// communities, and they never share an entry. The process-unique store
+/// id keeps snapshots of different graphs from ever colliding in a
+/// shared cache (shard versions only order mutations *within* one
+/// store).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// The algorithm's registry label and parameters.
     pub spec: AlgoSpec,
-    /// Query nodes, sorted ascending.
+    /// Query nodes, in the request's order.
     pub nodes: Vec<NodeId>,
     /// `0` for a single-community query; for a top-k enumeration, the
     /// requested round count. Keeps a top-k answer (a *list* of
@@ -207,11 +209,9 @@ impl CacheKey {
     /// Key for running `spec` on `nodes` against the store `snapshot`
     /// pins.
     pub fn new(spec: &AlgoSpec, nodes: &[NodeId], snapshot: &Snapshot) -> CacheKey {
-        let mut nodes = nodes.to_vec();
-        nodes.sort_unstable();
         CacheKey {
             spec: spec.clone(),
-            nodes,
+            nodes: nodes.to_vec(),
             top_k: 0,
             store: snapshot.store_id(),
         }
@@ -554,11 +554,9 @@ mod tests {
     }
 
     fn key(nodes: &[NodeId]) -> CacheKey {
-        let mut nodes = nodes.to_vec();
-        nodes.sort_unstable();
         CacheKey {
             spec: AlgoSpec::new("fpa"),
-            nodes,
+            nodes: nodes.to_vec(),
             top_k: 0,
             store: 0,
         }
@@ -618,13 +616,17 @@ mod tests {
     }
 
     #[test]
-    fn keys_sort_nodes_and_separate_params_and_stores() {
+    fn keys_keep_node_order_and_separate_params_and_stores() {
         use dmcs_graph::GraphBuilder;
         let snap = Snapshot::freeze(GraphBuilder::from_edges(34, &[(0, 33)]));
-        assert_eq!(
+        assert_ne!(
             CacheKey::new(&AlgoSpec::new("fpa"), &[33, 0], &snap),
             CacheKey::new(&AlgoSpec::new("fpa"), &[0, 33], &snap),
-            "query is a set"
+            "the first query node roots the Steiner seed"
+        );
+        assert_ne!(
+            CacheKey::for_top_k(&AlgoSpec::new("fpa"), &[33, 0], &snap, 2),
+            CacheKey::for_top_k(&AlgoSpec::new("fpa"), &[0, 33], &snap, 2),
         );
         assert_ne!(
             CacheKey::new(&AlgoSpec::new("fpa"), &[0], &snap),

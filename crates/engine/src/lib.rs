@@ -24,11 +24,12 @@
 //!   ran, the query's wall time, and whether the answer came from the
 //!   cache).
 //! - [`cache`] — [`ResponseCache`], the
-//!   hand-rolled LRU keyed by `(algorithm, params, sorted query nodes,
-//!   store id)` with entries validated by a *fingerprint*: the versions
-//!   of exactly the store shards the answering search touched, plus the
-//!   graph's edge count. Updates to other shards that keep the edge
-//!   count leave the entry live; a hit always equals a fresh search.
+//!   hand-rolled LRU keyed by `(algorithm, params, query nodes in
+//!   request order, store id)` with entries validated by a
+//!   *fingerprint*: the versions of exactly the store shards the
+//!   answering search touched, plus the graph's edge count. Updates to
+//!   other shards that keep the edge count leave the entry live; a hit
+//!   always equals a fresh search.
 //!   An entry the daemon has hit also keeps its rendered reply bytes,
 //!   so later hits copy them.
 //! - [`session`] — [`Session`]: a pinned
@@ -255,7 +256,9 @@ impl Engine {
 
     /// Resolve `spec` through the registry and run the whole batch on
     /// `threads` workers (clamped to one worker per distinct request)
-    /// against the current snapshot, consulting the shared cache. The
+    /// against the current snapshot, consulting the shared cache, so a
+    /// caller that runs batch after batch replays repeats. (A one-shot
+    /// `dmcs --queries` process runs a [`BatchRunner`] without it.) The
     /// batch plans only its execution order (see [`QueryPlan`]), so
     /// responses never depend on it; the report's scheduling counters
     /// and `plan` label record what ran.

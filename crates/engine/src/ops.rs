@@ -11,7 +11,8 @@
 //!   [`parse_update_script`] reads the `--updates` grammar into it; the
 //!   wire builds it from JSON members.
 //! - [`StreamTally`] — what a query stream's closing `summary` needs:
-//!   each query's seconds, success and cache flag, recorded without a
+//!   each computed query's seconds, one count per timing the cache
+//!   replayed, and the success and hit counts, recorded without a
 //!   [`QueryResponse`](crate::QueryResponse), which a copied cache hit
 //!   never builds. A stream answers queries one by one and never asks
 //!   the planner, so its summary carries no `plan` or `skew`.
@@ -128,8 +129,8 @@ impl IdSpace {
 }
 
 /// Reject a query that names a node twice, naming the first repeat. A
-/// query is a set of nodes: a repeat would only split one answer across
-/// two cache keys.
+/// repeat names no new node: it would only split one answer across two
+/// cache keys.
 pub fn check_distinct(ids: &[u64]) -> Result<(), String> {
     let mut seen = HashSet::with_capacity(ids.len());
     match ids.iter().find(|&&id| !seen.insert(id)) {
@@ -377,13 +378,30 @@ pub fn parse_update_script(text: &str) -> Result<Vec<(usize, UpdateOp)>, EngineE
 }
 
 /// Running totals of a stream of single queries — a daemon connection
-/// or an `--updates` script — for its closing `summary` line. Keeps one
-/// latency per query, never the responses: a long-lived connection
-/// would otherwise grow by every community it returned.
+/// or an `--updates` script — for its closing `summary` line, never the
+/// responses: a long-lived connection would otherwise grow by every
+/// community it returned.
+///
+/// The summary's `p50_seconds` and `p95_seconds` are exact nearest-rank
+/// percentiles over every answered query, a cache hit counted at the
+/// timing it replays (its entry's original `seconds`). The tally keeps
+/// what that takes and no more:
+///
+/// - each computed query's seconds (a miss, or any query of a session
+///   without a cache), 8 bytes per query;
+/// - one count per distinct timing the cache replayed. A hit replays
+///   the timing of a query computed once, so hit-heavy traffic repeats
+///   a few values, and a hit on a counted value costs nothing.
+///
+/// So a connection's memory grows with what it computes, not with what
+/// it is served.
 #[derive(Debug)]
 pub struct StreamTally {
     started: Instant,
-    seconds: Vec<f64>,
+    /// Each computed query's seconds, in arrival order.
+    computed: Vec<f64>,
+    /// Cache hits per replayed timing, keyed by the timing's bits.
+    replayed: HashMap<u64, usize>,
     ok: usize,
     cache_hits: usize,
     /// Mirror-served queries of sessions the stream has replaced.
@@ -395,7 +413,8 @@ impl StreamTally {
     pub fn start() -> Self {
         StreamTally {
             started: Instant::now(),
-            seconds: Vec::new(),
+            computed: Vec::new(),
+            replayed: HashMap::new(),
             ok: 0,
             cache_hits: 0,
             mirror_served: 0,
@@ -404,7 +423,7 @@ impl StreamTally {
 
     /// Queries recorded so far.
     pub fn queries(&self) -> usize {
-        self.seconds.len()
+        self.computed.len() + self.cache_hits
     }
 
     /// Count one answered query: its (replayed) wall time, whether it
@@ -413,9 +432,13 @@ impl StreamTally {
     /// [`QueryResponse`](crate::QueryResponse), so the tally takes the
     /// three facts it needs.
     pub fn record(&mut self, seconds: f64, ok: bool, cached: bool) {
-        self.seconds.push(seconds);
+        if cached {
+            *self.replayed.entry(seconds.to_bits()).or_default() += 1;
+            self.cache_hits += 1;
+        } else {
+            self.computed.push(seconds);
+        }
         self.ok += usize::from(ok);
-        self.cache_hits += usize::from(cached);
     }
 
     /// The stream re-pins: `replaced` is about to be dropped, so fold
@@ -432,15 +455,31 @@ impl StreamTally {
 
     /// Close the stream: latency percentiles and throughput through
     /// [`BatchReport`]'s percentile code, every query counted as unique,
-    /// and the mirror count including `current`'s. The report's plan
-    /// stays empty: no planner scheduled the stream.
-    pub fn finish(self, current: Option<&Session>) -> SummaryInput<'static> {
-        let queries = self.seconds.len();
+    /// and the mirror count including `current`'s. The computed timings
+    /// are sorted in place and merged with the replayed ones, so closing
+    /// allocates only for the distinct replayed timings. The report's
+    /// plan stays empty: no planner scheduled the stream.
+    pub fn finish(mut self, current: Option<&Session>) -> SummaryInput<'static> {
+        let queries = self.queries();
         let wall = self.started.elapsed().as_secs_f64();
+        self.computed.sort_unstable_by(f64::total_cmp);
+        let mut replayed: Vec<(f64, usize)> = self
+            .replayed
+            .iter()
+            .map(|(&bits, &count)| (f64::from_bits(bits), count))
+            .collect();
+        replayed.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let mut computed = self.computed.iter().map(|&s| (s, 1)).peekable();
+        let mut replayed = replayed.into_iter().peekable();
+        let runs = std::iter::from_fn(move || match (computed.peek(), replayed.peek()) {
+            (Some(c), Some(r)) if r.0.total_cmp(&c.0).is_lt() => replayed.next(),
+            (Some(_), _) => computed.next(),
+            (None, _) => replayed.next(),
+        });
         let report = BatchReport {
             mirror_served: self.mirror_served + current.map_or(0, Session::mirror_served),
             ..BatchReport::from_latencies(
-                self.seconds,
+                runs,
                 wall,
                 queries,
                 self.cache_hits,

@@ -58,9 +58,9 @@
 //! (in-batch dedup answers the rest by fan-out); `cache_hits` /
 //! `cache_misses` count executed queries served from / missing the
 //! engine's version-keyed result cache (both 0 when no cache was
-//! attached). Responses served from the cache are **byte-identical** to
-//! the response that populated the entry — there is deliberately no
-//! per-response cached marker.
+//! attached, as in a `dmcs --queries` batch). Responses served from the
+//! cache are **byte-identical** to the response that populated the
+//! entry — there is deliberately no per-response cached marker.
 //!
 //! `groups` / `grouped_queries` / `shared_bfs_reuses` describe the
 //! component-aware scheduler: how many connected-component groups the

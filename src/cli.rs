@@ -49,8 +49,8 @@ use crate::engine::ops::{
 use crate::engine::output::{report_jsonl, LineWriter, SummaryInput};
 use crate::engine::registry::{self, AlgoParams, AlgoSpec};
 use crate::engine::{
-    BatchReport, Engine, EngineError, PlanMode, QueryRequest, QueryResponse, Server, ServerConfig,
-    Session,
+    BatchReport, BatchRunner, Engine, EngineError, PlanMode, QueryRequest, QueryResponse, Server,
+    ServerConfig, Session,
 };
 use crate::graph::io::{load_edge_list, read_weighted_edge_list};
 use crate::graph::{Graph, LayoutPolicy, NodeId};
@@ -551,7 +551,8 @@ fn write_dot_file<W: std::io::Write>(
 /// unregistered label fails (exit code 3) before any graph loads; then
 /// the graph (with its weights lane under `--weighted`) seeds a store of
 /// `--shards` shards under the `--layout` policy, which every mode
-/// serves from through the shard-scoped result cache.
+/// serves from, through the shard-scoped result cache except in a
+/// one-shot `--queries` batch.
 fn open_engine(cfg: &CliConfig) -> Result<(Engine, Vec<u64>, &'static str), EngineError> {
     let algo_name = algo_spec(cfg).build()?.name();
     let (g, original) = load_graph(cfg)?;
@@ -807,7 +808,10 @@ fn write_summary_lines<W: std::io::Write>(
 /// Batch execution through the engine: map every query through one
 /// [`IdSpace`], run them on `cfg.threads` workers with deterministic
 /// output ordering, and print per-query lines plus the throughput
-/// summary (text) or JSON-lines.
+/// summary (text) or JSON-lines. The process answers this one batch
+/// and exits, and the batch answers each distinct query once, so no
+/// cache lookup could hit: the batch runs without the response cache,
+/// and its summary reads 0 cache hits and 0 misses.
 fn run_batch<W: std::io::Write>(
     cfg: &CliConfig,
     qpath: &str,
@@ -827,9 +831,9 @@ fn run_batch<W: std::io::Write>(
         )?));
     }
     let spec = algo_spec(cfg);
-    let report = engine.run_batch(&spec, &requests, cfg.threads)?;
     let weighted = spec.params.weighted;
     let snap = engine.snapshot();
+    let report = BatchRunner::new(spec, cfg.threads)?.run(&snap, &requests)?;
     ids.with_original(|original| match cfg.format {
         OutputFormat::Json => {
             out.write_all(report_jsonl(algo_name, weighted, &report, Some(original)).as_bytes())
@@ -1324,6 +1328,11 @@ mod tests {
         assert!(text.contains("query 2 [0, 33]:"), "{text}");
         assert!(text.contains("queries/sec"), "{text}");
         assert!(text.contains("ok 3/3"), "{text}");
+        // A one-shot batch runs without the result cache.
+        assert!(
+            text.contains("cache: 0 hits, 0 misses  unique: 3/3"),
+            "{text}"
+        );
 
         // Batch output is identical at any thread count.
         let strip_timings = |s: &str| -> String {
@@ -1641,9 +1650,9 @@ mod tests {
 
     #[test]
     fn weighted_batch_end_to_end() {
-        // --weighted + --queries + --threads + --format json: the full
-        // serving stack (weighted fpa, sessions, dedup, cache) on a
-        // weighted graph.
+        // --weighted + --queries + --threads + --format json: the batch
+        // serving stack (weighted fpa, sessions, dedup) on a weighted
+        // graph.
         let dir = std::env::temp_dir().join("dmcs_cli_weighted_batch");
         std::fs::create_dir_all(&dir).unwrap();
         let gfile = dir.join("w.txt");
