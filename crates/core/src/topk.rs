@@ -82,7 +82,7 @@ pub fn top_k_communities_with(
     tracker.note_component(&pool);
     let is_query = |v: NodeId| query.contains(&v);
     let mut out = Vec::new();
-    for _round in 0..cfg.k {
+    for round in 0..cfg.k {
         if pool.len() <= query.len() {
             break;
         }
@@ -98,14 +98,22 @@ pub fn top_k_communities_with(
             out.push(r);
             break;
         }
-        let used: Vec<NodeId> = r
-            .community
-            .iter()
-            .copied()
-            .filter(|&v| !is_query(v))
-            .collect();
+        // The next round's pool is this one less the community's
+        // non-query members. Both lists are sorted, so one merge pass
+        // drops them; the last round needs no next pool.
+        if round + 1 < cfg.k {
+            let mut used = r
+                .community
+                .iter()
+                .copied()
+                .filter(|&v| !is_query(v))
+                .peekable();
+            pool.retain(|&v| {
+                while used.next_if(|&u| u < v).is_some() {}
+                used.next_if_eq(&v).is_none()
+            });
+        }
         out.push(r);
-        pool.retain(|&v| is_query(v) || !used.contains(&v));
     }
     Ok(out)
 }
@@ -341,6 +349,58 @@ mod tests {
             g.weighted_density_modularity(&[0, 4, 5, 6])
                 > g.weighted_density_modularity(&[0, 1, 2, 3])
         );
+    }
+
+    #[test]
+    fn rounds_equal_the_quadratic_pool_filter() {
+        // The loop as it was, filtering the pool with a linear search of
+        // the used nodes after every round.
+        fn reference(g: &Graph, query: &[NodeId], cfg: TopKConfig) -> Vec<SearchResult> {
+            let mut pool = query_component(g, query).unwrap();
+            let is_query = |v: NodeId| query.contains(&v);
+            let mut out = Vec::new();
+            for _ in 0..cfg.k {
+                if pool.len() <= query.len() {
+                    break;
+                }
+                let Ok(r) = search_within_scored(g, &pool, query, &Fpa::default(), false) else {
+                    break;
+                };
+                if r.density_modularity < cfg.min_dm {
+                    break;
+                }
+                if r.community.iter().all(|&v| is_query(v)) {
+                    out.push(r);
+                    break;
+                }
+                let used: Vec<NodeId> = r
+                    .community
+                    .iter()
+                    .copied()
+                    .filter(|&v| !is_query(v))
+                    .collect();
+                out.push(r);
+                pool.retain(|&v| is_query(v) || !used.contains(&v));
+            }
+            out
+        }
+        let g = dmcs_gen::karate::karate();
+        for k in 1..=4 {
+            let cfg = TopKConfig {
+                k,
+                min_dm: f64::NEG_INFINITY,
+            };
+            for query in (0..34)
+                .map(|q| vec![q])
+                .chain([vec![0, 33], vec![33, 8], vec![5, 16]])
+            {
+                assert_eq!(
+                    top_k_communities(&g, &query, cfg).unwrap(),
+                    reference(&g, &query, cfg),
+                    "k {k}, query {query:?}"
+                );
+            }
+        }
     }
 
     #[test]

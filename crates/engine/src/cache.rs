@@ -8,9 +8,9 @@
 //! nodes involved plus one global: the edge count `m`, or in the
 //! weighted form the total edge weight `w_G`. So every entry records
 //! `m`, the bits of `w_G` (`Graph::total_weight`, which is `m` on a
-//! graph without weights) and the `(shard, version)` pairs of the
-//! shards holding the nodes its search noted (captured at search time
-//! via [`QueryWorkspace`](dmcs_graph::view::QueryWorkspace) shard
+//! graph without weights) and the versions of the shards holding the
+//! nodes its search noted (captured at search time via
+//! [`QueryWorkspace`](dmcs_graph::view::QueryWorkspace) shard
 //! tracking), and a lookup replays the entry only while the serving
 //! snapshot still carries all three. That is an exact certificate,
 //! because each search notes every node whose row it reads:
@@ -55,79 +55,128 @@
 //! the tail, stamped with the id of the
 //! [`IdSpace`](crate::ops::IdSpace) that mapped its ids, and every later
 //! [`lookup`](ResponseCache::lookup) under that id space copies the bytes
-//! instead of cloning the answer and rendering it again. A miss attaches
+//! instead of decoding the answer and rendering it again. A miss attaches
 //! nothing, so traffic that never repeats stores no bytes; overwriting an
 //! entry drops them.
 //!
-//! Entries hold served answers: the community, its density modularity
-//! and the iteration count, with an empty removal order (no reply
-//! renders it; see [`Session`](crate::Session)). The cache keeps running
-//! totals of its entries and of their bytes ([`ResponseCache::len`],
-//! [`ResponseCache::bytes`]): 4 bytes per node id an entry stores (its
-//! key's query nodes and each round's community and removal order, which
-//! a served answer leaves empty) plus its attached reply bytes. These
-//! are lengths, not allocator capacities, so the same entries always
-//! count the same.
+//! **Compact entries.** Entries hold served answers: the community, its
+//! density modularity and the iteration count, with an empty removal
+//! order (no reply renders it; see [`Session`](crate::Session)). An
+//! entry keeps its rounds packed in one byte string: per round the
+//! density modularity's `f64` bits, then LEB128 varints for the
+//! iteration count and for the community and the removal order, each a
+//! length and then zigzag deltas from the id before (the first from 0).
+//! A served community is sorted, so ids that lie within 63 of the one
+//! before cost one byte each, and the deltas keep any order exact.
+//! [`get`](ResponseCache::get) and [`lookup`](ResponseCache::lookup)
+//! decode into the same [`CachedAnswer`] that was inserted. A
+//! fingerprint shares its epoch's shard-version vector with the
+//! snapshot and keeps only the list of shards it pins (none when it pins
+//! every shard).
+//!
+//! **Bounds.** The cache keeps running totals of its entries and of
+//! their bytes ([`ResponseCache::len`], [`ResponseCache::bytes`]): an
+//! entry counts its packed rounds, 4 bytes per query node of its key
+//! and its attached reply bytes. These are lengths, not allocator
+//! capacities, so the same entries always count the same. Both totals
+//! are capped: at most `capacity` entries and [`BYTES_PER_ENTRY`] bytes
+//! per entry of capacity in all (16 MiB at the default 1024), so a
+//! graph with giant communities cannot hold `capacity` copies of them.
+//! An insert evicts least-recently-used entries until both fit; an
+//! answer larger than the whole byte budget is not kept, and neither is
+//! a reply tail that would take the total over it.
 
 use crate::registry::AlgoSpec;
 use dmcs_core::{SearchError, SearchResult};
 use dmcs_graph::{NodeId, Snapshot};
+use std::collections::hash_map::Entry as Slot;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// A cache entry's validity certificate: the graph's edge count, the
-/// bits of its total edge weight, and the `(shard, shard version)`
-/// pairs the answer depends on, sorted by shard. Built with
-/// [`fingerprint`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// bits of its total edge weight, and the versions of the shards the
+/// answer depends on. Built with [`fingerprint`].
+#[derive(Debug, Clone)]
 pub struct Fingerprint {
     m: usize,
     /// `w_G`'s bits (`m` on a graph without weights).
     w_g: u64,
-    shards: Vec<(u32, u64)>,
+    /// The shard versions of the epoch the answer was computed at,
+    /// shared with that epoch's snapshots.
+    versions: Arc<[u64]>,
+    /// The pinned shards, sorted; `None` pins every shard.
+    shards: Option<Box<[u32]>>,
 }
 
 impl Fingerprint {
     /// Whether a snapshot still carries this certificate's edge count,
     /// total weight and shard versions.
     fn matches(&self, snapshot: &Snapshot) -> bool {
-        let versions = snapshot.shard_versions();
+        let current = snapshot.shard_versions();
         self.m == snapshot.m()
             && self.w_g == snapshot.total_weight().to_bits()
-            && self
-                .shards
-                .iter()
-                .all(|&(s, v)| versions.get(s as usize) == Some(&v))
+            && match &self.shards {
+                Some(shards) => shards.iter().all(|&s| {
+                    let s = s as usize;
+                    current
+                        .get(s)
+                        .is_some_and(|v| self.versions.get(s) == Some(v))
+                }),
+                None => *self.versions == *current,
+            }
     }
 }
+
+/// Two fingerprints are equal when they certify the same thing: the same
+/// `m`, `w_G` and pinned shards, at the same versions.
+impl PartialEq for Fingerprint {
+    fn eq(&self, other: &Self) -> bool {
+        self.m == other.m
+            && self.w_g == other.w_g
+            && match (&self.shards, &other.shards) {
+                (Some(a), Some(b)) => {
+                    a == b
+                        && a.iter().all(|&s| {
+                            self.versions.get(s as usize) == other.versions.get(s as usize)
+                        })
+                }
+                (None, None) => self.versions == other.versions,
+                _ => false,
+            }
+    }
+}
+
+impl Eq for Fingerprint {}
 
 /// Build the fingerprint for an answer computed against `snapshot`: its
 /// edge count and total weight, and the versions of the `touched`
 /// shards, the sorted shard list of the nodes the search noted (from
 /// [`QueryWorkspace::take_touched_shards`]). `None`, for a search that
-/// noted nothing, conservatively pins every shard.
+/// noted nothing, conservatively pins every shard, as does a list of
+/// every shard.
 ///
 /// [`QueryWorkspace::take_touched_shards`]: dmcs_graph::view::QueryWorkspace::take_touched_shards
 pub fn fingerprint(snapshot: &Snapshot, touched: Option<&[u32]>) -> Fingerprint {
-    let versions = snapshot.shard_versions();
-    let shards = match touched {
-        Some(shards) => shards.iter().map(|&s| (s, versions[s as usize])).collect(),
-        None => versions
-            .iter()
-            .enumerate()
-            .map(|(s, &v)| (s as u32, v))
-            .collect(),
-    };
+    let versions = snapshot.shared_shard_versions();
+    let shards = touched
+        .filter(|shards| shards.len() < versions.len())
+        .map(Box::from);
     Fingerprint {
         m: snapshot.m(),
         w_g: snapshot.total_weight().to_bits(),
+        versions,
         shards,
     }
 }
 
 /// Default entry capacity of an engine's cache.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
+
+/// The byte budget of a cache, per entry of its capacity: the sum of
+/// what its entries count toward [`ResponseCache::bytes`] stays within
+/// `capacity × BYTES_PER_ENTRY`.
+pub const BYTES_PER_ENTRY: u64 = 16 * 1024;
 
 /// What one cache entry answers: the served search outcome (its removal
 /// orders empty) plus the display name of the algorithm that ran and the
@@ -173,6 +222,88 @@ impl CachedAnswer {
         self.result
             .and_then(|rounds| rounds.into_iter().next().ok_or(SearchError::EmptyQuery))
     }
+}
+
+/// Append `x` to `out` as an LEB128 varint: seven bits a byte, low bits
+/// first, the high bit set on every byte but the last.
+fn put_varint(out: &mut Vec<u8>, mut x: u64) {
+    while x >= 0x80 {
+        out.push(x as u8 | 0x80);
+        x >>= 7;
+    }
+    out.push(x as u8);
+}
+
+/// Take one [`put_varint`] value off the front of `bytes`.
+fn take_varint(bytes: &mut &[u8]) -> u64 {
+    let mut x = 0u64;
+    let mut shift = 0u32;
+    while let Some((&b, rest)) = bytes.split_first() {
+        *bytes = rest;
+        x |= u64::from(b & 0x7f).checked_shl(shift).unwrap_or(0);
+        if b < 0x80 {
+            break;
+        }
+        shift = shift.saturating_add(7);
+    }
+    x
+}
+
+/// Append `ids`: its length, then each id's zigzag delta from the one
+/// before (the first from 0).
+fn put_ids(out: &mut Vec<u8>, ids: &[NodeId]) {
+    put_varint(out, ids.len() as u64);
+    let mut prev = 0i64;
+    for &v in ids {
+        let delta = i64::from(v) - prev;
+        put_varint(out, ((delta << 1) ^ (delta >> 63)) as u64);
+        prev = i64::from(v);
+    }
+}
+
+/// Take one [`put_ids`] list off the front of `bytes`.
+fn take_ids(bytes: &mut &[u8]) -> Vec<NodeId> {
+    // Every id takes at least one byte, which bounds the list.
+    let len = take_varint(bytes).min(bytes.len() as u64) as usize;
+    let mut ids = Vec::with_capacity(len);
+    let mut prev = 0i64;
+    for _ in 0..len {
+        let z = take_varint(bytes);
+        prev = prev.wrapping_add((z >> 1) as i64 ^ -((z & 1) as i64));
+        ids.push(prev as NodeId);
+    }
+    ids
+}
+
+/// Rounds in the packed form of the module docs, in one exactly sized
+/// allocation.
+fn pack(rounds: &[SearchResult]) -> Box<[u8]> {
+    let mut out = Vec::new();
+    for r in rounds {
+        out.extend_from_slice(&r.density_modularity.to_bits().to_le_bytes());
+        put_varint(&mut out, r.iterations as u64);
+        put_ids(&mut out, &r.community);
+        put_ids(&mut out, &r.removal_order);
+    }
+    Box::from(out.as_slice())
+}
+
+/// The rounds [`pack`] packed.
+fn unpack(mut bytes: &[u8]) -> Vec<SearchResult> {
+    let mut rounds = Vec::new();
+    while let Some((dm, rest)) = bytes.split_first_chunk::<8>() {
+        bytes = rest;
+        let iterations = take_varint(&mut bytes) as usize;
+        let community = take_ids(&mut bytes);
+        let removal_order = take_ids(&mut bytes);
+        rounds.push(SearchResult {
+            community,
+            density_modularity: f64::from_bits(u64::from_le_bytes(*dm)),
+            removal_order,
+            iterations,
+        });
+    }
+    rounds
 }
 
 /// Cache key: everything that determines a search outcome, *except* the
@@ -229,9 +360,14 @@ impl CacheKey {
 
 #[derive(Debug)]
 struct Entry {
-    answer: CachedAnswer,
+    /// Display name of the algorithm that computed the answer.
+    algo: &'static str,
+    /// The rounds, packed (see the module docs), or the search error.
+    rounds: Result<Box<[u8]>, SearchError>,
+    /// Wall-clock seconds of the original computation.
+    seconds: f64,
     last_used: u64,
-    /// The tick that stored `answer`: a [`Ticket`] attaches bytes only
+    /// The tick that stored the answer: a [`Ticket`] attaches bytes only
     /// to the answer it rendered, never to one that overwrote it.
     born: u64,
     /// The graph state this entry is valid for (see [`fingerprint`]).
@@ -241,16 +377,20 @@ struct Entry {
 }
 
 impl Entry {
+    /// The answer as it was inserted.
+    fn answer(&self) -> CachedAnswer {
+        CachedAnswer {
+            algo: self.algo,
+            result: self.rounds.as_deref().map(unpack).map_err(Clone::clone),
+            seconds: self.seconds,
+        }
+    }
+
     /// What the entry counts toward [`ResponseCache::bytes`].
     fn bytes(&self, key: &CacheKey) -> u64 {
-        let ids = key.nodes.len()
-            + self.answer.result.as_ref().map_or(0, |rounds| {
-                rounds
-                    .iter()
-                    .map(|r| r.community.len() + r.removal_order.len())
-                    .sum()
-            });
-        4 * ids as u64 + self.reply.as_ref().map_or(0, |r| r.bytes.len() as u64)
+        let packed = self.rounds.as_ref().map_or(0, |rounds| rounds.len());
+        let reply = self.reply.as_ref().map_or(0, |r| r.bytes.len());
+        (4 * key.nodes.len() + packed + reply) as u64
     }
 }
 
@@ -259,7 +399,7 @@ impl Entry {
 #[derive(Debug)]
 struct Reply {
     space: u64,
-    bytes: String,
+    bytes: Box<str>,
 }
 
 /// What a [`ResponseCache::lookup`] found.
@@ -276,7 +416,7 @@ pub enum Lookup {
         /// Whether the answer is a community rather than an error.
         ok: bool,
     },
-    /// A hit without usable bytes: a copy of the answer, and on the
+    /// A hit without usable bytes: the decoded answer, and on the
     /// entry's first hit the [`Ticket`] that attaches its rendering.
     Hit(CachedAnswer, Option<Ticket>),
 }
@@ -289,6 +429,7 @@ pub struct Ticket(u64);
 /// Buckets per key: sessions pinned to *different epochs* can each keep
 /// a live entry under the same key (their fingerprints differ), so an
 /// old-epoch reader's replay never thrashes a new-epoch writer's entry.
+/// A bucket is sized for the entries it holds, almost always one.
 #[derive(Debug, Default)]
 struct LruInner {
     map: HashMap<CacheKey, Vec<Entry>>,
@@ -297,6 +438,46 @@ struct LruInner {
     entries: usize,
     /// Sum of [`Entry::bytes`] over all entries.
     bytes: u64,
+}
+
+impl LruInner {
+    /// Evict the least-recently-used entry; `false` when there is none.
+    ///
+    /// The scan is a linear min-scan over u64 recency ticks, compared in
+    /// place; only the victim's key is cloned (to remove it once the
+    /// scan's borrow ends). At the default capacity the scan costs about
+    /// 30 reply-copying hits (`cache_insert_full` in bench_store);
+    /// cloning every key cost about 290 (1024 `String` + `Vec`
+    /// allocations), all under the mutex every worker shares. An index
+    /// that made the scan O(log n) would clone keys on every *hit*, the
+    /// wrong trade. Ticks are unique, so the victim is well defined.
+    fn evict_lru(&mut self) -> bool {
+        let victim = self
+            .map
+            .iter()
+            .filter_map(|(k, bucket)| {
+                bucket
+                    .iter()
+                    .map(|e| e.last_used)
+                    .min()
+                    .map(|used| (used, k))
+            })
+            .min_by_key(|&(used, _)| used)
+            .map(|(used, k)| (k.clone(), used));
+        let Some((k, used)) = victim else {
+            return false;
+        };
+        if let Some(bucket) = self.map.get_mut(&k) {
+            if let Some(i) = bucket.iter().position(|e| e.last_used == used) {
+                self.bytes -= bucket.remove(i).bytes(&k);
+                self.entries -= 1;
+            }
+            if bucket.is_empty() {
+                self.map.remove(&k);
+            }
+        }
+        true
+    }
 }
 
 /// A bounded, thread-safe LRU of query answers with hit/miss counters.
@@ -332,17 +513,21 @@ struct LruInner {
 pub struct ResponseCache {
     inner: Mutex<LruInner>,
     capacity: usize,
+    /// `capacity × BYTES_PER_ENTRY`.
+    budget: u64,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl ResponseCache {
-    /// An empty cache holding at most `capacity` entries (0 disables
-    /// storage: every lookup is a miss and inserts are dropped).
+    /// An empty cache holding at most `capacity` entries and
+    /// `capacity ×` [`BYTES_PER_ENTRY`] bytes (0 disables storage: every
+    /// lookup is a miss and inserts are dropped).
     pub fn new(capacity: usize) -> Self {
         ResponseCache {
             inner: Mutex::new(LruInner::default()),
             capacity,
+            budget: (capacity as u64).saturating_mul(BYTES_PER_ENTRY),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -388,17 +573,17 @@ impl ResponseCache {
     }
 
     /// Look `key` up for a caller serving at the pinned `snapshot`,
-    /// bumping the matched entry's recency and the hit/miss counters. An
-    /// entry matches while the snapshot carries its fingerprint's edge
-    /// count and shard versions.
+    /// bumping the matched entry's recency and the hit/miss counters, and
+    /// decode the answer. An entry matches while the snapshot carries its
+    /// fingerprint's edge count, total weight and shard versions.
     pub fn get(&self, key: &CacheKey, snapshot: &Snapshot) -> Option<CachedAnswer> {
-        self.find(key, snapshot, |e| e.answer.clone())
+        self.find(key, snapshot, Entry::answer)
     }
 
     /// [`get`](ResponseCache::get) for a caller that renders replies
     /// under the id space `space`: when the entry holds a reply tail
     /// rendered under `space`, it is appended to `out` and the answer is
-    /// not copied. A hit on an entry without bytes hands out the
+    /// not decoded. A hit on an entry without bytes hands out the
     /// [`Ticket`] to [`attach`](ResponseCache::attach) them.
     pub fn lookup(
         &self,
@@ -411,21 +596,27 @@ impl ResponseCache {
             Some(reply) if reply.space == space => {
                 out.push_str(&reply.bytes);
                 Lookup::Copied {
-                    seconds: e.answer.seconds,
-                    ok: e.answer.result.is_ok(),
+                    seconds: e.seconds,
+                    ok: e.rounds.is_ok(),
                 }
             }
-            Some(_) => Lookup::Hit(e.answer.clone(), None),
-            None => Lookup::Hit(e.answer.clone(), Some(Ticket(e.born))),
+            Some(_) => Lookup::Hit(e.answer(), None),
+            None => Lookup::Hit(e.answer(), Some(Ticket(e.born))),
         })
         .unwrap_or(Lookup::Miss)
     }
 
     /// Keep `bytes`, the reply tail rendered under the id space `space`,
     /// in the entry `ticket` came from. A no-op when that answer has
-    /// since been evicted or overwritten, or already holds bytes.
+    /// since been evicted or overwritten, already holds bytes, or when
+    /// the bytes would take the cache over its byte budget.
     pub fn attach(&self, key: &CacheKey, ticket: Ticket, space: u64, bytes: String) {
-        let mut inner = self.lock();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let added = bytes.len() as u64;
+        if inner.bytes + added > self.budget {
+            return;
+        }
         let Some(entry) = inner
             .map
             .get_mut(key)
@@ -434,32 +625,45 @@ impl ResponseCache {
         else {
             return;
         };
-        let added = bytes.len() as u64;
-        entry.reply = Some(Reply { space, bytes });
+        entry.reply = Some(Reply {
+            space,
+            bytes: bytes.into_boxed_str(),
+        });
         inner.bytes += added;
     }
 
     /// Store `answer` under `key` with its validity `fingerprint`,
-    /// evicting the least-recently-used entry when at capacity. An
-    /// existing entry with the *same* fingerprint is overwritten in
+    /// evicting least-recently-used entries until the cache holds fewer
+    /// than `capacity` entries and the answer fits in the byte budget.
+    /// An existing entry with the *same* fingerprint is overwritten in
     /// place, dropping its rendered reply; entries for other epochs
     /// coexist in the key's bucket.
     pub fn insert(&self, key: CacheKey, answer: CachedAnswer, fingerprint: Fingerprint) {
         if self.capacity == 0 {
             return;
         }
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        inner.tick += 1;
-        let tick = inner.tick;
-        let entry = Entry {
-            answer,
-            last_used: tick,
-            born: tick,
+        let CachedAnswer {
+            algo,
+            result,
+            seconds,
+        } = answer;
+        let mut entry = Entry {
+            algo,
+            rounds: result.map(|rounds| pack(&rounds)),
+            seconds,
+            last_used: 0,
+            born: 0,
             fingerprint,
             reply: None,
         };
         let added = entry.bytes(&key);
+        if added > self.budget {
+            return;
+        }
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        inner.tick += 1;
+        (entry.last_used, entry.born) = (inner.tick, inner.tick);
         if let Some(existing) = inner.map.get_mut(&key).and_then(|bucket| {
             bucket
                 .iter_mut()
@@ -467,45 +671,25 @@ impl ResponseCache {
         }) {
             inner.bytes = inner.bytes - existing.bytes(&key) + added;
             *existing = entry;
+            // The overwritten entry is now the most recent, so this
+            // evicts others only.
+            while inner.bytes > self.budget && inner.evict_lru() {}
             return;
         }
-        // Eviction is a linear min-scan over u64 recency ticks, compared
-        // in place; only the victim's key is cloned (to remove it once
-        // the scan's borrow ends). At the default capacity the scan
-        // costs about 32 hits (3.4 µs, `cache_insert_full` in
-        // bench_store); cloning every key cost about 290 (1024 `String`
-        // + `Vec` allocations), all under the mutex every worker
-        // shares. An index that made the scan O(log n) would clone keys
-        // on every *hit*, the wrong trade. Ticks are unique, so the
-        // victim is well defined.
-        if inner.entries >= self.capacity {
-            let evict = inner
-                .map
-                .iter()
-                .filter_map(|(k, bucket)| {
-                    bucket
-                        .iter()
-                        .map(|e| e.last_used)
-                        .min()
-                        .map(|used| (used, k))
-                })
-                .min_by_key(|&(used, _)| used)
-                .map(|(used, k)| (k.clone(), used));
-            if let Some((k, used)) = evict {
-                if let Some(bucket) = inner.map.get_mut(&k) {
-                    if let Some(i) = bucket.iter().position(|e| e.last_used == used) {
-                        inner.bytes -= bucket.remove(i).bytes(&k);
-                        inner.entries -= 1;
-                    }
-                    if bucket.is_empty() {
-                        inner.map.remove(&k);
-                    }
-                }
-            }
-        }
+        while (inner.entries >= self.capacity || inner.bytes + added > self.budget)
+            && inner.evict_lru()
+        {}
         inner.entries += 1;
         inner.bytes += added;
-        inner.map.entry(key).or_default().push(entry);
+        match inner.map.entry(key) {
+            Slot::Occupied(mut bucket) => {
+                bucket.get_mut().reserve_exact(1);
+                bucket.get_mut().push(entry);
+            }
+            Slot::Vacant(slot) => {
+                slot.insert(vec![entry]);
+            }
+        }
     }
 
     /// Number of live entries (across all epochs).
@@ -513,9 +697,9 @@ impl ResponseCache {
         self.lock().entries
     }
 
-    /// What the live entries hold, in bytes: 4 per stored node id plus
-    /// the attached reply bytes (see the module docs). Served entries
-    /// store no removal order, so that is 4 per query and community id.
+    /// What the live entries hold, in bytes: their packed rounds, 4 per
+    /// query node of their keys and their attached reply bytes (see the
+    /// module docs). At most `capacity ×` [`BYTES_PER_ENTRY`].
     pub fn bytes(&self) -> u64 {
         self.lock().bytes
     }
@@ -603,12 +787,33 @@ mod tests {
     /// Fingerprint of shard `shard` at version `v` in a snapshot with
     /// `m` edges of total weight [`W_G`].
     fn pin(m: usize, shard: u32, v: u64) -> Fingerprint {
+        let mut versions = vec![0; shard as usize + 1];
+        versions[shard as usize] = v;
         Fingerprint {
             m,
             w_g: W_G.to_bits(),
-            shards: vec![(shard, v)],
+            versions: versions.into(),
+            shards: Some(Box::new([shard])),
         }
     }
+
+    impl Fingerprint {
+        /// The `(shard, version)` pairs the certificate pins.
+        fn pairs(&self) -> Vec<(u32, u64)> {
+            match &self.shards {
+                Some(shards) => shards
+                    .iter()
+                    .map(|&s| (s, self.versions[s as usize]))
+                    .collect(),
+                None => (0..).zip(self.versions.iter().copied()).collect(),
+            }
+        }
+    }
+
+    /// What [`answer`] counts once packed: 8 bytes of DM, then one byte
+    /// each for the iteration count, the community's length, its ids 0
+    /// and 1 (deltas 0 and 1) and the empty removal order's length.
+    const PACKED: u64 = 13;
 
     /// Fingerprint of `at(&[v])`: shard 0 at version `v`.
     fn fp(v: u64) -> Fingerprint {
@@ -723,15 +928,15 @@ mod tests {
         let mut out = String::new();
         let lookup = |space, out: &mut String| cache.lookup(&key(&[0]), &snap, space, out);
         assert!(matches!(lookup(1, &mut out), Lookup::Miss));
-        // One query node and a two-node community: 12 bytes, no reply.
+        // One query node and the packed answer, no reply.
         cache.insert(key(&[0]), answer(0.5), fp(0));
-        assert_eq!((cache.len(), cache.bytes()), (1, 12));
+        assert_eq!((cache.len(), cache.bytes()), (1, 4 + PACKED));
         let Lookup::Hit(hit, Some(ticket)) = lookup(1, &mut out) else {
             panic!("the first hit carries a ticket");
         };
         assert_eq!(hit.seconds, 0.5);
         cache.attach(&key(&[0]), ticket, 1, "tail\n".into());
-        assert_eq!(cache.bytes(), 17);
+        assert_eq!(cache.bytes(), 4 + PACKED + 5);
         // The same id space copies the bytes ...
         assert!(matches!(
             lookup(1, &mut out),
@@ -741,21 +946,21 @@ mod tests {
         // ... another gets the answer to render, and no ticket.
         assert!(matches!(lookup(2, &mut out), Lookup::Hit(_, None)));
         cache.attach(&key(&[0]), ticket, 2, "other\n".into());
-        assert_eq!((out.as_str(), cache.bytes()), ("tail\n", 17));
+        assert_eq!((out.as_str(), cache.bytes()), ("tail\n", 4 + PACKED + 5));
         assert_eq!((cache.hits(), cache.misses()), (3, 1));
 
         // Overwriting the answer drops its bytes, and a ticket for the
         // old answer attaches nothing to the new one.
         cache.insert(key(&[0]), answer(0.75), fp(0));
-        assert_eq!(cache.bytes(), 12);
+        assert_eq!(cache.bytes(), 4 + PACKED);
         cache.attach(&key(&[0]), ticket, 1, "stale\n".into());
-        assert_eq!(cache.bytes(), 12);
+        assert_eq!(cache.bytes(), 4 + PACKED);
         assert!(matches!(lookup(1, &mut out), Lookup::Hit(_, Some(_))));
 
         // Eviction takes the evicted entry's bytes out of the total.
         cache.insert(key(&[1]), answer(0.1), fp(0));
         cache.insert(key(&[1, 2]), answer(0.2), fp(0));
-        assert_eq!((cache.len(), cache.bytes()), (2, 12 + 16));
+        assert_eq!((cache.len(), cache.bytes()), (2, 4 + PACKED + 8 + PACKED));
         assert!(
             matches!(lookup(1, &mut out), Lookup::Miss),
             "[0] was coldest"
@@ -780,11 +985,14 @@ mod tests {
             (full.community, full.removal_order.len()),
             (vec![0, 1, 2], 5)
         );
+        assert!(full.iterations < 128, "{}", full.iterations);
         let served = session.query(&QueryRequest::new(vec![0])).unwrap();
         assert!(served.result.unwrap().removal_order.is_empty());
-        // One query id, three community ids and no removal order: 16
-        // bytes (the full order would add 20).
-        assert_eq!((cache.len(), cache.bytes()), (1, 16));
+        // One query id (4 bytes) and the packed round: 8 bytes of DM, then
+        // one byte each for the iteration count, the community's length,
+        // its three ids (deltas 0, 1 and 1) and the empty removal order's
+        // length.
+        assert_eq!((cache.len(), cache.bytes()), (1, 4 + 8 + 1 + 1 + 3 + 1));
     }
 
     #[test]
@@ -837,8 +1045,8 @@ mod tests {
     #[test]
     fn eviction_takes_only_the_coldest_entry_of_a_two_epoch_bucket() {
         let cache = ResponseCache::new(3);
-        // A five-node community: 4 * (1 + 5) = 24 bytes, where the
-        // other entries hold 12.
+        // A five-node community: 4 + 8 + 1 + 1 + 5 + 1 = 20 bytes, where
+        // the other entries hold 4 + PACKED = 17.
         let wide = CachedAnswer::single(
             "FPA",
             Ok(SearchResult {
@@ -857,12 +1065,13 @@ mod tests {
         // second in its bucket, is now the coldest.
         assert!(cache.get(&key(&[0]), &at(&[1])).is_some());
         assert!(cache.get(&key(&[1]), &at(&[0])).is_some());
-        assert_eq!((cache.len(), cache.bytes()), (3, 12 + 24 + 12));
+        let (small, wide) = (4 + PACKED, 20);
+        assert_eq!((cache.len(), cache.bytes()), (3, small + wide + small));
 
         cache.insert(key(&[2]), answer(0.4), fp(0));
         assert_eq!(
             (cache.len(), cache.bytes()),
-            (3, 12 + 24 + 12 - 24 + 12),
+            (3, small + wide + small - wide + small),
             "exactly the victim's share left"
         );
         assert!(
@@ -882,26 +1091,32 @@ mod tests {
     fn fingerprint_builder_covers_touched_or_all_shards() {
         use dmcs_graph::GraphBuilder;
         let snap = Snapshot::freeze(GraphBuilder::from_edges(4, &[(0, 1)]));
-        let one_shard = Fingerprint {
-            m: 1,
-            w_g: 1f64.to_bits(),
-            shards: vec![(0, 0)],
-        };
-        assert_eq!(fingerprint(&snap, None), one_shard, "freeze: one shard");
+        let one_shard = fingerprint(&snap, None);
+        assert_eq!(
+            (one_shard.m, one_shard.w_g, one_shard.pairs()),
+            (1, 1f64.to_bits(), vec![(0, 0)]),
+            "freeze: one shard"
+        );
         assert_eq!(fingerprint(&snap, Some(&[0])), one_shard);
 
         let store = dmcs_graph::GraphStore::with_shards(8, 4);
         store.insert_edge(0, 7); // shards 0 and 3
         let snap = store.snapshot();
         assert_eq!(
-            fingerprint(&snap, Some(&[0, 3])).shards,
+            fingerprint(&snap, Some(&[0, 3])).pairs(),
             vec![(0, 1), (3, 1)],
             "touched shards pin their current versions"
         );
+        let all = fingerprint(&snap, None);
         assert_eq!(
-            fingerprint(&snap, None).shards,
+            all.pairs(),
             vec![(0, 1), (1, 0), (2, 0), (3, 1)],
             "no tracking: conservative all-shard pin"
+        );
+        assert_eq!(fingerprint(&snap, Some(&[0, 1, 2, 3])), all);
+        assert!(
+            all.shards.is_none() && Arc::ptr_eq(&all.versions, &snap.shared_shard_versions()),
+            "an all-shard pin keeps no list and shares the epoch's versions"
         );
         assert_eq!(fingerprint(&snap, Some(&[0])).m, 1, "m is always pinned");
         let print = fingerprint(&at_weight(&[0], 7.5), Some(&[0]));
@@ -910,5 +1125,109 @@ mod tests {
             ..pin(2, 0, 0)
         };
         assert_eq!(print, want, "and so is w_G");
+    }
+
+    #[test]
+    fn get_decodes_exactly_what_was_inserted() {
+        let cache = ResponseCache::new(8);
+        let snap = at(&[0]);
+        let round = |community: Vec<NodeId>, removal_order: Vec<NodeId>| SearchResult {
+            community,
+            density_modularity: -0.0,
+            removal_order,
+            iterations: usize::MAX,
+        };
+        let answers = [
+            CachedAnswer {
+                algo: "FPA",
+                result: Ok(vec![
+                    round(vec![0, 7, 8, 200, NodeId::MAX], vec![NodeId::MAX, 0, 5]),
+                    round(vec![], vec![]),
+                    round(vec![9, 3, 3, 0], vec![1]),
+                ]),
+                seconds: 1e-300,
+            },
+            CachedAnswer {
+                algo: "NCA",
+                result: Ok(vec![]),
+                seconds: 0.5,
+            },
+            CachedAnswer {
+                algo: "FPA",
+                result: Err(SearchError::Graph(dmcs_graph::GraphError::NodeOutOfRange(
+                    NodeId::MAX,
+                ))),
+                seconds: 0.0,
+            },
+        ];
+        for (i, answer) in answers.iter().enumerate() {
+            cache.insert(key(&[i as NodeId]), answer.clone(), fp(0));
+            let got = cache.get(&key(&[i as NodeId]), &snap).unwrap();
+            assert_eq!(got, *answer);
+            if let (Ok(got), Ok(want)) = (&got.result, &answer.result) {
+                for (g, w) in got.iter().zip(want) {
+                    assert_eq!(
+                        g.density_modularity.to_bits(),
+                        w.density_modularity.to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_byte_budget_caps_giant_communities() {
+        // 20,000 ids 100 apart: 8 bytes of DM, one for the iteration
+        // count, three for the length, one for the first id and two for
+        // each later delta, one for the empty removal order.
+        let giant = |seconds| CachedAnswer {
+            seconds,
+            ..CachedAnswer::single(
+                "FPA",
+                Ok(SearchResult {
+                    community: (0..20_000).map(|i| 100 * i).collect(),
+                    density_modularity: 0.5,
+                    removal_order: vec![],
+                    iterations: 1,
+                }),
+                0.0,
+            )
+        };
+        let entry = 4 + 8 + 1 + 3 + 1 + 2 * 19_999 + 1;
+        let snap = at(&[0]);
+
+        // Four entries of capacity: a 64 KiB budget holds one giant.
+        let cache = ResponseCache::new(4);
+        cache.insert(key(&[0]), giant(0.1), fp(0));
+        assert_eq!((cache.len(), cache.bytes()), (1, entry));
+        cache.insert(key(&[1]), giant(0.2), fp(0));
+        assert_eq!(
+            (cache.len(), cache.bytes()),
+            (1, entry),
+            "the second giant evicts the first though the cache has room"
+        );
+        assert!(cache.get(&key(&[0]), &snap).is_none());
+        assert_eq!(cache.get(&key(&[1]), &snap), Some(giant(0.2)));
+        // Small entries still fit beside it, and a reply tail that would
+        // take the total over the budget is not kept.
+        cache.insert(key(&[2]), answer(0.3), fp(0));
+        assert_eq!((cache.len(), cache.bytes()), (2, entry + 4 + PACKED));
+        let mut out = String::new();
+        let Lookup::Hit(_, Some(ticket)) = cache.lookup(&key(&[2]), &snap, 1, &mut out) else {
+            panic!("the first hit carries a ticket");
+        };
+        let room = 4 * BYTES_PER_ENTRY - cache.bytes();
+        cache.attach(&key(&[2]), ticket, 1, "x".repeat(room as usize + 1));
+        assert_eq!(cache.bytes(), entry + 4 + PACKED);
+        cache.attach(&key(&[2]), ticket, 1, "x".repeat(room as usize));
+        assert_eq!(cache.bytes(), 4 * BYTES_PER_ENTRY);
+
+        // One entry of capacity: a 16 KiB budget keeps no giant at all.
+        let cache = ResponseCache::new(1);
+        cache.insert(key(&[0]), giant(0.1), fp(0));
+        assert!(cache.is_empty());
+        assert_eq!(cache.bytes(), 0);
+        cache.insert(key(&[1]), answer(0.2), fp(0));
+        assert_eq!((cache.len(), cache.bytes()), (1, 4 + PACKED));
     }
 }

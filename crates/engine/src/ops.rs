@@ -3,8 +3,10 @@
 //!
 //! - [`IdSpace`] — the one original-id ↔ dense-id map, plus the
 //!   query-id hygiene rules ([`parse_query_ids`], [`check_distinct`]).
-//!   Its process-unique [`id`](IdSpace::id) stamps the reply bytes the
-//!   result cache keeps for the daemon.
+//!   It indexes original ids with the loaders' [`DenseIds`]: a direct
+//!   `u32` table while the ids stay within its slot rule, a hash map
+//!   only for sparse ids. Its process-unique [`id`](IdSpace::id) stamps
+//!   the reply bytes the result cache keeps for the daemon.
 //! - [`Mutation`] — one `add`/`del`/`setw`, checked on construction
 //!   against the rules that hold whatever the store and by
 //!   [`Mutation::apply`] against the rest, with one error text per rule.
@@ -25,6 +27,7 @@ use crate::batch::BatchReport;
 use crate::error::EngineError;
 use crate::output::SummaryInput;
 use crate::{Engine, Session};
+use dmcs_graph::io::DenseIds;
 use dmcs_graph::weighted::{valid_weight, WEIGHT_CONSTRAINT};
 use dmcs_graph::NodeId;
 use std::borrow::Cow;
@@ -33,11 +36,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
-/// The original-id ↔ dense-id map of one served graph. `add` mutations
-/// may introduce fresh ids; the map only ever grows, in lockstep with
-/// the store's node count. Shared by every connection of a daemon, so
-/// it sits behind a lock: queries, `del` and `setw` take it for
-/// reading, an `add` takes it for writing once for both endpoints.
+/// The original-id ↔ dense-id map of one served graph, a [`DenseIds`]
+/// index. `add` mutations may introduce fresh ids; the map only ever
+/// grows, in lockstep with the store's node count. Shared by every
+/// connection of a daemon, so it sits behind a lock: queries, `del` and
+/// `setw` take it for reading, an `add` takes it for writing once for
+/// both endpoints.
 ///
 /// Each map carries a process-unique [`id`](IdSpace::id). Since a
 /// dense id never changes its original id, a reply rendered through
@@ -46,30 +50,19 @@ use std::time::Instant;
 #[derive(Debug)]
 pub struct IdSpace {
     id: u64,
-    ids: RwLock<Ids>,
+    ids: RwLock<DenseIds>,
 }
 
 /// The next [`IdSpace::id`].
 static NEXT_SPACE: AtomicU64 = AtomicU64::new(1);
 
-#[derive(Debug)]
-struct Ids {
-    index: HashMap<u64, NodeId>,
-    original: Vec<u64>,
-}
-
 impl IdSpace {
     /// The map of a freshly loaded graph: `original[dense]` is the file
     /// id of dense node `dense`, as the edge-list readers return it.
     pub fn new(original: Vec<u64>) -> Self {
-        let index = original
-            .iter()
-            .enumerate()
-            .map(|(dense, &raw)| (raw, dense as NodeId))
-            .collect();
         IdSpace {
             id: NEXT_SPACE.fetch_add(1, Ordering::Relaxed),
-            ids: RwLock::new(Ids { index, original }),
+            ids: RwLock::new(DenseIds::from_original(original)),
         }
     }
 
@@ -81,20 +74,18 @@ impl IdSpace {
     // Poison recovery: a panicking connection thread must not take the
     // map down with it. Both id spaces only ever grow (appends under the
     // write lock), so a poisoned guard still holds a usable mapping.
-    fn read(&self) -> RwLockReadGuard<'_, Ids> {
+    fn read(&self) -> RwLockReadGuard<'_, DenseIds> {
         self.ids.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn write(&self) -> RwLockWriteGuard<'_, Ids> {
+    fn write(&self) -> RwLockWriteGuard<'_, DenseIds> {
         self.ids.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Dense ids for `raw`, or the first id the graph does not contain.
     fn find(&self, raw: &[u64]) -> Result<Vec<NodeId>, u64> {
         let ids = self.read();
-        raw.iter()
-            .map(|id| ids.index.get(id).copied().ok_or(*id))
-            .collect()
+        raw.iter().map(|&id| ids.get(id).ok_or(id)).collect()
     }
 
     /// Map a query's original ids to dense ids. The first id missing
@@ -106,7 +97,7 @@ impl IdSpace {
     /// Lend the dense → original id slice to `render` (replies and
     /// output lines name nodes in original ids).
     pub fn with_original<R>(&self, render: impl FnOnce(&[u64]) -> R) -> R {
-        render(&self.read().original)
+        render(self.read().original())
     }
 
     /// Dense ids for an `add`'s endpoints, creating a store node for
@@ -115,13 +106,12 @@ impl IdSpace {
     fn resolve_or_create(&self, engine: &Engine, u: u64, v: u64) -> (NodeId, NodeId) {
         let mut ids = self.write();
         let mut resolve = |raw: u64| -> NodeId {
-            if let Some(&dense) = ids.index.get(&raw) {
+            if let Some(dense) = ids.get(raw) {
                 return dense;
             }
             let dense = engine.add_node();
-            debug_assert_eq!(dense as usize, ids.original.len(), "id spaces in lockstep");
-            ids.index.insert(raw, dense);
-            ids.original.push(raw);
+            let mapped = ids.dense(raw);
+            debug_assert_eq!(dense, mapped, "id spaces in lockstep");
             dense
         };
         (resolve(u), resolve(v))

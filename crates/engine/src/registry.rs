@@ -259,9 +259,25 @@ pub const REGISTRY: &[AlgoEntry] = &[
     },
 ];
 
+/// Rows that only this crate's tests resolve, after [`REGISTRY`]'s: no
+/// front end lists, documents or serves them.
+#[cfg(test)]
+const TEST_ROWS: &[AlgoEntry] = &[AlgoEntry {
+    name: "panic-on-0",
+    summary: "FPA, except that a query naming node 0 panics",
+    uses_k: false,
+    weight_aware: false,
+    mirror_safe: false,
+    factory: |_| Box::new(tests::PanicOnZero),
+}];
+
 /// Look up a registry row by its (case-insensitive) label.
 pub fn find(name: &str) -> Option<&'static AlgoEntry> {
-    REGISTRY.iter().find(|e| e.name.eq_ignore_ascii_case(name))
+    #[cfg(not(test))]
+    let mut rows = REGISTRY.iter();
+    #[cfg(test)]
+    let mut rows = REGISTRY.iter().chain(TEST_ROWS);
+    rows.find(|e| e.name.eq_ignore_ascii_case(name))
 }
 
 /// Levenshtein edit distance between two (short) ASCII labels.
@@ -401,6 +417,31 @@ pub fn small_graph_baseline_specs() -> Vec<AlgoSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmcs_core::{SearchError, SearchResult};
+    use dmcs_graph::{Graph, NodeId};
+
+    /// The `panic-on-0` test row: FPA, except that it panics on a query
+    /// naming node 0, like a searcher with a bug would.
+    pub(super) struct PanicOnZero;
+
+    impl CommunitySearch for PanicOnZero {
+        fn name(&self) -> &'static str {
+            "PANIC-ON-0"
+        }
+
+        fn search(&self, g: &Graph, query: &[NodeId]) -> Result<SearchResult, SearchError> {
+            assert!(!query.contains(&0), "a query named node 0");
+            Fpa::default().search(g, query)
+        }
+    }
+
+    #[test]
+    fn test_rows_resolve_but_stay_out_of_the_listings() {
+        let spec = AlgoSpec::new("panic-on-0");
+        assert_eq!(spec.build().unwrap().name(), "PANIC-ON-0");
+        assert!(!names().contains(&"panic-on-0"));
+        assert!(!algo_help().contains("panic-on-0"));
+    }
 
     #[test]
     fn every_entry_builds_and_lookup_is_case_insensitive() {

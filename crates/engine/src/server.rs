@@ -67,6 +67,13 @@
 //! reply. Pipelined requests on one connection are answered strictly in
 //! order.
 //!
+//! **Panics** stay inside the request that raised one: the connection
+//! drops what that request had written, answers it with a code-9
+//! `error` line, "internal error while serving this request", and
+//! serves on from a fresh session pinned to the same snapshot, since the
+//! old session's workspace may be mid-query. Its admission slot is given
+//! back on unwind, so the daemon still drains normally.
+//!
 //! **No planner**: a connection answers its queries one by one, so it
 //! never asks the [`plan`](crate::plan) module for a schedule (only a
 //! batch plans) and the daemon never builds a component index. `stats`
@@ -554,7 +561,7 @@ fn serve_conn<S: Read + Write>(shared: &Shared, mut stream: S) {
                 Flow::Continue
             } else {
                 let text = String::from_utf8_lossy(&buf[..len]).into_owned();
-                process_line(shared, &mut session, &mut conn, text.trim())
+                contain_panic(shared, &mut session, &mut conn, text.trim())
             };
             // Consume the line and its newline. An open oversized line is
             // dropped up to the newline still to come.
@@ -636,6 +643,29 @@ fn send<W: Write>(shared: &Shared, out: &mut W, reply: &mut String) -> std::io::
         }
     }
     sent
+}
+
+/// [`process_line`], with a panic kept inside the request that raised
+/// it: whatever the request wrote is dropped, it is answered with a
+/// code-9 `error` line, and the connection serves on from a fresh
+/// session on the same snapshot, since the old one's workspace may be
+/// mid-query. An admitted request's slot is given back on unwind.
+fn contain_panic(shared: &Shared, session: &mut Session, conn: &mut ConnState, text: &str) -> Flow {
+    let written = conn.reply.len();
+    let run = || process_line(shared, session, conn, text);
+    if let Ok(flow) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+        return flow;
+    }
+    conn.reply.truncate(written);
+    conn.error_line(&EngineError::bad_request(
+        conn.line_no,
+        "internal error while serving this request",
+    ));
+    if let Ok(fresh) = session.reopen() {
+        conn.tally.repin(session);
+        *session = fresh;
+    }
+    Flow::Continue
 }
 
 /// Parse and execute one request line, writing exactly one reply line
@@ -1184,6 +1214,81 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_request_gets_a_code_9_reply_and_the_connection_serves_on() {
+        let (engine, original) = demo_engine();
+        let mut sh = shared(engine, original, 1);
+        sh.spec = AlgoSpec::new("panic-on-0");
+        sh.algo_name = "PANIC-ON-0";
+        let mut io = Script::new(
+            "{\"op\":\"query\",\"nodes\":[0],\"tag\":\"boom\"}\n\
+             {\"op\":\"query\",\"nodes\":[4]}\n\
+             {\"op\":\"query\",\"nodes\":[4]}\n\
+             {\"op\":\"stats\"}\n",
+        );
+        serve_conn(&sh, &mut io);
+        let replies = io.replies();
+        assert_eq!(replies.len(), 5, "{replies:?}");
+        let error = &replies[0];
+        assert_eq!(error.get("type").unwrap().as_str(), Some("error"));
+        assert_eq!(error.get("code").unwrap().as_u64(), Some(9));
+        assert_eq!(error.get("line").unwrap().as_u64(), Some(1));
+        assert_eq!(
+            error.get("error").unwrap().as_str(),
+            Some("bad request line 1: internal error while serving this request")
+        );
+        // The same connection answers the next query, once computed and
+        // once from the cache, through its single admission slot.
+        for reply in &replies[1..3] {
+            assert_eq!(reply.get("type").unwrap().as_str(), Some("response"));
+            assert_eq!(reply.get("ok").unwrap().as_bool(), Some(true));
+        }
+        assert_eq!(replies[1], replies[2]);
+        assert_eq!(replies[3].get("in_flight").unwrap().as_u64(), Some(0));
+        assert_eq!(replies[3].get("cache_hits").unwrap().as_u64(), Some(1));
+        let summary = &replies[4];
+        assert_eq!(summary.get("type").unwrap().as_str(), Some("summary"));
+        assert_eq!(summary.get("queries").unwrap().as_u64(), Some(2));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_panicking_request_leaves_the_daemon_to_drain_normally() {
+        use std::io::{BufRead, BufReader};
+        let path = std::env::temp_dir().join(format!(
+            "dmcs-panic-{}-{:?}.sock",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let cfg = ServerConfig {
+            unix_path: Some(path.to_str().unwrap().into()),
+            ..ServerConfig::default()
+        };
+        let (engine, original) = demo_engine();
+        let server = Server::bind(engine, AlgoSpec::new("panic-on-0"), original, &cfg).unwrap();
+        let daemon = std::thread::spawn(move || server.run());
+        let stream = UnixStream::connect(&path).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut stream = stream;
+        let mut ask = |req: &str| {
+            stream.write_all(format!("{req}\n").as_bytes()).unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            line
+        };
+        assert!(ask(r#"{"op":"query","nodes":[0]}"#).contains("\"code\":9"));
+        assert!(ask(r#"{"op":"query","nodes":[4]}"#).contains("\"ok\":true"));
+        assert!(ask(r#"{"op":"shutdown"}"#).contains("\"draining\":true"));
+        // `run` joins every connection thread: a panic that escaped one
+        // would re-raise here.
+        let stats = daemon.join().expect("the daemon drains without a panic");
+        assert_eq!((stats.connections, stats.served), (1, 1));
+        assert!(!path.exists(), "socket file unlinked on drain");
+    }
+
+    #[test]
     fn update_taxonomy_matches_the_script_mode() {
         use crate::ops::{parse_update_script, UpdateOp};
         // Each case runs twice, in order, on twin engines: as an
@@ -1512,15 +1617,21 @@ mod tests {
         );
         // The first hit kept its reply after the tag member.
         let tail = &replies[1][replies[1].find(",\"algo\"").unwrap()..];
-        // A served entry holds its query and community ids, no removal
-        // order.
-        let ids = 1 + expected.community.len();
+        // A served entry holds 4 bytes per query id and its packed round:
+        // 8 bytes of DM, then one byte each for the iteration count, the
+        // community's length, each community id (sorted, so a delta
+        // under 64 from the one before) and the empty removal order's
+        // length.
+        let c = &expected.community;
+        assert!(expected.iterations < 128 && c.len() < 128 && c[0] < 64);
+        assert!(c.windows(2).all(|w| w[1] - w[0] < 64), "{c:?}");
+        let packed = 8 + 1 + 1 + c.len() as u64 + 1;
         let stats = Json::parse(&replies[2]).unwrap();
         assert_eq!(stats.get("cache_entries").unwrap().as_u64(), Some(1));
         assert_eq!(
             stats.get("cache_bytes").unwrap().as_u64(),
-            Some(4 * ids as u64 + tail.len() as u64 + 1),
-            "4 bytes per stored id plus the reply tail and its newline"
+            Some(4 + packed + tail.len() as u64 + 1),
+            "the query id, the packed round, the reply tail and its newline"
         );
     }
 

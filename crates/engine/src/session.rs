@@ -245,6 +245,17 @@ impl Session {
         self
     }
 
+    /// A fresh session on this one's snapshot, spec and cache: the same
+    /// answers from a new workspace. The daemon swaps one in after a
+    /// request panicked, which may leave the workspace mid-query.
+    pub(crate) fn reopen(&self) -> Result<Session, EngineError> {
+        let fresh = Session::new(self.snapshot.clone(), &self.spec)?;
+        Ok(Session {
+            cache: self.cache.clone(),
+            ..fresh
+        })
+    }
+
     /// The snapshot this session is pinned to.
     pub fn snapshot(&self) -> &Snapshot {
         &self.snapshot

@@ -172,14 +172,26 @@ fn ascii_id(bytes: &[u8], start: usize) -> Option<(u64, usize)> {
     (i > start && (next == b'\n' || is_blank(next))).then_some((x, i))
 }
 
-/// Dense ids for raw ids in first-appearance order. Small raw ids index
-/// a direct table, which doubles while it stays within
-/// [`DIRECT_SLOTS_PER_ID`] slots per distinct id (or
-/// [`DIRECT_SLOTS_MIN`]); any other id goes through a hash map, and
-/// moves to the table when it grows over it. So the memory follows the
-/// number of distinct ids, not the largest one.
-#[derive(Default)]
-struct DenseIds {
+/// The raw-id → dense-id index of one graph: dense ids in
+/// first-appearance order, and the raw id of each. The edge-list readers
+/// build one while they load, and a serving front end keeps one for the
+/// queries and `add` updates it maps.
+///
+/// Small raw ids index a direct `u32` table, which doubles while it
+/// stays within 4 slots per dense id (or 4096 slots); any other id goes
+/// through a hash map, and moves to the table when it grows over it. So
+/// the memory follows the number of ids, not the largest one.
+///
+/// ```
+/// use dmcs_graph::io::DenseIds;
+///
+/// let mut ids = DenseIds::from_original(vec![7, 1 << 40]);
+/// assert_eq!((ids.get(7), ids.get(1 << 40), ids.get(8)), (Some(0), Some(1), None));
+/// assert_eq!(ids.dense(8), 2);
+/// assert_eq!(ids.original(), &[7, 1 << 40, 8]);
+/// ```
+#[derive(Debug, Default)]
+pub struct DenseIds {
     original: Vec<u64>,
     /// `direct[raw]` is `dense + 1`, or 0 for an unseen id.
     direct: Vec<NodeId>,
@@ -187,22 +199,53 @@ struct DenseIds {
 }
 
 /// The direct table of [`DenseIds`] may hold this many slots per
-/// distinct id…
+/// dense id…
 const DIRECT_SLOTS_PER_ID: usize = 4;
 /// …or this many, whichever is more.
 const DIRECT_SLOTS_MIN: usize = 1 << 12;
 
 impl DenseIds {
+    /// The index of a loaded graph: `original[dense]` is the raw id of
+    /// dense node `dense`, as the edge-list readers return it. A raw id
+    /// listed twice keeps its first dense id.
+    pub fn from_original(original: Vec<u64>) -> Self {
+        let mut ids = DenseIds::default();
+        for (dense, &raw) in original.iter().enumerate() {
+            ids.index(raw, dense as NodeId);
+        }
+        ids.original = original;
+        ids
+    }
+
+    /// The dense id of `raw`, if it has one.
+    pub fn get(&self, raw: u64) -> Option<NodeId> {
+        match usize::try_from(raw).ok().and_then(|i| self.direct.get(i)) {
+            Some(&slot) => slot.checked_sub(1),
+            None => self.sparse.get(&raw).copied(),
+        }
+    }
+
     /// The dense id of `raw`, assigning the next one on first sight.
-    fn dense(&mut self, raw: u64) -> NodeId {
+    pub fn dense(&mut self, raw: u64) -> NodeId {
+        let next = self.original.len() as NodeId;
+        let id = self.index(raw, next);
+        if id == next {
+            self.original.push(raw);
+        }
+        id
+    }
+
+    /// The raw id of each dense id, in dense order.
+    pub fn original(&self) -> &[u64] {
+        &self.original
+    }
+
+    /// The dense id `raw` has, or `id` once it is recorded as raw's;
+    /// `id` is also the count of dense ids before it.
+    fn index(&mut self, raw: u64, id: NodeId) -> NodeId {
         if raw >= self.direct.len() as u64 {
-            let Some(len) = self.direct_len_for(raw) else {
-                let next = self.original.len() as NodeId;
-                let id = *self.sparse.entry(raw).or_insert(next);
-                if id == next {
-                    self.original.push(raw);
-                }
-                return id;
+            let Some(len) = direct_len_for(raw, id as usize) else {
+                return *self.sparse.entry(raw).or_insert(id);
             };
             self.direct.resize(len, 0);
             let direct = &mut self.direct;
@@ -218,22 +261,21 @@ impl DenseIds {
         }
         let slot = &mut self.direct[raw as usize];
         if *slot == 0 {
-            self.original.push(raw);
-            *slot = self.original.len() as NodeId;
+            *slot = id + 1;
         }
         *slot - 1
     }
+}
 
-    /// The direct table's length once it covers `raw`, if it may grow
-    /// that far.
-    fn direct_len_for(&self, raw: u64) -> Option<usize> {
-        let cap = (DIRECT_SLOTS_PER_ID * (self.original.len() + 1)).max(DIRECT_SLOTS_MIN);
-        let len = usize::try_from(raw)
-            .ok()?
-            .checked_add(1)?
-            .checked_next_power_of_two()?;
-        (len <= cap).then_some(len)
-    }
+/// The length of a [`DenseIds`] direct table that has `ids` dense ids
+/// once it covers `raw`, if it may grow that far.
+fn direct_len_for(raw: u64, ids: usize) -> Option<usize> {
+    let cap = (DIRECT_SLOTS_PER_ID * (ids + 1)).max(DIRECT_SLOTS_MIN);
+    let len = usize::try_from(raw)
+        .ok()?
+        .checked_add(1)?
+        .checked_next_power_of_two()?;
+    (len <= cap).then_some(len)
 }
 
 /// Load an edge list from a file path.
@@ -346,11 +388,7 @@ pub fn read_communities<R: Read>(
     reader: R,
     original_ids: &[u64],
 ) -> std::io::Result<Vec<Vec<NodeId>>> {
-    let lookup: std::collections::HashMap<u64, NodeId> = original_ids
-        .iter()
-        .enumerate()
-        .map(|(i, &raw)| (raw, i as NodeId))
-        .collect();
+    let lookup = DenseIds::from_original(original_ids.to_vec());
     let mut out = Vec::new();
     for line in BufReader::new(reader).lines() {
         let line = line?;
@@ -360,7 +398,7 @@ pub fn read_communities<R: Read>(
         let mut comm: Vec<NodeId> = trimmed
             .split_whitespace()
             .filter_map(|tok| tok.parse::<u64>().ok())
-            .filter_map(|raw| lookup.get(&raw).copied())
+            .filter_map(|raw| lookup.get(raw))
             .collect();
         if comm.is_empty() {
             continue;

@@ -225,6 +225,13 @@ impl Snapshot {
         &self.shard_versions
     }
 
+    /// The epoch's shared [`shard_versions`](Snapshot::shard_versions)
+    /// vector itself, for a record that outlives the snapshot (a cache
+    /// entry's certificate) and must not copy it.
+    pub fn shared_shard_versions(&self) -> Arc<[u64]> {
+        Arc::clone(&self.shard_versions)
+    }
+
     /// The locality-renumbered compute mirror, when the snapshot was
     /// built under a non-identity [`LayoutPolicy`]. `None` under the
     /// identity policy — the canonical graph *is* the layout, and

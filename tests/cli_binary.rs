@@ -706,9 +706,10 @@ fn serve_smoke_over_a_unix_socket() {
     assert!(banner.contains("drained:"), "{banner}");
 }
 
-/// `cache_bytes` over a real socket: a served entry holds its query and
-/// community ids, 4 bytes each, and no removal order; the first hit of
-/// an entry adds exactly its reply tail (from `algo` on) and newline.
+/// `cache_bytes` over a real socket: a served entry holds its query ids,
+/// 4 bytes each, and its packed round with no removal order; the first
+/// hit of an entry adds exactly its reply tail (from `algo` on) and
+/// newline.
 #[cfg(unix)]
 #[test]
 fn serve_cache_bytes_count_the_ids_replies_carry() {
@@ -745,26 +746,47 @@ fn serve_cache_bytes_count_the_ids_replies_carry() {
         stats.get("cache_bytes").unwrap().as_u64().unwrap()
     };
 
-    // Twenty distinct queries on the karate demo, every one a miss.
+    // Twenty distinct queries on the karate demo, every one a miss. An
+    // entry counts 4 bytes per query id and its packed round: 8 bytes of
+    // DM, then LEB128 varints for the iteration count, the community's
+    // length, each community id's zigzag delta from the one before (the
+    // first from 0) and the empty removal order's length. The demo's
+    // original ids are its dense ids.
+    let varint = |x: u64| u64::from((64 - x.leading_zeros()).max(1).div_ceil(7));
     let queries: Vec<String> = (0..16)
         .map(|q| format!("[{q}]"))
         .chain(["[0,33]", "[1,2]", "[5,16]", "[23,31,32]"].map(String::from))
         .collect();
-    let mut ids = 0;
+    let mut bytes = 0;
     let mut first = String::new();
     for q in &queries {
         let reply = ask(&format!("{{\"op\":\"query\",\"nodes\":{q}}}"));
         let v = Json::parse(&reply).unwrap();
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(true), "{reply}");
-        let len = |key| v.get(key).unwrap().as_arr().unwrap().len() as u64;
-        ids += len("query") + len("community");
+        let ids = |key| -> Vec<u64> {
+            let ids = v.get(key).unwrap().as_arr().unwrap();
+            ids.iter().map(|id| id.as_u64().unwrap()).collect()
+        };
+        let community = ids("community");
+        let mut prev = 0;
+        let deltas: u64 = community
+            .iter()
+            .map(|&id| {
+                let delta = id as i64 - prev;
+                prev = id as i64;
+                varint(((delta << 1) ^ (delta >> 63)) as u64)
+            })
+            .sum();
+        let iterations = v.get("iterations").unwrap().as_u64().unwrap();
+        let packed = 8 + varint(iterations) + varint(community.len() as u64) + deltas + 1;
+        bytes += 4 * ids("query").len() as u64 + packed;
         if first.is_empty() {
             first = reply;
         }
     }
     let stats = ask(r#"{"op":"stats"}"#);
     assert!(stats.contains("\"cache_misses\":20"), "{stats}");
-    assert_eq!(cache_bytes(&stats), 4 * ids, "{stats}");
+    assert_eq!(cache_bytes(&stats), bytes, "{stats}");
 
     // The first repeat keeps its reply tail in the entry.
     let repeat = ask(&format!("{{\"op\":\"query\",\"nodes\":{}}}", queries[0]));
@@ -773,7 +795,7 @@ fn serve_cache_bytes_count_the_ids_replies_carry() {
     let stats = ask(r#"{"op":"stats"}"#);
     assert_eq!(
         cache_bytes(&stats),
-        4 * ids + tail.len() as u64 + 1,
+        bytes + tail.len() as u64 + 1,
         "{stats}"
     );
 
