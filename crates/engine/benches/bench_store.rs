@@ -37,6 +37,7 @@ use dmcs_engine::cache::{
 use dmcs_engine::{AlgoSpec, Engine, QueryRequest};
 use dmcs_gen::sbm;
 use dmcs_graph::{Graph, GraphBuilder, GraphStore, NodeId, Snapshot};
+use std::sync::Arc;
 
 /// Shard count of the incremental-rebuild benches (the store default).
 const SHARDS: usize = 16;
@@ -156,8 +157,9 @@ fn bench_cached_repeats(c: &mut Criterion) {
 
 fn bench_cache_insert_full(c: &mut Criterion) {
     let snap = Snapshot::freeze(GraphBuilder::from_edges(2, &[(0, 1)]));
-    let spec = AlgoSpec::new("fpa");
-    let key = |i: NodeId| CacheKey::new(&spec, &[2 * i, 2 * i + 1], &snap);
+    // One spec shared by every key, as a session's keys share it.
+    let spec = Arc::new(AlgoSpec::new("fpa"));
+    let key = |i: NodeId| CacheKey::new(Arc::clone(&spec), &[2 * i, 2 * i + 1], &snap);
     let answer = CachedAnswer::single(
         "FPA",
         Ok(SearchResult {

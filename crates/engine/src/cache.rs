@@ -312,9 +312,10 @@ fn unpack(mut bytes: &[u8]) -> Vec<SearchResult> {
 ///
 /// The whole [`AlgoSpec`] is part of the key, so every parameter it
 /// carries separates entries: a weighted and an unweighted request over
-/// the same label never share one. `k` participates even for algorithms
-/// that ignore it; that only costs duplicate entries for off-label
-/// `--k` usage, never a wrong answer. Query nodes keep the **request's
+/// the same label never share one. Keys hold it behind an [`Arc`] that a
+/// session's keys share, and compare and hash it by value. `k`
+/// participates even for algorithms that ignore it; that only costs
+/// duplicate entries for off-label `--k` usage, never a wrong answer. Query nodes keep the **request's
 /// order**: a multi-node FPA search roots its Steiner seed (§5.6) at the
 /// first query node, so `[0, 4]` and `[4, 0]` can answer different
 /// communities, and they never share an entry. The process-unique store
@@ -324,9 +325,9 @@ fn unpack(mut bytes: &[u8]) -> Vec<SearchResult> {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// The algorithm's registry label and parameters.
-    pub spec: AlgoSpec,
+    pub spec: Arc<AlgoSpec>,
     /// Query nodes, in the request's order.
-    pub nodes: Vec<NodeId>,
+    pub nodes: Box<[NodeId]>,
     /// `0` for a single-community query; for a top-k enumeration, the
     /// requested round count. Keeps a top-k answer (a *list* of
     /// communities) from ever being replayed as a single answer or vice
@@ -339,10 +340,10 @@ pub struct CacheKey {
 impl CacheKey {
     /// Key for running `spec` on `nodes` against the store `snapshot`
     /// pins.
-    pub fn new(spec: &AlgoSpec, nodes: &[NodeId], snapshot: &Snapshot) -> CacheKey {
+    pub fn new(spec: impl Into<Arc<AlgoSpec>>, nodes: &[NodeId], snapshot: &Snapshot) -> CacheKey {
         CacheKey {
-            spec: spec.clone(),
-            nodes: nodes.to_vec(),
+            spec: spec.into(),
+            nodes: nodes.into(),
             top_k: 0,
             store: snapshot.store_id(),
         }
@@ -350,7 +351,12 @@ impl CacheKey {
 
     /// Key for a top-`k` enumeration of `spec` on `nodes` against the
     /// store `snapshot` pins.
-    pub fn for_top_k(spec: &AlgoSpec, nodes: &[NodeId], snapshot: &Snapshot, k: usize) -> CacheKey {
+    pub fn for_top_k(
+        spec: impl Into<Arc<AlgoSpec>>,
+        nodes: &[NodeId],
+        snapshot: &Snapshot,
+        k: usize,
+    ) -> CacheKey {
         CacheKey {
             top_k: k,
             ..CacheKey::new(spec, nodes, snapshot)
@@ -495,7 +501,7 @@ impl LruInner {
 ///
 /// let cache = ResponseCache::new(2);
 /// let snap = Snapshot::freeze(GraphBuilder::from_edges(34, &[(0, 33)]));
-/// let key = CacheKey::new(&AlgoSpec::new("fpa"), &[33, 0], &snap);
+/// let key = CacheKey::new(AlgoSpec::new("fpa"), &[33, 0], &snap);
 /// assert!(cache.get(&key, &snap).is_none());
 /// cache.insert(
 ///     key.clone(),
@@ -739,8 +745,8 @@ mod tests {
 
     fn key(nodes: &[NodeId]) -> CacheKey {
         CacheKey {
-            spec: AlgoSpec::new("fpa"),
-            nodes: nodes.to_vec(),
+            spec: Arc::new(AlgoSpec::new("fpa")),
+            nodes: nodes.into(),
             top_k: 0,
             store: 0,
         }
@@ -825,49 +831,49 @@ mod tests {
         use dmcs_graph::GraphBuilder;
         let snap = Snapshot::freeze(GraphBuilder::from_edges(34, &[(0, 33)]));
         assert_ne!(
-            CacheKey::new(&AlgoSpec::new("fpa"), &[33, 0], &snap),
-            CacheKey::new(&AlgoSpec::new("fpa"), &[0, 33], &snap),
+            CacheKey::new(AlgoSpec::new("fpa"), &[33, 0], &snap),
+            CacheKey::new(AlgoSpec::new("fpa"), &[0, 33], &snap),
             "the first query node roots the Steiner seed"
         );
         assert_ne!(
-            CacheKey::for_top_k(&AlgoSpec::new("fpa"), &[33, 0], &snap, 2),
-            CacheKey::for_top_k(&AlgoSpec::new("fpa"), &[0, 33], &snap, 2),
+            CacheKey::for_top_k(AlgoSpec::new("fpa"), &[33, 0], &snap, 2),
+            CacheKey::for_top_k(AlgoSpec::new("fpa"), &[0, 33], &snap, 2),
         );
         assert_ne!(
-            CacheKey::new(&AlgoSpec::new("fpa"), &[0], &snap),
-            CacheKey::new(&AlgoSpec::new("nca"), &[0], &snap),
+            CacheKey::new(AlgoSpec::new("fpa"), &[0], &snap),
+            CacheKey::new(AlgoSpec::new("nca"), &[0], &snap),
         );
         assert_ne!(
-            CacheKey::new(&AlgoSpec::with_k("kc", 3), &[0], &snap),
-            CacheKey::new(&AlgoSpec::with_k("kc", 4), &[0], &snap),
+            CacheKey::new(AlgoSpec::with_k("kc", 3), &[0], &snap),
+            CacheKey::new(AlgoSpec::with_k("kc", 4), &[0], &snap),
         );
         assert_ne!(
-            CacheKey::new(&AlgoSpec::new("fpa"), &[0], &snap),
-            CacheKey::new(&AlgoSpec::new("fpa").weighted(), &[0], &snap),
+            CacheKey::new(AlgoSpec::new("fpa"), &[0], &snap),
+            CacheKey::new(AlgoSpec::new("fpa").weighted(), &[0], &snap),
             "weightedness separates entries"
         );
         assert_ne!(
-            CacheKey::new(&AlgoSpec::new("fpa"), &[0], &snap),
-            CacheKey::new(&AlgoSpec::new("fpa").without_pruning(), &[0], &snap),
+            CacheKey::new(AlgoSpec::new("fpa"), &[0], &snap),
+            CacheKey::new(AlgoSpec::new("fpa").without_pruning(), &[0], &snap),
             "so does every other parameter"
         );
         // A top-k enumeration never shares an entry with the single
         // query (or a different k) over the same nodes.
         assert_ne!(
-            CacheKey::new(&AlgoSpec::new("fpa"), &[0], &snap),
-            CacheKey::for_top_k(&AlgoSpec::new("fpa"), &[0], &snap, 3),
+            CacheKey::new(AlgoSpec::new("fpa"), &[0], &snap),
+            CacheKey::for_top_k(AlgoSpec::new("fpa"), &[0], &snap, 3),
         );
         assert_ne!(
-            CacheKey::for_top_k(&AlgoSpec::new("fpa"), &[0], &snap, 2),
-            CacheKey::for_top_k(&AlgoSpec::new("fpa"), &[0], &snap, 3),
+            CacheKey::for_top_k(AlgoSpec::new("fpa"), &[0], &snap, 2),
+            CacheKey::for_top_k(AlgoSpec::new("fpa"), &[0], &snap, 3),
         );
         // Two different graphs frozen at the same version must never
         // share an entry: the process-unique store id separates them.
         let other = Snapshot::freeze(GraphBuilder::from_edges(34, &[(0, 1)]));
         assert_eq!((snap.version(), other.version()), (0, 0));
         assert_ne!(
-            CacheKey::new(&AlgoSpec::new("fpa"), &[0], &snap),
-            CacheKey::new(&AlgoSpec::new("fpa"), &[0], &other),
+            CacheKey::new(AlgoSpec::new("fpa"), &[0], &snap),
+            CacheKey::new(AlgoSpec::new("fpa"), &[0], &other),
             "store identity is part of the key"
         );
     }

@@ -167,8 +167,8 @@ impl Engine {
     }
 
     /// Like [`Engine::from_graph`] with an explicit shard count for the
-    /// store (the CLI's `--shards`). More shards mean finer-grained
-    /// cache invalidation; the count is fixed for the store's lifetime.
+    /// store. More shards mean finer-grained cache invalidation; the
+    /// count is fixed for the store's lifetime.
     pub fn from_graph_sharded(graph: dmcs_graph::Graph, shards: usize) -> Self {
         Engine::new(GraphStore::from_graph_sharded(graph, shards))
     }

@@ -4,8 +4,11 @@
 //! The daemon listens on a unix socket and/or a TCP address
 //! (hand-rolled on `std::net` / `std::os::unix::net` — the workspace's
 //! dependency policy admits no async runtime or socket crate) and
-//! serves each connection from its own thread. Every connection opens a
-//! [`Session`] pinned to the snapshot current at accept time, so a
+//! serves each connection from its own thread, through the one
+//! connection loop, [`Server::serve_stream`], which also serves any
+//! in-process `Read + Write` stream (a server bound without listeners
+//! serves only those). Every connection opens a
+//! [`Session`] pinned to the snapshot current when it starts, so a
 //! client's answers are consistent under concurrent updates until it
 //! explicitly asks to re-pin; all connections share the engine's
 //! [`GraphStore`](dmcs_graph::GraphStore) and shard-scoped result
@@ -135,11 +138,13 @@ const FIRST_NAP: Duration = Duration::from_millis(1);
 /// `slow_client_drops`, so a stalled client cannot hold up drain.
 const WRITE_DEADLINE: Duration = Duration::from_secs(5);
 
-/// Where and how the daemon listens.
+/// Where and how the daemon listens; a config naming no listener binds
+/// a server that only [`Server::serve_stream`] drives.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Path of the unix socket to bind (`None` = no unix listener). A
-    /// stale file at the path is removed before binding.
+    /// stale socket file at the path is replaced; any other file there
+    /// is left alone, and binding fails.
     pub unix_path: Option<String>,
     /// TCP address to bind, e.g. `127.0.0.1:7171` (`None` = no TCP
     /// listener; port `0` binds an ephemeral port — read it back with
@@ -278,10 +283,11 @@ pub struct Server {
 }
 
 impl Server {
-    /// Validate `spec`, bind the configured listeners (at least one is
-    /// required) and return the ready-to-run server. `original` is the
-    /// dense → original id mapping of the loaded graph, as produced by
-    /// the edge-list readers.
+    /// Validate `spec`, bind exactly the listeners `cfg` names and return
+    /// the ready-to-run server. With no listener named, only
+    /// [`Server::serve_stream`] drives it, and [`Server::run`] returns
+    /// at once. `original` is the dense → original id mapping of the
+    /// loaded graph, as produced by the edge-list readers.
     pub fn bind(
         engine: Engine,
         spec: AlgoSpec,
@@ -289,11 +295,6 @@ impl Server {
         cfg: &ServerConfig,
     ) -> Result<Server, EngineError> {
         let algo_name = spec.build()?.name();
-        if cfg.unix_path.is_none() && cfg.tcp_addr.is_none() {
-            return Err(EngineError::bad_param(
-                "serve needs at least one listener (--unix <path> and/or --tcp <addr>)",
-            ));
-        }
         let shared = Arc::new(Shared {
             engine,
             spec,
@@ -312,11 +313,20 @@ impl Server {
         #[cfg(unix)]
         let (unix, unix_path) = match &cfg.unix_path {
             Some(path) => {
+                use std::os::unix::fs::FileTypeExt;
                 let pb = PathBuf::from(path);
                 // A stale socket file from a crashed predecessor blocks
                 // bind(2); remove it (a live listener is unaffected on
-                // its end — it holds the inode, not the name).
-                let _ = std::fs::remove_file(&pb);
+                // its end — it holds the inode, not the name). Any other
+                // file at the path is left as it is.
+                match std::fs::symlink_metadata(&pb) {
+                    Ok(m) if m.file_type().is_socket() => drop(std::fs::remove_file(&pb)),
+                    Ok(_) => {
+                        let e = std::io::Error::new(ErrorKind::AlreadyExists, "not a socket");
+                        return Err(EngineError::io(path, e));
+                    }
+                    Err(_) => {}
+                }
                 let listener = UnixListener::bind(&pb).map_err(|e| EngineError::io(path, e))?;
                 listener
                     .set_nonblocking(true)
@@ -378,22 +388,134 @@ impl Server {
         self.unix_path.as_deref()
     }
 
+    /// Serve one connection: newline-framed requests in, JSON-lines out,
+    /// strictly in order, ending with a `summary` line. The accept loop
+    /// runs it on every accepted socket; a stream whose reads never time
+    /// out is served until it ends or sends `shutdown`.
+    pub fn serve_stream(&self, mut stream: impl Read + Write) {
+        let shared = &*self.shared;
+        shared.connections.fetch_add(1, Ordering::SeqCst);
+        let mut session = match shared.engine.session(&shared.spec) {
+            Ok(s) => s,
+            // The spec was validated at bind time; an error here would be a
+            // registry regression — drop the connection rather than panic a
+            // server thread.
+            Err(_) => return,
+        };
+        let mut conn = ConnState {
+            line_no: 0,
+            tally: StreamTally::start(),
+            reply: String::new(),
+            json: LineWriter::new(),
+        };
+        let mut buf: Vec<u8> = Vec::new();
+        let mut chunk = [0u8; 4096];
+        // Oversized-line recovery: when set, bytes are dropped until the
+        // next newline so the connection resynchronises on line boundaries.
+        let mut discarding = false;
+
+        'conn: loop {
+            // Answer every complete line already buffered (pipelining). A
+            // line longer than the limit is answered once, as soon as the
+            // limit is crossed, whether or not its newline has arrived: the
+            // reply does not depend on how reads split the line.
+            loop {
+                let newline = buf.iter().position(|&b| b == b'\n');
+                let len = newline.unwrap_or(buf.len());
+                if newline.is_none() && len <= shared.max_line_bytes {
+                    break; // an open line within the limit: read on
+                }
+                conn.line_no += 1;
+                let flow = if len > shared.max_line_bytes {
+                    conn.error_line(&EngineError::bad_request(
+                        conn.line_no,
+                        format!("request line exceeds {} bytes", shared.max_line_bytes),
+                    ));
+                    Flow::Continue
+                } else {
+                    let text = String::from_utf8_lossy(&buf[..len]).into_owned();
+                    contain_panic(shared, &mut session, &mut conn, text.trim())
+                };
+                // Consume the line and its newline. An open oversized line is
+                // dropped up to the newline still to come.
+                discarding = newline.is_none();
+                buf.drain(..newline.map_or(len, |pos| pos + 1));
+                if send(shared, &mut stream, &mut conn.reply).is_err() {
+                    return; // peer gone or stalled mid-write: nothing to flush
+                }
+                if let Flow::Close = flow {
+                    break 'conn;
+                }
+            }
+            match stream.read(&mut chunk) {
+                Ok(0) => {
+                    if !buf.is_empty() {
+                        // Torn request: the peer closed mid-line. A typed
+                        // reply instead of silence (best effort — the write
+                        // side may already be gone too).
+                        conn.line_no += 1;
+                        conn.error_line(&EngineError::bad_request(
+                            conn.line_no,
+                            "connection closed mid-request (torn line, no trailing newline)",
+                        ));
+                        if send(shared, &mut stream, &mut conn.reply).is_err() {
+                            return;
+                        }
+                    }
+                    break;
+                }
+                Ok(n) => {
+                    let mut bytes = &chunk[..n];
+                    if discarding {
+                        match bytes.iter().position(|&b| b == b'\n') {
+                            Some(p) => {
+                                bytes = &bytes[p + 1..];
+                                discarding = false;
+                            }
+                            None => continue,
+                        }
+                    }
+                    buf.extend_from_slice(bytes);
+                }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    // Idle: buffered complete lines were all processed
+                    // above, so draining now honours "in-flight requests
+                    // finish".
+                    if shared.draining() {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+
+        // Per-connection summary: a batch footer's schema, less the plan
+        // members (a connection answers queries one by one; nothing plans).
+        let input = conn.tally.finish(Some(&session));
+        let weighted = shared.spec.params.weighted;
+        conn.json
+            .summary(&mut conn.reply, shared.algo_name, weighted, input);
+        let _ = send(shared, &mut stream, &mut conn.reply);
+    }
+
     /// Serve until drained (a `shutdown` op, [`ServerHandle::shutdown`]
     /// or SIGTERM via [`install_sigterm_drain`]): accept loops and
     /// per-connection threads all run inside one scope, so every thread
     /// is joined — and the unix socket file unlinked — before this
     /// returns.
     pub fn run(self) -> ServerStats {
-        let shared = &*self.shared;
         std::thread::scope(|scope| {
+            let server = &self;
             if let Some(listener) = &self.tcp {
-                scope.spawn(move || accept_loop(listener, shared, scope));
+                scope.spawn(move || accept_loop(server, listener, scope));
             }
             #[cfg(unix)]
             if let Some(listener) = &self.unix {
-                scope.spawn(move || accept_loop(listener, shared, scope));
+                scope.spawn(move || accept_loop(server, listener, scope));
             }
         });
+        let shared = &*self.shared;
         // All listeners and connections are done; close the listeners
         // and release the socket name (dropping the unix listener does
         // not unlink the file).
@@ -448,8 +570,9 @@ impl Listener for UnixListener {
     }
 }
 
-/// Accept connections until drain, serving each on its own thread of
-/// `scope`. Every accepted stream gets the same deadlines: a read waits
+/// Accept connections until drain, serving each with
+/// [`Server::serve_stream`] on its own thread of `scope`. Every accepted
+/// stream gets the same deadlines: a read waits
 /// at most [`POLL`], so an idle connection notices drain, and a reply
 /// write at most the write deadline, so a client that stops reading
 /// cannot hold up drain. A stream that cannot take them is closed.
@@ -459,17 +582,17 @@ impl Listener for UnixListener {
 /// noticed within `POLL`. (A blocking accept would need a wake-up
 /// connection on drain, which cannot reach a unix path that another
 /// daemon has since bound.)
-fn accept_loop<'s, 'e, L: Listener>(listener: &'e L, shared: &'e Shared, scope: &'s Scope<'s, 'e>) {
+fn accept_loop<'s, 'e, L: Listener>(server: &'e Server, listener: &'e L, scope: &'s Scope<'s, 'e>) {
     let mut nap = FIRST_NAP;
     loop {
-        if shared.draining() {
+        if server.shared.draining() {
             return;
         }
         match listener.accept_stream() {
             Ok(stream) => {
                 nap = FIRST_NAP;
-                if L::set_timeouts(&stream, POLL, shared.write_deadline).is_ok() {
-                    scope.spawn(move || serve_conn(shared, stream));
+                if L::set_timeouts(&stream, POLL, server.shared.write_deadline).is_ok() {
+                    scope.spawn(move || server.serve_stream(stream));
                 }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -516,114 +639,6 @@ impl ConnState {
             .str("error", &err.to_string())
             .end();
     }
-}
-
-/// Serve one connection: newline-framed requests in, JSON-lines out,
-/// strictly in order, ending with a `summary` line.
-fn serve_conn<S: Read + Write>(shared: &Shared, mut stream: S) {
-    shared.connections.fetch_add(1, Ordering::SeqCst);
-    let mut session = match shared.engine.session(&shared.spec) {
-        Ok(s) => s,
-        // The spec was validated at bind time; an error here would be a
-        // registry regression — drop the connection rather than panic a
-        // server thread.
-        Err(_) => return,
-    };
-    let mut conn = ConnState {
-        line_no: 0,
-        tally: StreamTally::start(),
-        reply: String::new(),
-        json: LineWriter::new(),
-    };
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    // Oversized-line recovery: when set, bytes are dropped until the
-    // next newline so the connection resynchronises on line boundaries.
-    let mut discarding = false;
-
-    'conn: loop {
-        // Answer every complete line already buffered (pipelining). A
-        // line longer than the limit is answered once, as soon as the
-        // limit is crossed, whether or not its newline has arrived: the
-        // reply does not depend on how reads split the line.
-        loop {
-            let newline = buf.iter().position(|&b| b == b'\n');
-            let len = newline.unwrap_or(buf.len());
-            if newline.is_none() && len <= shared.max_line_bytes {
-                break; // an open line within the limit: read on
-            }
-            conn.line_no += 1;
-            let flow = if len > shared.max_line_bytes {
-                conn.error_line(&EngineError::bad_request(
-                    conn.line_no,
-                    format!("request line exceeds {} bytes", shared.max_line_bytes),
-                ));
-                Flow::Continue
-            } else {
-                let text = String::from_utf8_lossy(&buf[..len]).into_owned();
-                contain_panic(shared, &mut session, &mut conn, text.trim())
-            };
-            // Consume the line and its newline. An open oversized line is
-            // dropped up to the newline still to come.
-            discarding = newline.is_none();
-            buf.drain(..newline.map_or(len, |pos| pos + 1));
-            if send(shared, &mut stream, &mut conn.reply).is_err() {
-                return; // peer gone or stalled mid-write: nothing to flush
-            }
-            if let Flow::Close = flow {
-                break 'conn;
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                if !buf.is_empty() {
-                    // Torn request: the peer closed mid-line. A typed
-                    // reply instead of silence (best effort — the write
-                    // side may already be gone too).
-                    conn.line_no += 1;
-                    conn.error_line(&EngineError::bad_request(
-                        conn.line_no,
-                        "connection closed mid-request (torn line, no trailing newline)",
-                    ));
-                    if send(shared, &mut stream, &mut conn.reply).is_err() {
-                        return;
-                    }
-                }
-                break;
-            }
-            Ok(n) => {
-                let mut bytes = &chunk[..n];
-                if discarding {
-                    match bytes.iter().position(|&b| b == b'\n') {
-                        Some(p) => {
-                            bytes = &bytes[p + 1..];
-                            discarding = false;
-                        }
-                        None => continue,
-                    }
-                }
-                buf.extend_from_slice(bytes);
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // Idle: buffered complete lines were all processed
-                // above, so draining now honours "in-flight requests
-                // finish".
-                if shared.draining() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-    }
-
-    // Per-connection summary: a batch footer's schema, less the plan
-    // members (a connection answers queries one by one; nothing plans).
-    let input = conn.tally.finish(Some(&session));
-    let weighted = shared.spec.params.weighted;
-    conn.json
-        .summary(&mut conn.reply, shared.algo_name, weighted, input);
-    let _ = send(shared, &mut stream, &mut conn.reply);
 }
 
 /// Send the reply written into `reply` (nothing, for an ignored empty
@@ -920,9 +935,7 @@ fn wire_mutation(req: &Json, line_no: usize) -> Result<Mutation, EngineError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::output::MAX_JSON_DEPTH;
-    use dmcs_graph::{GraphBuilder, NodeId, Snapshot};
-    use proptest::prelude::*;
+    use dmcs_graph::GraphBuilder;
 
     fn demo_engine() -> (Engine, Vec<u64>) {
         let g =
@@ -930,279 +943,21 @@ mod tests {
         (Engine::from_graph(g), (0..6).collect())
     }
 
-    /// In-memory stream double: request bytes in, at most `chunk` of
-    /// them per read, replies captured.
-    struct Script {
-        input: std::io::Cursor<Vec<u8>>,
-        chunk: usize,
-        output: Vec<u8>,
-    }
-
-    impl Script {
-        fn new(text: &str) -> Self {
-            Script::chunked(text.as_bytes(), usize::MAX)
-        }
-
-        fn chunked(bytes: &[u8], chunk: usize) -> Self {
-            Script {
-                input: std::io::Cursor::new(bytes.to_vec()),
-                chunk,
-                output: Vec::new(),
-            }
-        }
-
-        fn replies(&self) -> Vec<Json> {
-            String::from_utf8(self.output.clone())
-                .unwrap()
-                .lines()
-                .map(|l| Json::parse(l).unwrap())
-                .collect()
-        }
-    }
-
-    impl Read for Script {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            let n = buf.len().min(self.chunk);
-            self.input.read(&mut buf[..n])
-        }
-    }
-
-    impl Write for Script {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.output.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    fn shared(engine: Engine, original: Vec<u64>, queue_cap: usize) -> Shared {
-        Shared {
-            engine,
-            spec: AlgoSpec::new("fpa"),
-            algo_name: "FPA",
-            ids: IdSpace::new(original),
-            drain: AtomicBool::new(false),
-            in_flight: AtomicUsize::new(0),
-            queue_cap,
-            max_line_bytes: 64 * 1024,
-            write_deadline: WRITE_DEADLINE,
-            served: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            slow_client_drops: AtomicU64::new(0),
-        }
-    }
-
-    #[test]
-    fn query_update_repin_round_trip() {
+    /// A server of `spec` over the demo graph, bound without listeners,
+    /// admitting one work op at a time.
+    fn one_slot_server(spec: &str) -> Server {
         let (engine, original) = demo_engine();
-        let sh = shared(engine, original, 8);
-        let mut io = Script::new(
-            "{\"op\":\"query\",\"nodes\":[0],\"tag\":\"a\"}\n\
-             {\"op\":\"update\",\"action\":\"add\",\"u\":0,\"v\":3}\n\
-             {\"op\":\"query\",\"nodes\":[0]}\n\
-             {\"op\":\"repin\"}\n\
-             {\"op\":\"query\",\"nodes\":[0]}\n",
-        );
-        serve_conn(&sh, &mut io);
-        let replies = io.replies();
-        // 5 requests + closing summary.
-        assert_eq!(replies.len(), 6, "{replies:?}");
-        assert_eq!(replies[0].get("type").unwrap().as_str(), Some("response"));
-        assert_eq!(replies[0].get("tag").unwrap().as_str(), Some("a"));
-        assert_eq!(replies[1].get("type").unwrap().as_str(), Some("update"));
-        assert_eq!(replies[1].get("version").unwrap().as_u64(), Some(1));
-        // Pinned session: the pre-update answer replays (cache hit on
-        // the old epoch) even after the store moved.
-        assert_eq!(replies[2], replies[0].clone_without_tag());
-        assert_eq!(replies[3].get("type").unwrap().as_str(), Some("repin"));
-        assert_eq!(replies[3].get("version").unwrap().as_u64(), Some(1));
-        // Fresh epoch: same query, different graph.
-        assert_eq!(replies[4].get("type").unwrap().as_str(), Some("response"));
-        assert_ne!(replies[4], replies[2]);
-        assert_eq!(replies[5].get("type").unwrap().as_str(), Some("summary"));
-        assert_eq!(replies[5].get("queries").unwrap().as_u64(), Some(3));
-    }
-
-    impl Json {
-        /// Test helper: the same object with `"tag": null` (queries
-        /// repeated without a tag should otherwise replay identically).
-        fn clone_without_tag(&self) -> Json {
-            match self {
-                Json::Obj(members) => Json::Obj(
-                    members
-                        .iter()
-                        .map(|(k, v)| {
-                            if k == "tag" {
-                                (k.clone(), Json::Null)
-                            } else {
-                                (k.clone(), v.clone())
-                            }
-                        })
-                        .collect(),
-                ),
-                other => other.clone(),
-            }
-        }
-    }
-
-    #[test]
-    fn malformed_lines_are_typed_bad_requests() {
-        let (engine, original) = demo_engine();
-        let sh = shared(engine, original, 8);
-        let mut io = Script::new(
-            "this is not json\n\
-             [1,2,3]\n\
-             {\"nodes\":[0]}\n\
-             {\"op\":\"dance\"}\n\
-             {\"op\":\"query\"}\n\
-             {\"op\":\"query\",\"nodes\":[\"zero\"]}\n\
-             {\"op\":\"query\",\"nodes\":[0,0]}\n\
-             {\"op\":\"query\",\"nodes\":[77]}\n",
-        );
-        serve_conn(&sh, &mut io);
-        let replies = io.replies();
-        assert_eq!(replies.len(), 9, "{replies:?}");
-        for (i, expect_code) in [
-            (0, 9),
-            (1, 9),
-            (2, 9),
-            (3, 9),
-            (4, 9),
-            (5, 9),
-            (6, 9),
-            (7, 5),
-        ] {
-            let r = &replies[i];
-            assert_eq!(r.get("type").unwrap().as_str(), Some("error"), "{r:?}");
-            assert_eq!(
-                r.get("code").unwrap().as_u64(),
-                Some(expect_code),
-                "line {i}: {r:?}"
-            );
-            assert_eq!(r.get("line").unwrap().as_u64(), Some(i as u64 + 1));
-        }
-        // A repeated id is rejected like every CLI front end rejects it.
-        let dup = replies[6].get("error").unwrap().as_str().unwrap();
-        assert!(dup.contains("duplicate query id 0"), "{dup}");
-        assert_eq!(replies[8].get("type").unwrap().as_str(), Some("summary"));
-        assert_eq!(replies[8].get("queries").unwrap().as_u64(), Some(0));
-    }
-
-    #[test]
-    fn connection_summary_equals_the_batch_report_over_its_replies() {
-        use crate::batch::BatchReport;
-        use crate::request::QueryResponse;
-        use dmcs_core::{SearchError, SearchResult};
-        // Two triangles, so {0, 3} is a per-query search failure.
-        let g = GraphBuilder::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]);
-        let sh = shared(Engine::from_graph(g), (0..6).collect(), 8);
-        let mut io = Script::new(
-            "{\"op\":\"query\",\"nodes\":[0]}\n\
-             {\"op\":\"query\",\"nodes\":[4]}\n\
-             {\"op\":\"query\",\"nodes\":[0,3]}\n\
-             {\"op\":\"query\",\"nodes\":[77]}\n\
-             {\"op\":\"query\",\"nodes\":[0]}\n\
-             {\"op\":\"query\",\"nodes\":[2]}\n",
-        );
-        serve_conn(&sh, &mut io);
-        let replies = io.replies();
-        assert_eq!(replies.len(), 7, "{replies:?}");
-        assert_eq!(replies[3].get("type").unwrap().as_str(), Some("error"));
-        let summary = &replies[6];
-        assert_eq!(summary.get("type").unwrap().as_str(), Some("summary"));
-
-        // The same replies as batch-mode responses: only `seconds`, the
-        // outcome and the cache flag feed the compared keys. No update
-        // runs, so exactly the repeated query is a cache hit.
-        let mut seen: Vec<&Json> = Vec::new();
-        let responses: Vec<QueryResponse> = replies
-            .iter()
-            .filter(|r| r.get("type").unwrap().as_str() == Some("response"))
-            .map(|r| {
-                let query = r.get("query").unwrap();
-                let cached = seen.contains(&query);
-                seen.push(query);
-                let result = if r.get("ok").unwrap().as_bool().unwrap() {
-                    Ok(SearchResult {
-                        community: Vec::new(),
-                        density_modularity: 0.0,
-                        removal_order: Vec::new(),
-                        iterations: 0,
-                    })
-                } else {
-                    Err(SearchError::EmptyQuery)
-                };
-                QueryResponse {
-                    request: QueryRequest::new(Vec::new()),
-                    algo: "FPA",
-                    result,
-                    seconds: r.get("seconds").unwrap().as_f64().unwrap(),
-                    cached,
-                }
-            })
-            .collect();
-        assert_eq!(responses.len(), 5);
-        let hits = responses.iter().filter(|r| r.cached).count();
-        assert_eq!(hits, 1);
-        let n = responses.len();
-        let report = BatchReport::from_responses(responses, 1.0, n, hits, n - hits);
-        let expected = crate::output::summary_json("FPA", false, &report).render();
-        let expected = Json::parse(&expected).unwrap();
-        for key in [
-            "queries",
-            "ok",
-            "p50_seconds",
-            "p95_seconds",
-            "cache_hits",
-            "cache_misses",
-        ] {
-            assert_eq!(summary.get(key), expected.get(key), "{key}");
-        }
-        assert_eq!(summary.get("ok").unwrap().as_u64(), Some(4));
-    }
-
-    #[test]
-    fn zero_queue_cap_rejects_work_but_not_control() {
-        let (engine, original) = demo_engine();
-        let sh = shared(engine, original, 0);
-        let mut io = Script::new(
-            "{\"op\":\"query\",\"nodes\":[0]}\n\
-             {\"op\":\"update\",\"action\":\"add\",\"u\":0,\"v\":5}\n\
-             {\"op\":\"stats\"}\n\
-             {\"op\":\"update\",\"action\":\"swap\",\"u\":0,\"v\":1}\n\
-             {\"op\":\"update\",\"action\":\"setw\",\"u\":0,\"v\":1}\n",
-        );
-        serve_conn(&sh, &mut io);
-        let replies = io.replies();
-        assert_eq!(replies.len(), 6, "{replies:?}");
-        for r in &replies[..2] {
-            assert_eq!(r.get("type").unwrap().as_str(), Some("error"), "{r:?}");
-            assert_eq!(r.get("code").unwrap().as_u64(), Some(8));
-            assert!(r
-                .get("error")
-                .unwrap()
-                .as_str()
-                .unwrap()
-                .contains("overloaded"));
-        }
-        assert_eq!(replies[2].get("type").unwrap().as_str(), Some("stats"));
-        assert_eq!(replies[2].get("queue_cap").unwrap().as_u64(), Some(0));
-        assert_eq!(replies[2].get("served").unwrap().as_u64(), Some(0));
-        // Malformed requests are answered before admission: a bad
-        // request (code 9) even behind a full gate.
-        for r in &replies[3..5] {
-            assert_eq!(r.get("code").unwrap().as_u64(), Some(9), "{r:?}");
-        }
-        let setw = replies[4].get("error").unwrap().as_str().unwrap();
-        assert!(setw.ends_with("setw 0 1 needs a weight"), "{setw}");
+        let cfg = ServerConfig {
+            queue_cap: 1,
+            ..ServerConfig::default()
+        };
+        Server::bind(engine, AlgoSpec::new(spec), original, &cfg).unwrap()
     }
 
     #[test]
     fn a_panic_inside_an_admitted_op_gives_its_slot_back() {
-        let (engine, original) = demo_engine();
-        let sh = shared(engine, original, 1);
+        let server = one_slot_server("fpa");
+        let sh = &*server.shared;
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _slot = sh.admit().expect("the gate is open");
             assert!(sh.admit().is_none(), "queue_cap 1 admits one op");
@@ -1213,21 +968,29 @@ mod tests {
         assert!(sh.admit().is_some(), "the next op is admitted");
     }
 
+    #[cfg(unix)]
     #[test]
     fn a_panicking_request_gets_a_code_9_reply_and_the_connection_serves_on() {
-        let (engine, original) = demo_engine();
-        let mut sh = shared(engine, original, 1);
-        sh.spec = AlgoSpec::new("panic-on-0");
-        sh.algo_name = "PANIC-ON-0";
-        let mut io = Script::new(
-            "{\"op\":\"query\",\"nodes\":[0],\"tag\":\"boom\"}\n\
-             {\"op\":\"query\",\"nodes\":[4]}\n\
-             {\"op\":\"query\",\"nodes\":[4]}\n\
-             {\"op\":\"stats\"}\n",
-        );
-        serve_conn(&sh, &mut io);
-        let replies = io.replies();
-        assert_eq!(replies.len(), 5, "{replies:?}");
+        let server = one_slot_server("panic-on-0");
+        // One connection over a socket pair: its requests are written
+        // and its write side closed before the server reads them.
+        let (mut client, conn) = UnixStream::pair().unwrap();
+        client
+            .write_all(
+                b"{\"op\":\"query\",\"nodes\":[0],\"tag\":\"boom\"}\n\
+                  {\"op\":\"query\",\"nodes\":[4]}\n\
+                  {\"op\":\"query\",\"nodes\":[4]}\n\
+                  {\"op\":\"stats\"}\n\
+                  {\"op\":\"shutdown\"}\n",
+            )
+            .unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        // A panic that escaped the request would escape this call too.
+        server.serve_stream(conn);
+        let mut text = String::new();
+        client.read_to_string(&mut text).unwrap();
+        let replies: Vec<Json> = text.lines().map(|l| Json::parse(l).unwrap()).collect();
+        assert_eq!(replies.len(), 6, "{replies:?}");
         let error = &replies[0];
         assert_eq!(error.get("type").unwrap().as_str(), Some("error"));
         assert_eq!(error.get("code").unwrap().as_u64(), Some(9));
@@ -1245,888 +1008,14 @@ mod tests {
         assert_eq!(replies[1], replies[2]);
         assert_eq!(replies[3].get("in_flight").unwrap().as_u64(), Some(0));
         assert_eq!(replies[3].get("cache_hits").unwrap().as_u64(), Some(1));
-        let summary = &replies[4];
+        assert_eq!(replies[4].get("type").unwrap().as_str(), Some("shutdown"));
+        let summary = &replies[5];
         assert_eq!(summary.get("type").unwrap().as_str(), Some("summary"));
         assert_eq!(summary.get("queries").unwrap().as_u64(), Some(2));
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn a_panicking_request_leaves_the_daemon_to_drain_normally() {
-        use std::io::{BufRead, BufReader};
-        let path = std::env::temp_dir().join(format!(
-            "dmcs-panic-{}-{:?}.sock",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let cfg = ServerConfig {
-            unix_path: Some(path.to_str().unwrap().into()),
-            ..ServerConfig::default()
-        };
-        let (engine, original) = demo_engine();
-        let server = Server::bind(engine, AlgoSpec::new("panic-on-0"), original, &cfg).unwrap();
-        let daemon = std::thread::spawn(move || server.run());
-        let stream = UnixStream::connect(&path).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut stream = stream;
-        let mut ask = |req: &str| {
-            stream.write_all(format!("{req}\n").as_bytes()).unwrap();
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            line
-        };
-        assert!(ask(r#"{"op":"query","nodes":[0]}"#).contains("\"code\":9"));
-        assert!(ask(r#"{"op":"query","nodes":[4]}"#).contains("\"ok\":true"));
-        assert!(ask(r#"{"op":"shutdown"}"#).contains("\"draining\":true"));
-        // `run` joins every connection thread: a panic that escaped one
-        // would re-raise here.
-        let stats = daemon.join().expect("the daemon drains without a panic");
-        assert_eq!((stats.connections, stats.served), (1, 1));
-        assert!(!path.exists(), "socket file unlinked on drain");
-    }
-
-    #[test]
-    fn update_taxonomy_matches_the_script_mode() {
-        use crate::ops::{parse_update_script, UpdateOp};
-        // Each case runs twice, in order, on twin engines: as an
-        // `--updates` line through the script interpreter
-        // (`parse_update_script`, then `Mutation::apply`), and as the
-        // same op over the wire through `serve_conn`. Both fail with
-        // code 7 and the same reason after the `update script line N:`
-        // prefix, or both succeed.
-        let cases = [
-            ("add 0 1", Some("edge 0 1 already exists")),
-            ("del 0 9", Some("unknown node 9")),
-            ("del 0 5", Some("edge 0 5 does not exist")),
-            (
-                "setw 0 1 2.0",
-                Some("setw 0 1 requires --weighted (graph has no weights)"),
-            ),
-            ("add 4 4", Some("self-loop add 4 4 (simple graph)")),
-            (
-                "add 0 5 -2.0",
-                Some("weight -2 must be finite and strictly positive"),
-            ),
-            ("add 0 9", None), // a fresh id creates a node
-        ];
-        let wire: String = cases
-            .iter()
-            .map(|(line, _)| {
-                let t: Vec<&str> = line.split(' ').collect();
-                let w = t.get(3).map_or(String::new(), |w| format!(",\"w\":{w}"));
-                let (action, u, v) = (t[0], t[1], t[2]);
-                format!("{{\"op\":\"update\",\"action\":\"{action}\",\"u\":{u},\"v\":{v}{w}}}\n")
-            })
-            .collect();
-        let (engine, original) = demo_engine();
-        let sh = shared(engine, original, 8);
-        let mut io = Script::new(&wire);
-        serve_conn(&sh, &mut io);
-        let replies = io.replies();
-        assert_eq!(replies.len(), cases.len() + 1, "{replies:?}");
-
-        let (script_engine, original) = demo_engine();
-        let script_ids = IdSpace::new(original);
-        for (i, (line, expected)) in cases.iter().enumerate() {
-            let script = parse_update_script(line).and_then(|ops| match &ops[..] {
-                [(n, UpdateOp::Mutate(m))] => m.apply(&script_engine, &script_ids, *n),
-                other => panic!("{line}: not one mutation: {other:?}"),
-            });
-            let reply = &replies[i];
-            match expected {
-                Some(reason) => {
-                    let err = script.expect_err(line);
-                    let code = reply.get("code").and_then(Json::as_u64);
-                    assert_eq!((err.exit_code(), code), (7, Some(7)), "{reply:?}");
-                    assert_eq!(err.to_string(), format!("update script line 1: {reason}"));
-                    let text = reply.get("error").unwrap().as_str().unwrap();
-                    assert_eq!(text, format!("update script line {}: {reason}", i + 1));
-                }
-                None => {
-                    assert_eq!(script.unwrap_or_else(|e| panic!("{line}: {e}")), None);
-                    assert_eq!(reply.get("type").unwrap().as_str(), Some("update"));
-                    assert_eq!(reply.get("nodes").unwrap().as_u64(), Some(7));
-                    assert_eq!(script_engine.store().n(), 7);
-                }
-            }
-        }
-        for ids in [&sh.ids, &script_ids] {
-            assert_eq!(ids.map_query(&[9]).unwrap(), vec![6]);
-            assert_eq!(ids.with_original(|o| o.last().copied()), Some(9));
-        }
-    }
-
-    #[test]
-    fn top_k_over_the_wire() {
-        // Two 4-cliques sharing node 0, original ids shifted by 100.
-        let mut b = GraphBuilder::new(7);
-        for c in [[0u32, 1, 2, 3], [0, 4, 5, 6]] {
-            for i in 0..4 {
-                for j in (i + 1)..4 {
-                    b.add_edge(c[i], c[j]);
-                }
-            }
-        }
-        let engine = Engine::from_graph(b.build());
-        let original: Vec<u64> = (100..107).collect();
-        let sh = shared(engine, original, 8);
-        let mut io = Script::new("{\"op\":\"query\",\"nodes\":[100],\"k\":3}\n");
-        serve_conn(&sh, &mut io);
-        let replies = io.replies();
-        assert_eq!(replies.len(), 2, "{replies:?}");
-        let topk = &replies[0];
-        assert_eq!(topk.get("type").unwrap().as_str(), Some("topk"));
-        assert_eq!(topk.get("ok").unwrap().as_bool(), Some(true));
-        assert_eq!(topk.get("k").unwrap().as_u64(), Some(3));
-        let rounds = topk.get("rounds").unwrap().as_arr().unwrap();
-        assert_eq!(rounds.len(), 2, "both wings");
-        for round in rounds {
-            let community = round.get("community").unwrap().as_arr().unwrap();
-            assert!(
-                community.iter().all(|v| v.as_u64().unwrap() >= 100),
-                "communities are reported in original ids: {round:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn torn_and_oversized_lines_resync() {
-        let (engine, original) = demo_engine();
-        let mut sh = shared(engine, original, 8);
-        sh.max_line_bytes = 32;
-        let huge = format!("{{\"op\":\"query\",\"nodes\":[{}]}}", "0,".repeat(64) + "0");
-        let mut io = Script::new(&format!(
-            "{huge}\n{{\"op\":\"query\",\"nodes\":[0]}}\n{{\"op\":\"stats\""
-        ));
-        serve_conn(&sh, &mut io);
-        let replies = io.replies();
-        assert_eq!(replies.len(), 4, "{replies:?}");
-        // Oversized line: typed 9, then the connection resyncs and the
-        // next request is served normally.
-        assert_eq!(replies[0].get("code").unwrap().as_u64(), Some(9));
-        assert!(replies[0]
-            .get("error")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .contains("exceeds 32 bytes"));
-        assert_eq!(replies[1].get("type").unwrap().as_str(), Some("response"));
-        // Torn final line (EOF without newline): typed 9, then summary.
-        assert_eq!(replies[2].get("code").unwrap().as_u64(), Some(9));
-        assert!(replies[2]
-            .get("error")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .contains("torn line"));
-        assert_eq!(replies[3].get("type").unwrap().as_str(), Some("summary"));
-    }
-
-    /// Every timing member (`seconds`, `*_seconds`, `queries_per_sec`)
-    /// with its value replaced by `0`; every other byte as written.
-    /// `cache_bytes` is zeroed too: it counts the cached reply bytes,
-    /// which hold a `seconds` value of varying length
-    /// (`stats_report_the_cache_totals` pins it exactly).
-    fn zero_timings(line: &str) -> String {
-        let mut out = String::with_capacity(line.len());
-        let mut rest = line;
-        while let Some(at) = rest.find("\":") {
-            let (head, tail) = rest.split_at(at + 2);
-            out.push_str(head);
-            let key = head[..at].rsplit('"').next().unwrap();
-            rest = tail;
-            if key.ends_with("seconds") || key == "queries_per_sec" || key == "cache_bytes" {
-                out.push('0');
-                rest = &tail[tail.find([',', '}']).unwrap()..];
-            }
-        }
-        out.push_str(rest);
-        out
-    }
-
-    /// The replies of three scripted connections, timings zeroed: every
-    /// reply type (`response`, `topk`, `update`, `repin`, `stats`,
-    /// `error`, `shutdown`, `summary`) and every error path of the wire.
-    fn wire_transcript() -> String {
-        // Triangles {0,1,2} and {3,4,5} joined by 2-3, plus a separate
-        // edge 6-7; original ids shuffled so sorting after mapping
-        // shows.
-        let edges = [
-            (0, 1),
-            (1, 2),
-            (0, 2),
-            (3, 4),
-            (4, 5),
-            (3, 5),
-            (2, 3),
-            (6, 7),
-        ];
-        let original = vec![50, 10, 40, 0, 30, 20, 70, 60];
-        let mut sh = shared(
-            Engine::from_graph(GraphBuilder::from_edges(8, &edges)),
-            original.clone(),
-            8,
-        );
-        sh.max_line_bytes = 128;
-        let oversized = format!("{{\"op\":\"query\",\"nodes\":[{}0]}}", "0,".repeat(90));
-        let streamed = format!("{{\"op\":\"query\",\"tag\":\"{}\"}}", "x".repeat(5000));
-        let script = [
-            r#"{"op":"query","nodes":[50],"tag":"q \"t\" \\ \u0001\t ü 社"}"#,
-            r#"{"op":"query","nodes":[0,50]}"#,
-            r#"{"op":"query","nodes":[50,70]}"#,
-            r#"{"op":"query","nodes":[50],"k":3,"tag":"k"}"#,
-            r#"{"op":"query","nodes":[50,70],"k":2}"#,
-            r#"{"op":"query","nodes":[50]}"#,
-            r#"{"op":"update","action":"add","u":50,"v":30}"#,
-            r#"{"op":"update","action":"del","u":60,"v":70}"#,
-            r#"{"op":"update","action":"add","u":50,"v":99}"#,
-            r#"{"op":"update","action":"add","u":50,"v":10}"#,
-            r#"{"op":"update","action":"setw","u":50,"v":10,"w":2.0}"#,
-            r#"{"op":"repin"}"#,
-            r#"{"op":"stats"}"#,
-            "",
-            "this is not json",
-            "[1,2,3]",
-            r#"{"nodes":[0]}"#,
-            r#"{"op":"dance"}"#,
-            r#"{"op":"query"}"#,
-            r#"{"op":"query","nodes":[50,50]}"#,
-            r#"{"op":"query","nodes":[77]}"#,
-            r#"{"op":"query","nodes":["zero"]}"#,
-            r#"{"op":"query","nodes":[0],"k":-1}"#,
-            r#"{"op":"update","u":0,"v":1}"#,
-            r#"{"op":"update","action":"swap","u":0,"v":1}"#,
-            r#"{"op":"update","action":"setw","u":0,"v":1}"#,
-            &oversized,
-            r#"{"op":"query","nodes":[99,0]}"#,
-            &streamed,
-            r#"{"op":"query","nodes":[10],"tag":"after"}"#,
-        ]
-        .join("\n");
-        let mut io = Script::new(&format!("{script}\n{{\"op\":\"stats\""));
-        serve_conn(&sh, &mut io);
-        let mut transcript = io.output;
-
-        // Overload: work ops are refused with code 8, control ops pass,
-        // and a malformed query is a bad request even behind a full gate.
-        let sh = shared(
-            Engine::from_graph(GraphBuilder::from_edges(8, &edges)),
-            original.clone(),
-            0,
-        );
-        let mut io = Script::new(
-            "{\"op\":\"query\",\"nodes\":[50]}\n\
-             {\"op\":\"update\",\"action\":\"add\",\"u\":50,\"v\":30}\n\
-             {\"op\":\"stats\"}\n\
-             {\"op\":\"query\",\"nodes\":[50],\"tag\":5}\n",
-        );
-        serve_conn(&sh, &mut io);
-        transcript.extend(io.output);
-
-        // Weighted serving: `setw` reports the previous weight, and the
-        // summary says weighted; `shutdown` closes the connection.
-        let weighted = GraphBuilder::from_edges(8, &edges).with_unit_weights();
-        let mut sh = shared(Engine::from_graph(weighted), original, 8);
-        sh.spec = AlgoSpec::new("fpa").weighted();
-        sh.algo_name = "W-FPA";
-        let mut io = Script::new(
-            "{\"op\":\"query\",\"nodes\":[50]}\n\
-             {\"op\":\"update\",\"action\":\"setw\",\"u\":50,\"v\":10,\"w\":2.5}\n\
-             {\"op\":\"update\",\"action\":\"add\",\"u\":50,\"v\":30,\"w\":0.125}\n\
-             {\"op\":\"repin\"}\n\
-             {\"op\":\"query\",\"nodes\":[50],\"k\":2}\n\
-             {\"op\":\"shutdown\"}\n\
-             {\"op\":\"query\",\"nodes\":[10]}\n",
-        );
-        serve_conn(&sh, &mut io);
-        transcript.extend(io.output);
-
-        let text = String::from_utf8(transcript).unwrap();
-        text.lines().map(|l| zero_timings(l) + "\n").collect()
-    }
-
-    #[test]
-    fn wire_transcript_matches_the_golden_file() {
-        let transcript = wire_transcript();
-        assert_eq!(
-            transcript,
-            include_str!("../tests/golden/wire_transcript.jsonl"),
-            "wire bytes drifted from tests/golden/wire_transcript.jsonl"
-        );
-    }
-
-    /// The raw reply lines of `script` on `sh`, one connection.
-    fn raw_replies(sh: &Shared, script: &str) -> Vec<String> {
-        let mut io = Script::new(script);
-        serve_conn(sh, &mut io);
-        let text = String::from_utf8(io.output).unwrap();
-        text.lines().map(str::to_string).collect()
-    }
-
-    #[test]
-    fn a_reply_cached_under_one_id_space_is_rendered_again_under_another() {
-        // Two daemons over one engine, so one cache, naming its nodes
-        // through different id maps.
-        let (engine, _) = demo_engine();
-        let a = shared(engine.clone(), (0..6).collect(), 8);
-        let b = shared(engine.clone(), (100..106).collect(), 8);
-        let query = |node: u64| format!("{{\"op\":\"query\",\"nodes\":[{node}]}}\n");
-        // A miss, the first hit (which keeps the rendered tail) and a
-        // hit that copies it: three identical lines.
-        let under_a = raw_replies(&a, &query(0).repeat(3));
-        assert!(
-            under_a[..3].iter().all(|line| *line == under_a[0]),
-            "{under_a:?}"
-        );
-        let bytes = engine.cache().bytes();
-        // Under the other map the same entry hits, and is rendered in
-        // that map's ids rather than copied.
-        let under_b = raw_replies(&b, &query(100).repeat(2));
-        let community = |line: &Json| -> Vec<u64> {
-            let ids = line.get("community").unwrap().as_arr().unwrap();
-            ids.iter().map(|v| v.as_u64().unwrap()).collect()
-        };
-        let under_a = community(&Json::parse(&under_a[0]).unwrap());
-        let want: Vec<u64> = under_a.iter().map(|v| v + 100).collect();
-        for line in &under_b[..2] {
-            let line = Json::parse(line).unwrap();
-            let query = line.get("query").unwrap();
-            assert_eq!(query, &Json::Arr(vec![Json::UInt(100)]));
-            assert_eq!(community(&line), want, "{line:?}");
-        }
-        assert_eq!((engine.cache().hits(), engine.cache().misses()), (4, 1));
-        assert_eq!(engine.cache().bytes(), bytes, "the first map's bytes stay");
-    }
-
-    #[test]
-    fn stats_report_the_cache_totals() {
-        let (engine, original) = demo_engine();
-        let expected = Session::new(engine.snapshot(), &AlgoSpec::new("fpa"))
-            .unwrap()
-            .search(&[0])
-            .unwrap();
-        let sh = shared(engine, original, 8);
-        let replies = raw_replies(
-            &sh,
-            "{\"op\":\"query\",\"nodes\":[0],\"tag\":\"t\"}\n\
-             {\"op\":\"query\",\"nodes\":[0]}\n\
-             {\"op\":\"stats\"}\n",
-        );
-        // The first hit kept its reply after the tag member.
-        let tail = &replies[1][replies[1].find(",\"algo\"").unwrap()..];
-        // A served entry holds 4 bytes per query id and its packed round:
-        // 8 bytes of DM, then one byte each for the iteration count, the
-        // community's length, each community id (sorted, so a delta
-        // under 64 from the one before) and the empty removal order's
-        // length.
-        let c = &expected.community;
-        assert!(expected.iterations < 128 && c.len() < 128 && c[0] < 64);
-        assert!(c.windows(2).all(|w| w[1] - w[0] < 64), "{c:?}");
-        let packed = 8 + 1 + 1 + c.len() as u64 + 1;
-        let stats = Json::parse(&replies[2]).unwrap();
-        assert_eq!(stats.get("cache_entries").unwrap().as_u64(), Some(1));
-        assert_eq!(
-            stats.get("cache_bytes").unwrap().as_u64(),
-            Some(4 + packed + tail.len() as u64 + 1),
-            "the query id, the packed round, the reply tail and its newline"
-        );
-    }
-
-    /// One op of a random wire transcript, over [`WIRE_IDS`].
-    #[derive(Debug, Clone, Copy)]
-    enum WireOp {
-        /// Query `WIRE_IDS[a]`, plus `WIRE_IDS[b]` when `b` indexes it,
-        /// tagged with `WIRE_TAGS[tag]`: a top-`k` enumeration when `k`
-        /// is not 0.
-        Query {
-            a: usize,
-            b: usize,
-            tag: usize,
-            k: usize,
-        },
-        /// Add the edge `WIRE_IDS[a]`–`WIRE_IDS[b]`.
-        Add { a: usize, b: usize },
-        /// Delete the `pick`-th live edge (modulo the edge count).
-        Del { pick: usize },
-        /// Pin the connection's session to the current graph.
-        Repin,
-    }
-
-    /// Original ids: the twelve loaded nodes, shuffled so that sorting
-    /// after mapping shows, and three fresh ids (5, 15, 25) an `add`
-    /// creates.
-    const WIRE_IDS: [u64; 15] = [50, 10, 5, 40, 0, 15, 30, 20, 25, 70, 60, 110, 90, 100, 80];
-
-    /// Tags with quotes, backslashes, control characters and non-ASCII
-    /// text; `None` sends no tag.
-    const WIRE_TAGS: [Option<&str>; 6] = [
-        None,
-        Some("plain"),
-        Some("q \"t\" \\ end"),
-        Some("ctl \u{1}\t\n\u{1f}"),
-        Some("ü 社区 é"),
-        Some(""),
-    ];
-
-    fn wire_op() -> impl Strategy<Value = WireOp> {
-        // Six in nine ops query the first nine ids (so the same query
-        // repeats, hitting the cache), one in three of them as a top-1
-        // or top-2 enumeration; the rest add, delete or repin.
-        (0u8..9).prop_flat_map(|kind| {
-            (0..WIRE_IDS.len()).prop_flat_map(move |a| {
-                (0..2 * WIRE_IDS.len()).prop_flat_map(move |b| {
-                    (0..WIRE_TAGS.len()).prop_flat_map(move |tag| {
-                        (0..6usize).prop_map(move |k| match kind {
-                            0..=5 => WireOp::Query {
-                                a: a % 9,
-                                b,
-                                tag,
-                                k: k.saturating_sub(3).min(2),
-                            },
-                            6 => WireOp::Add {
-                                a,
-                                b: b % WIRE_IDS.len(),
-                            },
-                            7 => WireOp::Del { pick: b },
-                            _ => WireOp::Repin,
-                        })
-                    })
-                })
-            })
-        })
-    }
-
-    /// What the wire proptest expects of one reply line.
-    #[derive(Debug)]
-    enum Want {
-        /// A `response` or `topk` line with these bytes, timings zeroed.
-        Response(String),
-        /// A reply of this `type`.
-        Type(&'static str),
-    }
-
-    /// The reference the wire proptest checks the daemon against: the
-    /// id map and the edge set, in dense ids.
-    #[derive(Clone)]
-    struct WireModel {
-        original: Vec<u64>,
-        edges: std::collections::BTreeSet<(NodeId, NodeId)>,
-    }
-
-    impl WireModel {
-        fn dense(&self, raw: u64) -> Option<NodeId> {
-            self.original
-                .iter()
-                .position(|&r| r == raw)
-                .map(|d| d as NodeId)
-        }
-
-        /// The dense id of `raw`, created when unseen (as an `add` does).
-        fn dense_or_create(&mut self, raw: u64) -> NodeId {
-            self.dense(raw).unwrap_or_else(|| {
-                self.original.push(raw);
-                (self.original.len() - 1) as NodeId
-            })
-        }
-
-        /// The graph, rebuilt from scratch.
-        fn graph(&self) -> dmcs_graph::Graph {
-            let edges: Vec<(NodeId, NodeId)> = self.edges.iter().copied().collect();
-            GraphBuilder::from_edges(self.original.len(), &edges)
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn wire_replies_equal_a_cacheless_session_on_the_pinned_graph(
-            ops in proptest::collection::vec(wire_op(), 0..50),
-        ) {
-            // Three components, each inside one of three shards.
-            let base: [(NodeId, NodeId); 12] = [
-                (0, 1), (0, 2), (1, 2), (2, 3),
-                (4, 5), (5, 6), (6, 7), (4, 7), (4, 6),
-                (8, 9), (9, 10), (10, 11),
-            ];
-            let loaded: Vec<u64> = WIRE_IDS.iter().copied().filter(|id| id % 10 == 0).collect();
-            let engine = Engine::from_graph_sharded(GraphBuilder::from_edges(12, &base), 3);
-            let sh = shared(engine, loaded.clone(), 8);
-            let mut live = WireModel { original: loaded, edges: base.into_iter().collect() };
-            let mut pinned = live.clone();
-
-            // The transcript, and the reply type the model expects for
-            // each line: `response` and `topk` lines carry the expected bytes.
-            let (mut script, mut expected) = (String::new(), Vec::new());
-            for op in &ops {
-                let want = match *op {
-                    WireOp::Query { a, b, tag, k } => {
-                        let mut raw = vec![WIRE_IDS[a]];
-                        if b < WIRE_IDS.len() && b != a {
-                            raw.push(WIRE_IDS[b]);
-                        }
-                        let tag = WIRE_TAGS[tag];
-                        let nodes = Json::Arr(raw.iter().map(|&id| Json::UInt(id)).collect());
-                        script += &format!("{{\"op\":\"query\",\"nodes\":{}", nodes.render());
-                        if let Some(t) = tag {
-                            script += &format!(",\"tag\":{}", Json::str(t).render());
-                        }
-                        if k > 0 {
-                            script += &format!(",\"k\":{k}");
-                        }
-                        script += "}\n";
-                        match raw.iter().map(|&id| live.dense(id)).collect::<Option<Vec<_>>>() {
-                            Some(dense) => {
-                                let mut reference =
-                                    Session::new(Snapshot::freeze(pinned.graph()), &sh.spec).unwrap();
-                                let (mut line, writer) = (String::new(), &mut LineWriter::new());
-                                let original = Some(&live.original[..]);
-                                if k > 0 {
-                                    let outcome = reference.top_k(&dense, k);
-                                    writer.topk(&mut line, &outcome, k, tag, &dense, original);
-                                } else {
-                                    let mut request = QueryRequest::new(dense);
-                                    request.tag = tag.map(str::to_string);
-                                    let resp = reference.query(&request).unwrap();
-                                    writer.response(&mut line, &resp, original);
-                                }
-                                Want::Response(zero_timings(line.trim_end()))
-                            }
-                            None => Want::Type("error"),
-                        }
-                    }
-                    WireOp::Add { a, b } => {
-                        let (u, v) = (WIRE_IDS[a], WIRE_IDS[b]);
-                        script += &format!("{{\"op\":\"update\",\"action\":\"add\",\"u\":{u},\"v\":{v}}}\n");
-                        if u == v {
-                            Want::Type("error")
-                        } else {
-                            let (du, dv) = (live.dense_or_create(u), live.dense_or_create(v));
-                            match live.edges.insert((du.min(dv), du.max(dv))) {
-                                true => Want::Type("update"),
-                                false => Want::Type("error"),
-                            }
-                        }
-                    }
-                    WireOp::Del { pick } => {
-                        let edge = live.edges.iter().nth(pick % live.edges.len().max(1)).copied();
-                        let (du, dv) = edge.unwrap_or((0, 1));
-                        let (u, v) = (live.original[du as usize], live.original[dv as usize]);
-                        script += &format!("{{\"op\":\"update\",\"action\":\"del\",\"u\":{u},\"v\":{v}}}\n");
-                        match live.edges.remove(&(du, dv)) {
-                            true => Want::Type("update"),
-                            false => Want::Type("error"),
-                        }
-                    }
-                    WireOp::Repin => {
-                        script += "{\"op\":\"repin\"}\n";
-                        pinned = live.clone();
-                        Want::Type("repin")
-                    }
-                };
-                expected.push(want);
-            }
-
-            let replies = raw_replies(&sh, &script);
-            prop_assert_eq!(replies.len(), ops.len() + 1, "one reply per op, then the summary");
-            for (i, (got, want)) in replies.iter().zip(&expected).enumerate() {
-                match want {
-                    Want::Response(line) => {
-                        prop_assert_eq!(&zero_timings(got), line, "op {} of {:?}", i, ops)
-                    }
-                    Want::Type(ty) => {
-                        let reply = Json::parse(got).unwrap();
-                        let got_ty = reply.get("type").and_then(Json::as_str);
-                        prop_assert_eq!(got_ty, Some(*ty), "op {} of {:?}: {}", i, ops, got);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The replies of `transcript` on a fresh demo daemon whose lines are
-    /// at most `max_line_bytes` long, read at most `chunk` bytes at a
-    /// time; `None` when serving it panics.
-    fn serve_fresh(transcript: &[u8], chunk: usize, max_line_bytes: usize) -> Option<Vec<u8>> {
-        let (engine, original) = demo_engine();
-        let mut sh = shared(engine, original, 8);
-        sh.max_line_bytes = max_line_bytes;
-        let mut io = Script::chunked(transcript, chunk);
-        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            serve_conn(&sh, &mut io);
-        }));
-        served.ok().map(|()| io.output)
-    }
-
-    #[test]
-    fn an_oversized_line_gets_one_reply_however_reads_split_it() {
-        let script = format!(
-            "{{\"op\":\"query\",\"nodes\":[{}0]}}\n{{\"op\":\"query\",\"nodes\":[0]}}\n",
-            "0,".repeat(40)
-        );
-        let replies = |chunk| {
-            let output = serve_fresh(script.as_bytes(), chunk, 32).unwrap();
-            let text = String::from_utf8(output).unwrap();
-            text.lines().map(zero_timings).collect::<Vec<_>>()
-        };
-        let (whole, bytewise) = (replies(usize::MAX), replies(1));
-        assert_eq!(whole, bytewise);
-        assert_eq!(whole.len(), 3, "{whole:?}");
-        let error = Json::parse(&whole[0]).unwrap();
-        let text = error.get("error").and_then(Json::as_str);
-        assert_eq!(
-            text,
-            Some("bad request line 1: request line exceeds 32 bytes")
-        );
-        assert!(whole[1].contains("\"type\":\"response\""), "{whole:?}");
-    }
-
-    /// The fuzzed daemon's line limit: deep enough for nesting past the
-    /// parser's cap to reach the parser.
-    const FUZZ_MAX: usize = 512;
-
-    /// Valid requests the wire fuzzer mutates. None is `shutdown`, which
-    /// ends the connection.
-    const FUZZ_REQUESTS: [&str; 8] = [
-        r#"{"op":"query","nodes":[0]}"#,
-        r#"{"op":"query","nodes":[3,5],"tag":"t"}"#,
-        r#"{"op":"query","nodes":[1],"k":2}"#,
-        r#"{"op":"update","action":"add","u":0,"v":4}"#,
-        r#"{"op":"update","action":"del","u":0,"v":1}"#,
-        r#"{"op":"update","action":"setw","u":0,"v":2,"w":2.5}"#,
-        r#"{"op":"repin"}"#,
-        r#"{"op":"stats"}"#,
-    ];
-
-    /// Numbers out of every range the wire reads.
-    const FUZZ_HUGE: [&str; 6] = [
-        r#"{"op":"query","nodes":[18446744073709551616]}"#,
-        r#"{"op":"query","nodes":[18446744073709551615]}"#,
-        r#"{"op":"query","nodes":[0],"k":18446744073709551615}"#,
-        r#"{"op":"query","nodes":[1e400],"k":-1e-400}"#,
-        r#"{"op":"update","action":"setw","u":0,"v":1,"w":1e400}"#,
-        r#"{"op":"update","action":"add","u":-0,"v":1.5e3}"#,
-    ];
-
-    /// splitmix64: each fuzzed line's bytes come from its own drawn seed.
-    struct SplitMix(u64);
-
-    impl SplitMix {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
-    }
-
-    /// One fuzzed request line from `seed`, without its newline (random
-    /// bytes may still hold one).
-    fn fuzz_line(seed: u64) -> Vec<u8> {
-        let mut rng = SplitMix(seed);
-        let mut line = FUZZ_REQUESTS[rng.below(FUZZ_REQUESTS.len())]
-            .as_bytes()
-            .to_vec();
-        match rng.below(10) {
-            // Random bytes.
-            0 => return (0..rng.below(48)).map(|_| rng.next() as u8).collect(),
-            // A valid request with bytes replaced, deleted or inserted.
-            1 | 2 => {
-                for _ in 0..=rng.below(3) {
-                    let (at, byte) = (rng.below(line.len()), rng.next() as u8);
-                    match rng.below(3) {
-                        0 => line[at] = byte,
-                        1 => {
-                            line.remove(at);
-                        }
-                        _ => line.insert(at, byte),
-                    }
-                }
-            }
-            // Nesting around the parser's depth cap.
-            3 => {
-                let depth = MAX_JSON_DEPTH - 2 + rng.below(8);
-                let nodes = "[".repeat(depth) + &"]".repeat(depth);
-                line = format!("{{\"op\":\"query\",\"nodes\":{nodes}}}").into_bytes();
-            }
-            // A tag cut inside a three-byte character, closed or not.
-            4 => {
-                line = br#"{"op":"query","nodes":[2],"tag":"a"#.to_vec();
-                line.extend_from_slice(&"社".as_bytes()[..1 + rng.below(2)]);
-                if rng.below(2) == 0 {
-                    line.extend_from_slice(br#""}"#);
-                }
-            }
-            5 => line = FUZZ_HUGE[rng.below(FUZZ_HUGE.len())].as_bytes().to_vec(),
-            // NULs.
-            6 => {
-                for _ in 0..=rng.below(3) {
-                    line.insert(rng.below(line.len() + 1), 0);
-                }
-            }
-            // CRLF.
-            7 => line.push(b'\r'),
-            // Blank lines.
-            8 => return [&b""[..], b" ", b"\t", b"\r", b" \t\r "][rng.below(5)].to_vec(),
-            // A `stats` request padded to one byte either side of the limit.
-            _ => {
-                let pad = FUZZ_MAX - 1 + rng.below(3) - b"{\"op\":\"stats\"}".len();
-                line = format!("{{\"op\":\"stats\"{}}}", " ".repeat(pad)).into_bytes();
-            }
-        }
-        line
-    }
-
-    /// The reply types the framing rules promise for `transcript`: one
-    /// per complete line that is oversized or not blank (`stats` for an
-    /// exact stats request, any type otherwise: `None`), one for a
-    /// non-empty torn tail (oversized or not), then the `summary`.
-    fn promised_replies(transcript: &[u8]) -> Vec<Option<&'static str>> {
-        let mut lines: Vec<&[u8]> = transcript.split(|&b| b == b'\n').collect();
-        let tail = lines.pop().unwrap_or_default();
-        let mut promised: Vec<Option<&str>> = Vec::new();
-        for line in lines {
-            if line == br#"{"op":"stats"}"# {
-                promised.push(Some("stats"));
-            } else if line.len() > FUZZ_MAX || !String::from_utf8_lossy(line).trim().is_empty() {
-                promised.push(None);
-            }
-        }
-        if !tail.is_empty() {
-            promised.push(None);
-        }
-        promised.push(Some("summary"));
-        promised
-    }
-
-    /// Why serving `transcript` breaks the wire's promises, if it does.
-    /// It is served whole and in reads of at most `chunk` bytes, each on
-    /// a fresh daemon: neither may panic, the whole run must give the
-    /// promised replies, each an object with a `type`, and both runs
-    /// the same bytes once timings are zeroed.
-    fn wire_violation(transcript: &[u8], chunk: usize) -> Option<String> {
-        let serve = |chunk| serve_fresh(transcript, chunk, FUZZ_MAX);
-        let (Some(whole), Some(chunked)) = (serve(usize::MAX), serve(chunk)) else {
-            return Some("serving panicked".into());
-        };
-        let (Ok(whole), Ok(chunked)) = (String::from_utf8(whole), String::from_utf8(chunked))
-        else {
-            return Some("a reply is not UTF-8".into());
-        };
-        let promised = promised_replies(transcript);
-        let replies: Vec<&str> = whole.lines().collect();
-        let (got, want) = (replies.len(), promised.len());
-        if got != want {
-            return Some(format!("{got} replies, {want} promised: {replies:?}"));
-        }
-        for (reply, want) in replies.iter().zip(&promised) {
-            let parsed = Json::parse(reply).ok();
-            match (parsed.as_ref().and_then(|v| v.get("type")?.as_str()), want) {
-                (None, _) => return Some(format!("not an object with a type: {reply}")),
-                (Some(ty), Some(want)) if ty != *want => {
-                    return Some(format!("a {ty} reply where {want} was promised: {reply}"))
-                }
-                _ => {}
-            }
-        }
-        let zeroed = |text: &str| text.lines().map(zero_timings).collect::<Vec<_>>();
-        if zeroed(&whole) != zeroed(&chunked) {
-            return Some(format!("reads of {chunk} bytes change the replies"));
-        }
-        None
-    }
-
-    /// Shrink a transcript that `fails`: drop whole lines while it still
-    /// fails, then single bytes.
-    fn minimize(mut transcript: Vec<u8>, fails: impl Fn(&[u8]) -> bool) -> Vec<u8> {
-        let mut at = 0;
-        while at < transcript.len() {
-            let end = transcript[at..]
-                .iter()
-                .position(|&b| b == b'\n')
-                .map_or(transcript.len(), |p| at + p + 1);
-            let mut shorter = transcript.clone();
-            shorter.drain(at..end);
-            if fails(&shorter) {
-                transcript = shorter;
-            } else {
-                at = end;
-            }
-        }
-        let mut at = 0;
-        while at < transcript.len() {
-            let mut shorter = transcript.clone();
-            shorter.remove(at);
-            if fails(&shorter) {
-                transcript = shorter;
-            } else {
-                at += 1;
-            }
-        }
-        transcript
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
-
-        #[test]
-        fn fuzzed_wire_bytes_get_the_replies_framing_promises(
-            seeds in proptest::collection::vec(0u64..u64::MAX, 0..24),
-            tail in 0u64..u64::MAX,
-            cut in 0usize..600,
-            chunk in 1usize..32,
-        ) {
-            // Fuzzed lines, a `stats` request that must be answered as
-            // usual, and a torn tail: a fuzzed line, newlines removed,
-            // cut short or not (a padded `stats` line can tear oversized).
-            let mut transcript = Vec::new();
-            for &seed in &seeds {
-                transcript.extend(fuzz_line(seed));
-                transcript.push(b'\n');
-            }
-            transcript.extend_from_slice(b"{\"op\":\"stats\"}\n");
-            let torn = fuzz_line(tail).into_iter().filter(|&b| b != b'\n').take(cut);
-            transcript.extend(torn);
-            // `shutdown` would end the connection early.
-            if transcript.windows(8).any(|w| w == b"shutdown") {
-                return Ok(());
-            }
-            if let Some(why) = wire_violation(&transcript, chunk) {
-                let small = minimize(transcript, |t| wire_violation(t, chunk).is_some());
-                let why_small = wire_violation(&small, chunk).unwrap_or(why);
-                prop_assert!(
-                    false,
-                    "{why_small}\nminimized transcript, reads of {chunk} bytes: b\"{}\"",
-                    small.escape_ascii()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn shutdown_op_drains_and_still_summarises() {
-        let (engine, original) = demo_engine();
-        let sh = shared(engine, original, 8);
-        let mut io = Script::new(
-            "{\"op\":\"query\",\"nodes\":[0]}\n\
-             {\"op\":\"shutdown\"}\n\
-             {\"op\":\"query\",\"nodes\":[1]}\n",
-        );
-        serve_conn(&sh, &mut io);
-        assert!(sh.draining());
-        let replies = io.replies();
-        // The request pipelined after shutdown is not served.
-        assert_eq!(replies.len(), 3, "{replies:?}");
-        assert_eq!(replies[1].get("type").unwrap().as_str(), Some("shutdown"));
-        assert_eq!(replies[2].get("type").unwrap().as_str(), Some("summary"));
-        assert_eq!(replies[2].get("queries").unwrap().as_u64(), Some(1));
+        // The daemon drains normally.
+        assert!(server.shared.draining());
+        let stats = server.run();
+        assert_eq!((stats.connections, stats.served), (1, 2));
     }
 
     #[test]

@@ -100,7 +100,8 @@ pub struct TopKOutcome {
 /// ```
 pub struct Session {
     snapshot: Snapshot,
-    spec: AlgoSpec,
+    /// Shared by every cache key the session makes.
+    spec: Arc<AlgoSpec>,
     algo: Box<dyn CommunitySearch>,
     ws: QueryWorkspace,
     /// Whether queries execute on the snapshot's compute mirror (see the
@@ -188,7 +189,7 @@ impl Session {
         let mirrored = mirror.is_some();
         Ok(Session {
             snapshot,
-            spec: spec.clone(),
+            spec: Arc::new(spec.clone()),
             algo,
             ws,
             mirrored,
@@ -350,7 +351,7 @@ impl Session {
     fn cache_key(&self, req: &QueryRequest) -> Option<CacheKey> {
         self.cache
             .as_ref()
-            .map(|_| CacheKey::new(&self.spec, &req.nodes, &self.snapshot))
+            .map(|_| CacheKey::new(Arc::clone(&self.spec), &req.nodes, &self.snapshot))
     }
 
     /// Time the search for `req` and, given its cache `key`, store the
@@ -387,7 +388,7 @@ impl Session {
         let key = self
             .cache
             .as_ref()
-            .map(|_| CacheKey::for_top_k(&self.spec, nodes, &self.snapshot, k));
+            .map(|_| CacheKey::for_top_k(Arc::clone(&self.spec), nodes, &self.snapshot, k));
         if let (Some(cache), Some(key)) = (&self.cache, &key) {
             if let Some(hit) = cache.get(key, &self.snapshot) {
                 return TopKOutcome {
@@ -509,6 +510,23 @@ mod tests {
                 "query {q} diverges from the workspace-free path"
             );
         }
+    }
+
+    #[test]
+    fn cache_keys_share_the_session_spec() {
+        let cache = Arc::new(ResponseCache::new(8));
+        let session = session("fpa").with_cache(cache);
+        let key = |nodes: Vec<NodeId>| session.cache_key(&QueryRequest::new(nodes)).unwrap();
+        let (a, b) = (key(vec![0]), key(vec![3, 5]));
+        assert!(
+            Arc::ptr_eq(&a.spec, &b.spec),
+            "one spec, not a copy per key"
+        );
+        assert_eq!(*a.spec, AlgoSpec::new("fpa"));
+        assert!(
+            std::mem::size_of::<CacheKey>() < 72,
+            "a key held the spec by value"
+        );
     }
 
     #[test]

@@ -103,10 +103,6 @@ pub struct CliConfig {
     pub threads: usize,
     /// Output rendering (`--format {text,json}`).
     pub format: OutputFormat,
-    /// Shard count for the versioned store (`--shards`): node-id ranges
-    /// per shard, giving shard-scoped cache invalidation under updates
-    /// and the store's per-shard rebuild counters.
-    pub shards: usize,
     /// Compute-mirror layout policy (`--layout {identity,bfs}`): `bfs`
     /// makes the store additionally build a cache-friendly renumbered
     /// CSR mirror per snapshot. Public ids (and all output) stay in the
@@ -131,7 +127,6 @@ impl Default for CliConfig {
             updates_path: None,
             threads: 1,
             format: OutputFormat::Text,
-            shards: crate::graph::DEFAULT_SHARD_COUNT,
             layout: LayoutPolicy::default(),
         }
     }
@@ -185,10 +180,6 @@ OPTIONS:
                       composes with --algo and --weighted (rounds run
                       the resolved searcher and score its objective)
     --dot <path>      write a Graphviz DOT rendering of the result
-    --shards <n>      partition the store's node-id space into n shards
-                      (default: 16): updates dirty only the shards they
-                      touch, and cached answers scoped to clean shards
-                      survive updates that leave the edge count unchanged
     --plan auto       batch planner (batch mode only; auto is the one
                       mode and the default): the batch runs
                       component-grouped when the graph is fragmented,
@@ -251,12 +242,6 @@ fn parse_grammar(args: &[String], grammar: Grammar) -> Result<Option<ServeCli>, 
             ("--algo", _) => cfg.algo = value()?.to_lowercase(),
             ("--k", _) => cfg.k = number(arg, value()?)?,
             ("--no-pruning", _) => cfg.no_pruning = true,
-            ("--shards", _) => {
-                cfg.shards = number(arg, value()?)?;
-                if cfg.shards == 0 {
-                    return Err(EngineError::bad_param("--shards must be at least 1"));
-                }
-            }
             ("--layout", _) => cfg.layout = policy(arg, value()?)?,
             ("--query", Run) => cfg.query = parse_query_ids(value()?)?,
             ("--queries", Run) => cfg.queries_path = Some(value()?.to_string()),
@@ -550,13 +535,13 @@ fn write_dot_file<W: std::io::Write>(
 /// map and the algorithm's display name. `--algo` resolves first, so an
 /// unregistered label fails (exit code 3) before any graph loads; then
 /// the graph (with its weights lane under `--weighted`) seeds a store of
-/// `--shards` shards under the `--layout` policy, which every mode
-/// serves from, through the shard-scoped result cache except in a
-/// one-shot `--queries` batch.
+/// [`DEFAULT_SHARD_COUNT`](crate::graph::DEFAULT_SHARD_COUNT) shards
+/// under the `--layout` policy, which every mode serves from, through
+/// the shard-scoped result cache except in a one-shot `--queries` batch.
 fn open_engine(cfg: &CliConfig) -> Result<(Engine, Vec<u64>, &'static str), EngineError> {
     let algo_name = algo_spec(cfg).build()?.name();
     let (g, original) = load_graph(cfg)?;
-    let engine = Engine::from_graph_sharded(g, cfg.shards);
+    let engine = Engine::from_graph(g);
     engine.store().set_layout_policy(cfg.layout);
     Ok((engine, original, algo_name))
 }
@@ -1035,8 +1020,6 @@ OPTIONS:
     --algo <name>     algorithm label (default: fpa), one of:
 {algos}    --k <int>         k for the algorithms marked [uses --k] (default: 3)
     --no-pruning      disable FPA's layer-based pruning
-    --shards <n>      partition the store's node-id space into n shards
-                      (default: 16; see `dmcs --help`)
     --layout <policy> snapshot compute-mirror layout: identity (default)
                       or bfs (see `dmcs --help`)
     --queue-cap <n>   bounded admission: at most n queries/updates in
@@ -1134,22 +1117,22 @@ mod tests {
         assert!(cfg.stats);
         assert_eq!(cfg.max_print, 0);
         assert_eq!(cfg.format, OutputFormat::Json);
-        assert_eq!(cfg.shards, crate::graph::DEFAULT_SHARD_COUNT);
     }
 
     #[test]
-    fn shards_flag_parses_and_rejects_zero() {
-        let cfg = parse(&args("--demo --query 0 --shards 4"))
-            .unwrap()
-            .unwrap();
-        assert_eq!(cfg.shards, 4);
-        assert!(parse(&args("--demo --query 0 --shards 0")).is_err());
-        assert!(parse(&args("--demo --query 0 --shards nope")).is_err());
-        let serve = parse_serve(&args("--demo --tcp 127.0.0.1:0 --shards 8"))
-            .unwrap()
-            .unwrap();
-        assert_eq!(serve.cfg.shards, 8);
-        assert!(parse_serve(&args("--demo --tcp 127.0.0.1:0 --shards 0")).is_err());
+    fn parses_a_full_serve_command_line() {
+        let serve = parse_serve(&args(
+            "--graph g.txt --weighted --algo nca --unix d.sock --tcp 127.0.0.1:0 \
+             --queue-cap 0 --max-line-bytes 64",
+        ))
+        .unwrap()
+        .unwrap();
+        assert_eq!(serve.cfg.graph_path.as_deref(), Some("g.txt"));
+        assert_eq!((serve.cfg.algo.as_str(), serve.cfg.weighted), ("nca", true));
+        assert_eq!(serve.server.unix_path.as_deref(), Some("d.sock"));
+        assert_eq!(serve.server.tcp_addr.as_deref(), Some("127.0.0.1:0"));
+        let limits = (serve.server.queue_cap, serve.server.max_line_bytes);
+        assert_eq!(limits, (0, 64));
     }
 
     #[test]
@@ -2024,13 +2007,11 @@ mod tests {
 
     #[test]
     fn stats_prints_the_store_shard_line() {
-        let cfg = parse(&args("--demo --query 0 --stats --shards 4"))
-            .unwrap()
-            .unwrap();
+        let cfg = parse(&args("--demo --query 0 --stats")).unwrap().unwrap();
         let mut out = Vec::new();
         run(&cfg, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("store: 4 shards, 0 dirty"), "{text}");
+        assert!(text.contains("store: 16 shards, 0 dirty"), "{text}");
         assert!(
             text.contains("rebuilds: 0 (0 shards rebuilt, 0 reused)"),
             "{text}"

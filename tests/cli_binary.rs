@@ -706,103 +706,6 @@ fn serve_smoke_over_a_unix_socket() {
     assert!(banner.contains("drained:"), "{banner}");
 }
 
-/// `cache_bytes` over a real socket: a served entry holds its query ids,
-/// 4 bytes each, and its packed round with no removal order; the first
-/// hit of an entry adds exactly its reply tail (from `algo` on) and
-/// newline.
-#[cfg(unix)]
-#[test]
-fn serve_cache_bytes_count_the_ids_replies_carry() {
-    use dmcs::engine::output::Json;
-    use std::io::{BufRead, BufReader, Write};
-    use std::os::unix::net::UnixStream;
-
-    let path = std::env::temp_dir().join(format!("dmcs-bin-bytes-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let mut daemon = Daemon(
-        dmcs()
-            .args(["serve", "--demo", "--unix", path.to_str().unwrap()])
-            .stdout(std::process::Stdio::null())
-            .spawn()
-            .unwrap(),
-    );
-    let mut waited = 0;
-    while !path.exists() {
-        assert!(waited < 5_000, "daemon never bound {path:?}");
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        waited += 20;
-    }
-    let stream = UnixStream::connect(&path).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut stream = stream;
-    let mut ask = |req: &str| -> String {
-        writeln!(stream, "{req}").unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        line
-    };
-    let cache_bytes = |stats: &str| {
-        let stats = Json::parse(stats).unwrap();
-        stats.get("cache_bytes").unwrap().as_u64().unwrap()
-    };
-
-    // Twenty distinct queries on the karate demo, every one a miss. An
-    // entry counts 4 bytes per query id and its packed round: 8 bytes of
-    // DM, then LEB128 varints for the iteration count, the community's
-    // length, each community id's zigzag delta from the one before (the
-    // first from 0) and the empty removal order's length. The demo's
-    // original ids are its dense ids.
-    let varint = |x: u64| u64::from((64 - x.leading_zeros()).max(1).div_ceil(7));
-    let queries: Vec<String> = (0..16)
-        .map(|q| format!("[{q}]"))
-        .chain(["[0,33]", "[1,2]", "[5,16]", "[23,31,32]"].map(String::from))
-        .collect();
-    let mut bytes = 0;
-    let mut first = String::new();
-    for q in &queries {
-        let reply = ask(&format!("{{\"op\":\"query\",\"nodes\":{q}}}"));
-        let v = Json::parse(&reply).unwrap();
-        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true), "{reply}");
-        let ids = |key| -> Vec<u64> {
-            let ids = v.get(key).unwrap().as_arr().unwrap();
-            ids.iter().map(|id| id.as_u64().unwrap()).collect()
-        };
-        let community = ids("community");
-        let mut prev = 0;
-        let deltas: u64 = community
-            .iter()
-            .map(|&id| {
-                let delta = id as i64 - prev;
-                prev = id as i64;
-                varint(((delta << 1) ^ (delta >> 63)) as u64)
-            })
-            .sum();
-        let iterations = v.get("iterations").unwrap().as_u64().unwrap();
-        let packed = 8 + varint(iterations) + varint(community.len() as u64) + deltas + 1;
-        bytes += 4 * ids("query").len() as u64 + packed;
-        if first.is_empty() {
-            first = reply;
-        }
-    }
-    let stats = ask(r#"{"op":"stats"}"#);
-    assert!(stats.contains("\"cache_misses\":20"), "{stats}");
-    assert_eq!(cache_bytes(&stats), bytes, "{stats}");
-
-    // The first repeat keeps its reply tail in the entry.
-    let repeat = ask(&format!("{{\"op\":\"query\",\"nodes\":{}}}", queries[0]));
-    assert_eq!(repeat, first);
-    let tail = &repeat.trim_end()[repeat.find(",\"algo\"").unwrap()..];
-    let stats = ask(r#"{"op":"stats"}"#);
-    assert_eq!(
-        cache_bytes(&stats),
-        bytes + tail.len() as u64 + 1,
-        "{stats}"
-    );
-
-    ask(r#"{"op":"shutdown"}"#);
-    assert_eq!(daemon.0.wait().unwrap().code(), Some(0));
-}
-
 #[cfg(unix)]
 #[test]
 fn serve_drains_on_sigterm() {
@@ -845,47 +748,6 @@ fn serve_drains_on_sigterm() {
     stdout.read_to_string(&mut banner).unwrap();
     assert!(banner.contains("drained: 0 connections"), "{banner}");
     assert!(!path.exists(), "socket file unlinked on SIGTERM");
-}
-
-#[cfg(unix)]
-#[test]
-fn serve_overload_wire_code_8() {
-    use std::io::{BufRead, BufReader, Write};
-    use std::os::unix::net::UnixStream;
-
-    let path = std::env::temp_dir().join(format!("dmcs-bin-cap0-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let mut daemon = Daemon(
-        dmcs()
-            .args([
-                "serve",
-                "--demo",
-                "--unix",
-                path.to_str().unwrap(),
-                "--queue-cap",
-                "0",
-            ])
-            .stdout(std::process::Stdio::null())
-            .spawn()
-            .unwrap(),
-    );
-    let mut waited = 0;
-    while !path.exists() {
-        assert!(waited < 5_000, "daemon never bound {path:?}");
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        waited += 20;
-    }
-
-    let stream = UnixStream::connect(&path).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut stream = stream;
-    writeln!(stream, r#"{{"op":"query","nodes":[0]}}"#).unwrap();
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    assert!(line.contains("\"code\":8"), "{line}");
-    assert!(line.contains("overloaded"), "{line}");
-    writeln!(stream, r#"{{"op":"shutdown"}}"#).unwrap();
-    assert_eq!(daemon.0.wait().unwrap().code(), Some(0));
 }
 
 #[test]

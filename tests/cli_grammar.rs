@@ -33,6 +33,10 @@ const RUN: &[(&str, &str)] = &[
     ),
     ("--demo --query 0 --wat", "unknown argument \"--wat\""),
     ("--demo --query 0 serve", "unknown argument \"serve\""),
+    (
+        "--demo --query 0 --shards 4",
+        "unknown argument \"--shards\"",
+    ),
     // Bad values.
     ("--demo --query x", "bad query id \"x\""),
     (
@@ -54,8 +58,6 @@ const RUN: &[(&str, &str)] = &[
     ("--demo --query 0 --k -1", "bad --k value"),
     ("--demo --query 0 --max-print x", "bad --max-print value"),
     ("--demo --query 0 --top-k x", "bad --top-k value"),
-    ("--demo --query 0 --shards x", "bad --shards value"),
-    ("--demo --query 0 --shards 0", "--shards must be at least 1"),
     (
         "--demo --query 0 --plan sometimes",
         "bad --plan value: unknown plan mode 'sometimes' (expected auto)",
@@ -83,7 +85,6 @@ const RUN: &[(&str, &str)] = &[
     ("--demo --query 0 --max-print", "--max-print needs a value"),
     ("--demo --query 0 --top-k", "--top-k needs a value"),
     ("--demo --query 0 --dot", "--dot needs a value"),
-    ("--demo --query 0 --shards", "--shards needs a value"),
     ("--demo --query 0 --plan", "--plan needs a value"),
     ("--demo --query 0 --layout", "--layout needs a value"),
     // Mutually exclusive flags and mode rules.
@@ -162,10 +163,7 @@ const RUN: &[(&str, &str)] = &[
     ),
     ("--demo --query 1 --k", "--k needs a value"),
     ("--k x --help", "bad --k value"),
-    (
-        "--demo --query 0 --shards 0 --wat",
-        "--shards must be at least 1",
-    ),
+    ("--demo --query 0 --top-k x --wat", "bad --top-k value"),
     (
         "--demo --graph g.txt",
         "--demo and --graph are mutually exclusive",
@@ -263,13 +261,12 @@ const SERVE: &[(&str, &str)] = &[
         "--demo --tcp 127.0.0.1:0 --wat",
         "unknown serve argument \"--wat\"",
     ),
+    (
+        "--demo --tcp 127.0.0.1:0 --shards 4",
+        "unknown serve argument \"--shards\"",
+    ),
     // Bad values.
     ("--demo --tcp 127.0.0.1:0 --k nope", "bad --k value"),
-    ("--demo --tcp 127.0.0.1:0 --shards x", "bad --shards value"),
-    (
-        "--demo --tcp 127.0.0.1:0 --shards 0",
-        "--shards must be at least 1",
-    ),
     (
         "--demo --tcp 127.0.0.1:0 --layout rcm",
         "bad --layout value: unknown layout policy 'rcm' (expected identity or bfs)",
@@ -290,10 +287,6 @@ const SERVE: &[(&str, &str)] = &[
     ("--demo --tcp 127.0.0.1:0 --graph", "--graph needs a value"),
     ("--demo --tcp 127.0.0.1:0 --algo", "--algo needs a value"),
     ("--demo --tcp 127.0.0.1:0 --k", "--k needs a value"),
-    (
-        "--demo --tcp 127.0.0.1:0 --shards",
-        "--shards needs a value",
-    ),
     (
         "--demo --tcp 127.0.0.1:0 --layout",
         "--layout needs a value",
@@ -342,8 +335,8 @@ const SERVE: &[(&str, &str)] = &[
         "either --graph or --demo is required",
     ),
     (
-        "--demo --tcp 127.0.0.1:0 --shards 0 --queue-cap x",
-        "--shards must be at least 1",
+        "--demo --tcp 127.0.0.1:0 --k x --queue-cap x",
+        "bad --k value",
     ),
 ];
 

@@ -46,7 +46,6 @@ const CLI_FLAGS: &[&str] = &[
     "--algo",
     "--k",
     "--no-pruning",
-    "--shards",
     "--layout",
     "--query",
     "--queries",

@@ -105,37 +105,33 @@ fn engine_batches_answer_each_order_like_a_cacheless_session() {
 fn a_daemon_connection_answers_each_order_like_a_cacheless_session() {
     use dmcs::engine::output::Json;
     use dmcs::engine::{Server, ServerConfig};
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{Read, Write};
     use std::os::unix::net::UnixStream;
 
     let want = reference(&c6(), &orders());
-    let path = std::env::temp_dir().join(format!("dmcs-query-order-{}.sock", std::process::id()));
-    let cfg = ServerConfig {
-        unix_path: Some(path.to_string_lossy().into_owned()),
-        ..ServerConfig::default()
-    };
     let server = Server::bind(
         Engine::from_graph(c6()),
         AlgoSpec::new("fpa"),
         (0..6).collect(),
-        &cfg,
+        &ServerConfig::default(),
     )
     .expect("bind");
-    let daemon = std::thread::spawn(move || server.run());
-    let mut stream = UnixStream::connect(&path).expect("connect");
-    let mut replies = BufReader::new(stream.try_clone().expect("clone"));
-    let mut ask = |line: &str| -> Json {
-        writeln!(stream, "{line}").expect("write");
-        let mut reply = String::new();
-        replies.read_line(&mut reply).expect("read");
-        Json::parse(reply.trim()).expect("reply parses")
-    };
-    for (q, want) in orders().iter().zip(&want) {
+    // One connection over a socket pair: every query is written, and the
+    // write side closed, before the server reads them.
+    let (mut client, connection) = UnixStream::pair().expect("socket pair");
+    for q in orders() {
         let nodes: Vec<String> = q.iter().map(NodeId::to_string).collect();
-        let reply = ask(&format!(
-            r#"{{"op":"query","nodes":[{}]}}"#,
-            nodes.join(",")
-        ));
+        writeln!(client, r#"{{"op":"query","nodes":[{}]}}"#, nodes.join(",")).expect("write");
+    }
+    client
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    server.serve_stream(connection);
+    let mut replies = String::new();
+    client.read_to_string(&mut replies).expect("read");
+    assert_eq!(replies.lines().count(), orders().len() + 1, "{replies}");
+    for ((q, want), reply) in orders().iter().zip(&want).zip(replies.lines()) {
+        let reply = Json::parse(reply).expect("reply parses");
         let community: Vec<NodeId> = reply
             .get("community")
             .and_then(Json::as_arr)
@@ -145,9 +141,7 @@ fn a_daemon_connection_answers_each_order_like_a_cacheless_session() {
             .collect();
         assert_eq!(community, want.as_ref().unwrap().0, "query {q:?}");
     }
-    ask(r#"{"op":"stats"}"#);
-    ask(r#"{"op":"shutdown"}"#);
-    let stats = daemon.join().expect("the daemon drains");
+    let stats = server.run();
     assert_eq!((stats.cache_hits, stats.cache_misses), (2, 2));
 }
 

@@ -19,6 +19,7 @@ use dmcs::graph::{GraphBuilder, GraphError, NodeId, Snapshot};
 use proptest::prelude::*;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// SplitMix64, seeded by the proptest case: builds the nested values the
 /// proptest shim has no strategies for.
@@ -170,8 +171,8 @@ proptest! {
     fn the_cache_returns_every_answer_as_it_was_inserted(seed in 0u64..u64::MAX) {
         let mut rng = Mix(seed);
         let snap = Snapshot::freeze(GraphBuilder::from_edges(2, &[(0, 1)]));
-        let spec = AlgoSpec::new("fpa");
-        let key = |i: usize| CacheKey::for_top_k(&spec, &[i as NodeId], &snap, i % 4);
+        let spec = Arc::new(AlgoSpec::new("fpa"));
+        let key = |i: usize| CacheKey::for_top_k(Arc::clone(&spec), &[i as NodeId], &snap, i % 4);
         let cache = ResponseCache::new(64);
         let answers: Vec<CachedAnswer> = (0..12).map(|_| answer(&mut rng)).collect();
         for (i, answer) in answers.iter().enumerate() {
